@@ -612,18 +612,15 @@ fn bench_cache(cfg: &BenchConfig) -> BenchReport {
 }
 
 /// Mixed reader/writer serving workload: snapshot readers racing an active
-/// committer on the MVCC cell, versus the same mix pushed through one
-/// lock-the-world `RwLock` (the pre-MVCC server design).
+/// committer on the MVCC cell.
 ///
-/// Three phases share one seeded engine (and, via `clone_reader`, one set of
+/// Two phases share one seeded engine (and, via `clone_reader`, one set of
 /// caches) and one query list:
 ///
 /// 1. `baseline` — snapshot readers only, no writer (steady-state hits);
 /// 2. `concurrency` (the main histogram) — the same readers while a writer
 ///    repeatedly publishes new versions, each commit bumping every epoch
-///    domain exactly like a server bulkload;
-/// 3. `locked` — readers hold an `RwLock` read guard across each search
-///    while the writer swaps the engine under the write guard.
+///    domain exactly like a server bulkload.
 ///
 /// Each phase is time-boxed (scaled by `iterations`) rather than
 /// read-counted: the cache-hit read path is tens of nanoseconds, so a fixed
@@ -635,10 +632,10 @@ fn bench_cache(cfg: &BenchConfig) -> BenchReport {
 /// writer, relative to the no-writer baseline. Honours `SENSORMETA_THREADS`
 /// via the global pool (raw `thread::spawn` is banned outside par/server).
 fn bench_concurrency(cfg: &BenchConfig) -> BenchReport {
-    use sensormeta_cache::{clock, ALL_DOMAINS};
+    use sensormeta_cache::ALL_DOMAINS;
     use sensormeta_tx::Mvcc;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Mutex, RwLock};
+    use std::sync::Mutex;
     use std::time::Duration;
 
     let engine = seeded_engine(cfg);
@@ -653,12 +650,10 @@ fn bench_concurrency(cfg: &BenchConfig) -> BenchReport {
     let target_commits = ((rounds / 10).max(2)) as u32;
     let commit_every = phase_dur / (target_commits + 1);
 
-    // The writer's private copy, the MVCC serving cell, and the
-    // lock-the-world comparison cell — all `clone_reader` views of one
-    // engine, so the three phases share caches and corpus.
+    // The writer's private copy and the MVCC serving cell — `clone_reader`
+    // views of one engine, so both phases share caches and corpus.
     let primary = Mutex::new(engine.clone_reader());
-    let cell = Mvcc::new(engine.clone_reader());
-    let rw = RwLock::new(engine);
+    let cell = Mvcc::new(engine);
 
     // Cross-task progress counters; reset per phase. `start` is the phase
     // clock every task keys its deadline (and the writer its pacing) off.
@@ -721,51 +716,6 @@ fn bench_concurrency(cfg: &BenchConfig) -> BenchReport {
         }
     };
 
-    let locked_pass = |h: &obs::Histogram| {
-        let begin = phase_start();
-        'outer: loop {
-            for q in &queries {
-                if begin.elapsed() >= phase_dur {
-                    break 'outer;
-                }
-                let form = SearchForm::keywords(q.clone());
-                let t = Instant::now();
-                let g = match rw.read() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                let _ = g.search_shared(&form, &SearchOptions::default());
-                drop(g);
-                h.record(t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-                reads.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        done.fetch_add(1, Ordering::Relaxed);
-    };
-
-    let locked_writer = || {
-        let begin = phase_start();
-        let mut next = commit_every;
-        while done.load(Ordering::Relaxed) < readers {
-            if begin.elapsed() >= next {
-                let mut g = match rw.write() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                // Lock-the-world: the replacement engine is prepared while
-                // every reader queues behind the write guard.
-                let next_engine = g.clone_reader();
-                clock().bump_all();
-                *g = next_engine;
-                drop(g);
-                commits.fetch_add(1, Ordering::Relaxed);
-                next += commit_every;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    };
-
     let run_phase = |pass: &(dyn Fn(&obs::Histogram) + Sync),
                      writer: Option<&(dyn Fn() + Sync)>,
                      h: &obs::Histogram| {
@@ -801,20 +751,15 @@ fn bench_concurrency(cfg: &BenchConfig) -> BenchReport {
 
     let h_base = obs::histogram("bench_concurrency_baseline_ns");
     let h_mvcc = obs::histogram("bench_concurrency_ns");
-    let h_locked = obs::histogram("bench_concurrency_locked_ns");
 
     run_phase(&mvcc_pass, None, &h_base);
     let baseline_reads = reads.load(Ordering::Relaxed);
     run_phase(&mvcc_pass, Some(&mvcc_writer), &h_mvcc);
     let mvcc_reads = reads.load(Ordering::Relaxed);
-    let mvcc_commits = commits.swap(0, Ordering::Relaxed);
-    run_phase(&locked_pass, Some(&locked_writer), &h_locked);
-    let locked_reads = reads.load(Ordering::Relaxed);
-    let locked_commits = commits.load(Ordering::Relaxed);
+    let mvcc_commits = commits.load(Ordering::Relaxed);
 
     let base = h_base.snapshot();
     let mvcc = h_mvcc.snapshot();
-    let locked = h_locked.snapshot();
     // The µs report fields truncate the nanosecond signal (a warm hit is
     // tens of ns); the `_ns` extras carry the real comparison.
     let mut report = BenchReport {
@@ -837,20 +782,12 @@ fn bench_concurrency(cfg: &BenchConfig) -> BenchReport {
     report.extra.push(("baseline_p95_ns", base.p95 as f64));
     report.extra.push(("writer_p50_ns", mvcc.p50 as f64));
     report.extra.push(("writer_p95_ns", mvcc.p95 as f64));
-    report.extra.push(("locked_p50_ns", locked.p50 as f64));
-    report.extra.push(("locked_p95_ns", locked.p95 as f64));
     report
         .extra
         .push(("p95_ratio_vs_baseline", mvcc.p95.max(1) as f64 / base_p95));
-    report.extra.push((
-        "locked_p95_ratio_vs_baseline",
-        locked.p95.max(1) as f64 / base_p95,
-    ));
     report.extra.push(("baseline_reads", baseline_reads as f64));
     report.extra.push(("mvcc_reads", mvcc_reads as f64));
-    report.extra.push(("locked_reads", locked_reads as f64));
     report.extra.push(("mvcc_commits", mvcc_commits as f64));
-    report.extra.push(("locked_commits", locked_commits as f64));
     report.extra.push(("readers", readers as f64));
     report.extra.push(("threads", pool.threads() as f64));
     report
@@ -862,7 +799,7 @@ fn bench_concurrency(cfg: &BenchConfig) -> BenchReport {
 /// Each phase performs a fixed amount of work — `iterations` scattered
 /// searches with a primary commit (and shard republish) interleaved — so
 /// the phases are comparable: the extras carry modeled read throughput at
-/// each shard count and their ratio (`scaling_x4`). Per-read latency is
+/// each shard count and their ratio (`modelled_scaling_x4`). Per-read latency is
 /// the scatter's *critical path* from [`ScatterTrace`]: the slowest task
 /// of each scattered stage plus the serial coordinator work — the latency
 /// a one-worker-per-shard cluster would see. In-process shards stand in
@@ -974,9 +911,10 @@ fn bench_cluster(cfg: &BenchConfig) -> BenchReport {
     let mut report = BenchReport::from_histogram("cluster", &h);
     report.extra.push(("reads_per_sec_1shard", throughput[0]));
     report.extra.push(("reads_per_sec_4shard", throughput[1]));
-    report
-        .extra
-        .push(("scaling_x4", throughput[1] / throughput[0].max(1e-9)));
+    report.extra.push((
+        "modelled_scaling_x4",
+        throughput[1] / throughput[0].max(1e-9),
+    ));
     report.extra.push(("writes_total", writes_total as f64));
     report
         .extra
@@ -1085,18 +1023,14 @@ mod tests {
             extras["join_speedup"]
         );
         // The concurrency workload compares snapshot readers against the
-        // no-writer baseline and the lock-the-world variant, and always
-        // lands at least one MVCC commit.
+        // no-writer baseline, and always lands at least one MVCC commit.
         let conc = reports.iter().find(|r| r.name == "concurrency").unwrap();
         let extras: std::collections::BTreeMap<&str, f64> = conc.extra.iter().copied().collect();
         for key in [
             "baseline_p95_ns",
             "writer_p95_ns",
-            "locked_p95_ns",
             "p95_ratio_vs_baseline",
-            "locked_p95_ratio_vs_baseline",
             "mvcc_commits",
-            "locked_commits",
             "readers",
             "threads",
         ] {
@@ -1113,7 +1047,7 @@ mod tests {
         for key in [
             "reads_per_sec_1shard",
             "reads_per_sec_4shard",
-            "scaling_x4",
+            "modelled_scaling_x4",
             "writes_total",
             "merge_identical",
             "replica_drain_polls",

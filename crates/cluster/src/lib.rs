@@ -4,26 +4,21 @@
 //! the ROADMAP's north star is the same query surface at production scale.
 //! This crate turns the single store into a *topology*:
 //!
-//! - [`ShardMap`] hash-partitions the SMR by page id — and the shared
-//!   search index by document range — into N in-process shards, each an
-//!   independent [`QueryEngine`](sensormeta_query::QueryEngine) published
-//!   through an [`Mvcc`](sensormeta_tx::Mvcc) cell.
-//! - [`ShardSet`] is the scatter-gather executor: it fans a `SearchForm`
-//!   out to every shard on the [`par`](sensormeta_par) pool and
-//!   deterministically merges hits, facets and scores. Ranking statistics
-//!   (BM25 idf/length norms, PageRank) stay collection-global, so the
-//!   merged output is byte-identical to the single-store result at any
-//!   shard count.
+//! - [`ShardMap`] hash-partitions the SMR by page id into N in-process
+//!   shards, each a partition view of the whole-corpus
+//!   [`QueryEngine`](sensormeta_query::QueryEngine).
+//! - [`ShardSet`] publishes coordinator and views together through one
+//!   [`Mvcc`](sensormeta_tx::Mvcc) cell. A search is the engine's own
+//!   executor scattering over the views — the code the single store runs
+//!   over its one view. Ranking statistics (BM25 idf/length norms,
+//!   PageRank) stay collection-global, so the output is byte-identical to
+//!   the single-store result at any shard count.
 //! - [`Replica`] is a read replica fed by WAL shipping: `open_recovering`
 //!   plus a tail loop that applies newly committed CRC-framed frames from
 //!   the primary's log and publishes each applied batch as an MVCC commit.
 //! - [`Router`] sends writes to the primary and routes reads to replicas
 //!   under per-domain epoch staleness bounds, falling back to the primary
 //!   when every replica lags past the bound.
-//!
-//! Deterministic merging (see [`merge_hits`]) works on external keys, never
-//! shard-local doc ids, so results do not depend on how documents landed in
-//! shards.
 
 #![warn(missing_docs)]
 
@@ -33,7 +28,8 @@ mod shard;
 
 pub use replica::{Replica, ReplicaPoll};
 pub use router::Router;
-pub use shard::{merge_hits, ScatterTrace, ShardMap, ShardSet};
+pub use sensormeta_query::ScatterTrace;
+pub use shard::{ShardMap, ShardSet};
 
 use std::time::Duration;
 

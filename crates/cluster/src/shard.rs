@@ -1,22 +1,16 @@
-//! Hash partitioning and the scatter-gather executor.
+//! Hash partitioning and the published shard set.
 
 use sensormeta_cache::Domain;
 use sensormeta_obs as obs;
-use sensormeta_par::Pool;
-use sensormeta_query::{CondOp, QueryEngine, QueryError, QueryOutput, Result, SearchForm};
-use sensormeta_search::Hit;
+use sensormeta_query::{QueryEngine, QueryError, QueryOutput, Result, ScatterTrace, SearchForm};
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_tx::{Mvcc, Snapshot};
 use std::collections::HashSet;
-use std::ops::Range;
-use std::time::Instant;
 
-/// Hash partitioning of the store: pages by id, index documents by range.
+/// Hash partitioning of the store's pages.
 ///
 /// Page placement uses an FNV-1a hash of the SMR page id, so it is stable
-/// across rebuilds of derived structures; keyword evaluation instead slices
-/// the *shared* index into contiguous document ranges, which lets each
-/// scatter task scan a disjoint span of postings with zero coordination.
+/// across rebuilds of derived structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     shards: usize,
@@ -46,139 +40,48 @@ impl ShardMap {
         }
         (h % self.shards as u64) as usize
     }
-
-    /// Contiguous, disjoint document ranges covering `0..doc_count` — one
-    /// per shard (trailing ranges may be empty for tiny corpora).
-    pub fn doc_ranges(&self, doc_count: usize) -> Vec<Range<usize>> {
-        let per = doc_count.div_ceil(self.shards).max(1);
-        (0..self.shards)
-            .map(|s| {
-                let lo = (s * per).min(doc_count);
-                let hi = ((s + 1) * per).min(doc_count);
-                lo..hi
-            })
-            .collect()
-    }
 }
 
-/// Deterministically merges per-shard hit lists into one ranked list.
-///
-/// Hits are identified by their *external key* (page title), never by
-/// shard-local doc ids, so the merge is independent of how documents were
-/// assigned to shards. Duplicate keys keep the higher score (shards are
-/// disjoint, so duplicates only arise from overlapping scatters). Order is
-/// score-descending with the key as tie-break.
-pub fn merge_hits(parts: Vec<Vec<Hit>>) -> Vec<Hit> {
-    let mut by_key: std::collections::HashMap<String, Hit> = std::collections::HashMap::new();
-    for hit in parts.into_iter().flatten() {
-        match by_key.entry(hit.key.clone()) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(hit);
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if hit.score > e.get().score {
-                    e.insert(hit);
-                }
-            }
-        }
-    }
-    let mut merged: Vec<Hit> = by_key.into_values().collect();
-    merged.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.key.cmp(&b.key))
-    });
-    merged
-}
-
-/// Per-task service times from one scattered search.
-///
-/// In-process shards stand in for cluster nodes, so the number that scales
-/// with shard count is per-*task* service time, not single-box wall clock
-/// (on a box with fewer cores than shards the pool interleaves tasks and
-/// wall clock flattens). [`ScatterTrace::critical_path_us`] models the read
-/// latency a one-worker-per-shard deployment would see: the slowest task of
-/// each scattered stage plus the serial coordinator work.
-#[derive(Debug, Clone, Default)]
-pub struct ScatterTrace {
-    /// Stage-1 per-document-range keyword scoring, µs per task.
-    pub keyword_task_us: Vec<u64>,
-    /// Stage-2 condition evaluation, µs accumulated per shard.
-    pub condition_task_us: Vec<u64>,
-    /// Stage-3/4 per-shard candidate assembly, µs per task.
-    pub assemble_task_us: Vec<u64>,
-    /// Serial coordinator work (snapshotting, hit merge, score projection,
-    /// title-set resolution, finalization), µs.
-    pub serial_us: u64,
-}
-
-impl ScatterTrace {
-    /// Modeled critical-path latency of the scattered read: the slowest
-    /// task of each scattered stage plus the serial coordinator tail.
-    pub fn critical_path_us(&self) -> u64 {
-        self.keyword_task_us.iter().copied().max().unwrap_or(0)
-            + self.condition_task_us.iter().copied().max().unwrap_or(0)
-            + self.assemble_task_us.iter().copied().max().unwrap_or(0)
-            + self.serial_us
-    }
-}
-
-/// One shard's published state: a query engine over the partition store,
-/// plus the dense page ids the shard owns (assembly is restricted to these).
-struct ShardState {
-    engine: QueryEngine,
-    owned: HashSet<usize>,
-}
-
-/// The scatter-gather executor: N in-process shards of one repository, each
-/// an independent engine behind an MVCC cell, searched in parallel on the
-/// global pool and merged deterministically.
+/// N in-process shards of one repository, published as one value: the
+/// coordinator engine *and* its partition views sit in a single MVCC cell,
+/// so a request pins exactly one generation of both.
 ///
 /// Shards partition *storage and per-document work*; ranking statistics
-/// stay collection-global (the shard views share the full index, PageRank
-/// vector and recommender by `Arc`), which is what makes
-/// [`ShardSet::search`] byte-identical to
-/// [`QueryEngine::search_uncached`] — the property the cluster test suite
-/// asserts at 1, 2 and 4 shards.
+/// stay collection-global (the views share the full index, PageRank vector
+/// and recommender by `Arc`). Searching is the engine's own executor
+/// ([`QueryEngine::search_traced`]) — the same code the single store runs
+/// over its one view — which is what makes [`ShardSet::search`]
+/// byte-identical to [`QueryEngine::search_uncached`]; the cluster test
+/// suite asserts it at 1, 2 and 4 shards.
 pub struct ShardSet {
     map: ShardMap,
-    /// The whole-corpus engine: global stages (keyword scatter input,
-    /// normalization, recommendations) run here.
-    coordinator: Mvcc<QueryEngine>,
-    shards: Vec<Mvcc<ShardState>>,
+    /// The whole-corpus engine carrying its partition views.
+    version: Mvcc<QueryEngine>,
 }
 
 impl ShardSet {
     /// Partitions `primary`'s repository into `shards` shard views and
-    /// publishes each through its own MVCC cell.
+    /// publishes them with their coordinator.
     pub fn build(primary: &QueryEngine, shards: usize) -> Result<ShardSet> {
         let map = ShardMap::new(shards);
-        let states = Self::partition(primary, map)?;
         Ok(ShardSet {
             map,
-            coordinator: Mvcc::new(primary.clone_reader()),
-            shards: states.into_iter().map(Mvcc::new).collect(),
+            version: Mvcc::new(Self::partition(primary, map)?),
         })
     }
 
-    /// Re-partitions from the primary's current state and publishes new
-    /// versions into every cell — the write path after a primary commit.
+    /// Re-partitions from the primary's current state and publishes the
+    /// result as the next version — the write path after a primary commit.
     /// Publishes with no domain bumps: the primary's own commit already
     /// dated the underlying change on the epoch clock.
     pub fn republish(&self, primary: &QueryEngine) -> Result<()> {
-        let states = Self::partition(primary, self.map)?;
-        for (cell, state) in self.shards.iter().zip(states) {
-            cell.begin().publish(&[], state);
-        }
-        self.coordinator
-            .begin()
-            .publish(&[], primary.clone_reader());
+        let next = Self::partition(primary, self.map)?;
+        self.version.begin().publish(&[], next);
         obs::counter("cluster_republish_total").inc();
         Ok(())
     }
 
-    fn partition(primary: &QueryEngine, map: ShardMap) -> Result<Vec<ShardState>> {
+    fn partition(primary: &QueryEngine, map: ShardMap) -> Result<QueryEngine> {
         let _span = obs::span("cluster_partition");
         let n = map.shards();
         let mut buckets: Vec<Vec<PageDraft>> = (0..n).map(|_| Vec::new()).collect();
@@ -200,7 +103,7 @@ impl ShardSet {
                 tags: page.tags,
             });
         }
-        buckets
+        let partitions = buckets
             .into_iter()
             .zip(owned)
             .map(|(drafts, owned)| {
@@ -211,12 +114,10 @@ impl ShardSet {
                         "shard partition load failed: {e:?}"
                     )));
                 }
-                Ok(ShardState {
-                    engine: primary.shard_view(partition),
-                    owned,
-                })
+                Ok((partition, owned))
             })
-            .collect()
+            .collect::<Result<Vec<_>>>()?;
+        Ok(primary.with_partitions(partitions))
     }
 
     /// Number of shards.
@@ -224,14 +125,15 @@ impl ShardSet {
         self.map.shards()
     }
 
-    /// A snapshot of the coordinator (whole-corpus) engine.
+    /// A snapshot of the published version: the coordinator (whole-corpus)
+    /// engine, whose searches scatter over this set's shards.
     pub fn coordinator(&self) -> Snapshot<QueryEngine> {
-        self.coordinator.snapshot()
+        self.version.snapshot()
     }
 
     /// Scatter-gather search: fans the form out to every shard on the
     /// global pool and merges the partials into one output. Byte-identical
-    /// to the coordinator's `search_uncached` for the same corpus.
+    /// to the single store's `search_uncached` for the same corpus.
     pub fn search(&self, form: &SearchForm, user: Option<&str>) -> Result<QueryOutput> {
         Ok(self.search_traced(form, user)?.0)
     }
@@ -245,115 +147,7 @@ impl ShardSet {
         form: &SearchForm,
         user: Option<&str>,
     ) -> Result<(QueryOutput, ScatterTrace)> {
-        let _span = obs::span("cluster_search");
-        obs::counter("cluster_searches_total").inc();
-        obs::counter("cluster_shard_fanout_total").add(self.shards.len() as u64);
-        if form.is_empty() {
-            return Err(QueryError::EmptyForm);
-        }
-        let total = Instant::now();
-        let mut scattered_wall = 0u64;
-        let mut trace = ScatterTrace::default();
-        let pool = Pool::global();
-        let coord = self.coordinator.snapshot();
-        let snaps: Vec<Snapshot<ShardState>> = self
-            .shards
-            .iter()
-            .map(sensormeta_tx::Mvcc::snapshot)
-            .collect();
-        trace.condition_task_us = vec![0; snaps.len()];
-
-        // Stage 1: keyword scoring scattered by document range over the
-        // shared index, merged by external key.
-        let scores = if form.keywords.trim().is_empty() {
-            None
-        } else {
-            let ranges = self.map.doc_ranges(coord.doc_count());
-            let region = Instant::now();
-            let parts = pool.par_map_collect(&ranges, 1, |r| {
-                let t = Instant::now();
-                // Engine counters take the short, bounded registry lock;
-                // they never wait on I/O. xlint: allow(no-blocking-in-par)
-                let out = coord.keyword_hits_range(form, r.clone());
-                (out, t.elapsed().as_micros() as u64)
-            });
-            scattered_wall += region.elapsed().as_micros() as u64;
-            let mut lists = Vec::with_capacity(parts.len());
-            for (part, us) in parts {
-                trace.keyword_task_us.push(us);
-                lists.push(part?.unwrap_or_default());
-            }
-            let merged = {
-                let _m = obs::span("cluster_merge");
-                merge_hits(lists)
-            };
-            Some(coord.scores_from_hits(&merged))
-        };
-
-        // Stage 2: structured conditions scattered across shard stores.
-        // Each condition's matches are the union of the per-shard matches;
-        // for Eq conditions the case-insensitive SQL fallback triggers only
-        // when the *global* SPARQL union is empty — the same decision the
-        // single-store path makes.
-        let mut cond_sets = Vec::with_capacity(form.conditions.len());
-        for cond in &form.conditions {
-            let mut titles: Vec<String> = Vec::new();
-            if cond.op == CondOp::Eq {
-                let region = Instant::now();
-                let parts = pool.par_map_collect(&snaps, 1, |s| {
-                    let t = Instant::now();
-                    // Bounded registry-counter lock only. xlint: allow(no-blocking-in-par)
-                    let out = s.engine.sparql_condition_titles(cond);
-                    (out, t.elapsed().as_micros() as u64)
-                });
-                scattered_wall += region.elapsed().as_micros() as u64;
-                for (shard, (part, us)) in parts.into_iter().enumerate() {
-                    trace.condition_task_us[shard] += us;
-                    titles.extend(part?);
-                }
-            }
-            if titles.is_empty() {
-                let region = Instant::now();
-                let parts = pool.par_map_collect(&snaps, 1, |s| {
-                    let t = Instant::now();
-                    // Bounded registry-counter lock only. xlint: allow(no-blocking-in-par)
-                    let out = s.engine.sql_condition_titles(cond);
-                    (out, t.elapsed().as_micros() as u64)
-                });
-                scattered_wall += region.elapsed().as_micros() as u64;
-                for (shard, (part, us)) in parts.into_iter().enumerate() {
-                    trace.condition_task_us[shard] += us;
-                    titles.extend(part?);
-                }
-            }
-            cond_sets.push(coord.resolve_title_set(titles));
-        }
-
-        // Stages 3–4: candidate assembly on each shard's own store,
-        // restricted to the pages it owns.
-        let region = Instant::now();
-        let partials = pool.par_map_collect(&snaps, 1, |s| {
-            let t = Instant::now();
-            let out = s
-                .engine
-                // Chaos checkpoints and counters take short bounded locks,
-                // never I/O waits. xlint: allow(no-blocking-in-par)
-                .assemble_partial(form, user, scores.as_ref(), &cond_sets, Some(&s.owned));
-            (out, t.elapsed().as_micros() as u64)
-        });
-        scattered_wall += region.elapsed().as_micros() as u64;
-        let mut collected = Vec::with_capacity(partials.len());
-        for (part, us) in partials {
-            trace.assemble_task_us.push(us);
-            collected.push(part?);
-        }
-
-        // Stages 5–6: normalization, global sort, facet merge and
-        // recommendations on the coordinator.
-        let _m = obs::span("cluster_merge");
-        let out = coord.finalize_partials(form, scores.as_ref(), collected)?;
-        trace.serial_us = (total.elapsed().as_micros() as u64).saturating_sub(scattered_wall);
-        Ok((out, trace))
+        self.coordinator().search_traced(form, user)
     }
 
     /// Epoch domains a scattered search depends on (same as the engine's
@@ -384,36 +178,5 @@ mod tests {
             seen.insert(map.shard_of(id));
         }
         assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
-    fn doc_ranges_cover_exactly() {
-        for shards in 1..=5 {
-            for n in [0usize, 1, 7, 64] {
-                let ranges = ShardMap::new(shards).doc_ranges(n);
-                assert_eq!(ranges.len(), shards);
-                let total: usize = ranges.iter().map(std::ops::Range::len).sum();
-                assert_eq!(total, n, "{shards} shards over {n} docs");
-                for w in ranges.windows(2) {
-                    assert!(w[0].end == w[1].start || w[1].is_empty());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_hits_orders_by_score_then_key() {
-        let hit = |key: &str, doc: usize, score: f64| Hit {
-            doc,
-            key: key.to_string(),
-            score,
-        };
-        // Shard-local doc ids deliberately collide and contradict key order:
-        // the merge must ignore them entirely.
-        let a = vec![hit("b", 0, 2.0), hit("d", 1, 1.0)];
-        let b = vec![hit("a", 0, 2.0), hit("c", 1, 3.0)];
-        let merged = merge_hits(vec![a, b]);
-        let keys: Vec<&str> = merged.iter().map(|h| h.key.as_str()).collect();
-        assert_eq!(keys, ["c", "a", "b", "d"]);
     }
 }

@@ -1,9 +1,8 @@
-//! Cluster integration tests: scatter-gather identity, deterministic
-//! merging, WAL-tail convergence and staleness routing.
+//! Cluster integration tests: scatter-gather identity, WAL-tail
+//! convergence and staleness routing.
 
-use sensormeta_cluster::{merge_hits, Replica, Router, ShardSet};
+use sensormeta_cluster::{Replica, Router, ShardSet};
 use sensormeta_query::{CondOp, Condition, QueryEngine, SearchForm};
-use sensormeta_search::Hit;
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 use std::path::PathBuf;
@@ -43,9 +42,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Forms spanning every scatter stage: pure keyword, conjunctive keyword,
-/// structured-only (Eq → SPARQL, Contains/Gt → SQL), mixed, namespaced
-/// and limited.
+/// Forms spanning every executor stage: pure keyword, conjunctive keyword,
+/// structured-only (Eq → SPARQL, Contains/Gt → SQL), mixed, namespaced,
+/// limited, and hard multi-condition forms that take the semi-join
+/// pushdown.
 fn probe_forms() -> Vec<SearchForm> {
     let mut forms = vec![
         SearchForm::keywords("temperature sensor"),
@@ -76,6 +76,26 @@ fn probe_forms() -> Vec<SearchForm> {
             CondOp::Eq,
             "NoSuchVendor",
         )),
+        // Hard mode, two conditions: the first intersection (one vendor's
+        // deployments, far below the 128-page cap) is pushed into the
+        // second condition's SQL on every shard.
+        SearchForm::keywords("sensor")
+            .condition(Condition::new("hasVendor", CondOp::Eq, "Vaisala"))
+            .condition(Condition::new(
+                "hasSamplingIntervalMinutes",
+                CondOp::Gt,
+                "5",
+            )),
+        // Empty intersection: the restricted SQL fallback of the second
+        // condition finds nothing, so the third is never evaluated.
+        SearchForm::default()
+            .condition(Condition::new("hasVendor", CondOp::Eq, "Vaisala"))
+            .condition(Condition::new("hasUnit", CondOp::Eq, "NoSuchUnit"))
+            .condition(Condition::new(
+                "hasSamplingIntervalMinutes",
+                CondOp::Gt,
+                "1",
+            )),
     ];
     for f in &mut forms {
         // Recommendation seeds and facets are part of the output; keep the
@@ -94,6 +114,7 @@ fn scatter_gather_matches_single_store_at_1_2_4_shards() {
     for shards in [1usize, 2, 4] {
         let set = ShardSet::build(&engine, shards).expect("build shard set");
         assert_eq!(set.shard_count(), shards);
+        let semijoins = sensormeta_obs::counter("query_pushdown_semijoin_total").get();
         for (i, form) in probe_forms().iter().enumerate() {
             let single = engine.search_uncached(form, None).expect("single-store");
             let scattered = set.search(form, None).expect("scatter-gather");
@@ -101,46 +122,14 @@ fn scatter_gather_matches_single_store_at_1_2_4_shards() {
             let b = serde_json::to_string(&scattered).expect("json");
             assert_eq!(a, b, "form #{i} diverged at {shards} shards");
         }
+        // The scattered run takes the pushdown too (the single-store run
+        // alone would move the counter by exactly as much again).
+        let moved = sensormeta_obs::counter("query_pushdown_semijoin_total").get() - semijoins;
+        assert!(
+            moved >= 4,
+            "{shards} shards: semi-join pushdown ran {moved}×"
+        );
     }
-}
-
-/// Satellite 1: cross-shard merge is deterministic regardless of shard
-/// assignment or shard-local doc ids.
-#[test]
-fn merge_is_deterministic_across_shard_layouts() {
-    let hit = |key: &str, doc: usize, score: f64| Hit {
-        doc,
-        key: key.to_string(),
-        score,
-    };
-    // The same six hits split three different ways (1, 2 and 4 lists),
-    // with shard-local doc ids deliberately reused across lists.
-    let all = vec![
-        hit("alpha", 0, 1.5),
-        hit("bravo", 1, 2.5),
-        hit("charlie", 2, 2.5),
-        hit("delta", 3, 0.5),
-        hit("echo", 4, 2.5),
-        hit("foxtrot", 5, 1.5),
-    ];
-    let one = vec![all.clone()];
-    let two = vec![
-        vec![all[1].clone(), hit("delta", 0, 0.5), all[4].clone()],
-        vec![hit("alpha", 0, 1.5), all[2].clone(), hit("foxtrot", 1, 1.5)],
-    ];
-    let four = vec![
-        vec![hit("charlie", 0, 2.5)],
-        vec![hit("echo", 0, 2.5), hit("alpha", 1, 1.5)],
-        vec![hit("bravo", 0, 2.5)],
-        vec![hit("foxtrot", 0, 1.5), hit("delta", 1, 0.5)],
-    ];
-    let keys = |parts: Vec<Vec<Hit>>| -> Vec<String> {
-        merge_hits(parts).into_iter().map(|h| h.key).collect()
-    };
-    let expect = vec!["bravo", "charlie", "echo", "alpha", "foxtrot", "delta"];
-    assert_eq!(keys(one), expect);
-    assert_eq!(keys(two), expect);
-    assert_eq!(keys(four), expect);
 }
 
 fn durable_primary(dir: &std::path::Path, scale: usize, seed: u64) -> Smr {

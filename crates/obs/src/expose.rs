@@ -179,7 +179,7 @@ lat_us_count 3
             "{\"counters\":{\"a_total\":1,\"b_total\":7},\
              \"gauges\":{\"residual\":0.25},\
              \"histograms\":{\"lat_us\":{\"count\":3,\"sum\":206,\"max\":200,\
-             \"p50\":3,\"p90\":207,\"p95\":207,\"p99\":207}}}"
+             \"p50\":3,\"p90\":200,\"p95\":200,\"p99\":200}}}"
         );
     }
 

@@ -176,9 +176,10 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the inclusive upper bound of the
-    /// first bucket whose cumulative count reaches `ceil(q·count)`.
-    /// Deterministic; exact for values below 8, within 12.5% above.
-    /// Returns 0 for an empty histogram.
+    /// first bucket whose cumulative count reaches `ceil(q·count)`, clamped
+    /// to the largest recorded value (a bucket bound above it was never
+    /// observed). Deterministic; exact for values below 8, within 12.5%
+    /// above. Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
@@ -189,7 +190,7 @@ impl Histogram {
         for (i, b) in self.core.buckets.iter().enumerate() {
             cum += b.load(Ordering::Relaxed);
             if cum >= rank {
-                return bucket_upper(i);
+                return bucket_upper(i).min(self.max());
             }
         }
         self.max()
@@ -316,11 +317,23 @@ mod tests {
         assert_eq!(h.quantile(0.90), 95);
         // rank 95 lands in bucket [88,95] -> 95
         assert_eq!(h.quantile(0.95), 95);
-        // rank 99 lands in bucket [96,103] -> 103
-        assert_eq!(h.quantile(0.99), 103);
+        // rank 99 lands in bucket [96,103], whose bound exceeds every
+        // recorded value -> clamped to max
+        assert_eq!(h.quantile(0.99), 100);
         // extremes
         assert_eq!(h.quantile(0.0), 1, "rank clamps to 1 -> exact value 1");
-        assert_eq!(h.quantile(1.0), 103, "last bucket upper bound");
+        assert_eq!(h.quantile(1.0), 100, "last bucket clamps to max");
+        // Values straddling a bucket edge (95 | 96): no quantile may exceed
+        // the largest value recorded.
+        let h = reg.histogram("edge");
+        for v in [94u64, 95, 96, 97] {
+            h.record(v);
+        }
+        for q in [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            assert!(h.quantile(q) <= h.max(), "q={q}: {}", h.quantile(q));
+        }
+        assert_eq!(h.quantile(0.5), 95, "a full bucket keeps its bound");
+        assert_eq!(h.quantile(1.0), 97);
     }
 
     #[test]

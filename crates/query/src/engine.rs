@@ -13,13 +13,14 @@ use crate::form::{CondOp, Condition, SearchForm, SortBy};
 use crate::result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};
 use sensormeta_cache::{Cache, CacheConfig, CacheError, Domain, EpochVector, Fingerprint, Status};
 use sensormeta_obs as obs;
+use sensormeta_par::Pool;
 use sensormeta_rank::{GaussSeidel, PageRankProblem, RankCache, Recommender, TransitionMatrix};
 use sensormeta_resil::{self as resil, Deadline};
-use sensormeta_search::{Autocomplete, Hit, SearchIndex, SpellSuggester};
+use sensormeta_search::{Autocomplete, SearchIndex, SpellSuggester};
 use sensormeta_smr::{sql_escape, Page, Smr};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest running-intersection size still worth pushing into SQL as a
 /// `p.title IN (...)` list during condition semi-joins. Beyond this the
@@ -104,6 +105,94 @@ pub struct ShardPartial {
     pub facets: BTreeMap<(String, String), usize>,
 }
 
+/// Per-task service times from one search.
+///
+/// In-process shards stand in for cluster nodes, so the number that scales
+/// with shard count is per-*task* service time, not single-box wall clock
+/// (on a box with fewer cores than shards the pool interleaves tasks and
+/// wall clock flattens). [`ScatterTrace::critical_path_us`] models the read
+/// latency a one-worker-per-shard deployment would see: the slowest task of
+/// each scattered stage plus the serial coordinator work.
+#[derive(Debug, Clone, Default)]
+pub struct ScatterTrace {
+    /// Stage-2 condition evaluation, µs accumulated per shard view.
+    pub condition_task_us: Vec<u64>,
+    /// Stage-3/4 candidate assembly, µs per shard view.
+    pub assemble_task_us: Vec<u64>,
+    /// Serial coordinator work (keyword scoring, condition ordering,
+    /// title-set resolution, finalization), µs.
+    pub serial_us: u64,
+}
+
+impl ScatterTrace {
+    /// Modeled critical-path latency of the read: the slowest task of each
+    /// scattered stage plus the serial coordinator work.
+    pub fn critical_path_us(&self) -> u64 {
+        self.condition_task_us.iter().copied().max().unwrap_or(0)
+            + self.assemble_task_us.iter().copied().max().unwrap_or(0)
+            + self.serial_us
+    }
+}
+
+/// One partition of a sharded engine: the coordinator's global derived
+/// structures (index, PageRank, titles, recommender — everything ranking
+/// depends on) over a repository holding only the pages the shard owns.
+/// Views evaluate conditions and assemble results against their own store
+/// while scoring with collection-global statistics, which is what keeps
+/// scattered results byte-identical to the single store. They are reachable
+/// only through the coordinator's executor: a view's outputs are partial by
+/// design and must never be served (or cached) as whole-corpus results.
+struct ShardView {
+    engine: QueryEngine,
+    /// Dense page ids the shard owns; assembly is restricted to these.
+    owned: HashSet<usize>,
+}
+
+/// What the search executor scatters over: an engine whose store holds the
+/// pages to evaluate, and the dense ids assembly keeps (`None` = all).
+struct View<'a> {
+    engine: &'a QueryEngine,
+    owned: Option<&'a HashSet<usize>>,
+}
+
+/// The scatter half of the executor: runs one task per view on the global
+/// pool and accounts the time spent. A single view runs inline on the
+/// caller, so the single store pays no pool region.
+struct Scatter<'a> {
+    views: &'a [View<'a>],
+    /// Wall clock spent inside scattered regions, µs.
+    wall_us: u64,
+}
+
+impl Scatter<'_> {
+    /// Runs `task` once per view, adding each task's service time to its
+    /// view's slot of `task_us`; results come back in view order. The
+    /// caller's ambient deadline follows the tasks onto the pool threads.
+    fn run<T: Send>(
+        &mut self,
+        task_us: &mut [u64],
+        task: impl Fn(&View<'_>) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let deadline = resil::current_deadline();
+        let region = Instant::now();
+        let parts = Pool::global().par_map_collect(self.views, 1, |view| {
+            let _scope = resil::deadline_scope(deadline);
+            let started = Instant::now();
+            let out = task(view);
+            (out, started.elapsed().as_micros() as u64)
+        });
+        self.wall_us += region.elapsed().as_micros() as u64;
+        parts
+            .into_iter()
+            .zip(task_us)
+            .map(|((out, us), slot)| {
+                *slot += us;
+                out
+            })
+            .collect()
+    }
+}
+
 /// The query engine over one SMR.
 ///
 /// Every derived structure sits behind an `Arc`: [`QueryEngine::rebuild`]
@@ -131,6 +220,10 @@ pub struct QueryEngine {
     results: Arc<Cache<QueryOutput>>,
     /// Converged PageRank vectors, shared across rebuilds.
     rank_cache: Arc<RankCache>,
+    /// Partition views a search scatters over (see
+    /// [`QueryEngine::with_partitions`]); empty for the single store, which
+    /// searches its own repository as the one view.
+    shards: Arc<[ShardView]>,
 }
 
 fn weigh_output(out: &QueryOutput) -> usize {
@@ -197,6 +290,7 @@ impl QueryEngine {
             suggester: Arc::new(SpellSuggester::new()),
             results: Arc::new(result_cache()),
             rank_cache: Arc::new(RankCache::new()),
+            shards: Arc::default(),
         };
         engine.rebuild()?;
         Ok(engine)
@@ -298,6 +392,8 @@ impl QueryEngine {
         self.prop_names = Arc::new(prop_names);
         self.recommender = Arc::new(recommender);
         self.suggester = Arc::new(suggester);
+        // Partition views belong to the generation they were cut from.
+        self.shards = Arc::default();
         Ok(())
     }
 
@@ -321,21 +417,26 @@ impl QueryEngine {
             suggester: Arc::clone(&self.suggester),
             results: Arc::clone(&self.results),
             rank_cache: Arc::clone(&self.rank_cache),
+            shards: Arc::clone(&self.shards),
         }
     }
 
-    /// A shard view: this engine's global derived structures (index,
-    /// PageRank, titles, recommender — everything ranking depends on) over a
-    /// *partition* repository holding only the pages the shard owns. Shard
-    /// views evaluate conditions and assemble results against their own
-    /// store while scoring with collection-global statistics, which is what
-    /// keeps scattered results byte-identical to the single-store path. The
-    /// view gets a private result cache: its outputs are partial by design
-    /// and must never serve whole-corpus cache hits.
-    pub fn shard_view(&self, partition: Smr) -> QueryEngine {
+    /// The coordinator of a sharded engine: a reader clone of `self` whose
+    /// searches scatter over `partitions` — per shard, a repository holding
+    /// only the pages it owns plus their dense ids. The partitions must
+    /// cover this engine's corpus exactly once. Coordinator and views are
+    /// one value, so whoever holds it (a snapshot, say) sees one generation.
+    pub fn with_partitions(&self, partitions: Vec<(Smr, HashSet<usize>)>) -> QueryEngine {
+        let view = |(smr, owned)| ShardView {
+            engine: QueryEngine {
+                smr,
+                shards: Arc::default(),
+                ..self.clone_reader()
+            },
+            owned,
+        };
         QueryEngine {
-            smr: partition,
-            results: Arc::new(result_cache()),
+            shards: partitions.into_iter().map(view).collect(),
             ..self.clone_reader()
         }
     }
@@ -343,11 +444,6 @@ impl QueryEngine {
     /// Dense page id of a title (indexes `titles`, `pagerank`, index docs).
     pub fn dense_id(&self, title: &str) -> Option<usize> {
         self.title_ids.get(title).copied()
-    }
-
-    /// Number of indexed documents (= pages with a dense id).
-    pub fn doc_count(&self) -> usize {
-        self.titles.len()
     }
 
     /// Title of a dense page id, if in range.
@@ -521,39 +617,87 @@ impl QueryEngine {
 
     /// Executes an advanced-search form without consulting or filling the
     /// result cache — the oracle the invalidation property tests compare
-    /// cached reads against.
-    ///
-    /// Structured as scatter-gather over a single "shard" spanning the whole
-    /// corpus: keyword scoring, condition evaluation, candidate assembly and
-    /// final ranking are the same stages `crates/cluster` fans out across
-    /// shard views, so the sharded path is byte-identical by construction.
+    /// cached reads against. [`QueryEngine::search_traced`] minus the trace.
     pub fn search_uncached(&self, form: &SearchForm, user: Option<&str>) -> Result<QueryOutput> {
+        Ok(self.search_traced(form, user)?.0)
+    }
+
+    /// The search executor: the one place that sequences keyword scoring →
+    /// structured conditions → candidate assembly → final ranking, as a
+    /// scatter-gather over this engine's partition views. The single store
+    /// is the one-view case (its own repository, every page kept), so
+    /// sharded output is byte-identical to it by construction. Also returns
+    /// the per-task service times the cluster bench models throughput from.
+    pub fn search_traced(
+        &self,
+        form: &SearchForm,
+        user: Option<&str>,
+    ) -> Result<(QueryOutput, ScatterTrace)> {
         let _timing = obs::span("query_search");
         obs::counter("query_searches_total").inc();
         resil::checkpoint("query_search")?;
         if form.is_empty() {
             return Err(QueryError::EmptyForm);
         }
-        // 1. Keyword candidates with BM25 scores (None = no keyword filter).
+        let total = Instant::now();
+        let whole = [View {
+            engine: self,
+            owned: None,
+        }];
+        let parts: Vec<View<'_>> = self
+            .shards
+            .iter()
+            .map(|s| View {
+                engine: &s.engine,
+                owned: Some(&s.owned),
+            })
+            .collect();
+        if !parts.is_empty() {
+            obs::counter("cluster_searches_total").inc();
+            obs::counter("cluster_shard_fanout_total").add(parts.len() as u64);
+        }
+        let mut scatter = Scatter {
+            views: if parts.is_empty() { &whole } else { &parts },
+            wall_us: 0,
+        };
+        let mut trace = ScatterTrace {
+            condition_task_us: vec![0; scatter.views.len()],
+            assemble_task_us: vec![0; scatter.views.len()],
+            serial_us: 0,
+        };
+
+        // 1. Keyword candidates with BM25 scores (None = no keyword filter),
+        //    on the coordinator: the index is collection-global and scoring
+        //    is a few percent of a request.
         let keyword_scores = self.keyword_score_map(form)?;
 
         // 2. Structured conditions: exact string equality runs as SPARQL
         //    against the RDF mirror; the rest (numeric, substring) as SQL
         //    against the annotation table — the paper's SQL+SPARQL
-        //    combination. In hard (AND) mode the conditions are evaluated
-        //    most-selective-first and later ones are semi-joined against the
-        //    running intersection; see `eval_conditions`.
-        let cond_matches = self.eval_conditions(form)?;
+        //    combination, each scattered over the views' stores. In hard
+        //    (AND) mode the conditions are evaluated most-selective-first
+        //    and later ones are semi-joined against the running
+        //    intersection; see `eval_conditions`.
+        let cond_matches =
+            self.eval_conditions(form, &mut scatter, &mut trace.condition_task_us)?;
 
-        // 3+4. Candidate assembly over the whole corpus, then 5+6. ranking.
-        let partial =
-            self.assemble_partial(form, user, keyword_scores.as_ref(), &cond_matches, None)?;
-        self.finalize_partials(form, keyword_scores.as_ref(), vec![partial])
+        // 3+4. Candidate assembly on each view's own store, restricted to
+        //      the pages it owns.
+        let partials = scatter.run(&mut trace.assemble_task_us, |v| {
+            v.engine
+                .assemble_partial(form, user, keyword_scores.as_ref(), &cond_matches, v.owned)
+        })?;
+
+        // 5+6. Normalization, global sort, facet merge and recommendations
+        //      on the coordinator.
+        let out = self.finalize_partials(form, keyword_scores.as_ref(), partials)?;
+        trace.serial_us = (total.elapsed().as_micros() as u64).saturating_sub(scatter.wall_us);
+        Ok((out, trace))
     }
 
     /// Stage 1 of search: the form's keyword hits as a dense-page-id → raw
-    /// BM25 score map (`None` when the form has no keywords). Served through
-    /// the index's shared query cache.
+    /// BM25 score map (`None` when the form has no keywords). Hits whose key
+    /// is not a known page title are dropped.
     pub fn keyword_score_map(&self, form: &SearchForm) -> Result<Option<HashMap<usize, f64>>> {
         if form.keywords.trim().is_empty() {
             return Ok(None);
@@ -561,44 +705,15 @@ impl QueryEngine {
         let _ft = obs::span("query_fulltext");
         let hits = if form.match_all {
             self.index
-                .try_search_all_terms_cached(&form.keywords, usize::MAX)?
-                .0
+                .try_search_all_terms(&form.keywords, usize::MAX)?
         } else {
-            self.index.try_search_cached(&form.keywords, usize::MAX)?.0
+            self.index.try_search(&form.keywords, usize::MAX)?
         };
-        Ok(Some(self.scores_from_hits(&hits)))
-    }
-
-    /// The form's keyword hits restricted to a contiguous document range of
-    /// the shared index — the scatter half of stage 1. Scores use global
-    /// collection statistics (see [`SearchIndex::try_search_range`]), so
-    /// hits merged across disjoint ranges covering the corpus equal the
-    /// unrestricted [`QueryEngine::keyword_score_map`] input.
-    pub fn keyword_hits_range(
-        &self,
-        form: &SearchForm,
-        range: std::ops::Range<usize>,
-    ) -> Result<Option<Vec<Hit>>> {
-        if form.keywords.trim().is_empty() {
-            return Ok(None);
-        }
-        let _ft = obs::span("query_fulltext");
-        let hits = if form.match_all {
-            self.index
-                .try_search_all_terms_range(&form.keywords, usize::MAX, range)?
-        } else {
-            self.index
-                .try_search_range(&form.keywords, usize::MAX, range)?
-        };
-        Ok(Some(hits))
-    }
-
-    /// Projects search hits onto dense page ids (hits whose key is not a
-    /// known page title are dropped, as in the single-store path).
-    pub fn scores_from_hits(&self, hits: &[Hit]) -> HashMap<usize, f64> {
-        hits.iter()
-            .filter_map(|h| self.title_ids.get(&h.key).map(|&i| (i, h.score)))
-            .collect()
+        Ok(Some(
+            hits.iter()
+                .filter_map(|h| self.title_ids.get(&h.key).map(|&i| (i, h.score)))
+                .collect(),
+        ))
     }
 
     /// Stages 3–4 of search: assembles raw result rows for the candidate
@@ -789,11 +904,10 @@ impl QueryEngine {
         })
     }
 
-    /// Drops every cached result this engine holds: combined query outputs,
-    /// the index's query cache, and memoized PageRank vectors.
+    /// Drops every cached result this engine holds: combined query outputs
+    /// and memoized PageRank vectors.
     pub fn clear_caches(&self) {
         self.results.clear();
-        self.index.clear_cache();
         self.rank_cache.clear();
     }
 
@@ -815,12 +929,17 @@ impl QueryEngine {
     /// conditions are not evaluated at all. Restricted sets are subsets of
     /// the full ones containing every page that matches all conditions, so
     /// the surviving set — and therefore the output — is unchanged.
-    fn eval_conditions(&self, form: &SearchForm) -> Result<Vec<HashSet<usize>>> {
+    fn eval_conditions(
+        &self,
+        form: &SearchForm,
+        scatter: &mut Scatter<'_>,
+        task_us: &mut [u64],
+    ) -> Result<Vec<HashSet<usize>>> {
         if form.soft_conditions || form.conditions.len() < 2 {
             return form
                 .conditions
                 .iter()
-                .map(|c| self.eval_condition(c, None))
+                .map(|c| self.eval_condition(c, None, scatter, task_us))
                 .collect();
         }
         // Selectivity estimate per condition: annotation rows carrying the
@@ -859,7 +978,7 @@ impl QueryEngine {
             if restrict.is_some() {
                 obs::counter("query_pushdown_semijoin_total").inc();
             }
-            let s = self.eval_condition(&form.conditions[i], restrict)?;
+            let s = self.eval_condition(&form.conditions[i], restrict, scatter, task_us)?;
             current = Some(match current.take() {
                 None => s.clone(),
                 Some(c) => c.intersection(&s).copied().collect(),
@@ -869,36 +988,34 @@ impl QueryEngine {
         Ok(sets.into_iter().map(Option::unwrap_or_default).collect())
     }
 
-    /// Evaluates one condition to the set of matching page ids. `restrict`
-    /// narrows the SQL fallback to a candidate page set (semi-join pushdown);
-    /// the SPARQL path stays unrestricted so its exact-match-first semantics
-    /// are preserved.
+    /// Evaluates one condition to the set of matching page ids: the union of
+    /// the per-view matches. `restrict` narrows the SQL fallback to a
+    /// candidate page set (semi-join pushdown); the SPARQL path stays
+    /// unrestricted so its exact-match-first semantics are preserved.
     fn eval_condition(
         &self,
         cond: &Condition,
         restrict: Option<&HashSet<usize>>,
+        scatter: &mut Scatter<'_>,
+        task_us: &mut [u64],
     ) -> Result<HashSet<usize>> {
-        let titles: Vec<String> = if cond.op == CondOp::Eq {
-            let out = self.sparql_condition_titles(cond)?;
-            // SPARQL matched the exact lexical form; Eq is declared
-            // case-insensitive, so complete with a SQL pass when needed.
-            if out.is_empty() {
-                self.sql_condition(cond, restrict)?
-            } else {
-                out
-            }
-        } else {
-            self.sql_condition(cond, restrict)?
-        };
-        Ok(self.resolve_title_set(titles))
+        let mut titles: Vec<Vec<String>> = Vec::new();
+        if cond.op == CondOp::Eq {
+            titles = scatter.run(task_us, |v| v.engine.sparql_condition_titles(cond))?;
+        }
+        // SPARQL matched the exact lexical form; Eq is declared
+        // case-insensitive, so complete with a SQL pass when needed — decided
+        // on the *global* union, never per view.
+        if titles.iter().all(Vec::is_empty) {
+            titles = scatter.run(task_us, |v| v.engine.sql_condition(cond, restrict))?;
+        }
+        Ok(self.resolve_title_set(titles.into_iter().flatten()))
     }
 
     /// SPARQL half of an `Eq` condition: exact literal match on the mirrored
     /// property, returning matching page titles from *this engine's* store.
-    /// Exposed for scattered condition evaluation, where each shard view
-    /// runs this over its partition and the caller unions the titles —
-    /// crucially making the empty-result SQL-fallback decision on the
-    /// *global* union, as the single-store path does.
+    /// A stage of the executor (which runs it per view and unions the
+    /// titles), public for per-stage measurement.
     pub fn sparql_condition_titles(&self, cond: &Condition) -> Result<Vec<String>> {
         let _sparql = obs::span("query_sparql");
         obs::counter("query_sparql_conditions_total").inc();
@@ -921,8 +1038,8 @@ impl QueryEngine {
             .collect())
     }
 
-    /// SQL half of a condition, unrestricted — the scatter primitive paired
-    /// with [`QueryEngine::sparql_condition_titles`].
+    /// SQL half of a condition, unrestricted — the stage paired with
+    /// [`QueryEngine::sparql_condition_titles`].
     pub fn sql_condition_titles(&self, cond: &Condition) -> Result<Vec<String>> {
         self.sql_condition(cond, None)
     }

@@ -27,7 +27,7 @@ pub mod form;
 pub mod result;
 
 pub use acl::{Acl, PUBLIC_GROUP};
-pub use engine::{QueryEngine, RankBlend, SearchOptions, ShardPartial};
+pub use engine::{QueryEngine, RankBlend, ScatterTrace, SearchOptions, ShardPartial};
 pub use error::{QueryError, Result};
 pub use form::{CondOp, Condition, SearchForm, SortBy};
 pub use result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};

@@ -967,12 +967,9 @@ mod tests {
         assert!(!p.reordered);
         // The WHERE eq on a.attribute must NOT narrow the LEFT right side's
         // loop scan (probe from ON is fine).
-        match &p.joins[0].scan.path {
-            AccessPath::IndexSeek { col, .. } => {
-                // attribute is column 1 of annotations; page_id col 0.
-                assert_ne!(*col, 1, "LEFT right side narrowed by WHERE: {p:?}");
-            }
-            _ => {}
+        if let AccessPath::IndexSeek { col, .. } = &p.joins[0].scan.path {
+            // attribute is column 1 of annotations; page_id col 0.
+            assert_ne!(*col, 1, "LEFT right side narrowed by WHERE: {p:?}");
         }
     }
 }

@@ -1,12 +1,10 @@
 //! Positional inverted index with BM25 ranking.
 
 use crate::tokenize::tokenize;
-use sensormeta_cache::{Cache, CacheConfig, CacheError, Domain, Fingerprint, Status};
 use sensormeta_par::Pool;
 use sensormeta_resil::{self as resil, Interrupt};
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::{Arc, OnceLock};
 
 /// Documents per parallel tokenize chunk in [`SearchIndex::build_in`]
 /// (fixed: chunk boundaries must not depend on the thread count).
@@ -37,17 +35,11 @@ impl Default for Bm25Params {
     }
 }
 
-/// Epoch domain every cached search result depends on.
-const CACHE_DEPS: &[Domain] = &[Domain::SearchIndex];
-
 /// Checkpoint site name for cooperative cancellation in scoring loops.
 const CHECKPOINT_SITE: &str = "search_postings";
 
 /// Postings scanned between deadline checkpoints on the checked paths.
 const POSTINGS_PER_CHECK: usize = 1024;
-
-/// Byte budget for one index's query cache.
-const CACHE_CAPACITY: usize = 4 << 20;
 
 /// A positional inverted index over external string keys.
 #[derive(Debug, Default)]
@@ -58,10 +50,6 @@ pub struct SearchIndex {
     postings: BTreeMap<String, Posting>,
     doc_len: Vec<u32>,
     total_len: u64,
-    /// Lazily built query→hits cache; invalidated through the
-    /// [`Domain::SearchIndex`] epoch which [`SearchIndex::add_tokenized`]
-    /// bumps on every document write.
-    query_cache: OnceLock<Cache<Vec<Hit>>>,
 }
 
 /// A scored hit.
@@ -247,42 +235,7 @@ impl SearchIndex {
         k: usize,
         params: Bm25Params,
     ) -> Result<Vec<Hit>, Interrupt> {
-        self.score_disjunctive_in(query, k, params, true, None)
-    }
-
-    /// Disjunctive BM25 restricted to documents in `range` (half-open).
-    ///
-    /// Scoring statistics — idf, average length, per-document length — stay
-    /// *global*, so a document's score is identical whether it is evaluated
-    /// here or by a full [`SearchIndex::try_search`]: the union of this call
-    /// over disjoint ranges covering the corpus equals the unrestricted
-    /// result. This is the scatter primitive for sharded serving, where each
-    /// shard owns a contiguous document range of one shared index.
-    pub fn try_search_range(
-        &self,
-        query: &str,
-        k: usize,
-        range: std::ops::Range<DocId>,
-    ) -> Result<Vec<Hit>, Interrupt> {
-        self.score_disjunctive_in(query, k, Bm25Params::default(), true, Some(range))
-    }
-
-    /// Conjunctive variant of [`SearchIndex::try_search_range`]: documents in
-    /// `range` containing *all* query terms. The all-terms test is evaluated
-    /// against the whole index (term presence is a per-document property), so
-    /// range unions again reproduce [`SearchIndex::try_search_all_terms`].
-    pub fn try_search_all_terms_range(
-        &self,
-        query: &str,
-        k: usize,
-        range: std::ops::Range<DocId>,
-    ) -> Result<Vec<Hit>, Interrupt> {
-        Ok(self
-            .score_conjunctive(query, usize::MAX, true)?
-            .into_iter()
-            .filter(|h| range.contains(&h.doc))
-            .take(k)
-            .collect())
+        self.score_disjunctive(query, k, params, true)
     }
 
     fn score_disjunctive(
@@ -291,17 +244,6 @@ impl SearchIndex {
         k: usize,
         params: Bm25Params,
         checked: bool,
-    ) -> Result<Vec<Hit>, Interrupt> {
-        self.score_disjunctive_in(query, k, params, checked, None)
-    }
-
-    fn score_disjunctive_in(
-        &self,
-        query: &str,
-        k: usize,
-        params: Bm25Params,
-        checked: bool,
-        range: Option<std::ops::Range<DocId>>,
     ) -> Result<Vec<Hit>, Interrupt> {
         let _timing = sensormeta_obs::span("search_score");
         sensormeta_obs::counter("search_queries_total").inc();
@@ -319,18 +261,8 @@ impl SearchIndex {
             let Some(posting) = self.postings.get(term) else {
                 continue;
             };
-            // idf always uses the term's full document frequency, even when
-            // only a range of documents is being scored.
             let idf = self.idf(posting.docs.len());
-            let docs = match &range {
-                Some(r) => {
-                    let lo = posting.docs.partition_point(|(d, _)| *d < r.start);
-                    let hi = posting.docs.partition_point(|(d, _)| *d < r.end);
-                    &posting.docs[lo..hi]
-                }
-                None => &posting.docs[..],
-            };
-            for (doc, positions) in docs {
+            for (doc, positions) in &posting.docs {
                 scanned += 1;
                 if checked && scanned.is_multiple_of(POSTINGS_PER_CHECK) {
                     resil::checkpoint(CHECKPOINT_SITE)?;
@@ -342,106 +274,6 @@ impl SearchIndex {
             }
         }
         Ok(self.top_k(scores, k))
-    }
-
-    fn query_cache(&self) -> &Cache<Vec<Hit>> {
-        self.query_cache.get_or_init(|| {
-            Cache::new(
-                CacheConfig::new("search", CACHE_CAPACITY, CACHE_DEPS),
-                |hits| {
-                    hits.iter()
-                        .map(|h| std::mem::size_of::<Hit>() + h.key.len())
-                        .sum()
-                },
-            )
-        })
-    }
-
-    /// [`SearchIndex::search`] through the shared result cache: repeated
-    /// identical queries between index writes share one scored hit list.
-    pub fn search_cached(&self, query: &str, k: usize) -> (Arc<Vec<Hit>>, Status) {
-        self.cached("disjunctive", query, k, || self.search(query, k))
-    }
-
-    /// [`SearchIndex::search_all_terms`] through the shared result cache.
-    pub fn search_all_terms_cached(&self, query: &str, k: usize) -> (Arc<Vec<Hit>>, Status) {
-        self.cached("conjunctive", query, k, || self.search_all_terms(query, k))
-    }
-
-    /// [`SearchIndex::search_cached`] with cooperative cancellation: the
-    /// compute observes checkpoints, the single-flight wait is bounded by
-    /// the ambient deadline, and interrupts are never negatively cached.
-    pub fn try_search_cached(
-        &self,
-        query: &str,
-        k: usize,
-    ) -> Result<(Arc<Vec<Hit>>, Status), Interrupt> {
-        self.cached_checked("disjunctive", query, k, || self.try_search(query, k))
-    }
-
-    /// [`SearchIndex::search_all_terms_cached`] with cooperative
-    /// cancellation.
-    pub fn try_search_all_terms_cached(
-        &self,
-        query: &str,
-        k: usize,
-    ) -> Result<(Arc<Vec<Hit>>, Status), Interrupt> {
-        self.cached_checked("conjunctive", query, k, || {
-            self.try_search_all_terms(query, k)
-        })
-    }
-
-    fn cached(
-        &self,
-        mode: &str,
-        query: &str,
-        k: usize,
-        run: impl FnOnce() -> Vec<Hit>,
-    ) -> (Arc<Vec<Hit>>, Status) {
-        let key = Fingerprint::new().str(mode).str(query).usize(k).finish();
-        let (result, status) = self
-            .query_cache()
-            .get_or_compute(key, None, || Ok::<_, std::convert::Infallible>(run()));
-        match result {
-            Ok(hits) => (hits, status),
-            // Infallible and no deadline: unreachable, but degrade to an
-            // uncached scoring pass rather than panic.
-            Err(_) => (Arc::new(self.search(query, k)), Status::Bypass),
-        }
-    }
-
-    fn cached_checked(
-        &self,
-        mode: &str,
-        query: &str,
-        k: usize,
-        run: impl FnOnce() -> Result<Vec<Hit>, Interrupt>,
-    ) -> Result<(Arc<Vec<Hit>>, Status), Interrupt> {
-        let key = Fingerprint::new().str(mode).str(query).usize(k).finish();
-        let wait = resil::current_deadline().remaining();
-        let (result, status) = self
-            .query_cache()
-            .get_or_compute_filtered(key, wait, run, |_| false);
-        match result {
-            Ok(hits) => Ok((hits, status)),
-            Err(CacheError::Compute(i)) => Err(i),
-            // Interrupts are never negatively cached, so a replayed
-            // negative cannot occur on this path; a timed-out
-            // single-flight wait means the ambient budget ran out.
-            Err(CacheError::Negative(_) | CacheError::WaitTimeout) => {
-                Err(Interrupt::DeadlineExceeded)
-            }
-        }
-    }
-
-    /// Query-cache statistics for this index.
-    pub fn cache_stats(&self) -> sensormeta_cache::CacheStats {
-        self.query_cache().stats()
-    }
-
-    /// Drops this index's cached query results.
-    pub fn clear_cache(&self) {
-        self.query_cache().clear();
     }
 
     /// Conjunctive search: only documents containing *all* query terms.
@@ -697,41 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn range_union_equals_full_search() {
-        let ix = index();
-        let n = ix.doc_count();
-        for query in ["temperature", "temperature wind", "weissfluhjoch sensor"] {
-            let full = ix.search(query, usize::MAX);
-            for split in [1, 2, 3] {
-                let per = n.div_ceil(split);
-                let mut union: Vec<Hit> = Vec::new();
-                for s in 0..split {
-                    let lo = s * per;
-                    let hi = ((s + 1) * per).min(n);
-                    union.extend(ix.try_search_range(query, usize::MAX, lo..hi).unwrap());
-                }
-                union.sort_by(|a, b| {
-                    b.score
-                        .partial_cmp(&a.score)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.doc.cmp(&b.doc))
-                });
-                assert_eq!(union, full, "query {query:?} at {split} ranges");
-            }
-        }
-        // Conjunctive variant too.
-        let full = ix.search_all_terms("temperature weissfluhjoch", usize::MAX);
-        let mut union: Vec<Hit> = Vec::new();
-        for s in 0..n {
-            union.extend(
-                ix.try_search_all_terms_range("temperature weissfluhjoch", usize::MAX, s..s + 1)
-                    .unwrap(),
-            );
-        }
-        assert_eq!(union, full);
-    }
-
-    #[test]
     fn phrase_search_uses_positions() {
         let ix = index();
         let hits = ix.phrase("wind speed", 10);
@@ -825,28 +622,6 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.add_document("Fieldsite:New", "fresh snow data");
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    // Hit/miss counts are not asserted here: the epoch clock is process
-    // global and sibling tests index documents concurrently; only the
-    // served values are deterministic.
-    #[test]
-    fn cached_search_matches_uncached_before_and_after_writes() {
-        let mut ix = index();
-        let (cached, _) = ix.search_cached("snow", 10);
-        assert_eq!(*cached, ix.search("snow", 10));
-        let (cached2, _) = ix.search_cached("snow", 10);
-        assert_eq!(*cached2, ix.search("snow", 10));
-        ix.add_document("Fieldsite:Glacier", "deep snow pack telemetry");
-        let (after, _) = ix.search_cached("snow", 10);
-        assert_eq!(
-            *after,
-            ix.search("snow", 10),
-            "write must invalidate the cached hit list"
-        );
-        assert!(after.iter().any(|h| h.key == "Fieldsite:Glacier"));
-        let (conj, _) = ix.search_all_terms_cached("snow pack", 10);
-        assert_eq!(*conj, ix.search_all_terms("snow pack", 10));
     }
 
     #[test]

@@ -486,83 +486,67 @@ impl App {
         form
     }
 
+    /// `/search` for every topology: pick the read target — the shard-set
+    /// version, else a sufficiently fresh replica, else the primary — then
+    /// run one path over its snapshot. Non-primary targets are labelled.
     fn search(&self, req: &Request) -> Response {
         let form = Self::form_from(req);
-        // Sharded topology: scatter-gather across the shard set (results
-        // are byte-identical to the single-store path by construction).
-        if let Some(set) = &self.shards {
-            return self.search_sharded(req, &form, set);
-        }
-        // Replicated topology: serve the read from a sufficiently fresh
-        // replica when one exists; fall through to the primary otherwise.
-        if let Some(replica) = self.router.route_read(ShardSet::SEARCH_DEPS) {
-            return match replica.search(&form, req.param("user")) {
-                Ok(out) => {
-                    Self::render_search(req, &form, &out).with_header("X-Served-By", "replica")
-                }
-                Err(e) => self.search_error(e),
-            };
-        }
-        let engine = self.engine.snapshot();
-        if !self.breaker_query.allow() {
+        let user = req.param("user");
+        let (engine, label) = if let Some(set) = &self.shards {
+            let shards = set.shard_count().to_string();
+            (set.coordinator(), Some(("X-Cluster-Shards", shards)))
+        } else if let Some(replica) = self.router.route_read(ShardSet::SEARCH_DEPS) {
+            (replica, Some(("X-Served-By", "replica".to_owned())))
+        } else {
+            (self.engine.snapshot(), None)
+        };
+        let resp = if !self.breaker_query.allow() {
             // Open circuit: don't touch the backend at all — answer from the
             // stale holdover if one exists, shed otherwise.
-            return match engine.search_stale(&form, req.param("user")) {
+            match engine.search_stale(&form, user) {
                 Some((out, _age)) => Self::render_search(req, &form, &out)
                     .with_header("Cache-Status", Status::Degraded.as_str())
                     .with_header("Warning", WARNING_STALE),
                 None => Response::error(503, "search backend unavailable (circuit open)")
                     .with_header("Retry-After", retry_after_secs().to_string()),
+            }
+        } else {
+            let opts = SearchOptions {
+                // A scattered search fans out per request and never fills the
+                // result cache.
+                bypass: self.shards.is_some() || req.param("cache") == Some("bypass"),
+                wait: self.cache_wait,
+                user,
+                stale_ok: true,
+                // Pin the cache to this request's snapshot generation: the
+                // whole request sees one epoch vector even if a writer commits
+                // mid-flight.
+                at: Some(engine.epochs()),
+                ..SearchOptions::default()
             };
-        }
-        let opts = SearchOptions {
-            bypass: req.param("cache") == Some("bypass"),
-            wait: self.cache_wait,
-            user: req.param("user"),
-            stale_ok: true,
-            // Pin the cache to this request's snapshot generation: the
-            // whole request sees one epoch vector even if a writer commits
-            // mid-flight.
-            at: Some(engine.epochs()),
-            ..SearchOptions::default()
+            match engine.search_shared(&form, &opts) {
+                Ok((out, status)) => {
+                    if status.is_degraded() {
+                        // The backend failed and the cache bailed us out: a
+                        // success for the client, a failure for the breaker.
+                        self.breaker_query.record_failure();
+                    } else {
+                        self.breaker_query.record_success();
+                    }
+                    let resp = Self::render_search(req, &form, &out)
+                        .with_header("Cache-Status", status.as_str());
+                    if status.is_degraded() {
+                        resp.with_header("Warning", WARNING_STALE)
+                    } else {
+                        resp
+                    }
+                }
+                Err(e) => self.search_error(e),
+            }
         };
-        match engine.search_shared(&form, &opts) {
-            Ok((out, status)) => {
-                if status.is_degraded() {
-                    // The backend failed and the cache bailed us out: a
-                    // success for the client, a failure for the breaker.
-                    self.breaker_query.record_failure();
-                } else {
-                    self.breaker_query.record_success();
-                }
-                let resp = Self::render_search(req, &form, &out)
-                    .with_header("Cache-Status", status.as_str());
-                if status.is_degraded() {
-                    resp.with_header("Warning", WARNING_STALE)
-                } else {
-                    resp
-                }
-            }
-            Err(e) => self.search_error(e),
-        }
-    }
-
-    /// Scatter-gather search over the shard set, behind the query breaker.
-    /// The scattered path is uncached (each request fans out), so responses
-    /// are labelled `Cache-Status: bypass`.
-    fn search_sharded(&self, req: &Request, form: &SearchForm, set: &ShardSet) -> Response {
-        if !self.breaker_query.allow() {
-            return Response::error(503, "search backend unavailable (circuit open)")
-                .with_header("Retry-After", retry_after_secs().to_string());
-        }
-        match set.search(form, req.param("user")) {
-            Ok(out) => {
-                self.breaker_query.record_success();
-                Self::render_search(req, form, &out)
-                    .with_header("Cache-Status", "bypass")
-                    .with_header("X-Cluster-Shards", set.shard_count().to_string())
-            }
-            Err(e) => self.search_error(e),
+        match label {
+            Some((name, value)) => resp.with_header(name, value),
+            None => resp,
         }
     }
 

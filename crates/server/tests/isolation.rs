@@ -7,7 +7,11 @@
 //!    opens must show exactly the state some committed version produced
 //!    (checked against a single-threaded oracle applying the same mutation
 //!    sequence), and two reads of one snapshot must agree even when commits
-//!    land in between (repeatable read). Run at pool sizes 1 and 4; CI also
+//!    land in between (repeatable read). Each reader also issues the same
+//!    query through `/search`, whose body must be byte-identical to the
+//!    oracle's output at *some* committed state — on the sharded topology
+//!    that is the check that coordinator and shard views are pinned as one
+//!    version. Run at pool sizes 1 and 4, unsharded and at 2 shards; CI also
 //!    re-runs the whole suite under `SENSORMETA_THREADS=1` and `=4`.
 //!
 //! 2. **Crash mid-commit** — a commit that dies after the WAL made the
@@ -15,9 +19,10 @@
 //!    be visible to any snapshot of the live process, and a restart must
 //!    recover the complete mutation from the log (never a partial one).
 
+use sensormeta_cluster::Topology;
 use sensormeta_par::Pool;
 use sensormeta_query::{QueryEngine, SearchForm, SearchOptions};
-use sensormeta_server::App;
+use sensormeta_server::{parse_query, App, AppConfig, Request};
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_tx::Snapshot;
 use sensormeta_workload::{generate_corpus, CorpusConfig};
@@ -82,24 +87,61 @@ fn marker_count_fresh(engine: &QueryEngine) -> usize {
     out.total_matched
 }
 
+/// The JSON body `/search?q=<MARKER>` must produce over `engine`'s state.
+fn marker_body_fresh(engine: &QueryEngine) -> String {
+    let out = engine
+        .search_uncached(&SearchForm::keywords(MARKER), None)
+        .expect("oracle search");
+    serde_json::to_string(&out).expect("json")
+}
+
+/// `GET /search?q=<MARKER>` through the full request path.
+fn marker_body_served(app: &App) -> String {
+    let resp = app.handle(&Request {
+        method: "GET".into(),
+        path: "/search".into(),
+        query: parse_query(&format!("q={MARKER}")),
+        headers: Default::default(),
+        body: Vec::new(),
+    });
+    let body = String::from_utf8(resp.body).expect("utf8 body");
+    assert_eq!(resp.status, 200, "{body}");
+    body
+}
+
 /// Races `readers` snapshot readers against one committer on `pool` and
 /// checks every observation against the single-threaded oracle.
-fn race_readers_vs_writer(pool: &Pool, readers: usize, commits: usize, rounds: usize) {
-    let app = App::new(seeded_engine());
+fn race_readers_vs_writer(
+    pool: &Pool,
+    topology: Topology,
+    readers: usize,
+    commits: usize,
+    rounds: usize,
+) {
+    let app = App::with_config(
+        seeded_engine(),
+        AppConfig {
+            topology,
+            ..AppConfig::default()
+        },
+    );
 
     // Single-threaded oracle: the same mutation sequence applied serially.
-    // `expected[s]` is the marker count a snapshot at sequence `s` must see.
+    // `expected[s]` is the marker count a snapshot at sequence `s` must see,
+    // `bodies[s]` the `/search` body that state serves.
     let mut oracle = seeded_engine();
     let mut expected = vec![marker_count_fresh(&oracle)];
+    let mut bodies = vec![marker_body_fresh(&oracle)];
     for i in 1..=commits {
         add_marker_page(&mut oracle, i).expect("oracle mutation");
         expected.push(marker_count_fresh(&oracle));
+        bodies.push(marker_body_fresh(&oracle));
     }
     assert_eq!(expected[0], 0, "corpus must not contain the marker");
     assert_eq!(expected[commits], commits);
 
-    // (seq, first read, second read) per snapshot a racing reader opened.
-    let observations: Mutex<Vec<(u64, usize, usize)>> = Mutex::new(Vec::new());
+    // (seq, first read, second read, /search body) per reader round.
+    let observations: Mutex<Vec<(u64, usize, usize, String)>> = Mutex::new(Vec::new());
 
     let reader_pass = || {
         for _ in 0..rounds {
@@ -110,11 +152,12 @@ fn race_readers_vs_writer(pool: &Pool, readers: usize, commits: usize, rounds: u
             // the snapshot must not care.
             std::thread::yield_now();
             let second = marker_count(&snap);
+            let served = marker_body_served(&app);
             let mut obs = match observations.lock() {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
             };
-            obs.push((seq, first, second));
+            obs.push((seq, first, second, served));
         }
     };
     let writer = || {
@@ -135,6 +178,7 @@ fn race_readers_vs_writer(pool: &Pool, readers: usize, commits: usize, rounds: u
     let last = app.engine_snapshot();
     assert_eq!(last.seq(), commits as u64);
     assert_eq!(marker_count(&last), commits);
+    assert_eq!(marker_body_served(&app), bodies[commits]);
 
     // Every racing observation matches the oracle's state at that sequence,
     // and the two reads of each snapshot agree.
@@ -143,7 +187,7 @@ fn race_readers_vs_writer(pool: &Pool, readers: usize, commits: usize, rounds: u
         Err(p) => p.into_inner(),
     };
     assert_eq!(observations.len(), readers * rounds);
-    for (seq, first, second) in observations {
+    for (seq, first, second, served) in observations {
         assert_eq!(
             first, second,
             "repeatable read broken: snapshot at seq {seq} changed under the reader"
@@ -156,17 +200,33 @@ fn race_readers_vs_writer(pool: &Pool, readers: usize, commits: usize, rounds: u
             first, want,
             "snapshot at seq {seq} shows a state no committed version produced"
         );
+        assert!(
+            bodies.contains(&served),
+            "/search served a body no committed state produces: {served}"
+        );
     }
+}
+
+fn topologies() -> [Topology; 2] {
+    let sharded = Topology {
+        shards: 2,
+        ..Topology::default()
+    };
+    [Topology::default(), sharded]
 }
 
 #[test]
 fn snapshot_isolation_single_threaded_pool() {
-    race_readers_vs_writer(&Pool::new(1), 3, 6, 10);
+    for topology in topologies() {
+        race_readers_vs_writer(&Pool::new(1), topology, 3, 6, 10);
+    }
 }
 
 #[test]
 fn snapshot_isolation_four_thread_pool() {
-    race_readers_vs_writer(&Pool::new(4), 3, 6, 30);
+    for topology in topologies() {
+        race_readers_vs_writer(&Pool::new(4), topology, 3, 6, 30);
+    }
 }
 
 #[test]

@@ -8,6 +8,16 @@ use sensormeta::tagging::{
     CloudParams, FontScale, TagStore,
 };
 use sensormeta::viz::render_tag_cloud;
+use std::sync::{Mutex, MutexGuard};
+
+/// Every tag write bumps the process-global `TagIncidence` epoch, which the
+/// cloud cache validates against; the tests take this lock so a sibling's
+/// writes cannot invalidate another test's cache mid-count.
+fn clock_guard() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// SMR populated so tags form two co-occurrence groups plus a bridge tag.
 fn tagged_smr() -> Smr {
@@ -34,6 +44,7 @@ fn tagged_smr() -> Smr {
 
 #[test]
 fn smr_to_cloud_pipeline() {
+    let _clock = clock_guard();
     let smr = tagged_smr();
     // Parser module: fetch tags from the SMR.
     let mut store = TagStore::new();
@@ -79,6 +90,7 @@ fn smr_to_cloud_pipeline() {
 
 #[test]
 fn cache_module_cuts_recomputation() {
+    let _clock = clock_guard();
     let smr = tagged_smr();
     let mut store = TagStore::new();
     let pairs = smr.all_tags().unwrap();
@@ -101,6 +113,7 @@ fn cache_module_cuts_recomputation() {
 
 #[test]
 fn modularity_swapping_the_clique_module() {
+    let _clock = clock_guard();
     // The paper: "by replacing the Max Clique Algorithm module we can focus
     // on other graph properties". All three BK variants must be drop-in
     // equivalent for the cloud's content.
