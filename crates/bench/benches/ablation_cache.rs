@@ -25,7 +25,7 @@ fn print_hit_rates() {
         if i % 20 == 0 {
             store.add(&format!("extra{i}"), "freshtag");
         }
-        let _ = cache.get(&store, &params);
+        let _ = cache.get(&store, None, &params);
     }
     let stats = cache.stats();
     println!("\n=== E9: cloud cache under 10:1 read:write ===");
@@ -33,7 +33,7 @@ fn print_hit_rates() {
         "hits: {}  misses: {}  evictions: {}  hit rate: {:.1}%",
         stats.hits,
         stats.misses,
-        stats.evicted,
+        stats.evictions,
         100.0 * stats.hits as f64 / (stats.hits + stats.misses) as f64
     );
     println!();
@@ -48,8 +48,12 @@ fn bench_cache(c: &mut Criterion) {
     });
     c.bench_function("cloud_cached_lookup", |b| {
         let cache = CloudCache::new();
-        let _ = cache.get(&store, &params); // warm
-        b.iter(|| cache.get(&store, &params).entries.len())
+        let _ = cache.get(&store, None, &params); // warm
+        b.iter(|| {
+            cache
+                .get(&store, None, &params)
+                .map(|(c, _)| c.entries.len())
+        })
     });
 }
 

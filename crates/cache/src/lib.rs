@@ -20,8 +20,7 @@
 //! Every movement is mirrored into the `sensormeta-obs` global registry:
 //! `cache_hits_total`, `cache_misses_total`, `cache_evictions_total`,
 //! `cache_singleflight_waits_total` and the `cache_bytes` gauge, plus
-//! per-namespace `cache_<name>_*` variants (and optional legacy aliases
-//! for migrated subsystems).
+//! per-namespace `cache_<name>_*` variants.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -32,4 +31,4 @@ mod result_cache;
 
 pub use clock::{clock, Domain, EpochClock, EpochVector, ALL_DOMAINS, DOMAIN_COUNT};
 pub use fingerprint::Fingerprint;
-pub use result_cache::{Cache, CacheConfig, CacheError, CacheStats, LegacyMetricNames, Status};
+pub use result_cache::{Cache, CacheConfig, CacheError, CacheStats, Status};

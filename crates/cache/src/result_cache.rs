@@ -1,14 +1,14 @@
 //! The sharded, concurrent, epoch-invalidated result cache.
 //!
-//! One [`Cache`] instance serves one namespace (query results, posting
-//! lists, PageRank vectors, tag clouds …). Entries are keyed by a 64-bit
-//! query fingerprint, cost-accounted in bytes (capacity is a byte budget,
-//! not an entry count), bounded by LRU eviction plus optional TTLs, and
-//! validated against an [`EpochClock`](crate::EpochClock): an entry is
-//! served only while every domain epoch captured before its computation
-//! still matches the clock. Stale entries are dropped lazily — on lookup
-//! for the requested key, and by an opportunistic sweep of the shard on
-//! every insert.
+//! One [`Cache`] instance serves one namespace (query results, tag
+//! clouds). Entries are keyed by a 64-bit query fingerprint, cost-accounted
+//! in bytes (capacity is a byte budget, not an entry count), bounded by LRU
+//! eviction plus optional TTLs, and stamped with an epoch vector: an entry
+//! is served only while every domain epoch it was computed at still matches
+//! the reader's — the snapshot vector a reader is pinned at, or the live
+//! [`EpochClock`](crate::EpochClock). Stale entries are dropped lazily — on
+//! lookup for the requested key, and by an opportunistic sweep of the shard
+//! on every insert.
 //!
 //! Failed computations are *negatively cached*: the error message is stored
 //! under a short TTL so a hot failing query does not hammer the backend.
@@ -21,7 +21,7 @@ use crate::clock::{clock, Domain, EpochClock, EpochVector};
 use sensormeta_obs as obs;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -126,18 +126,6 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-/// Legacy metric names kept emitting after a subsystem migrates its bespoke
-/// cache onto this crate (dashboard compatibility).
-#[derive(Debug, Clone, Copy)]
-pub struct LegacyMetricNames {
-    /// Counter name mirrored on every hit.
-    pub hits: &'static str,
-    /// Counter name mirrored on every miss.
-    pub misses: &'static str,
-    /// Counter name mirrored on every eviction.
-    pub evictions: &'static str,
-}
-
 /// Construction-time knobs for one [`Cache`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
@@ -162,13 +150,11 @@ pub struct CacheConfig {
     pub stale_grace: Option<Duration>,
     /// Domains whose epochs every entry of this cache depends on.
     pub deps: &'static [Domain],
-    /// Optional pre-migration metric names to keep emitting.
-    pub legacy: Option<LegacyMetricNames>,
 }
 
 impl CacheConfig {
     /// A config with the common defaults: 8 shards, no positive TTL, a
-    /// 2-second negative TTL, no legacy metric aliases.
+    /// 2-second negative TTL, no serve-stale grace.
     pub fn new(name: &'static str, capacity_bytes: usize, deps: &'static [Domain]) -> CacheConfig {
         CacheConfig {
             name,
@@ -178,7 +164,6 @@ impl CacheConfig {
             negative_ttl: Duration::from_secs(2),
             stale_grace: None,
             deps,
-            legacy: None,
         }
     }
 }
@@ -318,9 +303,6 @@ struct Metrics {
     global_stale_serves: obs::Counter,
     bytes: obs::Gauge,
     global_bytes: obs::Gauge,
-    legacy_hits: Option<obs::Counter>,
-    legacy_misses: Option<obs::Counter>,
-    legacy_evictions: Option<obs::Counter>,
 }
 
 impl Metrics {
@@ -339,9 +321,6 @@ impl Metrics {
             global_stale_serves: obs::counter("cache_stale_serves_total"),
             bytes: obs::gauge(&format!("cache_{}_bytes", cfg.name)),
             global_bytes: obs::gauge("cache_bytes"),
-            legacy_hits: cfg.legacy.map(|l| obs::counter(l.hits)),
-            legacy_misses: cfg.legacy.map(|l| obs::counter(l.misses)),
-            legacy_evictions: cfg.legacy.map(|l| obs::counter(l.evictions)),
         }
     }
 }
@@ -365,7 +344,6 @@ pub struct Cache<V> {
     weigher: fn(&V) -> usize,
     shards: Vec<Mutex<Shard<V>>>,
     shard_capacity: usize,
-    enabled: AtomicBool,
     stats: Stats,
     metrics: Metrics,
 }
@@ -432,7 +410,6 @@ impl<V: Send + Sync + 'static> Cache<V> {
             shards: (0..nshards).map(|_| Mutex::new(Shard::new())).collect(),
             clock,
             weigher,
-            enabled: AtomicBool::new(true),
             stats: Stats {
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
@@ -451,11 +428,6 @@ impl<V: Send + Sync + 'static> Cache<V> {
     /// The configured namespace label.
     pub fn name(&self) -> &'static str {
         self.cfg.name
-    }
-
-    /// Turns the cache into a pass-through ([`Status::Bypass`]) or back on.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Point-in-time statistics.
@@ -504,7 +476,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
     pub fn peek(&self, key: u64) -> Option<Arc<V>> {
         let mut sh = lock(self.shard(key));
         let e = sh.map.get(&key)?;
-        if !self.entry_valid(e) {
+        if !self.entry_valid(e, None) {
             return None;
         }
         let v = e.value.as_ref().ok().cloned();
@@ -517,22 +489,17 @@ impl<V: Send + Sync + 'static> Cache<V> {
         &self.shards[i]
     }
 
-    fn entry_valid(&self, e: &Entry<V>) -> bool {
-        self.entry_valid_at(e, None)
+    /// Whether `stamp` is current for a reader pinned at `at` (an MVCC
+    /// snapshot's epoch vector), or for the live clock when `at` is `None`.
+    fn stamp_current(&self, stamp: &EpochVector, at: Option<&EpochVector>) -> bool {
+        match at {
+            Some(v) => v.matches_on(stamp, self.cfg.deps),
+            None => self.clock.get().matches(stamp, self.cfg.deps),
+        }
     }
 
-    /// Entry validity for a reader pinned at `at` (an MVCC snapshot's epoch
-    /// vector), or against the live clock when `at` is `None`.
-    fn entry_valid_at(&self, e: &Entry<V>, at: Option<&EpochVector>) -> bool {
-        if let Some(expires) = e.expires {
-            if Instant::now() >= expires {
-                return false;
-            }
-        }
-        match at {
-            Some(v) => v.matches_on(&e.stamp, self.cfg.deps),
-            None => self.clock.get().matches(&e.stamp, self.cfg.deps),
-        }
+    fn entry_valid(&self, e: &Entry<V>, at: Option<&EpochVector>) -> bool {
+        e.expires.is_none_or(|t| Instant::now() < t) && self.stamp_current(&e.stamp, at)
     }
 
     /// Whether a (possibly invalid) entry may still back a degraded serve:
@@ -553,13 +520,13 @@ impl<V: Send + Sync + 'static> Cache<V> {
     /// `Warning` header). Returns `None` when nothing servable is
     /// resident; never computes.
     pub fn get_stale(&self, key: u64) -> Option<(Arc<V>, Duration)> {
-        if self.cfg.capacity_bytes == 0 || !self.enabled.load(Ordering::Relaxed) {
+        if self.cfg.capacity_bytes == 0 {
             return None;
         }
         let found = {
             let sh = lock(self.shard(key));
             let e = sh.map.get(&key)?;
-            if !self.entry_valid(e) && !self.stale_servable(e) {
+            if !self.entry_valid(e, None) && !self.stale_servable(e) {
                 return None;
             }
             let v = e.value.as_ref().ok()?;
@@ -578,18 +545,12 @@ impl<V: Send + Sync + 'static> Cache<V> {
         }
         self.metrics.hits.inc();
         self.metrics.global_hits.inc();
-        if let Some(c) = &self.metrics.legacy_hits {
-            c.inc();
-        }
     }
 
     fn count_miss(&self) {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.misses.inc();
         self.metrics.global_misses.inc();
-        if let Some(c) = &self.metrics.legacy_misses {
-            c.inc();
-        }
     }
 
     fn count_evictions(&self, n: u64, stale: bool) {
@@ -602,84 +563,36 @@ impl<V: Send + Sync + 'static> Cache<V> {
         }
         self.metrics.evictions.add(n);
         self.metrics.global_evictions.add(n);
-        if let Some(c) = &self.metrics.legacy_evictions {
-            c.add(n);
-        }
     }
 
-    /// Looks `key` up; on a valid entry returns it, otherwise computes via
-    /// `compute` (or coalesces onto an identical in-flight computation,
-    /// waiting at most until `deadline` after this call began). Successful
-    /// values are cached under the epoch stamp captured *before* the
-    /// computation ran; failures are negatively cached for
+    /// The one computing lookup. On a valid entry for `key` returns it;
+    /// otherwise computes via `compute` (or coalesces onto an identical
+    /// in-flight computation, waiting at most `deadline`), caches a success
+    /// and — when `cache_error` says so — negatively caches a failure for
     /// [`CacheConfig::negative_ttl`].
-    pub fn get_or_compute<E, F>(
-        &self,
-        key: u64,
-        deadline: Option<Duration>,
-        compute: F,
-    ) -> (Result<Arc<V>, CacheError<E>>, Status)
-    where
-        E: fmt::Display,
-        F: FnOnce() -> Result<V, E>,
-    {
-        self.get_or_compute_filtered(key, deadline, compute, |_| true)
-    }
-
-    /// [`get_or_compute`](Cache::get_or_compute) with control over negative
-    /// caching: `cache_error` decides per failure whether it is cached.
-    /// Deadline expiries and injected chaos faults must *not* be negatively
-    /// cached — the failure is the caller's circumstance, not a property of
-    /// the key — or a burst of expired requests would poison the key for
-    /// every later caller with budget to spare. Waiters coalesced onto the
-    /// flight still observe the shared failure either way.
-    pub fn get_or_compute_filtered<E, F, P>(
-        &self,
-        key: u64,
-        deadline: Option<Duration>,
-        compute: F,
-        cache_error: P,
-    ) -> (Result<Arc<V>, CacheError<E>>, Status)
-    where
-        E: fmt::Display,
-        F: FnOnce() -> Result<V, E>,
-        P: FnOnce(&E) -> bool,
-    {
-        self.get_or_compute_inner(key, None, deadline, compute, cache_error)
-    }
-
-    /// [`get_or_compute_filtered`](Cache::get_or_compute_filtered) for an
-    /// MVCC snapshot reader pinned at `stamp`: entries are validated against
-    /// (and new entries stamped with) the snapshot's epoch vector instead of
-    /// the moving clock, so a reader keeps hitting its own consistent
-    /// generation even while writers bump epochs underneath it.
     ///
-    /// Keys stay generation-independent (snapshots at different epoch
-    /// vectors share one entry slot): that keeps serve-stale degradation
-    /// working across commits — [`Cache::get_stale`] can still find the
-    /// superseded value under the same key. Cross-generation safety comes
-    /// from validation instead: an entry stamped by another generation is
-    /// simply treated as stale (retained for degradation when still fresh
-    /// for the live clock or within the grace window) and recomputed, and
-    /// a caller never coalesces onto an in-flight computation whose stamp
-    /// its own validation context would reject.
-    pub fn get_or_compute_filtered_at<E, F, P>(
-        &self,
-        key: u64,
-        stamp: EpochVector,
-        deadline: Option<Duration>,
-        compute: F,
-        cache_error: P,
-    ) -> (Result<Arc<V>, CacheError<E>>, Status)
-    where
-        E: fmt::Display,
-        F: FnOnce() -> Result<V, E>,
-        P: FnOnce(&E) -> bool,
-    {
-        self.get_or_compute_inner(key, Some(stamp), deadline, compute, cache_error)
-    }
-
-    fn get_or_compute_inner<E, F, P>(
+    /// `at` ties the value to the state it is computed from. `Some(stamp)`
+    /// is an MVCC snapshot reader pinned at that epoch vector: entries are
+    /// validated against, and new entries stamped with, the snapshot's
+    /// vector, so the reader keeps hitting its own generation while writers
+    /// bump epochs underneath it. `None` validates against the live clock
+    /// and stamps with the vector captured *before* the computation ran, so
+    /// a mutation racing the computation leaves the entry already stale.
+    ///
+    /// Keys stay generation-independent (snapshots at different vectors
+    /// share one entry slot), which is what lets [`Cache::get_stale`] find
+    /// the superseded value after a commit. Cross-generation safety comes
+    /// from validation: an entry stamped by another generation is treated
+    /// as stale (retained when still fresh for the live clock or within the
+    /// grace window) and recomputed, and a caller never coalesces onto an
+    /// in-flight computation whose stamp its own context would reject.
+    ///
+    /// `cache_error` must reject failures that are the caller's
+    /// circumstance rather than a property of the key — deadline expiries,
+    /// injected chaos faults — or a burst of expired requests would poison
+    /// the key for every later caller with budget to spare. Waiters
+    /// coalesced onto the flight observe the shared failure either way.
+    pub fn get_or_compute<E, F, P>(
         &self,
         key: u64,
         at: Option<EpochVector>,
@@ -692,7 +605,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
         F: FnOnce() -> Result<V, E>,
         P: FnOnce(&E) -> bool,
     {
-        if self.cfg.capacity_bytes == 0 || !self.enabled.load(Ordering::Relaxed) {
+        if self.cfg.capacity_bytes == 0 {
             return match compute() {
                 Ok(v) => (Ok(Arc::new(v)), Status::Bypass),
                 Err(e) => (Err(CacheError::Compute(e)), Status::Bypass),
@@ -714,7 +627,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
             let step = {
                 let mut sh = lock(self.shard(key));
                 if let Some(e) = sh.map.get(&key) {
-                    if self.entry_valid_at(e, at.as_ref()) {
+                    if self.entry_valid(e, at.as_ref()) {
                         let value = e.value.clone();
                         sh.touch(key);
                         drop(sh);
@@ -724,7 +637,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
                             Err(msg) => (Err(CacheError::Negative(msg)), Status::Hit),
                         };
                     }
-                    if self.stale_servable(e) || (at.is_some() && self.entry_valid(e)) {
+                    if self.stale_servable(e) || (at.is_some() && self.entry_valid(e, None)) {
                         // Retained: for serve-stale degradation the
                         // recompute's insert replaces it (a failed
                         // recompute leaves it for `get_stale`); and a
@@ -741,17 +654,10 @@ impl<V: Send + Sync + 'static> Cache<V> {
                     }
                 }
                 match sh.flights.get(&key) {
-                    Some(fl) => {
-                        let compatible = match at.as_ref() {
-                            Some(v) => v.matches_on(&fl.stamp, self.cfg.deps),
-                            None => self.clock.get().matches(&fl.stamp, self.cfg.deps),
-                        };
-                        if compatible {
-                            Step::Wait(Arc::clone(fl))
-                        } else {
-                            Step::Solo
-                        }
+                    Some(fl) if self.stamp_current(&fl.stamp, at.as_ref()) => {
+                        Step::Wait(Arc::clone(fl))
                     }
+                    Some(_) => Step::Solo,
                     None => {
                         let stamp = at.unwrap_or_else(|| self.clock.get().snapshot());
                         let fl = Arc::new(Flight::new(stamp));
@@ -995,10 +901,16 @@ mod tests {
         value: &str,
         calls: &Cell<u32>,
     ) -> (Result<Arc<String>, CacheError<String>>, Status) {
-        cache.get_or_compute(key, None, || {
-            calls.set(calls.get() + 1);
-            Ok::<_, String>(value.to_string())
-        })
+        cache.get_or_compute(
+            key,
+            None,
+            None,
+            || {
+                calls.set(calls.get() + 1);
+                Ok::<_, String>(value.to_string())
+            },
+            |_| true,
+        )
     }
 
     #[test]
@@ -1047,10 +959,10 @@ mod tests {
             calls.set(calls.get() + 1);
             Err::<String, String>("backend exploded".to_string())
         };
-        let (r1, s1) = cache.get_or_compute(9, None, compute);
+        let (r1, s1) = cache.get_or_compute(9, None, None, compute, |_| true);
         assert_eq!(s1, Status::Miss);
         assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute(9, None, compute);
+        let (r2, s2) = cache.get_or_compute(9, None, None, compute, |_| true);
         assert_eq!(s2, Status::Hit, "failure replayed from cache");
         match r2 {
             Err(CacheError::Negative(msg)) => assert_eq!(&*msg, "backend exploded"),
@@ -1059,7 +971,7 @@ mod tests {
         assert_eq!(calls.get(), 1);
         assert_eq!(cache.stats().negative_hits, 1);
         std::thread::sleep(Duration::from_millis(60));
-        let (_, s3) = cache.get_or_compute(9, None, compute);
+        let (_, s3) = cache.get_or_compute(9, None, None, compute, |_| true);
         assert_eq!(s3, Status::Stale, "negative TTL elapsed, recomputed");
         assert_eq!(calls.get(), 2);
     }
@@ -1110,19 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_bypasses_and_reenabling_restores() {
-        let (cache, _clk) = test_cache(1 << 16);
-        let calls = Cell::new(0);
-        let _ = get(&cache, 1, "v", &calls);
-        cache.set_enabled(false);
-        let (_, s) = get(&cache, 1, "v", &calls);
-        assert_eq!(s, Status::Bypass);
-        cache.set_enabled(true);
-        let (_, s) = get(&cache, 1, "v", &calls);
-        assert_eq!(s, Status::Hit);
-    }
-
-    #[test]
     fn clear_drops_everything_and_resets_bytes() {
         let (cache, _clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
@@ -1158,10 +1057,16 @@ mod tests {
         // already stale: the stamp is taken at flight creation.
         let (cache, clk) = test_cache(1 << 16);
         let clk2 = Arc::clone(&clk);
-        let (_, s1) = cache.get_or_compute(3, None, move || {
-            clk2.bump(Domain::Relational); // concurrent write, simulated inline
-            Ok::<_, String>("computed-under-race".to_string())
-        });
+        let (_, s1) = cache.get_or_compute(
+            3,
+            None,
+            None,
+            move || {
+                clk2.bump(Domain::Relational); // concurrent write, simulated inline
+                Ok::<_, String>("computed-under-race".to_string())
+            },
+            |_| true,
+        );
         assert_eq!(s1, Status::Miss);
         let calls = Cell::new(0);
         let (_, s2) = get(&cache, 3, "fresh", &calls);
@@ -1182,15 +1087,15 @@ mod tests {
             calls.set(calls.get() + 1);
             Ok::<_, String>("old-gen".to_string())
         };
-        let (v1, s1) = cache.get_or_compute_filtered_at(21, stamp, None, compute, |_| true);
+        let (v1, s1) = cache.get_or_compute(21, Some(stamp), None, compute, |_| true);
         assert_eq!(s1, Status::Miss);
         assert_eq!(*v1.expect("computed"), "old-gen");
         // A writer commits; live readers are invalidated, but the reader
         // pinned at `stamp` keeps hitting its own generation.
         clk.bump(Domain::Relational);
-        let (v2, s2) = cache.get_or_compute_filtered_at(
+        let (v2, s2) = cache.get_or_compute(
             21,
-            stamp,
+            Some(stamp),
             None,
             || {
                 calls.set(calls.get() + 1);
@@ -1270,7 +1175,13 @@ mod tests {
         assert_eq!(*v, "v1");
 
         // A failing recompute (negatively cached) must not displace it.
-        let (r, s) = cache.get_or_compute(1, None, || Err::<String, String>("backend down".into()));
+        let (r, s) = cache.get_or_compute(
+            1,
+            None,
+            None,
+            || Err::<String, String>("backend down".into()),
+            |_| true,
+        );
         assert!(matches!(r, Err(CacheError::Compute(_))));
         assert_eq!(
             s,
@@ -1312,9 +1223,9 @@ mod tests {
             calls.set(calls.get() + 1);
             Err::<String, String>("deadline exceeded".into())
         };
-        let (r1, _) = cache.get_or_compute_filtered(11, None, compute, |_| false);
+        let (r1, _) = cache.get_or_compute(11, None, None, compute, |_| false);
         assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute_filtered(11, None, compute, |_| false);
+        let (r2, s2) = cache.get_or_compute(11, None, None, compute, |_| false);
         assert!(
             matches!(r2, Err(CacheError::Compute(_))),
             "second call recomputed instead of replaying a negative entry"

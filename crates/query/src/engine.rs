@@ -14,7 +14,7 @@ use crate::result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};
 use sensormeta_cache::{Cache, CacheConfig, CacheError, Domain, EpochVector, Fingerprint, Status};
 use sensormeta_obs as obs;
 use sensormeta_par::Pool;
-use sensormeta_rank::{GaussSeidel, PageRankProblem, RankCache, Recommender, TransitionMatrix};
+use sensormeta_rank::{GaussSeidel, PageRankProblem, Recommender, Solver, TransitionMatrix};
 use sensormeta_resil::{self as resil, Deadline};
 use sensormeta_search::{Autocomplete, SearchIndex, SpellSuggester};
 use sensormeta_smr::{sql_escape, Page, Smr};
@@ -218,8 +218,6 @@ pub struct QueryEngine {
     /// Shared between the primary and its reader snapshots, so a result
     /// computed through any snapshot benefits every concurrent request.
     results: Arc<Cache<QueryOutput>>,
-    /// Converged PageRank vectors, shared across rebuilds.
-    rank_cache: Arc<RankCache>,
     /// Partition views a search scatters over (see
     /// [`QueryEngine::with_partitions`]); empty for the single store, which
     /// searches its own repository as the one view.
@@ -289,7 +287,6 @@ impl QueryEngine {
             prop_names: Arc::new(Vec::new()),
             suggester: Arc::new(SpellSuggester::new()),
             results: Arc::new(result_cache()),
-            rank_cache: Arc::new(RankCache::new()),
             shards: Arc::default(),
         };
         engine.rebuild()?;
@@ -325,10 +322,7 @@ impl QueryEngine {
             let matrix =
                 TransitionMatrix::double_link(&semantic, &hyperlink, self.blend.semantic_alpha);
             let problem = PageRankProblem::with_c(matrix, self.blend.c);
-            let (solution, cached) = self.rank_cache.solve(&GaussSeidel, &problem, 1e-10, 1000);
-            if cached {
-                obs::counter("query_rebuild_rank_cached_total").inc();
-            }
+            let solution = GaussSeidel.solve(&problem, 1e-10, 1000);
             let max = solution.x.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
             solution.x.iter().map(|v| v / max).collect()
         };
@@ -416,7 +410,6 @@ impl QueryEngine {
             prop_names: Arc::clone(&self.prop_names),
             suggester: Arc::clone(&self.suggester),
             results: Arc::clone(&self.results),
-            rank_cache: Arc::clone(&self.rank_cache),
             shards: Arc::clone(&self.shards),
         }
     }
@@ -566,21 +559,13 @@ impl QueryEngine {
             (Some(w), Some(r)) => Some(w.min(r)),
             (w, r) => w.or(r),
         };
-        let (result, status) = match opts.at {
-            None => self.results.get_or_compute_filtered(
-                key,
-                wait,
-                || self.search_uncached(form, opts.user),
-                QueryError::cacheable_failure,
-            ),
-            Some(stamp) => self.results.get_or_compute_filtered_at(
-                key,
-                stamp,
-                wait,
-                || self.search_uncached(form, opts.user),
-                QueryError::cacheable_failure,
-            ),
-        };
+        let (result, status) = self.results.get_or_compute(
+            key,
+            opts.at,
+            wait,
+            || self.search_uncached(form, opts.user),
+            QueryError::cacheable_failure,
+        );
         let err = match result {
             Ok(out) => return Ok((out, status)),
             Err(CacheError::Compute(e)) => e,
@@ -904,11 +889,9 @@ impl QueryEngine {
         })
     }
 
-    /// Drops every cached result this engine holds: combined query outputs
-    /// and memoized PageRank vectors.
+    /// Drops every cached combined query output this engine holds.
     pub fn clear_caches(&self) {
         self.results.clear();
-        self.rank_cache.clear();
     }
 
     /// Statistics of the combined-result cache.

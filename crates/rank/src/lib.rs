@@ -20,12 +20,10 @@
 
 #![warn(missing_docs)]
 
-pub mod cached;
 pub mod problem;
 pub mod recommend;
 pub mod solvers;
 
-pub use cached::RankCache;
 pub use problem::{PageRankProblem, TransitionMatrix};
 pub use recommend::{Recommendation, Recommender};
 pub use solvers::{

@@ -193,26 +193,6 @@ impl TransitionMatrix {
         pool.par_sum(self.dangling.len(), SUM_CHUNK, |k| x[self.dangling[k]])
     }
 
-    /// Order-sensitive fingerprint of the full CSR structure (offsets,
-    /// sources, weights, dangling list) — the cache key component that ties
-    /// a converged PageRank vector to the exact matrix it was solved on.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = sensormeta_cache::Fingerprint::new().usize(self.n);
-        for &o in &self.offsets {
-            fp = fp.usize(o);
-        }
-        for &s in &self.src {
-            fp = fp.u64(u64::from(s));
-        }
-        for &w in &self.weight {
-            fp = fp.f64(w);
-        }
-        for &d in &self.dangling {
-            fp = fp.usize(d);
-        }
-        fp.finish()
-    }
-
     /// Verifies column-stochasticity of `Pᵀ` up to dangling columns; test
     /// support.
     pub fn check_substochastic(&self, tol: f64) -> bool {
@@ -303,18 +283,6 @@ impl PageRankProblem {
                 *yi = c * *yi + correction * u[base + r];
             }
         });
-    }
-
-    /// Fingerprint of the whole instance: matrix structure, `c`, and the
-    /// teleportation distribution.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = sensormeta_cache::Fingerprint::new()
-            .u64(self.matrix.fingerprint())
-            .f64(self.c);
-        for &v in &self.u {
-            fp = fp.f64(v);
-        }
-        fp.finish()
     }
 
     /// Residual of a candidate solution under the eigen formulation:

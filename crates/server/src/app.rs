@@ -245,33 +245,34 @@ impl App {
         self.engine.seq()
     }
 
-    /// Runs `mutate` on the primary engine under the committer lock, then
-    /// rebuilds derived structures and publishes the next version. This is
-    /// the programmatic write path (tests, bench) — `POST /bulkload` is the
-    /// HTTP spelling of the same sequence.
+    /// Runs `mutate` on the primary engine under the committer lock and
+    /// publishes the next version. This is the programmatic write path
+    /// (tests, bench) — `POST /bulkload` is the HTTP spelling of the same
+    /// sequence.
     pub fn commit_engine<E>(
         &self,
         mutate: impl FnOnce(&mut QueryEngine) -> std::result::Result<(), E>,
     ) -> std::result::Result<u64, E> {
         let mut primary = self.primary.lock();
         mutate(&mut primary)?;
+        Ok(self.publish(&primary))
+    }
+
+    /// The one place a new engine version becomes visible: publishes a
+    /// reader clone of the (locked) primary, then re-partitions the shard
+    /// set from it. A partitioning failure keeps the previous shard
+    /// generation serving (scatter reads lag one commit instead of failing).
+    fn publish(&self, primary: &QueryEngine) -> u64 {
         let seq = self
             .engine
             .begin()
             .publish(&ALL_DOMAINS, primary.clone_reader());
-        self.republish_shards(&primary);
-        Ok(seq)
-    }
-
-    /// Re-partitions the shard set from the primary after a commit; a
-    /// partitioning failure keeps the previous shard generation serving
-    /// (scatter reads lag one commit instead of failing).
-    fn republish_shards(&self, primary: &QueryEngine) {
         if let Some(set) = &self.shards {
             if set.republish(primary).is_err() {
                 obs::counter("cluster_shard_build_failures_total").inc();
             }
         }
+        seq
     }
 
     /// Stable route label for metric names (`http_route_<label>_…`). Unknown
@@ -758,20 +759,15 @@ impl App {
         if let Err(e) = primary.rebuild() {
             return Response::error(500, e.to_string());
         }
-        self.engine
-            .begin()
-            .publish(&ALL_DOMAINS, primary.clone_reader());
-        self.republish_shards(&primary);
-        // Refresh the tag store from the updated repository.
-        let mut fresh = TagStore::new();
-        if let Ok(pairs) = primary.smr().all_tags() {
-            fresh.ingest(pairs.iter().map(|(p, t)| (p.as_str(), t.as_str())));
-        }
+        self.publish(&primary);
+        // Fold the repository's tags into the live store: tags users added
+        // through `POST /tag` exist only there and must survive the load.
+        let pairs = primary.smr().all_tags().unwrap_or_default();
         drop(primary);
         let _ = self
             .tags
             .commit(&[Domain::TagIncidence], |t: &mut TagStore| {
-                *t = fresh;
+                t.ingest(pairs.iter().map(|(p, t)| (p.as_str(), t.as_str())));
                 Ok::<(), std::convert::Infallible>(())
             });
         json_or_500(serde_json::to_string(&report))
@@ -879,9 +875,9 @@ impl App {
         Response::json(serde_json::Value::Array(arr).to_string())
     }
 
-    /// Drops every result cache (query results, postings, rank vectors and
-    /// tag clouds) and bumps all invalidation epochs, so the next request on
-    /// each path recomputes from the stores.
+    /// Drops every result cache (query results and tag clouds) and bumps all
+    /// invalidation epochs, so the next request on each path recomputes from
+    /// the stores.
     fn admin_cache_clear(&self) -> Response {
         self.engine.snapshot().clear_caches();
         self.cloud_cache.clear();
@@ -890,35 +886,34 @@ impl App {
         Response::json(json!({"cleared": true}).to_string())
     }
 
-    /// Tag-cloud lookup behind the `tagcloud` breaker: interruptible
-    /// compute, degrading to the last good cloud within the staleness grace
-    /// when the compute path fails or the circuit is open.
+    /// Tag-cloud lookup behind the `tagcloud` breaker, pinned at the tag
+    /// snapshot's epoch vector: interruptible compute, degrading to the
+    /// superseded cloud within the staleness grace when the compute path
+    /// fails or the circuit is open.
     fn cloud(&self) -> Result<(Arc<TagCloud>, Status), Response> {
+        let params = CloudParams::default();
+        let stale = || {
+            let (cloud, _age) = self.cloud_cache.stale(&params)?;
+            Some((cloud, Status::Degraded))
+        };
         if !self.breaker_cloud.allow() {
-            return match self.cloud_cache.stale() {
-                Some((cloud, _age)) => Ok((cloud, Status::Degraded)),
-                None => Err(Response::error(503, "tag cloud unavailable (circuit open)")
-                    .with_header("Retry-After", retry_after_secs().to_string())),
-            };
+            return stale().ok_or_else(|| {
+                Response::error(503, "tag cloud unavailable (circuit open)")
+                    .with_header("Retry-After", retry_after_secs().to_string())
+            });
         }
         let tags = self.tags.snapshot();
-        match self
-            .cloud_cache
-            .try_get_with_status(&tags, &CloudParams::default())
-        {
+        match self.cloud_cache.get(&tags, Some(tags.epochs()), &params) {
             Ok(pair) => {
                 self.breaker_cloud.record_success();
                 Ok(pair)
             }
             Err(i) => {
                 self.breaker_cloud.record_failure();
-                match self.cloud_cache.stale() {
-                    Some((cloud, _age)) => Ok((cloud, Status::Degraded)),
-                    None => Err(match i {
-                        resil::Interrupt::DeadlineExceeded => Response::error(504, i.to_string()),
-                        resil::Interrupt::Fault { .. } => Response::error(500, i.to_string()),
-                    }),
-                }
+                stale().ok_or_else(|| match i {
+                    resil::Interrupt::DeadlineExceeded => Response::error(504, i.to_string()),
+                    resil::Interrupt::Fault { .. } => Response::error(500, i.to_string()),
+                })
             }
         }
     }

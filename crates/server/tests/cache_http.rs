@@ -103,13 +103,34 @@ fn cache_status_headers_and_admin_clear() {
     assert_eq!(cache_status(&app, "/tags"), "miss");
     assert_eq!(cache_status(&app, "/search?q=temperature"), "hit");
 
-    // Tagging a page bumps the tag-incidence epoch: clouds recompute, but
-    // query results (which don't depend on the live tag store) stay warm.
+    // Tagging a page bumps the tag-incidence epoch: clouds recompute
+    // (`stale` without a `Warning`: the superseded cloud was found under
+    // the same key and replaced, as for a search after a commit), but query
+    // results (which don't depend on the live tag store) stay warm.
     let resp = app.handle(&req("POST", "/tag?page=Fieldsite:Weissfluhjoch&tag=alpine"));
     assert_eq!(resp.status, 200);
-    assert_eq!(cache_status(&app, "/tags"), "miss");
+    let recomputed = app.handle(&req("GET", "/tags"));
+    assert_eq!(header(&recomputed, "Cache-Status"), Some("stale"));
+    assert!(
+        header(&recomputed, "Warning").is_none(),
+        "a fresh recompute"
+    );
+    assert_eq!(cache_status(&app, "/tags"), "hit");
     assert_eq!(cache_status(&app, "/search?q=temperature"), "hit");
 
     // GET on the admin route stays a 404, POST elsewhere a 405.
     assert_eq!(app.handle(&req("GET", "/admin/cache/clear")).status, 404);
+
+    // Tag-cloud circuit open: no compute, the resident cloud is served
+    // labelled; with the namespace emptied there is nothing to degrade to.
+    for _ in 0..sensormeta_resil::BreakerConfig::default().failure_threshold {
+        app.cloud_breaker().record_failure();
+    }
+    let degraded = app.handle(&req("GET", "/tags.json"));
+    assert_eq!(degraded.status, 200);
+    assert_eq!(header(&degraded, "Cache-Status"), Some("stale"));
+    assert!(header(&degraded, "Warning").is_some_and(|w| w.starts_with("110")));
+    assert!(String::from_utf8_lossy(&degraded.body).contains("alpine"));
+    assert_eq!(app.handle(&req("POST", "/admin/cache/clear")).status, 200);
+    assert_eq!(app.handle(&req("GET", "/tags.json")).status, 503);
 }

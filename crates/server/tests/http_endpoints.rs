@@ -210,6 +210,29 @@ fn user_tagging_endpoint() {
 }
 
 #[test]
+fn user_tags_survive_a_bulkload() {
+    let server = start();
+    let (status, _) = request(
+        &server,
+        "POST /tag?page=Fieldsite:Weissfluhjoch&tag=avalanche HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+    );
+    assert_eq!(status, 200);
+    let line = r#"{"title":"Deployment:new_wind","namespace":"Deployment","tags":["wind"]}"#;
+    let (status, _) = request(
+        &server,
+        &format!(
+            "POST /bulkload HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{line}",
+            line.len()
+        ),
+    );
+    assert_eq!(status, 200);
+    let (_, tags) = get(&server, "/tags.json");
+    assert!(tags.contains("wind"), "repository tags ingested: {tags}");
+    assert!(tags.contains("avalanche"), "user tag kept: {tags}");
+    server.stop();
+}
+
+#[test]
 fn recommend_endpoint_and_errors() {
     let server = start();
     let (status, _) = get(&server, "/recommend?title=Deployment:wfj_temp");

@@ -170,13 +170,13 @@ fn every_route_answers_and_counts() {
 
     // Every instrumented subsystem surfaces in the same scrape.
     for needle in [
-        "http_requests_total",              // server
-        "query_searches_total",             // query engine
-        "query_search_us_count",            // query span histogram
-        "relstore_wal_commits_total",       // relstore WAL
-        "relstore_checkpoints_total",       // relstore checkpoint
-        "rank_gauss_seidel_solves_total",   // rank solver
-        "tagging_cloud_cache_misses_total", // tagging cache
+        "http_requests_total",            // server
+        "query_searches_total",           // query engine
+        "query_search_us_count",          // query span histogram
+        "relstore_wal_commits_total",     // relstore WAL
+        "relstore_checkpoints_total",     // relstore checkpoint
+        "rank_gauss_seidel_solves_total", // rank solver
+        "cache_tag_cloud_misses_total",   // tagging cache
     ] {
         assert!(
             needle.len() > 1 && text.contains(needle),

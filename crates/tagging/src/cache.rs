@@ -1,27 +1,24 @@
 //! The Cache module of Fig. 4, on the shared `sensormeta-cache` subsystem.
 //!
 //! "A Cache mechanism is also implemented to decrease the number of
-//! computations and data exchanges." Since PR 5 the bespoke
-//! version-keyed map is gone: [`CloudCache`] is a thin facade over a shared
-//! epoch-invalidated [`Cache`] namespace (`cache_tag_cloud_*` metrics),
-//! keyed by the store's mutation version plus the cloud parameters and
-//! invalidated through the [`Domain::TagIncidence`] epoch that every
-//! [`TagStore`] mutation bumps. The PR 3 metric
-//! names (`tagging_cloud_cache_hits_total` / `_misses_total` /
-//! `_evicted_total`) keep emitting as legacy aliases so existing
-//! dashboards and scrapes stay live.
+//! computations and data exchanges." [`CloudCache`] is the `tag_cloud`
+//! namespace of the shared [`Cache`]: what it adds is the configuration, the
+//! weigher and the key over [`CloudParams`]. The key carries no store
+//! generation; a cloud is tied to the store it was computed from by the
+//! epoch stamp of the reader's tag snapshot, exactly as search results are,
+//! so the superseded cloud stays under its key for serve-stale degradation.
 
 use crate::clique::BkVariant;
-use crate::cloud::{compute_cloud, try_compute_cloud, CloudParams, TagCloud};
+use crate::cloud::{try_compute_cloud, CloudParams, TagCloud};
 use crate::store::TagStore;
-use parking_lot::Mutex;
 use sensormeta_cache::{
-    Cache, CacheConfig, CacheError, Domain, EpochClock, Fingerprint, LegacyMetricNames, Status,
+    Cache, CacheConfig, CacheError, CacheStats, Domain, EpochClock, EpochVector, Fingerprint,
+    Status,
 };
 use sensormeta_obs as obs;
 use sensormeta_resil::{self as resil, Interrupt};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Epoch domain a computed cloud depends on.
 const DEPS: &[Domain] = &[Domain::TagIncidence];
@@ -29,40 +26,14 @@ const DEPS: &[Domain] = &[Domain::TagIncidence];
 /// Byte budget for memoized clouds.
 const CAPACITY: usize = 1 << 20;
 
-/// Default bound on how old a held-over cloud may be when served under
-/// degradation (measured from the time it was computed or last validated).
-const DEFAULT_STALE_GRACE: Duration = Duration::from_secs(60);
-
-/// PR 3 metric names, kept emitting from the shared subsystem.
-const LEGACY: LegacyMetricNames = LegacyMetricNames {
-    hits: "tagging_cloud_cache_hits_total",
-    misses: "tagging_cloud_cache_misses_total",
-    evictions: "tagging_cloud_cache_evicted_total",
-};
-
-/// Cache statistics (the PR 3 shape, filled from the shared subsystem).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that recomputed.
-    pub misses: u64,
-    /// Stale or pressure-dropped entries.
-    pub evicted: u64,
-}
+/// Bound on how old a superseded cloud may be when served under
+/// degradation, measured from its insertion.
+const STALE_GRACE: Duration = Duration::from_secs(60);
 
 /// Tag-cloud memoization over the shared result-cache subsystem.
-///
-/// Besides the epoch-validated cache proper, the facade holds the *last
-/// good* cloud regardless of store version: cache keys include the store's
-/// mutation version, so after a mutation the previous version's entry is
-/// unreachable by key — yet it is exactly what serve-stale degradation
-/// wants when the recompute fails or the tag-cloud breaker is open.
 #[derive(Debug)]
 pub struct CloudCache {
     cache: Cache<TagCloud>,
-    last_good: Mutex<Option<(Arc<TagCloud>, Instant)>>,
-    stale_grace: Option<Duration>,
 }
 
 impl Default for CloudCache {
@@ -73,10 +44,10 @@ impl Default for CloudCache {
 
 fn config() -> CacheConfig {
     let mut cfg = CacheConfig::new("tag_cloud", CAPACITY, DEPS);
-    // One shard: clouds are few and the stale sweep then sees every entry,
-    // preserving the PR 3 "stale version dropped on next compute" counts.
+    // Clouds are few (one per parameter set); one shard keeps them in one
+    // LRU and lets the stale sweep see every entry.
     cfg.shards = 1;
-    cfg.legacy = Some(LEGACY);
+    cfg.stale_grace = Some(STALE_GRACE);
     cfg
 }
 
@@ -93,8 +64,6 @@ impl CloudCache {
     pub fn new() -> CloudCache {
         CloudCache {
             cache: Cache::new(config(), weigh),
-            last_good: Mutex::new(None),
-            stale_grace: Some(DEFAULT_STALE_GRACE),
         }
     }
 
@@ -103,61 +72,29 @@ impl CloudCache {
     pub fn with_clock(clock: Arc<EpochClock>) -> CloudCache {
         CloudCache {
             cache: Cache::with_clock(config(), weigh, clock),
-            last_good: Mutex::new(None),
-            stale_grace: Some(DEFAULT_STALE_GRACE),
         }
     }
 
-    /// Overrides the staleness grace window for [`stale`](CloudCache::stale);
-    /// `None` disables serve-stale degradation entirely.
-    pub fn set_stale_grace(&mut self, grace: Option<Duration>) {
-        self.stale_grace = grace;
-    }
-
-    /// Returns the cloud for the store's current state, computing it only
-    /// on miss. Entries from older store versions go epoch-stale and are
-    /// swept on the next compute.
-    pub fn get(&self, store: &TagStore, params: &CloudParams) -> Arc<TagCloud> {
-        self.get_with_status(store, params).0
-    }
-
-    /// Like [`get`](CloudCache::get) but also reports whether the cloud was
-    /// served from cache — servers surface this as a `Cache-Status` header.
-    pub fn get_with_status(
+    /// Returns the cloud for `store`, computing it only on a miss, and how
+    /// the lookup was answered — servers surface that as `Cache-Status`.
+    /// `at` is the epoch vector of the tag snapshot `store` was read from
+    /// (`None` for a store outside an MVCC cell: the live clock, which every
+    /// [`TagStore`] mutation bumps, stands in).
+    ///
+    /// The compute is cooperative: it observes the ambient resil deadline
+    /// (and chaos plan) and aborts with an [`Interrupt`] instead of burning
+    /// CPU past it. Interrupted computes are never negatively cached, so the
+    /// next request retries from scratch.
+    pub fn get(
         &self,
         store: &TagStore,
-        params: &CloudParams,
-    ) -> (Arc<TagCloud>, Status) {
-        let key = param_key(store.version(), params);
-        let (result, status) = self.cache.get_or_compute(key, None, || {
-            let _timing = obs::global().span("tagging_cloud_compute");
-            Ok::<_, std::convert::Infallible>(compute_cloud(store, params))
-        });
-        match result {
-            Ok(cloud) => {
-                self.remember(&cloud);
-                (cloud, status)
-            }
-            // Infallible compute, no deadline: unreachable; recompute
-            // without caching rather than panic.
-            Err(_) => (Arc::new(compute_cloud(store, params)), Status::Bypass),
-        }
-    }
-
-    /// Like [`get_with_status`](CloudCache::get_with_status) but cooperative:
-    /// the compute observes the ambient resil deadline (and chaos plan) and
-    /// aborts with an [`Interrupt`] instead of burning CPU past it.
-    /// Interrupted computes are never negatively cached, so the next request
-    /// retries from scratch.
-    pub fn try_get_with_status(
-        &self,
-        store: &TagStore,
+        at: Option<EpochVector>,
         params: &CloudParams,
     ) -> Result<(Arc<TagCloud>, Status), Interrupt> {
-        let key = param_key(store.version(), params);
         let wait = resil::current_deadline().remaining();
-        let (result, status) = self.cache.get_or_compute_filtered(
-            key,
+        let (result, status) = self.cache.get_or_compute(
+            param_key(params),
+            at,
             wait,
             || {
                 let _timing = obs::global().span("tagging_cloud_compute");
@@ -166,10 +103,7 @@ impl CloudCache {
             |_| false,
         );
         match result {
-            Ok(cloud) => {
-                self.remember(&cloud);
-                Ok((cloud, status))
-            }
+            Ok(cloud) => Ok((cloud, status)),
             Err(CacheError::Compute(i)) => Err(i),
             // A poisoned flight or single-flight wait that outlived the
             // deadline degrades the same way an expired budget does.
@@ -179,39 +113,17 @@ impl CloudCache {
         }
     }
 
-    /// Returns the last successfully computed cloud — possibly for an older
-    /// store version — if one exists within the staleness grace window,
-    /// together with its age. This is the serve-stale degradation path for a
-    /// failed or breaker-rejected recompute; callers must label the response
-    /// as stale.
-    pub fn stale(&self) -> Option<(Arc<TagCloud>, Duration)> {
-        let grace = self.stale_grace?;
-        let held = self.last_good.lock();
-        let (cloud, at) = held.as_ref()?;
-        let age = at.elapsed();
-        if age < grace {
-            obs::counter("tagging_cloud_stale_serves_total").inc();
-            Some((Arc::clone(cloud), age))
-        } else {
-            None
-        }
-    }
-
-    /// Records a successful result for serve-stale degradation. A cache hit
-    /// refreshes the timestamp too: an epoch-valid hit proves the cloud still
-    /// matches the store, so its staleness age legitimately restarts.
-    fn remember(&self, cloud: &Arc<TagCloud>) {
-        *self.last_good.lock() = Some((Arc::clone(cloud), Instant::now()));
+    /// The resident cloud for `params` — current, or superseded by a later
+    /// tag commit but within the staleness grace window — with its age. This
+    /// is the serve-stale degradation path for a failed or breaker-rejected
+    /// recompute; callers must label the response as stale. Never computes.
+    pub fn stale(&self, params: &CloudParams) -> Option<(Arc<TagCloud>, Duration)> {
+        self.cache.get_stale(param_key(params))
     }
 
     /// Statistics so far (process-lifetime; `clear` does not reset them).
     pub fn stats(&self) -> CacheStats {
-        let s = self.cache.stats();
-        CacheStats {
-            hits: s.hits,
-            misses: s.misses,
-            evicted: s.evictions,
-        }
+        self.cache.stats()
     }
 
     /// Drops every memoized cloud.
@@ -220,10 +132,9 @@ impl CloudCache {
     }
 }
 
-/// Stable fingerprint of (store version, cloud parameters).
-fn param_key(version: u64, p: &CloudParams) -> u64 {
+/// Stable fingerprint of the cloud parameters.
+fn param_key(p: &CloudParams) -> u64 {
     Fingerprint::new()
-        .u64(version)
         .f64(p.threshold)
         .usize(p.f_max)
         .u64(match p.variant {
@@ -250,12 +161,16 @@ mod tests {
         (CloudCache::with_clock(Arc::clone(&clk)), clk)
     }
 
+    fn get(cache: &CloudCache, s: &TagStore, p: &CloudParams) -> Arc<TagCloud> {
+        cache.get(s, None, p).expect("no deadline in scope").0
+    }
+
     #[test]
     fn second_lookup_hits() {
         let s = store();
         let (cache, _clk) = isolated();
-        let c1 = cache.get(&s, &CloudParams::default());
-        let c2 = cache.get(&s, &CloudParams::default());
+        let c1 = get(&cache, &s, &CloudParams::default());
+        let c2 = get(&cache, &s, &CloudParams::default());
         assert!(Arc::ptr_eq(&c1, &c2));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -265,12 +180,12 @@ mod tests {
     fn mutation_invalidates() {
         let mut s = store();
         let (cache, clk) = isolated();
-        let _ = cache.get(&s, &CloudParams::default());
+        let _ = get(&cache, &s, &CloudParams::default());
         s.add("c", "avalanche"); // bumps the global clock; mirror it here
         clk.bump(Domain::TagIncidence);
-        let c2 = cache.get(&s, &CloudParams::default());
+        let c2 = get(&cache, &s, &CloudParams::default());
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.stats().evicted, 1, "stale version swept on insert");
+        assert_eq!(cache.stats().entries, 1, "recompute replaced the entry");
         assert!(c2.entries.iter().any(|e| e.tag == "avalanche"));
     }
 
@@ -278,8 +193,9 @@ mod tests {
     fn different_params_cached_separately() {
         let s = store();
         let (cache, _clk) = isolated();
-        let _ = cache.get(&s, &CloudParams::default());
-        let _ = cache.get(
+        let _ = get(&cache, &s, &CloudParams::default());
+        let _ = get(
+            &cache,
             &s,
             &CloudParams {
                 f_max: 20,
@@ -287,54 +203,62 @@ mod tests {
             },
         );
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.stats().evicted, 0);
+        assert_eq!(cache.stats().entries, 2);
     }
 
+    /// Readers on both sides of a tag commit share one key; only the stamp
+    /// of the snapshot each is pinned at decides what it may be served.
     #[test]
-    fn stale_holdover_survives_mutation_and_respects_grace() {
-        let mut s = store();
-        let (mut cache, _clk) = isolated();
-        assert!(cache.stale().is_none(), "nothing computed yet");
-        let c1 = cache.get(&s, &CloudParams::default());
-        s.add("c", "avalanche"); // old version's entry now unreachable by key
-        let (held, age) = cache.stale().expect("last good cloud held over");
-        assert!(Arc::ptr_eq(&c1, &held));
-        assert!(age < DEFAULT_STALE_GRACE);
-        cache.set_stale_grace(Some(Duration::ZERO));
-        assert!(cache.stale().is_none(), "zero grace serves nothing");
-        cache.set_stale_grace(None);
-        assert!(cache.stale().is_none(), "disabled grace serves nothing");
-    }
+    fn readers_across_a_commit_are_told_apart_by_their_pinned_stamp() {
+        let (cache, clk) = isolated();
+        let params = CloudParams::default();
+        let has = |c: &TagCloud, tag: &str| c.entries.iter().any(|e| e.tag == tag);
 
-    #[test]
-    fn try_get_respects_expired_deadline_and_is_not_negatively_cached() {
-        let s = store();
-        let (cache, _clk) = isolated();
-        let expired = resil::Deadline::within(Duration::ZERO);
+        // Snapshot S1, then a tag commit publishes S2.
+        let s1_store = store();
+        let s1 = clk.snapshot();
+        let (c1, status) = cache.get(&s1_store, Some(s1), &params).expect("S1 compute");
+        assert_eq!(status, Status::Miss);
+        let mut s2_store = s1_store.clone();
+        s2_store.add("c", "avalanche");
+        clk.bump(Domain::TagIncidence);
+        let s2 = clk.snapshot();
+
+        // A reader still on S1 keeps hitting its own generation.
+        let (again, status) = cache.get(&s1_store, Some(s1), &params).expect("S1 hit");
+        assert_eq!(status, Status::Hit);
+        assert!(Arc::ptr_eq(&c1, &again));
+
+        // An S2 reader whose recompute is interrupted caches nothing, and
+        // the S1 entry stays reachable for degradation.
         let err = {
-            let _scope = resil::deadline_scope(expired);
+            let _scope = resil::deadline_scope(resil::Deadline::within(Duration::ZERO));
             cache
-                .try_get_with_status(&s, &CloudParams::default())
+                .get(&s2_store, Some(s2), &params)
                 .expect_err("expired budget interrupts the compute")
         };
         assert_eq!(err, Interrupt::DeadlineExceeded);
-        // The interrupt was not cached as a negative result: with headroom
-        // the same key computes fine.
-        let (cloud, status) = cache
-            .try_get_with_status(&s, &CloudParams::default())
-            .expect("retry succeeds");
-        assert_eq!(status, Status::Miss);
-        assert!(!cloud.entries.is_empty());
-        assert!(cache.stale().is_some(), "success recorded for serve-stale");
+        let (held, _age) = cache.stale(&params).expect("S1 cloud held over");
+        assert!(Arc::ptr_eq(&c1, &held));
+        assert_eq!(cache.stats().stale_serves, 1);
+
+        // With headroom the S2 reader must not be served S1's cloud.
+        let (c2, status) = cache.get(&s2_store, Some(s2), &params).expect("S2 compute");
+        assert_eq!(status, Status::Stale, "superseded entry seen, recomputed");
+        assert!(has(&c2, "avalanche") && !has(&c1, "avalanche"));
+        let (_, status) = cache.get(&s2_store, Some(s2), &params).expect("S2 hit");
+        assert_eq!(status, Status::Hit);
+        assert_eq!(cache.stats().entries, 1, "one key, one slot");
     }
 
     #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let s = store();
         let (cache, _clk) = isolated();
-        let _ = cache.get(&s, &CloudParams::default());
+        let _ = get(&cache, &s, &CloudParams::default());
         cache.clear();
-        let _ = cache.get(&s, &CloudParams::default());
+        assert!(cache.stale(&CloudParams::default()).is_none());
+        let _ = get(&cache, &s, &CloudParams::default());
         assert_eq!(cache.stats().misses, 2, "cleared entry recomputes");
         assert_eq!(cache.stats().hits, 0);
     }

@@ -4,7 +4,7 @@
 //! from the SMR, cosine-similarity matrix transformation with the 0.5
 //! threshold, tag graphs, Bron–Kerbosch maximal-clique enumeration (naive /
 //! pivoting / degeneracy variants), the Eq. 6 font-size formula with its
-//! clique-promotion term, and a version-keyed cloud cache.
+//! clique-promotion term, and an epoch-stamped cloud cache.
 //!
 //! ```
 //! use sensormeta_tagging::{TagStore, CloudParams, compute_cloud};
@@ -26,7 +26,7 @@ pub mod store;
 pub mod suggest;
 pub mod symmatrix;
 
-pub use cache::{CacheStats, CloudCache};
+pub use cache::CloudCache;
 pub use clique::{
     brute_force_maximal_cliques, clique_membership, maximal_cliques, BkStats, BkVariant,
 };

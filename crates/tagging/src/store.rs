@@ -15,9 +15,6 @@ pub struct TagStore {
     tag_pages: BTreeMap<String, BTreeSet<String>>,
     /// page → set of tags.
     page_tags: BTreeMap<String, BTreeSet<String>>,
-    /// Monotonic version, bumped on every mutation (drives cache
-    /// invalidation).
-    version: u64,
 }
 
 impl TagStore {
@@ -43,7 +40,6 @@ impl TagStore {
                 .entry(page.to_owned())
                 .or_default()
                 .insert(tag);
-            self.version += 1;
             sensormeta_cache::clock().bump(sensormeta_cache::Domain::TagIncidence);
         }
         fresh
@@ -68,7 +64,6 @@ impl TagStore {
                     self.page_tags.remove(page);
                 }
             }
-            self.version += 1;
             sensormeta_cache::clock().bump(sensormeta_cache::Domain::TagIncidence);
         }
         removed
@@ -104,11 +99,6 @@ impl TagStore {
     /// Number of distinct tags.
     pub fn tag_count(&self) -> usize {
         self.tag_pages.len()
-    }
-
-    /// Mutation counter for cache invalidation.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// The tag-page incidence as (tags, sorted page-id lists over a dense
@@ -159,19 +149,6 @@ mod tests {
         assert!(!s.remove("P", "x"));
         assert_eq!(s.tag_count(), 0);
         assert!(s.tags_of("P").is_empty());
-    }
-
-    #[test]
-    fn version_bumps_on_mutation_only() {
-        let mut s = TagStore::new();
-        let v0 = s.version();
-        s.add("P", "x");
-        let v1 = s.version();
-        assert!(v1 > v0);
-        s.add("P", "x"); // no-op
-        assert_eq!(s.version(), v1);
-        s.remove("P", "x");
-        assert!(s.version() > v1);
     }
 
     #[test]

@@ -149,7 +149,7 @@ proptest! {
             } else {
                 store.remove(&page, &tag);
             }
-            let cached = cache.get(&store, &params);
+            let (cached, _) = cache.get(&store, None, &params).unwrap();
             let fresh = compute_cloud(&store, &params);
             prop_assert_eq!(&*cached, &fresh);
         }

@@ -1,12 +1,15 @@
-//! Invalidation property test for the shared result cache: interleave
-//! random repository mutations with cached reads and check that every
-//! `search_shared` answer equals a fresh `search_uncached` oracle run at
-//! the same instant — the cache may miss spuriously, but it must never
-//! serve a result from before a mutation.
+//! Invalidation property tests for the shared result cache: interleave
+//! random mutations with cached reads and check that every answer equals
+//! an uncached oracle run on the same state — `search_shared` against
+//! `search_uncached` for repository mutations, the tag-cloud namespace
+//! against `compute_cloud` for tag mutations. The cache may miss
+//! spuriously, but it must never serve a result from before a mutation.
 
 use proptest::prelude::*;
+use sensormeta::cache::clock;
 use sensormeta::query::{QueryEngine, SearchForm, SearchOptions};
 use sensormeta::smr::{PageDraft, Smr};
+use sensormeta::tagging::{compute_cloud, CloudCache, CloudParams, TagStore};
 
 const VOCAB: [&str; 6] = [
     "snow",
@@ -85,6 +88,35 @@ proptest! {
                     prop_assert_eq!(&cached, &oracle, "stale cached result");
                 }
             }
+        }
+    }
+
+    /// For any history of tag adds and removes, a reader pinned at the stamp
+    /// of the store it holds — the newest version or the one before it,
+    /// interleaved on one key — is served exactly that store's cloud.
+    #[test]
+    fn cached_clouds_never_go_stale(
+        ops in prop::collection::vec((0u8..6, any::<u8>(), any::<bool>()), 1..24)
+    ) {
+        let cache = CloudCache::new();
+        let params = CloudParams::default();
+        let mut store = TagStore::new();
+        let mut held = (store.clone(), clock().snapshot());
+        for (page, tag, add) in ops {
+            let page = format!("Deployment:d{page}");
+            if add {
+                store.add(&page, word(tag));
+            } else {
+                store.remove(&page, word(tag));
+            }
+            // The stamp an MVCC commit would publish this version under:
+            // the clock after the mutation's bump.
+            let stamp = clock().snapshot();
+            for (tags, at) in [(&store, stamp), (&held.0, held.1), (&store, stamp)] {
+                let (cloud, _status) = cache.get(tags, Some(at), &params).unwrap();
+                prop_assert_eq!(&*cloud, &compute_cloud(tags, &params), "stale cached cloud");
+            }
+            held = (store.clone(), stamp);
         }
     }
 }

@@ -41,14 +41,20 @@ fn one_hot_key_computes_exactly_once_across_threads() {
     let pool = Pool::new(TASKS);
     pool.run(TASKS, |_| {
         arrived.fetch_add(1, Ordering::SeqCst);
-        let (result, _status) = cache.get_or_compute(42, None, || {
-            computes.fetch_add(1, Ordering::SeqCst);
-            // Hold the flight until every task has at least entered the
-            // lookup, then a little longer so they reach the wait.
-            await_or_give_up(|| arrived.load(Ordering::SeqCst) == TASKS);
-            std::thread::sleep(Duration::from_millis(25));
-            Ok::<u64, Infallible>(777)
-        });
+        let (result, _status) = cache.get_or_compute(
+            42,
+            None,
+            None,
+            || {
+                computes.fetch_add(1, Ordering::SeqCst);
+                // Hold the flight until every task has at least entered the
+                // lookup, then a little longer so they reach the wait.
+                await_or_give_up(|| arrived.load(Ordering::SeqCst) == TASKS);
+                std::thread::sleep(Duration::from_millis(25));
+                Ok::<u64, Infallible>(777)
+            },
+            |_| true,
+        );
         let value = *result.expect("single-flight lookup failed");
         results.lock().unwrap().push(value);
     });
@@ -78,18 +84,27 @@ fn bounded_wait_times_out_instead_of_blocking() {
     let pool = Pool::new(TASKS);
     pool.run(2, |i| {
         if i == 0 {
-            let (result, _status) = cache.get_or_compute(7, None, || {
-                leading.store(true, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(250));
-                Ok::<u64, Infallible>(1)
-            });
+            let (result, _status) = cache.get_or_compute(
+                7,
+                None,
+                None,
+                || {
+                    leading.store(true, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(250));
+                    Ok::<u64, Infallible>(1)
+                },
+                |_| true,
+            );
             assert_eq!(*result.expect("leader compute failed"), 1);
         } else {
             await_or_give_up(|| leading.load(Ordering::SeqCst));
-            let (result, _status) =
-                cache.get_or_compute(7, Some(Duration::from_millis(10)), || {
-                    Ok::<u64, Infallible>(2)
-                });
+            let (result, _status) = cache.get_or_compute(
+                7,
+                None,
+                Some(Duration::from_millis(10)),
+                || Ok::<u64, Infallible>(2),
+                |_| true,
+            );
             match result {
                 Err(CacheError::WaitTimeout) => timed_out.store(true, Ordering::SeqCst),
                 other => panic!("expected WaitTimeout, got {:?}", other.map(|v| *v)),

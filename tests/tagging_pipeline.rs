@@ -99,15 +99,17 @@ fn cache_module_cuts_recomputation() {
     let cache = CloudCache::new();
     let params = CloudParams::default();
     for _ in 0..10 {
-        let _ = cache.get(&store, &params);
+        let _ = cache.get(&store, None, &params).unwrap();
     }
     assert_eq!(cache.stats().misses, 1);
     assert_eq!(cache.stats().hits, 9);
 
     // A new user tag invalidates exactly once.
     store.add("Deployment:page0", "freshly-tagged");
-    let cloud = cache.get(&store, &params);
+    let (cloud, _) = cache.get(&store, None, &params).unwrap();
+    let _ = cache.get(&store, None, &params).unwrap();
     assert_eq!(cache.stats().misses, 2);
+    assert_eq!(cache.stats().hits, 10);
     assert!(cloud.entries.iter().any(|e| e.tag == "freshly-tagged"));
 }
 
