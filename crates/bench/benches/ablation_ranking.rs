@@ -1,38 +1,21 @@
-//! E12 — search quality & latency: BM25-only vs PageRank-blended ranking on
-//! a synthetic relevance task, plus end-to-end query latency over the
-//! corpus.
+//! E12 — search quality: BM25-only vs PageRank-blended ranking on a
+//! synthetic relevance task.
 //!
 //! Relevance protocol: for each query term, the "relevant" pages are those
 //! whose *annotations* carry the term (ground truth the ranker doesn't see
 //! directly since annotations are mixed into a larger text soup); we report
-//! precision@5 under both rankings.
+//! precision@5 under both rankings. Search latency is measured over the wire
+//! by `benchmark/` (`search_cold`), not here.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sensormeta_bench::corpus_smr;
 use sensormeta_query::Acl;
 use sensormeta_query::{QueryEngine, RankBlend, SearchForm};
-use sensormeta_smr::{PageDraft, Smr};
-use sensormeta_workload::{generate_corpus, query_workload, CorpusConfig};
+use sensormeta_workload::query_workload;
 use std::collections::HashSet;
-
-fn build_smr() -> Smr {
-    let pages = generate_corpus(&CorpusConfig {
-        institutions: 8,
-        ..CorpusConfig::default()
-    });
-    let mut smr = Smr::new();
-    smr.bulk_load(pages.into_iter().map(|p| {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        d
-    }));
-    smr
-}
 
 fn engine_with_weight(w: f64) -> QueryEngine {
     QueryEngine::build(
-        build_smr(),
+        corpus_smr(8),
         Acl::open(),
         RankBlend {
             pagerank_weight: w,
@@ -79,7 +62,8 @@ fn precision_at_5(engine: &QueryEngine, queries: &[String]) -> f64 {
     }
 }
 
-fn print_precision_table(queries: &[String]) {
+fn main() {
+    let queries = query_workload(40, 7);
     println!("\n=== E12: ranking quality (precision@5, annotation ground truth) ===");
     println!("{:<22} {:>12}", "ranking", "precision@5");
     for (label, w) in [
@@ -88,38 +72,8 @@ fn print_precision_table(queries: &[String]) {
         ("pagerank_heavy_w0.7", 0.7),
     ] {
         let engine = engine_with_weight(w);
-        let p = precision_at_5(&engine, queries);
+        let p = precision_at_5(&engine, &queries);
         println!("{label:<22} {p:>12.3}");
     }
     println!();
 }
-
-fn bench_ranking(c: &mut Criterion) {
-    let queries = query_workload(40, 7);
-    print_precision_table(&queries);
-    let engine = engine_with_weight(0.3);
-    let mut group = c.benchmark_group("query_latency");
-    group.sample_size(20);
-    for (label, q) in [
-        ("single_term", "temperature"),
-        ("multi_term", "snow wind radiation"),
-        ("rare_term", "Jungfraujoch"),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &engine, |b, e| {
-            b.iter(|| {
-                e.search(&SearchForm::keywords(q), None)
-                    .expect("search")
-                    .total_matched
-            })
-        });
-    }
-    group.bench_with_input(
-        BenchmarkId::from_parameter("autocomplete"),
-        &engine,
-        |b, e| b.iter(|| e.autocomplete("Dep", 10).len()),
-    );
-    group.finish();
-}
-
-criterion_group!(benches, bench_ranking);
-criterion_main!(benches);

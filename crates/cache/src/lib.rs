@@ -31,4 +31,4 @@ mod result_cache;
 
 pub use clock::{clock, Domain, EpochClock, EpochVector, ALL_DOMAINS, DOMAIN_COUNT};
 pub use fingerprint::Fingerprint;
-pub use result_cache::{Cache, CacheConfig, CacheError, CacheStats, Status};
+pub use result_cache::{stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Status};

@@ -168,6 +168,17 @@ impl CacheConfig {
     }
 }
 
+/// The serve-stale grace window of every serving namespace:
+/// `SENSORMETA_STALE_GRACE_MS` (default 60000; `0` disables serve-stale
+/// degradation), for [`CacheConfig::stale_grace`].
+pub fn stale_grace_from_env() -> Option<Duration> {
+    let ms = std::env::var("SENSORMETA_STALE_GRACE_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(60_000);
+    (ms > 0).then(|| Duration::from_millis(ms))
+}
+
 /// A cached outcome: a shared value, or a negatively cached error message.
 type Outcome<V> = Result<Arc<V>, Arc<str>>;
 

@@ -139,8 +139,7 @@ impl ShardSet {
     }
 
     /// [`ShardSet::search`] plus a [`ScatterTrace`] of per-task service
-    /// times — the measurement the cluster bench uses for its throughput
-    /// model (in-process shards stand in for cluster nodes, so per-task
+    /// times (in-process shards stand in for cluster nodes, so per-task
     /// time, not single-box wall clock, is what scales with shard count).
     pub fn search_traced(
         &self,

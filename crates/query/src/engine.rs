@@ -11,7 +11,9 @@ use crate::acl::Acl;
 use crate::error::{QueryError, Result};
 use crate::form::{CondOp, Condition, SearchForm, SortBy};
 use crate::result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};
-use sensormeta_cache::{Cache, CacheConfig, CacheError, Domain, EpochVector, Fingerprint, Status};
+use sensormeta_cache::{
+    stale_grace_from_env, Cache, CacheConfig, CacheError, Domain, EpochVector, Fingerprint, Status,
+};
 use sensormeta_obs as obs;
 use sensormeta_par::Pool;
 use sensormeta_rank::{GaussSeidel, PageRankProblem, Recommender, Solver, TransitionMatrix};
@@ -245,20 +247,6 @@ fn weigh_output(out: &QueryOutput) -> usize {
         })
         .sum();
     items + facets + recs + out.did_you_mean.as_deref().map_or(0, str::len)
-}
-
-/// Default staleness grace: how long a superseded result may still be served
-/// (labeled) when the backend fails or a breaker is open.
-const DEFAULT_STALE_GRACE_MS: u64 = 60_000;
-
-/// Reads `SENSORMETA_STALE_GRACE_MS` (default 60000; `0` disables
-/// serve-stale degradation entirely).
-fn stale_grace_from_env() -> Option<Duration> {
-    let ms = std::env::var("SENSORMETA_STALE_GRACE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(DEFAULT_STALE_GRACE_MS);
-    (ms > 0).then(|| Duration::from_millis(ms))
 }
 
 fn result_cache() -> Cache<QueryOutput> {
@@ -612,7 +600,8 @@ impl QueryEngine {
     /// scatter-gather over this engine's partition views. The single store
     /// is the one-view case (its own repository, every page kept), so
     /// sharded output is byte-identical to it by construction. Also returns
-    /// the per-task service times the cluster bench models throughput from.
+    /// the per-task service times of the scatter (its critical path is
+    /// `benchmark/`'s `cluster.critical_path_us`).
     pub fn search_traced(
         &self,
         form: &SearchForm,

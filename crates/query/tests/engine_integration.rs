@@ -1,7 +1,10 @@
 //! Integration tests: the full query pipeline over a small hand-built SMR
 //! and over the synthetic Swiss-Experiment corpus.
 
-use sensormeta_query::{Acl, CondOp, Condition, QueryEngine, RankBlend, SearchForm, SortBy};
+use sensormeta_cache::Status;
+use sensormeta_query::{
+    Acl, CondOp, Condition, QueryEngine, RankBlend, SearchForm, SearchOptions, SortBy,
+};
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 
@@ -273,6 +276,35 @@ fn engine_over_generated_corpus() {
     for item in &high.items {
         assert!(item.coords.is_some(), "field sites are geolocated");
     }
+    // A warm pass over the unchanged corpus is answered from the result
+    // cache. Pinned at one epoch vector, as the server pins a request to its
+    // snapshot, so sibling tests bumping the global clock cannot interfere.
+    let opts = SearchOptions {
+        at: Some(sensormeta_cache::clock().snapshot()),
+        ..SearchOptions::default()
+    };
+    for pass in 0..2 {
+        for q in ["temperature", "snow height", "wind speed", "Davos"] {
+            let (_, status) = engine
+                .search_shared(&SearchForm::keywords(q), &opts)
+                .unwrap();
+            assert!(pass == 0 || status == Status::Hit, "{q}: {status:?}");
+        }
+    }
+    // The planner takes the indexed paths on the repository's own schema.
+    let explain = |sql: &str| {
+        let plan = engine.smr().sql(&format!("EXPLAIN {sql}")).unwrap();
+        let steps: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+        steps.join(" | ")
+    };
+    let plan = explain("SELECT title FROM pages WHERE title ILIKE '%DAVOS%'");
+    assert!(plan.starts_with("TrigramSeek pages"), "{plan}");
+    let plan = explain(
+        "SELECT p.title, a.value FROM pages AS p JOIN annotations AS a \
+         ON a.page_id = p.id WHERE a.attribute = 'hasVendor'",
+    );
+    assert!(plan.contains("JoinReorder"), "{plan}");
+    assert!(plan.contains("IndexProbeInnerJoin"), "{plan}");
     // Rebuild after adding a page keeps the engine consistent.
     let mut engine = engine;
     engine

@@ -147,8 +147,8 @@ impl SearchIndex {
 
     /// Order-sensitive FNV-1a fingerprint of the full index contents (keys,
     /// document lengths, terms, postings and positions). Used by the
-    /// determinism tests and the bench harness to assert that parallel and
-    /// serial builds produce identical indexes.
+    /// determinism tests to assert that parallel and serial builds produce
+    /// identical indexes.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf29ce484222325;
         const FNV_PRIME: u64 = 0x100000001b3;

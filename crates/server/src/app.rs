@@ -235,7 +235,7 @@ impl App {
 
     /// Opens a read snapshot of the published engine — exactly what every
     /// read request does at admission. Exposed for the isolation tests and
-    /// the concurrency bench.
+    /// the benchmark oracle.
     pub fn engine_snapshot(&self) -> Snapshot<QueryEngine> {
         self.engine.snapshot()
     }
@@ -247,7 +247,7 @@ impl App {
 
     /// Runs `mutate` on the primary engine under the committer lock and
     /// publishes the next version. This is the programmatic write path
-    /// (tests, bench) — `POST /bulkload` is the HTTP spelling of the same
+    /// (tests) — `POST /bulkload` is the HTTP spelling of the same
     /// sequence.
     pub fn commit_engine<E>(
         &self,

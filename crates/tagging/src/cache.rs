@@ -12,8 +12,8 @@ use crate::clique::BkVariant;
 use crate::cloud::{try_compute_cloud, CloudParams, TagCloud};
 use crate::store::TagStore;
 use sensormeta_cache::{
-    Cache, CacheConfig, CacheError, CacheStats, Domain, EpochClock, EpochVector, Fingerprint,
-    Status,
+    stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Domain, EpochClock,
+    EpochVector, Fingerprint, Status,
 };
 use sensormeta_obs as obs;
 use sensormeta_resil::{self as resil, Interrupt};
@@ -25,10 +25,6 @@ const DEPS: &[Domain] = &[Domain::TagIncidence];
 
 /// Byte budget for memoized clouds.
 const CAPACITY: usize = 1 << 20;
-
-/// Bound on how old a superseded cloud may be when served under
-/// degradation, measured from its insertion.
-const STALE_GRACE: Duration = Duration::from_secs(60);
 
 /// Tag-cloud memoization over the shared result-cache subsystem.
 #[derive(Debug)]
@@ -47,7 +43,9 @@ fn config() -> CacheConfig {
     // Clouds are few (one per parameter set); one shard keeps them in one
     // LRU and lets the stale sweep see every entry.
     cfg.shards = 1;
-    cfg.stale_grace = Some(STALE_GRACE);
+    // A superseded cloud may back a degraded serve for the same window as a
+    // search result, measured from its insertion.
+    cfg.stale_grace = stale_grace_from_env();
     cfg
 }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the tagging pipeline: clique correctness
-//! against brute force, Eq. 6 bounds, similarity symmetry, and cache
-//! coherence.
+//! against brute force, Eq. 6 bounds, similarity symmetry, cache coherence,
+//! and the cache's serve-stale grace.
 
 use proptest::prelude::*;
+use sensormeta_cache::{Domain, EpochClock};
 use sensormeta_graph::UndirectedGraph;
 use sensormeta_tagging::{
     brute_force_maximal_cliques, compute_cloud, cosine, font_size, maximal_cliques,
@@ -154,4 +155,22 @@ proptest! {
             prop_assert_eq!(&*cached, &fresh);
         }
     }
+}
+
+/// `SENSORMETA_STALE_GRACE_MS=0` disables serve-stale for the tag cloud as
+/// it does for search: after a tag commit no superseded cloud is held over.
+/// The variable stays set for this whole binary; no other test here relies
+/// on a stale serve.
+#[test]
+fn cache_with_zero_stale_grace_holds_nothing_over_a_commit() {
+    std::env::set_var("SENSORMETA_STALE_GRACE_MS", "0");
+    let clock = std::sync::Arc::new(EpochClock::new());
+    let cache = CloudCache::with_clock(std::sync::Arc::clone(&clock));
+    let mut store = TagStore::new();
+    store.ingest([("a", "snow"), ("b", "snow")]);
+    let params = CloudParams::default();
+    let _ = cache.get(&store, None, &params).unwrap();
+    assert!(cache.stale(&params).is_some(), "current cloud is resident");
+    clock.bump(Domain::TagIncidence);
+    assert!(cache.stale(&params).is_none(), "superseded cloud held over");
 }

@@ -17,8 +17,7 @@
 //! - [`workload`] — synthetic Swiss-Experiment corpus & web-graph generators
 //! - [`obs`] — metrics, spans and Prometheus-style exposition
 //! - [`par`] — deterministic work-chunked thread pool behind the hot paths
-//! - [`cache`] — epoch-invalidated result cache shared by query, search, rank and tagging
-//! - [`mod@bench`] — seeded end-to-end benchmark suite
+//! - [`cache`] — epoch-invalidated result cache shared by query and tagging
 //!
 //! ```
 //! use sensormeta::smr::{PageDraft, Smr};
@@ -33,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub use sensormeta_bench as bench;
 pub use sensormeta_cache as cache;
 pub use sensormeta_cluster as cluster;
 pub use sensormeta_graph as graph;

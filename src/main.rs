@@ -51,7 +51,6 @@ fn run(args: &[String]) -> CliResult {
         "serve" => serve(&opts),
         "fsck" => fsck(&opts),
         "fig3" => fig3(&opts),
-        "bench" => bench(&opts),
         "stats" => stats(&args[1..]),
         "help" | "--help" | "-h" => {
             print_usage();
@@ -75,7 +74,6 @@ fn print_usage() {
          serve     --snapshot FILE [--addr HOST:PORT]         start the demo web app\n  \
          fsck      --snapshot FILE                            verify WAL checksums + structural invariants\n  \
          fig3      [--size N] [--tol T]                       reproduce the Fig. 3 solver table\n  \
-         bench     [--scale N] [--iterations N] [--seed N] [--out-dir DIR]  run the seeded suite, write BENCH_*.json\n  \
          stats     SUBCOMMAND [ARGS...]                       run any subcommand, then dump the metrics registry"
     );
 }
@@ -417,31 +415,6 @@ fn fsck(opts: &Opts) -> CliResult {
     } else {
         Err(format!("fsck: {failures} invariant violation(s)").into())
     }
-}
-
-/// Runs the seeded benchmark suite and writes one `BENCH_<name>.json` per
-/// workload (p50/p95/p99 straight from the obs histograms).
-fn bench(opts: &Opts) -> CliResult {
-    let cfg = sensormeta::bench::BenchConfig {
-        scale: opts.usize_or("scale", 4),
-        iterations: opts.usize_or("iterations", 40),
-        seed: opts.usize_or("seed", 2011) as u64,
-    };
-    let dir = opts.get_or("out-dir", ".");
-    for report in sensormeta::bench::run_suite(&cfg) {
-        let path = format!("{dir}/BENCH_{}.json", report.name);
-        std::fs::write(&path, report.to_json())?;
-        println!(
-            "{:<16} n={:<4} p50={}us p95={}us p99={}us max={}us -> {path}",
-            report.name,
-            report.iterations,
-            report.p50_us,
-            report.p95_us,
-            report.p99_us,
-            report.max_us
-        );
-    }
-    Ok(())
 }
 
 /// Wrapper command: runs any other subcommand, then dumps the global
