@@ -82,7 +82,8 @@ pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Maximum combined size of all header lines.
 pub const MAX_HEADER_BYTES: usize = 64 * 1024;
 
-fn is_timeout(e: &std::io::Error) -> bool {
+/// A socket read that ran into its read timeout.
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -101,8 +102,9 @@ fn check_deadline(deadline: Option<Instant>) -> Result<(), HttpError> {
 }
 
 /// Reads one `\n`-terminated line (CR stripped) without ever buffering more
-/// than `limit` bytes. Transient `Interrupted` reads are retried; a read
-/// timeout surfaces as [`HttpError::Timeout`].
+/// than `limit` bytes. Scans the reader's buffer for the newline and checks
+/// the deadline once per buffer fill, not per byte. Transient `Interrupted`
+/// reads are retried; a read timeout surfaces as [`HttpError::Timeout`].
 fn read_line_bounded(
     reader: &mut impl BufRead,
     limit: usize,
@@ -111,21 +113,24 @@ fn read_line_bounded(
     let mut buf: Vec<u8> = Vec::new();
     loop {
         check_deadline(deadline)?;
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                buf.push(byte[0]);
-                if buf.len() > limit {
-                    return Err(HttpError::HeaderTooLarge);
-                }
-            }
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) if is_timeout(&e) => return Err(HttpError::Timeout),
             Err(e) => return Err(HttpError::Io(e)),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if buf.len() + take > limit {
+            return Err(HttpError::HeaderTooLarge);
+        }
+        buf.extend_from_slice(&chunk[..take]);
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            break;
         }
     }
     while buf.last() == Some(&b'\r') {
@@ -163,18 +168,22 @@ fn read_exact_retrying(
 /// bounded ([`MAX_REQUEST_LINE`], [`MAX_HEADER_BYTES`]) so a slow or
 /// malicious client cannot tie up unbounded memory.
 pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
-    read_request_with_deadline(stream, None)
+    read_request_from(&mut BufReader::new(stream), None).map(|(req, _)| req)
 }
 
-/// [`read_request`] with an absolute wall deadline on the *whole* read:
-/// the request line, headers and body together must arrive before it, no
-/// matter how many individually-fast reads the client spreads them over.
-pub fn read_request_with_deadline(
-    stream: &mut impl Read,
+/// Reads one request from a reader that lives as long as its connection,
+/// so the bytes of a pipelined next request stay buffered for the next
+/// call. `deadline` bounds the *whole* read: the request line, headers and
+/// body together must arrive before it, no matter how many
+/// individually-fast reads the client spreads them over.
+///
+/// Also returns whether the client lets the connection persist: an
+/// HTTP/1.1 request without `Connection: close`.
+pub fn read_request_from(
+    reader: &mut impl BufRead,
     deadline: Option<Instant>,
-) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let line = read_line_bounded(&mut reader, MAX_REQUEST_LINE, deadline)?;
+) -> Result<(Request, bool), HttpError> {
+    let line = read_line_bounded(reader, MAX_REQUEST_LINE, deadline)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -183,6 +192,7 @@ pub fn read_request_with_deadline(
     let target = parts
         .next()
         .ok_or_else(|| HttpError::Malformed("missing target".into()))?;
+    let http11 = parts.next() == Some("HTTP/1.1");
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
@@ -193,7 +203,7 @@ pub fn read_request_with_deadline(
     let mut headers = BTreeMap::new();
     let mut header_bytes = 0usize;
     loop {
-        let hline = read_line_bounded(&mut reader, MAX_HEADER_BYTES, deadline)?;
+        let hline = read_line_bounded(reader, MAX_HEADER_BYTES, deadline)?;
         if hline.is_empty() {
             break;
         }
@@ -214,15 +224,20 @@ pub fn read_request_with_deadline(
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
-        read_exact_retrying(&mut reader, &mut body, deadline)?;
+        read_exact_retrying(reader, &mut body, deadline)?;
     }
-    Ok(Request {
+    let close = headers.get("connection").is_some_and(|v| {
+        v.split(',')
+            .any(|token| token.trim().eq_ignore_ascii_case("close"))
+    });
+    let request = Request {
         method,
         path,
         query,
         headers,
         body,
-    })
+    };
+    Ok((request, http11 && !close))
 }
 
 /// Parses `a=1&b=two` with percent-decoding.
@@ -344,7 +359,9 @@ impl Response {
         self
     }
 
-    /// Serializes onto a stream.
+    /// Serializes onto a stream with one write: head and body are built in
+    /// one buffer first. Writes no `Connection` header of its own; the
+    /// server adds `Connection: close` to a response after which it closes.
     pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
         let reason = match self.status {
             200 => "OK",
@@ -361,18 +378,20 @@ impl Response {
             504 => "Gateway Timeout",
             _ => "Unknown",
         };
+        let mut out = Vec::with_capacity(256 + self.body.len());
         write!(
-            stream,
-            "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+            out,
+            "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             self.content_type,
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            write!(out, "{name}: {value}\r\n")?;
         }
-        write!(stream, "\r\n")?;
-        stream.write_all(&self.body)?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
+        stream.write_all(&out)?;
         stream.flush()
     }
 }
@@ -550,6 +569,40 @@ mod tests {
         assert!(head.contains("Cache-Status: hit"));
         assert!(head.contains("Retry-After: 1"));
         assert_eq!(body, "{}");
+    }
+
+    #[test]
+    fn pipelined_requests_share_one_reader() {
+        let raw = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /b?x=1 HTTP/1.1\r\n\r\n";
+        let mut reader = BufReader::new(&raw[..]);
+        let (first, keep) = read_request_from(&mut reader, None).unwrap();
+        assert_eq!(
+            (first.path.as_str(), first.body_str().unwrap()),
+            ("/a", "hi")
+        );
+        assert!(keep);
+        let (second, _) = read_request_from(&mut reader, None).unwrap();
+        assert_eq!((second.path.as_str(), second.param("x")), ("/b", Some("1")));
+    }
+
+    #[test]
+    fn persistence_follows_version_and_connection_header() {
+        let keep = |raw: &str| read_request_from(&mut raw.as_bytes(), None).unwrap().1;
+        assert!(keep("GET / HTTP/1.1\r\n\r\n"));
+        assert!(keep("GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"));
+        assert!(!keep("GET / HTTP/1.1\r\nConnection: Close\r\n\r\n"));
+        assert!(!keep(
+            "GET / HTTP/1.1\r\nConnection: upgrade, close\r\n\r\n"
+        ));
+        assert!(!keep("GET / HTTP/1.0\r\n\r\n"));
+        assert!(!keep("GET /\r\n\r\n"));
+    }
+
+    #[test]
+    fn written_response_has_no_connection_header_of_its_own() {
+        let mut buf = Vec::new();
+        Response::json("{}").write_to(&mut buf).unwrap();
+        assert!(!String::from_utf8(buf).unwrap().contains("Connection"));
     }
 
     #[test]

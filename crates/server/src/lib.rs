@@ -17,4 +17,4 @@ pub mod server;
 
 pub use app::{App, AppConfig};
 pub use http::{parse_query, url_decode, url_encode, Request, Response};
-pub use server::{serve, serve_with, ServeConfig, Server};
+pub use server::{serve, serve_with, ServeConfig, Server, DEFAULT_WORKERS};

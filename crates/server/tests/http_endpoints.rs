@@ -4,8 +4,9 @@
 use sensormeta_query::QueryEngine;
 use sensormeta_server::{serve, url_encode, App, Server};
 use sensormeta_smr::{PageDraft, Smr};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 fn start() -> Server {
     let mut smr = Smr::new();
@@ -36,20 +37,69 @@ fn get(server: &Server, path: &str) -> (u16, String) {
 }
 
 fn request(server: &Server, raw: &str) -> (u16, String) {
+    let reply = read_reply(&mut send(server, raw.as_bytes()));
+    (reply.status, reply.body)
+}
+
+/// Opens a connection, writes `raw` in one write and returns the reader
+/// the responses are read from.
+fn send(server: &Server, raw: &[u8]) -> BufReader<TcpStream> {
     let mut stream = TcpStream::connect(server.addr).unwrap();
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut buf = String::new();
-    stream.read_to_string(&mut buf).unwrap();
-    let status: u16 = buf
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream.write_all(raw).unwrap();
+    BufReader::new(stream)
+}
+
+/// One response as read off the wire.
+struct Reply {
+    status: u16,
+    /// Status line and headers, CRLF-separated.
+    head: String,
+    body: String,
+}
+
+/// Reads one response framed by its `Content-Length`. It never reads to
+/// EOF, so a connection the server keeps open does not block it, and the
+/// bytes of a following pipelined response stay in `reader`.
+fn read_reply(reader: &mut impl BufRead) -> Reply {
+    let mut head = String::new();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        if line.trim_end().is_empty() {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let status = head
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = buf
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
+        .unwrap_or_else(|| panic!("no status line in {head:?}"));
+    let length: usize = head
+        .lines()
+        .filter_map(|l| l.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .and_then(|(_, v)| v.trim().parse().ok())
+        .expect("Content-Length");
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).unwrap();
+    Reply {
+        status,
+        head,
+        body: String::from_utf8_lossy(&body).into_owned(),
+    }
+}
+
+fn closes(reply: &Reply) -> bool {
+    reply.head.contains("\r\nConnection: close\r\n")
+}
+
+/// The server closed its side: the next read is EOF.
+fn at_eof(reader: &mut impl Read) -> bool {
+    matches!(reader.read(&mut [0u8; 1]), Ok(0))
 }
 
 #[test]
@@ -257,22 +307,58 @@ fn empty_search_is_bad_request() {
 #[test]
 fn concurrent_requests() {
     let server = start();
-    let addr = server.addr;
-    let handles: Vec<_> = (0..8)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .write_all(b"GET /search?q=temperature HTTP/1.1\r\nHost: t\r\n\r\n")
-                    .unwrap();
-                let mut buf = String::new();
-                stream.read_to_string(&mut buf).unwrap();
-                assert!(buf.starts_with("HTTP/1.1 200"));
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| assert_eq!(get(&server, "/search?q=temperature").0, 200));
+        }
+    });
+    server.stop();
+}
+
+#[test]
+fn keep_alive_answers_sequential_and_pipelined_requests_in_order() {
+    let server = start();
+    let mut conn = send(&server, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let first = read_reply(&mut conn);
+    assert_eq!(first.status, 200);
+    assert!(!closes(&first), "an HTTP/1.1 request keeps the connection");
+    // A second request on the same connection.
+    conn.get_mut()
+        .write_all(b"GET /autocomplete?prefix=Field HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let second = read_reply(&mut conn);
+    assert_eq!(second.status, 200);
+    assert!(second.body.contains("fieldsite"), "{}", second.body);
+    // Two requests in one write: answered in order, the last one closes.
+    conn.get_mut()
+        .write_all(
+            b"GET /search?q=temperature HTTP/1.1\r\nHost: t\r\n\r\n\
+              GET /page/Nothing:here HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+    let third = read_reply(&mut conn);
+    assert_eq!(third.status, 200);
+    assert!(third.body.contains("Deployment:wfj_temp"), "{}", third.body);
+    assert!(!closes(&third));
+    let fourth = read_reply(&mut conn);
+    assert_eq!(fourth.status, 404);
+    assert!(closes(&fourth));
+    assert!(at_eof(&mut conn));
+    server.stop();
+}
+
+#[test]
+fn closing_requests_get_connection_close_then_eof() {
+    let server = start();
+    for raw in [
+        "GET /healthz HTTP/1.0\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        "GARBAGE\r\n\r\n",
+    ] {
+        let mut conn = send(&server, raw.as_bytes());
+        let reply = read_reply(&mut conn);
+        assert!(closes(&reply), "{raw:?} → {:?}", reply.head);
+        assert!(at_eof(&mut conn), "{raw:?}: connection left open");
     }
     server.stop();
 }
@@ -389,24 +475,23 @@ fn survives_malformed_requests() {
         "GET /%zz%% HTTP/1.1\r\n\r\n",                    // broken escapes
         "POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n", // bad length
     ] {
-        let mut stream = TcpStream::connect(server.addr).unwrap();
-        stream.write_all(raw.as_bytes()).unwrap();
-        let mut buf = String::new();
         // Must always answer with *something* HTTP-shaped (4xx), not hang or die.
-        stream.read_to_string(&mut buf).unwrap();
+        let reply = read_reply(&mut send(&server, raw.as_bytes()));
         assert!(
-            buf.starts_with("HTTP/1.1 4") || buf.starts_with("HTTP/1.1 2"),
-            "{raw:?} → {buf:?}"
+            reply.head.starts_with("HTTP/1.1 4") || reply.head.starts_with("HTTP/1.1 2"),
+            "{raw:?} → {:?}",
+            reply.head
         );
     }
     // Binary garbage gets a 4xx too (lossy decode in the request line).
-    let mut stream = TcpStream::connect(server.addr).unwrap();
-    stream
-        .write_all(&[0xFFu8, 0xFE, 0x00, 0x01, b'\r', b'\n', b'\r', b'\n'])
-        .unwrap();
-    let mut buf = Vec::new();
-    stream.read_to_end(&mut buf).unwrap();
-    assert!(buf.starts_with(b"HTTP/1.1 4"), "binary garbage answered");
+    let reply = read_reply(&mut send(
+        &server,
+        &[0xFFu8, 0xFE, 0x00, 0x01, b'\r', b'\n', b'\r', b'\n'],
+    ));
+    assert!(
+        reply.head.starts_with("HTTP/1.1 4"),
+        "binary garbage answered"
+    );
     // The server still works afterwards.
     let (status, _) = get(&server, "/");
     assert_eq!(status, 200);
@@ -416,16 +501,12 @@ fn survives_malformed_requests() {
 #[test]
 fn oversized_body_is_rejected_cleanly() {
     let server = start();
-    let mut stream = TcpStream::connect(server.addr).unwrap();
-    write!(
-        stream,
+    let raw = format!(
         "POST /bulkload HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
         64 * 1024 * 1024
-    )
-    .unwrap();
-    let mut buf = String::new();
-    stream.read_to_string(&mut buf).unwrap();
-    assert!(buf.starts_with("HTTP/1.1 413"), "{buf}");
+    );
+    let reply = read_reply(&mut send(&server, raw.as_bytes()));
+    assert_eq!(reply.status, 413, "{}", reply.head);
     server.stop();
 }
 

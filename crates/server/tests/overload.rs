@@ -10,7 +10,7 @@ use sensormeta_resil::BreakerConfig;
 use sensormeta_server::{parse_query, serve_with, App, AppConfig, Request, ServeConfig};
 use sensormeta_smr::{PageDraft, Smr};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -163,5 +163,75 @@ fn stalled_clients_do_not_starve_healthy_ones() {
         assert_eq!(read_status(&mut s), 408, "stalled connections time out");
     }
     assert_eq!(get_status(addr, "/healthz"), 200, "pool intact afterwards");
+
+    // ---- Phase 3: kept-alive connections never pin the pool ---------------
+    // The read deadline runs from a request's first byte: a connection idle
+    // for longer than the 300 ms deadline is still served, not given a 408.
+    let mut idle = Vec::new();
+    let mut patient = kept_alive(addr);
+    thread::sleep(Duration::from_millis(500));
+    assert_eq!(
+        exchange(&mut patient),
+        (200, true),
+        "idle past the read deadline, then served"
+    );
+    idle.push(patient);
+    // Three idle kept-alive connections against two workers, then a fresh
+    // client: the third and the fresh one are each served promptly,
+    // because an idle connection gives its worker back when a fresh one
+    // waits.
+    idle.push(kept_alive(addr));
+    let started = Instant::now();
+    idle.push(kept_alive(addr));
+    let fresh = get_status(addr, "/healthz");
+    let waited = started.elapsed();
+    assert_eq!(fresh, 200);
+    assert!(
+        waited < Duration::from_secs(1),
+        "clients waited {waited:?} behind idle connections"
+    );
+    drop(idle);
     server.stop();
+}
+
+/// Opens a connection and completes one request on it, which the server
+/// answers without closing.
+fn kept_alive(addr: SocketAddr) -> BufReader<TcpStream> {
+    let s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut conn = BufReader::new(s);
+    assert_eq!(exchange(&mut conn), (200, true), "kept alive");
+    conn
+}
+
+/// Sends `GET /healthz` on an open connection and reads the response,
+/// framed by its `Content-Length`; returns the status and whether the
+/// server keeps the connection.
+fn exchange(conn: &mut BufReader<TcpStream>) -> (u16, bool) {
+    conn.get_mut()
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send request");
+    let mut head = String::new();
+    loop {
+        let mut line = String::new();
+        conn.read_line(&mut line).expect("read head");
+        if line.trim_end().is_empty() {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let length: usize = head
+        .lines()
+        .filter_map(|l| l.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .and_then(|(_, v)| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no Content-Length in {head:?}"));
+    conn.read_exact(&mut vec![0u8; length]).expect("read body");
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {head:?}"));
+    (status, !head.contains("Connection: close"))
 }

@@ -8,7 +8,7 @@
 //! sensormeta sparql    --snapshot repo.snap "PREFIX … SELECT …"
 //! sensormeta pagerank  --snapshot repo.snap [--top N]
 //! sensormeta tagcloud  --snapshot repo.snap [--svg FILE]
-//! sensormeta serve     --snapshot repo.snap [--addr HOST:PORT]
+//! sensormeta serve     --snapshot repo.snap [--addr HOST:PORT] [--workers N]
 //! sensormeta fsck      --snapshot repo.snap
 //! sensormeta fig3      [--size N] [--tol T]
 //! ```
@@ -71,10 +71,11 @@ fn print_usage() {
          sparql    --snapshot FILE \"SELECT …\"                  run SPARQL\n  \
          pagerank  --snapshot FILE [--top N]                  print page authorities\n  \
          tagcloud  --snapshot FILE [--svg FILE]               print/render the tag cloud\n  \
-         serve     --snapshot FILE [--addr HOST:PORT]         start the demo web app\n  \
+         serve     --snapshot FILE [--addr HOST:PORT] [--workers N]  start the demo web app on N handler threads (default {workers})\n  \
          fsck      --snapshot FILE                            verify WAL checksums + structural invariants\n  \
          fig3      [--size N] [--tol T]                       reproduce the Fig. 3 solver table\n  \
-         stats     SUBCOMMAND [ARGS...]                       run any subcommand, then dump the metrics registry"
+         stats     SUBCOMMAND [ARGS...]                       run any subcommand, then dump the metrics registry",
+        workers = sensormeta::server::DEFAULT_WORKERS
     );
 }
 
@@ -335,7 +336,8 @@ fn serve(opts: &Opts) -> CliResult {
         );
     }
     let addr = opts.get_or("addr", "127.0.0.1:8080");
-    let server = sensormeta::server::serve(app, &addr, opts.usize_or("workers", 8))?;
+    let workers = opts.usize_or("workers", sensormeta::server::DEFAULT_WORKERS);
+    let server = sensormeta::server::serve(app, &addr, workers)?;
     println!("serving on http://{}", server.addr);
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));

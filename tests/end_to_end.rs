@@ -7,7 +7,7 @@ use sensormeta::query::{CondOp, Condition, QueryEngine, SearchForm, SortBy};
 use sensormeta::server::{serve, App};
 use sensormeta::viz;
 use sensormeta::workload::CorpusConfig;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 #[test]
@@ -106,13 +106,11 @@ fn architecture_through_http() {
     let engine = QueryEngine::open(repo).unwrap();
     let server = serve(App::new(engine), "127.0.0.1:0", 2).unwrap();
 
-    let get = |path: &str| -> (u16, String) {
-        let mut s = TcpStream::connect(server.addr).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut buf = String::new();
-        s.read_to_string(&mut buf).unwrap();
-        let status = buf.split_whitespace().nth(1).unwrap().parse().unwrap();
-        (status, buf.split_once("\r\n\r\n").unwrap().1.to_owned())
+    // One kept-alive connection carries the whole flow, as a browser's would.
+    let mut conn = BufReader::new(TcpStream::connect(server.addr).unwrap());
+    let mut get = |path: &str| -> (u16, String) {
+        write!(conn.get_mut(), "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        read_response(&mut conn)
     };
 
     // Fig. 7 flow: autocomplete → search → page view → visualization.
@@ -138,6 +136,30 @@ fn architecture_through_http() {
         assert!(body.contains("<svg"), "{path}");
     }
     server.stop();
+}
+
+/// Reads one response framed by its `Content-Length` (never to EOF, which
+/// a kept-alive connection does not reach) and returns status and body.
+fn read_response(reader: &mut impl BufRead) -> (u16, String) {
+    let mut head = String::new();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        if line.trim_end().is_empty() {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let length: usize = head
+        .lines()
+        .filter_map(|l| l.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .and_then(|(_, v)| v.trim().parse().ok())
+        .expect("Content-Length");
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
 }
 
 fn titlecase_first(s: &str) -> String {
