@@ -2,6 +2,7 @@
 //! and the cost of invalidation under a mutating workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sensormeta_cache::{Domain, EpochClock, EpochVector};
 use sensormeta_tagging::{compute_cloud, CloudCache, CloudParams, TagStore};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 
@@ -20,12 +21,15 @@ fn print_hit_rates() {
     // A render-heavy workload: 1 mutation per 20 renders.
     let mut store = corpus_tags();
     let cache = CloudCache::new();
+    let clock = EpochClock::new();
     let params = CloudParams::default();
     for i in 0..200 {
         if i % 20 == 0 {
+            // Each tag write is a commit: a new version of the store.
             store.add(&format!("extra{i}"), "freshtag");
+            clock.bump(Domain::TagIncidence);
         }
-        let _ = cache.get(&store, None, &params);
+        let _ = cache.get(&store, clock.snapshot(), &params);
     }
     let stats = cache.stats();
     println!("\n=== E9: cloud cache under 10:1 read:write ===");
@@ -48,12 +52,9 @@ fn bench_cache(c: &mut Criterion) {
     });
     c.bench_function("cloud_cached_lookup", |b| {
         let cache = CloudCache::new();
-        let _ = cache.get(&store, None, &params); // warm
-        b.iter(|| {
-            cache
-                .get(&store, None, &params)
-                .map(|(c, _)| c.entries.len())
-        })
+        let at = EpochVector::default();
+        let _ = cache.get(&store, at, &params); // warm
+        b.iter(|| cache.get(&store, at, &params).map(|(c, _)| c.entries.len()))
     });
 }
 

@@ -1,16 +1,15 @@
-//! Epoch clock: per-domain monotonic counters that date every piece of
-//! mutable state a cached result can depend on.
+//! Epoch clock: per-domain monotonic counters that date published versions.
 //!
-//! Every mutating path in the stack bumps the domain(s) it touches; a cache
-//! entry captures the clock *before* its computation runs and stays valid
-//! only while every captured epoch still matches. Bumps are single relaxed
-//! atomic increments, so instrumenting hot write paths costs nanoseconds.
-//! Over-invalidation (a bump that did not actually change what an entry
-//! read) is always safe — it can only cause a recomputation, never a stale
-//! serve.
+//! There is no process-wide clock. Whoever publishes a version owns a
+//! clock and dates the version once per commit: the query engine in
+//! `rebuild`, an MVCC cell in `publish`. The resulting [`EpochVector`] is the
+//! version's identity; a cache entry is stamped with the vector of the
+//! version it was computed from and served only to readers pinned at a
+//! vector that agrees on every domain the entry depends on.
+//! Over-invalidation (a bump that did not change what an entry read) is
+//! always safe — it can only cause a recomputation, never a stale serve.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// The mutable state domains cached results may depend on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,12 +62,16 @@ impl EpochVector {
         self.0[d as usize]
     }
 
-    /// True iff the two vectors agree on every domain in `deps` — the
-    /// snapshot-reader analogue of [`EpochClock::matches`]: an MVCC reader
-    /// pinned at this vector validates cache entries against *it*, not
-    /// against the moving clock.
+    /// True iff the two vectors agree on every domain in `deps`: a reader
+    /// pinned at this vector may be served an entry stamped `other`.
     pub fn matches_on(&self, other: &EpochVector, deps: &[Domain]) -> bool {
         deps.iter().all(|&d| self.get(d) == other.get(d))
+    }
+
+    /// True iff this vector is ahead of `other` on some domain in `deps`:
+    /// dated by a later commit of the same clock on what `deps` read.
+    pub fn ahead_on(&self, other: &EpochVector, deps: &[Domain]) -> bool {
+        deps.iter().any(|&d| self.get(d) > other.get(d))
     }
 }
 
@@ -84,27 +87,19 @@ impl EpochClock {
         EpochClock::default()
     }
 
-    /// Advances one domain's epoch, invalidating every cached entry that
-    /// depends on it (lazily, at its next lookup).
+    /// Advances one domain's epoch.
     pub fn bump(&self, d: Domain) {
         self.epochs[d as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Advances every domain at once (e.g. `POST /admin/cache/clear`).
+    /// Advances every domain at once.
     pub fn bump_all(&self) {
         for d in ALL_DOMAINS {
             self.bump(d);
         }
     }
 
-    /// Current epoch of one domain.
-    pub fn get(&self, d: Domain) -> u64 {
-        self.epochs[d as usize].load(Ordering::Relaxed)
-    }
-
-    /// Copies the whole clock. Callers capture this *before* running a
-    /// computation, so a mutation racing with the computation leaves the
-    /// resulting entry already stale.
+    /// Copies the whole clock: the vector a publisher dates its version with.
     pub fn snapshot(&self) -> EpochVector {
         let mut v = [0u64; DOMAIN_COUNT];
         for (i, e) in self.epochs.iter().enumerate() {
@@ -112,20 +107,6 @@ impl EpochClock {
         }
         EpochVector(v)
     }
-
-    /// True iff, for every domain in `deps`, the captured epoch still
-    /// matches the clock.
-    pub fn matches(&self, stamp: &EpochVector, deps: &[Domain]) -> bool {
-        deps.iter().all(|&d| stamp.get(d) == self.get(d))
-    }
-}
-
-static GLOBAL: OnceLock<EpochClock> = OnceLock::new();
-
-/// The process-wide epoch clock. Library mutation paths bump this one;
-/// caches validate against it unless built with an explicit clock.
-pub fn clock() -> &'static EpochClock {
-    GLOBAL.get_or_init(EpochClock::new)
 }
 
 #[cfg(test)]
@@ -138,23 +119,29 @@ mod tests {
         c.bump(Domain::Relational);
         c.bump(Domain::Relational);
         c.bump(Domain::WebGraph);
-        assert_eq!(c.get(Domain::Relational), 2);
-        assert_eq!(c.get(Domain::WebGraph), 1);
-        assert_eq!(c.get(Domain::Triples), 0);
+        let v = c.snapshot();
+        assert_eq!(v.get(Domain::Relational), 2);
+        assert_eq!(v.get(Domain::WebGraph), 1);
+        assert_eq!(v.get(Domain::Triples), 0);
     }
 
     #[test]
     fn snapshot_matches_until_dep_bumped() {
         let c = EpochClock::new();
         let stamp = c.snapshot();
-        assert!(c.matches(&stamp, &[Domain::Relational, Domain::Triples]));
+        assert!(c
+            .snapshot()
+            .matches_on(&stamp, &[Domain::Relational, Domain::Triples]));
         c.bump(Domain::SearchIndex);
         assert!(
-            c.matches(&stamp, &[Domain::Relational, Domain::Triples]),
+            c.snapshot()
+                .matches_on(&stamp, &[Domain::Relational, Domain::Triples]),
             "unrelated bump does not invalidate"
         );
         c.bump(Domain::Triples);
-        assert!(!c.matches(&stamp, &[Domain::Relational, Domain::Triples]));
+        assert!(!c
+            .snapshot()
+            .matches_on(&stamp, &[Domain::Relational, Domain::Triples]));
     }
 
     #[test]
@@ -163,14 +150,21 @@ mod tests {
         let stamp = c.snapshot();
         c.bump_all();
         for d in ALL_DOMAINS {
-            assert!(!c.matches(&stamp, &[d]), "{}", d.name());
+            assert!(!c.snapshot().matches_on(&stamp, &[d]), "{}", d.name());
         }
     }
 
     #[test]
-    fn global_clock_is_shared() {
-        let before = clock().get(Domain::WebGraph);
-        clock().bump(Domain::WebGraph);
-        assert!(clock().get(Domain::WebGraph) > before);
+    fn ahead_on_compares_domain_by_domain() {
+        let c = EpochClock::new();
+        let old = c.snapshot();
+        c.bump(Domain::WebGraph);
+        let new = c.snapshot();
+        assert!(new.ahead_on(&old, &[Domain::WebGraph]));
+        assert!(!old.ahead_on(&new, &[Domain::WebGraph]));
+        assert!(
+            !new.ahead_on(&old, &[Domain::Relational]),
+            "unrelated domain"
+        );
     }
 }

@@ -7,9 +7,10 @@
 //! every subsystem one shared caching substrate instead of bespoke caches:
 //!
 //! - [`EpochClock`] — per-[`Domain`] monotonic epochs (relational tables,
-//!   triple store, search index, web graph, tag incidence). Every mutating
-//!   path bumps the domains it touches; a cache entry is valid iff the
-//!   epoch vector it captured *before* computing still matches.
+//!   triple store, search index, web graph, tag incidence), owned by
+//!   whoever publishes versions and bumped once per commit. A cache entry
+//!   is stamped with the [`EpochVector`] of the version it was computed
+//!   from and served to a reader iff the reader's vector matches it.
 //! - [`Cache`] — a sharded, concurrent LRU+TTL map with per-entry byte-cost
 //!   accounting, negative caching of failed computations, and single-flight
 //!   stampede protection (concurrent identical misses coalesce onto one
@@ -29,6 +30,6 @@ mod clock;
 mod fingerprint;
 mod result_cache;
 
-pub use clock::{clock, Domain, EpochClock, EpochVector, ALL_DOMAINS, DOMAIN_COUNT};
+pub use clock::{Domain, EpochClock, EpochVector, ALL_DOMAINS, DOMAIN_COUNT};
 pub use fingerprint::Fingerprint;
 pub use result_cache::{stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Status};

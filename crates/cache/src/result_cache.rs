@@ -3,12 +3,12 @@
 //! One [`Cache`] instance serves one namespace (query results, tag
 //! clouds). Entries are keyed by a 64-bit query fingerprint, cost-accounted
 //! in bytes (capacity is a byte budget, not an entry count), bounded by LRU
-//! eviction plus optional TTLs, and stamped with an epoch vector: an entry
-//! is served only while every domain epoch it was computed at still matches
-//! the reader's — the snapshot vector a reader is pinned at, or the live
-//! [`EpochClock`](crate::EpochClock). Stale entries are dropped lazily — on
-//! lookup for the requested key, and by an opportunistic sweep of the shard
-//! on every insert.
+//! eviction plus optional TTLs, and stamped with the epoch vector of the
+//! version they were computed from: an entry is served only to a reader
+//! pinned at a vector that agrees on every domain the namespace depends on.
+//! The cache holds no clock; every lookup names its version. Superseded
+//! entries are dropped lazily — on lookup for the requested key, and by an
+//! opportunistic sweep of the shard whenever a later version inserts.
 //!
 //! Failed computations are *negatively cached*: the error message is stored
 //! under a short TTL so a hot failing query does not hammer the backend.
@@ -17,7 +17,7 @@
 //! slot: one caller computes, the rest block on the slot (optionally with a
 //! deadline) and receive the shared result.
 
-use crate::clock::{clock, Domain, EpochClock, EpochVector};
+use crate::clock::{Domain, EpochVector};
 use sensormeta_obs as obs;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -351,28 +351,11 @@ struct Stats {
 /// module docs. All methods take `&self` — interior locking is per shard.
 pub struct Cache<V> {
     cfg: CacheConfig,
-    clock: ClockRef,
     weigher: fn(&V) -> usize,
     shards: Vec<Mutex<Shard<V>>>,
     shard_capacity: usize,
     stats: Stats,
     metrics: Metrics,
-}
-
-/// The clock a cache validates against: the process-global one, or an
-/// owned instance (test isolation).
-enum ClockRef {
-    Global,
-    Owned(Arc<EpochClock>),
-}
-
-impl ClockRef {
-    fn get(&self) -> &EpochClock {
-        match self {
-            ClockRef::Global => clock(),
-            ClockRef::Owned(c) => c,
-        }
-    }
 }
 
 impl<V> fmt::Debug for Cache<V> {
@@ -400,26 +383,14 @@ impl<V> fmt::Debug for Cache<V> {
 }
 
 impl<V: Send + Sync + 'static> Cache<V> {
-    /// A cache validating against the process-global [`clock`]. `weigher`
-    /// estimates a value's resident cost in bytes (a fixed per-entry
-    /// overhead is added on top).
+    /// An empty cache. `weigher` estimates a value's resident cost in bytes
+    /// (a fixed per-entry overhead is added on top).
     pub fn new(cfg: CacheConfig, weigher: fn(&V) -> usize) -> Cache<V> {
-        Self::build(cfg, weigher, ClockRef::Global)
-    }
-
-    /// A cache validating against an explicit clock (test isolation — the
-    /// global clock is bumped by every mutation in the process).
-    pub fn with_clock(cfg: CacheConfig, weigher: fn(&V) -> usize, c: Arc<EpochClock>) -> Cache<V> {
-        Self::build(cfg, weigher, ClockRef::Owned(c))
-    }
-
-    fn build(cfg: CacheConfig, weigher: fn(&V) -> usize, clock: ClockRef) -> Cache<V> {
         let nshards = cfg.shards.clamp(1, 1024).next_power_of_two();
         let metrics = Metrics::new(&cfg);
         Cache {
             shard_capacity: (cfg.capacity_bytes / nshards).max(usize::from(cfg.capacity_bytes > 0)),
             shards: (0..nshards).map(|_| Mutex::new(Shard::new())).collect(),
-            clock,
             weigher,
             stats: Stats {
                 hits: AtomicU64::new(0),
@@ -482,12 +453,12 @@ impl<V: Send + Sync + 'static> Cache<V> {
         }
     }
 
-    /// Peeks at a key without computing, touching LRU order but not the
-    /// hit/miss counters. Mostly for tests.
-    pub fn peek(&self, key: u64) -> Option<Arc<V>> {
+    /// Peeks at a key as a reader pinned at `at` would, without computing,
+    /// touching LRU order but not the hit/miss counters. Mostly for tests.
+    pub fn peek(&self, key: u64, at: EpochVector) -> Option<Arc<V>> {
         let mut sh = lock(self.shard(key));
         let e = sh.map.get(&key)?;
-        if !self.entry_valid(e, None) {
+        if !self.entry_valid(e, &at) {
             return None;
         }
         let v = e.value.as_ref().ok().cloned();
@@ -500,17 +471,10 @@ impl<V: Send + Sync + 'static> Cache<V> {
         &self.shards[i]
     }
 
-    /// Whether `stamp` is current for a reader pinned at `at` (an MVCC
-    /// snapshot's epoch vector), or for the live clock when `at` is `None`.
-    fn stamp_current(&self, stamp: &EpochVector, at: Option<&EpochVector>) -> bool {
-        match at {
-            Some(v) => v.matches_on(stamp, self.cfg.deps),
-            None => self.clock.get().matches(stamp, self.cfg.deps),
-        }
-    }
-
-    fn entry_valid(&self, e: &Entry<V>, at: Option<&EpochVector>) -> bool {
-        e.expires.is_none_or(|t| Instant::now() < t) && self.stamp_current(&e.stamp, at)
+    /// Whether `e` may serve a reader pinned at `at`: unexpired, and
+    /// stamped by the same version on every dependency domain.
+    fn entry_valid(&self, e: &Entry<V>, at: &EpochVector) -> bool {
+        e.expires.is_none_or(|t| Instant::now() < t) && at.matches_on(&e.stamp, self.cfg.deps)
     }
 
     /// Whether a (possibly invalid) entry may still back a degraded serve:
@@ -524,20 +488,20 @@ impl<V: Send + Sync + 'static> Cache<V> {
     }
 
     /// Serve-stale degradation: returns the resident positive value for
-    /// `key` — fresh, or epoch-/TTL-stale but within the staleness grace
-    /// window — along with its age since insertion. Callers use this when
+    /// `key` — valid at `at`, or epoch-/TTL-stale but within the staleness
+    /// grace window — along with its age since insertion. Callers use this when
     /// the live computation failed, timed out, or was rejected by an open
     /// breaker, and MUST label the response (`Cache-Status: stale` plus a
     /// `Warning` header). Returns `None` when nothing servable is
     /// resident; never computes.
-    pub fn get_stale(&self, key: u64) -> Option<(Arc<V>, Duration)> {
+    pub fn get_stale(&self, key: u64, at: EpochVector) -> Option<(Arc<V>, Duration)> {
         if self.cfg.capacity_bytes == 0 {
             return None;
         }
         let found = {
             let sh = lock(self.shard(key));
             let e = sh.map.get(&key)?;
-            if !self.entry_valid(e, None) && !self.stale_servable(e) {
+            if !self.entry_valid(e, &at) && !self.stale_servable(e) {
                 return None;
             }
             let v = e.value.as_ref().ok()?;
@@ -582,21 +546,17 @@ impl<V: Send + Sync + 'static> Cache<V> {
     /// and — when `cache_error` says so — negatively caches a failure for
     /// [`CacheConfig::negative_ttl`].
     ///
-    /// `at` ties the value to the state it is computed from. `Some(stamp)`
-    /// is an MVCC snapshot reader pinned at that epoch vector: entries are
-    /// validated against, and new entries stamped with, the snapshot's
-    /// vector, so the reader keeps hitting its own generation while writers
-    /// bump epochs underneath it. `None` validates against the live clock
-    /// and stamps with the vector captured *before* the computation ran, so
-    /// a mutation racing the computation leaves the entry already stale.
+    /// `at` is the epoch vector of the version `compute` reads: entries are
+    /// validated against it and new entries stamped with it, so a reader
+    /// keeps hitting its own version while writers publish later ones.
     ///
-    /// Keys stay generation-independent (snapshots at different vectors
+    /// Keys stay generation-independent (versions at different vectors
     /// share one entry slot), which is what lets [`Cache::get_stale`] find
     /// the superseded value after a commit. Cross-generation safety comes
-    /// from validation: an entry stamped by another generation is treated
-    /// as stale (retained when still fresh for the live clock or within the
-    /// grace window) and recomputed, and a caller never coalesces onto an
-    /// in-flight computation whose stamp its own context would reject.
+    /// from validation: an entry stamped by another version is treated as
+    /// stale and recomputed, and a caller never coalesces onto an in-flight
+    /// computation stamped by another version. An entry stamped by a *later*
+    /// version is never replaced by an earlier version's result.
     ///
     /// `cache_error` must reject failures that are the caller's
     /// circumstance rather than a property of the key — deadline expiries,
@@ -606,7 +566,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
     pub fn get_or_compute<E, F, P>(
         &self,
         key: u64,
-        at: Option<EpochVector>,
+        at: EpochVector,
         deadline: Option<Duration>,
         compute: F,
         cache_error: P,
@@ -638,7 +598,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
             let step = {
                 let mut sh = lock(self.shard(key));
                 if let Some(e) = sh.map.get(&key) {
-                    if self.entry_valid(e, at.as_ref()) {
+                    if self.entry_valid(e, &at) {
                         let value = e.value.clone();
                         sh.touch(key);
                         drop(sh);
@@ -648,12 +608,12 @@ impl<V: Send + Sync + 'static> Cache<V> {
                             Err(msg) => (Err(CacheError::Negative(msg)), Status::Hit),
                         };
                     }
-                    if self.stale_servable(e) || (at.is_some() && self.entry_valid(e, None)) {
+                    if self.stale_servable(e) || e.stamp.ahead_on(&at, self.cfg.deps) {
                         // Retained: for serve-stale degradation the
                         // recompute's insert replaces it (a failed
                         // recompute leaves it for `get_stale`); and a
-                        // pinned snapshot reader must never evict an
-                        // entry that is still fresh for the live clock.
+                        // reader on an earlier version must never evict
+                        // an entry a later version stamped.
                         saw_stale = true;
                     } else {
                         let freed = sh.remove(key).map_or(0, |e| e.cost);
@@ -665,13 +625,12 @@ impl<V: Send + Sync + 'static> Cache<V> {
                     }
                 }
                 match sh.flights.get(&key) {
-                    Some(fl) if self.stamp_current(&fl.stamp, at.as_ref()) => {
+                    Some(fl) if at.matches_on(&fl.stamp, self.cfg.deps) => {
                         Step::Wait(Arc::clone(fl))
                     }
                     Some(_) => Step::Solo,
                     None => {
-                        let stamp = at.unwrap_or_else(|| self.clock.get().snapshot());
-                        let fl = Arc::new(Flight::new(stamp));
+                        let fl = Arc::new(Flight::new(at));
                         sh.flights.insert(key, Arc::clone(&fl));
                         Step::Lead(fl)
                     }
@@ -807,9 +766,10 @@ impl<V: Send + Sync + 'static> Cache<V> {
         flight.publish(outcome);
     }
 
-    /// Inserts an entry: sweeps stale shard residents first, then LRU-evicts
-    /// until the shard fits its byte budget. Values larger than the whole
-    /// shard budget are not cached at all.
+    /// Inserts an entry: sweeps shard residents `stamp` supersedes first,
+    /// then LRU-evicts until the shard fits its byte budget. Values larger
+    /// than the whole shard budget are not cached at all, and an entry a
+    /// later version stamped is never replaced.
     fn insert(
         &self,
         key: u64,
@@ -821,21 +781,25 @@ impl<V: Send + Sync + 'static> Cache<V> {
         if cost > self.shard_capacity {
             return;
         }
+        let deps = self.cfg.deps;
         let mut sh = lock(self.shard(key));
-        // A failure never displaces a grace-servable positive value: the
+        // A later version's entry is never replaced by an earlier one's, and
+        // a failure never displaces a grace-servable positive value: the
         // stale answer outranks a negatively cached error for degradation.
-        if value.is_err() && sh.map.get(&key).is_some_and(|e| self.stale_servable(e)) {
+        if sh.map.get(&key).is_some_and(|e| {
+            e.stamp.ahead_on(&stamp, deps) || (value.is_err() && self.stale_servable(e))
+        }) {
             return;
         }
-        // Lazy sweep: drop epoch/TTL-stale residents of this shard, except
-        // positives still inside the staleness grace window.
+        // Lazy sweep: drop TTL-expired residents and those stamped by a
+        // version this one supersedes, except positives still inside the
+        // staleness grace window.
         let now = Instant::now();
-        let clk = self.clock.get();
         let stale_keys: Vec<u64> = sh
             .map
             .iter()
             .filter(|(_, e)| {
-                (e.expires.is_some_and(|t| now >= t) || !clk.matches(&e.stamp, self.cfg.deps))
+                (e.expires.is_some_and(|t| now >= t) || stamp.ahead_on(&e.stamp, deps))
                     && !self.stale_servable(e)
             })
             .map(|(&k, _)| k)
@@ -892,29 +856,31 @@ impl<V: Send + Sync + 'static> Cache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ALL_DOMAINS;
+    use crate::clock::{EpochClock, ALL_DOMAINS};
     use std::cell::Cell;
 
     const DEPS: &[Domain] = &[Domain::Relational, Domain::SearchIndex];
 
-    fn test_cache(capacity: usize) -> (Cache<String>, Arc<EpochClock>) {
-        let clk = Arc::new(EpochClock::new());
+    /// A one-shard cache plus the clock that dates the versions its
+    /// readers are pinned at (a bump stands for a commit).
+    fn test_cache(capacity: usize) -> (Cache<String>, EpochClock) {
         let mut cfg = CacheConfig::new("test", capacity, DEPS);
         cfg.shards = 1;
         cfg.negative_ttl = Duration::from_millis(40);
-        let cache = Cache::with_clock(cfg, |v: &String| v.len(), Arc::clone(&clk));
-        (cache, clk)
+        (Cache::new(cfg, |v: &String| v.len()), EpochClock::new())
     }
 
+    /// A lookup by a reader of the clock's current version.
     fn get(
         cache: &Cache<String>,
+        clk: &EpochClock,
         key: u64,
         value: &str,
         calls: &Cell<u32>,
     ) -> (Result<Arc<String>, CacheError<String>>, Status) {
         cache.get_or_compute(
             key,
-            None,
+            clk.snapshot(),
             None,
             || {
                 calls.set(calls.get() + 1);
@@ -926,10 +892,10 @@ mod tests {
 
     #[test]
     fn miss_then_hit_computes_once() {
-        let (cache, _clk) = test_cache(1 << 16);
+        let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
-        let (v1, s1) = get(&cache, 7, "alpha", &calls);
-        let (v2, s2) = get(&cache, 7, "beta", &calls);
+        let (v1, s1) = get(&cache, &clk, 7, "alpha", &calls);
+        let (v2, s2) = get(&cache, &clk, 7, "beta", &calls);
         assert_eq!(s1, Status::Miss);
         assert_eq!(s2, Status::Hit);
         assert_eq!(calls.get(), 1);
@@ -948,12 +914,12 @@ mod tests {
     fn dep_bump_goes_stale_but_unrelated_bump_does_not() {
         let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
-        let _ = get(&cache, 1, "v1", &calls);
+        let _ = get(&cache, &clk, 1, "v1", &calls);
         clk.bump(Domain::WebGraph); // not in DEPS
-        let (_, s) = get(&cache, 1, "v2", &calls);
+        let (_, s) = get(&cache, &clk, 1, "v2", &calls);
         assert_eq!(s, Status::Hit, "unrelated domain bump must not invalidate");
         clk.bump(Domain::Relational);
-        let (v, s) = get(&cache, 1, "v3", &calls);
+        let (v, s) = get(&cache, &clk, 1, "v3", &calls);
         assert_eq!(s, Status::Stale);
         assert_eq!(*v.expect("recomputed"), "v3");
         assert_eq!(calls.get(), 2);
@@ -964,16 +930,16 @@ mod tests {
 
     #[test]
     fn negative_result_is_cached_until_its_ttl() {
-        let (cache, _clk) = test_cache(1 << 16);
+        let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
         let compute = || {
             calls.set(calls.get() + 1);
             Err::<String, String>("backend exploded".to_string())
         };
-        let (r1, s1) = cache.get_or_compute(9, None, None, compute, |_| true);
+        let (r1, s1) = cache.get_or_compute(9, clk.snapshot(), None, compute, |_| true);
         assert_eq!(s1, Status::Miss);
         assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute(9, None, None, compute, |_| true);
+        let (r2, s2) = cache.get_or_compute(9, clk.snapshot(), None, compute, |_| true);
         assert_eq!(s2, Status::Hit, "failure replayed from cache");
         match r2 {
             Err(CacheError::Negative(msg)) => assert_eq!(&*msg, "backend exploded"),
@@ -982,7 +948,7 @@ mod tests {
         assert_eq!(calls.get(), 1);
         assert_eq!(cache.stats().negative_hits, 1);
         std::thread::sleep(Duration::from_millis(60));
-        let (_, s3) = cache.get_or_compute(9, None, None, compute, |_| true);
+        let (_, s3) = cache.get_or_compute(9, clk.snapshot(), None, compute, |_| true);
         assert_eq!(s3, Status::Stale, "negative TTL elapsed, recomputed");
         assert_eq!(calls.get(), 2);
     }
@@ -990,16 +956,17 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_under_byte_pressure() {
         // Each entry costs 10 + ENTRY_OVERHEAD = 106 bytes; capacity fits 2.
-        let (cache, _clk) = test_cache(2 * (10 + ENTRY_OVERHEAD));
+        let (cache, clk) = test_cache(2 * (10 + ENTRY_OVERHEAD));
         let calls = Cell::new(0);
         let ten = "x".repeat(10);
-        let _ = get(&cache, 1, &ten, &calls);
-        let _ = get(&cache, 2, &ten, &calls);
-        let _ = get(&cache, 1, &ten, &calls); // touch 1 so 2 is now LRU victim
-        let _ = get(&cache, 3, &ten, &calls); // evicts 2
-        assert!(cache.peek(1).is_some(), "recently used key survives");
-        assert!(cache.peek(2).is_none(), "LRU victim evicted");
-        assert!(cache.peek(3).is_some());
+        let _ = get(&cache, &clk, 1, &ten, &calls);
+        let _ = get(&cache, &clk, 2, &ten, &calls);
+        let _ = get(&cache, &clk, 1, &ten, &calls); // touch 1 so 2 is now LRU victim
+        let _ = get(&cache, &clk, 3, &ten, &calls); // evicts 2
+        let at = clk.snapshot();
+        assert!(cache.peek(1, at).is_some(), "recently used key survives");
+        assert!(cache.peek(2, at).is_none(), "LRU victim evicted");
+        assert!(cache.peek(3, at).is_some());
         let st = cache.stats();
         assert_eq!(st.entries, 2);
         assert_eq!(st.evictions, 1);
@@ -1008,11 +975,11 @@ mod tests {
 
     #[test]
     fn oversized_value_is_computed_but_never_cached() {
-        let (cache, _clk) = test_cache(64); // < one entry's overhead+cost
+        let (cache, clk) = test_cache(64); // < one entry's overhead+cost
         let calls = Cell::new(0);
         let big = "y".repeat(100);
-        let (_, s1) = get(&cache, 5, &big, &calls);
-        let (_, s2) = get(&cache, 5, &big, &calls);
+        let (_, s1) = get(&cache, &clk, 5, &big, &calls);
+        let (_, s2) = get(&cache, &clk, 5, &big, &calls);
         assert_eq!((s1, s2), (Status::Miss, Status::Miss));
         assert_eq!(calls.get(), 2);
         assert_eq!(cache.stats().entries, 0);
@@ -1020,12 +987,12 @@ mod tests {
 
     #[test]
     fn zero_capacity_bypasses() {
-        let (cache, _clk) = test_cache(0);
+        let (cache, clk) = test_cache(0);
         let calls = Cell::new(0);
-        let (v, s) = get(&cache, 1, "v", &calls);
+        let (v, s) = get(&cache, &clk, 1, "v", &calls);
         assert_eq!(s, Status::Bypass);
         assert_eq!(*v.expect("computed"), "v");
-        let (_, s2) = get(&cache, 1, "v", &calls);
+        let (_, s2) = get(&cache, &clk, 1, "v", &calls);
         assert_eq!(s2, Status::Bypass);
         assert_eq!(calls.get(), 2);
         let st = cache.stats();
@@ -1034,59 +1001,32 @@ mod tests {
 
     #[test]
     fn clear_drops_everything_and_resets_bytes() {
-        let (cache, _clk) = test_cache(1 << 16);
+        let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
-        let _ = get(&cache, 1, "a", &calls);
-        let _ = get(&cache, 2, "b", &calls);
+        let _ = get(&cache, &clk, 1, "a", &calls);
+        let _ = get(&cache, &clk, 2, "b", &calls);
         cache.clear();
         let st = cache.stats();
         assert_eq!((st.entries, st.bytes), (0, 0));
-        let (_, s) = get(&cache, 1, "a", &calls);
+        let (_, s) = get(&cache, &clk, 1, "a", &calls);
         assert_eq!(s, Status::Miss);
     }
 
     #[test]
     fn positive_ttl_expires_entries() {
-        let clk = Arc::new(EpochClock::new());
+        let clk = EpochClock::new();
         let mut cfg = CacheConfig::new("ttl_test", 1 << 16, DEPS);
         cfg.shards = 1;
         cfg.ttl = Some(Duration::from_millis(30));
-        let cache = Cache::with_clock(cfg, |v: &String| v.len(), Arc::clone(&clk));
+        let cache = Cache::new(cfg, |v: &String| v.len());
         let calls = Cell::new(0);
-        let _ = get(&cache, 1, "v", &calls);
-        let (_, s) = get(&cache, 1, "v", &calls);
+        let _ = get(&cache, &clk, 1, "v", &calls);
+        let (_, s) = get(&cache, &clk, 1, "v", &calls);
         assert_eq!(s, Status::Hit);
         std::thread::sleep(Duration::from_millis(50));
-        let (_, s) = get(&cache, 1, "v", &calls);
+        let (_, s) = get(&cache, &clk, 1, "v", &calls);
         assert_eq!(s, Status::Stale);
         assert_eq!(calls.get(), 2);
-    }
-
-    #[test]
-    fn stamp_captured_before_compute_invalidates_racing_write() {
-        // A mutation landing *during* the computation must leave the entry
-        // already stale: the stamp is taken at flight creation.
-        let (cache, clk) = test_cache(1 << 16);
-        let clk2 = Arc::clone(&clk);
-        let (_, s1) = cache.get_or_compute(
-            3,
-            None,
-            None,
-            move || {
-                clk2.bump(Domain::Relational); // concurrent write, simulated inline
-                Ok::<_, String>("computed-under-race".to_string())
-            },
-            |_| true,
-        );
-        assert_eq!(s1, Status::Miss);
-        let calls = Cell::new(0);
-        let (_, s2) = get(&cache, 3, "fresh", &calls);
-        assert_eq!(
-            s2,
-            Status::Stale,
-            "entry stamped pre-compute must not serve"
-        );
-        assert_eq!(calls.get(), 1);
     }
 
     #[test]
@@ -1098,15 +1038,15 @@ mod tests {
             calls.set(calls.get() + 1);
             Ok::<_, String>("old-gen".to_string())
         };
-        let (v1, s1) = cache.get_or_compute(21, Some(stamp), None, compute, |_| true);
+        let (v1, s1) = cache.get_or_compute(21, stamp, None, compute, |_| true);
         assert_eq!(s1, Status::Miss);
         assert_eq!(*v1.expect("computed"), "old-gen");
-        // A writer commits; live readers are invalidated, but the reader
-        // pinned at `stamp` keeps hitting its own generation.
+        // A writer commits; the reader pinned at `stamp` keeps hitting its
+        // own generation.
         clk.bump(Domain::Relational);
         let (v2, s2) = cache.get_or_compute(
             21,
-            Some(stamp),
+            stamp,
             None,
             || {
                 calls.set(calls.get() + 1);
@@ -1117,21 +1057,35 @@ mod tests {
         assert_eq!(s2, Status::Hit, "pinned reader validates against stamp");
         assert_eq!(*v2.expect("hit"), "old-gen");
         assert_eq!(calls.get(), 1);
-        // A live-clock lookup of the same key sees the entry as stale.
-        let (_, s3) = get(&cache, 21, "fresh", &calls);
+        // A reader of the new version sees the entry as stale.
+        let (_, s3) = get(&cache, &clk, 21, "fresh", &calls);
         assert_eq!(s3, Status::Stale);
         assert_eq!(calls.get(), 2);
+        // The earlier version's reader recomputes, but never replaces the
+        // later version's entry.
+        let (v4, s4) = cache.get_or_compute(
+            21,
+            stamp,
+            None,
+            || Ok::<_, String>("old-again".to_string()),
+            |_| true,
+        );
+        assert_eq!(s4, Status::Stale);
+        assert_eq!(*v4.expect("computed"), "old-again");
+        let (v5, s5) = get(&cache, &clk, 21, "unused", &calls);
+        assert_eq!(s5, Status::Hit, "later version's entry survived");
+        assert_eq!(*v5.expect("hit"), "fresh");
     }
 
     #[test]
     fn insert_sweeps_stale_shard_residents() {
         let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
-        let _ = get(&cache, 1, "a", &calls);
-        let _ = get(&cache, 2, "b", &calls);
+        let _ = get(&cache, &clk, 1, "a", &calls);
+        let _ = get(&cache, &clk, 2, "b", &calls);
         clk.bump(Domain::SearchIndex);
         // Inserting key 3 sweeps the now-stale 1 and 2 from the shard.
-        let _ = get(&cache, 3, "c", &calls);
+        let _ = get(&cache, &clk, 3, "c", &calls);
         let st = cache.stats();
         assert_eq!(st.entries, 1);
         assert_eq!(st.stale_drops, 2);
@@ -1153,42 +1107,47 @@ mod tests {
         let _ = ALL_DOMAINS; // referenced so the import is exercised
     }
 
-    fn grace_cache(grace: Option<Duration>) -> (Cache<String>, Arc<EpochClock>) {
-        let clk = Arc::new(EpochClock::new());
+    fn grace_cache(grace: Option<Duration>) -> (Cache<String>, EpochClock) {
         let mut cfg = CacheConfig::new("grace_test", 1 << 16, DEPS);
         cfg.shards = 1;
         cfg.stale_grace = grace;
-        let cache = Cache::with_clock(cfg, |v: &String| v.len(), Arc::clone(&clk));
-        (cache, clk)
+        (Cache::new(cfg, |v: &String| v.len()), EpochClock::new())
     }
 
     #[test]
     fn without_grace_stale_entries_are_not_servable() {
         let (cache, clk) = grace_cache(None);
         let calls = Cell::new(0);
-        let _ = get(&cache, 1, "v1", &calls);
+        let _ = get(&cache, &clk, 1, "v1", &calls);
         clk.bump(Domain::Relational);
-        assert!(cache.get_stale(1).is_none(), "no grace window configured");
+        assert!(
+            cache.get_stale(1, clk.snapshot()).is_none(),
+            "no grace window configured"
+        );
     }
 
     #[test]
     fn grace_serves_stale_and_survives_failed_recompute() {
         let (cache, clk) = grace_cache(Some(Duration::from_secs(60)));
         let calls = Cell::new(0);
-        let _ = get(&cache, 1, "v1", &calls);
+        let _ = get(&cache, &clk, 1, "v1", &calls);
         // Fresh entries are servable too (age ~0).
-        let (v, age) = cache.get_stale(1).expect("fresh entry servable");
+        let (v, age) = cache
+            .get_stale(1, clk.snapshot())
+            .expect("fresh entry servable");
         assert_eq!(*v, "v1");
         assert!(age < Duration::from_secs(1));
 
         clk.bump(Domain::Relational);
-        let (v, _) = cache.get_stale(1).expect("grace keeps the stale value");
+        let (v, _) = cache
+            .get_stale(1, clk.snapshot())
+            .expect("grace keeps the stale value");
         assert_eq!(*v, "v1");
 
         // A failing recompute (negatively cached) must not displace it.
         let (r, s) = cache.get_or_compute(
             1,
-            None,
+            clk.snapshot(),
             None,
             || Err::<String, String>("backend down".into()),
             |_| true,
@@ -1200,15 +1159,15 @@ mod tests {
             "retained entry still marks recompute stale"
         );
         let (v, _) = cache
-            .get_stale(1)
+            .get_stale(1, clk.snapshot())
             .expect("negative outcome must not evict the stale positive");
         assert_eq!(*v, "v1");
         assert_eq!(cache.stats().stale_serves, 3);
 
         // A successful recompute replaces it with fresh data.
-        let (_, s) = get(&cache, 1, "v2", &calls);
+        let (_, s) = get(&cache, &clk, 1, "v2", &calls);
         assert_eq!(s, Status::Stale);
-        let (v, _) = cache.get_stale(1).expect("fresh again");
+        let (v, _) = cache.get_stale(1, clk.snapshot()).expect("fresh again");
         assert_eq!(*v, "v2");
     }
 
@@ -1216,27 +1175,30 @@ mod tests {
     fn expired_grace_drops_the_entry() {
         let (cache, clk) = grace_cache(Some(Duration::from_millis(20)));
         let calls = Cell::new(0);
-        let _ = get(&cache, 1, "v1", &calls);
+        let _ = get(&cache, &clk, 1, "v1", &calls);
         clk.bump(Domain::Relational);
         std::thread::sleep(Duration::from_millis(40));
-        assert!(cache.get_stale(1).is_none(), "grace window elapsed");
+        assert!(
+            cache.get_stale(1, clk.snapshot()).is_none(),
+            "grace window elapsed"
+        );
         // And the lookup path evicts it like any stale entry.
-        let (_, s) = get(&cache, 1, "v2", &calls);
+        let (_, s) = get(&cache, &clk, 1, "v2", &calls);
         assert_eq!(s, Status::Stale);
         assert_eq!(cache.stats().stale_drops, 1);
     }
 
     #[test]
     fn filtered_errors_are_not_negatively_cached() {
-        let (cache, _clk) = test_cache(1 << 16);
+        let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
         let compute = || {
             calls.set(calls.get() + 1);
             Err::<String, String>("deadline exceeded".into())
         };
-        let (r1, _) = cache.get_or_compute(11, None, None, compute, |_| false);
+        let (r1, _) = cache.get_or_compute(11, clk.snapshot(), None, compute, |_| false);
         assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute(11, None, None, compute, |_| false);
+        let (r2, s2) = cache.get_or_compute(11, clk.snapshot(), None, compute, |_| false);
         assert!(
             matches!(r2, Err(CacheError::Compute(_))),
             "second call recomputed instead of replaying a negative entry"

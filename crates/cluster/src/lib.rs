@@ -17,8 +17,9 @@
 //!   plus a tail loop that applies newly committed CRC-framed frames from
 //!   the primary's log and publishes each applied batch as an MVCC commit.
 //! - [`Router`] sends writes to the primary and routes reads to replicas
-//!   under per-domain epoch staleness bounds, falling back to the primary
-//!   when every replica lags past the bound.
+//!   whose staleness — primary commits not yet applied, counted on the
+//!   primary engine's epoch clock — is within a bound, falling back to the
+//!   primary when every replica lags past it.
 
 #![warn(missing_docs)]
 
@@ -40,9 +41,8 @@ pub struct Topology {
     pub shards: usize,
     /// WAL-shipped read replicas to run (0 = none).
     pub replicas: usize,
-    /// Per-domain epoch staleness bound for replica reads: a replica more
-    /// than this many epochs behind on any domain a read depends on is
-    /// skipped in favor of the primary.
+    /// Staleness bound for replica reads: a replica more than this many
+    /// primary commits behind is skipped in favor of the primary.
     pub staleness_epochs: u64,
     /// How often a replica's tail loop polls the primary's log.
     pub poll_interval: Duration,
@@ -62,7 +62,7 @@ impl Default for Topology {
 impl Topology {
     /// Reads `SENSORMETA_SHARDS`, `SENSORMETA_REPLICAS` and
     /// `SENSORMETA_STALENESS_EPOCHS` (unset or unparsable values keep the
-    /// defaults: 1 shard, 0 replicas, 64 epochs).
+    /// defaults: 1 shard, 0 replicas, 64 primary commits).
     pub fn from_env() -> Topology {
         fn parse<T: std::str::FromStr>(key: &str) -> Option<T> {
             std::env::var(key).ok()?.trim().parse().ok()

@@ -8,8 +8,12 @@
 //! recovery uses, and publishes the updated engine as an MVCC commit.
 //! Checkpoint truncation and persistent frame damage both trigger a full
 //! resync from the snapshot.
+//!
+//! Freshness is measured against the primary engine's epoch clock, which
+//! the primary bumps once per commit (per `QueryEngine::rebuild`), so a
+//! replica's staleness counts the primary commits it has not yet applied.
 
-use sensormeta_cache::{clock, Domain, EpochVector};
+use sensormeta_cache::{Domain, EpochClock, EpochVector};
 use sensormeta_obs as obs;
 use sensormeta_query::{QueryEngine, QueryError, Result};
 use sensormeta_relstore::{wal_path_for, LogicalOp, WalTail};
@@ -52,8 +56,8 @@ struct TailState {
     stalls: u32,
 }
 
-/// Epoch bookkeeping: which clock values this replica's published state
-/// is known to cover.
+/// Epoch bookkeeping: which primary-clock values this replica's published
+/// state is known to cover.
 struct Freshness {
     epochs: EpochVector,
 }
@@ -67,6 +71,8 @@ struct Freshness {
 pub struct Replica {
     name: String,
     primary_path: PathBuf,
+    /// The primary engine's epoch clock, bumped once per primary commit.
+    primary_clock: Arc<EpochClock>,
     engine: Mvcc<QueryEngine>,
     state: Mutex<TailState>,
     freshness: Mutex<Freshness>,
@@ -76,11 +82,18 @@ pub struct Replica {
 
 impl Replica {
     /// Opens a replica of the durable store at `primary_path` (snapshot
-    /// plus optional live WAL). The returned replica is caught up to the
-    /// snapshot and whatever committed WAL existed at open time; call
-    /// [`Replica::poll_once`] or [`Replica::start`] to follow new commits.
-    pub fn open(name: &str, primary_path: &std::path::Path) -> Result<Arc<Replica>> {
-        let epochs_at_read = clock().snapshot();
+    /// plus optional live WAL), measuring freshness against
+    /// `primary_clock` — the primary engine's
+    /// [`epoch_clock`](QueryEngine::epoch_clock). The returned replica is
+    /// caught up to the snapshot and whatever committed WAL existed at open
+    /// time; call [`Replica::poll_once`] or [`Replica::start`] to follow
+    /// new commits.
+    pub fn open(
+        name: &str,
+        primary_path: &std::path::Path,
+        primary_clock: Arc<EpochClock>,
+    ) -> Result<Arc<Replica>> {
+        let epochs_at_read = primary_clock.snapshot();
         let (smr, report) = Smr::load_with_report(primary_path)?;
         let engine = QueryEngine::open(smr.clone_reader())?;
         let mut tail = WalTail::new();
@@ -96,6 +109,7 @@ impl Replica {
         Ok(Arc::new(Replica {
             name: name.to_string(),
             primary_path: primary_path.to_path_buf(),
+            primary_clock,
             engine: Mvcc::new(engine),
             state: Mutex::new(TailState {
                 smr,
@@ -126,18 +140,18 @@ impl Replica {
         lock(&self.state).applied
     }
 
-    /// The epoch vector this replica's published state is known to cover:
-    /// reads depending only on domains where the global clock equals this
-    /// vector see data as fresh as the primary's.
+    /// The primary-clock vector this replica's published state is known to
+    /// cover: reads depending only on domains where the primary's clock
+    /// equals this vector see data as fresh as the primary's.
     pub fn covered_epochs(&self) -> EpochVector {
         lock(&self.freshness).epochs
     }
 
-    /// How many epochs behind the global clock this replica is, maximized
-    /// over `deps` — the domains a read depends on.
+    /// How many primary commits this replica is behind, maximized over
+    /// `deps` — the domains a read depends on.
     pub fn staleness(&self, deps: &[Domain]) -> u64 {
         let covered = self.covered_epochs();
-        let now = clock().snapshot();
+        let now = self.primary_clock.snapshot();
         deps.iter()
             .map(|&d| now.get(d).saturating_sub(covered.get(d)))
             .max()
@@ -154,11 +168,11 @@ impl Replica {
     /// committed transactions, publish the updated engine. Deterministic —
     /// the convergence tests drive replication entirely through this.
     pub fn poll_once(&self) -> Result<ReplicaPoll> {
-        // Capture the clock BEFORE reading the log: any commit that bumped
-        // an epoch before this point has its WAL bytes visible to the read
-        // below (the primary writes the log before bumping), so a clean
+        // Capture the primary's clock BEFORE reading the log: any commit
+        // that bumped it before this point has its WAL bytes visible to the
+        // read below (the primary logs before its rebuild bumps), so a clean
         // poll that drains the log covers at least this vector.
-        let epochs_at_read = clock().snapshot();
+        let epochs_at_read = self.primary_clock.snapshot();
         let bytes = match std::fs::read(wal_path_for(&self.primary_path)) {
             Ok(b) => b,
             // No log yet (fresh store or mid-checkpoint swap): caught up.
@@ -246,8 +260,8 @@ impl Replica {
     fn rebuild_engine(&self) -> Result<()> {
         let smr = lock(&self.state).smr.clone_reader();
         let engine = QueryEngine::open(smr)?;
-        // No domain bumps: the primary's commit already dated this change
-        // on the global clock; the replica is only catching up to it.
+        // No domain bumps: freshness is dated by the primary's clock, and
+        // the fresh engine carries its own generation for the cache.
         self.engine.begin().publish(&[], engine);
         Ok(())
     }

@@ -18,13 +18,14 @@ use std::sync::Arc;
 /// and falls back to the primary when none qualifies.
 pub struct Router {
     replicas: Vec<Arc<Replica>>,
-    /// Maximum per-domain epoch lag a replica may have and still serve.
+    /// Maximum number of primary commits a replica may lag and still serve.
     bound: u64,
     rr: AtomicUsize,
 }
 
 impl Router {
-    /// A router over `replicas` with the given staleness bound (epochs).
+    /// A router over `replicas` with the given staleness bound (primary
+    /// commits).
     pub fn new(replicas: Vec<Arc<Replica>>, staleness_epochs: u64) -> Router {
         Router {
             replicas,

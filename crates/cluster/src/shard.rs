@@ -72,8 +72,8 @@ impl ShardSet {
 
     /// Re-partitions from the primary's current state and publishes the
     /// result as the next version — the write path after a primary commit.
-    /// Publishes with no domain bumps: the primary's own commit already
-    /// dated the underlying change on the epoch clock.
+    /// Publishes with no domain bumps: the coordinator carries the
+    /// primary's generation, which the primary's rebuild already dated.
     pub fn republish(&self, primary: &QueryEngine) -> Result<()> {
         let next = Self::partition(primary, self.map)?;
         self.version.begin().publish(&[], next);

@@ -1,21 +1,13 @@
 //! Cluster integration tests: scatter-gather identity, WAL-tail
 //! convergence and staleness routing.
 
+use sensormeta_cache::Domain;
 use sensormeta_cluster::{Replica, Router, ShardSet};
 use sensormeta_query::{CondOp, Condition, QueryEngine, SearchForm};
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
-
-/// Replication and routing read the process-global epoch clock, which every
-/// page write bumps; tests that write pages or assert on staleness take
-/// this lock so concurrent test threads don't skew each other's clocks.
-fn clock_guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::Arc;
 
 fn corpus_engine(scale: usize, seed: u64) -> QueryEngine {
     let pages = generate_corpus(&CorpusConfig {
@@ -109,7 +101,6 @@ fn probe_forms() -> Vec<SearchForm> {
 /// single-store result at every tested shard count.
 #[test]
 fn scatter_gather_matches_single_store_at_1_2_4_shards() {
-    let _clock = clock_guard();
     let engine = corpus_engine(6, 42);
     for shards in [1usize, 2, 4] {
         let set = ShardSet::build(&engine, shards).expect("build shard set");
@@ -171,12 +162,11 @@ fn drain(replica: &Replica) {
 /// are equal at quiesce.
 #[test]
 fn replica_tails_live_commits_to_convergence() {
-    let _clock = clock_guard();
     let dir = scratch_dir("tail_converge");
     let store = dir.join("store.smr");
     let mut primary = durable_primary(&dir, 2, 7);
 
-    let replica = Replica::open("r0", &store).expect("open replica");
+    let replica = Replica::open("r0", &store, Arc::default()).expect("open replica");
     assert_eq!(replica.logical_dump(), primary.database().logical_dump());
 
     // Live commits after the replica opened.
@@ -206,12 +196,11 @@ fn replica_tails_live_commits_to_convergence() {
 /// same snapshot, and converge — no ops lost or double-applied.
 #[test]
 fn replica_kill_and_restart_mid_tail_converges() {
-    let _clock = clock_guard();
     let dir = scratch_dir("tail_restart");
     let store = dir.join("store.smr");
     let mut primary = durable_primary(&dir, 2, 11);
 
-    let replica = Replica::open("r0", &store).expect("open replica");
+    let replica = Replica::open("r0", &store, Arc::default()).expect("open replica");
     for i in 0..10 {
         let d = PageDraft::new(format!("Deployment:phase1_{i}"), "Deployment")
             .body(format!("phase one page {i}"));
@@ -229,7 +218,7 @@ fn replica_kill_and_restart_mid_tail_converges() {
 
     // Restart from the same primary path; recovery replays the log, the
     // tail resumes past it.
-    let replica = Replica::open("r1", &store).expect("reopen replica");
+    let replica = Replica::open("r1", &store, Arc::default()).expect("reopen replica");
     for i in 0..5 {
         let d = PageDraft::new(format!("Deployment:phase3_{i}"), "Deployment")
             .body(format!("phase three page {i}"));
@@ -245,12 +234,11 @@ fn replica_kill_and_restart_mid_tail_converges() {
 /// and resyncs from the snapshot.
 #[test]
 fn replica_survives_primary_checkpoint() {
-    let _clock = clock_guard();
     let dir = scratch_dir("tail_checkpoint");
     let store = dir.join("store.smr");
     let mut primary = durable_primary(&dir, 1, 13);
 
-    let replica = Replica::open("r0", &store).expect("open replica");
+    let replica = Replica::open("r0", &store, Arc::default()).expect("open replica");
     drain(&replica);
 
     primary.checkpoint().expect("checkpoint");
@@ -268,12 +256,11 @@ fn replica_survives_primary_checkpoint() {
 /// The background tail loop converges without explicit polling.
 #[test]
 fn background_tail_loop_converges() {
-    let _clock = clock_guard();
     let dir = scratch_dir("tail_thread");
     let store = dir.join("store.smr");
     let mut primary = durable_primary(&dir, 1, 17);
 
-    let replica = Replica::open("r0", &store).expect("open replica");
+    let replica = Replica::open("r0", &store, Arc::default()).expect("open replica");
     replica.start(std::time::Duration::from_millis(5));
     for i in 0..10 {
         let d = PageDraft::new(format!("Deployment:bg_{i}"), "Deployment")
@@ -298,35 +285,37 @@ fn background_tail_loop_converges() {
 }
 
 /// Router: fresh replicas serve reads; a stale replica under a zero bound
-/// falls back to the primary until it catches up.
+/// falls back to the primary until it catches up. Staleness counts primary
+/// commits — one per rebuild of the primary engine — and nothing else.
 #[test]
 fn router_staleness_bounds_route_reads() {
-    let _clock = clock_guard();
-    use sensormeta_cache::Domain;
     let dir = scratch_dir("router");
     let store = dir.join("store.smr");
-    let mut primary = durable_primary(&dir, 1, 19);
+    let mut primary = QueryEngine::open(durable_primary(&dir, 1, 19)).expect("primary engine");
 
-    let replica = Replica::open("r0", &store).expect("open replica");
+    let replica =
+        Replica::open("r0", &store, Arc::clone(primary.epoch_clock())).expect("open replica");
     drain(&replica);
     let deps = [Domain::Relational, Domain::Triples];
+    assert_eq!(replica.staleness(&deps), 0);
 
     // Caught up: within any bound.
     let router = Router::new(vec![replica.clone()], 4);
     assert!(router.route_read(&deps).is_some(), "fresh replica skipped");
 
-    // Fall behind: commits advance the clock while the replica sleeps.
+    // Fall behind: eight primary commits while the replica sleeps.
     for i in 0..8 {
         let d = PageDraft::new(format!("Deployment:stale_{i}"), "Deployment")
             .body(format!("staleness page {i}"));
-        primary.create_page(d).expect("create");
+        primary.smr_mut().create_page(d).expect("create");
+        primary.rebuild().expect("rebuild");
     }
+    assert_eq!(replica.staleness(&deps), 8, "one epoch per primary commit");
     let strict = Router::new(vec![replica.clone()], 0);
     assert!(
         strict.route_read(&deps).is_none(),
         "stale replica served under a zero staleness bound"
     );
-    assert!(replica.staleness(&deps) > 0);
 
     // Catching up restores routing.
     drain(&replica);
@@ -334,6 +323,11 @@ fn router_staleness_bounds_route_reads() {
         strict.route_read(&deps).is_some(),
         "caught-up replica still skipped"
     );
+    assert_eq!(replica.staleness(&deps), 0);
+
+    // Only its own primary ages a replica: building an unrelated engine in
+    // the same process leaves it caught up.
+    let _unrelated = corpus_engine(1, 31);
     assert_eq!(replica.staleness(&deps), 0);
 
     // No replicas: always primary.
@@ -347,13 +341,12 @@ fn router_staleness_bounds_route_reads() {
 /// primary engine: shards and replication compose.
 #[test]
 fn shards_over_replica_match_primary() {
-    let _clock = clock_guard();
     let dir = scratch_dir("shard_replica");
     let store = dir.join("store.smr");
     let primary = durable_primary(&dir, 2, 23);
     let primary_engine = QueryEngine::open(primary.clone_reader()).expect("engine");
 
-    let replica = Replica::open("r0", &store).expect("open replica");
+    let replica = Replica::open("r0", &store, Arc::default()).expect("open replica");
     drain(&replica);
     let set = ShardSet::build(&replica.snapshot(), 2).expect("build");
 

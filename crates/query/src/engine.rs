@@ -12,7 +12,8 @@ use crate::error::{QueryError, Result};
 use crate::form::{CondOp, Condition, SearchForm, SortBy};
 use crate::result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};
 use sensormeta_cache::{
-    stale_grace_from_env, Cache, CacheConfig, CacheError, Domain, EpochVector, Fingerprint, Status,
+    stale_grace_from_env, Cache, CacheConfig, CacheError, Domain, EpochClock, EpochVector,
+    Fingerprint, Status,
 };
 use sensormeta_obs as obs;
 use sensormeta_par::Pool;
@@ -85,11 +86,6 @@ pub struct SearchOptions<'a> {
     /// within its staleness grace window. Such responses are labeled
     /// [`Status::Degraded`]; callers must surface the label.
     pub stale_ok: bool,
-    /// The MVCC snapshot's epoch vector this request is pinned at. When set,
-    /// cache entries are keyed and validated against it instead of the live
-    /// clock, so a reader on an old snapshot neither sees results from a
-    /// newer generation nor misses just because a writer committed mid-read.
-    pub at: Option<EpochVector>,
 }
 
 /// One shard's contribution to a scattered search: assembled result rows
@@ -220,6 +216,13 @@ pub struct QueryEngine {
     /// Shared between the primary and its reader snapshots, so a result
     /// computed through any snapshot benefits every concurrent request.
     results: Arc<Cache<QueryOutput>>,
+    /// Dates this engine's generations: created by [`QueryEngine::build`],
+    /// shared with every reader clone and partition view, bumped once per
+    /// [`QueryEngine::rebuild`].
+    clock: Arc<EpochClock>,
+    /// The generation the derived structures were built at: the stamp this
+    /// engine's searches validate and fill the result cache with.
+    generation: EpochVector,
     /// Partition views a search scatters over (see
     /// [`QueryEngine::with_partitions`]); empty for the single store, which
     /// searches its own repository as the one view.
@@ -275,6 +278,8 @@ impl QueryEngine {
             prop_names: Arc::new(Vec::new()),
             suggester: Arc::new(SpellSuggester::new()),
             results: Arc::new(result_cache()),
+            clock: Arc::new(EpochClock::new()),
+            generation: EpochVector::default(),
             shards: Arc::default(),
         };
         engine.rebuild()?;
@@ -286,9 +291,10 @@ impl QueryEngine {
         Self::build(smr, Acl::open(), RankBlend::default())
     }
 
-    /// Recomputes every derived structure from the current SMR contents.
-    /// Call after bulk loads; PageRank "scores need to be updated regularly
-    /// as new metadata pages are continuously created".
+    /// Recomputes every derived structure from the current SMR contents
+    /// and dates the result as the next generation. Call after bulk loads;
+    /// PageRank "scores need to be updated regularly as new metadata pages
+    /// are continuously created".
     pub fn rebuild(&mut self) -> Result<()> {
         let _timing = obs::span("query_rebuild");
         // Shield the rebuild from any ambient request deadline: a half-built
@@ -376,6 +382,10 @@ impl QueryEngine {
         self.suggester = Arc::new(suggester);
         // Partition views belong to the generation they were cut from.
         self.shards = Arc::default();
+        // One bump per rebuild, after the repository change it covers was
+        // logged: replicas count these as primary commits.
+        self.clock.bump_all();
+        self.generation = self.clock.snapshot();
         Ok(())
     }
 
@@ -398,6 +408,8 @@ impl QueryEngine {
             prop_names: Arc::clone(&self.prop_names),
             suggester: Arc::clone(&self.suggester),
             results: Arc::clone(&self.results),
+            clock: Arc::clone(&self.clock),
+            generation: self.generation,
             shards: Arc::clone(&self.shards),
         }
     }
@@ -420,6 +432,12 @@ impl QueryEngine {
             shards: partitions.into_iter().map(view).collect(),
             ..self.clone_reader()
         }
+    }
+
+    /// The clock dating this engine's generations — what a replica of this
+    /// engine's store measures its staleness against.
+    pub fn epoch_clock(&self) -> &Arc<EpochClock> {
+        &self.clock
     }
 
     /// Dense page id of a title (indexes `titles`, `pagerank`, index docs).
@@ -514,8 +532,9 @@ impl QueryEngine {
     /// Executes an advanced-search form through the result cache, returning
     /// the shared output plus how the lookup was answered. Identical
     /// concurrent queries coalesce onto one computation (bounded by
-    /// `opts.deadline`); any mutation to the underlying stores invalidates
-    /// via the epoch clock before the next lookup.
+    /// `opts.deadline`); entries are validated against and stamped with
+    /// this engine's generation (dated by its last rebuild), so a result is
+    /// only ever served to readers of the generation that computed it.
     pub fn search_shared(
         &self,
         form: &SearchForm,
@@ -536,10 +555,9 @@ impl QueryEngine {
                 Status::Bypass,
             ));
         }
-        // The key is generation-independent (form + user only): a pinned
-        // snapshot validates entries against its own epoch vector instead,
-        // so serve-stale degradation can still find the superseded entry
-        // after a writer commits.
+        // The key is generation-independent (form + user only): entries are
+        // validated against the generation instead, so serve-stale
+        // degradation can still find the superseded entry after a commit.
         let key = form_fingerprint(form, opts.user);
         // Blocking behind an identical in-flight query is bounded by both
         // the explicit wait and whatever remains of the request budget.
@@ -549,7 +567,7 @@ impl QueryEngine {
         };
         let (result, status) = self.results.get_or_compute(
             key,
-            opts.at,
+            self.generation,
             wait,
             || self.search_uncached(form, opts.user),
             QueryError::cacheable_failure,
@@ -564,7 +582,7 @@ impl QueryEngine {
         // be answered from a superseded entry within the staleness grace
         // window. The `Degraded` status is the caller's obligation to label.
         if opts.stale_ok && err.degradable() {
-            if let Some((out, _age)) = self.results.get_stale(key) {
+            if let Some((out, _age)) = self.results.get_stale(key, self.generation) {
                 obs::counter("query_degraded_serves_total").inc();
                 return Ok((out, Status::Degraded));
             }
@@ -581,7 +599,9 @@ impl QueryEngine {
         form: &SearchForm,
         user: Option<&str>,
     ) -> Option<(Arc<QueryOutput>, Duration)> {
-        let hit = self.results.get_stale(form_fingerprint(form, user));
+        let hit = self
+            .results
+            .get_stale(form_fingerprint(form, user), self.generation);
         if hit.is_some() {
             obs::counter("query_degraded_serves_total").inc();
         }

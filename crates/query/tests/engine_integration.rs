@@ -277,12 +277,8 @@ fn engine_over_generated_corpus() {
         assert!(item.coords.is_some(), "field sites are geolocated");
     }
     // A warm pass over the unchanged corpus is answered from the result
-    // cache. Pinned at one epoch vector, as the server pins a request to its
-    // snapshot, so sibling tests bumping the global clock cannot interfere.
-    let opts = SearchOptions {
-        at: Some(sensormeta_cache::clock().snapshot()),
-        ..SearchOptions::default()
-    };
+    // cache: the engine's generation only moves when it rebuilds.
+    let opts = SearchOptions::default();
     for pass in 0..2 {
         for q in ["temperature", "snow height", "wind speed", "Davos"] {
             let (_, status) = engine

@@ -1,8 +1,8 @@
 //! Resilience integration: deadline propagation through the query pipeline
 //! and serve-stale degradation from the result cache.
 //!
-//! One test function: the chaos plan and the epoch clock are process-global,
-//! so phases must run sequentially rather than as parallel `#[test]`s.
+//! One test function: the chaos plan is process-global, so phases must run
+//! sequentially rather than as parallel `#[test]`s.
 
 use sensormeta_cache::Status;
 use sensormeta_query::{QueryEngine, QueryError, SearchForm, SearchOptions};

@@ -47,8 +47,6 @@ impl TripleStore {
     }
 
     /// Interns a term (exposed for query preparation).
-    // Dictionary growth is invisible to queries: no triple changes, so no
-    // cached result can go stale. // xlint: allow(epoch-bump-on-mutate)
     pub fn intern(&mut self, term: Term) -> TermId {
         Arc::make_mut(&mut self.dict).intern(term)
     }
@@ -73,7 +71,6 @@ impl TripleStore {
             self.pos.len() == self.spo.len() && self.osp.len() == self.spo.len(),
             "index orderings diverged on insert"
         );
-        sensormeta_cache::clock().bump(sensormeta_cache::Domain::Triples);
         true
     }
 
@@ -93,7 +90,6 @@ impl TripleStore {
             self.pos.len() == self.spo.len() && self.osp.len() == self.spo.len(),
             "index orderings diverged on remove"
         );
-        sensormeta_cache::clock().bump(sensormeta_cache::Domain::Triples);
         true
     }
 
@@ -112,9 +108,6 @@ impl TripleStore {
                 pos.remove(&(*p, *o, *s));
                 osp.remove(&(*o, *s, *p));
             }
-        }
-        if !doomed.is_empty() {
-            sensormeta_cache::clock().bump(sensormeta_cache::Domain::Triples);
         }
         doomed.len()
     }

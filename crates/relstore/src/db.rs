@@ -155,8 +155,6 @@ impl Database {
     /// Folds the log into a fresh durable snapshot and truncates it.
     /// No-op in non-durable mode. Errors leave the database poisoned for
     /// writes; reopening recovers from the last durable state.
-    // Checkpointing rewrites durability bookkeeping only; the logical table
-    // contents are unchanged. // xlint: allow(epoch-bump-on-mutate)
     pub fn checkpoint(&mut self) -> Result<()> {
         let Some(d) = &self.durability else {
             return Ok(());
@@ -193,9 +191,6 @@ impl Database {
             self.wal_commit(&[LogicalOp::Sql(sql.to_owned())])?;
         }
         let out = execute(&mut self.catalog, stmt);
-        if mutates {
-            sensormeta_cache::clock().bump(sensormeta_cache::Domain::Relational);
-        }
         self.maybe_checkpoint();
         out
     }
@@ -212,9 +207,6 @@ impl Database {
         let mut last = ExecOutcome::Done;
         for stmt in stmts {
             last = execute(&mut self.catalog, stmt)?;
-        }
-        if mutates {
-            sensormeta_cache::clock().bump(sensormeta_cache::Domain::Relational);
         }
         self.maybe_checkpoint();
         Ok(last)
@@ -289,7 +281,6 @@ impl Database {
             self.wal_commit(&[LogicalOp::CreateTable(schema.clone())])?;
         }
         self.catalog.insert(key, Table::create(schema)?);
-        sensormeta_cache::clock().bump(sensormeta_cache::Domain::Relational);
         self.maybe_checkpoint();
         Ok(())
     }
@@ -336,7 +327,6 @@ impl Database {
             report.last_seq = report.last_seq.max(*seq);
         }
         if report.applied > 0 {
-            sensormeta_cache::clock().bump(sensormeta_cache::Domain::Relational);
             obs::counter("relstore_shipped_ops_total").add(report.applied);
         }
         report
@@ -349,10 +339,8 @@ impl Database {
             .ok_or_else(|| RelError::NoSuchTable(name.to_owned()))
     }
 
-    /// Mutable access to a table. Bumps the relational cache epoch — the
-    /// caller may mutate through the returned reference.
+    /// Mutable access to a table.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        sensormeta_cache::clock().bump(sensormeta_cache::Domain::Relational);
         self.catalog
             .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| RelError::NoSuchTable(name.to_owned()))

@@ -100,7 +100,6 @@ impl SearchIndex {
     /// in parallel but postings are merged serially in document order.
     pub fn add_tokenized(&mut self, key: &str, terms: Vec<String>) -> DocId {
         sensormeta_obs::counter("search_docs_indexed_total").inc();
-        sensormeta_cache::clock().bump(sensormeta_cache::Domain::SearchIndex);
         let doc = match self.key_ids.get(key) {
             Some(&d) => {
                 self.remove_postings(d);

@@ -205,11 +205,13 @@ impl App {
     /// Opens `topology.replicas` WAL-shipped read replicas of the durable
     /// store at `primary_path`, starts their tail loops, and installs them
     /// behind the read router. The primary engine must own that store (its
-    /// commits write the log the replicas tail). Returns the replica count.
+    /// commits write the log the replicas tail, and its epoch clock counts
+    /// the commits they lag by). Returns the replica count.
     pub fn attach_replicas(&mut self, primary_path: &std::path::Path) -> Result<usize, QueryError> {
+        let clock = Arc::clone(self.primary.lock().epoch_clock());
         let mut replicas = Vec::new();
         for i in 0..self.topology.replicas {
-            let replica = Replica::open(&format!("r{i}"), primary_path)?;
+            let replica = Replica::open(&format!("r{i}"), primary_path, Arc::clone(&clock))?;
             replica.start(self.topology.poll_interval);
             replicas.push(replica);
         }
@@ -519,10 +521,6 @@ impl App {
                 wait: self.cache_wait,
                 user,
                 stale_ok: true,
-                // Pin the cache to this request's snapshot generation: the
-                // whole request sees one epoch vector even if a writer commits
-                // mid-flight.
-                at: Some(engine.epochs()),
                 ..SearchOptions::default()
             };
             match engine.search_shared(&form, &opts) {
@@ -875,13 +873,11 @@ impl App {
         Response::json(serde_json::Value::Array(arr).to_string())
     }
 
-    /// Drops every result cache (query results and tag clouds) and bumps all
-    /// invalidation epochs, so the next request on each path recomputes from
-    /// the stores.
+    /// Drops every result cache (query results and tag clouds), so the next
+    /// request on each path recomputes from the stores.
     fn admin_cache_clear(&self) -> Response {
         self.engine.snapshot().clear_caches();
         self.cloud_cache.clear();
-        sensormeta_cache::clock().bump_all();
         obs::counter("cache_admin_clears_total").inc();
         Response::json(json!({"cleared": true}).to_string())
     }
@@ -892,8 +888,9 @@ impl App {
     /// fails or the circuit is open.
     fn cloud(&self) -> Result<(Arc<TagCloud>, Status), Response> {
         let params = CloudParams::default();
+        let tags = self.tags.snapshot();
         let stale = || {
-            let (cloud, _age) = self.cloud_cache.stale(&params)?;
+            let (cloud, _age) = self.cloud_cache.stale(&params, tags.epochs())?;
             Some((cloud, Status::Degraded))
         };
         if !self.breaker_cloud.allow() {
@@ -902,8 +899,7 @@ impl App {
                     .with_header("Retry-After", retry_after_secs().to_string())
             });
         }
-        let tags = self.tags.snapshot();
-        match self.cloud_cache.get(&tags, Some(tags.epochs()), &params) {
+        match self.cloud_cache.get(&tags, tags.epochs(), &params) {
             Ok(pair) => {
                 self.breaker_cloud.record_success();
                 Ok(pair)

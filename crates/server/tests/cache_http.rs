@@ -2,9 +2,8 @@
 //! search and tag-cloud routes, `?cache=bypass`, and `POST
 //! /admin/cache/clear` dropping every namespace.
 //!
-//! Everything lives in ONE test function: the invalidation epochs are
-//! process-global, so concurrent tests in the same binary could otherwise
-//! bump them between a warm-up request and its `hit` assertion.
+//! Everything lives in ONE test function because its phases build on one
+//! app's cache state in order: warm, cleared, re-tagged, circuit open.
 
 use sensormeta_query::QueryEngine;
 use sensormeta_server::{parse_query, App, Request, Response};
@@ -103,7 +102,7 @@ fn cache_status_headers_and_admin_clear() {
     assert_eq!(cache_status(&app, "/tags"), "miss");
     assert_eq!(cache_status(&app, "/search?q=temperature"), "hit");
 
-    // Tagging a page bumps the tag-incidence epoch: clouds recompute
+    // Tagging a page commits a new tag version: clouds recompute
     // (`stale` without a `Warning`: the superseded cloud was found under
     // the same key and replaced, as for a search after a commit), but query
     // results (which don't depend on the live tag store) stay warm.

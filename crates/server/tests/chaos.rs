@@ -10,8 +10,8 @@
 //! - a handler panic costs one 500, never a worker thread;
 //! - the circuit breaker opens under persistent failure and recovers.
 //!
-//! Everything lives in ONE test function: the chaos plan, the invalidation
-//! epochs and the breaker metrics are process-global.
+//! Everything lives in ONE test function: the chaos plan and the breaker
+//! metrics are process-global.
 
 use sensormeta_query::QueryEngine;
 use sensormeta_resil::chaos::{self, Fault, FaultKind};

@@ -170,8 +170,8 @@ fn cluster_metrics_and_status_are_exported() {
     assert_eq!(json["replicas"][0]["name"], "r0");
     assert_eq!(json["stalenessBound"], 64);
 
-    // A search drives the routed read path (replica or primary, depending
-    // on clock churn from parallel tests — either is a 200).
+    // A search drives the routed read path (the caught-up replica serves
+    // it, or the primary if the replica lags — either is a 200).
     assert_eq!(get(&app, "/search?q=temperature").status, 200);
 
     // The replica's tail loop publishes the lag gauge within a few polls.

@@ -18,6 +18,10 @@
 //!    mutation durable but before the new version is published must never
 //!    be visible to any snapshot of the live process, and a restart must
 //!    recover the complete mutation from the log (never a partial one).
+//!
+//! 3. **No cross-version poisoning** — a search on a snapshot opened before
+//!    a commit (what the viz routes run) never leaves a result `/search` on
+//!    the committed version would serve.
 
 use sensormeta_cluster::Topology;
 use sensormeta_par::Pool;
@@ -63,15 +67,13 @@ fn add_marker_page(primary: &mut QueryEngine, i: usize) -> Result<(), String> {
     primary.rebuild().map_err(|e| e.to_string())
 }
 
-/// Marker-page count visible to one snapshot, through the pinned
-/// (epoch-validated) cache path — the same path `/search` uses.
+/// Marker-page count visible to one snapshot, through the cache path
+/// validated against the snapshot's generation — the path `/search` uses.
 fn marker_count(snap: &Snapshot<QueryEngine>) -> usize {
     let form = SearchForm::keywords(MARKER);
-    let opts = SearchOptions {
-        at: Some(snap.epochs()),
-        ..SearchOptions::default()
-    };
-    let (out, _) = snap.search_shared(&form, &opts).expect("pinned search");
+    let (out, _) = snap
+        .search_shared(&form, &SearchOptions::default())
+        .expect("cached search");
     out.total_matched
 }
 
@@ -227,6 +229,23 @@ fn snapshot_isolation_four_thread_pool() {
     for topology in topologies() {
         race_readers_vs_writer(&Pool::new(4), topology, 3, 6, 30);
     }
+}
+
+#[test]
+fn viz_search_on_an_old_snapshot_cannot_poison_search() {
+    let app = App::new(seeded_engine());
+    let form = SearchForm::keywords(MARKER);
+    let snap = app.engine_snapshot();
+    app.commit_engine(|primary| add_marker_page(primary, 1))
+        .expect("commit");
+    // The call `/viz/map`, `/viz/bar` and `/viz/pie` make on their snapshot.
+    let old = snap.search(&form, None).expect("viz search");
+    assert_eq!(old.total_matched, 0, "the snapshot predates the marker");
+    let served = marker_body_served(&app);
+    assert!(
+        served.contains("Deployment:isol1"),
+        "/search served the pre-commit result: {served}"
+    );
 }
 
 #[test]

@@ -97,8 +97,6 @@ impl Smr {
 
     /// Folds the write-ahead log into a fresh snapshot (no-op for
     /// repositories that are not durable).
-    // Pure durability maintenance: no page, tag or triple changes, so no
-    // cached result can go stale. // xlint: allow(epoch-bump-on-mutate)
     pub fn checkpoint(&mut self) -> Result<()> {
         Ok(self.db.checkpoint()?)
     }
@@ -144,9 +142,6 @@ impl Smr {
         )?;
         self.write_satellites(id, &draft)?;
         self.mirror_page(&draft);
-        let clk = sensormeta_cache::clock();
-        clk.bump(sensormeta_cache::Domain::WebGraph);
-        clk.bump(sensormeta_cache::Domain::TagIncidence);
         Ok(id)
     }
 
@@ -188,9 +183,6 @@ impl Smr {
         self.rdf
             .remove_subject(&Term::iri(Self::page_iri(&draft.title)));
         self.mirror_page(&draft);
-        let clk = sensormeta_cache::clock();
-        clk.bump(sensormeta_cache::Domain::WebGraph);
-        clk.bump(sensormeta_cache::Domain::TagIncidence);
         Ok(id)
     }
 
@@ -219,9 +211,6 @@ impl Smr {
             self.db.execute(&sql)?;
         }
         self.rdf.remove_subject(&Term::iri(Self::page_iri(title)));
-        let clk = sensormeta_cache::clock();
-        clk.bump(sensormeta_cache::Domain::WebGraph);
-        clk.bump(sensormeta_cache::Domain::TagIncidence);
         Ok(true)
     }
 
@@ -560,10 +549,6 @@ impl Smr {
         for draft in drafts {
             self.mirror_page(&draft);
         }
-        // The whole mirror was replaced, not just the pages re-inserted:
-        // even when there are zero drafts (so no insert ever bumped), any
-        // cached SPARQL result over the old store is now invalid.
-        sensormeta_cache::clock().bump(sensormeta_cache::Domain::Triples);
         Ok(())
     }
 

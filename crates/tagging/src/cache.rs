@@ -12,8 +12,8 @@ use crate::clique::BkVariant;
 use crate::cloud::{try_compute_cloud, CloudParams, TagCloud};
 use crate::store::TagStore;
 use sensormeta_cache::{
-    stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Domain, EpochClock,
-    EpochVector, Fingerprint, Status,
+    stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Domain, EpochVector,
+    Fingerprint, Status,
 };
 use sensormeta_obs as obs;
 use sensormeta_resil::{self as resil, Interrupt};
@@ -58,26 +58,17 @@ fn weigh(cloud: &TagCloud) -> usize {
 }
 
 impl CloudCache {
-    /// Creates an empty cache validated against the global epoch clock.
+    /// Creates an empty cache.
     pub fn new() -> CloudCache {
         CloudCache {
             cache: Cache::new(config(), weigh),
         }
     }
 
-    /// Creates a cache validated against an explicit clock — test isolation
-    /// from unrelated mutations bumping the process-global clock.
-    pub fn with_clock(clock: Arc<EpochClock>) -> CloudCache {
-        CloudCache {
-            cache: Cache::with_clock(config(), weigh, clock),
-        }
-    }
-
     /// Returns the cloud for `store`, computing it only on a miss, and how
     /// the lookup was answered — servers surface that as `Cache-Status`.
-    /// `at` is the epoch vector of the tag snapshot `store` was read from
-    /// (`None` for a store outside an MVCC cell: the live clock, which every
-    /// [`TagStore`] mutation bumps, stands in).
+    /// `at` is the epoch vector of the tag snapshot `store` was read from;
+    /// every tag commit that changes `store` must move it.
     ///
     /// The compute is cooperative: it observes the ambient resil deadline
     /// (and chaos plan) and aborts with an [`Interrupt`] instead of burning
@@ -86,7 +77,7 @@ impl CloudCache {
     pub fn get(
         &self,
         store: &TagStore,
-        at: Option<EpochVector>,
+        at: EpochVector,
         params: &CloudParams,
     ) -> Result<(Arc<TagCloud>, Status), Interrupt> {
         let wait = resil::current_deadline().remaining();
@@ -111,12 +102,16 @@ impl CloudCache {
         }
     }
 
-    /// The resident cloud for `params` — current, or superseded by a later
-    /// tag commit but within the staleness grace window — with its age. This
-    /// is the serve-stale degradation path for a failed or breaker-rejected
+    /// The resident cloud for `params` — current at `at`, or superseded but
+    /// within the staleness grace window — with its age. This is the
+    /// serve-stale degradation path for a failed or breaker-rejected
     /// recompute; callers must label the response as stale. Never computes.
-    pub fn stale(&self, params: &CloudParams) -> Option<(Arc<TagCloud>, Duration)> {
-        self.cache.get_stale(param_key(params))
+    pub fn stale(
+        &self,
+        params: &CloudParams,
+        at: EpochVector,
+    ) -> Option<(Arc<TagCloud>, Duration)> {
+        self.cache.get_stale(param_key(params), at)
     }
 
     /// Statistics so far (process-lifetime; `clear` does not reset them).
@@ -147,6 +142,7 @@ fn param_key(p: &CloudParams) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensormeta_cache::EpochClock;
 
     fn store() -> TagStore {
         let mut s = TagStore::new();
@@ -154,21 +150,25 @@ mod tests {
         s
     }
 
-    fn isolated() -> (CloudCache, Arc<EpochClock>) {
-        let clk = Arc::new(EpochClock::new());
-        (CloudCache::with_clock(Arc::clone(&clk)), clk)
+    /// A cache plus the clock dating the tag versions its readers hold (a
+    /// bump stands for a tag commit).
+    fn isolated() -> (CloudCache, EpochClock) {
+        (CloudCache::new(), EpochClock::new())
     }
 
-    fn get(cache: &CloudCache, s: &TagStore, p: &CloudParams) -> Arc<TagCloud> {
-        cache.get(s, None, p).expect("no deadline in scope").0
+    fn get(cache: &CloudCache, clk: &EpochClock, s: &TagStore, p: &CloudParams) -> Arc<TagCloud> {
+        cache
+            .get(s, clk.snapshot(), p)
+            .expect("no deadline in scope")
+            .0
     }
 
     #[test]
     fn second_lookup_hits() {
         let s = store();
-        let (cache, _clk) = isolated();
-        let c1 = get(&cache, &s, &CloudParams::default());
-        let c2 = get(&cache, &s, &CloudParams::default());
+        let (cache, clk) = isolated();
+        let c1 = get(&cache, &clk, &s, &CloudParams::default());
+        let c2 = get(&cache, &clk, &s, &CloudParams::default());
         assert!(Arc::ptr_eq(&c1, &c2));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -178,10 +178,10 @@ mod tests {
     fn mutation_invalidates() {
         let mut s = store();
         let (cache, clk) = isolated();
-        let _ = get(&cache, &s, &CloudParams::default());
-        s.add("c", "avalanche"); // bumps the global clock; mirror it here
+        let _ = get(&cache, &clk, &s, &CloudParams::default());
+        s.add("c", "avalanche");
         clk.bump(Domain::TagIncidence);
-        let c2 = get(&cache, &s, &CloudParams::default());
+        let c2 = get(&cache, &clk, &s, &CloudParams::default());
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 1, "recompute replaced the entry");
         assert!(c2.entries.iter().any(|e| e.tag == "avalanche"));
@@ -190,10 +190,11 @@ mod tests {
     #[test]
     fn different_params_cached_separately() {
         let s = store();
-        let (cache, _clk) = isolated();
-        let _ = get(&cache, &s, &CloudParams::default());
+        let (cache, clk) = isolated();
+        let _ = get(&cache, &clk, &s, &CloudParams::default());
         let _ = get(
             &cache,
+            &clk,
             &s,
             &CloudParams {
                 f_max: 20,
@@ -215,7 +216,7 @@ mod tests {
         // Snapshot S1, then a tag commit publishes S2.
         let s1_store = store();
         let s1 = clk.snapshot();
-        let (c1, status) = cache.get(&s1_store, Some(s1), &params).expect("S1 compute");
+        let (c1, status) = cache.get(&s1_store, s1, &params).expect("S1 compute");
         assert_eq!(status, Status::Miss);
         let mut s2_store = s1_store.clone();
         s2_store.add("c", "avalanche");
@@ -223,7 +224,7 @@ mod tests {
         let s2 = clk.snapshot();
 
         // A reader still on S1 keeps hitting its own generation.
-        let (again, status) = cache.get(&s1_store, Some(s1), &params).expect("S1 hit");
+        let (again, status) = cache.get(&s1_store, s1, &params).expect("S1 hit");
         assert_eq!(status, Status::Hit);
         assert!(Arc::ptr_eq(&c1, &again));
 
@@ -232,19 +233,19 @@ mod tests {
         let err = {
             let _scope = resil::deadline_scope(resil::Deadline::within(Duration::ZERO));
             cache
-                .get(&s2_store, Some(s2), &params)
+                .get(&s2_store, s2, &params)
                 .expect_err("expired budget interrupts the compute")
         };
         assert_eq!(err, Interrupt::DeadlineExceeded);
-        let (held, _age) = cache.stale(&params).expect("S1 cloud held over");
+        let (held, _age) = cache.stale(&params, s2).expect("S1 cloud held over");
         assert!(Arc::ptr_eq(&c1, &held));
         assert_eq!(cache.stats().stale_serves, 1);
 
         // With headroom the S2 reader must not be served S1's cloud.
-        let (c2, status) = cache.get(&s2_store, Some(s2), &params).expect("S2 compute");
+        let (c2, status) = cache.get(&s2_store, s2, &params).expect("S2 compute");
         assert_eq!(status, Status::Stale, "superseded entry seen, recomputed");
         assert!(has(&c2, "avalanche") && !has(&c1, "avalanche"));
-        let (_, status) = cache.get(&s2_store, Some(s2), &params).expect("S2 hit");
+        let (_, status) = cache.get(&s2_store, s2, &params).expect("S2 hit");
         assert_eq!(status, Status::Hit);
         assert_eq!(cache.stats().entries, 1, "one key, one slot");
     }
@@ -252,11 +253,13 @@ mod tests {
     #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let s = store();
-        let (cache, _clk) = isolated();
-        let _ = get(&cache, &s, &CloudParams::default());
+        let (cache, clk) = isolated();
+        let _ = get(&cache, &clk, &s, &CloudParams::default());
         cache.clear();
-        assert!(cache.stale(&CloudParams::default()).is_none());
-        let _ = get(&cache, &s, &CloudParams::default());
+        assert!(cache
+            .stale(&CloudParams::default(), clk.snapshot())
+            .is_none());
+        let _ = get(&cache, &clk, &s, &CloudParams::default());
         assert_eq!(cache.stats().misses, 2, "cleared entry recomputes");
         assert_eq!(cache.stats().hits, 0);
     }

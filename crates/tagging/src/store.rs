@@ -40,7 +40,6 @@ impl TagStore {
                 .entry(page.to_owned())
                 .or_default()
                 .insert(tag);
-            sensormeta_cache::clock().bump(sensormeta_cache::Domain::TagIncidence);
         }
         fresh
     }
@@ -64,7 +63,6 @@ impl TagStore {
                     self.page_tags.remove(page);
                 }
             }
-            sensormeta_cache::clock().bump(sensormeta_cache::Domain::TagIncidence);
         }
         removed
     }

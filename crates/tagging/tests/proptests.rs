@@ -141,16 +141,21 @@ proptest! {
     fn cache_coherence(ops in prop::collection::vec((0u8..6, 0u8..6, any::<bool>()), 1..30)) {
         let mut store = TagStore::new();
         let cache = CloudCache::new();
+        let clock = EpochClock::new();
         let params = CloudParams::default();
         for (p, t, add) in ops {
             let page = format!("p{p}");
             let tag = format!("t{t}");
-            if add {
-                store.add(&page, &tag);
+            let changed = if add {
+                store.add(&page, &tag)
             } else {
-                store.remove(&page, &tag);
+                store.remove(&page, &tag)
+            };
+            // A mutation that changed the store commits a new version.
+            if changed {
+                clock.bump(Domain::TagIncidence);
             }
-            let (cached, _) = cache.get(&store, None, &params).unwrap();
+            let (cached, _) = cache.get(&store, clock.snapshot(), &params).unwrap();
             let fresh = compute_cloud(&store, &params);
             prop_assert_eq!(&*cached, &fresh);
         }
@@ -164,13 +169,19 @@ proptest! {
 #[test]
 fn cache_with_zero_stale_grace_holds_nothing_over_a_commit() {
     std::env::set_var("SENSORMETA_STALE_GRACE_MS", "0");
-    let clock = std::sync::Arc::new(EpochClock::new());
-    let cache = CloudCache::with_clock(std::sync::Arc::clone(&clock));
+    let clock = EpochClock::new();
+    let cache = CloudCache::new();
     let mut store = TagStore::new();
     store.ingest([("a", "snow"), ("b", "snow")]);
     let params = CloudParams::default();
-    let _ = cache.get(&store, None, &params).unwrap();
-    assert!(cache.stale(&params).is_some(), "current cloud is resident");
+    let _ = cache.get(&store, clock.snapshot(), &params).unwrap();
+    assert!(
+        cache.stale(&params, clock.snapshot()).is_some(),
+        "current cloud is resident"
+    );
     clock.bump(Domain::TagIncidence);
-    assert!(cache.stale(&params).is_none(), "superseded cloud held over");
+    assert!(
+        cache.stale(&params, clock.snapshot()).is_none(),
+        "superseded cloud held over"
+    );
 }

@@ -16,10 +16,10 @@
 //!   make the clone a handful of refcount bumps), apply their changes, and
 //!   publish with a single pointer swap. A commit that errors publishes
 //!   nothing — readers can never observe a partial transaction.
-//! - Each version is stamped with the [`EpochClock`] vector taken *after*
-//!   the commit's domain bumps, so the epoch vector is the snapshot
-//!   identifier: the shared result cache keys entries by it, and a snapshot
-//!   whose vector still matches the live clock is the current version.
+//! - Each cell owns an [`EpochClock`] and stamps every version with the
+//!   vector taken *after* the commit's domain bumps, so the epoch vector is
+//!   the snapshot identifier: the shared result cache validates entries
+//!   against it, once per commit, with no process-wide clock involved.
 //! - Old versions are garbage-collected by refcount: when the last
 //!   snapshot pinning a superseded version drops, the version frees. The
 //!   cell keeps only `Weak` history handles for accounting
@@ -33,7 +33,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use sensormeta_cache::{clock, Domain, EpochClock, EpochVector};
+use sensormeta_cache::{Domain, EpochClock, EpochVector};
 use sensormeta_obs as obs;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
@@ -96,23 +96,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Snapshot<T> {
     }
 }
 
-/// The clock versions are stamped by: the process-global one, or an
-/// explicit clock for test isolation.
-#[derive(Debug)]
-enum ClockRef {
-    Global,
-    Owned(Arc<EpochClock>),
-}
-
-impl ClockRef {
-    fn get(&self) -> &EpochClock {
-        match self {
-            ClockRef::Global => clock(),
-            ClockRef::Owned(c) => c,
-        }
-    }
-}
-
 /// A multi-version publication cell: lock-free-ish snapshot reads (one
 /// briefly-held pointer lock), a single serialized writer, refcount GC of
 /// superseded versions.
@@ -131,7 +114,8 @@ pub struct Mvcc<T> {
     /// One strong reference per open snapshot (minus our own), for the
     /// `tx_snapshots_live` gauge.
     live: Arc<()>,
-    clock: ClockRef,
+    /// Dates this cell's versions; bumped only by [`Committer::publish`].
+    clock: EpochClock,
 }
 
 /// Exclusive access to the committer side of an [`Mvcc`], for writers that
@@ -145,24 +129,14 @@ pub struct Committer<'a, T> {
 }
 
 impl<T> Mvcc<T> {
-    /// A cell whose initial version holds `data`, stamped with the current
-    /// global clock.
+    /// A cell whose initial version holds `data`, stamped with the zero
+    /// vector of the cell's own clock.
     pub fn new(data: T) -> Mvcc<T> {
-        Mvcc::build(data, ClockRef::Global)
-    }
-
-    /// A cell stamping versions against an explicit clock (test isolation —
-    /// the global clock is bumped by every mutation in the process).
-    pub fn with_clock(data: T, clock: Arc<EpochClock>) -> Mvcc<T> {
-        Mvcc::build(data, ClockRef::Owned(clock))
-    }
-
-    fn build(data: T, clock: ClockRef) -> Mvcc<T> {
-        let epochs = clock.get().snapshot();
+        let clock = EpochClock::new();
         Mvcc {
             current: RwLock::new(Arc::new(Version {
                 data,
-                epochs,
+                epochs: clock.snapshot(),
                 seq: 0,
             })),
             writer: Mutex::new(0),
@@ -263,7 +237,7 @@ impl<T> Committer<'_, T> {
     /// epoch vector, and publishes it as the next version in one pointer
     /// swap. Returns the new sequence number.
     pub fn publish(mut self, domains: &[Domain], data: T) -> u64 {
-        let clk = self.cell.clock.get();
+        let clk = &self.cell.clock;
         for &d in domains {
             clk.bump(d);
         }
@@ -306,14 +280,13 @@ fn write_lock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
 
-    fn test_cell(v: i64) -> (Mvcc<Vec<i64>>, Arc<EpochClock>) {
-        let clk = Arc::new(EpochClock::new());
-        (Mvcc::with_clock(vec![v], Arc::clone(&clk)), clk)
+    fn test_cell(v: i64) -> Mvcc<Vec<i64>> {
+        Mvcc::new(vec![v])
     }
 
     #[test]
     fn snapshot_sees_version_at_open_time() {
-        let (cell, _clk) = test_cell(1);
+        let cell = test_cell(1);
         let before = cell.snapshot();
         cell.commit::<()>(&[Domain::Relational], |v| {
             v.push(2);
@@ -329,8 +302,8 @@ mod tests {
 
     #[test]
     fn failed_commit_publishes_nothing_and_bumps_nothing() {
-        let (cell, clk) = test_cell(1);
-        let stamp = clk.snapshot();
+        let cell = test_cell(1);
+        let stamp = cell.epochs();
         let r = cell.commit(&[Domain::Relational], |v| {
             v.push(2);
             Err("boom")
@@ -338,25 +311,24 @@ mod tests {
         assert_eq!(r, Err("boom"));
         assert_eq!(*cell.snapshot(), vec![1]);
         assert_eq!(cell.seq(), 0);
-        assert_eq!(clk.snapshot(), stamp, "no epoch bump on abort");
+        assert_eq!(cell.epochs(), stamp, "no epoch bump on abort");
     }
 
     #[test]
     fn commit_bumps_domains_and_stamps_post_bump_vector() {
-        let (cell, clk) = test_cell(0);
+        let cell = test_cell(0);
         cell.commit::<()>(&[Domain::Relational, Domain::Triples], |_| Ok(()))
             .unwrap();
-        assert_eq!(clk.get(Domain::Relational), 1);
-        assert_eq!(clk.get(Domain::Triples), 1);
-        assert_eq!(clk.get(Domain::WebGraph), 0);
         let s = cell.snapshot();
-        assert_eq!(s.epochs(), clk.snapshot(), "stamp is post-bump");
-        assert!(clk.matches(&s.epochs(), &sensormeta_cache::ALL_DOMAINS));
+        assert_eq!(s.epochs().get(Domain::Relational), 1, "stamp is post-bump");
+        assert_eq!(s.epochs().get(Domain::Triples), 1);
+        assert_eq!(s.epochs().get(Domain::WebGraph), 0);
+        assert_eq!(cell.epochs(), s.epochs());
     }
 
     #[test]
     fn old_versions_gc_once_unpinned() {
-        let (cell, _clk) = test_cell(0);
+        let cell = test_cell(0);
         let pin = cell.snapshot();
         for i in 0..5 {
             cell.commit::<()>(&[Domain::Relational], |v| {
@@ -375,7 +347,7 @@ mod tests {
 
     #[test]
     fn snapshot_accounting() {
-        let (cell, _clk) = test_cell(0);
+        let cell = test_cell(0);
         assert_eq!(cell.snapshots_live(), 0);
         let a = cell.snapshot();
         let b = a.clone();
@@ -388,7 +360,7 @@ mod tests {
 
     #[test]
     fn external_committer_publishes_primary_copy() {
-        let (cell, _clk) = test_cell(0);
+        let cell = test_cell(0);
         let mut primary = vec![0];
         let c = cell.begin();
         assert_eq!(*c.base(), vec![0]);
@@ -400,7 +372,7 @@ mod tests {
 
     #[test]
     fn committers_serialize_and_readers_do_not_block() {
-        let cell = Arc::new(Mvcc::with_clock(0u64, Arc::new(EpochClock::new())));
+        let cell = Arc::new(Mvcc::new(0u64));
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
@@ -426,7 +398,7 @@ mod tests {
 
     #[test]
     fn poisoned_writer_recovers() {
-        let cell = Arc::new(Mvcc::with_clock(0u64, Arc::new(EpochClock::new())));
+        let cell = Arc::new(Mvcc::new(0u64));
         let c2 = Arc::clone(&cell);
         let _ = std::thread::spawn(move || {
             c2.commit::<()>(&[], |_| panic!("injected")).ok();

@@ -28,10 +28,6 @@ pub enum Rule {
     /// loop). Everything else must go through the `sensormeta-par` pool so
     /// parallelism stays bounded, instrumented and deterministic.
     NoRawThreadSpawn,
-    /// Semantic: a public `&mut self` method of a store type must
-    /// transitively reach an `EpochClock::bump` of its domain(s), or stale
-    /// cached results will be served after the mutation.
-    EpochBumpOnMutate,
     /// Semantic: every public commit/publish path of the `tx` MVCC crate
     /// must transitively reach an `EpochClock` bump — a published version
     /// that bumps nothing leaves every cache serving the previous one.
@@ -58,7 +54,6 @@ impl Rule {
             Rule::MissingDocs => "missing-docs",
             Rule::NoPrintlnInLib => "no-println-in-lib",
             Rule::NoRawThreadSpawn => "no-raw-thread-spawn",
-            Rule::EpochBumpOnMutate => "epoch-bump-on-mutate",
             Rule::EpochBumpOnCommit => "epoch-bump-on-commit",
             Rule::WalBeforeWrite => "wal-before-write",
             Rule::LockOrder => "lock-order",
@@ -76,7 +71,6 @@ impl Rule {
             "missing-docs" => Some(Rule::MissingDocs),
             "no-println-in-lib" => Some(Rule::NoPrintlnInLib),
             "no-raw-thread-spawn" => Some(Rule::NoRawThreadSpawn),
-            "epoch-bump-on-mutate" => Some(Rule::EpochBumpOnMutate),
             "epoch-bump-on-commit" => Some(Rule::EpochBumpOnCommit),
             "wal-before-write" => Some(Rule::WalBeforeWrite),
             "lock-order" => Some(Rule::LockOrder),
@@ -95,7 +89,6 @@ impl Rule {
             Rule::MissingDocs,
             Rule::NoPrintlnInLib,
             Rule::NoRawThreadSpawn,
-            Rule::EpochBumpOnMutate,
             Rule::EpochBumpOnCommit,
             Rule::WalBeforeWrite,
             Rule::LockOrder,
@@ -145,28 +138,15 @@ impl Rule {
                  sensormeta-par pool so thread counts stay bounded and execution stays \
                  deterministic."
             }
-            Rule::EpochBumpOnMutate => {
-                "Workspace semantic rule. Every public `&mut self` method of a store type \
-                 (relstore::Database, rdf::TripleStore, search::SearchIndex, smr::Smr, \
-                 tagging::TagStore) must reach — directly or through any chain of calls — an \
-                 `EpochClock::bump(Domain::…)` for that store's domain (or `bump_all`). The \
-                 shared result cache is invalidated purely by epoch comparison, so a \
-                 mutating path that never bumps serves stale query/search/tag results \
-                 forever. The checker walks the approximate call graph, so bumping in a \
-                 private helper is fine. Mutators that provably change no observable state \
-                 (e.g. dictionary interning) may carry \
-                 `// xlint: allow(epoch-bump-on-mutate)` with a justification."
-            }
             Rule::EpochBumpOnCommit => {
                 "Workspace semantic rule. Every public commit/publish entry point of the \
                  `sensormeta-tx` MVCC crate (`Mvcc::commit`, `Committer::publish`, and any \
                  future `*commit*` method) must reach — directly or through any chain of \
-                 calls — an `EpochClock` bump. Snapshot validation and cache invalidation \
-                 are driven purely by epoch comparison, so publishing a new version without \
-                 bumping leaves every cache and live reader convinced nothing changed. \
-                 Unlike epoch-bump-on-mutate, the bumped domains are usually parameters \
-                 here, so any bump (named, `bump_all`, or a domain-variable `bump(d)`) \
-                 satisfies the rule."
+                 calls — an `EpochClock` bump. A version's epoch vector is its identity for \
+                 snapshot validation and cache invalidation, so publishing a new version \
+                 without bumping leaves every cache and live reader convinced nothing \
+                 changed. The bumped domains are usually parameters here, so any bump \
+                 (named, `bump_all`, or a domain-variable `bump(d)`) satisfies the rule."
             }
             Rule::WalBeforeWrite => {
                 "Workspace semantic rule. Public `&mut self` methods of `Database` and \

@@ -1,9 +1,7 @@
 //! Workspace-level semantic analysis: a cross-file symbol table and
 //! approximate call graph over the items extracted by [`crate::parser`],
-//! plus the five invariant rules built on it:
+//! plus the four invariant rules built on it:
 //!
-//! - **epoch-bump-on-mutate** — every public `&mut self` method of a store
-//!   type must transitively reach an `EpochClock::bump` of its domain.
 //! - **epoch-bump-on-commit** — every public commit/publish entry point of
 //!   the `tx` MVCC crate must transitively reach *some* `EpochClock` bump
 //!   (the domains are parameters there, so any bump counts).
@@ -20,7 +18,7 @@
 //! name — ambiguously named methods resolve to nothing rather than to
 //! everything. That keeps the deadlock-shaped rules (lock-order, blocking)
 //! quiet without receiver type inference, while `self.` chains stay precise
-//! for the transitive epoch/WAL walks; per-line `// xlint: allow(rule)`
+//! for the transitive commit/WAL walks; per-line `// xlint: allow(rule)`
 //! markers document the intentional exceptions.
 
 use crate::lexer::{Lexed, TokKind};
@@ -28,20 +26,6 @@ use crate::parser::{self, CallSite, Callee, FnItem};
 use crate::rules::{self, Rule, Violation};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
-
-/// Store types whose public `&mut self` methods must bump an epoch domain:
-/// (file prefix, type name, acceptable `Domain::…` variant names).
-const STORE_TYPES: &[(&str, &str, &[&str])] = &[
-    ("crates/relstore/src/", "Database", &["Relational"]),
-    ("crates/rdf/src/", "TripleStore", &["Triples"]),
-    ("crates/search/src/", "SearchIndex", &["SearchIndex"]),
-    (
-        "crates/smr/src/",
-        "Smr",
-        &["Relational", "Triples", "WebGraph", "TagIncidence"],
-    ),
-    ("crates/tagging/src/", "TagStore", &["TagIncidence"]),
-];
 
 /// Types whose public `&mut self` methods are durable mutation entry points
 /// for the wal-before-write rule.
@@ -86,8 +70,8 @@ struct Acq {
 struct FnInfo {
     item: FnItem,
     calls: Vec<CallSite>,
-    /// `Domain::…` variant names bumped directly; `"*"` for `bump_all`.
-    bumps: BTreeSet<String>,
+    /// This fn calls an epoch-clock `bump` or `bump_all` directly.
+    bumps: bool,
     acqs: Vec<Acq>,
     /// Direct blocking operations: (token index, line, description).
     blocking: Vec<(usize, u32, String)>,
@@ -317,22 +301,6 @@ fn hold_end(lexed: &Lexed, encl: &[usize], i: usize, args_end: usize) -> usize {
     stop
 }
 
-/// Extracts the `Domain::X` variant names mentioned in a token range.
-fn domains_in_args(lexed: &Lexed, args: &Range<usize>) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for i in args.clone() {
-        if ident_at(lexed, i) == Some("Domain")
-            && punct_at(lexed, i + 1, ':')
-            && punct_at(lexed, i + 2, ':')
-        {
-            if let Some(v) = ident_at(lexed, i + 3) {
-                out.insert(v.to_string());
-            }
-        }
-    }
-    out
-}
-
 /// Builds the workspace model from the lexed files.
 fn build(files: &[(String, Lexed)]) -> Workspace {
     let classes = discover_lock_classes(files);
@@ -353,7 +321,7 @@ fn build(files: &[(String, Lexed)]) -> Workspace {
             let mut info = FnInfo {
                 item,
                 calls,
-                bumps: BTreeSet::new(),
+                bumps: false,
                 acqs: Vec::new(),
                 blocking: Vec::new(),
                 par_regions: Vec::new(),
@@ -428,26 +396,14 @@ fn extract_facts(
     info: &mut FnInfo,
 ) {
     for c in info.calls.clone() {
+        let name = match &c.callee {
+            Callee::Method { name, .. } | Callee::Free { name, .. } => name,
+        };
+        // Any bump counts: on the tx commit path the domains are a
+        // `&[Domain]` parameter, so `clk.bump(d)` names none.
+        info.bumps |= matches!(name.as_str(), "bump" | "bump_all");
         match &c.callee {
             Callee::Method { name, recv } => {
-                match name.as_str() {
-                    "bump" => {
-                        let ds = domains_in_args(lexed, &c.args);
-                        if ds.is_empty() {
-                            // `clk.bump(d)` with a domain *variable* (the tx
-                            // commit path iterates a `&[Domain]` parameter):
-                            // an unknown-domain bump, recorded as `"?"` so
-                            // epoch-bump-on-commit sees that *a* bump happens.
-                            info.bumps.insert("?".to_string());
-                        } else {
-                            info.bumps.extend(ds);
-                        }
-                    }
-                    "bump_all" => {
-                        info.bumps.insert("*".to_string());
-                    }
-                    _ => {}
-                }
                 // Lock acquisitions on known classes.
                 if matches!(name.as_str(), "lock" | "read" | "write") {
                     if let Some(r) = recv {
@@ -478,17 +434,6 @@ fn extract_facts(
                 }
             }
             Callee::Free { path, name } => {
-                if name == "bump" {
-                    let ds = domains_in_args(lexed, &c.args);
-                    if ds.is_empty() {
-                        info.bumps.insert("?".to_string());
-                    } else {
-                        info.bumps.extend(ds);
-                    }
-                }
-                if name == "bump_all" {
-                    info.bumps.insert("*".to_string());
-                }
                 // The `lock(&self.state)` / `read_lock(&self.current)` /
                 // `write_lock(&self.current)` poison-proof helpers: an
                 // acquisition of any class named in their arguments.
@@ -548,65 +493,8 @@ fn fixpoint_reach(
     }
 }
 
-/// BFS from `start` for any function satisfying `hit`; `true` if reachable.
-fn reaches(ws: &Workspace, start: usize, hit: impl Fn(&FnInfo) -> bool) -> bool {
-    let mut seen = vec![false; ws.fns.len()];
-    let mut queue = vec![start];
-    seen[start] = true;
-    while let Some(i) = queue.pop() {
-        if hit(&ws.fns[i]) {
-            return true;
-        }
-        for &j in &ws.succ[i] {
-            if !seen[j] {
-                seen[j] = true;
-                queue.push(j);
-            }
-        }
-    }
-    false
-}
-
 // ---------------------------------------------------------------------------
-// Rule 1: epoch-bump-on-mutate
-// ---------------------------------------------------------------------------
-
-fn lint_epoch(ws: &Workspace) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (prefix, ty, domains) in STORE_TYPES {
-        for i in 0..ws.fns.len() {
-            let it = &ws.fns[i].item;
-            if !it.file.starts_with(prefix)
-                || it.owner.as_deref() != Some(*ty)
-                || !it.is_pub
-                || !it.takes_mut_self
-            {
-                continue;
-            }
-            let bumped = reaches(ws, i, |f| {
-                f.bumps.contains("*") || domains.iter().any(|d| f.bumps.contains(*d))
-            });
-            if !bumped {
-                out.push(Violation {
-                    file: it.file.clone(),
-                    line: it.line,
-                    rule: Rule::EpochBumpOnMutate,
-                    message: format!(
-                        "`{ty}::{}` takes `&mut self` but no call path from it reaches \
-                         `EpochClock::bump` for domain(s) {}; cached results keyed on those \
-                         domains will be served stale after this mutation",
-                        it.name,
-                        domains.join("/"),
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule 1b: epoch-bump-on-commit
+// Rule 1: epoch-bump-on-commit
 // ---------------------------------------------------------------------------
 
 fn lint_epoch_on_commit(ws: &Workspace) -> Vec<Violation> {
@@ -640,7 +528,7 @@ fn lint_epoch_on_commit(ws: &Workspace) -> Vec<Violation> {
         seen[i] = true;
         let mut bumped = false;
         while let Some(v) = queue.pop() {
-            if !ws.fns[v].bumps.is_empty() {
+            if ws.fns[v].bumps {
                 bumped = true;
                 break;
             }
@@ -1076,7 +964,6 @@ fn lint_no_blocking_in_par(ws: &Workspace) -> Vec<Violation> {
 pub(crate) fn lint_semantic(files: &[(String, Lexed)]) -> Vec<Violation> {
     let ws = build(files);
     let mut out = Vec::new();
-    out.extend(lint_epoch(&ws));
     out.extend(lint_epoch_on_commit(&ws));
     out.extend(lint_wal(&ws));
     out.extend(lint_lock_order(&ws));
@@ -1102,54 +989,6 @@ mod tests {
         let lexed: Vec<(String, Lexed)> =
             files.iter().map(|(p, s)| (p.to_string(), lex(s))).collect();
         lint_semantic(&lexed)
-    }
-
-    #[test]
-    fn epoch_bump_direct_and_transitive() {
-        let missing = run(&[(
-            "crates/rdf/src/store.rs",
-            "pub struct TripleStore;\n\
-             impl TripleStore {\n\
-                 pub fn insert(&mut self, t: u64) { self.raw_insert(t); }\n\
-                 fn raw_insert(&mut self, t: u64) {}\n\
-             }",
-        )]);
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].rule, Rule::EpochBumpOnMutate);
-        assert_eq!(missing[0].line, 3);
-
-        // A transitive caller → helper → bump path satisfies the rule.
-        let ok = run(&[(
-            "crates/rdf/src/store.rs",
-            "pub struct TripleStore;\n\
-             impl TripleStore {\n\
-                 pub fn insert(&mut self, t: u64) { self.raw_insert(t); }\n\
-                 fn raw_insert(&mut self, t: u64) { self.touch(); }\n\
-                 fn touch(&mut self) { clock().bump(Domain::Triples); }\n\
-             }",
-        )]);
-        assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
-    fn epoch_bump_all_counts_and_allow_suppresses() {
-        let ok = run(&[(
-            "crates/tagging/src/store.rs",
-            "pub struct TagStore;\n\
-             impl TagStore {\n\
-                 pub fn add(&mut self) { clock().bump_all(); }\n\
-             }",
-        )]);
-        assert!(ok.is_empty());
-        let allowed = run(&[(
-            "crates/tagging/src/store.rs",
-            "pub struct TagStore;\n\
-             impl TagStore {\n\
-                 // dictionary-only; no observable state change -- xlint: allow(epoch-bump-on-mutate)\n\
-                 pub fn intern(&mut self) {}\n\
-             }",
-        )]);
-        assert!(allowed.is_empty(), "{allowed:?}");
     }
 
     #[test]
@@ -1214,12 +1053,10 @@ mod tests {
         let base = "pub struct Database;\n\
                     impl Database {\n\
                         fn wal_commit(&mut self) {}\n\
-                        pub fn good(&mut self) { self.wal_commit(); self.rows.insert(1); clock().bump(Domain::Relational); }\n";
+                        pub fn good(&mut self) { self.wal_commit(); self.rows.insert(1); }\n";
         let missing = run(&[(
             "crates/relstore/src/db.rs",
-            &format!(
-                "{base}    pub fn bad(&mut self) {{ self.rows.insert(2); clock().bump(Domain::Relational); }}\n}}"
-            ),
+            &format!("{base}    pub fn bad(&mut self) {{ self.rows.insert(2); }}\n}}"),
         )]);
         let wal: Vec<&Violation> = missing
             .iter()
@@ -1231,7 +1068,7 @@ mod tests {
         let misordered = run(&[(
             "crates/relstore/src/db.rs",
             &format!(
-                "{base}    pub fn late(&mut self) {{ self.rows.insert(2); self.wal_commit(); clock().bump(Domain::Relational); }}\n}}"
+                "{base}    pub fn late(&mut self) {{ self.rows.insert(2); self.wal_commit(); }}\n}}"
             ),
         )]);
         let wal: Vec<&Violation> = misordered

@@ -11,7 +11,6 @@ impl Database {
     pub fn execute(&mut self, k: u64, v: u64) {
         self.tables.insert(k, v);
         self.wal_commit(k, v);
-        clock().bump(Domain::Relational);
     }
 
     fn wal_commit(&mut self, _k: u64, _v: u64) {}

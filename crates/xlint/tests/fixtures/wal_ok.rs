@@ -1,4 +1,4 @@
-//! WAL fixture: log first, apply second, bump last.
+//! WAL fixture: log first, apply second.
 
 use std::collections::BTreeMap;
 
@@ -11,7 +11,6 @@ impl Database {
     pub fn execute(&mut self, k: u64, v: u64) {
         self.wal_commit(k, v);
         self.tables.insert(k, v);
-        clock().bump(Domain::Relational);
     }
 
     fn wal_commit(&mut self, _k: u64, _v: u64) {}

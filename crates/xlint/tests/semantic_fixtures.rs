@@ -34,7 +34,8 @@ impl Scratch {
         self
     }
 
-    /// Lints the workspace and keeps only the four semantic rules.
+    /// Lints the workspace and keeps only the semantic rules the fixtures
+    /// exercise.
     fn semantic(&self) -> Vec<Violation> {
         let (_, report) = lint_workspace(&self.root).unwrap();
         report
@@ -43,10 +44,7 @@ impl Scratch {
             .filter(|v| {
                 matches!(
                     v.rule,
-                    Rule::EpochBumpOnMutate
-                        | Rule::WalBeforeWrite
-                        | Rule::LockOrder
-                        | Rule::NoBlockingInPar
+                    Rule::WalBeforeWrite | Rule::LockOrder | Rule::NoBlockingInPar
                 )
             })
             .collect()
@@ -69,35 +67,6 @@ fn assert_only(vs: &[Violation], rule: Rule, file: &str, line: u32) {
     assert_eq!(vs[0].rule, rule, "{vs:?}");
     assert_eq!(vs[0].file, file, "{vs:?}");
     assert_eq!(vs[0].line, line, "{vs:?}");
-}
-
-// ---------------------------------------------------------------------------
-// epoch-bump-on-mutate
-// ---------------------------------------------------------------------------
-
-#[test]
-fn epoch_fixture_good_is_silent() {
-    let ws = Scratch::new("epoch-ok");
-    ws.install(
-        "crates/rdf/src/store.rs",
-        include_str!("fixtures/epoch_ok.rs"),
-    );
-    assert!(ws.semantic().is_empty(), "{:?}", ws.semantic());
-}
-
-#[test]
-fn epoch_fixture_transitive_mutation_without_bump_fires() {
-    // The pub mutator writes the store through `write_triple`, a private
-    // helper — the rule must walk the caller → helper → store-write chain
-    // and anchor the finding on the public entry point.
-    let ws = Scratch::new("epoch-bad");
-    ws.install(
-        "crates/rdf/src/store.rs",
-        include_str!("fixtures/epoch_bad.rs"),
-    );
-    let vs = ws.semantic();
-    assert_only(&vs, Rule::EpochBumpOnMutate, "crates/rdf/src/store.rs", 10);
-    assert!(vs[0].message.contains("TripleStore::insert"), "{vs:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -209,14 +178,10 @@ fn par_fixture_blocking_fires_directly_and_transitively() {
 
 #[test]
 fn all_good_fixtures_compose_into_a_silent_workspace() {
-    // The four clean fixtures coexist in one workspace: cross-file symbol
+    // The three clean fixtures coexist in one workspace: cross-file symbol
     // resolution must not manufacture violations out of their interplay.
     let ws = Scratch::new("all-ok");
     ws.install(
-        "crates/rdf/src/store.rs",
-        include_str!("fixtures/epoch_ok.rs"),
-    )
-    .install(
         "crates/relstore/src/db.rs",
         include_str!("fixtures/wal_ok.rs"),
     )

@@ -6,10 +6,12 @@
 //! spuriously, but it must never serve a result from before a mutation.
 
 use proptest::prelude::*;
-use sensormeta::cache::clock;
+use sensormeta::cache::Domain;
 use sensormeta::query::{QueryEngine, SearchForm, SearchOptions};
 use sensormeta::smr::{PageDraft, Smr};
 use sensormeta::tagging::{compute_cloud, CloudCache, CloudParams, TagStore};
+use sensormeta_tx::Mvcc;
+use std::convert::Infallible;
 
 const VOCAB: [&str; 6] = [
     "snow",
@@ -91,32 +93,34 @@ proptest! {
         }
     }
 
-    /// For any history of tag adds and removes, a reader pinned at the stamp
-    /// of the store it holds — the newest version or the one before it,
-    /// interleaved on one key — is served exactly that store's cloud.
+    /// For any history of tag commits, a reader of a snapshot — the newest
+    /// version or the one before it, interleaved on one key — is served
+    /// exactly that snapshot's cloud.
     #[test]
     fn cached_clouds_never_go_stale(
         ops in prop::collection::vec((0u8..6, any::<u8>(), any::<bool>()), 1..24)
     ) {
         let cache = CloudCache::new();
         let params = CloudParams::default();
-        let mut store = TagStore::new();
-        let mut held = (store.clone(), clock().snapshot());
+        let tags = Mvcc::new(TagStore::new());
+        let mut held = tags.snapshot();
         for (page, tag, add) in ops {
             let page = format!("Deployment:d{page}");
-            if add {
-                store.add(&page, word(tag));
-            } else {
-                store.remove(&page, word(tag));
+            tags.commit(&[Domain::TagIncidence], |s: &mut TagStore| {
+                if add {
+                    s.add(&page, word(tag));
+                } else {
+                    s.remove(&page, word(tag));
+                }
+                Ok::<(), Infallible>(())
+            })
+            .unwrap();
+            let current = tags.snapshot();
+            for snap in [&current, &held, &current] {
+                let (cloud, _status) = cache.get(snap, snap.epochs(), &params).unwrap();
+                prop_assert_eq!(&*cloud, &compute_cloud(snap, &params), "stale cached cloud");
             }
-            // The stamp an MVCC commit would publish this version under:
-            // the clock after the mutation's bump.
-            let stamp = clock().snapshot();
-            for (tags, at) in [(&store, stamp), (&held.0, held.1), (&store, stamp)] {
-                let (cloud, _status) = cache.get(tags, Some(at), &params).unwrap();
-                prop_assert_eq!(&*cloud, &compute_cloud(tags, &params), "stale cached cloud");
-            }
-            held = (store.clone(), stamp);
+            held = current;
         }
     }
 }

@@ -3,23 +3,24 @@
 //! exactly one computation, and a bounded wait must give up with
 //! `WaitTimeout` instead of blocking a worker behind a slow leader.
 
-use sensormeta::cache::{Cache, CacheConfig, CacheError, Domain, EpochClock};
+use sensormeta::cache::{Cache, CacheConfig, CacheError, Domain, EpochVector};
 use sensormeta::par::Pool;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const TASKS: usize = 4;
 
 fn hot_cache(name: &'static str) -> Cache<u64> {
-    // A private clock: concurrent tests in this process bump the global one.
-    Cache::with_clock(
+    Cache::new(
         CacheConfig::new(name, 1 << 16, &[Domain::Relational]),
         |_| 8,
-        Arc::new(EpochClock::new()),
     )
 }
+
+/// The one version every lookup here reads.
+const AT: EpochVector = EpochVector([0; sensormeta::cache::DOMAIN_COUNT]);
 
 /// Spins until `cond` holds, bounded so a lost thread fails the test
 /// instead of hanging it.
@@ -43,7 +44,7 @@ fn one_hot_key_computes_exactly_once_across_threads() {
         arrived.fetch_add(1, Ordering::SeqCst);
         let (result, _status) = cache.get_or_compute(
             42,
-            None,
+            AT,
             None,
             || {
                 computes.fetch_add(1, Ordering::SeqCst);
@@ -86,7 +87,7 @@ fn bounded_wait_times_out_instead_of_blocking() {
         if i == 0 {
             let (result, _status) = cache.get_or_compute(
                 7,
-                None,
+                AT,
                 None,
                 || {
                     leading.store(true, Ordering::SeqCst);
@@ -100,7 +101,7 @@ fn bounded_wait_times_out_instead_of_blocking() {
             await_or_give_up(|| leading.load(Ordering::SeqCst));
             let (result, _status) = cache.get_or_compute(
                 7,
-                None,
+                AT,
                 Some(Duration::from_millis(10)),
                 || Ok::<u64, Infallible>(2),
                 |_| true,

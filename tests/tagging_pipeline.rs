@@ -2,22 +2,15 @@
 //! SMR-stored tags through cache, matrix transformation, clique enumeration
 //! and font-size calculation, to a rendered cloud.
 
+use sensormeta::cache::Domain;
 use sensormeta::smr::{PageDraft, Smr};
 use sensormeta::tagging::{
     compute_cloud, maximal_cliques, similarity_graph, similarity_matrix, BkVariant, CloudCache,
     CloudParams, FontScale, TagStore,
 };
 use sensormeta::viz::render_tag_cloud;
-use std::sync::{Mutex, MutexGuard};
-
-/// Every tag write bumps the process-global `TagIncidence` epoch, which the
-/// cloud cache validates against; the tests take this lock so a sibling's
-/// writes cannot invalidate another test's cache mid-count.
-fn clock_guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use sensormeta_tx::Mvcc;
+use std::convert::Infallible;
 
 /// SMR populated so tags form two co-occurrence groups plus a bridge tag.
 fn tagged_smr() -> Smr {
@@ -44,7 +37,6 @@ fn tagged_smr() -> Smr {
 
 #[test]
 fn smr_to_cloud_pipeline() {
-    let _clock = clock_guard();
     let smr = tagged_smr();
     // Parser module: fetch tags from the SMR.
     let mut store = TagStore::new();
@@ -90,24 +82,30 @@ fn smr_to_cloud_pipeline() {
 
 #[test]
 fn cache_module_cuts_recomputation() {
-    let _clock = clock_guard();
     let smr = tagged_smr();
     let mut store = TagStore::new();
     let pairs = smr.all_tags().unwrap();
     store.ingest(pairs.iter().map(|(p, t)| (p.as_str(), t.as_str())));
+    let tags = Mvcc::new(store);
 
     let cache = CloudCache::new();
     let params = CloudParams::default();
     for _ in 0..10 {
-        let _ = cache.get(&store, None, &params).unwrap();
+        let snap = tags.snapshot();
+        let _ = cache.get(&snap, snap.epochs(), &params).unwrap();
     }
     assert_eq!(cache.stats().misses, 1);
     assert_eq!(cache.stats().hits, 9);
 
-    // A new user tag invalidates exactly once.
-    store.add("Deployment:page0", "freshly-tagged");
-    let (cloud, _) = cache.get(&store, None, &params).unwrap();
-    let _ = cache.get(&store, None, &params).unwrap();
+    // A new user tag, committed as a new version, invalidates exactly once.
+    tags.commit(&[Domain::TagIncidence], |s: &mut TagStore| {
+        s.add("Deployment:page0", "freshly-tagged");
+        Ok::<(), Infallible>(())
+    })
+    .unwrap();
+    let snap = tags.snapshot();
+    let (cloud, _) = cache.get(&snap, snap.epochs(), &params).unwrap();
+    let _ = cache.get(&snap, snap.epochs(), &params).unwrap();
     assert_eq!(cache.stats().misses, 2);
     assert_eq!(cache.stats().hits, 10);
     assert!(cloud.entries.iter().any(|e| e.tag == "freshly-tagged"));
@@ -115,7 +113,6 @@ fn cache_module_cuts_recomputation() {
 
 #[test]
 fn modularity_swapping_the_clique_module() {
-    let _clock = clock_guard();
     // The paper: "by replacing the Max Clique Algorithm module we can focus
     // on other graph properties". All three BK variants must be drop-in
     // equivalent for the cloud's content.
