@@ -11,8 +11,9 @@
 //!   [`Mvcc`](sensormeta_tx::Mvcc) cell. A search is the engine's own
 //!   executor scattering over the views — the code the single store runs
 //!   over its one view. Ranking statistics (BM25 idf/length norms,
-//!   PageRank) stay collection-global, so the output is byte-identical to
-//!   the single-store result at any shard count.
+//!   PageRank) and the per-page facts table stay collection-global, so the
+//!   output is byte-identical to the single-store result at any shard
+//!   count.
 //! - [`Replica`] is a read replica fed by WAL shipping: `open_recovering`
 //!   plus a tail loop that applies newly committed CRC-framed frames from
 //!   the primary's log and publishes each applied batch as an MVCC commit.

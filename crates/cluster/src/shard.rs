@@ -47,8 +47,10 @@ impl ShardMap {
 /// so a request pins exactly one generation of both.
 ///
 /// Shards partition *storage and per-document work*; ranking statistics
-/// stay collection-global (the views share the full index, PageRank vector
-/// and recommender by `Arc`). Searching is the engine's own executor
+/// stay collection-global (the views share the full index, PageRank vector,
+/// recommender and facts table by `Arc`). A view's own store answers only
+/// the form's conditions: assembly reads the shared facts table, and the
+/// coordinator reads the bodies of the shown results from the whole store. Searching is the engine's own executor
 /// ([`QueryEngine::search_traced`]) — the same code the single store runs
 /// over its one view — which is what makes [`ShardSet::search`]
 /// byte-identical to [`QueryEngine::search_uncached`]; the cluster test

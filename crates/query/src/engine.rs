@@ -9,19 +9,21 @@
 
 use crate::acl::Acl;
 use crate::error::{QueryError, Result};
+use crate::facts::{Facts, FactsBuilder};
 use crate::form::{CondOp, Condition, SearchForm, SortBy};
 use crate::result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};
 use sensormeta_cache::{
     stale_grace_from_env, Cache, CacheConfig, CacheError, Domain, EpochClock, EpochVector,
     Fingerprint, Status,
 };
+use sensormeta_graph::CsrGraph;
 use sensormeta_obs as obs;
 use sensormeta_par::Pool;
 use sensormeta_rank::{GaussSeidel, PageRankProblem, Recommender, Solver, TransitionMatrix};
 use sensormeta_resil::{self as resil, Deadline};
 use sensormeta_search::{Autocomplete, SearchIndex, SpellSuggester};
-use sensormeta_smr::{sql_escape, Page, Smr};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use sensormeta_smr::{sql_escape, Smr};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,19 +90,32 @@ pub struct SearchOptions<'a> {
     pub stale_ok: bool,
 }
 
-/// One shard's contribution to a scattered search: assembled result rows
-/// carrying *raw* (unnormalized) BM25 and unblended scores, plus the shard's
-/// facet counts. Produced by [`QueryEngine::assemble_partial`]; partials that
-/// cover the corpus exactly once merge back into the single-store output
-/// through [`QueryEngine::finalize_partials`].
+/// One shard's contribution to a scattered search, in ids of the engine's
+/// facts table: the surviving candidates with their *raw* (unnormalized)
+/// BM25, plus the shard's facet counts. Produced by
+/// [`QueryEngine::assemble_partial`] without reading the relational store;
+/// partials that cover the corpus exactly once merge back into the
+/// single-store output through [`QueryEngine::finalize_partials`], which
+/// reads page bodies for the shown results only.
 #[derive(Debug, Default)]
 pub struct ShardPartial {
-    /// `(raw item, page row)` pairs surviving the ACL, namespace and region
-    /// filters. The page row rides along for attribute sorting.
-    pub items: Vec<(ResultItem, Page)>,
-    /// Facet counts over this shard's visible pages (counted before the
-    /// region filter, exactly as in the single-store path).
-    pub facets: BTreeMap<(String, String), usize>,
+    /// `(dense page id, match degree, raw BM25)` of every page surviving
+    /// the condition, ACL, namespace and region filters.
+    pub items: Vec<(usize, f64, f64)>,
+    /// Facet counts over this shard's visible pages, keyed by `(attribute
+    /// id, value id)` of the facts table (counted before the region filter,
+    /// exactly as in the single-store path).
+    pub facets: HashMap<(u32, u32), usize>,
+}
+
+/// A surviving candidate during finalization, its scores normalized and
+/// blended.
+struct Ranked {
+    page: usize,
+    match_degree: f64,
+    bm25: f64,
+    pagerank: f64,
+    score: f64,
 }
 
 /// Per-task service times from one search.
@@ -197,6 +212,11 @@ impl Scatter<'_> {
 /// replaces them wholesale, so a [`QueryEngine::clone_reader`] snapshot keeps
 /// the versions that were current when it was taken while the primary moves
 /// on — the MVCC publication path clones in O(fields), not O(corpus).
+/// Besides the index, PageRank and recommender, a generation keeps the
+/// double link graphs its PageRank was solved over and a facts table
+/// (namespace, coordinates and annotation ids per page): searches rank,
+/// filter and facet from the facts and read the relational store only for
+/// conditions and for the bodies of the results they show.
 pub struct QueryEngine {
     smr: Smr,
     acl: Acl,
@@ -208,9 +228,14 @@ pub struct QueryEngine {
     titles: Arc<Vec<String>>,
     /// PageRank per dense id, normalized so max = 1.
     pagerank: Arc<Vec<f64>>,
+    /// Semantic and hyperlink graphs over dense ids (`Smr::link_graphs`
+    /// at the rebuild).
+    semantic: Arc<CsrGraph>,
+    hyperlink: Arc<CsrGraph>,
+    /// Per-page facts by dense id; its attribute ids are also the
+    /// recommender's property ids.
+    facts: Arc<Facts>,
     recommender: Arc<Recommender>,
-    /// Attribute-name dictionary for the recommender's property ids.
-    prop_names: Arc<Vec<String>>,
     suggester: Arc<SpellSuggester>,
     /// Combined SQL+SPARQL+keyword result cache (see [`RESULT_DEPS`]).
     /// Shared between the primary and its reader snapshots, so a result
@@ -274,8 +299,10 @@ impl QueryEngine {
             title_ids: Arc::new(HashMap::new()),
             titles: Arc::new(Vec::new()),
             pagerank: Arc::new(Vec::new()),
+            semantic: Arc::new(CsrGraph::from_edges(0, &[], true)),
+            hyperlink: Arc::new(CsrGraph::from_edges(0, &[], true)),
+            facts: Arc::default(),
             recommender: Arc::new(Recommender::new(Vec::new(), Vec::new())),
-            prop_names: Arc::new(Vec::new()),
             suggester: Arc::new(SpellSuggester::new()),
             results: Arc::new(result_cache()),
             clock: Arc::new(EpochClock::new()),
@@ -321,16 +348,15 @@ impl QueryEngine {
             solution.x.iter().map(|v| v / max).collect()
         };
 
-        // Full-text index + autocomplete + recommender incidence. Document
-        // text assembly stays serial (SMR access, property interning); the
-        // tokenize-heavy index construction then runs as one parallel batch.
-        // Everything is built into locals and published wholesale below, so
-        // a reader snapshot taken mid-rebuild still sees the old generation.
+        // Full-text index + autocomplete + facts table (whose attribute ids
+        // are the recommender's property ids). Document text assembly stays
+        // serial (SMR access, dictionary interning); the tokenize-heavy
+        // index construction then runs as one parallel batch. Everything is
+        // built into locals and published wholesale below, so a reader
+        // snapshot taken mid-rebuild still sees the old generation.
         let _index_timing = obs::span("search_index_build");
         let mut autocomplete = Autocomplete::new();
-        let mut prop_ids: HashMap<String, u32> = HashMap::new();
-        let mut prop_names: Vec<String> = Vec::new();
-        let mut page_props: Vec<Vec<u32>> = vec![Vec::new(); titles.len()];
+        let mut facts = FactsBuilder::default();
         let mut docs: Vec<(String, String)> = Vec::with_capacity(titles.len());
         for (i, title) in titles.iter().enumerate() {
             let page = self
@@ -339,27 +365,19 @@ impl QueryEngine {
                 .ok_or_else(|| QueryError::Internal(format!("page `{title}` vanished")))?;
             // Index title words, body, annotation values, and tags together.
             let mut text = format!("{} {}", page.title.replace([':', '_'], " "), page.body);
-            for (a, v) in &page.annotations {
+            for (_, v) in &page.annotations {
                 text.push(' ');
                 text.push_str(v);
-                let id = match prop_ids.get(a) {
-                    Some(&id) => id,
-                    None => {
-                        let id = prop_names.len() as u32;
-                        prop_ids.insert(a.clone(), id);
-                        prop_names.push(a.clone());
-                        id
-                    }
-                };
-                page_props[i].push(id);
             }
             for t in &page.tags {
                 text.push(' ');
                 text.push_str(t);
             }
+            facts.push(&page)?;
             docs.push((title.clone(), text));
             autocomplete.insert(title, 1.0 + pagerank[i] * 10.0);
         }
+        let facts = facts.finish();
         let index = SearchIndex::build(&docs);
         for (attr, count) in self.smr.attributes()? {
             autocomplete.insert(&attr, count as f64);
@@ -368,16 +386,18 @@ impl QueryEngine {
         for (term, df) in index.terms() {
             suggester.add(term, df);
         }
-        let recommender = Recommender::new(page_props, pagerank.clone());
+        let recommender = Recommender::new(facts.page_attributes(), pagerank.clone());
 
         // Publish the new generation: replace the Arcs; live snapshots keep
         // the ones they cloned.
         self.titles = Arc::new(titles);
         self.title_ids = Arc::new(title_ids);
         self.pagerank = Arc::new(pagerank);
+        self.semantic = Arc::new(semantic);
+        self.hyperlink = Arc::new(hyperlink);
+        self.facts = Arc::new(facts);
         self.index = Arc::new(index);
         self.autocomplete = Arc::new(autocomplete);
-        self.prop_names = Arc::new(prop_names);
         self.recommender = Arc::new(recommender);
         self.suggester = Arc::new(suggester);
         // Partition views belong to the generation they were cut from.
@@ -404,8 +424,10 @@ impl QueryEngine {
             title_ids: Arc::clone(&self.title_ids),
             titles: Arc::clone(&self.titles),
             pagerank: Arc::clone(&self.pagerank),
+            semantic: Arc::clone(&self.semantic),
+            hyperlink: Arc::clone(&self.hyperlink),
+            facts: Arc::clone(&self.facts),
             recommender: Arc::clone(&self.recommender),
-            prop_names: Arc::clone(&self.prop_names),
             suggester: Arc::clone(&self.suggester),
             results: Arc::clone(&self.results),
             clock: Arc::clone(&self.clock),
@@ -448,6 +470,13 @@ impl QueryEngine {
     /// Title of a dense page id, if in range.
     pub fn title_of(&self, id: usize) -> Option<&str> {
         self.titles.get(id).map(String::as_str)
+    }
+
+    /// The double linking structure this generation's PageRank was solved
+    /// over, as `(semantic, hyperlink, titles)` — what
+    /// [`Smr::link_graphs`] returned at the last [`QueryEngine::rebuild`].
+    pub fn link_graphs(&self) -> (&CsrGraph, &CsrGraph, &[String]) {
+        (&self.semantic, &self.hyperlink, &self.titles)
     }
 
     /// Read access to the repository.
@@ -512,7 +541,7 @@ impl QueryEngine {
                 shared_properties: r
                     .shared_properties
                     .iter()
-                    .map(|&p| self.prop_names[p as usize].clone())
+                    .map(|&p| self.facts.attribute(p).to_owned())
                     .collect(),
             })
             .collect()
@@ -710,12 +739,14 @@ impl QueryEngine {
         ))
     }
 
-    /// Stages 3–4 of search: assembles raw result rows for the candidate
-    /// pages this engine can see, optionally restricted to an owned subset
-    /// of dense page ids (`keep`) — the per-shard half of a scattered
-    /// search. Returned BM25 values are *raw* and scores unblended;
-    /// [`QueryEngine::finalize_partials`] normalizes against the global
-    /// maximum so per-shard assembly cannot skew ranking.
+    /// Stages 3–4 of search: filters the candidate pages this engine can
+    /// see, optionally restricted to an owned subset of dense page ids
+    /// (`keep`) — the per-shard half of a scattered search. Keeps pages by
+    /// match degree, ACL (the namespaces `user` may read), the form's
+    /// namespace and region, and counts facets, all from the facts table:
+    /// nothing is read from the relational store. Returned BM25 values are
+    /// *raw*; [`QueryEngine::finalize_partials`] normalizes against the
+    /// global maximum so per-shard assembly cannot skew ranking.
     pub fn assemble_partial(
         &self,
         form: &SearchForm,
@@ -725,11 +756,26 @@ impl QueryEngine {
         keep: Option<&HashSet<usize>>,
     ) -> Result<ShardPartial> {
         let _combine = obs::span("query_combine");
+        // Namespace ids this search may show: readable by `user` and, when
+        // the form names a namespace, that one.
+        let visible: Vec<bool> = self
+            .facts
+            .namespaces()
+            .iter()
+            .map(|ns| {
+                self.acl.can_read(user, ns)
+                    && form
+                        .namespace
+                        .as_ref()
+                        .is_none_or(|want| ns.eq_ignore_ascii_case(want))
+            })
+            .collect();
         let candidates: Vec<usize> = match keyword_scores {
             Some(scores) => scores.keys().copied().collect(),
             None => (0..self.titles.len()).collect(),
         };
-        let mut matched: Vec<(usize, f64)> = Vec::new(); // (page, match_degree)
+        let mut out = ShardPartial::default();
+        let mut assembled = 0usize;
         for page in candidates {
             if keep.is_some_and(|owned| !owned.contains(&page)) {
                 continue;
@@ -745,69 +791,44 @@ impl QueryEngine {
             } else {
                 degree >= 1.0
             };
-            if keep_page {
-                matched.push((page, degree));
-            }
-        }
-
-        // ACL + namespace filter (needs page rows).
-        let mut out = ShardPartial::default();
-        for (assembled, (page_id, degree)) in matched.into_iter().enumerate() {
-            if assembled % 64 == 0 {
-                resil::checkpoint("query_assemble")?;
-            }
-            let title = &self.titles[page_id];
-            let page = self
-                .smr
-                .get_page(title)?
-                .ok_or_else(|| QueryError::Internal(format!("page `{title}` vanished")))?;
-            if !self.acl.can_read(user, &page.namespace) {
+            if !keep_page {
                 continue;
             }
-            if let Some(ns) = &form.namespace {
-                if !page.namespace.eq_ignore_ascii_case(ns) {
-                    continue;
-                }
+            if assembled.is_multiple_of(64) {
+                resil::checkpoint("query_assemble")?;
             }
-            let bm25_raw = keyword_scores
-                .and_then(|s| s.get(&page_id).copied())
-                .unwrap_or(0.0);
-            let pr = self.pagerank[page_id];
-            for (a, v) in &page.annotations {
-                *out.facets.entry((a.clone(), v.clone())).or_insert(0) += 1;
+            assembled += 1;
+            let facts = self.facts.page(page);
+            if !visible[facts.namespace as usize] {
+                continue;
             }
-            let coords = extract_coords(&page.annotations);
+            for &pair in &facts.pairs {
+                *out.facets.entry(pair).or_insert(0) += 1;
+            }
             if let Some((lat_min, lat_max, lon_min, lon_max)) = form.region {
                 // Map-based browsing: only geolocated pages inside the box.
-                let Some((lat, lon)) = coords else {
+                let Some((lat, lon)) = facts.coords else {
                     continue;
                 };
                 if !(lat_min..=lat_max).contains(&lat) || !(lon_min..=lon_max).contains(&lon) {
                     continue;
                 }
             }
-            out.items.push((
-                ResultItem {
-                    title: page.title.clone(),
-                    namespace: page.namespace.clone(),
-                    score: 0.0,     // blended in finalize_partials
-                    bm25: bm25_raw, // raw until normalized in finalize_partials
-                    pagerank: pr,
-                    match_degree: degree,
-                    snippet: snippet(&page.body, &form.keywords),
-                    coords,
-                },
-                page,
-            ));
+            let bm25_raw = keyword_scores
+                .and_then(|s| s.get(&page).copied())
+                .unwrap_or(0.0);
+            out.items.push((page, degree, bm25_raw));
         }
         Ok(out)
     }
 
     /// Stages 5–6 of search: normalizes and blends scores across every
-    /// partial, sorts, truncates, and attaches facets, recommendations and
-    /// spelling suggestions. `keyword_scores` must be the *global* score map
-    /// (all shards), so BM25 normalization matches the single-store path
-    /// regardless of how assembly was partitioned.
+    /// partial, sorts, truncates, and only then materializes the shown
+    /// results — one indexed body read each, for the snippet — and attaches
+    /// facets, recommendations and spelling suggestions. `keyword_scores`
+    /// must be the *global* score map (all shards), so BM25 normalization
+    /// matches the single-store path regardless of how assembly was
+    /// partitioned.
     pub fn finalize_partials(
         &self,
         form: &SearchForm,
@@ -818,50 +839,73 @@ impl QueryEngine {
         let bm25_max = keyword_scores
             .map(|s| s.values().copied().fold(f64::MIN_POSITIVE, f64::max))
             .unwrap_or(1.0);
-        let mut items: Vec<(ResultItem, Page)> = Vec::new();
-        let mut facet_counts: BTreeMap<(String, String), usize> = BTreeMap::new();
+        let mut rows: Vec<Ranked> = Vec::new();
+        let mut facet_counts: HashMap<(u32, u32), usize> = HashMap::new();
         for partial in partials {
-            for ((attribute, value), count) in partial.facets {
-                *facet_counts.entry((attribute, value)).or_insert(0) += count;
+            for (pair, count) in partial.facets {
+                *facet_counts.entry(pair).or_insert(0) += count;
             }
-            for (mut item, page) in partial.items {
-                item.bm25 /= bm25_max;
-                item.score = if keyword_scores.is_some() {
-                    (1.0 - self.blend.pagerank_weight) * item.bm25
-                        + self.blend.pagerank_weight * item.pagerank
+            for (page, match_degree, bm25_raw) in partial.items {
+                let bm25 = bm25_raw / bm25_max;
+                let pagerank = self.pagerank[page];
+                let score = if keyword_scores.is_some() {
+                    (1.0 - self.blend.pagerank_weight) * bm25
+                        + self.blend.pagerank_weight * pagerank
                 } else {
-                    item.pagerank
+                    pagerank
                 };
-                items.push((item, page));
+                rows.push(Ranked {
+                    page,
+                    match_degree,
+                    bm25,
+                    pagerank,
+                    score,
+                });
             }
         }
 
-        // Sort.
+        // Sort; titles are unique, so every key is a total order.
+        let title = |r: &Ranked| self.titles[r.page].as_str();
         match &form.sort_by {
             SortBy::Relevance => {
-                items.sort_by(|a, b| cmp_f64(b.0.score, a.0.score).then(a.0.title.cmp(&b.0.title)))
+                rows.sort_by(|a, b| cmp_f64(b.score, a.score).then_with(|| title(a).cmp(title(b))))
             }
-            SortBy::PageRank => items.sort_by(|a, b| {
-                cmp_f64(b.0.pagerank, a.0.pagerank).then(a.0.title.cmp(&b.0.title))
+            SortBy::PageRank => rows.sort_by(|a, b| {
+                cmp_f64(b.pagerank, a.pagerank).then_with(|| title(a).cmp(title(b)))
             }),
-            SortBy::Title => items.sort_by(|a, b| a.0.title.cmp(&b.0.title)),
-            SortBy::Attribute(attr) => {
-                items.sort_by(|a, b| {
-                    let va = annotation_value(&a.1.annotations, attr);
-                    let vb = annotation_value(&b.1.annotations, attr);
-                    cmp_annotation(va, vb).then(a.0.title.cmp(&b.0.title))
-                });
-            }
+            SortBy::Title => rows.sort_by(|a, b| title(a).cmp(title(b))),
+            SortBy::Attribute(attr) => rows.sort_by(|a, b| {
+                let va = self.facts.annotation_value(a.page, attr);
+                let vb = self.facts.annotation_value(b.page, attr);
+                cmp_annotation(va, vb).then_with(|| title(a).cmp(title(b)))
+            }),
         }
         // `descending` flips the sort key's natural order (best-first for
         // Relevance/PageRank, ascending for Title/Attribute).
         if form.descending {
-            items.reverse();
+            rows.reverse();
         }
 
-        let total_matched = items.len();
-        let limit = form.effective_limit();
-        let top: Vec<ResultItem> = items.into_iter().map(|(i, _)| i).take(limit).collect();
+        let total_matched = rows.len();
+        rows.truncate(form.effective_limit());
+        let top = rows
+            .into_iter()
+            .map(|r| {
+                let title = &self.titles[r.page];
+                let facts = self.facts.page(r.page);
+                let body = self.smr.page_body(title)?.unwrap_or_default();
+                Ok(ResultItem {
+                    title: title.clone(),
+                    namespace: self.facts.namespace(facts.namespace).to_owned(),
+                    score: r.score,
+                    bm25: r.bm25,
+                    pagerank: r.pagerank,
+                    match_degree: r.match_degree,
+                    snippet: snippet(&body, &form.keywords),
+                    coords: facts.coords,
+                })
+            })
+            .collect::<Result<Vec<ResultItem>>>()?;
 
         // Recommendations from the top results.
         let seeds: Vec<&str> = top.iter().take(5).map(|i| i.title.as_str()).collect();
@@ -873,14 +917,15 @@ impl QueryEngine {
             .take(5)
             .collect();
 
-        let facets = facet_counts
+        let mut facets: Vec<FacetCount> = facet_counts
             .into_iter()
             .map(|((attribute, value), count)| FacetCount {
-                attribute,
-                value,
+                attribute: self.facts.attribute(attribute).to_owned(),
+                value: self.facts.value(value).to_owned(),
                 count,
             })
             .collect();
+        facets.sort_unstable_by(|a, b| (&a.attribute, &a.value).cmp(&(&b.attribute, &b.value)));
 
         // "Did you mean": only when keywords were given and nothing matched.
         let did_you_mean = if total_matched == 0 && !form.keywords.trim().is_empty() {
@@ -1125,13 +1170,6 @@ fn cmp_f64(a: f64, b: f64) -> std::cmp::Ordering {
     a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
 }
 
-fn annotation_value<'a>(annotations: &'a [(String, String)], attr: &str) -> Option<&'a str> {
-    annotations
-        .iter()
-        .find(|(a, _)| a.eq_ignore_ascii_case(attr))
-        .map(|(_, v)| v.as_str())
-}
-
 fn cmp_annotation(a: Option<&str>, b: Option<&str>) -> std::cmp::Ordering {
     match (a, b) {
         (None, None) => std::cmp::Ordering::Equal,
@@ -1142,14 +1180,6 @@ fn cmp_annotation(a: Option<&str>, b: Option<&str>) -> std::cmp::Ordering {
             _ => x.cmp(y),
         },
     }
-}
-
-fn extract_coords(annotations: &[(String, String)]) -> Option<(f64, f64)> {
-    let lat = annotation_value(annotations, "hasLatitude")?.parse().ok()?;
-    let lon = annotation_value(annotations, "hasLongitude")?
-        .parse()
-        .ok()?;
-    Some((lat, lon))
 }
 
 /// Builds a ~140-char snippet centered on the first keyword occurrence.
@@ -1164,9 +1194,20 @@ fn snippet(body: &str, keywords: &str) -> String {
         .filter_map(|k| lower.find(&k.to_lowercase()))
         .min();
     let chars: Vec<char> = body.chars().collect();
-    let center_byte = hit.unwrap_or(0);
-    // Convert byte offset to char offset safely.
-    let center = body[..center_byte.min(body.len())].chars().count();
+    // `hit` is a byte offset into `lower`, where a char may take more or
+    // fewer bytes than in `body` (`ẞ` → `ß`), so it cannot index `body`.
+    // The centre is the body char whose lowercase form covers it: the
+    // number of chars whose lowercase ends at or before it.
+    let center = hit.map_or(0, |hit| {
+        let mut end = 0;
+        chars
+            .iter()
+            .take_while(|c| {
+                end += c.to_lowercase().map(char::len_utf8).sum::<usize>();
+                end <= hit
+            })
+            .count()
+    });
     let start = center.saturating_sub(WINDOW / 4);
     let slice: String = chars.iter().skip(start).take(WINDOW).collect();
     let mut out = String::new();
@@ -1183,6 +1224,7 @@ fn snippet(body: &str, keywords: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn snippet_centers_on_keyword() {
@@ -1200,18 +1242,36 @@ mod tests {
     }
 
     #[test]
-    fn coords_extraction() {
-        let ann = vec![
-            ("hasLatitude".to_string(), "46.8".to_string()),
-            ("hasLongitude".to_string(), "9.8".to_string()),
-        ];
-        assert_eq!(extract_coords(&ann), Some((46.8, 9.8)));
-        assert_eq!(extract_coords(&ann[..1]), None);
-        let bad = vec![
-            ("hasLatitude".to_string(), "north".to_string()),
-            ("hasLongitude".to_string(), "9.8".to_string()),
-        ];
-        assert_eq!(extract_coords(&bad), None);
+    fn snippet_survives_lowercase_changing_byte_length() {
+        // `ẞ` is 3 bytes, its lowercase `ß` 2: the hit's offset in the
+        // lowercased body is not a char boundary of the body.
+        assert_eq!(snippet("ẞéa snow", "a"), "ẞéa snow");
+        // `İ` lowercases to `i` + U+0307; a hit starting between the two
+        // centres on `İ`.
+        let body = format!("{}İx{}", "y".repeat(100), "z".repeat(200));
+        let s = snippet(&body, "\u{307}x");
+        assert!(s.starts_with('…') && s.contains("İx"), "{s}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn snippet_never_panics(
+            body in prop_oneof![
+                prop::collection::vec(0u32..0x11_0000, 0..200)
+                    .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect::<String>()),
+                "[aAbBßẞİıΣσςȺⱥKkÅå ]{0,60}",
+            ],
+            keywords in prop_oneof![
+                prop::collection::vec(0u32..0x11_0000, 0..6)
+                    .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect::<String>()),
+                "[aAbßẞİıΣσςȺⱥ ]{0,6}",
+            ],
+        ) {
+            let s = snippet(&body, &keywords);
+            prop_assert!(s.chars().count() <= 142);
+        }
     }
 
     #[test]

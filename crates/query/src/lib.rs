@@ -23,6 +23,7 @@
 pub mod acl;
 pub mod engine;
 pub mod error;
+mod facts;
 pub mod form;
 pub mod result;
 

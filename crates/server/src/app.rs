@@ -1039,10 +1039,7 @@ impl App {
 
     fn viz_graph(&self, req: &Request) -> Response {
         let engine = self.engine.snapshot();
-        let (semantic, hyperlink, titles) = match engine.smr().link_graphs() {
-            Ok(g) => g,
-            Err(e) => return Response::error(500, e.to_string()),
-        };
+        let (semantic, hyperlink, titles) = engine.link_graphs();
         let g = if req.param_or("links", "hyper") == "semantic" {
             semantic
         } else {
@@ -1083,10 +1080,7 @@ impl App {
 
     fn viz_hypergraph(&self, req: &Request) -> Response {
         let engine = self.engine.snapshot();
-        let (_, hyperlink, titles) = match engine.smr().link_graphs() {
-            Ok(g) => g,
-            Err(e) => return Response::error(500, e.to_string()),
-        };
+        let (_, hyperlink, titles) = engine.link_graphs();
         if titles.is_empty() {
             return Response::error(404, "repository is empty");
         }
@@ -1106,8 +1100,8 @@ impl App {
         let rings = req.param("rings").and_then(|r| r.parse().ok()).unwrap_or(2);
         Response::svg(viz::render_hypergraph(
             &format!("Hypergraph around {}", titles[focus]),
-            &hyperlink,
-            &titles,
+            hyperlink,
+            titles,
             focus,
             rings,
         ))

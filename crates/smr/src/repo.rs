@@ -283,6 +283,16 @@ impl Smr {
         }))
     }
 
+    /// A page's body alone (the `body` of [`Smr::get_page`]): one indexed
+    /// read of the page row, without its annotations, links or tags.
+    pub fn page_body(&self, title: &str) -> Result<Option<String>> {
+        let rs = self.db.query(&format!(
+            "SELECT body FROM pages WHERE title = '{}'",
+            sql_escape(title)
+        ))?;
+        Ok(rs.rows.first().map(|row| row[0].to_string()))
+    }
+
     /// All page titles, sorted.
     pub fn page_titles(&self) -> Result<Vec<String>> {
         Ok(self
@@ -691,6 +701,16 @@ mod tests {
         assert_eq!(p.annotations[0].1, "temperature");
         assert_eq!(p.tags, vec!["snow"]);
         assert!(smr.get_page("missing").unwrap().is_none());
+    }
+
+    #[test]
+    fn page_body_matches_get_page() {
+        let mut smr = Smr::new();
+        smr.create_page(draft("Deployment:o'brien")).unwrap();
+        let body = smr.page_body("Deployment:o'brien").unwrap();
+        let page = smr.get_page("Deployment:o'brien").unwrap().unwrap();
+        assert_eq!(body.as_deref(), Some(page.body.as_str()));
+        assert_eq!(smr.page_body("missing").unwrap(), None);
     }
 
     #[test]
