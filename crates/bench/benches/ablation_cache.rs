@@ -2,7 +2,7 @@
 //! and the cost of invalidation under a mutating workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sensormeta_cache::{Domain, EpochClock, EpochVector};
+use sensormeta_cache::EpochClock;
 use sensormeta_tagging::{compute_cloud, CloudCache, CloudParams, TagStore};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 
@@ -27,9 +27,9 @@ fn print_hit_rates() {
         if i % 20 == 0 {
             // Each tag write is a commit: a new version of the store.
             store.add(&format!("extra{i}"), "freshtag");
-            clock.bump(Domain::TagIncidence);
+            clock.bump();
         }
-        let _ = cache.get(&store, clock.snapshot(), &params);
+        let _ = cache.get(&store, clock.now(), &params);
     }
     let stats = cache.stats();
     println!("\n=== E9: cloud cache under 10:1 read:write ===");
@@ -52,7 +52,7 @@ fn bench_cache(c: &mut Criterion) {
     });
     c.bench_function("cloud_cached_lookup", |b| {
         let cache = CloudCache::new();
-        let at = EpochVector::default();
+        let at = 0;
         let _ = cache.get(&store, at, &params); // warm
         b.iter(|| cache.get(&store, at, &params).map(|(c, _)| c.entries.len()))
     });

@@ -6,11 +6,11 @@
 //! searches and tag clouds over and over between writes; this crate gives
 //! every subsystem one shared caching substrate instead of bespoke caches:
 //!
-//! - [`EpochClock`] — per-[`Domain`] monotonic epochs (relational tables,
-//!   triple store, search index, web graph, tag incidence), owned by
-//!   whoever publishes versions and bumped once per commit. A cache entry
-//!   is stamped with the [`EpochVector`] of the version it was computed
-//!   from and served to a reader iff the reader's vector matches it.
+//! - [`EpochClock`] — one monotonic counter that a publisher (the query
+//!   engine) bumps once per commit. A cache entry is stamped with the `u64`
+//!   epoch of the version it was computed from — a clock's epoch, or an
+//!   MVCC cell's sequence number — and served to a reader iff the reader is
+//!   pinned at the same epoch.
 //! - [`Cache`] — a sharded, concurrent LRU+TTL map with per-entry byte-cost
 //!   accounting, negative caching of failed computations, and single-flight
 //!   stampede protection (concurrent identical misses coalesce onto one
@@ -30,6 +30,6 @@ mod clock;
 mod fingerprint;
 mod result_cache;
 
-pub use clock::{Domain, EpochClock, EpochVector, ALL_DOMAINS, DOMAIN_COUNT};
+pub use clock::EpochClock;
 pub use fingerprint::Fingerprint;
 pub use result_cache::{stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Status};

@@ -3,9 +3,9 @@
 //! One [`Cache`] instance serves one namespace (query results, tag
 //! clouds). Entries are keyed by a 64-bit query fingerprint, cost-accounted
 //! in bytes (capacity is a byte budget, not an entry count), bounded by LRU
-//! eviction plus optional TTLs, and stamped with the epoch vector of the
-//! version they were computed from: an entry is served only to a reader
-//! pinned at a vector that agrees on every domain the namespace depends on.
+//! eviction plus optional TTLs, and stamped with the epoch of the version
+//! they were computed from: an entry is served only to a reader pinned at
+//! that epoch.
 //! The cache holds no clock; every lookup names its version. Superseded
 //! entries are dropped lazily — on lookup for the requested key, and by an
 //! opportunistic sweep of the shard whenever a later version inserts.
@@ -17,7 +17,6 @@
 //! slot: one caller computes, the rest block on the slot (optionally with a
 //! deadline) and receive the shared result.
 
-use crate::clock::{Domain, EpochVector};
 use sensormeta_obs as obs;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -148,14 +147,12 @@ pub struct CacheConfig {
     /// entry. `None` (the default) disables degradation: stale entries
     /// are dropped on sight exactly as before.
     pub stale_grace: Option<Duration>,
-    /// Domains whose epochs every entry of this cache depends on.
-    pub deps: &'static [Domain],
 }
 
 impl CacheConfig {
     /// A config with the common defaults: 8 shards, no positive TTL, a
     /// 2-second negative TTL, no serve-stale grace.
-    pub fn new(name: &'static str, capacity_bytes: usize, deps: &'static [Domain]) -> CacheConfig {
+    pub fn new(name: &'static str, capacity_bytes: usize) -> CacheConfig {
         CacheConfig {
             name,
             capacity_bytes,
@@ -163,7 +160,6 @@ impl CacheConfig {
             ttl: None,
             negative_ttl: Duration::from_secs(2),
             stale_grace: None,
-            deps,
         }
     }
 }
@@ -184,7 +180,7 @@ type Outcome<V> = Result<Arc<V>, Arc<str>>;
 
 struct Entry<V> {
     value: Outcome<V>,
-    stamp: EpochVector,
+    stamp: u64,
     expires: Option<Instant>,
     /// When the entry landed — the grace window for serve-stale
     /// degradation bounds the value's total age from this point.
@@ -201,7 +197,7 @@ enum FlightState<V> {
 }
 
 struct Flight<V> {
-    stamp: EpochVector,
+    stamp: u64,
     state: Mutex<FlightState<V>>,
     cv: Condvar,
 }
@@ -213,7 +209,7 @@ enum WaitOutcome<V> {
 }
 
 impl<V> Flight<V> {
-    fn new(stamp: EpochVector) -> Flight<V> {
+    fn new(stamp: u64) -> Flight<V> {
         Flight {
             stamp,
             state: Mutex::new(FlightState::Pending),
@@ -455,10 +451,10 @@ impl<V: Send + Sync + 'static> Cache<V> {
 
     /// Peeks at a key as a reader pinned at `at` would, without computing,
     /// touching LRU order but not the hit/miss counters. Mostly for tests.
-    pub fn peek(&self, key: u64, at: EpochVector) -> Option<Arc<V>> {
+    pub fn peek(&self, key: u64, at: u64) -> Option<Arc<V>> {
         let mut sh = lock(self.shard(key));
         let e = sh.map.get(&key)?;
-        if !self.entry_valid(e, &at) {
+        if !self.entry_valid(e, at) {
             return None;
         }
         let v = e.value.as_ref().ok().cloned();
@@ -472,9 +468,9 @@ impl<V: Send + Sync + 'static> Cache<V> {
     }
 
     /// Whether `e` may serve a reader pinned at `at`: unexpired, and
-    /// stamped by the same version on every dependency domain.
-    fn entry_valid(&self, e: &Entry<V>, at: &EpochVector) -> bool {
-        e.expires.is_none_or(|t| Instant::now() < t) && at.matches_on(&e.stamp, self.cfg.deps)
+    /// stamped by that same version.
+    fn entry_valid(&self, e: &Entry<V>, at: u64) -> bool {
+        e.expires.is_none_or(|t| Instant::now() < t) && e.stamp == at
     }
 
     /// Whether a (possibly invalid) entry may still back a degraded serve:
@@ -494,14 +490,14 @@ impl<V: Send + Sync + 'static> Cache<V> {
     /// breaker, and MUST label the response (`Cache-Status: stale` plus a
     /// `Warning` header). Returns `None` when nothing servable is
     /// resident; never computes.
-    pub fn get_stale(&self, key: u64, at: EpochVector) -> Option<(Arc<V>, Duration)> {
+    pub fn get_stale(&self, key: u64, at: u64) -> Option<(Arc<V>, Duration)> {
         if self.cfg.capacity_bytes == 0 {
             return None;
         }
         let found = {
             let sh = lock(self.shard(key));
             let e = sh.map.get(&key)?;
-            if !self.entry_valid(e, &at) && !self.stale_servable(e) {
+            if !self.entry_valid(e, at) && !self.stale_servable(e) {
                 return None;
             }
             let v = e.value.as_ref().ok()?;
@@ -546,11 +542,11 @@ impl<V: Send + Sync + 'static> Cache<V> {
     /// and — when `cache_error` says so — negatively caches a failure for
     /// [`CacheConfig::negative_ttl`].
     ///
-    /// `at` is the epoch vector of the version `compute` reads: entries are
+    /// `at` is the epoch of the version `compute` reads: entries are
     /// validated against it and new entries stamped with it, so a reader
     /// keeps hitting its own version while writers publish later ones.
     ///
-    /// Keys stay generation-independent (versions at different vectors
+    /// Keys stay generation-independent (versions at different epochs
     /// share one entry slot), which is what lets [`Cache::get_stale`] find
     /// the superseded value after a commit. Cross-generation safety comes
     /// from validation: an entry stamped by another version is treated as
@@ -566,7 +562,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
     pub fn get_or_compute<E, F, P>(
         &self,
         key: u64,
-        at: EpochVector,
+        at: u64,
         deadline: Option<Duration>,
         compute: F,
         cache_error: P,
@@ -598,7 +594,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
             let step = {
                 let mut sh = lock(self.shard(key));
                 if let Some(e) = sh.map.get(&key) {
-                    if self.entry_valid(e, &at) {
+                    if self.entry_valid(e, at) {
                         let value = e.value.clone();
                         sh.touch(key);
                         drop(sh);
@@ -608,7 +604,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
                             Err(msg) => (Err(CacheError::Negative(msg)), Status::Hit),
                         };
                     }
-                    if self.stale_servable(e) || e.stamp.ahead_on(&at, self.cfg.deps) {
+                    if self.stale_servable(e) || e.stamp > at {
                         // Retained: for serve-stale degradation the
                         // recompute's insert replaces it (a failed
                         // recompute leaves it for `get_stale`); and a
@@ -625,9 +621,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
                     }
                 }
                 match sh.flights.get(&key) {
-                    Some(fl) if at.matches_on(&fl.stamp, self.cfg.deps) => {
-                        Step::Wait(Arc::clone(fl))
-                    }
+                    Some(fl) if fl.stamp == at => Step::Wait(Arc::clone(fl)),
                     Some(_) => Step::Solo,
                     None => {
                         let fl = Arc::new(Flight::new(at));
@@ -770,25 +764,19 @@ impl<V: Send + Sync + 'static> Cache<V> {
     /// then LRU-evicts until the shard fits its byte budget. Values larger
     /// than the whole shard budget are not cached at all, and an entry a
     /// later version stamped is never replaced.
-    fn insert(
-        &self,
-        key: u64,
-        value: Outcome<V>,
-        stamp: EpochVector,
-        ttl: Option<Duration>,
-        cost: usize,
-    ) {
+    fn insert(&self, key: u64, value: Outcome<V>, stamp: u64, ttl: Option<Duration>, cost: usize) {
         if cost > self.shard_capacity {
             return;
         }
-        let deps = self.cfg.deps;
         let mut sh = lock(self.shard(key));
         // A later version's entry is never replaced by an earlier one's, and
         // a failure never displaces a grace-servable positive value: the
         // stale answer outranks a negatively cached error for degradation.
-        if sh.map.get(&key).is_some_and(|e| {
-            e.stamp.ahead_on(&stamp, deps) || (value.is_err() && self.stale_servable(e))
-        }) {
+        if sh
+            .map
+            .get(&key)
+            .is_some_and(|e| e.stamp > stamp || (value.is_err() && self.stale_servable(e)))
+        {
             return;
         }
         // Lazy sweep: drop TTL-expired residents and those stamped by a
@@ -799,8 +787,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
             .map
             .iter()
             .filter(|(_, e)| {
-                (e.expires.is_some_and(|t| now >= t) || stamp.ahead_on(&e.stamp, deps))
-                    && !self.stale_servable(e)
+                (e.expires.is_some_and(|t| now >= t) || stamp > e.stamp) && !self.stale_servable(e)
             })
             .map(|(&k, _)| k)
             .collect();
@@ -856,15 +843,13 @@ impl<V: Send + Sync + 'static> Cache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{EpochClock, ALL_DOMAINS};
+    use crate::clock::EpochClock;
     use std::cell::Cell;
-
-    const DEPS: &[Domain] = &[Domain::Relational, Domain::SearchIndex];
 
     /// A one-shard cache plus the clock that dates the versions its
     /// readers are pinned at (a bump stands for a commit).
     fn test_cache(capacity: usize) -> (Cache<String>, EpochClock) {
-        let mut cfg = CacheConfig::new("test", capacity, DEPS);
+        let mut cfg = CacheConfig::new("test", capacity);
         cfg.shards = 1;
         cfg.negative_ttl = Duration::from_millis(40);
         (Cache::new(cfg, |v: &String| v.len()), EpochClock::new())
@@ -880,7 +865,7 @@ mod tests {
     ) -> (Result<Arc<String>, CacheError<String>>, Status) {
         cache.get_or_compute(
             key,
-            clk.snapshot(),
+            clk.now(),
             None,
             || {
                 calls.set(calls.get() + 1);
@@ -911,24 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn dep_bump_goes_stale_but_unrelated_bump_does_not() {
-        let (cache, clk) = test_cache(1 << 16);
-        let calls = Cell::new(0);
-        let _ = get(&cache, &clk, 1, "v1", &calls);
-        clk.bump(Domain::WebGraph); // not in DEPS
-        let (_, s) = get(&cache, &clk, 1, "v2", &calls);
-        assert_eq!(s, Status::Hit, "unrelated domain bump must not invalidate");
-        clk.bump(Domain::Relational);
-        let (v, s) = get(&cache, &clk, 1, "v3", &calls);
-        assert_eq!(s, Status::Stale);
-        assert_eq!(*v.expect("recomputed"), "v3");
-        assert_eq!(calls.get(), 2);
-        let st = cache.stats();
-        assert_eq!(st.stale_drops, 1);
-        assert_eq!(st.evictions, 1);
-    }
-
-    #[test]
     fn negative_result_is_cached_until_its_ttl() {
         let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
@@ -936,10 +903,10 @@ mod tests {
             calls.set(calls.get() + 1);
             Err::<String, String>("backend exploded".to_string())
         };
-        let (r1, s1) = cache.get_or_compute(9, clk.snapshot(), None, compute, |_| true);
+        let (r1, s1) = cache.get_or_compute(9, clk.now(), None, compute, |_| true);
         assert_eq!(s1, Status::Miss);
         assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute(9, clk.snapshot(), None, compute, |_| true);
+        let (r2, s2) = cache.get_or_compute(9, clk.now(), None, compute, |_| true);
         assert_eq!(s2, Status::Hit, "failure replayed from cache");
         match r2 {
             Err(CacheError::Negative(msg)) => assert_eq!(&*msg, "backend exploded"),
@@ -948,7 +915,7 @@ mod tests {
         assert_eq!(calls.get(), 1);
         assert_eq!(cache.stats().negative_hits, 1);
         std::thread::sleep(Duration::from_millis(60));
-        let (_, s3) = cache.get_or_compute(9, clk.snapshot(), None, compute, |_| true);
+        let (_, s3) = cache.get_or_compute(9, clk.now(), None, compute, |_| true);
         assert_eq!(s3, Status::Stale, "negative TTL elapsed, recomputed");
         assert_eq!(calls.get(), 2);
     }
@@ -963,7 +930,7 @@ mod tests {
         let _ = get(&cache, &clk, 2, &ten, &calls);
         let _ = get(&cache, &clk, 1, &ten, &calls); // touch 1 so 2 is now LRU victim
         let _ = get(&cache, &clk, 3, &ten, &calls); // evicts 2
-        let at = clk.snapshot();
+        let at = clk.now();
         assert!(cache.peek(1, at).is_some(), "recently used key survives");
         assert!(cache.peek(2, at).is_none(), "LRU victim evicted");
         assert!(cache.peek(3, at).is_some());
@@ -1015,7 +982,7 @@ mod tests {
     #[test]
     fn positive_ttl_expires_entries() {
         let clk = EpochClock::new();
-        let mut cfg = CacheConfig::new("ttl_test", 1 << 16, DEPS);
+        let mut cfg = CacheConfig::new("ttl_test", 1 << 16);
         cfg.shards = 1;
         cfg.ttl = Some(Duration::from_millis(30));
         let cache = Cache::new(cfg, |v: &String| v.len());
@@ -1033,7 +1000,7 @@ mod tests {
     fn snapshot_pinned_reader_keeps_hitting_its_generation() {
         let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
-        let stamp = clk.snapshot();
+        let stamp = clk.now();
         let compute = || {
             calls.set(calls.get() + 1);
             Ok::<_, String>("old-gen".to_string())
@@ -1043,7 +1010,7 @@ mod tests {
         assert_eq!(*v1.expect("computed"), "old-gen");
         // A writer commits; the reader pinned at `stamp` keeps hitting its
         // own generation.
-        clk.bump(Domain::Relational);
+        clk.bump();
         let (v2, s2) = cache.get_or_compute(
             21,
             stamp,
@@ -1083,7 +1050,7 @@ mod tests {
         let calls = Cell::new(0);
         let _ = get(&cache, &clk, 1, "a", &calls);
         let _ = get(&cache, &clk, 2, "b", &calls);
-        clk.bump(Domain::SearchIndex);
+        clk.bump();
         // Inserting key 3 sweeps the now-stale 1 and 2 from the shard.
         let _ = get(&cache, &clk, 3, "c", &calls);
         let st = cache.stats();
@@ -1104,11 +1071,10 @@ mod tests {
         }
         assert!(Status::Degraded.is_degraded());
         assert!(!Status::Stale.is_degraded());
-        let _ = ALL_DOMAINS; // referenced so the import is exercised
     }
 
     fn grace_cache(grace: Option<Duration>) -> (Cache<String>, EpochClock) {
-        let mut cfg = CacheConfig::new("grace_test", 1 << 16, DEPS);
+        let mut cfg = CacheConfig::new("grace_test", 1 << 16);
         cfg.shards = 1;
         cfg.stale_grace = grace;
         (Cache::new(cfg, |v: &String| v.len()), EpochClock::new())
@@ -1119,9 +1085,9 @@ mod tests {
         let (cache, clk) = grace_cache(None);
         let calls = Cell::new(0);
         let _ = get(&cache, &clk, 1, "v1", &calls);
-        clk.bump(Domain::Relational);
+        clk.bump();
         assert!(
-            cache.get_stale(1, clk.snapshot()).is_none(),
+            cache.get_stale(1, clk.now()).is_none(),
             "no grace window configured"
         );
     }
@@ -1132,22 +1098,20 @@ mod tests {
         let calls = Cell::new(0);
         let _ = get(&cache, &clk, 1, "v1", &calls);
         // Fresh entries are servable too (age ~0).
-        let (v, age) = cache
-            .get_stale(1, clk.snapshot())
-            .expect("fresh entry servable");
+        let (v, age) = cache.get_stale(1, clk.now()).expect("fresh entry servable");
         assert_eq!(*v, "v1");
         assert!(age < Duration::from_secs(1));
 
-        clk.bump(Domain::Relational);
+        clk.bump();
         let (v, _) = cache
-            .get_stale(1, clk.snapshot())
+            .get_stale(1, clk.now())
             .expect("grace keeps the stale value");
         assert_eq!(*v, "v1");
 
         // A failing recompute (negatively cached) must not displace it.
         let (r, s) = cache.get_or_compute(
             1,
-            clk.snapshot(),
+            clk.now(),
             None,
             || Err::<String, String>("backend down".into()),
             |_| true,
@@ -1159,7 +1123,7 @@ mod tests {
             "retained entry still marks recompute stale"
         );
         let (v, _) = cache
-            .get_stale(1, clk.snapshot())
+            .get_stale(1, clk.now())
             .expect("negative outcome must not evict the stale positive");
         assert_eq!(*v, "v1");
         assert_eq!(cache.stats().stale_serves, 3);
@@ -1167,7 +1131,7 @@ mod tests {
         // A successful recompute replaces it with fresh data.
         let (_, s) = get(&cache, &clk, 1, "v2", &calls);
         assert_eq!(s, Status::Stale);
-        let (v, _) = cache.get_stale(1, clk.snapshot()).expect("fresh again");
+        let (v, _) = cache.get_stale(1, clk.now()).expect("fresh again");
         assert_eq!(*v, "v2");
     }
 
@@ -1176,10 +1140,10 @@ mod tests {
         let (cache, clk) = grace_cache(Some(Duration::from_millis(20)));
         let calls = Cell::new(0);
         let _ = get(&cache, &clk, 1, "v1", &calls);
-        clk.bump(Domain::Relational);
+        clk.bump();
         std::thread::sleep(Duration::from_millis(40));
         assert!(
-            cache.get_stale(1, clk.snapshot()).is_none(),
+            cache.get_stale(1, clk.now()).is_none(),
             "grace window elapsed"
         );
         // And the lookup path evicts it like any stale entry.
@@ -1196,9 +1160,9 @@ mod tests {
             calls.set(calls.get() + 1);
             Err::<String, String>("deadline exceeded".into())
         };
-        let (r1, _) = cache.get_or_compute(11, clk.snapshot(), None, compute, |_| false);
+        let (r1, _) = cache.get_or_compute(11, clk.now(), None, compute, |_| false);
         assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute(11, clk.snapshot(), None, compute, |_| false);
+        let (r2, s2) = cache.get_or_compute(11, clk.now(), None, compute, |_| false);
         assert!(
             matches!(r2, Err(CacheError::Compute(_))),
             "second call recomputed instead of replaying a negative entry"

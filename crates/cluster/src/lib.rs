@@ -76,11 +76,6 @@ impl Topology {
             poll_interval: d.poll_interval,
         }
     }
-
-    /// True when this topology is anything beyond the plain single store.
-    pub fn is_clustered(&self) -> bool {
-        self.shards > 1 || self.replicas > 0
-    }
 }
 
 #[cfg(test)]
@@ -92,6 +87,5 @@ mod tests {
         let t = Topology::default();
         assert_eq!(t.shards, 1);
         assert_eq!(t.replicas, 0);
-        assert!(!t.is_clustered());
     }
 }

@@ -13,14 +13,14 @@
 //! the primary bumps once per commit (per `QueryEngine::rebuild`), so a
 //! replica's staleness counts the primary commits it has not yet applied.
 
-use sensormeta_cache::{Domain, EpochClock, EpochVector};
+use sensormeta_cache::EpochClock;
 use sensormeta_obs as obs;
 use sensormeta_query::{QueryEngine, QueryError, Result};
 use sensormeta_relstore::{wal_path_for, LogicalOp, WalTail};
 use sensormeta_smr::Smr;
 use sensormeta_tx::{Mvcc, Snapshot};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
@@ -56,12 +56,6 @@ struct TailState {
     stalls: u32,
 }
 
-/// Epoch bookkeeping: which primary-clock values this replica's published
-/// state is known to cover.
-struct Freshness {
-    epochs: EpochVector,
-}
-
 /// A read replica over a primary's durable store.
 ///
 /// The replica never writes to the primary's files: it loads the snapshot
@@ -75,7 +69,11 @@ pub struct Replica {
     primary_clock: Arc<EpochClock>,
     engine: Mvcc<QueryEngine>,
     state: Mutex<TailState>,
-    freshness: Mutex<Freshness>,
+    /// The primary epoch this replica's published state is known to cover;
+    /// only moves forward. Advanced with `Release` after the engine covering
+    /// it is published and read with `Acquire`, so a router that sees an
+    /// epoch here also sees that engine.
+    covered: AtomicU64,
     stop: Arc<AtomicBool>,
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -93,7 +91,7 @@ impl Replica {
         primary_path: &std::path::Path,
         primary_clock: Arc<EpochClock>,
     ) -> Result<Arc<Replica>> {
-        let epochs_at_read = primary_clock.snapshot();
+        let epoch_at_read = primary_clock.now();
         let (smr, report) = Smr::load_with_report(primary_path)?;
         let engine = QueryEngine::open(smr.clone_reader())?;
         let mut tail = WalTail::new();
@@ -117,9 +115,7 @@ impl Replica {
                 applied: report.last_seq,
                 stalls: 0,
             }),
-            freshness: Mutex::new(Freshness {
-                epochs: epochs_at_read,
-            }),
+            covered: AtomicU64::new(epoch_at_read),
             stop: Arc::new(AtomicBool::new(false)),
             handle: Mutex::new(None),
         }))
@@ -140,22 +136,10 @@ impl Replica {
         lock(&self.state).applied
     }
 
-    /// The primary-clock vector this replica's published state is known to
-    /// cover: reads depending only on domains where the primary's clock
-    /// equals this vector see data as fresh as the primary's.
-    pub fn covered_epochs(&self) -> EpochVector {
-        lock(&self.freshness).epochs
-    }
-
-    /// How many primary commits this replica is behind, maximized over
-    /// `deps` — the domains a read depends on.
-    pub fn staleness(&self, deps: &[Domain]) -> u64 {
-        let covered = self.covered_epochs();
-        let now = self.primary_clock.snapshot();
-        deps.iter()
-            .map(|&d| now.get(d).saturating_sub(covered.get(d)))
-            .max()
-            .unwrap_or(0)
+    /// How many primary commits this replica is behind.
+    pub fn staleness(&self) -> u64 {
+        let covered = self.covered.load(Ordering::Acquire);
+        self.primary_clock.now().saturating_sub(covered)
     }
 
     /// Logical contents of the replica's relational store, for convergence
@@ -171,8 +155,8 @@ impl Replica {
         // Capture the primary's clock BEFORE reading the log: any commit
         // that bumped it before this point has its WAL bytes visible to the
         // read below (the primary logs before its rebuild bumps), so a clean
-        // poll that drains the log covers at least this vector.
-        let epochs_at_read = self.primary_clock.snapshot();
+        // poll that drains the log covers at least this epoch.
+        let epoch_at_read = self.primary_clock.now();
         let bytes = match std::fs::read(wal_path_for(&self.primary_path)) {
             Ok(b) => b,
             // No log yet (fresh store or mid-checkpoint swap): caught up.
@@ -192,7 +176,7 @@ impl Replica {
             self.resync(&mut state)?;
             out.resynced = true;
             drop(state);
-            self.publish(epochs_at_read);
+            self.publish(epoch_at_read);
             return Ok(out);
         }
 
@@ -203,7 +187,7 @@ impl Replica {
                 self.resync(&mut state)?;
                 out.resynced = true;
                 drop(state);
-                self.publish(epochs_at_read);
+                self.publish(epoch_at_read);
             } else {
                 out.stalled = Some(why);
             }
@@ -234,17 +218,8 @@ impl Replica {
         }
         // Clean poll that drained the log: the published state covers
         // everything committed before the read started.
-        self.publish(epochs_at_read);
+        self.publish(epoch_at_read);
         Ok(out)
-    }
-
-    /// Reports replica lag against an externally known primary sequence
-    /// (more accurate than the tail's own view when the log has frames the
-    /// replica has not parsed yet).
-    pub fn record_lag(&self, primary_seq: u64) -> u64 {
-        let lag = primary_seq.saturating_sub(self.applied_seq());
-        obs::gauge("cluster_replica_lag_seq").set(lag as f64);
-        lag
     }
 
     fn resync(&self, state: &mut TailState) -> Result<()> {
@@ -260,21 +235,16 @@ impl Replica {
     fn rebuild_engine(&self) -> Result<()> {
         let smr = lock(&self.state).smr.clone_reader();
         let engine = QueryEngine::open(smr)?;
-        // No domain bumps: freshness is dated by the primary's clock, and
-        // the fresh engine carries its own generation for the cache.
-        self.engine.begin().publish(&[], engine);
+        // Freshness is dated by the primary's clock, and the fresh engine
+        // carries its own generation for the cache.
+        self.engine.begin().publish(engine);
         Ok(())
     }
 
-    fn publish(&self, epochs: EpochVector) {
-        let mut f = lock(&self.freshness);
+    fn publish(&self, epoch: u64) {
         // Epochs only move forward; a concurrent poll may already have
-        // recorded a later vector.
-        for d in sensormeta_cache::ALL_DOMAINS {
-            if epochs.get(d) > f.epochs.get(d) {
-                f.epochs.0[d as usize] = epochs.get(d);
-            }
-        }
+        // recorded a later one.
+        self.covered.fetch_max(epoch, Ordering::Release);
     }
 
     /// Starts the background tail loop: polls the primary's log every

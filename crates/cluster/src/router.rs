@@ -1,7 +1,6 @@
 //! Read/write routing over a primary and its replicas.
 
 use crate::replica::Replica;
-use sensormeta_cache::Domain;
 use sensormeta_obs as obs;
 use sensormeta_query::QueryEngine;
 use sensormeta_tx::Snapshot;
@@ -12,10 +11,9 @@ use std::sync::Arc;
 /// primary.
 ///
 /// Writes always go to the primary (the router never exposes a mutable
-/// path to a replica). Reads name the epoch [`Domain`]s they depend on;
-/// the router round-robins across replicas whose
-/// [staleness](Replica::staleness) on those domains is within the bound
-/// and falls back to the primary when none qualifies.
+/// path to a replica). Reads round-robin across replicas whose
+/// [staleness](Replica::staleness) is within the bound and fall back to the
+/// primary when none qualifies.
 pub struct Router {
     replicas: Vec<Arc<Replica>>,
     /// Maximum number of primary commits a replica may lag and still serve.
@@ -39,10 +37,10 @@ impl Router {
         &self.replicas
     }
 
-    /// Picks a replica engine for a read depending on `deps`, or `None`
-    /// when every replica is too stale (or there are none) — the caller
-    /// then serves from the primary.
-    pub fn route_read(&self, deps: &[Domain]) -> Option<Snapshot<QueryEngine>> {
+    /// Picks a replica engine for a read, or `None` when every replica is
+    /// too stale (or there are none) — the caller then serves from the
+    /// primary.
+    pub fn route_read(&self) -> Option<Snapshot<QueryEngine>> {
         if self.replicas.is_empty() {
             obs::counter("cluster_reads_primary_total").inc();
             return None;
@@ -50,7 +48,7 @@ impl Router {
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         for i in 0..self.replicas.len() {
             let replica = &self.replicas[(start + i) % self.replicas.len()];
-            if replica.staleness(deps) <= self.bound {
+            if replica.staleness() <= self.bound {
                 obs::counter("cluster_reads_replica_total").inc();
                 return Some(replica.snapshot());
             }

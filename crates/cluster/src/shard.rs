@@ -1,6 +1,5 @@
 //! Hash partitioning and the published shard set.
 
-use sensormeta_cache::Domain;
 use sensormeta_obs as obs;
 use sensormeta_query::{QueryEngine, QueryError, QueryOutput, Result, ScatterTrace, SearchForm};
 use sensormeta_smr::{PageDraft, Smr};
@@ -74,11 +73,11 @@ impl ShardSet {
 
     /// Re-partitions from the primary's current state and publishes the
     /// result as the next version — the write path after a primary commit.
-    /// Publishes with no domain bumps: the coordinator carries the
-    /// primary's generation, which the primary's rebuild already dated.
+    /// The coordinator carries the primary's generation, which the
+    /// primary's rebuild already dated.
     pub fn republish(&self, primary: &QueryEngine) -> Result<()> {
         let next = Self::partition(primary, self.map)?;
-        self.version.begin().publish(&[], next);
+        self.version.begin().publish(next);
         obs::counter("cluster_republish_total").inc();
         Ok(())
     }
@@ -150,15 +149,6 @@ impl ShardSet {
     ) -> Result<(QueryOutput, ScatterTrace)> {
         self.coordinator().search_traced(form, user)
     }
-
-    /// Epoch domains a scattered search depends on (same as the engine's
-    /// combined-result dependencies).
-    pub const SEARCH_DEPS: &'static [Domain] = &[
-        Domain::Relational,
-        Domain::Triples,
-        Domain::SearchIndex,
-        Domain::WebGraph,
-    ];
 }
 
 #[cfg(test)]

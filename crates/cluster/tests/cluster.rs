@@ -1,7 +1,6 @@
 //! Cluster integration tests: scatter-gather identity, WAL-tail
 //! convergence and staleness routing.
 
-use sensormeta_cache::Domain;
 use sensormeta_cluster::{Replica, Router, ShardSet};
 use sensormeta_query::{CondOp, Condition, QueryEngine, SearchForm};
 use sensormeta_smr::{PageDraft, Smr};
@@ -296,12 +295,11 @@ fn router_staleness_bounds_route_reads() {
     let replica =
         Replica::open("r0", &store, Arc::clone(primary.epoch_clock())).expect("open replica");
     drain(&replica);
-    let deps = [Domain::Relational, Domain::Triples];
-    assert_eq!(replica.staleness(&deps), 0);
+    assert_eq!(replica.staleness(), 0);
 
     // Caught up: within any bound.
     let router = Router::new(vec![replica.clone()], 4);
-    assert!(router.route_read(&deps).is_some(), "fresh replica skipped");
+    assert!(router.route_read().is_some(), "fresh replica skipped");
 
     // Fall behind: eight primary commits while the replica sleeps.
     for i in 0..8 {
@@ -310,29 +308,29 @@ fn router_staleness_bounds_route_reads() {
         primary.smr_mut().create_page(d).expect("create");
         primary.rebuild().expect("rebuild");
     }
-    assert_eq!(replica.staleness(&deps), 8, "one epoch per primary commit");
+    assert_eq!(replica.staleness(), 8, "one epoch per primary commit");
     let strict = Router::new(vec![replica.clone()], 0);
     assert!(
-        strict.route_read(&deps).is_none(),
+        strict.route_read().is_none(),
         "stale replica served under a zero staleness bound"
     );
 
     // Catching up restores routing.
     drain(&replica);
     assert!(
-        strict.route_read(&deps).is_some(),
+        strict.route_read().is_some(),
         "caught-up replica still skipped"
     );
-    assert_eq!(replica.staleness(&deps), 0);
+    assert_eq!(replica.staleness(), 0);
 
     // Only its own primary ages a replica: building an unrelated engine in
     // the same process leaves it caught up.
     let _unrelated = corpus_engine(1, 31);
-    assert_eq!(replica.staleness(&deps), 0);
+    assert_eq!(replica.staleness(), 0);
 
     // No replicas: always primary.
     let empty = Router::new(vec![], 4);
-    assert!(empty.route_read(&deps).is_none());
+    assert!(empty.route_read().is_none());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

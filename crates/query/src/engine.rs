@@ -13,8 +13,7 @@ use crate::facts::{Facts, FactsBuilder};
 use crate::form::{CondOp, Condition, SearchForm, SortBy};
 use crate::result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};
 use sensormeta_cache::{
-    stale_grace_from_env, Cache, CacheConfig, CacheError, Domain, EpochClock, EpochVector,
-    Fingerprint, Status,
+    stale_grace_from_env, Cache, CacheConfig, CacheError, EpochClock, Fingerprint, Status,
 };
 use sensormeta_graph::CsrGraph;
 use sensormeta_obs as obs;
@@ -53,16 +52,6 @@ impl Default for RankBlend {
         }
     }
 }
-
-/// Epoch domains a combined query result depends on: relational rows (SQL
-/// conditions, page bodies), the triple mirror (SPARQL conditions), the
-/// inverted index (keywords) and the web graph (PageRank blending).
-const RESULT_DEPS: &[Domain] = &[
-    Domain::Relational,
-    Domain::Triples,
-    Domain::SearchIndex,
-    Domain::WebGraph,
-];
 
 /// Byte budget for cached combined results.
 const RESULT_CACHE_CAPACITY: usize = 16 << 20;
@@ -237,7 +226,7 @@ pub struct QueryEngine {
     facts: Arc<Facts>,
     recommender: Arc<Recommender>,
     suggester: Arc<SpellSuggester>,
-    /// Combined SQL+SPARQL+keyword result cache (see [`RESULT_DEPS`]).
+    /// Combined SQL+SPARQL+keyword result cache, stamped with `generation`.
     /// Shared between the primary and its reader snapshots, so a result
     /// computed through any snapshot benefits every concurrent request.
     results: Arc<Cache<QueryOutput>>,
@@ -247,7 +236,7 @@ pub struct QueryEngine {
     clock: Arc<EpochClock>,
     /// The generation the derived structures were built at: the stamp this
     /// engine's searches validate and fill the result cache with.
-    generation: EpochVector,
+    generation: u64,
     /// Partition views a search scatters over (see
     /// [`QueryEngine::with_partitions`]); empty for the single store, which
     /// searches its own repository as the one view.
@@ -278,7 +267,7 @@ fn weigh_output(out: &QueryOutput) -> usize {
 }
 
 fn result_cache() -> Cache<QueryOutput> {
-    let mut cfg = CacheConfig::new("query_results", RESULT_CACHE_CAPACITY, RESULT_DEPS);
+    let mut cfg = CacheConfig::new("query_results", RESULT_CACHE_CAPACITY);
     // Wall-clock backstop on top of epoch invalidation.
     cfg.ttl = Some(Duration::from_secs(120));
     cfg.stale_grace = stale_grace_from_env();
@@ -306,7 +295,7 @@ impl QueryEngine {
             suggester: Arc::new(SpellSuggester::new()),
             results: Arc::new(result_cache()),
             clock: Arc::new(EpochClock::new()),
-            generation: EpochVector::default(),
+            generation: 0,
             shards: Arc::default(),
         };
         engine.rebuild()?;
@@ -404,8 +393,7 @@ impl QueryEngine {
         self.shards = Arc::default();
         // One bump per rebuild, after the repository change it covers was
         // logged: replicas count these as primary commits.
-        self.clock.bump_all();
-        self.generation = self.clock.snapshot();
+        self.generation = self.clock.bump();
         Ok(())
     }
 
@@ -946,11 +934,6 @@ impl QueryEngine {
     /// Drops every cached combined query output this engine holds.
     pub fn clear_caches(&self) {
         self.results.clear();
-    }
-
-    /// Statistics of the combined-result cache.
-    pub fn result_cache_stats(&self) -> sensormeta_cache::CacheStats {
-        self.results.stats()
     }
 
     /// Evaluates the form's structured conditions to per-condition match

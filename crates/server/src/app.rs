@@ -7,7 +7,7 @@
 
 use crate::http::{url_encode, Request, Response};
 use parking_lot::Mutex;
-use sensormeta_cache::{Domain, Status, ALL_DOMAINS};
+use sensormeta_cache::Status;
 use sensormeta_cluster::{Replica, Router, ShardSet, Topology};
 use sensormeta_obs as obs;
 use sensormeta_query::{
@@ -265,10 +265,7 @@ impl App {
     /// set from it. A partitioning failure keeps the previous shard
     /// generation serving (scatter reads lag one commit instead of failing).
     fn publish(&self, primary: &QueryEngine) -> u64 {
-        let seq = self
-            .engine
-            .begin()
-            .publish(&ALL_DOMAINS, primary.clone_reader());
+        let seq = self.engine.begin().publish(primary.clone_reader());
         if let Some(set) = &self.shards {
             if set.republish(primary).is_err() {
                 obs::counter("cluster_shard_build_failures_total").inc();
@@ -498,7 +495,7 @@ impl App {
         let (engine, label) = if let Some(set) = &self.shards {
             let shards = set.shard_count().to_string();
             (set.coordinator(), Some(("X-Cluster-Shards", shards)))
-        } else if let Some(replica) = self.router.route_read(ShardSet::SEARCH_DEPS) {
+        } else if let Some(replica) = self.router.route_read() {
             (replica, Some(("X-Served-By", "replica".to_owned())))
         } else {
             (self.engine.snapshot(), None)
@@ -553,7 +550,6 @@ impl App {
     /// applied sequence and epoch lag. Also refreshes the replica-lag gauge
     /// so `/metrics` stays current even between tail polls.
     fn cluster_status(&self) -> Response {
-        let deps = ShardSet::SEARCH_DEPS;
         let replicas: Vec<serde_json::Value> = self
             .router
             .replicas()
@@ -562,7 +558,7 @@ impl App {
                 json!({
                     "name": r.name(),
                     "appliedSeq": r.applied_seq(),
-                    "stalenessEpochs": r.staleness(deps),
+                    "stalenessEpochs": r.staleness(),
                 })
             })
             .collect();
@@ -570,7 +566,7 @@ impl App {
             .router
             .replicas()
             .iter()
-            .map(|r| r.staleness(deps))
+            .map(|r| r.staleness())
             .max()
             .unwrap_or(0);
         obs::gauge("cluster_replica_staleness_epochs").set(max_staleness as f64);
@@ -762,12 +758,15 @@ impl App {
         // through `POST /tag` exist only there and must survive the load.
         let pairs = primary.smr().all_tags().unwrap_or_default();
         drop(primary);
-        let _ = self
-            .tags
-            .commit(&[Domain::TagIncidence], |t: &mut TagStore| {
-                t.ingest(pairs.iter().map(|(p, t)| (p.as_str(), t.as_str())));
-                Ok::<(), std::convert::Infallible>(())
-            });
+        // A load that brings no new pair publishes no tag version.
+        let _ = self.tags.commit(|t: &mut TagStore| {
+            let added = t.ingest(pairs.iter().map(|(p, t)| (p.as_str(), t.as_str())));
+            if added > 0 {
+                Ok(())
+            } else {
+                Err(())
+            }
+        });
         json_or_500(serde_json::to_string(&report))
     }
 
@@ -775,13 +774,12 @@ impl App {
         let (Some(page), Some(tag)) = (req.param("page"), req.param("tag")) else {
             return Response::error(400, "need ?page= and ?tag=");
         };
-        let mut added = false;
-        let _ = self
+        // A pair already present (or a blank tag) changes nothing, so the
+        // commit aborts: no version is published and cached clouds stay valid.
+        let added = self
             .tags
-            .commit(&[Domain::TagIncidence], |t: &mut TagStore| {
-                added = t.add(page, tag);
-                Ok::<(), std::convert::Infallible>(())
-            });
+            .commit(|t: &mut TagStore| if t.add(page, tag) { Ok(()) } else { Err(()) })
+            .is_ok();
         Response::json(json!({"added": added}).to_string())
     }
 
@@ -883,14 +881,14 @@ impl App {
     }
 
     /// Tag-cloud lookup behind the `tagcloud` breaker, pinned at the tag
-    /// snapshot's epoch vector: interruptible compute, degrading to the
+    /// snapshot's sequence number: interruptible compute, degrading to the
     /// superseded cloud within the staleness grace when the compute path
     /// fails or the circuit is open.
     fn cloud(&self) -> Result<(Arc<TagCloud>, Status), Response> {
         let params = CloudParams::default();
         let tags = self.tags.snapshot();
         let stale = || {
-            let (cloud, _age) = self.cloud_cache.stale(&params, tags.epochs())?;
+            let (cloud, _age) = self.cloud_cache.stale(&params, tags.seq())?;
             Some((cloud, Status::Degraded))
         };
         if !self.breaker_cloud.allow() {
@@ -899,7 +897,7 @@ impl App {
                     .with_header("Retry-After", retry_after_secs().to_string())
             });
         }
-        match self.cloud_cache.get(&tags, tags.epochs(), &params) {
+        match self.cloud_cache.get(&tags, tags.seq(), &params) {
             Ok(pair) => {
                 self.breaker_cloud.record_success();
                 Ok(pair)

@@ -3,7 +3,8 @@
 //! /admin/cache/clear` dropping every namespace.
 //!
 //! Everything lives in ONE test function because its phases build on one
-//! app's cache state in order: warm, cleared, re-tagged, circuit open.
+//! app's cache state in order: warm, cleared, re-tagged, tagged and loaded
+//! with no tag change, circuit open.
 
 use sensormeta_query::QueryEngine;
 use sensormeta_server::{parse_query, App, Request, Response};
@@ -116,6 +117,28 @@ fn cache_status_headers_and_admin_clear() {
     );
     assert_eq!(cache_status(&app, "/tags"), "hit");
     assert_eq!(cache_status(&app, "/search?q=temperature"), "hit");
+
+    // A tag the page already has, or a blank one, changes nothing: no tag
+    // version is published and the cached cloud stays current.
+    for target in [
+        "/tag?page=Fieldsite:Weissfluhjoch&tag=alpine",
+        "/tag?page=Fieldsite:Weissfluhjoch&tag=%20",
+    ] {
+        let resp = app.handle(&req("POST", target));
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, br#"{"added":false}"#, "POST {target}");
+        assert_eq!(cache_status(&app, "/tags"), "hit", "after POST {target}");
+    }
+    // Likewise a load whose pages bring no new tag pair: the engine commits
+    // (searches recompute), the tag store does not.
+    let untagged = PageDraft::new("Deployment:wfj_wind", "Deployment").body("wind sensor");
+    let mut load = req("POST", "/bulkload");
+    load.body = serde_json::to_string(&untagged)
+        .expect("draft json")
+        .into_bytes();
+    assert_eq!(app.handle(&load).status, 200);
+    assert_eq!(cache_status(&app, "/search?q=temperature"), "stale");
+    assert_eq!(cache_status(&app, "/tags"), "hit", "after an untagged load");
 
     // GET on the admin route stays a 404, POST elsewhere a 405.
     assert_eq!(app.handle(&req("GET", "/admin/cache/clear")).status, 404);

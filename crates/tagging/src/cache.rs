@@ -5,23 +5,20 @@
 //! namespace of the shared [`Cache`]: what it adds is the configuration, the
 //! weigher and the key over [`CloudParams`]. The key carries no store
 //! generation; a cloud is tied to the store it was computed from by the
-//! epoch stamp of the reader's tag snapshot, exactly as search results are,
-//! so the superseded cloud stays under its key for serve-stale degradation.
+//! sequence number of the reader's tag snapshot, exactly as search results
+//! are by their engine's generation, so the superseded cloud stays under its
+//! key for serve-stale degradation.
 
 use crate::clique::BkVariant;
 use crate::cloud::{try_compute_cloud, CloudParams, TagCloud};
 use crate::store::TagStore;
 use sensormeta_cache::{
-    stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Domain, EpochVector,
-    Fingerprint, Status,
+    stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Fingerprint, Status,
 };
 use sensormeta_obs as obs;
 use sensormeta_resil::{self as resil, Interrupt};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Epoch domain a computed cloud depends on.
-const DEPS: &[Domain] = &[Domain::TagIncidence];
 
 /// Byte budget for memoized clouds.
 const CAPACITY: usize = 1 << 20;
@@ -39,7 +36,7 @@ impl Default for CloudCache {
 }
 
 fn config() -> CacheConfig {
-    let mut cfg = CacheConfig::new("tag_cloud", CAPACITY, DEPS);
+    let mut cfg = CacheConfig::new("tag_cloud", CAPACITY);
     // Clouds are few (one per parameter set); one shard keeps them in one
     // LRU and lets the stale sweep see every entry.
     cfg.shards = 1;
@@ -67,8 +64,8 @@ impl CloudCache {
 
     /// Returns the cloud for `store`, computing it only on a miss, and how
     /// the lookup was answered — servers surface that as `Cache-Status`.
-    /// `at` is the epoch vector of the tag snapshot `store` was read from;
-    /// every tag commit that changes `store` must move it.
+    /// `at` is the sequence number of the tag snapshot `store` was read
+    /// from; every tag commit that changes `store` must move it.
     ///
     /// The compute is cooperative: it observes the ambient resil deadline
     /// (and chaos plan) and aborts with an [`Interrupt`] instead of burning
@@ -77,7 +74,7 @@ impl CloudCache {
     pub fn get(
         &self,
         store: &TagStore,
-        at: EpochVector,
+        at: u64,
         params: &CloudParams,
     ) -> Result<(Arc<TagCloud>, Status), Interrupt> {
         let wait = resil::current_deadline().remaining();
@@ -106,11 +103,7 @@ impl CloudCache {
     /// within the staleness grace window — with its age. This is the
     /// serve-stale degradation path for a failed or breaker-rejected
     /// recompute; callers must label the response as stale. Never computes.
-    pub fn stale(
-        &self,
-        params: &CloudParams,
-        at: EpochVector,
-    ) -> Option<(Arc<TagCloud>, Duration)> {
+    pub fn stale(&self, params: &CloudParams, at: u64) -> Option<(Arc<TagCloud>, Duration)> {
         self.cache.get_stale(param_key(params), at)
     }
 
@@ -157,10 +150,7 @@ mod tests {
     }
 
     fn get(cache: &CloudCache, clk: &EpochClock, s: &TagStore, p: &CloudParams) -> Arc<TagCloud> {
-        cache
-            .get(s, clk.snapshot(), p)
-            .expect("no deadline in scope")
-            .0
+        cache.get(s, clk.now(), p).expect("no deadline in scope").0
     }
 
     #[test]
@@ -180,7 +170,7 @@ mod tests {
         let (cache, clk) = isolated();
         let _ = get(&cache, &clk, &s, &CloudParams::default());
         s.add("c", "avalanche");
-        clk.bump(Domain::TagIncidence);
+        clk.bump();
         let c2 = get(&cache, &clk, &s, &CloudParams::default());
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 1, "recompute replaced the entry");
@@ -215,13 +205,12 @@ mod tests {
 
         // Snapshot S1, then a tag commit publishes S2.
         let s1_store = store();
-        let s1 = clk.snapshot();
+        let s1 = clk.now();
         let (c1, status) = cache.get(&s1_store, s1, &params).expect("S1 compute");
         assert_eq!(status, Status::Miss);
         let mut s2_store = s1_store.clone();
         s2_store.add("c", "avalanche");
-        clk.bump(Domain::TagIncidence);
-        let s2 = clk.snapshot();
+        let s2 = clk.bump();
 
         // A reader still on S1 keeps hitting its own generation.
         let (again, status) = cache.get(&s1_store, s1, &params).expect("S1 hit");
@@ -256,9 +245,7 @@ mod tests {
         let (cache, clk) = isolated();
         let _ = get(&cache, &clk, &s, &CloudParams::default());
         cache.clear();
-        assert!(cache
-            .stale(&CloudParams::default(), clk.snapshot())
-            .is_none());
+        assert!(cache.stale(&CloudParams::default(), clk.now()).is_none());
         let _ = get(&cache, &clk, &s, &CloudParams::default());
         assert_eq!(cache.stats().misses, 2, "cleared entry recomputes");
         assert_eq!(cache.stats().hits, 0);

@@ -4,7 +4,7 @@
 //! from the SMR, cosine-similarity matrix transformation with the 0.5
 //! threshold, tag graphs, Bron–Kerbosch maximal-clique enumeration (naive /
 //! pivoting / degeneracy variants), the Eq. 6 font-size formula with its
-//! clique-promotion term, and an epoch-stamped cloud cache.
+//! clique-promotion term, and a cloud cache stamped with the tag version.
 //!
 //! ```
 //! use sensormeta_tagging::{TagStore, CloudParams, compute_cloud};

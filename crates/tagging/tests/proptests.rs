@@ -3,7 +3,7 @@
 //! and the cache's serve-stale grace.
 
 use proptest::prelude::*;
-use sensormeta_cache::{Domain, EpochClock};
+use sensormeta_cache::EpochClock;
 use sensormeta_graph::UndirectedGraph;
 use sensormeta_tagging::{
     brute_force_maximal_cliques, compute_cloud, cosine, font_size, maximal_cliques,
@@ -153,9 +153,9 @@ proptest! {
             };
             // A mutation that changed the store commits a new version.
             if changed {
-                clock.bump(Domain::TagIncidence);
+                clock.bump();
             }
-            let (cached, _) = cache.get(&store, clock.snapshot(), &params).unwrap();
+            let (cached, _) = cache.get(&store, clock.now(), &params).unwrap();
             let fresh = compute_cloud(&store, &params);
             prop_assert_eq!(&*cached, &fresh);
         }
@@ -174,14 +174,14 @@ fn cache_with_zero_stale_grace_holds_nothing_over_a_commit() {
     let mut store = TagStore::new();
     store.ingest([("a", "snow"), ("b", "snow")]);
     let params = CloudParams::default();
-    let _ = cache.get(&store, clock.snapshot(), &params).unwrap();
+    let _ = cache.get(&store, clock.now(), &params).unwrap();
     assert!(
-        cache.stale(&params, clock.snapshot()).is_some(),
+        cache.stale(&params, clock.now()).is_some(),
         "current cloud is resident"
     );
-    clock.bump(Domain::TagIncidence);
+    clock.bump();
     assert!(
-        cache.stale(&params, clock.snapshot()).is_none(),
+        cache.stale(&params, clock.now()).is_none(),
         "superseded cloud held over"
     );
 }

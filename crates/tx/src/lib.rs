@@ -16,10 +16,9 @@
 //!   make the clone a handful of refcount bumps), apply their changes, and
 //!   publish with a single pointer swap. A commit that errors publishes
 //!   nothing — readers can never observe a partial transaction.
-//! - Each cell owns an [`EpochClock`] and stamps every version with the
-//!   vector taken *after* the commit's domain bumps, so the epoch vector is
-//!   the snapshot identifier: the shared result cache validates entries
-//!   against it, once per commit, with no process-wide clock involved.
+//! - Every version carries its publication sequence number, assigned under
+//!   the writer lock, so [`Snapshot::seq`] identifies the snapshot: a
+//!   result cache stamps entries with it, with no clock involved.
 //! - Old versions are garbage-collected by refcount: when the last
 //!   snapshot pinning a superseded version drops, the version frees. The
 //!   cell keeps only `Weak` history handles for accounting
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use sensormeta_cache::{Domain, EpochClock, EpochVector};
 use sensormeta_obs as obs;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
@@ -42,11 +40,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 #[derive(Debug)]
 struct Version<T> {
     data: T,
-    /// The epoch-clock vector at publish time (after the commit's bumps):
-    /// the snapshot identifier the result cache keys by.
-    epochs: EpochVector,
     /// Monotonic publication sequence number, starting at 0 for the
-    /// initial version.
+    /// initial version: the snapshot identifier the result cache stamps
+    /// entries with.
     seq: u64,
 }
 
@@ -60,11 +56,6 @@ pub struct Snapshot<T> {
 }
 
 impl<T> Snapshot<T> {
-    /// The epoch vector this version was stamped with at publish time.
-    pub fn epochs(&self) -> EpochVector {
-        self.version.epochs
-    }
-
     /// The publication sequence number of this version (0 = initial).
     pub fn seq(&self) -> u64 {
         self.version.seq
@@ -91,7 +82,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Snapshot<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("seq", &self.version.seq)
-            .field("epochs", &self.version.epochs)
             .finish_non_exhaustive()
     }
 }
@@ -114,8 +104,6 @@ pub struct Mvcc<T> {
     /// One strong reference per open snapshot (minus our own), for the
     /// `tx_snapshots_live` gauge.
     live: Arc<()>,
-    /// Dates this cell's versions; bumped only by [`Committer::publish`].
-    clock: EpochClock,
 }
 
 /// Exclusive access to the committer side of an [`Mvcc`], for writers that
@@ -129,20 +117,13 @@ pub struct Committer<'a, T> {
 }
 
 impl<T> Mvcc<T> {
-    /// A cell whose initial version holds `data`, stamped with the zero
-    /// vector of the cell's own clock.
+    /// A cell whose initial version holds `data`, at sequence number 0.
     pub fn new(data: T) -> Mvcc<T> {
-        let clock = EpochClock::new();
         Mvcc {
-            current: RwLock::new(Arc::new(Version {
-                data,
-                epochs: clock.snapshot(),
-                seq: 0,
-            })),
+            current: RwLock::new(Arc::new(Version { data, seq: 0 })),
             writer: Mutex::new(0),
             history: Mutex::new(Vec::new()),
             live: Arc::new(()),
-            clock,
         }
     }
 
@@ -175,11 +156,6 @@ impl<T> Mvcc<T> {
         read_lock(&self.current).seq
     }
 
-    /// Epoch vector of the current published version.
-    pub fn epochs(&self) -> EpochVector {
-        read_lock(&self.current).epochs
-    }
-
     /// Number of versions still reachable: the current one plus every
     /// superseded version kept alive by an open snapshot. Superseded
     /// versions with no snapshot pinning them have already been freed by
@@ -191,17 +167,13 @@ impl<T> Mvcc<T> {
     }
 
     /// Applies `f` to a copy-on-write clone of the current version and, on
-    /// `Ok`, bumps `domains` on the clock, stamps the result with the
-    /// post-bump epoch vector and publishes it as the next version.
+    /// `Ok`, publishes the result as the next version.
     ///
-    /// On `Err` nothing is published and no epoch is bumped: readers never
-    /// observe a partial commit. Committers serialize on an internal mutex;
-    /// readers keep opening snapshots of the previous version throughout.
-    pub fn commit<E>(
-        &self,
-        domains: &[Domain],
-        f: impl FnOnce(&mut T) -> Result<(), E>,
-    ) -> Result<u64, E>
+    /// On `Err` nothing is published and the sequence number does not move:
+    /// readers never observe a partial commit. Committers serialize on an
+    /// internal mutex; readers keep opening snapshots of the previous
+    /// version throughout.
+    pub fn commit<E>(&self, f: impl FnOnce(&mut T) -> Result<(), E>) -> Result<u64, E>
     where
         T: Clone,
     {
@@ -211,7 +183,7 @@ impl<T> Mvcc<T> {
             cur.data.clone()
         };
         f(&mut data)?;
-        Ok(committer.publish(domains, data))
+        Ok(committer.publish(data))
     }
 
     /// Begins a serialized commit section without cloning the published
@@ -233,18 +205,12 @@ impl<T> Committer<'_, T> {
         self.cell.snapshot()
     }
 
-    /// Bumps `domains` on the clock, stamps `data` with the post-bump
-    /// epoch vector, and publishes it as the next version in one pointer
-    /// swap. Returns the new sequence number.
-    pub fn publish(mut self, domains: &[Domain], data: T) -> u64 {
-        let clk = &self.cell.clock;
-        for &d in domains {
-            clk.bump(d);
-        }
-        let epochs = clk.snapshot();
+    /// Publishes `data` as the next version in one pointer swap, stamped
+    /// with the next sequence number. Returns that sequence number.
+    pub fn publish(mut self, data: T) -> u64 {
         *self.guard += 1;
         let seq = *self.guard;
-        let next = Arc::new(Version { data, epochs, seq });
+        let next = Arc::new(Version { data, seq });
         let prev = {
             let mut cur = write_lock(&self.cell.current);
             std::mem::replace(&mut *cur, next)
@@ -288,7 +254,7 @@ mod tests {
     fn snapshot_sees_version_at_open_time() {
         let cell = test_cell(1);
         let before = cell.snapshot();
-        cell.commit::<()>(&[Domain::Relational], |v| {
+        cell.commit::<()>(|v| {
             v.push(2);
             Ok(())
         })
@@ -303,27 +269,13 @@ mod tests {
     #[test]
     fn failed_commit_publishes_nothing_and_bumps_nothing() {
         let cell = test_cell(1);
-        let stamp = cell.epochs();
-        let r = cell.commit(&[Domain::Relational], |v| {
+        let r = cell.commit(|v| {
             v.push(2);
             Err("boom")
         });
         assert_eq!(r, Err("boom"));
         assert_eq!(*cell.snapshot(), vec![1]);
-        assert_eq!(cell.seq(), 0);
-        assert_eq!(cell.epochs(), stamp, "no epoch bump on abort");
-    }
-
-    #[test]
-    fn commit_bumps_domains_and_stamps_post_bump_vector() {
-        let cell = test_cell(0);
-        cell.commit::<()>(&[Domain::Relational, Domain::Triples], |_| Ok(()))
-            .unwrap();
-        let s = cell.snapshot();
-        assert_eq!(s.epochs().get(Domain::Relational), 1, "stamp is post-bump");
-        assert_eq!(s.epochs().get(Domain::Triples), 1);
-        assert_eq!(s.epochs().get(Domain::WebGraph), 0);
-        assert_eq!(cell.epochs(), s.epochs());
+        assert_eq!(cell.seq(), 0, "no sequence number consumed on abort");
     }
 
     #[test]
@@ -331,7 +283,7 @@ mod tests {
         let cell = test_cell(0);
         let pin = cell.snapshot();
         for i in 0..5 {
-            cell.commit::<()>(&[Domain::Relational], |v| {
+            cell.commit::<()>(|v| {
                 v.push(i);
                 Ok(())
             })
@@ -365,7 +317,7 @@ mod tests {
         let c = cell.begin();
         assert_eq!(*c.base(), vec![0]);
         primary.push(7);
-        let seq = c.publish(&[Domain::WebGraph], primary.clone());
+        let seq = c.publish(primary.clone());
         assert_eq!(seq, 1);
         assert_eq!(*cell.snapshot(), vec![0, 7]);
     }
@@ -378,7 +330,7 @@ mod tests {
                 let cell = Arc::clone(&cell);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        cell.commit::<()>(&[Domain::Relational], |v| {
+                        cell.commit::<()>(|v| {
                             *v += 1;
                             Ok(())
                         })
@@ -401,12 +353,12 @@ mod tests {
         let cell = Arc::new(Mvcc::new(0u64));
         let c2 = Arc::clone(&cell);
         let _ = std::thread::spawn(move || {
-            c2.commit::<()>(&[], |_| panic!("injected")).ok();
+            c2.commit::<()>(|_| panic!("injected")).ok();
         })
         .join();
         // The cell still works: the panicked commit published nothing.
         assert_eq!(*cell.snapshot(), 0);
-        cell.commit::<()>(&[], |v| {
+        cell.commit::<()>(|v| {
             *v = 9;
             Ok(())
         })

@@ -19,8 +19,6 @@
 //! Semantic rules (workspace-level; item parser + cross-file call graph,
 //! see the `semantic` module):
 //!
-//! - **epoch-bump-on-commit** — public commit/publish entry points of the
-//!   `tx` MVCC crate must transitively reach an `EpochClock` bump.
 //! - **wal-before-write** — durable `Database`/`Smr` mutation paths must
 //!   reach a WAL append, and reach it before the first applied write.
 //! - **lock-order** — the cross-crate Mutex/RwLock acquisition graph must

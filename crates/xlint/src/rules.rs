@@ -28,10 +28,6 @@ pub enum Rule {
     /// loop). Everything else must go through the `sensormeta-par` pool so
     /// parallelism stays bounded, instrumented and deterministic.
     NoRawThreadSpawn,
-    /// Semantic: every public commit/publish path of the `tx` MVCC crate
-    /// must transitively reach an `EpochClock` bump — a published version
-    /// that bumps nothing leaves every cache serving the previous one.
-    EpochBumpOnCommit,
     /// Semantic: durable `Database`/`Smr` mutation paths must reach a WAL
     /// append (`wal_commit`) before — and not after — applying writes.
     WalBeforeWrite,
@@ -54,7 +50,6 @@ impl Rule {
             Rule::MissingDocs => "missing-docs",
             Rule::NoPrintlnInLib => "no-println-in-lib",
             Rule::NoRawThreadSpawn => "no-raw-thread-spawn",
-            Rule::EpochBumpOnCommit => "epoch-bump-on-commit",
             Rule::WalBeforeWrite => "wal-before-write",
             Rule::LockOrder => "lock-order",
             Rule::NoBlockingInPar => "no-blocking-in-par",
@@ -71,7 +66,6 @@ impl Rule {
             "missing-docs" => Some(Rule::MissingDocs),
             "no-println-in-lib" => Some(Rule::NoPrintlnInLib),
             "no-raw-thread-spawn" => Some(Rule::NoRawThreadSpawn),
-            "epoch-bump-on-commit" => Some(Rule::EpochBumpOnCommit),
             "wal-before-write" => Some(Rule::WalBeforeWrite),
             "lock-order" => Some(Rule::LockOrder),
             "no-blocking-in-par" => Some(Rule::NoBlockingInPar),
@@ -89,7 +83,6 @@ impl Rule {
             Rule::MissingDocs,
             Rule::NoPrintlnInLib,
             Rule::NoRawThreadSpawn,
-            Rule::EpochBumpOnCommit,
             Rule::WalBeforeWrite,
             Rule::LockOrder,
             Rule::NoBlockingInPar,
@@ -137,16 +130,6 @@ impl Rule {
                  crates/server (the accept loop). Everything else parallelizes through the \
                  sensormeta-par pool so thread counts stay bounded and execution stays \
                  deterministic."
-            }
-            Rule::EpochBumpOnCommit => {
-                "Workspace semantic rule. Every public commit/publish entry point of the \
-                 `sensormeta-tx` MVCC crate (`Mvcc::commit`, `Committer::publish`, and any \
-                 future `*commit*` method) must reach — directly or through any chain of \
-                 calls — an `EpochClock` bump. A version's epoch vector is its identity for \
-                 snapshot validation and cache invalidation, so publishing a new version \
-                 without bumping leaves every cache and live reader convinced nothing \
-                 changed. The bumped domains are usually parameters here, so any bump \
-                 (named, `bump_all`, or a domain-variable `bump(d)`) satisfies the rule."
             }
             Rule::WalBeforeWrite => {
                 "Workspace semantic rule. Public `&mut self` methods of `Database` and \

@@ -1,10 +1,7 @@
 //! Workspace-level semantic analysis: a cross-file symbol table and
 //! approximate call graph over the items extracted by [`crate::parser`],
-//! plus the four invariant rules built on it:
+//! plus the three invariant rules built on it:
 //!
-//! - **epoch-bump-on-commit** — every public commit/publish entry point of
-//!   the `tx` MVCC crate must transitively reach *some* `EpochClock` bump
-//!   (the domains are parameters there, so any bump counts).
 //! - **wal-before-write** — durable `Database`/`Smr` mutation paths must
 //!   reach a WAL append, and reach it before the first applied write.
 //! - **lock-order** — the cross-crate Mutex/RwLock acquisition graph must
@@ -18,7 +15,7 @@
 //! name — ambiguously named methods resolve to nothing rather than to
 //! everything. That keeps the deadlock-shaped rules (lock-order, blocking)
 //! quiet without receiver type inference, while `self.` chains stay precise
-//! for the transitive commit/WAL walks; per-line `// xlint: allow(rule)`
+//! for the transitive WAL walks; per-line `// xlint: allow(rule)`
 //! markers document the intentional exceptions.
 
 use crate::lexer::{Lexed, TokKind};
@@ -70,8 +67,6 @@ struct Acq {
 struct FnInfo {
     item: FnItem,
     calls: Vec<CallSite>,
-    /// This fn calls an epoch-clock `bump` or `bump_all` directly.
-    bumps: bool,
     acqs: Vec<Acq>,
     /// Direct blocking operations: (token index, line, description).
     blocking: Vec<(usize, u32, String)>,
@@ -321,7 +316,6 @@ fn build(files: &[(String, Lexed)]) -> Workspace {
             let mut info = FnInfo {
                 item,
                 calls,
-                bumps: false,
                 acqs: Vec::new(),
                 blocking: Vec::new(),
                 par_regions: Vec::new(),
@@ -396,12 +390,6 @@ fn extract_facts(
     info: &mut FnInfo,
 ) {
     for c in info.calls.clone() {
-        let name = match &c.callee {
-            Callee::Method { name, .. } | Callee::Free { name, .. } => name,
-        };
-        // Any bump counts: on the tx commit path the domains are a
-        // `&[Domain]` parameter, so `clk.bump(d)` names none.
-        info.bumps |= matches!(name.as_str(), "bump" | "bump_all");
         match &c.callee {
             Callee::Method { name, recv } => {
                 // Lock acquisitions on known classes.
@@ -494,81 +482,7 @@ fn fixpoint_reach(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: epoch-bump-on-commit
-// ---------------------------------------------------------------------------
-
-fn lint_epoch_on_commit(ws: &Workspace) -> Vec<Violation> {
-    let in_tx: Vec<usize> = (0..ws.fns.len())
-        .filter(|&i| ws.fns[i].item.file.starts_with("crates/tx/"))
-        .collect();
-    if in_tx.is_empty() {
-        return Vec::new();
-    }
-    // Crate-local method table: inside crates/tx a method call resolves by
-    // name even when the name is globally ambiguous (`publish` also exists
-    // on the cache's single-flight type) — a commit path never leaves the
-    // crate before it bumps.
-    let mut local: HashMap<&str, Vec<usize>> = HashMap::new();
-    for &i in &in_tx {
-        local
-            .entry(ws.fns[i].item.name.as_str())
-            .or_default()
-            .push(i);
-    }
-    let mut out = Vec::new();
-    for &i in &in_tx {
-        let it = &ws.fns[i].item;
-        if !it.is_pub || it.owner.is_none() || !(it.name.contains("commit") || it.name == "publish")
-        {
-            continue;
-        }
-        // BFS over the global call graph plus the crate-local name edges.
-        let mut seen = vec![false; ws.fns.len()];
-        let mut queue = vec![i];
-        seen[i] = true;
-        let mut bumped = false;
-        while let Some(v) = queue.pop() {
-            if ws.fns[v].bumps {
-                bumped = true;
-                break;
-            }
-            let mut next: BTreeSet<usize> = ws.succ[v].iter().copied().collect();
-            if ws.fns[v].item.file.starts_with("crates/tx/") {
-                for c in &ws.fns[v].calls {
-                    if let Callee::Method { name, .. } = &c.callee {
-                        if let Some(ids) = local.get(name.as_str()) {
-                            next.extend(ids.iter().copied());
-                        }
-                    }
-                }
-            }
-            for j in next {
-                if !seen[j] {
-                    seen[j] = true;
-                    queue.push(j);
-                }
-            }
-        }
-        if !bumped {
-            out.push(Violation {
-                file: it.file.clone(),
-                line: it.line,
-                rule: Rule::EpochBumpOnCommit,
-                message: format!(
-                    "`{}::{}` publishes a new version but no call path from it reaches an \
-                     `EpochClock` bump; snapshot validation and cache invalidation are \
-                     epoch-driven, so the commit is invisible to every reader",
-                    it.owner.as_deref().unwrap_or("?"),
-                    it.name,
-                ),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: wal-before-write
+// Rule 1: wal-before-write
 // ---------------------------------------------------------------------------
 
 fn lint_wal(ws: &Workspace) -> Vec<Violation> {
@@ -652,7 +566,7 @@ fn lint_wal(ws: &Workspace) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: lock-order
+// Rule 2: lock-order
 // ---------------------------------------------------------------------------
 
 /// A directed "class B acquired while class A held" pair.
@@ -833,7 +747,7 @@ fn kosaraju(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: no-blocking-in-par
+// Rule 3: no-blocking-in-par
 // ---------------------------------------------------------------------------
 
 fn par_exempt(file: &str) -> bool {
@@ -958,13 +872,12 @@ fn lint_no_blocking_in_par(ws: &Workspace) -> Vec<Violation> {
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Runs the four workspace semantic rules over the lexed files
+/// Runs the three workspace semantic rules over the lexed files
 /// (`(workspace-relative path, lexed)` pairs), honouring per-line
 /// `// xlint: allow(rule)` markers.
 pub(crate) fn lint_semantic(files: &[(String, Lexed)]) -> Vec<Violation> {
     let ws = build(files);
     let mut out = Vec::new();
-    out.extend(lint_epoch_on_commit(&ws));
     out.extend(lint_wal(&ws));
     out.extend(lint_lock_order(&ws));
     out.extend(lint_no_blocking_in_par(&ws));
@@ -989,44 +902,6 @@ mod tests {
         let lexed: Vec<(String, Lexed)> =
             files.iter().map(|(p, s)| (p.to_string(), lex(s))).collect();
         lint_semantic(&lexed)
-    }
-
-    #[test]
-    fn tx_commit_must_reach_a_bump() {
-        // `publish` iterates a `&[Domain]` parameter — the domain-variable
-        // `clk.bump(d)` counts, and `commit` reaches it through the
-        // crate-local `committer.publish(…)` edge.
-        let ok = run(&[(
-            "crates/tx/src/lib.rs",
-            "pub struct Mvcc;\npub struct Committer;\n\
-             impl Mvcc {\n\
-                 pub fn commit(&self, domains: &[Domain]) { let committer = self.begin(); committer.publish(domains); }\n\
-                 pub fn begin(&self) -> Committer { Committer }\n\
-             }\n\
-             impl Committer {\n\
-                 pub fn publish(self, domains: &[Domain]) { for d in domains { clk.bump(d); } }\n\
-             }",
-        )]);
-        assert!(
-            ok.iter().all(|v| v.rule != Rule::EpochBumpOnCommit),
-            "{ok:?}"
-        );
-
-        let bad = run(&[(
-            "crates/tx/src/lib.rs",
-            "pub struct Mvcc;\n\
-             impl Mvcc {\n\
-                 pub fn commit(&self, domains: &[Domain]) { self.swap(); }\n\
-                 fn swap(&self) {}\n\
-             }",
-        )]);
-        let hits: Vec<&Violation> = bad
-            .iter()
-            .filter(|v| v.rule == Rule::EpochBumpOnCommit)
-            .collect();
-        assert_eq!(hits.len(), 1, "{bad:?}");
-        assert_eq!(hits[0].line, 3);
-        assert!(hits[0].message.contains("Mvcc::commit"));
     }
 
     #[test]

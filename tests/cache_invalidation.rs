@@ -6,7 +6,6 @@
 //! spuriously, but it must never serve a result from before a mutation.
 
 use proptest::prelude::*;
-use sensormeta::cache::Domain;
 use sensormeta::query::{QueryEngine, SearchForm, SearchOptions};
 use sensormeta::smr::{PageDraft, Smr};
 use sensormeta::tagging::{compute_cloud, CloudCache, CloudParams, TagStore};
@@ -106,7 +105,7 @@ proptest! {
         let mut held = tags.snapshot();
         for (page, tag, add) in ops {
             let page = format!("Deployment:d{page}");
-            tags.commit(&[Domain::TagIncidence], |s: &mut TagStore| {
+            tags.commit(|s: &mut TagStore| {
                 if add {
                     s.add(&page, word(tag));
                 } else {
@@ -117,7 +116,7 @@ proptest! {
             .unwrap();
             let current = tags.snapshot();
             for snap in [&current, &held, &current] {
-                let (cloud, _status) = cache.get(snap, snap.epochs(), &params).unwrap();
+                let (cloud, _status) = cache.get(snap, snap.seq(), &params).unwrap();
                 prop_assert_eq!(&*cloud, &compute_cloud(snap, &params), "stale cached cloud");
             }
             held = current;

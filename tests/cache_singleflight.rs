@@ -3,7 +3,7 @@
 //! exactly one computation, and a bounded wait must give up with
 //! `WaitTimeout` instead of blocking a worker behind a slow leader.
 
-use sensormeta::cache::{Cache, CacheConfig, CacheError, Domain, EpochVector};
+use sensormeta::cache::{Cache, CacheConfig, CacheError};
 use sensormeta::par::Pool;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -13,14 +13,11 @@ use std::time::{Duration, Instant};
 const TASKS: usize = 4;
 
 fn hot_cache(name: &'static str) -> Cache<u64> {
-    Cache::new(
-        CacheConfig::new(name, 1 << 16, &[Domain::Relational]),
-        |_| 8,
-    )
+    Cache::new(CacheConfig::new(name, 1 << 16), |_| 8)
 }
 
 /// The one version every lookup here reads.
-const AT: EpochVector = EpochVector([0; sensormeta::cache::DOMAIN_COUNT]);
+const AT: u64 = 0;
 
 /// Spins until `cond` holds, bounded so a lost thread fails the test
 /// instead of hanging it.

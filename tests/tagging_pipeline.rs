@@ -2,7 +2,6 @@
 //! SMR-stored tags through cache, matrix transformation, clique enumeration
 //! and font-size calculation, to a rendered cloud.
 
-use sensormeta::cache::Domain;
 use sensormeta::smr::{PageDraft, Smr};
 use sensormeta::tagging::{
     compute_cloud, maximal_cliques, similarity_graph, similarity_matrix, BkVariant, CloudCache,
@@ -92,20 +91,20 @@ fn cache_module_cuts_recomputation() {
     let params = CloudParams::default();
     for _ in 0..10 {
         let snap = tags.snapshot();
-        let _ = cache.get(&snap, snap.epochs(), &params).unwrap();
+        let _ = cache.get(&snap, snap.seq(), &params).unwrap();
     }
     assert_eq!(cache.stats().misses, 1);
     assert_eq!(cache.stats().hits, 9);
 
     // A new user tag, committed as a new version, invalidates exactly once.
-    tags.commit(&[Domain::TagIncidence], |s: &mut TagStore| {
+    tags.commit(|s: &mut TagStore| {
         s.add("Deployment:page0", "freshly-tagged");
         Ok::<(), Infallible>(())
     })
     .unwrap();
     let snap = tags.snapshot();
-    let (cloud, _) = cache.get(&snap, snap.epochs(), &params).unwrap();
-    let _ = cache.get(&snap, snap.epochs(), &params).unwrap();
+    let (cloud, _) = cache.get(&snap, snap.seq(), &params).unwrap();
+    let _ = cache.get(&snap, snap.seq(), &params).unwrap();
     assert_eq!(cache.stats().misses, 2);
     assert_eq!(cache.stats().hits, 10);
     assert!(cloud.entries.iter().any(|e| e.tag == "freshly-tagged"));
