@@ -1101,11 +1101,12 @@ impl QueryEngine {
             query.push_str(&format!(" AND p.title IN ({})", titles.join(", ")));
         }
         let rs = self.smr.sql(&query)?;
+        let matcher = cond.matcher();
         Ok(rs
             .rows
             .into_iter()
-            .filter(|r| cond.matches(&r[1].to_string()))
-            .map(|r| r[0].to_string())
+            .filter(|r| matcher.matches(&r[1].to_text()))
+            .map(|mut r| std::mem::take(&mut r[0]).into_text())
             .collect())
     }
 }

@@ -45,30 +45,54 @@ impl Condition {
 
     /// Evaluates the condition against one annotation value.
     pub fn matches(&self, value: &str) -> bool {
-        match self.op {
-            CondOp::Eq => value.eq_ignore_ascii_case(&self.value),
-            CondOp::Contains => value.to_lowercase().contains(&self.value.to_lowercase()),
-            CondOp::Gt => match (value.parse::<f64>(), self.value.parse::<f64>()) {
-                (Ok(a), Ok(b)) => a > b,
-                _ => false,
-            },
-            CondOp::Lt => match (value.parse::<f64>(), self.value.parse::<f64>()) {
-                (Ok(a), Ok(b)) => a < b,
-                _ => false,
-            },
-            CondOp::Between => {
-                let Some((lo, hi)) = self.value.split_once("..") else {
-                    return false;
-                };
-                match (
-                    value.parse::<f64>(),
-                    lo.trim().parse::<f64>(),
-                    hi.trim().parse::<f64>(),
-                ) {
-                    (Ok(v), Ok(lo), Ok(hi)) => v >= lo && v <= hi,
-                    _ => false,
-                }
-            }
+        self.matcher().matches(value)
+    }
+
+    /// The condition prepared for testing many values: its operand is
+    /// parsed (numeric ops) or lowercased (`contains`) once.
+    pub fn matcher(&self) -> Matcher<'_> {
+        let num = |s: &str| s.parse::<f64>().ok();
+        Matcher(match self.op {
+            CondOp::Eq => Prepared::Eq(&self.value),
+            CondOp::Contains => Prepared::Contains(self.value.to_lowercase()),
+            CondOp::Gt => Prepared::Gt(num(&self.value)),
+            CondOp::Lt => Prepared::Lt(num(&self.value)),
+            CondOp::Between => Prepared::Between(
+                self.value
+                    .split_once("..")
+                    .and_then(|(lo, hi)| Some((num(lo.trim())?, num(hi.trim())?))),
+            ),
+        })
+    }
+}
+
+/// A [`Condition`] prepared by [`Condition::matcher`].
+#[derive(Debug, Clone)]
+pub struct Matcher<'c>(Prepared<'c>);
+
+/// The operand of each op in the form its test needs; `None` when a
+/// numeric operand does not parse, which no value can match.
+#[derive(Debug, Clone)]
+enum Prepared<'c> {
+    Eq(&'c str),
+    Contains(String),
+    Gt(Option<f64>),
+    Lt(Option<f64>),
+    Between(Option<(f64, f64)>),
+}
+
+impl Matcher<'_> {
+    /// Evaluates the condition against one annotation value.
+    pub fn matches(&self, value: &str) -> bool {
+        let num = || value.parse::<f64>().ok();
+        match &self.0 {
+            Prepared::Eq(want) => value.eq_ignore_ascii_case(want),
+            Prepared::Contains(needle) => value.to_lowercase().contains(needle.as_str()),
+            Prepared::Gt(b) => b.zip(num()).is_some_and(|(b, a)| a > b),
+            Prepared::Lt(b) => b.zip(num()).is_some_and(|(b, a)| a < b),
+            Prepared::Between(range) => range
+                .zip(num())
+                .is_some_and(|((lo, hi), v)| v >= lo && v <= hi),
         }
     }
 }
@@ -170,6 +194,83 @@ mod tests {
         assert!(Condition::new("a", CondOp::Lt, "3000").matches("2693"));
         assert!(Condition::new("a", CondOp::Between, "1000..3000").matches("2693"));
         assert!(!Condition::new("a", CondOp::Between, "1000..2000").matches("2693"));
+    }
+
+    /// `Condition::matches` as it was before operands were prepared once.
+    fn reference_matches(c: &Condition, value: &str) -> bool {
+        match c.op {
+            CondOp::Eq => value.eq_ignore_ascii_case(&c.value),
+            CondOp::Contains => value.to_lowercase().contains(&c.value.to_lowercase()),
+            CondOp::Gt => match (value.parse::<f64>(), c.value.parse::<f64>()) {
+                (Ok(a), Ok(b)) => a > b,
+                _ => false,
+            },
+            CondOp::Lt => match (value.parse::<f64>(), c.value.parse::<f64>()) {
+                (Ok(a), Ok(b)) => a < b,
+                _ => false,
+            },
+            CondOp::Between => {
+                let Some((lo, hi)) = c.value.split_once("..") else {
+                    return false;
+                };
+                match (
+                    value.parse::<f64>(),
+                    lo.trim().parse::<f64>(),
+                    hi.trim().parse::<f64>(),
+                ) {
+                    (Ok(v), Ok(lo), Ok(hi)) => v >= lo && v <= hi,
+                    _ => false,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_matcher_agrees_with_the_reference() {
+        let values = [
+            "5", "-3", "2.5", "1e3", " 7", "NaN", "inf", "-inf", "abc", "Temp", "TEMP", "Zürich",
+            "ZÜRICH", "50%", "", "1..5", "0", "-0",
+        ];
+        let operands = [
+            "5",
+            "-3",
+            "2.5",
+            " 7",
+            "NaN",
+            "inf",
+            "abc",
+            "temp",
+            "zürich",
+            "%",
+            "",
+            "1..5",
+            "-5..5",
+            " 0 .. 100 ",
+            "-inf..inf",
+            "NaN..5",
+            "junk",
+            "5..1",
+        ];
+        let ops = [
+            CondOp::Eq,
+            CondOp::Contains,
+            CondOp::Gt,
+            CondOp::Lt,
+            CondOp::Between,
+        ];
+        for op in ops {
+            for operand in operands {
+                let c = Condition::new("a", op, operand);
+                let m = c.matcher();
+                for v in values {
+                    assert_eq!(
+                        m.matches(v),
+                        reference_matches(&c, v),
+                        "{op:?} {operand:?} on {v:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

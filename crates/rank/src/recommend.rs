@@ -7,17 +7,19 @@
 //! candidate page is recommended when it shares authoritative properties with
 //! the query's seed pages, weighted by the candidate's own PageRank.
 
-use std::collections::{HashMap, HashSet};
-
 /// A page→properties incidence plus PageRank scores.
+///
+/// Property ids are dense small integers (the engine's attribute ids): the
+/// authority table is a vector indexed by them.
 #[derive(Debug, Default)]
 pub struct Recommender {
     /// Properties per page (dense page ids).
     page_props: Vec<Vec<u32>>,
     /// PageRank score per page.
     scores: Vec<f64>,
-    /// Authority per property id: Σ PageRank of carrying pages.
-    prop_authority: HashMap<u32, f64>,
+    /// Authority per property id: Σ PageRank of carrying pages, `None` for
+    /// an id no page carries.
+    prop_authority: Vec<Option<f64>>,
 }
 
 /// One recommendation.
@@ -31,15 +33,28 @@ pub struct Recommendation {
     pub shared_properties: Vec<u32>,
 }
 
+/// Recommendation order: score descending, then page ascending.
+fn rank_order(a: (f64, usize), b: (f64, usize)) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.1.cmp(&b.1))
+}
+
 impl Recommender {
     /// Builds the recommender from per-page property lists and PageRank
     /// scores (same indexing).
     pub fn new(page_props: Vec<Vec<u32>>, scores: Vec<f64>) -> Recommender {
         assert_eq!(page_props.len(), scores.len());
-        let mut prop_authority: HashMap<u32, f64> = HashMap::new();
+        let props = page_props
+            .iter()
+            .flatten()
+            .map(|&p| p as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut prop_authority: Vec<Option<f64>> = vec![None; props];
         for (page, props) in page_props.iter().enumerate() {
             for &p in props {
-                *prop_authority.entry(p).or_insert(0.0) += scores[page];
+                *prop_authority[p as usize].get_or_insert(0.0) += scores[page];
             }
         }
         Recommender {
@@ -56,14 +71,22 @@ impl Recommender {
 
     /// Authority of a property (0 if unknown).
     pub fn property_authority(&self, prop: u32) -> f64 {
-        self.prop_authority.get(&prop).copied().unwrap_or(0.0)
+        self.prop_authority
+            .get(prop as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(0.0)
     }
 
     /// Properties ordered by descending authority — "properties that are
     /// scored high by the PageRank algorithm".
     pub fn top_properties(&self, k: usize) -> Vec<(u32, f64)> {
-        let mut props: Vec<(u32, f64)> =
-            self.prop_authority.iter().map(|(&p, &a)| (p, a)).collect();
+        let mut props: Vec<(u32, f64)> = self
+            .prop_authority
+            .iter()
+            .enumerate()
+            .filter_map(|(p, a)| a.map(|a| (p as u32, a)))
+            .collect();
         props.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -75,9 +98,74 @@ impl Recommender {
 
     /// Recommends up to `k` pages related to the `seeds` (query-result pages),
     /// excluding the seeds themselves.
+    ///
+    /// One pass over the incidence scores every candidate without
+    /// allocating and keeps a bounded top-k; shared properties are listed
+    /// for the winners only.
     pub fn recommend(&self, seeds: &[usize], k: usize) -> Vec<Recommendation> {
+        // Authority of each property some seed carries, by property id.
+        let mut seed_authority: Vec<Option<f64>> = vec![None; self.prop_authority.len()];
+        let mut any_seed_property = false;
+        for &s in seeds {
+            if let Some(props) = self.page_props.get(s) {
+                for &p in props {
+                    seed_authority[p as usize] = Some(self.property_authority(p));
+                    any_seed_property = true;
+                }
+            }
+        }
+        if !any_seed_property || k == 0 {
+            return Vec::new();
+        }
+        let mut seed_pages = seeds.to_vec();
+        seed_pages.sort_unstable();
+        // Best first, at most `k` entries of (score, page).
+        let mut top: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
+        for (page, props) in self.page_props.iter().enumerate() {
+            if seed_pages.binary_search(&page).is_ok() {
+                continue;
+            }
+            // Sum in property order, duplicates included, as the score has
+            // always been summed.
+            let mut shares = false;
+            let mut prop_score = 0.0;
+            for &p in props {
+                if let Some(auth) = seed_authority[p as usize] {
+                    shares = true;
+                    prop_score += auth;
+                }
+            }
+            if !shares {
+                continue;
+            }
+            let cand = (prop_score * self.scores[page], page);
+            if top.len() == k && rank_order(cand, top[k - 1]).is_ge() {
+                continue;
+            }
+            let at = top.partition_point(|&e| rank_order(e, cand).is_le());
+            top.insert(at, cand);
+            top.truncate(k);
+        }
+        top.into_iter()
+            .map(|(score, page)| Recommendation {
+                page,
+                score,
+                shared_properties: self.page_props[page]
+                    .iter()
+                    .copied()
+                    .filter(|&p| seed_authority[p as usize].is_some())
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// The full-scan recommender the top-k pass replaced: a candidate list
+    /// for every page, one sort, then truncation. Kept as the reference
+    /// the property test compares against.
+    #[cfg(test)]
+    fn recommend_reference(&self, seeds: &[usize], k: usize) -> Vec<Recommendation> {
+        use std::collections::{HashMap, HashSet};
         let seed_set: HashSet<usize> = seeds.iter().copied().collect();
-        // Properties present in the seed set, with their authority.
         let mut seed_props: HashMap<u32, f64> = HashMap::new();
         for &s in seeds {
             if let Some(props) = self.page_props.get(s) {
@@ -111,12 +199,7 @@ impl Recommender {
                 shared_properties: shared,
             });
         }
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.page.cmp(&b.page))
-        });
+        out.sort_by(|a, b| rank_order((a.score, a.page), (b.score, b.page)));
         out.truncate(k);
         out
     }
@@ -183,5 +266,41 @@ mod tests {
         let recs = r.recommend(&[0], 10);
         let rec3 = recs.iter().find(|r| r.page == 3).expect("page 3 shares 20");
         assert_eq!(rec3.shared_properties, vec![20]);
+    }
+}
+
+#[cfg(test)]
+mod top_k_equivalence {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A PageRank score; some exact zeros so zero-authority properties and
+    /// zero-score candidates occur.
+    fn score() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), 0.0f64..1.0, 0.0f64..1e-3]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn top_k_matches_the_full_sort(
+            pages in prop::collection::vec(
+                (prop::collection::vec(0u32..12, 0..6), score()),
+                0..40,
+            ),
+            seeds in prop::collection::vec(0usize..45, 0..6),
+            k in 0usize..12,
+        ) {
+            let (props, scores): (Vec<Vec<u32>>, Vec<f64>) = pages.into_iter().unzip();
+            let r = Recommender::new(props, scores);
+            let got = r.recommend(&seeds, k);
+            let want = r.recommend_reference(&seeds, k);
+            prop_assert_eq!(&got, &want);
+            let bits = |v: &[Recommendation]| -> Vec<u64> {
+                v.iter().map(|x| x.score.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 }

@@ -214,19 +214,19 @@ impl BTreeIndex {
 
     /// All RowIds for an exact key.
     pub fn get(&self, key: &Key) -> Vec<RowId> {
-        fn rec<'a>(node: &'a Node, key: &Key) -> Option<&'a Vec<RowId>> {
-            match node.keys.binary_search(key) {
-                Ok(ix) => Some(&node.postings[ix]),
-                Err(ix) => {
-                    if node.is_leaf() {
-                        None
-                    } else {
-                        rec(&node.children[ix], key)
-                    }
-                }
+        self.postings(key).to_vec()
+    }
+
+    /// All RowIds for an exact key, borrowed from the tree (no allocation).
+    pub fn postings(&self, key: &[Value]) -> &[RowId] {
+        fn rec<'a>(node: &'a Node, key: &[Value]) -> &'a [RowId] {
+            match node.keys.binary_search_by(|k| k.as_slice().cmp(key)) {
+                Ok(ix) => &node.postings[ix],
+                Err(_) if node.is_leaf() => &[],
+                Err(ix) => rec(&node.children[ix], key),
             }
         }
-        rec(&self.root, key).cloned().unwrap_or_default()
+        rec(&self.root, key)
     }
 
     /// First RowId for a key, if any.

@@ -82,14 +82,32 @@ pub fn encode_row(row: &[Value], buf: &mut Vec<u8>) {
 
 /// Deserializes one row starting at `pos`, advancing it.
 pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
+    let mut row = Vec::new();
+    decode_row_into(buf, pos, None, &mut row)?;
+    Ok(row)
+}
+
+/// Deserializes one row starting at `pos`, advancing it, and appends its
+/// values to `row` (a join decodes its right row straight after the left
+/// row's values). Only the values `mask` marks are built (`None` = every
+/// value); the others are checked exactly as a full decode checks them —
+/// so a row decodes or fails the same either way — but read as NULL and
+/// allocate nothing. On error, `row` may hold part of the record.
+pub fn decode_row_into(
+    buf: &[u8],
+    pos: &mut usize,
+    mask: Option<&[bool]>,
+    row: &mut Vec<Value>,
+) -> Result<()> {
     let n = read_varint(buf, pos)? as usize;
     if n > buf.len() {
         // n values each take ≥1 byte; a count above the remaining buffer is
         // definitely corrupt and would make us over-allocate.
         return Err(RelError::Snapshot("row arity exceeds buffer".into()));
     }
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
+    row.reserve(n);
+    for i in 0..n {
+        let build = mask.is_none_or(|m| m.get(i).copied().unwrap_or(false));
         let tag = *buf
             .get(*pos)
             .ok_or_else(|| RelError::Snapshot("row truncated".into()))?;
@@ -118,11 +136,13 @@ pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
                     .get(*pos..end)
                     .ok_or_else(|| RelError::Snapshot("text truncated".into()))?;
                 *pos = end;
-                Value::Text(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| RelError::Snapshot("invalid utf-8 in text".into()))?
-                        .to_owned(),
-                )
+                let text = std::str::from_utf8(bytes)
+                    .map_err(|_| RelError::Snapshot("invalid utf-8 in text".into()))?;
+                if build {
+                    Value::Text(text.to_owned())
+                } else {
+                    Value::Null
+                }
             }
             TAG_BOOL_FALSE => Value::Bool(false),
             TAG_BOOL_TRUE => Value::Bool(true),
@@ -130,9 +150,9 @@ pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
                 return Err(RelError::Snapshot(format!("unknown value tag {other}")));
             }
         };
-        row.push(v);
+        row.push(if build { v } else { Value::Null });
     }
-    Ok(row)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -191,6 +211,37 @@ mod tests {
         let buf = vec![1u8, 99u8];
         let mut pos = 0;
         assert!(decode_row(&buf, &mut pos).is_err());
+    }
+
+    #[test]
+    fn masked_decode_builds_only_marked_values() {
+        let row = vec![
+            Value::Int(7),
+            Value::text("title"),
+            Value::text("a long body"),
+            Value::Float(1.5),
+        ];
+        let mut buf = Vec::new();
+        encode_row(&row, &mut buf);
+        let mut pos = 0;
+        let mut got = Vec::new();
+        decode_row_into(&buf, &mut pos, Some(&[false, true, false, true]), &mut got).unwrap();
+        assert_eq!(pos, buf.len());
+        assert_eq!(
+            got,
+            vec![
+                Value::Null,
+                Value::text("title"),
+                Value::Null,
+                Value::Float(1.5)
+            ]
+        );
+        // A skipped value is still validated: bad UTF-8 fails either way.
+        let mut bad = Vec::new();
+        encode_row(&[Value::text("ab"), Value::Int(1)], &mut bad);
+        bad[3] = 0xff;
+        assert!(decode_row_into(&bad, &mut 0, Some(&[false, true]), &mut Vec::new()).is_err());
+        assert!(decode_row(&bad, &mut 0).is_err());
     }
 
     #[test]

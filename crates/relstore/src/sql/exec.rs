@@ -2,21 +2,35 @@
 //! catalog, driven by the cost-based planner in [`super::planner`].
 //!
 //! The SELECT pipeline is: plan (access paths, probe joins, join order) →
-//! base scan → joins → column-order restoration → WHERE filter → grouping &
-//! aggregation → HAVING → projection → DISTINCT → ORDER BY → LIMIT/OFFSET.
-//! Every access path yields a *superset* of matching rows and the full
-//! WHERE / ON predicates are always re-applied, so plan choices can never
-//! change results.
+//! bind (names to slots, column masks) → base scan → joins → column-order
+//! restoration → WHERE filter → grouping & aggregation → HAVING →
+//! projection → DISTINCT → ORDER BY → LIMIT/OFFSET. Every access path
+//! yields a *superset* of matching rows and the full WHERE / ON predicates
+//! are always re-applied — except a WHERE equality the base relation's
+//! index seek already guarantees for every row it yields — so plan choices
+//! can never change results.
+//!
+//! Binding happens once per statement: every expression is lowered to a
+//! [`BoundExpr`] over slot indices, and each relation gets a mask of the
+//! columns the statement references, so scans and probes build only those
+//! values (the rest read as NULL and are never looked at).
 
 use super::ast::*;
-use super::expr::{eval, truthiness, RowSchema};
+use super::expr::{bind, truthiness, BoundExpr, Row, RowSchema};
 use super::planner::{plan_select, AccessPath, PlannerConfig, ScanPlan, SelectPlan};
 use crate::error::{RelError, Result};
+use crate::heap::RowId;
 use crate::table::Table;
 use crate::value::Value;
 use sensormeta_obs as obs;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
+
+/// Counter of values the executor builds from stored rows, added once per
+/// statement. Columns a statement does not reference are skipped, not
+/// counted.
+const VALUES_DECODED: &str = "relstore_values_decoded_total";
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,7 +223,7 @@ pub fn execute(catalog: &mut Catalog, stmt: Statement) -> Result<ExecOutcome> {
                 }
                 let mut row = vec![Value::Null; arity];
                 for (expr, &pos) in row_exprs.iter().zip(&positions) {
-                    row[pos] = eval(expr, &empty_schema, &[])?;
+                    row[pos] = bind(expr, &empty_schema).eval(Row::new(&[]))?.into_owned();
                 }
                 t.insert(row)?;
                 n += 1;
@@ -224,69 +238,91 @@ pub fn execute(catalog: &mut Catalog, stmt: Statement) -> Result<ExecOutcome> {
             let t = catalog
                 .get_mut(&table.to_ascii_lowercase())
                 .ok_or_else(|| RelError::NoSuchTable(table.clone()))?;
-            let schema = row_schema_for(t, t.schema.name.clone());
-            let set_ix: Vec<(usize, &Expr)> = sets
+            let schema = row_schema_for(t, &t.schema.name);
+            let set_ix: Vec<(usize, BoundExpr)> = sets
                 .iter()
                 .map(|(c, e)| {
                     t.schema
                         .column_index(c)
-                        .map(|ix| (ix, e))
+                        .map(|ix| (ix, bind(e, &schema)))
                         .ok_or_else(|| RelError::NoSuchColumn(c.clone()))
                 })
                 .collect::<Result<_>>()?;
-            // Materialize matching rows first: mutating while scanning would
-            // alias the heap.
-            let mut targets = Vec::new();
-            for (rid, row) in t.scan() {
-                if predicate_matches(&predicate, &schema, &row)? {
-                    targets.push((rid, row));
+            let predicate = predicate.as_ref().map(|p| bind(p, &schema));
+            // Find the matching rows first (mutating while scanning would
+            // alias the heap), building only the predicate's columns; each
+            // target's new row is built from the whole old one.
+            let mut decoded = 0u64;
+            let mut apply = || {
+                let targets = matching_rows(t, predicate.as_ref(), &mut decoded)?;
+                for &rid in &targets {
+                    let Some(old_row) = t.get(rid)? else { continue };
+                    decoded += old_row.len() as u64;
+                    let mut new_row = old_row.clone();
+                    for (ix, e) in &set_ix {
+                        new_row[*ix] = e.eval(Row::new(&old_row))?.into_owned();
+                    }
+                    t.update(rid, new_row)?;
                 }
-            }
-            let n = targets.len();
-            for (rid, old_row) in targets {
-                let mut new_row = old_row.clone();
-                for (ix, e) in &set_ix {
-                    new_row[*ix] = eval(e, &schema, &old_row)?;
-                }
-                t.update(rid, new_row)?;
-            }
-            Ok(ExecOutcome::Affected(n))
+                Ok(ExecOutcome::Affected(targets.len()))
+            };
+            let out = apply();
+            obs::counter(VALUES_DECODED).add(decoded);
+            out
         }
         Statement::Delete { table, predicate } => {
             let t = catalog
                 .get_mut(&table.to_ascii_lowercase())
                 .ok_or_else(|| RelError::NoSuchTable(table.clone()))?;
-            let schema = row_schema_for(t, t.schema.name.clone());
-            let mut targets = Vec::new();
-            for (rid, row) in t.scan() {
-                if predicate_matches(&predicate, &schema, &row)? {
-                    targets.push(rid);
-                }
-            }
-            let n = targets.len();
-            for rid in targets {
+            let schema = row_schema_for(t, &t.schema.name);
+            let predicate = predicate.as_ref().map(|p| bind(p, &schema));
+            let mut decoded = 0u64;
+            let targets = matching_rows(t, predicate.as_ref(), &mut decoded);
+            obs::counter(VALUES_DECODED).add(decoded);
+            let targets = targets?;
+            for &rid in &targets {
                 t.delete(rid)?;
             }
-            Ok(ExecOutcome::Affected(n))
+            Ok(ExecOutcome::Affected(targets.len()))
         }
         Statement::Select(sel) => Ok(ExecOutcome::Rows(execute_select(catalog, &sel)?)),
         Statement::Explain(sel) => Ok(ExecOutcome::Rows(explain_select(catalog, &sel)?)),
     }
 }
 
-fn predicate_matches(pred: &Option<Expr>, schema: &RowSchema, row: &[Value]) -> Result<bool> {
-    match pred {
-        None => Ok(true),
-        Some(p) => Ok(truthiness(&eval(p, schema, row)?) == Some(true)),
+/// The rows of `t` an UPDATE/DELETE predicate keeps (all rows without
+/// one), building only the predicate's columns, counted into `decoded`.
+fn matching_rows(
+    t: &Table,
+    predicate: Option<&BoundExpr>,
+    decoded: &mut u64,
+) -> Result<Vec<RowId>> {
+    let mut mask = vec![false; t.schema.arity()];
+    if let Some(p) = predicate {
+        p.for_each_column(&mut |slot| mask[slot] = true);
     }
+    let width = mask_width(&mask);
+    let mut targets = Vec::new();
+    for (rid, row) in t.scan_masked(&mask, mask.len()) {
+        *decoded += width;
+        if predicate.map_or(Ok(true), |p| p.holds(Row::new(&row)))? {
+            targets.push(rid);
+        }
+    }
+    Ok(targets)
 }
 
-fn row_schema_for(t: &Table, alias: String) -> RowSchema {
+/// Number of columns a mask marks.
+fn mask_width(mask: &[bool]) -> u64 {
+    mask.iter().filter(|&&m| m).count() as u64
+}
+
+fn row_schema_for<'a>(t: &'a Table, alias: &'a str) -> RowSchema<'a> {
     RowSchema::new(
         t.schema
             .columns
             .iter()
-            .map(|c| (Some(alias.clone()), c.name.clone()))
+            .map(|c| (Some(alias), c.name.as_str()))
             .collect(),
     )
 }
@@ -310,108 +346,417 @@ pub fn execute_select_with(
     if plan.reordered {
         obs::counter("sql_plan_join_reorder_total").inc();
     }
+    let bound = BoundSelect::bind(catalog, sel, &plan)?;
+    let mut decoded = 0u64;
+    let out = run_select(catalog, sel, &plan, bound, &mut decoded);
+    obs::counter(VALUES_DECODED).add(decoded);
+    out
+}
 
+/// One projection item, bound.
+enum Proj {
+    /// `*` or `alias.*`: slots copied as they are.
+    Slots(Vec<usize>),
+    /// A bare column no other item or sort key reads: moved out of the row.
+    Take(usize),
+    /// `alias.*` naming no relation: an error on the first row (ungrouped)
+    /// or nothing (grouped), as it has always been.
+    UnknownAlias(String),
+    /// Any other expression.
+    Expr(BoundExpr),
+}
+
+/// One ORDER BY key, bound.
+enum OrderKey {
+    /// Sorts by an output column (positional `ORDER BY 2` or an output
+    /// alias that names no source column).
+    Output(usize),
+    /// Sorts by an expression over the source row.
+    Expr(BoundExpr),
+}
+
+/// A SELECT with every expression bound to slots and, per relation, the
+/// columns the statement references.
+struct BoundSelect {
+    /// Per relation in executed order (base first): the columns to build.
+    masks: Vec<Vec<bool>>,
+    /// Per join step: the ON predicate over (rows so far, right row).
+    on: Vec<BoundExpr>,
+    /// Per join step: the probe key over the rows so far, when probing.
+    probe_keys: Vec<Option<BoundExpr>>,
+    /// WHERE over the written-order row, minus what the base seek implies.
+    predicate: Option<BoundExpr>,
+    projection: Vec<Proj>,
+    names: Vec<String>,
+    /// Grouping / aggregation applies.
+    grouped: bool,
+    group_by: Vec<BoundExpr>,
+    having: Option<BoundExpr>,
+    order_by: Vec<OrderKey>,
+    /// Slots of the written-order row.
+    width: usize,
+}
+
+impl BoundSelect {
+    fn bind(catalog: &Catalog, sel: &SelectStmt, plan: &SelectPlan) -> Result<BoundSelect> {
+        // Executed-order layout: each relation's offset, each join step's
+        // ON over the prefix it extends, each probe key over the prefix.
+        let mut schema = RowSchema::default();
+        let mut offsets = Vec::new();
+        let mut arities = Vec::new();
+        let mut on = Vec::new();
+        let mut probe_keys = Vec::new();
+        let scans = plan.base.iter().chain(plan.joins.iter().map(|j| &j.scan));
+        for (i, scan) in scans.enumerate() {
+            let t = scan_table(catalog, scan)?;
+            let rel = row_schema_for(t, &scan.alias);
+            offsets.push(schema.len());
+            arities.push(rel.len());
+            if i == 0 {
+                schema = rel;
+                continue;
+            }
+            let step = &plan.joins[i - 1];
+            probe_keys.push(step.probe.as_ref().map(|p| bind(&p.left_expr, &schema)));
+            schema = schema.concat(&rel);
+            on.push(bind(&step.on, &schema));
+        }
+        // Written-order layout, which everything after the joins reads.
+        let exec_width = schema.len();
+        let (written, exec_slot): (RowSchema<'_>, Vec<usize>) = match &plan.written_slots {
+            Some(slots) => (
+                RowSchema::new(slots.iter().map(|&s| schema.columns()[s]).collect()),
+                slots.clone(),
+            ),
+            None => (schema, (0..exec_width).collect()),
+        };
+
+        let predicate = sel
+            .predicate
+            .as_ref()
+            .and_then(|p| bind_where(p, &written, plan, &exec_slot));
+        let mut projection: Vec<Proj> = sel
+            .projection
+            .iter()
+            .map(|item| match item {
+                SelectItem::Wildcard => Proj::Slots((0..written.len()).collect()),
+                SelectItem::QualifiedWildcard(alias) => {
+                    let slots = written.slots_of(alias);
+                    if slots.is_empty() {
+                        Proj::UnknownAlias(alias.clone())
+                    } else {
+                        Proj::Slots(slots)
+                    }
+                }
+                SelectItem::Expr { expr, .. } => Proj::Expr(bind(expr, &written)),
+            })
+            .collect();
+        let names = projection_names(sel, &written);
+        let order_by: Vec<OrderKey> = sel
+            .order_by
+            .iter()
+            .map(|item| order_key(&item.expr, &written, &names))
+            .collect();
+        let has_agg =
+            sel.projection.iter().any(
+                |item| matches!(item, SelectItem::Expr { expr, .. } if expr.contains_aggregate()),
+            ) || sel.having.as_ref().is_some_and(Expr::contains_aggregate)
+                || sel.order_by.iter().any(|o| o.expr.contains_aggregate());
+        let grouped = !sel.group_by.is_empty() || has_agg;
+        let group_by: Vec<BoundExpr> = sel.group_by.iter().map(|e| bind(e, &written)).collect();
+        let having = sel.having.as_ref().map(|e| bind(e, &written));
+
+        // Ungrouped output moves a bare projected column out of its row
+        // when nothing else reads that slot.
+        if !grouped {
+            let mut uses = vec![0usize; written.len()];
+            let mut count = |slot: usize| uses[slot] += 1;
+            for item in &projection {
+                match item {
+                    Proj::Slots(slots) => slots.iter().for_each(|&s| count(s)),
+                    Proj::Expr(e) => e.for_each_column(&mut count),
+                    Proj::Take(_) | Proj::UnknownAlias(_) => {}
+                }
+            }
+            for key in &order_by {
+                if let OrderKey::Expr(e) = key {
+                    e.for_each_column(&mut count);
+                }
+            }
+            for item in &mut projection {
+                if let Proj::Expr(BoundExpr::Column(slot)) = item {
+                    if uses[*slot] == 1 {
+                        *item = Proj::Take(*slot);
+                    }
+                }
+            }
+        }
+
+        // Column masks: every slot any bound expression reads.
+        let mut masks: Vec<Vec<bool>> = arities.iter().map(|&a| vec![false; a]).collect();
+        let mut mark = |exec: usize| {
+            let rel = offsets.partition_point(|&o| o <= exec) - 1;
+            masks[rel][exec - offsets[rel]] = true;
+        };
+        for e in on.iter().chain(probe_keys.iter().flatten()) {
+            e.for_each_column(&mut mark);
+        }
+        let mut mark_written = |slot: usize| mark(exec_slot[slot]);
+        let final_exprs =
+            predicate
+                .iter()
+                .chain(&group_by)
+                .chain(&having)
+                .chain(order_by.iter().filter_map(|k| match k {
+                    OrderKey::Expr(e) => Some(e),
+                    OrderKey::Output(_) => None,
+                }));
+        for e in final_exprs {
+            e.for_each_column(&mut mark_written);
+        }
+        for item in &projection {
+            match item {
+                Proj::Slots(slots) => slots.iter().for_each(|&s| mark_written(s)),
+                Proj::Take(s) => mark_written(*s),
+                Proj::Expr(e) => e.for_each_column(&mut mark_written),
+                Proj::UnknownAlias(_) => {}
+            }
+        }
+
+        Ok(BoundSelect {
+            masks,
+            on,
+            probe_keys,
+            predicate,
+            projection,
+            names,
+            grouped,
+            group_by,
+            having,
+            order_by,
+            width: written.len(),
+        })
+    }
+}
+
+/// Binds one ORDER BY expression. A bare positive integer literal within
+/// the output is positional; a bare unqualified column that names no
+/// source column but matches an output alias sorts by that output; anything
+/// else is an expression over the source row.
+fn order_key(expr: &Expr, schema: &RowSchema<'_>, names: &[String]) -> OrderKey {
+    if let Expr::Literal(Value::Int(n)) = expr {
+        let ix = *n as usize;
+        if ix >= 1 && ix <= names.len() {
+            return OrderKey::Output(ix - 1);
+        }
+    }
+    if let Expr::Column { table: None, name } = expr {
+        if schema.resolve(None, name).is_err() {
+            if let Some(pos) = names.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+                return OrderKey::Output(pos);
+            }
+        }
+    }
+    OrderKey::Expr(bind(expr, schema))
+}
+
+/// Binds WHERE, leaving out each top-level `column = literal` conjunct that
+/// the base relation's index seek guarantees: the seek yields exactly the
+/// rows whose indexed column equals its key, so such a conjunct is TRUE on
+/// every row and can neither fail nor stop the AND chain. `None` when no
+/// conjunct is left.
+fn bind_where(
+    pred: &Expr,
+    schema: &RowSchema<'_>,
+    plan: &SelectPlan,
+    exec_slot: &[usize],
+) -> Option<BoundExpr> {
+    let Some(ScanPlan {
+        path: AccessPath::IndexSeek { col, key, .. },
+        ..
+    }) = &plan.base
+    else {
+        return Some(bind(pred, schema));
+    };
+    // The base relation comes first in the executed layout, so its column
+    // `col` sits at executed slot `col`.
+    let implied = |c: &Expr| {
+        let Expr::Binary {
+            op: BinOp::Eq,
+            lhs,
+            rhs,
+        } = c
+        else {
+            return false;
+        };
+        let (column, lit) = match (&**lhs, &**rhs) {
+            (column @ Expr::Column { .. }, Expr::Literal(v))
+            | (Expr::Literal(v), column @ Expr::Column { .. }) => (column, v),
+            _ => return false,
+        };
+        !lit.is_null()
+            && lit == key
+            && matches!(bind(column, schema), BoundExpr::Column(s) if exec_slot[s] == *col)
+    };
+    let mut conjuncts = Vec::new();
+    split_and(pred, &mut conjuncts);
+    if !conjuncts.iter().any(|c| implied(c)) {
+        return Some(bind(pred, schema));
+    }
+    // AND evaluates its conjuncts left to right and stops at the first
+    // FALSE whatever the tree's shape, so a left fold of the rest is the
+    // same predicate.
+    conjuncts
+        .into_iter()
+        .filter(|c| !implied(c))
+        .map(|c| bind(c, schema))
+        .reduce(|acc, c| BoundExpr::Binary {
+            op: BinOp::And,
+            lhs: Box::new(acc),
+            rhs: Box::new(c),
+        })
+}
+
+/// Top-level AND conjuncts of a predicate, left to right.
+fn split_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match expr {
+        Expr::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } => {
+            split_and(lhs, out);
+            split_and(rhs, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// A join output row: `left` followed by `right`.
+fn joined(left: &[Value], right: &[Value]) -> Vec<Value> {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend_from_slice(right);
+    row
+}
+
+fn run_select(
+    catalog: &Catalog,
+    sel: &SelectStmt,
+    plan: &SelectPlan,
+    q: BoundSelect,
+    decoded: &mut u64,
+) -> Result<ResultSet> {
     // 1. FROM + planned access path.
-    let (mut schema, mut rows) = match &plan.base {
-        None => (RowSchema::default(), vec![Vec::new()]),
+    let mut rows = match &plan.base {
+        None => vec![Vec::new()],
         Some(scan) => {
-            let t = lookup(catalog, &scan.table_key)?;
+            let t = scan_table(catalog, scan)?;
             bump_path_counter(&scan.path);
-            (row_schema_for(t, scan.alias.clone()), run_scan(t, scan)?)
+            // Room for every joined relation's values, so probes append
+            // in place.
+            let width = q.masks.iter().map(Vec::len).sum();
+            run_scan(t, scan, &q.masks[0], width, decoded)?
         }
     };
 
     // 2. Joins in planned order: index probes where the plan found an
-    //    equi-join key, nested loops otherwise; LEFT pads with NULLs.
-    for step in &plan.joins {
-        let t = lookup(catalog, &step.scan.table_key)?;
-        let right_schema = row_schema_for(t, step.scan.alias.clone());
-        let joined_schema = schema.concat(&right_schema);
+    //    equi-join key, nested loops otherwise; LEFT pads with NULLs. ON is
+    //    tested before a combined row is kept; only matches are
+    //    materialised.
+    for (j, step) in plan.joins.iter().enumerate() {
+        let t = scan_table(catalog, &step.scan)?;
+        let mask = &q.masks[j + 1];
+        let on = &q.on[j];
         let mut out = Vec::new();
-        if let Some(probe) = &step.probe {
+        if let (Some(probe), Some(key_expr)) = (&step.probe, &q.probe_keys[j]) {
             obs::counter("sql_plan_index_probe_join_total").inc();
             let (_, index) = t.index_on_column(probe.col).ok_or_else(|| {
                 RelError::Exec(format!("planned index `{}` disappeared", probe.index))
             })?;
-            for left in &rows {
-                let mut matched = false;
-                let key = eval(&probe.left_expr, &schema, left)?;
+            let width = mask_width(mask);
+            for mut row in rows {
+                let key = key_expr.eval(Row::new(&row))?;
                 // An equi-join never matches on NULL keys, so skip the probe.
-                if !key.is_null() {
-                    for rid in index.get(&vec![key]) {
-                        let Some(right) = t.get(rid)? else { continue };
-                        let mut combined = left.clone();
-                        combined.extend(right);
-                        if truthiness(&eval(&step.on, &joined_schema, &combined)?) == Some(true) {
-                            matched = true;
-                            out.push(combined);
-                        }
+                let rids = if key.is_null() {
+                    &[][..]
+                } else {
+                    index.postings(std::slice::from_ref(&*key))
+                };
+                // Each candidate is decoded after the left row's values and
+                // ON is tested there; a match keeps the row (the left values
+                // are copied only if more candidates follow), a miss is cut
+                // back to the left row.
+                let left_len = row.len();
+                let mut matched = false;
+                for (i, &rid) in rids.iter().enumerate() {
+                    if !t.get_masked_into(rid, mask, &mut row)? {
+                        continue;
                     }
+                    *decoded += width;
+                    if !on.holds(Row::new(&row))? {
+                        row.truncate(left_len);
+                        continue;
+                    }
+                    matched = true;
+                    let left = if i + 1 == rids.len() {
+                        Vec::new()
+                    } else {
+                        row[..left_len].to_vec()
+                    };
+                    out.push(std::mem::replace(&mut row, left));
                 }
                 if !matched && step.kind == JoinKind::Left {
-                    let mut combined = left.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
-                    out.push(combined);
+                    row.resize(left_len + mask.len(), Value::Null);
+                    out.push(row);
                 }
             }
         } else {
             bump_path_counter(&step.scan.path);
-            let right_rows = run_scan(t, &step.scan)?;
+            let right_rows = run_scan(t, &step.scan, mask, mask.len(), decoded)?;
             for left in &rows {
                 let mut matched = false;
                 for right in &right_rows {
-                    let mut combined = left.clone();
-                    combined.extend(right.iter().cloned());
-                    if truthiness(&eval(&step.on, &joined_schema, &combined)?) == Some(true) {
+                    if on.holds(Row::pair(left, right))? {
                         matched = true;
-                        out.push(combined);
+                        out.push(joined(left, right));
                     }
                 }
                 if !matched && step.kind == JoinKind::Left {
-                    let mut combined = left.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
-                    out.push(combined);
+                    let mut row = left.clone();
+                    row.resize(left.len() + mask.len(), Value::Null);
+                    out.push(row);
                 }
             }
         }
-        schema = joined_schema;
         rows = out;
     }
 
     // 2b. Restore written column order after a join reorder, so the rest of
     //     the pipeline (and the user) see the layout the query declared.
     if let Some(slots) = &plan.written_slots {
-        schema = RowSchema::new(slots.iter().map(|&s| schema.columns()[s].clone()).collect());
         rows = rows
             .into_iter()
-            .map(|r| slots.iter().map(|&s| r[s].clone()).collect())
+            .map(|mut r| slots.iter().map(|&s| std::mem::take(&mut r[s])).collect())
             .collect();
     }
 
     // 3. WHERE.
-    if let Some(pred) = &sel.predicate {
+    if let Some(pred) = &q.predicate {
         let mut kept = Vec::with_capacity(rows.len());
         for row in rows {
-            if truthiness(&eval(pred, &schema, &row)?) == Some(true) {
+            if pred.holds(Row::new(&row))? {
                 kept.push(row);
             }
         }
         rows = kept;
     }
 
-    // 4. Grouping / aggregation.
-    let has_agg = sel
-        .projection
-        .iter()
-        .any(|item| matches!(item, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-        || sel.having.as_ref().is_some_and(Expr::contains_aggregate)
-        || sel.order_by.iter().any(|o| o.expr.contains_aggregate());
-    let grouped = !sel.group_by.is_empty() || has_agg;
-
-    let (out_columns, mut out_rows) = if grouped {
-        grouped_output(sel, &schema, &rows)?
+    // 4. Grouping / aggregation and projection.
+    let mut out_rows = if q.grouped {
+        grouped_output(&q, &rows)?
     } else {
-        plain_output(sel, &schema, &rows)?
+        plain_output(&q, rows)?
     };
 
     // 6. DISTINCT.
@@ -445,7 +790,7 @@ pub fn execute_select_with(
     }
 
     Ok(ResultSet {
-        columns: out_columns,
+        columns: q.names,
         rows: final_rows,
     })
 }
@@ -454,6 +799,14 @@ fn lookup<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
     catalog
         .get(&name.to_ascii_lowercase())
         .ok_or_else(|| RelError::NoSuchTable(name.to_owned()))
+}
+
+/// The table a planned scan reads (`table_key` is already the lowercase
+/// catalog key).
+fn scan_table<'c>(catalog: &'c Catalog, scan: &ScanPlan) -> Result<&'c Table> {
+    catalog
+        .get(&scan.table_key)
+        .ok_or_else(|| RelError::NoSuchTable(scan.table_key.clone()))
 }
 
 /// Renders one planned access path for EXPLAIN output.
@@ -560,16 +913,29 @@ fn bump_path_counter(path: &AccessPath) {
     obs::counter(name).inc();
 }
 
-/// Materializes the rows a planned access path produces. Superset semantics:
-/// callers re-apply the full predicate afterwards.
-fn run_scan(t: &Table, scan: &ScanPlan) -> Result<Vec<Vec<Value>>> {
+/// Materializes the rows a planned access path produces, building only the
+/// columns `mask` marks, each row with room for `capacity` values.
+/// Superset semantics: callers re-apply the full predicate afterwards.
+fn run_scan(
+    t: &Table,
+    scan: &ScanPlan,
+    mask: &[bool],
+    capacity: usize,
+    decoded: &mut u64,
+) -> Result<Vec<Vec<Value>>> {
+    let width = mask_width(mask);
+    let full_scan = |decoded: &mut u64| {
+        let rows: Vec<Vec<Value>> = t.scan_masked(mask, capacity).map(|(_, r)| r).collect();
+        *decoded += width * rows.len() as u64;
+        Ok(rows)
+    };
     let rids: Vec<_> = match &scan.path {
-        AccessPath::FullScan => return Ok(t.scan().map(|(_, r)| r).collect()),
+        AccessPath::FullScan => return full_scan(decoded),
         AccessPath::IndexSeek { index, col, key } => {
             let (_, ix) = t
                 .index_on_column(*col)
                 .ok_or_else(|| RelError::Exec(format!("planned index `{index}` disappeared")))?;
-            ix.get(&vec![key.clone()])
+            ix.postings(std::slice::from_ref(key)).to_vec()
         }
         AccessPath::RangeScan { index, col, lo, hi } => {
             let (_, ix) = t
@@ -600,16 +966,18 @@ fn run_scan(t: &Table, scan: &ScanPlan) -> Result<Vec<Vec<Value>>> {
                 Some(rids) => rids,
                 // Unusable needle (shorter than a trigram): planner should
                 // not have chosen this, but degrade to a full scan safely.
-                None => return Ok(t.scan().map(|(_, r)| r).collect()),
+                None => return full_scan(decoded),
             }
         }
     };
     let mut rows = Vec::with_capacity(rids.len());
     for rid in rids {
-        if let Some(row) = t.get(rid)? {
+        let mut row = Vec::with_capacity(capacity);
+        if t.get_masked_into(rid, mask, &mut row)? {
             rows.push(row);
         }
     }
+    *decoded += width * rows.len() as u64;
     Ok(rows)
 }
 
@@ -624,16 +992,16 @@ pub fn plan_default(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan> {
 type KeyedRows = Vec<(Vec<Value>, Vec<Value>)>; // (output row, sort keys)
 
 /// Output column names for a projection.
-fn projection_names(sel: &SelectStmt, schema: &RowSchema) -> Vec<String> {
+fn projection_names(sel: &SelectStmt, schema: &RowSchema<'_>) -> Vec<String> {
     let mut names = Vec::new();
     for item in &sel.projection {
         match item {
             SelectItem::Wildcard => {
-                names.extend(schema.columns().iter().map(|(_, n)| n.clone()));
+                names.extend(schema.columns().iter().map(|(_, n)| (*n).to_owned()));
             }
             SelectItem::QualifiedWildcard(alias) => {
                 for ix in schema.slots_of(alias) {
-                    names.push(schema.columns()[ix].1.clone());
+                    names.push(schema.columns()[ix].1.to_owned());
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -667,215 +1035,123 @@ fn render_expr_name(expr: &Expr) -> String {
 }
 
 /// Projects ungrouped rows, also computing ORDER BY sort keys.
-fn plain_output(
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    rows: &[Vec<Value>],
-) -> Result<(Vec<String>, KeyedRows)> {
-    let names = projection_names(sel, schema);
+fn plain_output(q: &BoundSelect, rows: Vec<Vec<Value>>) -> Result<KeyedRows> {
     let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut orow = Vec::new();
-        for item in &sel.projection {
+    for mut row in rows {
+        let mut orow = Vec::with_capacity(q.names.len());
+        for item in &q.projection {
             match item {
-                SelectItem::Wildcard => orow.extend(row.iter().cloned()),
-                SelectItem::QualifiedWildcard(alias) => {
-                    let slots = schema.slots_of(alias);
-                    if slots.is_empty() {
-                        return Err(RelError::Exec(format!("unknown table alias `{alias}`")));
-                    }
-                    orow.extend(slots.into_iter().map(|ix| row[ix].clone()));
+                Proj::Slots(slots) => orow.extend(slots.iter().map(|&ix| row[ix].clone())),
+                Proj::UnknownAlias(alias) => {
+                    return Err(RelError::Exec(format!("unknown table alias `{alias}`")));
                 }
-                SelectItem::Expr { expr, .. } => orow.push(eval(expr, schema, row)?),
+                Proj::Take(ix) => orow.push(std::mem::take(&mut row[*ix])),
+                Proj::Expr(e) => orow.push(e.eval(Row::new(&row))?.into_owned()),
             }
         }
-        let keys = order_keys(sel, schema, row, &names, &orow, None)?;
+        let keys = q
+            .order_by
+            .iter()
+            .map(|key| match key {
+                OrderKey::Output(pos) => Ok(orow[*pos].clone()),
+                OrderKey::Expr(e) => e.eval(Row::new(&row)).map(Cow::into_owned),
+            })
+            .collect::<Result<Vec<Value>>>()?;
         out.push((orow, keys));
     }
-    Ok((names, out))
+    Ok(out)
 }
 
 /// Projects grouped rows: groups by GROUP BY keys, folds aggregates, applies
-/// HAVING, computes sort keys.
-fn grouped_output(
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    rows: &[Vec<Value>],
-) -> Result<(Vec<String>, KeyedRows)> {
+/// HAVING, computes sort keys. Groups hold row indices, not row copies.
+fn grouped_output(q: &BoundSelect, rows: &[Vec<Value>]) -> Result<KeyedRows> {
     // Build groups preserving first-seen order.
     let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Vec<Vec<Value>>> = HashMap::new();
-    if sel.group_by.is_empty() {
+    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    if q.group_by.is_empty() {
         // Single global group (possibly empty).
         order.push(Vec::new());
-        groups.insert(Vec::new(), rows.to_vec());
+        groups.insert(Vec::new(), (0..rows.len()).collect());
     } else {
-        for row in rows {
-            let key: Vec<Value> = sel
+        for (i, row) in rows.iter().enumerate() {
+            let key: Vec<Value> = q
                 .group_by
                 .iter()
-                .map(|e| eval(e, schema, row))
+                .map(|e| e.eval(Row::new(row)).map(Cow::into_owned))
                 .collect::<Result<_>>()?;
-            groups
-                .entry(key.clone())
-                .or_insert_with(|| {
+            match groups.get_mut(&key) {
+                Some(group) => group.push(i),
+                None => {
                     order.push(key.clone());
-                    Vec::new()
-                })
-                .push(row.clone());
+                    groups.insert(key, vec![i]);
+                }
+            }
         }
     }
 
-    let names = projection_names(sel, schema);
-    let null_row = vec![Value::Null; schema.len()];
+    let null_row = vec![Value::Null; q.width];
     let mut out = Vec::new();
     for key in order {
         let group = &groups[&key];
-        let rep: &[Value] = group.first().map(|r| r.as_slice()).unwrap_or(&null_row);
-        if let Some(having) = &sel.having {
-            let folded = fold_aggs(having, schema, group)?;
-            if truthiness(&eval(&folded, schema, rep)?) != Some(true) {
+        let rep: &[Value] = group.first().map_or(&null_row, |&i| &rows[i]);
+        if let Some(having) = &q.having {
+            if truthiness(&eval_grouped(having, rep, rows, group)?) != Some(true) {
                 continue;
             }
         }
         let mut orow = Vec::new();
-        for item in &sel.projection {
+        for item in &q.projection {
             match item {
-                SelectItem::Wildcard => orow.extend(rep.iter().cloned()),
-                SelectItem::QualifiedWildcard(alias) => {
-                    orow.extend(schema.slots_of(alias).into_iter().map(|ix| rep[ix].clone()));
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let folded = fold_aggs(expr, schema, group)?;
-                    orow.push(eval(&folded, schema, rep)?);
-                }
+                Proj::Slots(slots) => orow.extend(slots.iter().map(|&ix| rep[ix].clone())),
+                Proj::Take(ix) => orow.push(rep[*ix].clone()),
+                Proj::UnknownAlias(_) => {}
+                Proj::Expr(e) => orow.push(eval_grouped(e, rep, rows, group)?),
             }
         }
-        let keys = order_keys(sel, schema, rep, &names, &orow, Some(group))?;
+        let keys = q
+            .order_by
+            .iter()
+            .map(|key| match key {
+                OrderKey::Output(pos) => Ok(orow[*pos].clone()),
+                OrderKey::Expr(e) => eval_grouped(e, rep, rows, group),
+            })
+            .collect::<Result<Vec<Value>>>()?;
         out.push((orow, keys));
     }
-    Ok((names, out))
+    Ok(out)
 }
 
-/// Computes ORDER BY sort keys for one output row. An order expression that is
-/// a bare column matching an output alias sorts by the output value; a bare
-/// positive integer literal is positional; anything else evaluates against the
-/// source row (folding aggregates in grouped mode).
-fn order_keys(
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    src_row: &[Value],
-    out_names: &[String],
-    out_row: &[Value],
-    group: Option<&Vec<Vec<Value>>>,
-) -> Result<Vec<Value>> {
-    let mut keys = Vec::with_capacity(sel.order_by.len());
-    for item in &sel.order_by {
-        // Positional: ORDER BY 2.
-        if let Expr::Literal(Value::Int(n)) = &item.expr {
-            let ix = *n as usize;
-            if ix >= 1 && ix <= out_row.len() {
-                keys.push(out_row[ix - 1].clone());
-                continue;
-            }
-        }
-        // Output alias.
-        if let Expr::Column { table: None, name } = &item.expr {
-            if schema.resolve(None, name).is_err() {
-                if let Some(pos) = out_names.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                    keys.push(out_row[pos].clone());
-                    continue;
-                }
-            }
-        }
-        let v = match group {
-            Some(g) => {
-                let folded = fold_aggs(&item.expr, schema, g)?;
-                eval(&folded, schema, src_row)?
-            }
-            None => eval(&item.expr, schema, src_row)?,
-        };
-        keys.push(v);
-    }
-    Ok(keys)
-}
-
-/// Replaces every aggregate node in `expr` with the literal computed over the
-/// group's rows.
-fn fold_aggs(expr: &Expr, schema: &RowSchema, group: &[Vec<Value>]) -> Result<Expr> {
-    Ok(match expr {
-        Expr::Agg {
-            func,
-            arg,
-            distinct,
-        } => Expr::Literal(compute_agg(
-            *func,
-            arg.as_deref(),
-            *distinct,
-            schema,
-            group,
-        )?),
-        Expr::Literal(_) | Expr::Column { .. } => expr.clone(),
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(fold_aggs(lhs, schema, group)?),
-            rhs: Box::new(fold_aggs(rhs, schema, group)?),
-        },
-        Expr::Unary { op, expr: e } => Expr::Unary {
-            op: *op,
-            expr: Box::new(fold_aggs(e, schema, group)?),
-        },
-        Expr::IsNull { expr: e, negated } => Expr::IsNull {
-            expr: Box::new(fold_aggs(e, schema, group)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr: e,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(fold_aggs(e, schema, group)?),
-            list: list
-                .iter()
-                .map(|i| fold_aggs(i, schema, group))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr: e,
-            lo,
-            hi,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(fold_aggs(e, schema, group)?),
-            lo: Box::new(fold_aggs(lo, schema, group)?),
-            hi: Box::new(fold_aggs(hi, schema, group)?),
-            negated: *negated,
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| fold_aggs(a, schema, group))
-                .collect::<Result<_>>()?,
-        },
-    })
+/// Evaluates an expression for one group: its outermost aggregates are
+/// computed over the group's rows first, in order, then the expression is
+/// evaluated against the group's representative row.
+fn eval_grouped(
+    expr: &BoundExpr,
+    rep: &[Value],
+    rows: &[Vec<Value>],
+    group: &[usize],
+) -> Result<Value> {
+    let aggs = expr
+        .aggregates()
+        .into_iter()
+        .map(|(func, arg, distinct)| compute_agg(func, arg, distinct, rows, group))
+        .collect::<Result<Vec<Value>>>()?;
+    Ok(expr.eval(Row::new(rep).with_aggs(&aggs))?.into_owned())
 }
 
 fn compute_agg(
     func: AggFunc,
-    arg: Option<&Expr>,
+    arg: Option<&BoundExpr>,
     distinct: bool,
-    schema: &RowSchema,
-    group: &[Vec<Value>],
+    rows: &[Vec<Value>],
+    group: &[usize],
 ) -> Result<Value> {
     // COUNT(*) counts rows including NULLs.
     let Some(arg) = arg else {
         return Ok(Value::Int(group.len() as i64));
     };
-    let mut vals = Vec::with_capacity(group.len());
-    for row in group {
-        let v = eval(arg, schema, row)?;
+    let mut vals: Vec<Cow<'_, Value>> = Vec::with_capacity(group.len());
+    for &i in group {
+        let v = arg.eval(Row::new(&rows[i]))?;
         if !v.is_null() {
             vals.push(v);
         }
@@ -886,13 +1162,13 @@ fn compute_agg(
     }
     Ok(match func {
         AggFunc::Count => Value::Int(vals.len() as i64),
-        AggFunc::Min => vals.into_iter().min().unwrap_or(Value::Null),
-        AggFunc::Max => vals.into_iter().max().unwrap_or(Value::Null),
+        AggFunc::Min => vals.into_iter().min().map_or(Value::Null, Cow::into_owned),
+        AggFunc::Max => vals.into_iter().max().map_or(Value::Null, Cow::into_owned),
         AggFunc::Sum | AggFunc::Avg => {
             if vals.is_empty() {
                 return Ok(Value::Null);
             }
-            let all_int = vals.iter().all(|v| matches!(v, Value::Int(_)));
+            let all_int = vals.iter().all(|v| matches!(**v, Value::Int(_)));
             if all_int && func == AggFunc::Sum {
                 let mut acc = 0i64;
                 for v in &vals {

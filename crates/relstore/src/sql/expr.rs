@@ -1,30 +1,42 @@
-//! Expression evaluation over named rows.
+//! Expression binding and evaluation.
+//!
+//! A statement's expressions are *bound* once, after planning: every column
+//! reference is resolved against the statement's [`RowSchema`] into a slot
+//! index, literals are held in the bound tree, and LIKE/ILIKE patterns with
+//! a literal right-hand side are lowered (and split into chars) up front.
+//! Evaluation then reads `&Value`s straight out of the row: column reads and
+//! comparisons clone nothing. A name that does not resolve is bound to a
+//! node that raises the resolution error when — and only if — it is
+//! evaluated, so a statement fails exactly where and when it did when names
+//! were resolved per row.
 
-use super::ast::{BinOp, Expr, UnOp};
+use super::ast::{AggFunc, BinOp, Expr, UnOp};
 use crate::error::{RelError, Result};
 use crate::value::Value;
+use std::borrow::Cow;
 
-/// Schema of a runtime row: `(table alias, column name)` per slot.
+/// Schema of a runtime row: `(table alias, column name)` per slot,
+/// borrowed from the plan and the catalog for the statement's lifetime.
 #[derive(Debug, Clone, Default)]
-pub struct RowSchema {
-    cols: Vec<(Option<String>, String)>,
+pub struct RowSchema<'a> {
+    cols: Vec<(Option<&'a str>, &'a str)>,
 }
 
-impl RowSchema {
+impl<'a> RowSchema<'a> {
     /// Creates a schema from `(alias, column)` pairs.
-    pub fn new(cols: Vec<(Option<String>, String)>) -> RowSchema {
+    pub fn new(cols: Vec<(Option<&'a str>, &'a str)>) -> RowSchema<'a> {
         RowSchema { cols }
     }
 
     /// Appends a column; used when building join outputs.
-    pub fn push(&mut self, table: Option<String>, name: String) {
+    pub fn push(&mut self, table: Option<&'a str>, name: &'a str) {
         self.cols.push((table, name));
     }
 
     /// Concatenates two schemas (join output).
-    pub fn concat(&self, other: &RowSchema) -> RowSchema {
+    pub fn concat(&self, other: &RowSchema<'a>) -> RowSchema<'a> {
         let mut cols = self.cols.clone();
-        cols.extend(other.cols.iter().cloned());
+        cols.extend(other.cols.iter().copied());
         RowSchema { cols }
     }
 
@@ -39,12 +51,12 @@ impl RowSchema {
     }
 
     /// All slots.
-    pub fn columns(&self) -> &[(Option<String>, String)] {
+    pub fn columns(&self) -> &[(Option<&'a str>, &'a str)] {
         &self.cols
     }
 
     /// Resolves a column reference to a slot index. Unqualified names must be
-    /// unambiguous across all tables in scope.
+    /// unambiguous across all tables in scope. Called by [`bind`] only.
     pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
         let mut found = None;
         for (ix, (t, n)) in self.cols.iter().enumerate() {
@@ -52,7 +64,7 @@ impl RowSchema {
                 continue;
             }
             if let Some(q) = table {
-                if t.as_deref().is_some_and(|ta| ta.eq_ignore_ascii_case(q)) {
+                if t.is_some_and(|ta| ta.eq_ignore_ascii_case(q)) {
                     return Ok(ix);
                 }
             } else {
@@ -76,63 +88,210 @@ impl RowSchema {
         self.cols
             .iter()
             .enumerate()
-            .filter(|(_, (t, _))| t.as_deref().is_some_and(|a| a.eq_ignore_ascii_case(alias)))
+            .filter(|(_, (t, _))| t.is_some_and(|a| a.eq_ignore_ascii_case(alias)))
             .map(|(ix, _)| ix)
             .collect()
     }
 }
 
-/// Evaluates a scalar expression against one row. Aggregates are rejected —
-/// the executor's grouping pass replaces them before calling this.
-pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { table, name } => {
-            let ix = schema.resolve(table.as_deref(), name)?;
-            Ok(row[ix].clone())
+/// A row as the evaluator sees it: up to two slices read as one, so a
+/// nested-loop join tests ON over the pair (left row, candidate right row)
+/// before it builds the combined row. In grouped output, `aggs` holds the
+/// current group's aggregate values.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    head: &'a [Value],
+    tail: &'a [Value],
+    aggs: Option<&'a [Value]>,
+}
+
+impl<'a> Row<'a> {
+    /// One materialised row.
+    pub fn new(row: &'a [Value]) -> Row<'a> {
+        Row {
+            head: row,
+            tail: &[],
+            aggs: None,
         }
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, schema, row)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(x) => Ok(Value::float(-x)),
-                    other => Err(RelError::Exec(format!("cannot negate {other:?}"))),
-                },
-                UnOp::Not => match truthiness(&v) {
-                    None => Ok(Value::Null),
-                    Some(b) => Ok(Value::Bool(!b)),
-                },
+    }
+
+    /// A join candidate: `left`'s slots followed by `right`'s.
+    pub fn pair(left: &'a [Value], right: &'a [Value]) -> Row<'a> {
+        Row {
+            head: left,
+            tail: right,
+            aggs: None,
+        }
+    }
+
+    /// The same row with the current group's aggregate values.
+    pub fn with_aggs(self, aggs: &'a [Value]) -> Row<'a> {
+        Row {
+            aggs: Some(aggs),
+            ..self
+        }
+    }
+
+    fn get(&self, slot: usize) -> &'a Value {
+        match self.head.get(slot) {
+            Some(v) => v,
+            None => &self.tail[slot - self.head.len()],
+        }
+    }
+}
+
+/// An expression whose column references are slot indices.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundExpr {
+    /// Literal value.
+    Literal(Value),
+    /// Column read from a row slot.
+    Column(usize),
+    /// A reference that did not resolve; evaluating it raises the error.
+    Unresolved(RelError),
+    /// Binary operation.
+    Binary {
+        /// Operator.
+        op: BinOp,
+        /// Left operand.
+        lhs: Box<BoundExpr>,
+        /// Right operand.
+        rhs: Box<BoundExpr>,
+    },
+    /// LIKE / ILIKE against a literal text pattern, split into chars
+    /// (lowercased for ILIKE) at bind time.
+    LikeLiteral {
+        /// Tested expression.
+        expr: Box<BoundExpr>,
+        /// The pattern as written (for error messages).
+        pattern: String,
+        /// The pattern's chars, lowercased when `ilike`.
+        chars: Vec<char>,
+        /// Case-insensitive (ILIKE).
+        ilike: bool,
+    },
+    /// Unary operation.
+    Unary {
+        /// Operator.
+        op: UnOp,
+        /// Operand.
+        expr: Box<BoundExpr>,
+    },
+    /// `expr IS [NOT] NULL`.
+    IsNull {
+        /// Tested expression.
+        expr: Box<BoundExpr>,
+        /// True for IS NOT NULL.
+        negated: bool,
+    },
+    /// `expr [NOT] IN (...)`.
+    InList {
+        /// Tested expression.
+        expr: Box<BoundExpr>,
+        /// Candidate list.
+        list: Vec<BoundExpr>,
+        /// True for NOT IN.
+        negated: bool,
+    },
+    /// `expr [NOT] BETWEEN lo AND hi`.
+    Between {
+        /// Tested expression.
+        expr: Box<BoundExpr>,
+        /// Lower bound (inclusive).
+        lo: Box<BoundExpr>,
+        /// Upper bound (inclusive).
+        hi: Box<BoundExpr>,
+        /// True for NOT BETWEEN.
+        negated: bool,
+    },
+    /// Scalar function call.
+    Func {
+        /// Function name, lowercased.
+        name: String,
+        /// Arguments.
+        args: Vec<BoundExpr>,
+    },
+    /// Aggregate call. In grouped output it reads the group's value at
+    /// `slot`; anywhere else evaluating it is an error.
+    Agg {
+        /// Position among the expression's outermost aggregates, in
+        /// evaluation order (`usize::MAX` for one nested in another's
+        /// argument, which is never read).
+        slot: usize,
+        /// Aggregate function.
+        func: AggFunc,
+        /// Aggregated expression; `None` only for COUNT(*).
+        arg: Option<Box<BoundExpr>>,
+        /// DISTINCT inside the aggregate.
+        distinct: bool,
+    },
+}
+
+/// Binds an expression against a row schema. Never fails: unresolvable
+/// names become [`BoundExpr::Unresolved`].
+pub fn bind(expr: &Expr, schema: &RowSchema<'_>) -> BoundExpr {
+    let mut next_agg = 0;
+    bind_at(expr, schema, &mut next_agg, false)
+}
+
+fn bind_at(expr: &Expr, schema: &RowSchema<'_>, next_agg: &mut usize, in_agg: bool) -> BoundExpr {
+    let mut sub = |e: &Expr| Box::new(bind_at(e, schema, next_agg, in_agg));
+    match expr {
+        Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+        Expr::Column { table, name } => match schema.resolve(table.as_deref(), name) {
+            Ok(ix) => BoundExpr::Column(ix),
+            Err(e) => BoundExpr::Unresolved(e),
+        },
+        Expr::Binary {
+            op: op @ (BinOp::Like | BinOp::ILike),
+            lhs,
+            rhs,
+        } if matches!(&**rhs, Expr::Literal(Value::Text(_))) => {
+            let Expr::Literal(Value::Text(pattern)) = &**rhs else {
+                unreachable!("guarded above")
+            };
+            let ilike = *op == BinOp::ILike;
+            let chars = if ilike {
+                pattern.to_lowercase().chars().collect()
+            } else {
+                pattern.chars().collect()
+            };
+            BoundExpr::LikeLiteral {
+                expr: sub(lhs),
+                pattern: pattern.clone(),
+                chars,
+                ilike,
             }
         }
-        Expr::Binary { op, lhs, rhs } => eval_binary(*op, lhs, rhs, schema, row),
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, schema, row)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+        Expr::Binary { op, lhs, rhs } => {
+            let lhs = sub(lhs);
+            BoundExpr::Binary {
+                op: *op,
+                lhs,
+                rhs: sub(rhs),
+            }
         }
+        Expr::Unary { op, expr } => BoundExpr::Unary {
+            op: *op,
+            expr: sub(expr),
+        },
+        Expr::IsNull { expr, negated } => BoundExpr::IsNull {
+            expr: sub(expr),
+            negated: *negated,
+        },
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            let v = eval(expr, schema, row)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let iv = eval(item, schema, row)?;
-                match v.sql_eq(&iv) {
-                    Some(true) => return Ok(Value::Bool(!negated)),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
+            let expr = sub(expr);
+            BoundExpr::InList {
+                expr,
+                list: list
+                    .iter()
+                    .map(|e| bind_at(e, schema, next_agg, in_agg))
+                    .collect(),
+                negated: *negated,
             }
         }
         Expr::Between {
@@ -141,27 +300,215 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> Result<Value> {
             hi,
             negated,
         } => {
-            let v = eval(expr, schema, row)?;
-            let lov = eval(lo, schema, row)?;
-            let hiv = eval(hi, schema, row)?;
-            match (v.sql_cmp(&lov), v.sql_cmp(&hiv)) {
-                (Some(a), Some(b)) => {
-                    let inside = a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater;
-                    Ok(Value::Bool(inside != *negated))
-                }
-                _ => Ok(Value::Null),
+            let expr = sub(expr);
+            let lo = sub(lo);
+            BoundExpr::Between {
+                expr,
+                lo,
+                hi: sub(hi),
+                negated: *negated,
             }
         }
-        Expr::Func { name, args } => {
-            let vals: Vec<Value> = args
+        Expr::Func { name, args } => BoundExpr::Func {
+            name: name.clone(),
+            args: args
                 .iter()
-                .map(|a| eval(a, schema, row))
-                .collect::<Result<_>>()?;
-            eval_function(name, &vals)
+                .map(|e| bind_at(e, schema, next_agg, in_agg))
+                .collect(),
+        },
+        Expr::Agg {
+            func,
+            arg,
+            distinct,
+        } => {
+            let slot = if in_agg {
+                usize::MAX
+            } else {
+                *next_agg += 1;
+                *next_agg - 1
+            };
+            BoundExpr::Agg {
+                slot,
+                func: *func,
+                arg: arg
+                    .as_ref()
+                    .map(|a| Box::new(bind_at(a, schema, next_agg, true))),
+                distinct: *distinct,
+            }
         }
-        Expr::Agg { .. } => Err(RelError::Exec(
-            "aggregate used outside GROUP BY context".into(),
-        )),
+    }
+}
+
+impl BoundExpr {
+    /// Evaluates the expression against one row. Column reads and literals
+    /// are borrowed; only computed values are owned.
+    pub fn eval<'a>(&'a self, row: Row<'a>) -> Result<Cow<'a, Value>> {
+        Ok(match self {
+            BoundExpr::Literal(v) => Cow::Borrowed(v),
+            BoundExpr::Column(ix) => Cow::Borrowed(row.get(*ix)),
+            BoundExpr::Unresolved(e) => return Err(e.clone()),
+            BoundExpr::Unary { op, expr } => {
+                let v = expr.eval(row)?;
+                Cow::Owned(match op {
+                    UnOp::Neg => match &*v {
+                        Value::Null => Value::Null,
+                        Value::Int(i) => Value::Int(-i),
+                        Value::Float(x) => Value::float(-x),
+                        other => return Err(RelError::Exec(format!("cannot negate {other:?}"))),
+                    },
+                    UnOp::Not => match truthiness(&v) {
+                        None => Value::Null,
+                        Some(b) => Value::Bool(!b),
+                    },
+                })
+            }
+            BoundExpr::Binary { op, lhs, rhs } => Cow::Owned(eval_binary(*op, lhs, rhs, row)?),
+            BoundExpr::LikeLiteral {
+                expr,
+                pattern,
+                chars,
+                ilike,
+            } => Cow::Owned(match &*expr.eval(row)? {
+                Value::Null => Value::Null,
+                Value::Text(s) => Value::Bool(like_chars(chars, s, *ilike)),
+                other => {
+                    let op = if *ilike { "ILIKE" } else { "LIKE" };
+                    let p = Value::Text(pattern.clone());
+                    return Err(RelError::Exec(format!(
+                        "{op} needs text operands, got {other:?} / {p:?}"
+                    )));
+                }
+            }),
+            BoundExpr::IsNull { expr, negated } => {
+                Cow::Owned(Value::Bool(expr.eval(row)?.is_null() != *negated))
+            }
+            BoundExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let v = expr.eval(row)?;
+                if v.is_null() {
+                    return Ok(Cow::Owned(Value::Null));
+                }
+                let mut saw_null = false;
+                for item in list {
+                    match v.sql_eq(&*item.eval(row)?) {
+                        Some(true) => return Ok(Cow::Owned(Value::Bool(!negated))),
+                        Some(false) => {}
+                        None => saw_null = true,
+                    }
+                }
+                Cow::Owned(if saw_null {
+                    Value::Null
+                } else {
+                    Value::Bool(*negated)
+                })
+            }
+            BoundExpr::Between {
+                expr,
+                lo,
+                hi,
+                negated,
+            } => {
+                let v = expr.eval(row)?;
+                let lov = lo.eval(row)?;
+                let hiv = hi.eval(row)?;
+                Cow::Owned(match (v.sql_cmp(&lov), v.sql_cmp(&hiv)) {
+                    (Some(a), Some(b)) => {
+                        let inside =
+                            a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater;
+                        Value::Bool(inside != *negated)
+                    }
+                    _ => Value::Null,
+                })
+            }
+            BoundExpr::Func { name, args } => {
+                let vals: Vec<Cow<'a, Value>> =
+                    args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
+                Cow::Owned(eval_function(name, &vals)?)
+            }
+            BoundExpr::Agg { slot, .. } => match row.aggs {
+                Some(aggs) => Cow::Borrowed(&aggs[*slot]),
+                None => {
+                    return Err(RelError::Exec(
+                        "aggregate used outside GROUP BY context".into(),
+                    ))
+                }
+            },
+        })
+    }
+
+    /// True iff the expression evaluates to SQL TRUE on `row` (a predicate
+    /// keeps the row).
+    pub fn holds(&self, row: Row<'_>) -> Result<bool> {
+        Ok(truthiness(&*self.eval(row)?) == Some(true))
+    }
+
+    /// Calls `f` with every slot the expression reads, aggregate arguments
+    /// included.
+    pub fn for_each_column(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Unresolved(_) => {}
+            BoundExpr::Column(ix) => f(*ix),
+            BoundExpr::Binary { lhs, rhs, .. } => {
+                lhs.for_each_column(f);
+                rhs.for_each_column(f);
+            }
+            BoundExpr::LikeLiteral { expr, .. }
+            | BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. } => expr.for_each_column(f),
+            BoundExpr::InList { expr, list, .. } => {
+                expr.for_each_column(f);
+                list.iter().for_each(|e| e.for_each_column(f));
+            }
+            BoundExpr::Between { expr, lo, hi, .. } => {
+                expr.for_each_column(f);
+                lo.for_each_column(f);
+                hi.for_each_column(f);
+            }
+            BoundExpr::Func { args, .. } => args.iter().for_each(|e| e.for_each_column(f)),
+            BoundExpr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    a.for_each_column(f);
+                }
+            }
+        }
+    }
+
+    /// The outermost aggregate calls, in slot order: `(func, arg, distinct)`.
+    pub fn aggregates(&self) -> Vec<(AggFunc, Option<&BoundExpr>, bool)> {
+        fn walk<'e>(e: &'e BoundExpr, out: &mut Vec<(AggFunc, Option<&'e BoundExpr>, bool)>) {
+            match e {
+                BoundExpr::Literal(_) | BoundExpr::Column(_) | BoundExpr::Unresolved(_) => {}
+                BoundExpr::Binary { lhs, rhs, .. } => {
+                    walk(lhs, out);
+                    walk(rhs, out);
+                }
+                BoundExpr::LikeLiteral { expr, .. }
+                | BoundExpr::Unary { expr, .. }
+                | BoundExpr::IsNull { expr, .. } => walk(expr, out),
+                BoundExpr::InList { expr, list, .. } => {
+                    walk(expr, out);
+                    list.iter().for_each(|e| walk(e, out));
+                }
+                BoundExpr::Between { expr, lo, hi, .. } => {
+                    walk(expr, out);
+                    walk(lo, out);
+                    walk(hi, out);
+                }
+                BoundExpr::Func { args, .. } => args.iter().for_each(|e| walk(e, out)),
+                BoundExpr::Agg {
+                    func,
+                    arg,
+                    distinct,
+                    ..
+                } => out.push((*func, arg.as_deref(), *distinct)),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
     }
 }
 
@@ -176,22 +523,16 @@ pub fn truthiness(v: &Value) -> Option<bool> {
     }
 }
 
-fn eval_binary(
-    op: BinOp,
-    lhs: &Expr,
-    rhs: &Expr,
-    schema: &RowSchema,
-    row: &[Value],
-) -> Result<Value> {
+fn eval_binary(op: BinOp, lhs: &BoundExpr, rhs: &BoundExpr, row: Row<'_>) -> Result<Value> {
     // AND/OR need three-valued logic with short-circuit.
     if matches!(op, BinOp::And | BinOp::Or) {
-        let l = truthiness(&eval(lhs, schema, row)?);
+        let l = truthiness(&*lhs.eval(row)?);
         match (op, l) {
             (BinOp::And, Some(false)) => return Ok(Value::Bool(false)),
             (BinOp::Or, Some(true)) => return Ok(Value::Bool(true)),
             _ => {}
         }
-        let r = truthiness(&eval(rhs, schema, row)?);
+        let r = truthiness(&*rhs.eval(row)?);
         return Ok(match (op, l, r) {
             (BinOp::And, Some(a), Some(b)) => Value::Bool(a && b),
             (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => Value::Bool(false),
@@ -200,8 +541,8 @@ fn eval_binary(
             _ => Value::Null,
         });
     }
-    let l = eval(lhs, schema, row)?;
-    let r = eval(rhs, schema, row)?;
+    let l = lhs.eval(row)?;
+    let r = rhs.eval(row)?;
     match op {
         BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             let Some(ord) = l.sql_cmp(&r) else {
@@ -227,23 +568,24 @@ fn eval_binary(
                 Ok(Value::Text(format!("{l}{r}")))
             }
         }
-        BinOp::Like => match (l, r) {
-            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Text(s), Value::Text(p)) => Ok(Value::Bool(like_match(&p, &s))),
-            (a, b) => Err(RelError::Exec(format!(
-                "LIKE needs text operands, got {a:?} / {b:?}"
-            ))),
-        },
-        BinOp::ILike => match (l, r) {
-            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Text(s), Value::Text(p)) => Ok(Value::Bool(like_match(
-                &p.to_lowercase(),
-                &s.to_lowercase(),
-            ))),
-            (a, b) => Err(RelError::Exec(format!(
-                "ILIKE needs text operands, got {a:?} / {b:?}"
-            ))),
-        },
+        BinOp::Like | BinOp::ILike => {
+            let ilike = op == BinOp::ILike;
+            match (&*l, &*r) {
+                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+                (Value::Text(s), Value::Text(p)) => {
+                    let chars: Vec<char> = if ilike {
+                        p.to_lowercase().chars().collect()
+                    } else {
+                        p.chars().collect()
+                    };
+                    Ok(Value::Bool(like_chars(&chars, s, ilike)))
+                }
+                (a, b) => Err(RelError::Exec(format!(
+                    "{} needs text operands, got {a:?} / {b:?}",
+                    if ilike { "ILIKE" } else { "LIKE" }
+                ))),
+            }
+        }
         BinOp::And | BinOp::Or => unreachable!("handled above"),
     }
 }
@@ -307,19 +649,44 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 /// SQL LIKE matcher: `%` = any run, `_` = any single char. Case-sensitive.
-///
-/// Iterative two-pointer algorithm (greedy `%` with backtracking to the last
-/// star): O(n·m) worst case, where the former recursive matcher was
-/// exponential on adversarial `%a%a%a…` patterns.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
+    let chars: Vec<char> = pattern.chars().collect();
+    like_chars(&chars, text, false)
+}
+
+/// Matches `text` against a pattern already split into chars. With
+/// `ilike`, the pattern must be lowercased and the text is compared
+/// lowercased (`str::to_lowercase`, as ILIKE has always done). ASCII text is
+/// read in place; other text is split into chars once.
+fn like_chars(pattern: &[char], text: &str, ilike: bool) -> bool {
+    if text.is_ascii() {
+        let b = text.as_bytes();
+        if ilike {
+            like_at(pattern, b.len(), |i| char::from(b[i].to_ascii_lowercase()))
+        } else {
+            like_at(pattern, b.len(), |i| char::from(b[i]))
+        }
+    } else {
+        let t: Vec<char> = if ilike {
+            text.to_lowercase().chars().collect()
+        } else {
+            text.chars().collect()
+        };
+        like_at(pattern, t.len(), |i| t[i])
+    }
+}
+
+/// Iterative two-pointer LIKE (greedy `%` with backtracking to the last
+/// star) over a text of `len` chars read through `at`: O(n·m) worst case,
+/// where the former recursive matcher was exponential on adversarial
+/// `%a%a%a…` patterns.
+fn like_at(p: &[char], len: usize, at: impl Fn(usize) -> char) -> bool {
     let (mut pi, mut ti) = (0usize, 0usize);
     // Position of the last `%` seen and the text position it is currently
     // assumed to consume up to; on mismatch we re-expand the star by one.
     let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+    while ti < len {
+        if pi < p.len() && (p[pi] == '_' || p[pi] == at(ti)) {
             pi += 1;
             ti += 1;
         } else if pi < p.len() && p[pi] == '%' {
@@ -339,7 +706,7 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
     pi == p.len()
 }
 
-fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
+fn eval_function(name: &str, args: &[Cow<'_, Value>]) -> Result<Value> {
     let need = |n: usize| -> Result<()> {
         if args.len() == n {
             Ok(())
@@ -353,7 +720,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
     match name {
         "lower" => {
             need(1)?;
-            Ok(match &args[0] {
+            Ok(match args[0].as_ref() {
                 Value::Text(s) => Value::Text(s.to_lowercase()),
                 Value::Null => Value::Null,
                 other => Value::Text(other.to_string().to_lowercase()),
@@ -361,7 +728,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
         }
         "upper" => {
             need(1)?;
-            Ok(match &args[0] {
+            Ok(match args[0].as_ref() {
                 Value::Text(s) => Value::Text(s.to_uppercase()),
                 Value::Null => Value::Null,
                 other => Value::Text(other.to_string().to_uppercase()),
@@ -369,7 +736,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
         }
         "length" => {
             need(1)?;
-            Ok(match &args[0] {
+            Ok(match args[0].as_ref() {
                 Value::Text(s) => Value::Int(s.chars().count() as i64),
                 Value::Null => Value::Null,
                 other => Value::Int(other.to_string().chars().count() as i64),
@@ -377,7 +744,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
         }
         "abs" => {
             need(1)?;
-            Ok(match &args[0] {
+            Ok(match args[0].as_ref() {
                 Value::Int(i) => Value::Int(i.checked_abs().unwrap_or(i64::MAX)),
                 Value::Float(x) => Value::Float(x.abs()),
                 Value::Null => Value::Null,
@@ -386,7 +753,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
         }
         "round" => {
             if args.len() == 1 {
-                return Ok(match &args[0] {
+                return Ok(match args[0].as_ref() {
                     Value::Float(x) => Value::float(x.round()),
                     Value::Int(i) => Value::Int(*i),
                     Value::Null => Value::Null,
@@ -397,7 +764,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
             let digits = args[1]
                 .as_int()
                 .ok_or_else(|| RelError::Exec("round digits must be integer".into()))?;
-            Ok(match &args[0] {
+            Ok(match args[0].as_ref() {
                 Value::Float(x) => {
                     let m = 10f64.powi(digits as i32);
                     Value::float((x * m).round() / m)
@@ -410,13 +777,12 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
         "coalesce" => Ok(args
             .iter()
             .find(|v| !v.is_null())
-            .cloned()
-            .unwrap_or(Value::Null)),
+            .map_or(Value::Null, |v| v.as_ref().clone())),
         "substr" | "substring" => {
             if args.len() != 2 && args.len() != 3 {
                 return Err(RelError::Exec("substr expects 2 or 3 arguments".into()));
             }
-            let Value::Text(s) = &args[0] else {
+            let Value::Text(s) = args[0].as_ref() else {
                 return if args[0].is_null() {
                     Ok(Value::Null)
                 } else {
@@ -442,7 +808,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
         }
         "trim" => {
             need(1)?;
-            Ok(match &args[0] {
+            Ok(match args[0].as_ref() {
                 Value::Text(s) => Value::Text(s.trim().to_owned()),
                 Value::Null => Value::Null,
                 other => Value::Text(other.to_string()),
@@ -450,7 +816,7 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
         }
         "replace" => {
             need(3)?;
-            match (&args[0], &args[1], &args[2]) {
+            match (args[0].as_ref(), args[1].as_ref(), args[2].as_ref()) {
                 (Value::Null, _, _) => Ok(Value::Null),
                 (Value::Text(s), Value::Text(from), Value::Text(to)) => {
                     Ok(Value::Text(s.replace(from.as_str(), to)))
@@ -477,6 +843,11 @@ mod tests {
     use crate::sql::ast::{SelectItem, Statement};
     use crate::sql::parser::parse;
 
+    /// Binds against `schema`, then evaluates one row.
+    fn bind_eval(expr: &Expr, schema: &RowSchema<'_>, row: &[Value]) -> Result<Value> {
+        bind(expr, schema).eval(Row::new(row)).map(Cow::into_owned)
+    }
+
     fn eval_str(sql_expr: &str) -> Value {
         let stmt = parse(&format!("SELECT {sql_expr}")).unwrap();
         let Statement::Select(sel) = stmt else {
@@ -485,7 +856,7 @@ mod tests {
         let SelectItem::Expr { expr, .. } = &sel.projection[0] else {
             panic!()
         };
-        eval(expr, &RowSchema::default(), &[]).unwrap()
+        bind_eval(expr, &RowSchema::default(), &[]).unwrap()
     }
 
     #[test]
@@ -549,22 +920,22 @@ mod tests {
     #[test]
     fn column_resolution() {
         let schema = RowSchema::new(vec![
-            (Some("s".into()), "id".into()),
-            (Some("t".into()), "id".into()),
-            (Some("s".into()), "name".into()),
+            (Some("s"), "id"),
+            (Some("t"), "id"),
+            (Some("s"), "name"),
         ]);
         let row = vec![Value::Int(1), Value::Int(2), Value::text("x")];
         let q = Expr::Column {
             table: Some("t".into()),
             name: "id".into(),
         };
-        assert_eq!(eval(&q, &schema, &row).unwrap(), Value::Int(2));
+        assert_eq!(bind_eval(&q, &schema, &row).unwrap(), Value::Int(2));
         // Unqualified `id` is ambiguous.
         let amb = Expr::col("id");
-        assert!(eval(&amb, &schema, &row).is_err());
+        assert!(bind_eval(&amb, &schema, &row).is_err());
         // Unqualified `name` resolves.
         assert_eq!(
-            eval(&Expr::col("NAME"), &schema, &row).unwrap(),
+            bind_eval(&Expr::col("NAME"), &schema, &row).unwrap(),
             Value::text("x")
         );
     }
@@ -607,26 +978,126 @@ mod tests {
 
     #[test]
     fn ilike_is_case_insensitive() {
-        let schema = RowSchema::new(vec![(Some("t".into()), "name".into())]);
+        let schema = RowSchema::new(vec![(Some("t"), "name")]);
         let row = vec![Value::text("Wind_Speed_WFJ")];
         let e = Expr::Binary {
             op: BinOp::ILike,
             lhs: Box::new(Expr::col("name")),
             rhs: Box::new(Expr::lit("%wind%")),
         };
-        assert_eq!(eval(&e, &schema, &row).unwrap(), Value::Bool(true));
+        assert_eq!(bind_eval(&e, &schema, &row).unwrap(), Value::Bool(true));
         let e = Expr::Binary {
             op: BinOp::Like,
             lhs: Box::new(Expr::col("name")),
             rhs: Box::new(Expr::lit("%wind%")),
         };
-        assert_eq!(eval(&e, &schema, &row).unwrap(), Value::Bool(false));
+        assert_eq!(bind_eval(&e, &schema, &row).unwrap(), Value::Bool(false));
         // NULL propagation.
         let e = Expr::Binary {
             op: BinOp::ILike,
             lhs: Box::new(Expr::lit(Value::Null)),
             rhs: Box::new(Expr::lit("%x%")),
         };
-        assert_eq!(eval(&e, &schema, &row).unwrap(), Value::Null);
+        assert_eq!(bind_eval(&e, &schema, &row).unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn unresolved_names_fail_only_when_evaluated() {
+        let schema = RowSchema::new(vec![(Some("t"), "a")]);
+        // FALSE AND <unknown>: short-circuit never reaches the bad name.
+        let e = Expr::Binary {
+            op: BinOp::And,
+            lhs: Box::new(Expr::lit(false)),
+            rhs: Box::new(Expr::col("nope")),
+        };
+        let bound = bind(&e, &schema);
+        assert_eq!(
+            bound.eval(Row::new(&[Value::Int(1)])).unwrap().into_owned(),
+            Value::Bool(false)
+        );
+        let e = Expr::Binary {
+            op: BinOp::And,
+            lhs: Box::new(Expr::lit(true)),
+            rhs: Box::new(Expr::col("nope")),
+        };
+        assert_eq!(
+            bind_eval(&e, &schema, &[Value::Int(1)]).unwrap_err(),
+            RelError::NoSuchColumn("nope".into())
+        );
+    }
+
+    #[test]
+    fn pair_rows_read_as_one() {
+        let schema = RowSchema::new(vec![(Some("l"), "id"), (Some("r"), "id")]);
+        let e = Expr::Binary {
+            op: BinOp::Eq,
+            lhs: Box::new(Expr::Column {
+                table: Some("l".into()),
+                name: "id".into(),
+            }),
+            rhs: Box::new(Expr::Column {
+                table: Some("r".into()),
+                name: "id".into(),
+            }),
+        };
+        let bound = bind(&e, &schema);
+        assert!(bound
+            .holds(Row::pair(&[Value::Int(4)], &[Value::Int(4)]))
+            .unwrap());
+        assert!(!bound
+            .holds(Row::pair(&[Value::Int(4)], &[Value::Int(5)]))
+            .unwrap());
+    }
+
+    #[test]
+    fn ilike_non_ascii_lowercases_like_str() {
+        let schema = RowSchema::new(vec![(Some("t"), "name")]);
+        let ilike = |pattern: &str, text: &str| {
+            let e = Expr::Binary {
+                op: BinOp::ILike,
+                lhs: Box::new(Expr::col("name")),
+                rhs: Box::new(Expr::lit(pattern)),
+            };
+            bind_eval(&e, &schema, &[Value::text(text)]).unwrap()
+        };
+        assert_eq!(ilike("%österr%", "ÖSTERREICH"), Value::Bool(true));
+        assert_eq!(ilike("%ZÜRICH", "zürich"), Value::Bool(true));
+        // `str::to_lowercase` maps a word-final capital sigma to `ς`.
+        assert_eq!(ilike("%ς", "ΟΔΟΣ"), Value::Bool(true));
+        assert_eq!(ilike("%σ", "ΟΔΟΣ"), Value::Bool(false));
+        assert_eq!(ilike("w_nd%", "WIND_speed"), Value::Bool(true));
+    }
+
+    #[test]
+    fn aggregate_slots_number_outermost_calls() {
+        let schema = RowSchema::new(vec![(Some("t"), "x")]);
+        let e = Expr::Binary {
+            op: BinOp::Add,
+            lhs: Box::new(Expr::Agg {
+                func: AggFunc::Sum,
+                arg: Some(Box::new(Expr::col("x"))),
+                distinct: false,
+            }),
+            rhs: Box::new(Expr::Agg {
+                func: AggFunc::Count,
+                arg: None,
+                distinct: false,
+            }),
+        };
+        let bound = bind(&e, &schema);
+        let aggs = bound.aggregates();
+        assert_eq!(aggs.len(), 2);
+        assert_eq!(aggs[0].0, AggFunc::Sum);
+        assert_eq!(aggs[1].0, AggFunc::Count);
+        let vals = [Value::Int(10), Value::Int(3)];
+        assert_eq!(
+            bound
+                .eval(Row::new(&[Value::Null]).with_aggs(&vals))
+                .unwrap()
+                .into_owned(),
+            Value::Int(13)
+        );
+        // Outside grouped output an aggregate is an error.
+        assert!(bound.eval(Row::new(&[Value::Null])).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! A table: schema + heap storage + maintained indexes + statistics.
 
 use crate::btree::BTreeIndex;
-use crate::encoding::{decode_row, encode_row};
+use crate::encoding::{decode_row, decode_row_into, encode_row};
 use crate::error::{RelError, Result};
 use crate::heap::{Heap, RowId};
 use crate::schema::TableSchema;
@@ -400,6 +400,17 @@ impl Table {
         }
     }
 
+    /// Fetches a row, building only the columns `mask` marks (the others
+    /// read as NULL), and appends its values to `out`. Returns false,
+    /// leaving `out` alone, when the row does not exist; fails exactly when
+    /// [`Table::get`] fails.
+    pub fn get_masked_into(&self, rid: RowId, mask: &[bool], out: &mut Vec<Value>) -> Result<bool> {
+        match self.heap.get(rid) {
+            None => Ok(false),
+            Some(rec) => decode_row_into(rec, &mut 0, Some(mask), out).map(|()| true),
+        }
+    }
+
     /// Deletes a row, maintaining indexes. Returns true if it was live.
     pub fn delete(&mut self, rid: RowId) -> Result<bool> {
         let Some(row) = self.get(rid)? else {
@@ -463,6 +474,22 @@ impl Table {
         self.heap.scan().filter_map(|(rid, rec)| {
             let mut pos = 0;
             let row = decode_row(rec, &mut pos).ok()?;
+            Some((rid, row))
+        })
+    }
+
+    /// [`Table::scan`] building only the columns `mask` marks; the others
+    /// read as NULL. Each row is allocated with room for `capacity` values
+    /// (a join appends its right rows in place). Skips exactly the rows
+    /// `scan` skips.
+    pub fn scan_masked<'a>(
+        &'a self,
+        mask: &'a [bool],
+        capacity: usize,
+    ) -> impl Iterator<Item = (RowId, Vec<Value>)> + 'a {
+        self.heap.scan().filter_map(move |(rid, rec)| {
+            let mut row = Vec::with_capacity(capacity);
+            decode_row_into(rec, &mut 0, Some(mask), &mut row).ok()?;
             Some((rid, row))
         })
     }

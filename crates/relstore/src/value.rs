@@ -6,6 +6,7 @@
 //! rank) so they can serve as B-tree keys without panicking on heterogeneous
 //! data — the same decision SQLite takes.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -35,9 +36,10 @@ impl fmt::Display for DataType {
 }
 
 /// A dynamically-typed runtime value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// SQL NULL.
+    #[default]
     Null,
     /// 64-bit signed integer.
     Int(i64),
@@ -126,6 +128,24 @@ impl Value {
         match self {
             Value::Text(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// The value as text: borrowed for TEXT, its `Display` rendering for
+    /// anything else.
+    pub fn to_text(&self) -> Cow<'_, str> {
+        match self {
+            Value::Text(s) => Cow::Borrowed(s),
+            other => Cow::Owned(other.to_string()),
+        }
+    }
+
+    /// Consumes the value into text: the string itself for TEXT (no copy),
+    /// its `Display` rendering for anything else.
+    pub fn into_text(self) -> String {
+        match self {
+            Value::Text(s) => s,
+            other => other.to_string(),
         }
     }
 
@@ -309,6 +329,22 @@ mod tests {
         assert!(Value::Int(3).compatible_with(DataType::Float));
         assert_eq!(Value::Int(3).coerce(DataType::Float), Value::Float(3.0));
         assert!(!Value::Text("x".into()).compatible_with(DataType::Integer));
+    }
+
+    #[test]
+    fn text_views_match_display() {
+        for v in [
+            Value::Null,
+            Value::Int(-4),
+            Value::Float(2.5),
+            Value::Bool(true),
+        ] {
+            assert_eq!(v.to_text(), v.to_string());
+            assert_eq!(v.clone().into_text(), v.to_string());
+        }
+        let t = Value::text("hé");
+        assert!(matches!(t.to_text(), Cow::Borrowed("hé")));
+        assert_eq!(t.into_text(), "hé");
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl Smr {
         let rs = self.db.query(&format!(
             "SELECT id, title, namespace, body, revision FROM pages WHERE title = '{esc}'"
         ))?;
-        let Some(row) = rs.rows.first() else {
+        let Some(mut row) = rs.rows.into_iter().next() else {
             return Ok(None);
         };
         let Some(id) = row[0].as_int() else {
@@ -251,7 +251,7 @@ impl Smr {
             ))?
             .rows
             .into_iter()
-            .map(|r| (r[0].to_string(), r[1].to_string()))
+            .map(|mut r| (take_text(&mut r, 0), take_text(&mut r, 1)))
             .collect();
         let links = self
             .db
@@ -260,7 +260,7 @@ impl Smr {
             ))?
             .rows
             .into_iter()
-            .map(|r| r[0].to_string())
+            .map(|mut r| take_text(&mut r, 0))
             .collect();
         let tags = self
             .db
@@ -269,13 +269,13 @@ impl Smr {
             ))?
             .rows
             .into_iter()
-            .map(|r| r[0].to_string())
+            .map(|mut r| take_text(&mut r, 0))
             .collect();
         Ok(Some(Page {
             id,
-            title: row[1].to_string(),
-            namespace: row[2].to_string(),
-            body: row[3].to_string(),
+            title: take_text(&mut row, 1),
+            namespace: take_text(&mut row, 2),
+            body: take_text(&mut row, 3),
             revision: row[4].as_int().unwrap_or(1),
             annotations,
             links,
@@ -290,7 +290,11 @@ impl Smr {
             "SELECT body FROM pages WHERE title = '{}'",
             sql_escape(title)
         ))?;
-        Ok(rs.rows.first().map(|row| row[0].to_string()))
+        Ok(rs
+            .rows
+            .into_iter()
+            .next()
+            .map(|mut row| take_text(&mut row, 0)))
     }
 
     /// All page titles, sorted.
@@ -300,7 +304,7 @@ impl Smr {
             .query("SELECT title FROM pages ORDER BY title")?
             .rows
             .into_iter()
-            .map(|r| r[0].to_string())
+            .map(|mut r| take_text(&mut r, 0))
             .collect())
     }
 
@@ -314,7 +318,7 @@ impl Smr {
             ))?
             .rows
             .into_iter()
-            .map(|r| r[0].to_string())
+            .map(|mut r| take_text(&mut r, 0))
             .collect())
     }
 
@@ -329,7 +333,7 @@ impl Smr {
             ))?
             .rows
             .into_iter()
-            .map(|r| r[0].to_string())
+            .map(|mut r| take_text(&mut r, 0))
             .collect())
     }
 
@@ -345,7 +349,7 @@ impl Smr {
             ))?
             .rows
             .into_iter()
-            .map(|r| (r[0].as_int().unwrap_or(0), r[1].to_string()))
+            .map(|mut r| (r[0].as_int().unwrap_or(0), take_text(&mut r, 1)))
             .collect())
     }
 
@@ -381,7 +385,7 @@ impl Smr {
             )?
             .rows
             .into_iter()
-            .map(|r| (r[0].to_string(), r[1].as_int().unwrap_or(0) as usize))
+            .map(|mut r| (take_text(&mut r, 0), r[1].as_int().unwrap_or(0) as usize))
             .collect())
     }
 
@@ -395,7 +399,7 @@ impl Smr {
             ))?
             .rows
             .into_iter()
-            .map(|r| r[0].to_string())
+            .map(|mut r| take_text(&mut r, 0))
             .collect())
     }
 
@@ -416,11 +420,10 @@ impl Smr {
         let rs = self
             .db
             .query("SELECT p.title, l.to_title FROM links l JOIN pages p ON l.from_id = p.id")?;
-        for row in rs.rows {
-            if let (Some(&u), Some(&v)) = (
-                index.get(row[0].to_string().as_str()),
-                index.get(row[1].to_string().as_str()),
-            ) {
+        for row in &rs.rows {
+            if let (Some(&u), Some(&v)) =
+                (index.get(&*row[0].to_text()), index.get(&*row[1].to_text()))
+            {
                 if u != v {
                     hyper.push((u, v));
                 }
@@ -430,11 +433,10 @@ impl Smr {
         let rs = self
             .db
             .query("SELECT p.title, a.value FROM annotations a JOIN pages p ON a.page_id = p.id")?;
-        for row in rs.rows {
-            if let (Some(&u), Some(&v)) = (
-                index.get(row[0].to_string().as_str()),
-                index.get(row[1].to_string().as_str()),
-            ) {
+        for row in &rs.rows {
+            if let (Some(&u), Some(&v)) =
+                (index.get(&*row[0].to_text()), index.get(&*row[1].to_text()))
+            {
                 if u != v {
                     semantic.push((u, v));
                 }
@@ -457,7 +459,7 @@ impl Smr {
             )?
             .rows
             .into_iter()
-            .map(|r| (r[0].to_string(), r[1].to_string()))
+            .map(|mut r| (take_text(&mut r, 0), take_text(&mut r, 1)))
             .collect())
     }
 
@@ -469,7 +471,7 @@ impl Smr {
             .query("SELECT namespace, COUNT(*) FROM pages GROUP BY namespace ORDER BY namespace")?
             .rows
             .into_iter()
-            .map(|r| (r[0].to_string(), r[1].as_int().unwrap_or(0) as usize))
+            .map(|mut r| (take_text(&mut r, 0), r[1].as_int().unwrap_or(0) as usize))
             .collect();
         let count = |t: &str| -> Result<usize> {
             Ok(self
@@ -637,6 +639,12 @@ impl Smr {
             );
         }
     }
+}
+
+/// Moves column `ix` of a result row out as text (`Display` for a
+/// non-text value).
+fn take_text(row: &mut [Value], ix: usize) -> String {
+    std::mem::take(&mut row[ix]).into_text()
 }
 
 /// Aggregate counts over a repository.
