@@ -22,13 +22,7 @@ pub fn corpus_smr(institutions: usize) -> Smr {
         ..CorpusConfig::default()
     });
     let mut smr = Smr::new();
-    let report = smr.bulk_load(pages.into_iter().map(|p| {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        d
-    }));
+    let report = smr.bulk_load(pages.into_iter().map(PageDraft::from));
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     smr
 }

@@ -87,22 +87,12 @@ impl ShardSet {
         let n = map.shards();
         let mut buckets: Vec<Vec<PageDraft>> = (0..n).map(|_| Vec::new()).collect();
         let mut owned: Vec<HashSet<usize>> = (0..n).map(|_| HashSet::new()).collect();
-        for title in primary.smr().page_titles()? {
-            let Some(page) = primary.smr().get_page(&title)? else {
-                continue;
-            };
+        for page in primary.smr().pages()? {
             let shard = map.shard_of(page.id);
             if let Some(dense) = primary.dense_id(&page.title) {
                 owned[shard].insert(dense);
             }
-            buckets[shard].push(PageDraft {
-                title: page.title,
-                namespace: page.namespace,
-                body: page.body,
-                annotations: page.annotations,
-                links: page.links,
-                tags: page.tags,
-            });
+            buckets[shard].push(PageDraft::from(page));
         }
         let partitions = buckets
             .into_iter()

@@ -15,13 +15,7 @@ fn corpus_engine(scale: usize, seed: u64) -> QueryEngine {
         ..CorpusConfig::default()
     });
     let mut smr = Smr::new();
-    let report = smr.bulk_load(pages.into_iter().map(|p| {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        d
-    }));
+    let report = smr.bulk_load(pages.into_iter().map(PageDraft::from));
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     QueryEngine::open(smr).expect("engine build")
 }
@@ -130,11 +124,7 @@ fn durable_primary(dir: &std::path::Path, scale: usize, seed: u64) -> Smr {
         seed,
         ..CorpusConfig::default()
     }) {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        smr.create_page(d).expect("create page");
+        smr.create_page(p.into()).expect("create page");
     }
     smr
 }

@@ -21,7 +21,7 @@ use sensormeta_par::Pool;
 use sensormeta_rank::{GaussSeidel, PageRankProblem, Recommender, Solver, TransitionMatrix};
 use sensormeta_resil::{self as resil, Deadline};
 use sensormeta_search::{Autocomplete, SearchIndex, SpellSuggester};
-use sensormeta_smr::{sql_escape, Smr};
+use sensormeta_smr::{link_graphs_of, sql_escape, Smr};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -318,15 +318,11 @@ impl QueryEngine {
         // completion regardless of the caller's budget.
         let _shield = resil::shield();
         obs::counter("query_rebuilds_total").inc();
-        let (semantic, hyperlink, titles) = self.smr.link_graphs()?;
-        let title_ids: HashMap<String, usize> = titles
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i))
-            .collect();
+        let pages = self.smr.pages()?;
+        let (semantic, hyperlink) = link_graphs_of(&pages);
 
         // PageRank over the double linking structure.
-        let pagerank: Vec<f64> = if titles.is_empty() {
+        let pagerank: Vec<f64> = if pages.is_empty() {
             Vec::new()
         } else {
             let matrix =
@@ -339,19 +335,16 @@ impl QueryEngine {
 
         // Full-text index + autocomplete + facts table (whose attribute ids
         // are the recommender's property ids). Document text assembly stays
-        // serial (SMR access, dictionary interning); the tokenize-heavy
+        // serial (dictionary interning) and consumes the pages, so they and
+        // the documents are never all held at once; the tokenize-heavy
         // index construction then runs as one parallel batch. Everything is
         // built into locals and published wholesale below, so a reader
         // snapshot taken mid-rebuild still sees the old generation.
         let _index_timing = obs::span("search_index_build");
         let mut autocomplete = Autocomplete::new();
         let mut facts = FactsBuilder::default();
-        let mut docs: Vec<(String, String)> = Vec::with_capacity(titles.len());
-        for (i, title) in titles.iter().enumerate() {
-            let page = self
-                .smr
-                .get_page(title)?
-                .ok_or_else(|| QueryError::Internal(format!("page `{title}` vanished")))?;
+        let mut docs: Vec<(String, String)> = Vec::with_capacity(pages.len());
+        for (i, page) in pages.into_iter().enumerate() {
             // Index title words, body, annotation values, and tags together.
             let mut text = format!("{} {}", page.title.replace([':', '_'], " "), page.body);
             for (_, v) in &page.annotations {
@@ -363,11 +356,17 @@ impl QueryEngine {
                 text.push_str(t);
             }
             facts.push(&page)?;
-            docs.push((title.clone(), text));
-            autocomplete.insert(title, 1.0 + pagerank[i] * 10.0);
+            autocomplete.insert(&page.title, 1.0 + pagerank[i] * 10.0);
+            docs.push((page.title, text));
         }
         let facts = facts.finish();
         let index = SearchIndex::build(&docs);
+        let titles: Vec<String> = docs.into_iter().map(|(title, _)| title).collect();
+        let title_ids: HashMap<String, usize> = titles
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.clone(), i))
+            .collect();
         for (attr, count) in self.smr.attributes()? {
             autocomplete.insert(&attr, count as f64);
         }
@@ -453,11 +452,6 @@ impl QueryEngine {
     /// Dense page id of a title (indexes `titles`, `pagerank`, index docs).
     pub fn dense_id(&self, title: &str) -> Option<usize> {
         self.title_ids.get(title).copied()
-    }
-
-    /// Title of a dense page id, if in range.
-    pub fn title_of(&self, id: usize) -> Option<&str> {
-        self.titles.get(id).map(String::as_str)
     }
 
     /// The double linking structure this generation's PageRank was solved

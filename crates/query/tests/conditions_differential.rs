@@ -4,13 +4,16 @@
 //!
 //! Random corpora carry awkward annotation values (integers, decimals,
 //! negatives, whitespace padding, mixed case, `NaN`, `inf`, non-numeric
-//! text, quotes, `%`, `_`, non-ASCII); random conditions cover all five
-//! `CondOp`s. Three properties:
+//! text, quotes, `%`, `_`, non-ASCII, and titles of pages that may or may
+//! not exist); random conditions cover all five `CondOp`s. Three
+//! properties:
 //!
 //! * `sql_condition_titles` equals a scan of `get_page` annotations with
 //!   `Condition::matches` (as a multiset: one title per matching row);
-//! * for `eq`, `sparql_condition_titles` is a subset of that scan, and equal
-//!   to it when every matching value matches case-exactly;
+//! * for `eq` (the random conditions and every attribute × value pair),
+//!   `sparql_condition_titles` returns exactly the pages holding the value
+//!   case-exactly as a literal: the mirror makes a value naming an existing
+//!   page an IRI, whatever order the pages were loaded in;
 //! * `search_uncached`, in hard and soft mode, under a namespace and a
 //!   restricted ACL, returns exactly the pages a naive filter keeps, with
 //!   the same match degrees.
@@ -23,9 +26,10 @@ use std::collections::{BTreeMap, BTreeSet};
 const NAMESPACES: [&str; 3] = ["Site", "Deployment", "Person"];
 const ATTRIBUTES: [&str; 3] = ["hasA", "hasB", "hasC"];
 
-/// Annotation and condition values. None of them names a page, so every
-/// annotation is mirrored into RDF as a literal.
-const VALUES: [&str; 30] = [
+/// Annotation and condition values. The `Namespace:pN` ones name the page
+/// generated `N`th when it falls in that namespace; `site:p0` never names
+/// one (titles are case-sensitive) but equals `Site:p0` case-insensitively.
+const VALUES: [&str; 36] = [
     "5",
     "-3",
     "42",
@@ -56,6 +60,12 @@ const VALUES: [&str; 30] = [
     "",
     "1..5",
     "Mixed Case Text",
+    "Site:p0",
+    "Deployment:p1",
+    "Person:p2",
+    "Site:p3",
+    "Deployment:p4",
+    "site:p0",
 ];
 
 /// Between ranges, including malformed and non-finite ones.
@@ -108,7 +118,8 @@ fn build_smr(pages: &[PageSpec]) -> Smr {
     smr
 }
 
-/// Every page read back through `get_page`.
+/// Every page read back through `get_page`, the oracle for everything the
+/// engine derives from the whole corpus.
 fn naive_pages(smr: &Smr) -> Vec<Page> {
     smr.page_titles()
         .expect("titles")
@@ -131,33 +142,43 @@ fn naive_matches(pages: &[Page], cond: &Condition) -> Vec<String> {
     out
 }
 
+/// The pages holding the condition's value case-exactly as an RDF literal:
+/// what the SPARQL half of `eq` finds. A value naming an existing page is
+/// mirrored as that page's IRI, not as a literal.
+fn naive_literal_matches(pages: &[Page], cond: &Condition) -> BTreeSet<String> {
+    if pages.iter().any(|page| page.title == cond.value) {
+        return BTreeSet::new();
+    }
+    pages
+        .iter()
+        .filter(|page| {
+            page.annotations
+                .iter()
+                .any(|(a, v)| *a == cond.attribute && *v == cond.value)
+        })
+        .map(|page| page.title.clone())
+        .collect()
+}
+
 /// The pages a condition selects in a search: `eq` answers with the
-/// case-exact matches when there are any (the SPARQL half), and falls back
-/// to the case-insensitive matches otherwise (the SQL half).
+/// case-exact literal matches when there are any (the SPARQL half), and
+/// falls back to the case-insensitive matches otherwise (the SQL half).
 fn naive_condition_set(pages: &[Page], cond: &Condition) -> BTreeSet<String> {
-    let holds = |exact: bool| -> BTreeSet<String> {
-        pages
-            .iter()
-            .filter(|page| {
-                page.annotations.iter().any(|(a, v)| {
-                    *a == cond.attribute
-                        && if exact {
-                            *v == cond.value
-                        } else {
-                            cond.matches(v)
-                        }
-                })
-            })
-            .map(|page| page.title.clone())
-            .collect()
-    };
     if cond.op == CondOp::Eq {
-        let exact = holds(true);
+        let exact = naive_literal_matches(pages, cond);
         if !exact.is_empty() {
             return exact;
         }
     }
-    holds(false)
+    pages
+        .iter()
+        .filter(|page| {
+            page.annotations
+                .iter()
+                .any(|(a, v)| *a == cond.attribute && cond.matches(v))
+        })
+        .map(|page| page.title.clone())
+        .collect()
 }
 
 fn sorted(mut v: Vec<String>) -> Vec<String> {
@@ -230,14 +251,30 @@ proptest! {
                     sparql.is_subset(&scan),
                     "SPARQL {:?} is not within the scan {:?} for {:?}", sparql, scan, cond
                 );
-                let all_exact = naive.iter().all(|page| {
-                    page.annotations.iter().all(|(at, val)| {
-                        *at != cond.attribute || !cond.matches(val) || *val == cond.value
-                    })
-                });
-                if all_exact {
-                    prop_assert_eq!(&sparql, &scan, "case-exact {:?}", cond);
-                }
+                prop_assert_eq!(
+                    &sparql,
+                    &naive_literal_matches(&naive, &cond),
+                    "case-exact literals for {:?}",
+                    cond
+                );
+            }
+        }
+        // Every `eq` over the vocabulary, so a value naming a page written
+        // after the page holding it is always among the conditions.
+        for attr in ATTRIBUTES {
+            for value in VALUES {
+                let cond = Condition::new(attr, CondOp::Eq, value);
+                let sparql: BTreeSet<String> = engine
+                    .sparql_condition_titles(&cond)
+                    .expect("sparql")
+                    .into_iter()
+                    .collect();
+                prop_assert_eq!(
+                    &sparql,
+                    &naive_literal_matches(&naive, &cond),
+                    "case-exact literals for {:?}",
+                    cond
+                );
             }
         }
     }

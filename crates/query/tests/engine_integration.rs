@@ -255,13 +255,7 @@ fn empty_form_is_an_error() {
 fn engine_over_generated_corpus() {
     let pages = generate_corpus(&CorpusConfig::default());
     let mut smr = Smr::new();
-    let report = smr.bulk_load(pages.into_iter().map(|p| {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        d
-    }));
+    let report = smr.bulk_load(pages.into_iter().map(PageDraft::from));
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let engine = QueryEngine::open(smr).unwrap();
     // Keyword search across the corpus.

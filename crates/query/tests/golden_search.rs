@@ -24,13 +24,7 @@ fn corpus_smr() -> Smr {
     let report = smr.bulk_load(
         generate_corpus(&CorpusConfig::default())
             .into_iter()
-            .map(|p| {
-                let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-                d.annotations = p.annotations;
-                d.links = p.links;
-                d.tags = p.tags;
-                d
-            }),
+            .map(PageDraft::from),
     );
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     smr

@@ -26,13 +26,7 @@ fn search_reads_page_rows_only_for_shown_results() {
         ..CorpusConfig::default()
     };
     let mut smr = Smr::new();
-    let report = smr.bulk_load(generate_corpus(&cfg).into_iter().map(|p| {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        d
-    }));
+    let report = smr.bulk_load(generate_corpus(&cfg).into_iter().map(PageDraft::from));
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let decoded = obs::counter("relstore_values_decoded_total");
 

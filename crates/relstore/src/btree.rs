@@ -63,11 +63,6 @@ impl BTreeIndex {
         }
     }
 
-    /// Whether the index enforces key uniqueness.
-    pub fn is_unique(&self) -> bool {
-        self.unique
-    }
-
     /// Number of (key, RowId) entries.
     pub fn len(&self) -> usize {
         self.len

@@ -8,19 +8,19 @@
 //! committed operation (see the [`crate::wal`] and [`crate::recover`]
 //! module docs for the format and replay rules).
 
-use crate::encoding::{read_varint, write_varint};
+use crate::encoding::{next_byte, read_len, read_str, write_str, write_varint};
 use crate::error::{RelError, Result};
 use crate::heap::{Heap, RowId};
 use crate::recover::{
     append_seq_trailer, open_impl, write_snapshot_durably, Durability, DurabilityOptions,
     RecoveryReport,
 };
-use crate::schema::{Column, TableSchema};
+use crate::schema::TableSchema;
 use crate::sql::ast::Statement;
 use crate::sql::exec::{execute, explain_select, Catalog, ExecOutcome, ResultSet};
 use crate::sql::parser::{parse, parse_script};
 use crate::table::{IndexDef, IndexKind, Table};
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{LogicalOp, Wal};
 use sensormeta_obs as obs;
@@ -89,11 +89,6 @@ impl Database {
             catalog: self.catalog.clone(),
             durability: None,
         }
-    }
-
-    /// True when this database logs mutations to a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
     }
 
     /// Highest operation sequence number committed so far (0 when not
@@ -388,17 +383,7 @@ impl Database {
         out.extend_from_slice(Self::MAGIC);
         write_varint(&mut out, self.catalog.len() as u64);
         for table in self.catalog.values() {
-            write_str(&mut out, &table.schema.name);
-            write_varint(&mut out, table.schema.columns.len() as u64);
-            for c in &table.schema.columns {
-                write_str(&mut out, &c.name);
-                out.push(type_tag(c.ty));
-                out.push(
-                    u8::from(c.not_null)
-                        | (u8::from(c.unique) << 1)
-                        | (u8::from(c.primary_key) << 2),
-                );
-            }
+            table.schema.encode(&mut out);
             let defs: Vec<&IndexDef> = table.index_defs().collect();
             write_varint(&mut out, defs.len() as u64);
             for d in defs {
@@ -428,43 +413,25 @@ impl Database {
             return Err(RelError::Snapshot("bad magic".into()));
         }
         let mut pos = 8usize;
-        let ntables = read_varint(buf, &mut pos)? as usize;
+        let err = RelError::Snapshot;
+        let ntables = read_len(buf, &mut pos, err)?;
         let mut catalog = Catalog::new();
         for _ in 0..ntables {
-            let name = read_str(buf, &mut pos)?;
-            let ncols = read_varint(buf, &mut pos)? as usize;
-            let mut cols = Vec::with_capacity(ncols.min(4096));
-            for _ in 0..ncols {
-                let cname = read_str(buf, &mut pos)?;
-                let ty = untag_type(next_byte(buf, &mut pos)?)?;
-                let flags = next_byte(buf, &mut pos)?;
-                cols.push(Column {
-                    name: cname,
-                    ty,
-                    not_null: flags & 1 != 0,
-                    unique: flags & 2 != 0,
-                    primary_key: flags & 4 != 0,
-                });
-            }
-            let schema = TableSchema::new(name.clone(), cols)?;
-            let ndefs = read_varint(buf, &mut pos)? as usize;
+            let schema = TableSchema::decode(buf, &mut pos, err)?;
+            let ndefs = read_len(buf, &mut pos, err)?;
             let mut defs = Vec::with_capacity(ndefs.min(4096));
             for _ in 0..ndefs {
-                let dname = read_str(buf, &mut pos)?;
-                let (unique, kind) = match next_byte(buf, &mut pos)? {
+                let dname = read_str(buf, &mut pos, err)?;
+                let (unique, kind) = match next_byte(buf, &mut pos, err)? {
                     0 => (false, IndexKind::BTree),
                     1 => (true, IndexKind::BTree),
                     2 => (false, IndexKind::Trigram),
-                    other => {
-                        return Err(RelError::Snapshot(format!(
-                            "unknown index kind byte {other}"
-                        )))
-                    }
+                    other => return Err(err(format!("unknown index kind byte {other}"))),
                 };
-                let nc = read_varint(buf, &mut pos)? as usize;
+                let nc = read_len(buf, &mut pos, err)?;
                 let mut columns = Vec::with_capacity(nc.min(4096));
                 for _ in 0..nc {
-                    columns.push(read_varint(buf, &mut pos)? as usize);
+                    columns.push(read_len(buf, &mut pos, err)?);
                 }
                 defs.push(IndexDef {
                     name: dname,
@@ -473,19 +440,19 @@ impl Database {
                     kind,
                 });
             }
-            let hlen = read_varint(buf, &mut pos)? as usize;
+            let hlen = read_len(buf, &mut pos, err)?;
             let end = pos
                 .checked_add(hlen)
                 .filter(|&e| e <= buf.len())
-                .ok_or_else(|| RelError::Snapshot("heap length out of bounds".into()))?;
+                .ok_or_else(|| err("heap length out of bounds".into()))?;
             let mut hpos = pos;
             let heap = Heap::from_snapshot(buf, &mut hpos)?;
             if hpos != end {
-                return Err(RelError::Snapshot("heap length mismatch".into()));
+                return Err(err("heap length mismatch".into()));
             }
             pos = end;
-            let table = Table::restore(schema, heap, defs)?;
-            catalog.insert(name.to_ascii_lowercase(), table);
+            let name = schema.name.to_ascii_lowercase();
+            catalog.insert(name, Table::restore(schema, heap, defs)?);
         }
         Ok(Database {
             catalog,
@@ -508,13 +475,6 @@ impl Database {
         write_snapshot_durably(vfs, path, &bytes)
     }
 
-    /// Loads a snapshot file.
-    pub fn load(path: &Path) -> Result<Database> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| RelError::Snapshot(format!("read {}: {e}", path.display())))?;
-        Database::from_snapshot(&bytes)
-    }
-
     /// A canonical logical dump: for each table (sorted by name), its rows
     /// encoded and byte-sorted. Two databases with identical logical
     /// contents produce identical dumps regardless of heap layout or row
@@ -526,49 +486,4 @@ impl Database {
             .map(|(name, table)| (name.clone(), table.sorted_encoded_rows()))
             .collect()
     }
-}
-
-fn type_tag(ty: DataType) -> u8 {
-    match ty {
-        DataType::Integer => 0,
-        DataType::Float => 1,
-        DataType::Text => 2,
-        DataType::Boolean => 3,
-    }
-}
-
-fn untag_type(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Integer,
-        1 => DataType::Float,
-        2 => DataType::Text,
-        3 => DataType::Boolean,
-        other => return Err(RelError::Snapshot(format!("bad type tag {other}"))),
-    })
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_varint(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| RelError::Snapshot("string out of bounds".into()))?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| RelError::Snapshot("invalid utf-8".into()))?
-        .to_owned();
-    *pos = end;
-    Ok(s)
-}
-
-fn next_byte(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| RelError::Snapshot("unexpected end of snapshot".into()))?;
-    *pos += 1;
-    Ok(b)
 }

@@ -47,6 +47,44 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
+/// Builds the error variant of the format being decoded (`RelError::Wal`
+/// or `RelError::Snapshot`), so a shared reader reports in its caller's terms.
+pub(crate) type FormatError = fn(String) -> RelError;
+
+/// Appends a length-prefixed UTF-8 string.
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    write_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads a string written by [`write_str`], advancing `pos`.
+pub(crate) fn read_str(buf: &[u8], pos: &mut usize, err: FormatError) -> Result<String> {
+    let len = read_len(buf, pos, err)?;
+    let end = pos
+        .checked_add(len)
+        .filter(|&e| e <= buf.len())
+        .ok_or_else(|| err("string out of bounds".into()))?;
+    let s = std::str::from_utf8(&buf[*pos..end])
+        .map_err(|_| err("invalid utf-8".into()))?
+        .to_owned();
+    *pos = end;
+    Ok(s)
+}
+
+/// Reads a varint count or length, refusing one that does not fit `usize`.
+pub(crate) fn read_len(buf: &[u8], pos: &mut usize, err: FormatError) -> Result<usize> {
+    usize::try_from(read_varint(buf, pos)?).map_err(|_| err("length overflow".into()))
+}
+
+/// Reads one byte, advancing `pos`.
+pub(crate) fn next_byte(buf: &[u8], pos: &mut usize, err: FormatError) -> Result<u8> {
+    let b = *buf
+        .get(*pos)
+        .ok_or_else(|| err("unexpected end of input".into()))?;
+    *pos += 1;
+    Ok(b)
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }

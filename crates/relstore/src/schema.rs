@@ -1,5 +1,6 @@
 //! Table schemas: columns, types, and constraints.
 
+use crate::encoding::{next_byte, read_len, read_str, write_str, write_varint, FormatError};
 use crate::error::{RelError, Result};
 use crate::value::{DataType, Value};
 
@@ -84,6 +85,53 @@ impl TableSchema {
             )));
         }
         Ok(TableSchema { name, columns })
+    }
+
+    /// Appends the schema's binary form — the name, the column count, then
+    /// per column its name, a type tag and a flag byte (`not_null`,
+    /// `unique`, `primary_key` as bits 0–2). The WAL's `CreateTable` op and
+    /// the snapshot both store a schema this way.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        write_str(out, &self.name);
+        write_varint(out, self.columns.len() as u64);
+        for c in &self.columns {
+            write_str(out, &c.name);
+            out.push(match c.ty {
+                DataType::Integer => 0,
+                DataType::Float => 1,
+                DataType::Text => 2,
+                DataType::Boolean => 3,
+            });
+            out.push(
+                u8::from(c.not_null) | (u8::from(c.unique) << 1) | (u8::from(c.primary_key) << 2),
+            );
+        }
+    }
+
+    /// Reads a schema written by [`TableSchema::encode`], advancing `pos`.
+    pub(crate) fn decode(buf: &[u8], pos: &mut usize, err: FormatError) -> Result<TableSchema> {
+        let name = read_str(buf, pos, err)?;
+        let ncols = read_len(buf, pos, err)?;
+        let mut columns = Vec::with_capacity(ncols.min(4096));
+        for _ in 0..ncols {
+            let cname = read_str(buf, pos, err)?;
+            let ty = match next_byte(buf, pos, err)? {
+                0 => DataType::Integer,
+                1 => DataType::Float,
+                2 => DataType::Text,
+                3 => DataType::Boolean,
+                other => return Err(err(format!("bad type tag {other}"))),
+            };
+            let flags = next_byte(buf, pos, err)?;
+            columns.push(Column {
+                name: cname,
+                ty,
+                not_null: flags & 1 != 0,
+                unique: flags & 2 != 0,
+                primary_key: flags & 4 != 0,
+            });
+        }
+        TableSchema::new(name, columns)
     }
 
     /// Index of a column by case-insensitive name.

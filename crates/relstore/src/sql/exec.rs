@@ -981,12 +981,6 @@ fn run_scan(
     Ok(rows)
 }
 
-/// Plans a SELECT with the default configuration — the entry point EXPLAIN
-/// and estimation APIs share with execution.
-pub fn plan_default(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan> {
-    plan_select(catalog, sel, &PlannerConfig::default())
-}
-
 // ---------- projection ----------
 
 type KeyedRows = Vec<(Vec<Value>, Vec<Value>)>; // (output row, sort keys)

@@ -123,14 +123,6 @@ impl Value {
         }
     }
 
-    /// Extracts a string slice if the value is text.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The value as text: borrowed for TEXT, its `Display` rendering for
     /// anything else.
     pub fn to_text(&self) -> Cow<'_, str> {

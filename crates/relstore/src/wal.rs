@@ -23,10 +23,10 @@
 //! str    := len:varint utf8-bytes
 //! ```
 
-use crate::encoding::{encode_row, read_varint, write_varint};
+use crate::encoding::{encode_row, next_byte, read_str, read_varint, write_str, write_varint};
 use crate::error::{RelError, Result};
-use crate::schema::{Column, TableSchema};
-use crate::value::{DataType, Value};
+use crate::schema::TableSchema;
+use crate::value::Value;
 use crate::vfs::{Vfs, VfsFile};
 use sensormeta_obs as obs;
 use std::fmt;
@@ -107,44 +107,6 @@ pub enum LogicalOp {
     CreateTable(TableSchema),
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = usize::try_from(read_varint(buf, pos)?)
-        .map_err(|_| RelError::Wal("string length overflow".into()))?;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| RelError::Wal("string out of bounds".into()))?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| RelError::Wal("invalid utf-8".into()))?
-        .to_owned();
-    *pos = end;
-    Ok(s)
-}
-
-fn type_tag(ty: DataType) -> u8 {
-    match ty {
-        DataType::Integer => 0,
-        DataType::Float => 1,
-        DataType::Text => 2,
-        DataType::Boolean => 3,
-    }
-}
-
-fn untag_type(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Integer,
-        1 => DataType::Float,
-        2 => DataType::Text,
-        3 => DataType::Boolean,
-        other => return Err(RelError::Wal(format!("bad type tag {other}"))),
-    })
-}
-
 impl LogicalOp {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -159,60 +121,26 @@ impl LogicalOp {
             }
             LogicalOp::CreateTable(schema) => {
                 out.push(OP_CREATE_TABLE);
-                write_str(out, &schema.name);
-                write_varint(out, schema.columns.len() as u64);
-                for c in &schema.columns {
-                    write_str(out, &c.name);
-                    out.push(type_tag(c.ty));
-                    out.push(
-                        u8::from(c.not_null)
-                            | (u8::from(c.unique) << 1)
-                            | (u8::from(c.primary_key) << 2),
-                    );
-                }
+                schema.encode(out);
             }
         }
     }
 
     fn decode(buf: &[u8], pos: &mut usize) -> Result<LogicalOp> {
-        let tag = next_byte(buf, pos)?;
+        let tag = next_byte(buf, pos, RelError::Wal)?;
         match tag {
-            OP_SQL => Ok(LogicalOp::Sql(read_str(buf, pos)?)),
+            OP_SQL => Ok(LogicalOp::Sql(read_str(buf, pos, RelError::Wal)?)),
             OP_INSERT => {
-                let table = read_str(buf, pos)?;
+                let table = read_str(buf, pos, RelError::Wal)?;
                 let row = crate::encoding::decode_row(buf, pos)?;
                 Ok(LogicalOp::Insert { table, row })
             }
             OP_CREATE_TABLE => {
-                let name = read_str(buf, pos)?;
-                let ncols = usize::try_from(read_varint(buf, pos)?)
-                    .map_err(|_| RelError::Wal("column count overflow".into()))?;
-                let mut cols = Vec::with_capacity(ncols.min(4096));
-                for _ in 0..ncols {
-                    let cname = read_str(buf, pos)?;
-                    let ty = untag_type(next_byte(buf, pos)?)?;
-                    let flags = next_byte(buf, pos)?;
-                    cols.push(Column {
-                        name: cname,
-                        ty,
-                        not_null: flags & 1 != 0,
-                        unique: flags & 2 != 0,
-                        primary_key: flags & 4 != 0,
-                    });
-                }
-                Ok(LogicalOp::CreateTable(TableSchema::new(name, cols)?))
+                TableSchema::decode(buf, pos, RelError::Wal).map(LogicalOp::CreateTable)
             }
             other => Err(RelError::Wal(format!("unknown op tag {other}"))),
         }
     }
-}
-
-fn next_byte(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| RelError::Wal("unexpected end of record".into()))?;
-    *pos += 1;
-    Ok(b)
 }
 
 // ---------------------------------------------------------------------------
@@ -542,11 +470,6 @@ impl WalTail {
         self.offset
     }
 
-    /// Transactions begun but not yet committed as of the last poll.
-    pub fn pending_txs(&self) -> usize {
-        self.open.len()
-    }
-
     /// Consumes newly readable frames from `bytes` (the log's current full
     /// contents) and returns any transactions that committed since the last
     /// poll. See [`TailPoll`] for the truncation and stall signals.
@@ -625,7 +548,7 @@ enum Frame {
 
 fn parse_frame(payload: &[u8]) -> Result<Frame> {
     let mut pos = 0;
-    match next_byte(payload, &mut pos)? {
+    match next_byte(payload, &mut pos, RelError::Wal)? {
         KIND_BEGIN => Ok(Frame::Begin(read_varint(payload, &mut pos)?)),
         KIND_OP => {
             let tx = read_varint(payload, &mut pos)?;
@@ -641,6 +564,8 @@ fn parse_frame(payload: &[u8]) -> Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Column;
+    use crate::value::DataType;
     use crate::vfs::MemVfs;
 
     fn build_wal(txs: &[Vec<(u64, LogicalOp)>]) -> Vec<u8> {

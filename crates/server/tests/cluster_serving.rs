@@ -35,13 +35,7 @@ fn corpus_engine(scale: usize, seed: u64) -> QueryEngine {
         ..CorpusConfig::default()
     });
     let mut smr = Smr::new();
-    let report = smr.bulk_load(pages.into_iter().map(|p| {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        d
-    }));
+    let report = smr.bulk_load(pages.into_iter().map(PageDraft::from));
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     QueryEngine::open(smr).expect("engine build")
 }
@@ -146,10 +140,7 @@ fn cluster_metrics_and_status_are_exported() {
         seed: 3,
         ..CorpusConfig::default()
     }) {
-        let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.tags = p.tags;
-        smr.create_page(d).expect("create");
+        smr.create_page(p.into()).expect("create");
     }
     let engine = QueryEngine::open(smr).expect("engine");
     let mut app = App::with_config(

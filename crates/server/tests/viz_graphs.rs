@@ -97,13 +97,7 @@ fn graph_routes_render_the_snapshot_link_graphs() {
     let report = smr.bulk_load(
         generate_corpus(&CorpusConfig::default())
             .into_iter()
-            .map(|p| {
-                let mut d = PageDraft::new(p.title, p.namespace).body(p.body);
-                d.annotations = p.annotations;
-                d.links = p.links;
-                d.tags = p.tags;
-                d
-            }),
+            .map(PageDraft::from),
     );
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let app = App::new(QueryEngine::open(smr).expect("engine"));

@@ -87,6 +87,21 @@ pub struct Page {
     pub tags: Vec<String>,
 }
 
+/// A stored page as the draft that would write it again: the id and
+/// revision go, everything else moves over.
+impl From<Page> for PageDraft {
+    fn from(p: Page) -> PageDraft {
+        PageDraft {
+            title: p.title,
+            namespace: p.namespace,
+            body: p.body,
+            annotations: p.annotations,
+            links: p.links,
+            tags: p.tags,
+        }
+    }
+}
+
 /// Outcome of a bulk load (the paper's Bulk-loading Interface reports this
 /// back to the uploader).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

@@ -10,6 +10,7 @@ use sensormeta_rdf::{evaluate, parse_sparql, Solutions, Term, TripleStore};
 use sensormeta_relstore::{
     Database, LogicalOp, RecoveryReport, ResultSet, ShipReport, StdVfs, Value, Vfs,
 };
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Base IRI for page resources in the RDF mirror.
@@ -141,7 +142,8 @@ impl Smr {
             ],
         )?;
         self.write_satellites(id, &draft)?;
-        self.mirror_page(&draft);
+        self.mirror_page(&draft, None);
+        retype_mentions(&mut self.rdf, &draft.title, true);
         Ok(id)
     }
 
@@ -182,7 +184,7 @@ impl Smr {
         // Re-mirror in RDF.
         self.rdf
             .remove_subject(&Term::iri(Self::page_iri(&draft.title)));
-        self.mirror_page(&draft);
+        self.mirror_page(&draft, None);
         Ok(id)
     }
 
@@ -211,6 +213,7 @@ impl Smr {
             self.db.execute(&sql)?;
         }
         self.rdf.remove_subject(&Term::iri(Self::page_iri(title)));
+        retype_mentions(&mut self.rdf, title, false);
         Ok(true)
     }
 
@@ -236,15 +239,12 @@ impl Smr {
         let rs = self.db.query(&format!(
             "SELECT id, title, namespace, body, revision FROM pages WHERE title = '{esc}'"
         ))?;
-        let Some(mut row) = rs.rows.into_iter().next() else {
+        let Some(row) = rs.rows.into_iter().next() else {
             return Ok(None);
         };
-        let Some(id) = row[0].as_int() else {
-            return Err(SmrError::Corrupt(format!(
-                "pages.id for `{title}` is not an integer"
-            )));
-        };
-        let annotations = self
+        let mut page = page_of_row(row)?;
+        let id = page.id;
+        page.annotations = self
             .db
             .query(&format!(
                 "SELECT attribute, value FROM annotations WHERE page_id = {id}"
@@ -253,7 +253,7 @@ impl Smr {
             .into_iter()
             .map(|mut r| (take_text(&mut r, 0), take_text(&mut r, 1)))
             .collect();
-        let links = self
+        page.links = self
             .db
             .query(&format!(
                 "SELECT to_title FROM links WHERE from_id = {id} ORDER BY to_title"
@@ -262,7 +262,7 @@ impl Smr {
             .into_iter()
             .map(|mut r| take_text(&mut r, 0))
             .collect();
-        let tags = self
+        page.tags = self
             .db
             .query(&format!(
                 "SELECT tag FROM tags WHERE page_id = {id} ORDER BY tag"
@@ -271,16 +271,52 @@ impl Smr {
             .into_iter()
             .map(|mut r| take_text(&mut r, 0))
             .collect();
-        Ok(Some(Page {
-            id,
-            title: take_text(&mut row, 1),
-            namespace: take_text(&mut row, 2),
-            body: take_text(&mut row, 3),
-            revision: row[4].as_int().unwrap_or(1),
-            annotations,
-            links,
-            tags,
-        }))
+        Ok(Some(page))
+    }
+
+    /// Every page, in title order, each with its annotations, links and
+    /// tags in the order [`Smr::get_page`] returns them — the one way to
+    /// read the whole corpus. Reads each of `pages`, `annotations`, `links`
+    /// and `tags` once, so its statement count does not grow with the
+    /// corpus.
+    pub fn pages(&self) -> Result<Vec<Page>> {
+        let mut pages = self
+            .db
+            .query("SELECT id, title, namespace, body, revision FROM pages ORDER BY title")?
+            .rows
+            .into_iter()
+            .map(page_of_row)
+            .collect::<Result<Vec<Page>>>()?;
+        let slots: HashMap<i64, usize> = pages.iter().enumerate().map(|(i, p)| (p.id, i)).collect();
+        // Satellite rows arrive in storage order, which is also the order
+        // of the index postings `get_page` seeks; rows of no page are
+        // skipped, as `get_page` never reaches them.
+        let slot = |row: &[Value]| row[0].as_int().and_then(|id| slots.get(&id).copied());
+        for mut r in self
+            .db
+            .query("SELECT page_id, attribute, value FROM annotations")?
+            .rows
+        {
+            if let Some(i) = slot(&r) {
+                let annotation = (take_text(&mut r, 1), take_text(&mut r, 2));
+                pages[i].annotations.push(annotation);
+            }
+        }
+        for mut r in self.db.query("SELECT from_id, to_title FROM links")?.rows {
+            if let Some(i) = slot(&r) {
+                pages[i].links.push(take_text(&mut r, 1));
+            }
+        }
+        for mut r in self.db.query("SELECT page_id, tag FROM tags")?.rows {
+            if let Some(i) = slot(&r) {
+                pages[i].tags.push(take_text(&mut r, 1));
+            }
+        }
+        for page in &mut pages {
+            page.links.sort_unstable();
+            page.tags.sort_unstable();
+        }
+        Ok(pages)
     }
 
     /// A page's body alone (the `body` of [`Smr::get_page`]): one indexed
@@ -409,44 +445,10 @@ impl Smr {
     /// title; hyperlink edges from the wiki-link table (dangling link targets
     /// — red links — are skipped, they are not pages).
     pub fn link_graphs(&self) -> Result<(CsrGraph, CsrGraph, Vec<String>)> {
-        let titles = self.page_titles()?;
-        let index: std::collections::HashMap<&str, usize> = titles
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.as_str(), i))
-            .collect();
-        let n = titles.len();
-        let mut hyper = Vec::new();
-        let rs = self
-            .db
-            .query("SELECT p.title, l.to_title FROM links l JOIN pages p ON l.from_id = p.id")?;
-        for row in &rs.rows {
-            if let (Some(&u), Some(&v)) =
-                (index.get(&*row[0].to_text()), index.get(&*row[1].to_text()))
-            {
-                if u != v {
-                    hyper.push((u, v));
-                }
-            }
-        }
-        let mut semantic = Vec::new();
-        let rs = self
-            .db
-            .query("SELECT p.title, a.value FROM annotations a JOIN pages p ON a.page_id = p.id")?;
-        for row in &rs.rows {
-            if let (Some(&u), Some(&v)) =
-                (index.get(&*row[0].to_text()), index.get(&*row[1].to_text()))
-            {
-                if u != v {
-                    semantic.push((u, v));
-                }
-            }
-        }
-        Ok((
-            CsrGraph::from_edges(n, &semantic, true),
-            CsrGraph::from_edges(n, &hyper, true),
-            titles,
-        ))
+        let pages = self.pages()?;
+        let (semantic, hyperlink) = link_graphs_of(&pages);
+        let titles = pages.into_iter().map(|p| p.title).collect();
+        Ok((semantic, hyperlink, titles))
     }
 
     /// All (page title, tag) pairs — input for the tagging pipeline.
@@ -538,28 +540,18 @@ impl Smr {
     }
 
     /// Rebuilds the whole RDF mirror from the relational state. Used after
-    /// loading a snapshot; also useful after direct SQL surgery.
+    /// loading a snapshot or applying shipped operations; also useful after
+    /// direct SQL surgery.
+    ///
+    /// The mirror's rule, which the writes keep incrementally: an annotation
+    /// value is the IRI of the page it names when a page with exactly that
+    /// title exists, and a literal otherwise.
     pub fn rebuild_mirror(&mut self) -> Result<()> {
+        let pages = self.pages()?;
+        let titles: HashSet<String> = pages.iter().map(|p| p.title.clone()).collect();
         self.rdf = TripleStore::new();
-        let drafts: Vec<PageDraft> = self
-            .page_titles()?
-            .into_iter()
-            .map(|t| {
-                let Some(p) = self.get_page(&t)? else {
-                    return Err(SmrError::NoSuchPage(t));
-                };
-                Ok(PageDraft {
-                    title: p.title,
-                    namespace: p.namespace,
-                    body: p.body,
-                    annotations: p.annotations,
-                    links: p.links,
-                    tags: p.tags,
-                })
-            })
-            .collect::<Result<_>>()?;
-        for draft in drafts {
-            self.mirror_page(&draft);
+        for page in pages {
+            self.mirror_page(&PageDraft::from(page), Some(&titles));
         }
         Ok(())
     }
@@ -605,7 +597,11 @@ impl Smr {
         Ok(())
     }
 
-    fn mirror_page(&mut self, draft: &PageDraft) {
+    /// Mirrors one page: its namespace, its title, each annotation (the IRI
+    /// of the page its value names, else a literal keeping the value's
+    /// lexical form) and each wiki link. A value names a page when it is in
+    /// `titles`, or, without them, when the store holds a page of that title.
+    fn mirror_page(&mut self, draft: &PageDraft, titles: Option<&HashSet<String>>) {
         let subject = Term::iri(Self::page_iri(&draft.title));
         self.rdf.insert(
             subject.clone(),
@@ -617,13 +613,15 @@ impl Smr {
         );
         self.rdf.insert(
             subject.clone(),
-            Term::iri(format!("{PROP_IRI_BASE}title")),
+            Term::iri(Self::property_iri("title")),
             Term::lit(draft.title.clone()),
         );
         for (attr, value) in &draft.annotations {
-            // Values that name a page become object links; everything else a
-            // literal (numeric literals keep their lexical form).
-            let object = if self.page_id(value).ok().flatten().is_some() {
+            let names_page = match titles {
+                Some(titles) => titles.contains(value.as_str()),
+                None => matches!(self.page_id(value), Ok(Some(_))),
+            };
+            let object = if names_page {
                 Term::iri(Self::page_iri(value))
             } else {
                 Term::lit(value.clone())
@@ -638,6 +636,79 @@ impl Smr {
                 Term::iri(Self::page_iri(target)),
             );
         }
+    }
+}
+
+/// The paper's double linking structure over `pages`, node `i` being
+/// `pages[i]`: `(semantic, hyperlink)`. Semantic edges come from annotation
+/// values that are another page's title, hyperlink edges from wiki links;
+/// targets outside `pages` (red links) and self-references add no edge.
+pub fn link_graphs_of(pages: &[Page]) -> (CsrGraph, CsrGraph) {
+    let index: HashMap<&str, usize> = pages
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.title.as_str(), i))
+        .collect();
+    let mut semantic = Vec::new();
+    let mut hyperlink = Vec::new();
+    for (u, page) in pages.iter().enumerate() {
+        let edge = |edges: &mut Vec<(usize, usize)>, target: &str| {
+            if let Some(&v) = index.get(target).filter(|&&v| v != u) {
+                edges.push((u, v));
+            }
+        };
+        for (_, value) in &page.annotations {
+            edge(&mut semantic, value);
+        }
+        for target in &page.links {
+            edge(&mut hyperlink, target);
+        }
+    }
+    (
+        CsrGraph::from_edges(pages.len(), &semantic, true),
+        CsrGraph::from_edges(pages.len(), &hyperlink, true),
+    )
+}
+
+/// A `pages` row (`id, title, namespace, body, revision`) as a page with
+/// no annotations, links or tags yet.
+fn page_of_row(mut row: Vec<Value>) -> Result<Page> {
+    let title = take_text(&mut row, 1);
+    let Some(id) = row[0].as_int() else {
+        return Err(SmrError::Corrupt(format!(
+            "pages.id for `{title}` is not an integer"
+        )));
+    };
+    Ok(Page {
+        id,
+        title,
+        namespace: take_text(&mut row, 2),
+        body: take_text(&mut row, 3),
+        revision: row[4].as_int().unwrap_or(1),
+        annotations: Vec::new(),
+        links: Vec::new(),
+        tags: Vec::new(),
+    })
+}
+
+/// Re-types the annotation values naming `title` after the page of that
+/// title was created (`exists`: literal to IRI) or deleted (IRI to
+/// literal), so the live mirror keeps the rule [`Smr::rebuild_mirror`]
+/// applies to all pages at once, whatever order they were written in. The
+/// page's own title triple and wiki links never change type.
+fn retype_mentions(rdf: &mut TripleStore, title: &str, exists: bool) {
+    let iri = Term::iri(Smr::page_iri(title));
+    let lit = Term::lit(title);
+    let (from, to) = if exists { (&lit, &iri) } else { (&iri, &lit) };
+    let (title_pred, links) = (Term::iri(Smr::property_iri("title")), Term::iri(LINKS_TO));
+    let mentions: Vec<_> = rdf
+        .match_terms(None, None, Some(from))
+        .into_iter()
+        .filter(|(s, p, _)| *p != links && !(*s == iri && *p == title_pred))
+        .collect();
+    for (s, p, o) in mentions {
+        rdf.remove(&s, &p, &o);
+        rdf.insert(s, p, to.clone());
     }
 }
 

@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sensormeta_smr::PageDraft;
 
 /// One generated metadata page.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,6 +29,21 @@ pub struct PageSpec {
     pub tags: Vec<String>,
     /// Optional WGS84 position for map visualization.
     pub coords: Option<(f64, f64)>,
+}
+
+/// A generated page as the draft that loads it into a repository (the
+/// coordinates are not carried: pages state them as annotations).
+impl From<PageSpec> for PageDraft {
+    fn from(p: PageSpec) -> PageDraft {
+        PageDraft {
+            title: p.title,
+            namespace: p.namespace.to_owned(),
+            body: p.body,
+            annotations: p.annotations,
+            links: p.links,
+            tags: p.tags,
+        }
+    }
 }
 
 /// Scale knobs for the corpus generator.

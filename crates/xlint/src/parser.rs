@@ -27,6 +27,9 @@ pub struct FnItem {
     pub owner: Option<String>,
     /// True for unrestricted `pub` (not `pub(crate)` / `pub(super)`).
     pub is_pub: bool,
+    /// True when the function has a `self` receiver of any shape, so
+    /// method-call syntax can reach it.
+    pub takes_self: bool,
     /// True when the receiver is `&mut self` (the only receiver shape the
     /// mutation rules care about).
     pub takes_mut_self: bool,
@@ -255,6 +258,7 @@ fn parse_fn(
         }
         j += 1;
     }
+    let mut takes_self = false;
     let mut takes_mut_self = false;
     let mut params_end = j;
     if is_punct(tokens, j, '(') {
@@ -285,6 +289,7 @@ fn parse_fn(
                 TokKind::Lifetime => {}
                 TokKind::Ident if tokens[r].text == "mut" => saw_mut = true,
                 TokKind::Ident if tokens[r].text == "self" => {
+                    takes_self = true;
                     takes_mut_self = saw_amp && saw_mut;
                     break;
                 }
@@ -314,6 +319,7 @@ fn parse_fn(
         name: name.to_string(),
         owner,
         is_pub: is_pub_at(tokens, fn_ix),
+        takes_self,
         takes_mut_self,
         body,
         in_test: mask.get(fn_ix).copied().unwrap_or(false),
@@ -439,6 +445,18 @@ mod tests {
                 ("fmt", Some("S"), false, false),
             ]
         );
+    }
+
+    #[test]
+    fn receivers_of_every_shape_are_methods() {
+        let src = "impl S {\n\
+                       fn a(&self) {}\n\
+                       fn b(self: Arc<Self>) {}\n\
+                       fn c(mut self) {}\n\
+                       fn load(path: &Path) -> S { todo!() }\n\
+                   }";
+        let takes_self: Vec<bool> = items(src).iter().map(|i| i.takes_self).collect();
+        assert_eq!(takes_self, vec![true, true, true, false]);
     }
 
     #[test]

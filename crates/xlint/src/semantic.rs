@@ -90,8 +90,8 @@ struct Workspace {
     by_owner_name: HashMap<(String, String), Vec<usize>>,
     /// Method names defined by more than one type. Without receiver types,
     /// resolving these to every same-named method floods the call graph
-    /// with phantom edges (`.load(` on an atomic "reaching" `Database::load`),
-    /// so ambiguous names resolve to nothing unless the receiver is `self`.
+    /// with phantom edges (`.get(` on a map "reaching" `Table::get`), so
+    /// ambiguous names resolve to nothing unless the receiver is `self`.
     ambiguous_methods: BTreeSet<String>,
 }
 
@@ -334,10 +334,15 @@ fn build(files: &[(String, Lexed)]) -> Workspace {
     for (i, f) in fns.iter().enumerate() {
         match &f.item.owner {
             Some(owner) => {
-                methods_by_name
-                    .entry(f.item.name.clone())
-                    .or_default()
-                    .push(i);
+                // Method-call syntax reaches only functions with a `self`
+                // receiver: `flag.load(Ordering::Acquire)` never calls an
+                // associated `fn load(path: &Path)`.
+                if f.item.takes_self {
+                    methods_by_name
+                        .entry(f.item.name.clone())
+                        .or_default()
+                        .push(i);
+                }
                 by_owner_name
                     .entry((owner.clone(), f.item.name.clone()))
                     .or_default()
@@ -952,6 +957,22 @@ mod tests {
             .collect();
         assert_eq!(wal.len(), 1, "{misordered:?}");
         assert!(wal[0].message.contains("before its WAL append"));
+    }
+
+    #[test]
+    fn method_calls_never_reach_associated_functions() {
+        // `load` names one function in the workspace, but it has no
+        // receiver, so the atomic `.load(…)` in `peek` cannot call it and
+        // `peek` reaches no applied write.
+        let v = run(&[(
+            "crates/relstore/src/db.rs",
+            "pub struct Database;\n\
+             impl Database {\n\
+                 pub fn load(path: &Path) -> Database { let mut d = Database; d.rows.insert(1); d }\n\
+                 pub fn peek(&mut self) -> u64 { self.seq.load(Ordering::Acquire) }\n\
+             }",
+        )]);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

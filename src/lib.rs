@@ -53,13 +53,11 @@ pub use sensormeta_workload as workload;
 /// corpus at the given scale — the quickest path to a populated system.
 pub fn demo_repository(cfg: &workload::CorpusConfig) -> smr::Smr {
     let mut repo = smr::Smr::new();
-    let report = repo.bulk_load(workload::generate_corpus(cfg).into_iter().map(|p| {
-        let mut d = smr::PageDraft::new(p.title, p.namespace).body(p.body);
-        d.annotations = p.annotations;
-        d.links = p.links;
-        d.tags = p.tags;
-        d
-    }));
+    let report = repo.bulk_load(
+        workload::generate_corpus(cfg)
+            .into_iter()
+            .map(smr::PageDraft::from),
+    );
     debug_assert!(report.errors.is_empty(), "{:?}", report.errors);
     repo
 }

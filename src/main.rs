@@ -15,7 +15,7 @@
 
 use sensormeta::query::{CondOp, Condition, QueryEngine, SearchForm};
 use sensormeta::rank::{all_solvers, PageRankProblem, TransitionMatrix};
-use sensormeta::smr::{parse_csv, parse_jsonl, Smr};
+use sensormeta::smr::{parse_csv, parse_jsonl, PageDraft, Smr};
 use sensormeta::tagging::{compute_cloud, CloudParams, TagStore};
 use sensormeta::workload::{barabasi_albert, generate_corpus, CorpusConfig};
 use std::path::Path;
@@ -138,21 +138,14 @@ fn generate(opts: &Opts) -> CliResult {
         seed: opts.usize_or("seed", 2011) as u64,
     };
     let pages = generate_corpus(&cfg);
+    let count = pages.len();
     let mut lines = String::new();
-    for p in &pages {
-        let draft = sensormeta::smr::PageDraft {
-            title: p.title.clone(),
-            namespace: p.namespace.to_owned(),
-            body: p.body.clone(),
-            annotations: p.annotations.clone(),
-            links: p.links.clone(),
-            tags: p.tags.clone(),
-        };
-        lines.push_str(&serde_json::to_string(&draft)?);
+    for p in pages {
+        lines.push_str(&serde_json::to_string(&PageDraft::from(p))?);
         lines.push('\n');
     }
     std::fs::write(out, lines)?;
-    println!("wrote {} pages to {out}", pages.len());
+    println!("wrote {count} pages to {out}");
     Ok(())
 }
 
