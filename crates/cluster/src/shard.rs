@@ -87,7 +87,9 @@ impl ShardSet {
         let n = map.shards();
         let mut buckets: Vec<Vec<PageDraft>> = (0..n).map(|_| Vec::new()).collect();
         let mut owned: Vec<HashSet<usize>> = (0..n).map(|_| HashSet::new()).collect();
-        for page in primary.smr().pages()? {
+        let pages = primary.smr().pages()?;
+        let titles: Vec<String> = pages.iter().map(|p| p.title.clone()).collect();
+        for page in pages {
             let shard = map.shard_of(page.id);
             if let Some(dense) = primary.dense_id(&page.title) {
                 owned[shard].insert(dense);
@@ -105,6 +107,10 @@ impl ShardSet {
                         "shard partition load failed: {e:?}"
                     )));
                 }
+                // The IRI/literal rule holds against the whole corpus, so an
+                // `eq` on a page-naming value misses every shard's literals
+                // alike and falls back to SQL everywhere, as on one store.
+                partition.mirror_titles(titles.iter().map(String::as_str));
                 Ok((partition, owned))
             })
             .collect::<Result<Vec<_>>>()?;

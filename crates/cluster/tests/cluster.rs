@@ -116,6 +116,36 @@ fn scatter_gather_matches_single_store_at_1_2_4_shards() {
     }
 }
 
+/// An `eq` whose value names a page: the value is that page's IRI on every
+/// shard, as on one store, so the exact-literal SPARQL half finds nothing
+/// anywhere and the case-insensitive SQL fallback answers on every shard.
+/// Were it an IRI only on the shard holding the page, the literals on the
+/// other shards would make SPARQL answer with a subset.
+#[test]
+fn page_naming_eq_matches_single_store_at_1_2_4_shards() {
+    let mut smr = Smr::new();
+    let site = PageDraft::new("Site:a", "Site").body("a site");
+    let deployments = (0..8).map(|i| {
+        let mut d = PageDraft::new(format!("Deployment:d{i}"), "Deployment").body("a deployment");
+        d.annotations = vec![("deployedAt".to_owned(), "Site:a".to_owned())];
+        d
+    });
+    let report = smr.bulk_load(std::iter::once(site).chain(deployments));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let engine = QueryEngine::open(smr).expect("engine build");
+    let form = SearchForm::default().condition(Condition::new("deployedAt", CondOp::Eq, "Site:a"));
+    let single = engine.search_uncached(&form, None).expect("single-store");
+    let titles: Vec<&str> = single.items.iter().map(|i| i.title.as_str()).collect();
+    assert_eq!(titles.len(), 8, "{titles:?}");
+    let a = serde_json::to_string(&single).expect("json");
+    for shards in [1usize, 2, 4] {
+        let set = ShardSet::build(&engine, shards).expect("build shard set");
+        let scattered = set.search(&form, None).expect("scatter-gather");
+        let b = serde_json::to_string(&scattered).expect("json");
+        assert_eq!(a, b, "diverged at {shards} shards");
+    }
+}
+
 fn durable_primary(dir: &std::path::Path, scale: usize, seed: u64) -> Smr {
     let store = dir.join("store.smr");
     let (mut smr, _) = Smr::open_durable(&store).expect("open durable");

@@ -10,7 +10,7 @@
 use crate::acl::Acl;
 use crate::error::{QueryError, Result};
 use crate::facts::{Facts, FactsBuilder};
-use crate::form::{CondOp, Condition, SearchForm, SortBy};
+use crate::form::{CondOp, Condition, Numeric, SearchForm, SortBy};
 use crate::result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};
 use sensormeta_cache::{
     stale_grace_from_env, Cache, CacheConfig, CacheError, EpochClock, Fingerprint, Status,
@@ -806,7 +806,7 @@ impl QueryEngine {
 
     /// Stages 5–6 of search: normalizes and blends scores across every
     /// partial, sorts, truncates, and only then materializes the shown
-    /// results — one indexed body read each, for the snippet — and attaches
+    /// results — their bodies, for the snippets, in one statement — and attaches
     /// facets, recommendations and spelling suggestions. `keyword_scores`
     /// must be the *global* score map (all shards), so BM25 normalization
     /// matches the single-store path regardless of how assembly was
@@ -846,48 +846,68 @@ impl QueryEngine {
             }
         }
 
-        // Sort; titles are unique, so every key is a total order.
+        // Sort; titles are unique, so every key but the attribute's is a
+        // strict total order. `descending` flips the sort key's natural
+        // order (best-first for Relevance/PageRank, ascending for
+        // Title/Attribute).
         let title = |r: &Ranked| self.titles[r.page].as_str();
-        match &form.sort_by {
-            SortBy::Relevance => {
-                rows.sort_by(|a, b| cmp_f64(b.score, a.score).then_with(|| title(a).cmp(title(b))))
-            }
-            SortBy::PageRank => rows.sort_by(|a, b| {
+        let total_matched = rows.len();
+        let limit = form.effective_limit();
+        let by_key = |a: &Ranked, b: &Ranked| match &form.sort_by {
+            SortBy::Relevance => cmp_f64(b.score, a.score).then_with(|| title(a).cmp(title(b))),
+            SortBy::PageRank => {
                 cmp_f64(b.pagerank, a.pagerank).then_with(|| title(a).cmp(title(b)))
-            }),
-            SortBy::Title => rows.sort_by(|a, b| title(a).cmp(title(b))),
-            SortBy::Attribute(attr) => rows.sort_by(|a, b| {
+            }
+            SortBy::Title => title(a).cmp(title(b)),
+            SortBy::Attribute(attr) => {
                 let va = self.facts.annotation_value(a.page, attr);
                 let vb = self.facts.annotation_value(b.page, attr);
                 cmp_annotation(va, vb).then_with(|| title(a).cmp(title(b)))
-            }),
+            }
+        };
+        if let SortBy::Attribute(_) = form.sort_by {
+            // Mixed numeric and text values do not compare transitively,
+            // so only a whole sort fixes this order.
+            rows.sort_by(by_key);
+            if form.descending {
+                rows.reverse();
+            }
+            rows.truncate(limit);
+        } else {
+            // A strict total order: its first `limit` rows are one set in
+            // one order, so select them, then sort only those.
+            let ordered = |a: &Ranked, b: &Ranked| {
+                if form.descending {
+                    by_key(b, a)
+                } else {
+                    by_key(a, b)
+                }
+            };
+            if limit < rows.len() {
+                rows.select_nth_unstable_by(limit, ordered);
+            }
+            rows.truncate(limit);
+            rows.sort_unstable_by(ordered);
         }
-        // `descending` flips the sort key's natural order (best-first for
-        // Relevance/PageRank, ascending for Title/Attribute).
-        if form.descending {
-            rows.reverse();
-        }
-
-        let total_matched = rows.len();
-        rows.truncate(form.effective_limit());
-        let top = rows
+        let shown: Vec<&str> = rows.iter().map(title).collect();
+        let bodies = self.smr.page_bodies(&shown)?;
+        let top: Vec<ResultItem> = rows
             .into_iter()
-            .map(|r| {
-                let title = &self.titles[r.page];
+            .zip(bodies)
+            .map(|(r, body)| {
                 let facts = self.facts.page(r.page);
-                let body = self.smr.page_body(title)?.unwrap_or_default();
-                Ok(ResultItem {
-                    title: title.clone(),
+                ResultItem {
+                    title: self.titles[r.page].clone(),
                     namespace: self.facts.namespace(facts.namespace).to_owned(),
                     score: r.score,
                     bm25: r.bm25,
                     pagerank: r.pagerank,
                     match_degree: r.match_degree,
-                    snippet: snippet(&body, &form.keywords),
+                    snippet: snippet(&body.unwrap_or_default(), &form.keywords),
                     coords: facts.coords,
-                })
+                }
             })
-            .collect::<Result<Vec<ResultItem>>>()?;
+            .collect();
 
         // Recommendations from the top results.
         let seeds: Vec<&str> = top.iter().take(5).map(|i| i.title.as_str()).collect();
@@ -1067,10 +1087,17 @@ impl QueryEngine {
             .collect()
     }
 
-    /// SQL fallback: fetch all values of the attribute and filter in Rust
-    /// (numeric ops can't be pushed into our SQL subset portably). With
-    /// `restrict`, only candidate pages' annotations are fetched — the
-    /// semi-join half of cross-engine pushdown.
+    /// SQL half of a condition: one statement that reads the attribute's
+    /// matching annotation rows joined to their pages. `gt`, `lt` and
+    /// `between` test `value_num` against the bounds, which the planner
+    /// turns into a range seek on `(attribute, value_num)`, so only the
+    /// matching rows are read; a numeric operand that matches nothing
+    /// issues no statement. `contains` is an `ILIKE '%v%'` the values'
+    /// trigram index serves; it and the case-insensitive `eq` are
+    /// re-checked in Rust on the rows returned, as `LIKE` has no `ESCAPE`
+    /// for a `%` or `_` in the needle. With `restrict`, only candidate
+    /// pages' annotations are read — the semi-join half of cross-engine
+    /// pushdown.
     fn sql_condition(
         &self,
         cond: &Condition,
@@ -1079,11 +1106,34 @@ impl QueryEngine {
         let _sql = obs::span("query_sql");
         obs::counter("query_sql_conditions_total").inc();
         resil::checkpoint("query_sql")?;
+        let numeric = cond.numeric();
+        let test = match numeric {
+            Some(Numeric::Nothing) => return Ok(Vec::new()),
+            Some(Numeric::Above(b)) => Some(format!("a.value_num > {}", sql_float(b))),
+            Some(Numeric::Below(b)) => Some(format!("a.value_num < {}", sql_float(b))),
+            Some(Numeric::Within(lo, hi)) => Some(format!(
+                "a.value_num BETWEEN {} AND {}",
+                sql_float(lo),
+                sql_float(hi)
+            )),
+            None if cond.op == CondOp::Contains => {
+                Some(format!("a.value ILIKE '%{}%'", sql_escape(&cond.value)))
+            }
+            None => None,
+        };
+        // Numeric tests are exact; the others need the value for the
+        // re-check.
+        let exact = numeric.is_some();
         let mut query = format!(
-            "SELECT p.title, a.value FROM annotations a JOIN pages p ON a.page_id = p.id \
+            "SELECT p.title{} FROM annotations a JOIN pages p ON a.page_id = p.id \
              WHERE a.attribute = '{}'",
+            if exact { "" } else { ", a.value" },
             sql_escape(&cond.attribute)
         );
+        if let Some(test) = test {
+            query.push_str(" AND ");
+            query.push_str(&test);
+        }
         if let Some(pages) = restrict {
             if pages.is_empty() {
                 return Ok(Vec::new());
@@ -1099,9 +1149,20 @@ impl QueryEngine {
         Ok(rs
             .rows
             .into_iter()
-            .filter(|r| matcher.matches(&r[1].to_text()))
+            .filter(|r| exact || matcher.matches(&r[1].to_text()))
             .map(|mut r| std::mem::take(&mut r[0]).into_text())
             .collect())
+    }
+}
+
+/// A float as an SQL literal that reads back as exactly `v`: `{:?}`
+/// round-trips every finite float, `-0.0` included, and `1e400`, which
+/// overflows to infinity, stands in for the `inf` the lexer lacks.
+fn sql_float(v: f64) -> String {
+    if v.is_infinite() {
+        if v > 0.0 { "1e400" } else { "-1e400" }.to_owned()
+    } else {
+        format!("{v:?}")
     }
 }
 
@@ -1203,6 +1264,32 @@ fn snippet(body: &str, keywords: &str) -> String {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn float_literals_reach_sql_exactly() {
+        let db = sensormeta_relstore::Database::new();
+        for v in [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e-300,
+            5e-324,
+            0.1,
+            -2.5,
+            9007199254740993.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            let got = db
+                .query_scalar(&format!("SELECT {}", sql_float(v)))
+                .expect("select")
+                .and_then(|x| x.as_float())
+                .expect("a float");
+            assert_eq!(got.to_bits(), v.to_bits(), "{v:?} as {}", sql_float(v));
+        }
+    }
 
     #[test]
     fn snippet_centers_on_keyword() {

@@ -51,18 +51,61 @@ impl Condition {
     /// The condition prepared for testing many values: its operand is
     /// parsed (numeric ops) or lowercased (`contains`) once.
     pub fn matcher(&self) -> Matcher<'_> {
-        let num = |s: &str| s.parse::<f64>().ok();
-        Matcher(match self.op {
-            CondOp::Eq => Prepared::Eq(&self.value),
-            CondOp::Contains => Prepared::Contains(self.value.to_lowercase()),
-            CondOp::Gt => Prepared::Gt(num(&self.value)),
-            CondOp::Lt => Prepared::Lt(num(&self.value)),
-            CondOp::Between => Prepared::Between(
-                self.value
-                    .split_once("..")
-                    .and_then(|(lo, hi)| Some((num(lo.trim())?, num(hi.trim())?))),
-            ),
+        Matcher(match self.numeric() {
+            Some(range) => Prepared::Numeric(range),
+            None if self.op == CondOp::Contains => Prepared::Contains(self.value.to_lowercase()),
+            None => Prepared::Eq(&self.value),
         })
+    }
+
+    /// What a numeric op (`gt`, `lt`, `between`) accepts, with its operand
+    /// read by [`parse_number`]; `None` for `eq` and `contains`. A NaN
+    /// operand accepts nothing, as no comparison with NaN holds.
+    pub(crate) fn numeric(&self) -> Option<Numeric> {
+        let num = |s: &str| parse_number(s).filter(|v| !v.is_nan());
+        let range = match self.op {
+            CondOp::Eq | CondOp::Contains => return None,
+            CondOp::Gt => num(&self.value).map(Numeric::Above),
+            CondOp::Lt => num(&self.value).map(Numeric::Below),
+            CondOp::Between => self
+                .value
+                .split_once("..")
+                .and_then(|(lo, hi)| Some(Numeric::Within(num(lo.trim())?, num(hi.trim())?))),
+        };
+        Some(range.unwrap_or(Numeric::Nothing))
+    }
+}
+
+/// Reads an annotation value or a numeric operand as a number — the one
+/// rule for both, which the repository's `annotations.value_num` column
+/// also applies: `str::parse::<f64>`, so `" 7"` is not a number and
+/// `"inf"`, `"1e400"` are infinite.
+pub(crate) fn parse_number(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok()
+}
+
+/// The values a numeric condition accepts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Numeric {
+    /// Greater than the bound.
+    Above(f64),
+    /// Less than the bound.
+    Below(f64),
+    /// Within `lo..=hi` (nothing when `lo > hi`).
+    Within(f64, f64),
+    /// None: the operand does not parse or is NaN.
+    Nothing,
+}
+
+impl Numeric {
+    /// Whether the number `v` is accepted.
+    fn accepts(self, v: f64) -> bool {
+        match self {
+            Numeric::Above(b) => v > b,
+            Numeric::Below(b) => v < b,
+            Numeric::Within(lo, hi) => v >= lo && v <= hi,
+            Numeric::Nothing => false,
+        }
     }
 }
 
@@ -70,29 +113,21 @@ impl Condition {
 #[derive(Debug, Clone)]
 pub struct Matcher<'c>(Prepared<'c>);
 
-/// The operand of each op in the form its test needs; `None` when a
-/// numeric operand does not parse, which no value can match.
+/// The operand of each op in the form its test needs.
 #[derive(Debug, Clone)]
 enum Prepared<'c> {
     Eq(&'c str),
     Contains(String),
-    Gt(Option<f64>),
-    Lt(Option<f64>),
-    Between(Option<(f64, f64)>),
+    Numeric(Numeric),
 }
 
 impl Matcher<'_> {
     /// Evaluates the condition against one annotation value.
     pub fn matches(&self, value: &str) -> bool {
-        let num = || value.parse::<f64>().ok();
         match &self.0 {
             Prepared::Eq(want) => value.eq_ignore_ascii_case(want),
             Prepared::Contains(needle) => value.to_lowercase().contains(needle.as_str()),
-            Prepared::Gt(b) => b.zip(num()).is_some_and(|(b, a)| a > b),
-            Prepared::Lt(b) => b.zip(num()).is_some_and(|(b, a)| a < b),
-            Prepared::Between(range) => range
-                .zip(num())
-                .is_some_and(|((lo, hi), v)| v >= lo && v <= hi),
+            Prepared::Numeric(range) => parse_number(value).is_some_and(|v| range.accepts(v)),
         }
     }
 }

@@ -3,10 +3,11 @@
 //! the same metadata.
 //!
 //! Random corpora carry awkward annotation values (integers, decimals,
-//! negatives, whitespace padding, mixed case, `NaN`, `inf`, non-numeric
-//! text, quotes, `%`, `_`, non-ASCII, and titles of pages that may or may
-//! not exist); random conditions cover all five `CondOp`s. Three
-//! properties:
+//! negatives, `-0`, a leading `+`, exponents, whitespace padding, mixed
+//! case, `NaN`, `inf`, a float overflowing to infinity, an integer past
+//! 2^53, non-numeric text, quotes, `%`, `_`, non-ASCII with case mappings
+//! that change length, and titles of pages that may or may not exist);
+//! random conditions cover all five `CondOp`s. Four properties:
 //!
 //! * `sql_condition_titles` equals a scan of `get_page` annotations with
 //!   `Condition::matches` (as a multiset: one title per matching row);
@@ -16,7 +17,10 @@
 //!   page an IRI, whatever order the pages were loaded in;
 //! * `search_uncached`, in hard and soft mode, under a namespace and a
 //!   restricted ACL, returns exactly the pages a naive filter keeps, with
-//!   the same match degrees.
+//!   the same match degrees;
+//! * after pages are rewritten with `update_page` and removed with
+//!   `delete_page`, `sql_condition_titles` still equals the scan — the
+//!   numeric column and the indexes follow every rewrite.
 
 use proptest::prelude::*;
 use sensormeta_query::{Acl, CondOp, Condition, QueryEngine, RankBlend, SearchForm, PUBLIC_GROUP};
@@ -29,7 +33,7 @@ const ATTRIBUTES: [&str; 3] = ["hasA", "hasB", "hasC"];
 /// Annotation and condition values. The `Namespace:pN` ones name the page
 /// generated `N`th when it falls in that namespace; `site:p0` never names
 /// one (titles are case-sensitive) but equals `Site:p0` case-insensitively.
-const VALUES: [&str; 36] = [
+const VALUES: [&str; 45] = [
     "5",
     "-3",
     "42",
@@ -66,10 +70,19 @@ const VALUES: [&str; 36] = [
     "Site:p3",
     "Deployment:p4",
     "site:p0",
+    "-0",
+    "+5",
+    "1E3",
+    "1e400",
+    "9007199254740993",
+    "ẞ",
+    "İ",
+    "STRAẞE",
+    "İzmir",
 ];
 
 /// Between ranges, including malformed and non-finite ones.
-const RANGES: [&str; 8] = [
+const RANGES: [&str; 11] = [
     "1..5",
     "-5..5",
     " 0 .. 100 ",
@@ -78,6 +91,9 @@ const RANGES: [&str; 8] = [
     "junk",
     "5..1",
     "2.5..1e3",
+    "-0..0",
+    "0..1e400",
+    "-1e400..-0",
 ];
 
 fn op_of(ix: u8) -> CondOp {
@@ -334,5 +350,41 @@ proptest! {
             .collect();
         prop_assert_eq!(out.total_matched, expected.len(), "form {:?}", form);
         prop_assert_eq!(&got, &expected, "form {:?}", form);
+    }
+
+    #[test]
+    fn sql_agrees_after_rewrites(
+        pages in page_strategy(),
+        rewrites in prop::collection::vec(
+            (0usize..14, prop::collection::vec((0usize..ATTRIBUTES.len(), 0usize..VALUES.len()), 0..5)),
+            1..6,
+        ),
+        deletes in prop::collection::vec(0usize..14, 0..3),
+        conds in conditions_strategy(),
+    ) {
+        let mut smr = build_smr(&pages);
+        let titles = smr.page_titles().expect("titles");
+        for (ix, anns) in &rewrites {
+            let Some(title) = titles.get(ix % titles.len()) else { continue };
+            let Some(page) = smr.get_page(title).expect("get_page") else { continue };
+            let mut draft = PageDraft::new(page.title, page.namespace).body(page.body);
+            draft.annotations = anns
+                .iter()
+                .map(|&(a, v)| (ATTRIBUTES[a].to_owned(), VALUES[v].to_owned()))
+                .collect();
+            smr.update_page(draft).expect("update_page");
+        }
+        for ix in &deletes {
+            smr.delete_page(&titles[ix % titles.len()]).expect("delete_page");
+        }
+        let naive = naive_pages(&smr);
+        let engine = QueryEngine::open(smr).expect("engine");
+        let every_op = (0u8..5).flat_map(|op| (0..VALUES.len()).map(move |v| (op, v)));
+        for (a, op, v) in conds.iter().copied().chain(every_op.map(|(op, v)| (0, op, v))) {
+            let cond = condition(a, op, v);
+            let expected = naive_matches(&naive, &cond);
+            let sql = sorted(engine.sql_condition_titles(&cond).expect("sql"));
+            prop_assert_eq!(&sql, &expected, "SQL disagrees with the scan for {:?}", cond);
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! Relational work per search: an uncached search reads page rows only for
-//! the results it shows. Ranking, filtering and faceting run on the
-//! engine's in-memory facts, so a keyword search matching hundreds of pages
-//! with `limit=10` costs at most one indexed body read per shown item plus
-//! the condition queries. Within a statement, relstore builds only the
-//! column values the statement references.
+//! the results it shows, and a condition reads only the annotation rows it
+//! can match. Ranking, filtering and faceting run on the engine's in-memory
+//! facts, so a keyword search matching hundreds of pages with `limit=10`
+//! costs one statement for the shown bodies plus the condition queries; a
+//! numeric condition seeks the range of `(attribute, value_num)` it
+//! accepts, and `contains` reads the candidates of the values' trigram
+//! index. Within a statement, relstore builds only the column values the
+//! statement references.
 //!
 //! One test function: the `obs` registry the counters live in is
 //! process-global, so concurrent tests would pollute each other's deltas.
@@ -13,10 +16,22 @@ use sensormeta_query::{CondOp, Condition, QueryEngine, SearchForm};
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 
-/// Index seeks one search may spend: one body read per shown item plus two
-/// per condition.
+/// The counters of every access path that seeks an index.
+const SEEKS: [&str; 4] = [
+    "sql_plan_index_seek_total",
+    "sql_plan_range_scan_total",
+    "sql_plan_multi_seek_total",
+    "sql_plan_trigram_seek_total",
+];
+
+fn seeks() -> u64 {
+    SEEKS.iter().map(|name| obs::counter(name).get()).sum()
+}
+
+/// Seeks one search may spend: one for the shown bodies plus one per
+/// condition (its annotation seek; the page probes count as a join).
 fn seek_budget(form: &SearchForm) -> u64 {
-    (form.effective_limit() + 2 * form.conditions.len()) as u64
+    1 + form.conditions.len() as u64
 }
 
 #[test]
@@ -30,35 +45,58 @@ fn search_reads_page_rows_only_for_shown_results() {
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let decoded = obs::counter("relstore_values_decoded_total");
 
-    // `page_body` builds one value per call: the seek on `title` implies
-    // the WHERE equality, so only `body` is decoded.
+    // `page_bodies` builds the title and body of each page in one
+    // multi-key seek, which implies the `IN` list.
     let titles = smr.page_titles().expect("titles");
-    for title in titles.iter().take(5) {
-        let before = decoded.get();
-        let body = smr.page_body(title).expect("body");
-        assert!(body.is_some());
-        assert_eq!(decoded.get() - before, 1, "page_body({title})");
+    let shown: Vec<&str> = titles.iter().take(16).map(String::as_str).collect();
+    let plan = smr
+        .sql(&format!(
+            "EXPLAIN SELECT title, body FROM pages WHERE title IN ({})",
+            shown
+                .iter()
+                .map(|t| format!("'{}'", sensormeta_smr::sql_escape(t)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ))
+        .expect("explain");
+    assert_eq!(
+        plan.rows[0][0].to_string(),
+        "MultiSeek pages via pages_title_unique (in 16 keys on title)",
+        "{plan:?}"
+    );
+    let (before, multi) = (decoded.get(), obs::counter("sql_plan_multi_seek_total"));
+    let multi_before = multi.get();
+    let bodies = smr.page_bodies(&shown).expect("bodies");
+    assert_eq!(decoded.get() - before, 2 * 16);
+    assert_eq!(multi.get() - multi_before, 1);
+    for (title, body) in shown.iter().zip(&bodies) {
+        let page = smr.get_page(title).expect("get_page").expect("a page");
+        assert_eq!(body.as_deref(), Some(page.body.as_str()), "{title}");
     }
 
     let engine = QueryEngine::open(smr).expect("engine");
-    let seeks = obs::counter("sql_plan_index_seek_total");
-
-    // The condition join seeks the attribute's annotation rows and probes
-    // each one's page. It decodes `page_id` and `value` of every annotation
-    // row (the seek implies `attribute`) and `id` and `title` of every page
-    // it probes — never `body`, `namespace` or `revision`.
-    let count = |sql: &str| -> u64 {
-        engine.smr().sql(sql).expect("count").rows[0][0]
-            .as_int()
-            .expect("count is an integer") as u64
+    let pages = engine.smr().pages().expect("pages");
+    // Annotation rows of the condition's attribute that it matches, by a
+    // scan of the corpus.
+    let matching = |cond: &Condition| -> u64 {
+        pages
+            .iter()
+            .flat_map(|p| &p.annotations)
+            .filter(|(a, v)| *a == cond.attribute && cond.matches(v))
+            .count() as u64
     };
-    let annotation_rows =
-        count("SELECT COUNT(*) FROM annotations WHERE attribute = 'hasSamplingIntervalMinutes'");
-    let probed_pages = count(
-        "SELECT COUNT(*) FROM annotations a JOIN pages p ON a.page_id = p.id \
-         WHERE a.attribute = 'hasSamplingIntervalMinutes'",
-    );
-    assert!(annotation_rows >= 200, "{annotation_rows} annotation rows");
+    let explain = |cond: &Condition| -> String {
+        let before = seeks();
+        let plan = engine
+            .smr()
+            .sql(&format!("EXPLAIN {}", condition_sql(cond)))
+            .expect("explain");
+        assert_eq!(seeks(), before, "EXPLAIN executes nothing");
+        plan.rows[0][0].to_string()
+    };
+
+    // A plain attribute lookup seeks the `attribute` prefix of the
+    // composite index.
     let plan = engine
         .smr()
         .sql(
@@ -66,41 +104,125 @@ fn search_reads_page_rows_only_for_shown_results() {
              ON a.page_id = p.id WHERE a.attribute = 'hasSamplingIntervalMinutes'",
         )
         .expect("explain");
-    assert!(
-        plan.rows[0][0]
-            .to_string()
-            .starts_with("IndexSeek annotations"),
+    assert_eq!(
+        plan.rows[0][0].to_string(),
+        "IndexSeek annotations via annotations_attr_num (eq on attribute)",
         "{plan:?}"
     );
-    let sampling = Condition::new("hasSamplingIntervalMinutes", CondOp::Gt, "0");
+
+    // `gt`, `lt` and `between` read exactly their matching rows: `page_id`
+    // and `value_num` of each (the seek implies `attribute`), `id` and
+    // `title` of the page each probes.
+    let attribute_rows = matching(&Condition::new(
+        "hasSamplingIntervalMinutes",
+        CondOp::Contains,
+        "",
+    ));
+    assert!(attribute_rows >= 200, "{attribute_rows} annotation rows");
+    for cond in [
+        Condition::new("hasSamplingIntervalMinutes", CondOp::Gt, "10"),
+        Condition::new("hasSamplingIntervalMinutes", CondOp::Lt, "5"),
+        Condition::new("hasSamplingIntervalMinutes", CondOp::Between, "5..30"),
+    ] {
+        assert_eq!(
+            explain(&cond),
+            "RangeScan annotations via annotations_attr_num \
+             (eq on attribute, range on value_num)",
+            "{cond:?}"
+        );
+        let rows = matching(&cond);
+        assert!(0 < rows && rows < attribute_rows, "{cond:?}: {rows} rows");
+        let before = decoded.get();
+        let titles = engine.sql_condition_titles(&cond).expect("sql");
+        assert_eq!(titles.len() as u64, rows, "{cond:?}");
+        assert_eq!(decoded.get() - before, rows * 4, "{cond:?}: {rows} rows");
+    }
+    // An operand no value can satisfy issues no statement.
+    for cond in [
+        Condition::new("hasSamplingIntervalMinutes", CondOp::Gt, "NaN"),
+        Condition::new("hasSamplingIntervalMinutes", CondOp::Between, "1..junk"),
+    ] {
+        let before = (decoded.get(), seeks());
+        assert!(engine.sql_condition_titles(&cond).expect("sql").is_empty());
+        assert_eq!((decoded.get(), seeks()), before, "{cond:?}");
+    }
+
+    // `contains` reads the trigram candidates: rows of any attribute whose
+    // value holds every trigram of the needle. It builds `page_id`,
+    // `attribute` and `value` of each and probes each one's page.
+    let cond = Condition::new("partOfProject", CondOp::Contains, "SNOW");
+    assert_eq!(
+        explain(&cond),
+        "TrigramSeek annotations via annotations_value_trgm (substr 'SNOW' on value)"
+    );
+    let grams: Vec<String> = {
+        let needle: Vec<char> = cond.value.to_lowercase().chars().collect();
+        needle.windows(3).map(|w| w.iter().collect()).collect()
+    };
+    let candidates = pages
+        .iter()
+        .flat_map(|p| &p.annotations)
+        .filter(|(_, v)| {
+            let v = v.to_lowercase();
+            grams.iter().all(|g| v.contains(g.as_str()))
+        })
+        .count() as u64;
+    let rows = matching(&cond);
+    assert!(
+        0 < rows && candidates < attribute_rows,
+        "{rows} rows, {candidates} candidates"
+    );
     let before = decoded.get();
-    engine.sql_condition_titles(&sampling).expect("sql");
+    let titles = engine.sql_condition_titles(&cond).expect("sql");
+    assert_eq!(titles.len() as u64, rows);
     assert_eq!(
         decoded.get() - before,
-        annotation_rows * 2 + probed_pages * 2,
-        "{annotation_rows} annotation rows, {probed_pages} pages probed"
+        candidates * 5,
+        "{candidates} candidates"
     );
 
     let keyword = SearchForm {
         limit: 10,
         ..SearchForm::keywords("sensor")
     };
+    let sampling = Condition::new("hasSamplingIntervalMinutes", CondOp::Gt, "0");
     let with_condition = keyword.clone().condition(sampling);
     for form in [&keyword, &with_condition] {
-        let before = seeks.get();
+        let (before, multi_before) = (seeks(), multi.get());
         let out = engine.search_uncached(form, None).expect("search");
-        let spent = seeks.get() - before;
+        let spent = seeks() - before;
         assert!(
             out.total_matched >= 200,
             "the form must match many pages: {}",
             out.total_matched
         );
         assert_eq!(out.items.len(), 10);
-        assert!(
-            spent <= seek_budget(form),
-            "{} candidates cost {spent} index seeks (budget {})",
+        assert_eq!(multi.get() - multi_before, 1, "one body statement");
+        assert_eq!(
+            spent,
+            seek_budget(form),
+            "{} candidates cost {spent} index seeks",
             out.total_matched,
-            seek_budget(form)
         );
     }
+}
+
+/// The statement `sql_condition_titles` issues for a condition, as the
+/// engine words it.
+fn condition_sql(cond: &Condition) -> String {
+    let test = match cond.op {
+        CondOp::Gt => format!("a.value_num > {}", cond.value),
+        CondOp::Lt => format!("a.value_num < {}", cond.value),
+        CondOp::Between => {
+            let (lo, hi) = cond.value.split_once("..").expect("a range");
+            format!("a.value_num BETWEEN {lo} AND {hi}")
+        }
+        CondOp::Contains => format!("a.value ILIKE '%{}%'", cond.value),
+        CondOp::Eq => "TRUE".to_owned(),
+    };
+    format!(
+        "SELECT p.title, a.value FROM annotations a JOIN pages p ON a.page_id = p.id \
+         WHERE a.attribute = '{}' AND {test}",
+        cond.attribute
+    )
 }

@@ -9,6 +9,7 @@
 use crate::error::{RelError, Result};
 use crate::heap::RowId;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Maximum keys per node before a split. Chosen small so unit tests cover
@@ -41,6 +42,29 @@ impl Node {
 
     fn is_leaf(&self) -> bool {
         self.children.is_empty()
+    }
+}
+
+/// Where `x` lies relative to the interval `lo..hi`: before it (`Less`),
+/// inside it (`Equal`) or after it (`Greater`). An empty interval places
+/// everything before or after it.
+fn place<T: PartialOrd + ?Sized>(x: &T, lo: Bound<&T>, hi: Bound<&T>) -> Ordering {
+    let below = match lo {
+        Bound::Unbounded => false,
+        Bound::Included(l) => x < l,
+        Bound::Excluded(l) => x <= l,
+    };
+    let above = match hi {
+        Bound::Unbounded => false,
+        Bound::Included(h) => x > h,
+        Bound::Excluded(h) => x >= h,
+    };
+    if below {
+        Ordering::Less
+    } else if above {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
     }
 }
 
@@ -226,53 +250,18 @@ impl BTreeIndex {
 
     /// First RowId for a key, if any.
     pub fn get_one(&self, key: &Key) -> Option<RowId> {
-        self.get(key).into_iter().next()
+        self.postings(key).first().copied()
     }
 
     /// In-order range scan over `(key, RowId)` pairs.
     pub fn range(&self, lo: Bound<&Key>, hi: Bound<&Key>) -> Vec<(Key, RowId)> {
+        let (lo, hi) = (lo.map(Vec::as_slice), hi.map(Vec::as_slice));
+        let position = |k: &[Value]| place(k, lo, hi);
         let mut out = Vec::new();
-        Self::range_rec(&self.root, &lo, &hi, &mut out);
+        Self::visit(&self.root, &position, &mut |key, rows| {
+            out.extend(rows.iter().map(|&row| (key.to_vec(), row)));
+        });
         out
-    }
-
-    fn key_ge(k: &Key, b: &Bound<&Key>) -> bool {
-        match b {
-            Bound::Unbounded => true,
-            Bound::Included(l) => k >= l,
-            Bound::Excluded(l) => k > l,
-        }
-    }
-
-    fn key_le(k: &Key, b: &Bound<&Key>) -> bool {
-        match b {
-            Bound::Unbounded => true,
-            Bound::Included(h) => k <= h,
-            Bound::Excluded(h) => k < h,
-        }
-    }
-
-    fn range_rec(node: &Node, lo: &Bound<&Key>, hi: &Bound<&Key>, out: &mut Vec<(Key, RowId)>) {
-        for (ix, key) in node.keys.iter().enumerate() {
-            // Descend into the child left of this key if that subtree may
-            // contain in-range keys (all of them are < key).
-            if !node.is_leaf() && Self::key_ge(key, lo) {
-                Self::range_rec(&node.children[ix], lo, hi, out);
-            }
-            if Self::key_ge(key, lo) && Self::key_le(key, hi) {
-                for row in &node.postings[ix] {
-                    out.push((key.clone(), *row));
-                }
-            }
-            if !Self::key_le(key, hi) {
-                return; // everything to the right is larger
-            }
-        }
-        if !node.is_leaf() {
-            if let Some(last) = node.children.last() {
-                Self::range_rec(last, lo, hi, out);
-            }
-        }
     }
 
     /// All entries in key order.
@@ -280,12 +269,71 @@ impl BTreeIndex {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Entries whose key starts with `prefix` (composite-key prefix match).
-    pub fn prefix(&self, prefix: &Key) -> Vec<(Key, RowId)> {
-        self.iter_all()
-            .into_iter()
-            .filter(|(k, _)| k.len() >= prefix.len() && k[..prefix.len()] == prefix[..])
-            .collect()
+    /// Row ids under the keys that start with `prefix` and whose next
+    /// component lies within `lo..hi`, in key order. With a whole key as
+    /// `prefix` this is that key's posting list.
+    pub fn rows(&self, prefix: &[Value], lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<RowId> {
+        let mut out = Vec::new();
+        self.seek(prefix, lo, hi, |_, rows| out.extend_from_slice(rows));
+        out
+    }
+
+    /// Number of row ids [`BTreeIndex::rows`] returns, without collecting
+    /// them.
+    pub fn count(&self, prefix: &[Value], lo: Bound<&Value>, hi: Bound<&Value>) -> usize {
+        let mut n = 0;
+        self.seek(prefix, lo, hi, |_, rows| n += rows.len());
+        n
+    }
+
+    /// Calls `f` with each key starting with `prefix` whose next component
+    /// lies within `lo..hi` (bounds on a component past the key's end are
+    /// ignored), and its postings, in key order. Descends by key: the cost
+    /// is the tree's depth plus the keys visited, never a walk of the index.
+    fn seek(
+        &self,
+        prefix: &[Value],
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+        mut f: impl FnMut(&[Value], &[RowId]),
+    ) {
+        let position = |k: &[Value]| {
+            let p = prefix.len().min(k.len());
+            match k[..p].cmp(&prefix[..p]) {
+                Ordering::Equal if k.len() < prefix.len() => return Ordering::Less,
+                Ordering::Equal => {}
+                other => return other,
+            }
+            k.get(p).map_or(Ordering::Equal, |next| place(next, lo, hi))
+        };
+        Self::visit(&self.root, &position, &mut f);
+    }
+
+    /// Visits, in order, the keys `position` places inside the scan
+    /// (`Equal`), given that it places every key before the scan `Less` and
+    /// every key after it `Greater`. Returns true once a key after the scan
+    /// was seen, so callers stop.
+    fn visit(
+        node: &Node,
+        position: &impl Fn(&[Value]) -> Ordering,
+        f: &mut impl FnMut(&[Value], &[RowId]),
+    ) -> bool {
+        let start = node.keys.partition_point(|k| position(k) == Ordering::Less);
+        for ix in start..node.keys.len() {
+            // The child left of key `ix` holds the keys between key `ix - 1`
+            // (before the scan) and key `ix`.
+            if !node.is_leaf() && Self::visit(&node.children[ix], position, f) {
+                return true;
+            }
+            if position(&node.keys[ix]) == Ordering::Greater {
+                return true;
+            }
+            f(&node.keys[ix], &node.postings[ix]);
+        }
+        match node.children.last() {
+            Some(last) => Self::visit(last, position, f),
+            None => false,
+        }
     }
 
     /// Deep structural check (fsck): ordering, separator bounds, node shape,
@@ -520,7 +568,20 @@ mod tests {
             .unwrap();
         ix.insert(vec![Value::text("wind"), Value::Int(1)], rid(3))
             .unwrap();
-        let hits = ix.prefix(&vec![Value::text("temp")]);
-        assert_eq!(hits.len(), 2);
+        let temp = [Value::text("temp")];
+        assert_eq!(
+            ix.rows(&temp, Bound::Unbounded, Bound::Unbounded),
+            [rid(1), rid(2)]
+        );
+        assert_eq!(
+            ix.count(&temp, Bound::Excluded(&Value::Int(1)), Bound::Unbounded),
+            1
+        );
+        // A whole key is its posting list.
+        let whole = [Value::text("wind"), Value::Int(1)];
+        assert_eq!(
+            ix.rows(&whole, Bound::Unbounded, Bound::Unbounded),
+            [rid(3)]
+        );
     }
 }

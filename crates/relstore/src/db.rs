@@ -24,6 +24,7 @@ use crate::value::Value;
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{LogicalOp, Wal};
 use sensormeta_obs as obs;
+use std::ops::Bound;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -233,8 +234,9 @@ impl Database {
     }
 
     /// Estimated number of rows in `table` whose `column` equals `value`,
-    /// without executing a query: an exact B-tree probe when a single-column
-    /// index covers the column, otherwise a histogram/distinct-count guess
+    /// without executing a query: an exact B-tree count when an index
+    /// starts with the column (a composite index counts through its key
+    /// prefix), otherwise a histogram/distinct-count guess
     /// from table statistics. Used by cross-engine planners to order
     /// condition evaluation by selectivity.
     pub fn estimate_eq(&self, table: &str, column: &str, value: &Value) -> Result<usize> {
@@ -243,8 +245,13 @@ impl Database {
             .schema
             .column_index(column)
             .ok_or_else(|| RelError::NoSuchColumn(column.to_owned()))?;
-        if let Some((_, ix)) = t.index_on_column(col) {
-            return Ok(ix.get(&vec![value.clone()]).len());
+        let leading = t
+            .btree_indexes()
+            .filter(|(def, _)| def.columns.first() == Some(&col))
+            .min_by_key(|(def, _)| def.columns.len());
+        if let Some((_, ix)) = leading {
+            let key = std::slice::from_ref(value);
+            return Ok(ix.count(key, Bound::Unbounded, Bound::Unbounded));
         }
         let rows = t.len();
         let frac = t

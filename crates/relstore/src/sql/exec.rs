@@ -6,9 +6,9 @@
 //! restoration → WHERE filter → grouping & aggregation → HAVING →
 //! projection → DISTINCT → ORDER BY → LIMIT/OFFSET. Every access path
 //! yields a *superset* of matching rows and the full WHERE / ON predicates
-//! are always re-applied — except a WHERE equality the base relation's
-//! index seek already guarantees for every row it yields — so plan choices
-//! can never change results.
+//! are always re-applied — except a WHERE equality (or `IN` list) the base
+//! relation's index seek already guarantees for every row it yields — so
+//! plan choices can never change results.
 //!
 //! Binding happens once per statement: every expression is lowered to a
 //! [`BoundExpr`] over slot indices, and each relation gets a mask of the
@@ -17,10 +17,13 @@
 
 use super::ast::*;
 use super::expr::{bind, truthiness, BoundExpr, Row, RowSchema};
-use super::planner::{plan_select, AccessPath, PlannerConfig, ScanPlan, SelectPlan};
+use super::planner::{
+    literal, plan_select, range_bounds, AccessPath, PlannerConfig, ScanPlan, SelectPlan,
+};
+use crate::btree::BTreeIndex;
 use crate::error::{RelError, Result};
 use crate::heap::RowId;
-use crate::table::Table;
+use crate::table::{IndexDef, Table};
 use crate::value::Value;
 use sensormeta_obs as obs;
 use std::borrow::Cow;
@@ -560,43 +563,69 @@ fn order_key(expr: &Expr, schema: &RowSchema<'_>, names: &[String]) -> OrderKey 
     OrderKey::Expr(bind(expr, schema))
 }
 
-/// Binds WHERE, leaving out each top-level `column = literal` conjunct that
-/// the base relation's index seek guarantees: the seek yields exactly the
-/// rows whose indexed column equals its key, so such a conjunct is TRUE on
-/// every row and can neither fail nor stop the AND chain. `None` when no
-/// conjunct is left.
+/// Binds WHERE, leaving out each top-level conjunct that the base
+/// relation's seek guarantees: an `IndexSeek` (or a `RangeScan` under a
+/// key prefix) yields only rows whose key (prefix) columns equal its key
+/// (so `column = literal` on one of them is TRUE on every row), and a
+/// `MultiSeek` exactly the rows whose column equals
+/// one of its keys (so an `IN` list holding every key is). Such a conjunct
+/// can neither fail nor stop the AND chain. `None` when no conjunct is
+/// left.
 fn bind_where(
     pred: &Expr,
     schema: &RowSchema<'_>,
     plan: &SelectPlan,
     exec_slot: &[usize],
 ) -> Option<BoundExpr> {
-    let Some(ScanPlan {
-        path: AccessPath::IndexSeek { col, key, .. },
-        ..
-    }) = &plan.base
-    else {
-        return Some(bind(pred, schema));
-    };
     // The base relation comes first in the executed layout, so its column
-    // `col` sits at executed slot `col`.
-    let implied = |c: &Expr| {
-        let Expr::Binary {
-            op: BinOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        else {
-            return false;
-        };
-        let (column, lit) = match (&**lhs, &**rhs) {
-            (column @ Expr::Column { .. }, Expr::Literal(v))
-            | (Expr::Literal(v), column @ Expr::Column { .. }) => (column, v),
-            _ => return false,
-        };
-        !lit.is_null()
-            && lit == key
-            && matches!(bind(column, schema), BoundExpr::Column(s) if exec_slot[s] == *col)
+    // `c` sits at executed slot `c`.
+    let on_column = |column: &Expr, c: usize| {
+        matches!(column, Expr::Column { .. })
+            && matches!(bind(column, schema), BoundExpr::Column(s) if exec_slot[s] == c)
+    };
+    let implied = |c: &Expr| match (&plan.base, c) {
+        (
+            Some(ScanPlan {
+                path:
+                    AccessPath::IndexSeek { cols, key, .. }
+                    | AccessPath::RangeScan {
+                        cols, prefix: key, ..
+                    },
+                ..
+            }),
+            Expr::Binary {
+                op: BinOp::Eq,
+                lhs,
+                rhs,
+            },
+        ) => [(lhs, rhs), (rhs, lhs)].into_iter().any(|(column, lit)| {
+            literal(lit).is_some_and(|v| {
+                !v.is_null()
+                    && cols
+                        .iter()
+                        .zip(key)
+                        .any(|(&c, k)| v == *k && on_column(column, c))
+            })
+        }),
+        (
+            Some(ScanPlan {
+                path: AccessPath::MultiSeek { col, keys, .. },
+                ..
+            }),
+            Expr::InList {
+                expr,
+                list,
+                negated: false,
+            },
+        ) => {
+            on_column(expr, *col)
+                && list
+                    .iter()
+                    .map(literal)
+                    .collect::<Option<Vec<Value>>>()
+                    .is_some_and(|items| keys.iter().all(|k| items.contains(k)))
+        }
+        _ => false,
     };
     let mut conjuncts = Vec::new();
     split_and(pred, &mut conjuncts);
@@ -812,17 +841,38 @@ fn scan_table<'c>(catalog: &'c Catalog, scan: &ScanPlan) -> Result<&'c Table> {
 /// Renders one planned access path for EXPLAIN output.
 fn render_access(catalog: &Catalog, scan: &ScanPlan) -> Result<String> {
     let t = lookup(catalog, &scan.table_key)?;
-    let col_name = |c: usize| t.schema.columns[c].name.clone();
+    let col_name = |c: usize| t.schema.columns[c].name.as_str();
+    let col_names = |cols: &[usize]| {
+        cols.iter()
+            .map(|&c| col_name(c))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     Ok(match &scan.path {
         AccessPath::FullScan => format!("FullScan {}", scan.display),
-        AccessPath::IndexSeek { index, col, .. } => format!(
+        AccessPath::IndexSeek { index, cols, .. } => format!(
             "IndexSeek {} via {index} (eq on {})",
             scan.display,
-            col_name(*col)
+            col_names(cols)
         ),
-        AccessPath::RangeScan { index, col, .. } => format!(
-            "RangeScan {} via {index} (range on {})",
+        AccessPath::RangeScan {
+            index, cols, col, ..
+        } => {
+            let eq = if cols.is_empty() {
+                String::new()
+            } else {
+                format!("eq on {}, ", col_names(cols))
+            };
+            format!(
+                "RangeScan {} via {index} ({eq}range on {})",
+                scan.display,
+                col_name(*col)
+            )
+        }
+        AccessPath::MultiSeek { index, col, keys } => format!(
+            "MultiSeek {} via {index} (in {} keys on {})",
             scan.display,
+            keys.len(),
             col_name(*col)
         ),
         AccessPath::TrigramSeek { index, col, needle } => format!(
@@ -831,6 +881,12 @@ fn render_access(catalog: &Catalog, scan: &ScanPlan) -> Result<String> {
             col_name(*col)
         ),
     })
+}
+
+/// The B-tree index a plan named.
+fn planned_btree<'t>(t: &'t Table, index: &str) -> Result<(&'t IndexDef, &'t BTreeIndex)> {
+    t.btree(index)
+        .ok_or_else(|| RelError::Exec(format!("planned index `{index}` disappeared")))
 }
 
 /// Renders the plan a SELECT would run, one step per row — the
@@ -908,6 +964,7 @@ fn bump_path_counter(path: &AccessPath) {
         AccessPath::FullScan => "sql_plan_full_scan_total",
         AccessPath::IndexSeek { .. } => "sql_plan_index_seek_total",
         AccessPath::RangeScan { .. } => "sql_plan_range_scan_total",
+        AccessPath::MultiSeek { .. } => "sql_plan_multi_seek_total",
         AccessPath::TrigramSeek { .. } => "sql_plan_trigram_seek_total",
     };
     obs::counter(name).inc();
@@ -931,32 +988,41 @@ fn run_scan(
     };
     let rids: Vec<_> = match &scan.path {
         AccessPath::FullScan => return full_scan(decoded),
-        AccessPath::IndexSeek { index, col, key } => {
-            let (_, ix) = t
-                .index_on_column(*col)
-                .ok_or_else(|| RelError::Exec(format!("planned index `{index}` disappeared")))?;
-            ix.postings(std::slice::from_ref(key)).to_vec()
+        AccessPath::IndexSeek { index, key, .. } => {
+            let (def, ix) = planned_btree(t, index)?;
+            let mut rids = ix.rows(key, Bound::Unbounded, Bound::Unbounded);
+            // A key prefix spans several keys; read their rows in heap
+            // order, as one key's posting list is.
+            if key.len() < def.columns.len() {
+                rids.sort_unstable();
+            }
+            rids
         }
-        AccessPath::RangeScan { index, col, lo, hi } => {
-            let (_, ix) = t
-                .index_on_column(*col)
-                .ok_or_else(|| RelError::Exec(format!("planned index `{index}` disappeared")))?;
-            let lo_key = lo.as_ref().map(|(v, incl)| (vec![v.clone()], *incl));
-            let hi_key = hi.as_ref().map(|(v, incl)| (vec![v.clone()], *incl));
-            let lo_bound = match &lo_key {
-                None => Bound::Unbounded,
-                Some((k, true)) => Bound::Included(k),
-                Some((k, false)) => Bound::Excluded(k),
-            };
-            let hi_bound = match &hi_key {
-                None => Bound::Unbounded,
-                Some((k, true)) => Bound::Included(k),
-                Some((k, false)) => Bound::Excluded(k),
-            };
-            ix.range(lo_bound, hi_bound)
-                .into_iter()
-                .map(|(_, rid)| rid)
-                .collect()
+        AccessPath::RangeScan {
+            index,
+            prefix,
+            lo,
+            hi,
+            ..
+        } => {
+            let (_, ix) = planned_btree(t, index)?;
+            let (lo, hi) = range_bounds(lo, hi);
+            ix.rows(prefix, lo, hi)
+        }
+        AccessPath::MultiSeek { index, keys, .. } => {
+            let (_, ix) = planned_btree(t, index)?;
+            let mut rids = Vec::new();
+            for key in keys {
+                rids.extend(ix.rows(
+                    std::slice::from_ref(key),
+                    Bound::Unbounded,
+                    Bound::Unbounded,
+                ));
+            }
+            // Heap order, each row once.
+            rids.sort_unstable();
+            rids.dedup();
+            rids
         }
         AccessPath::TrigramSeek { index, col, needle } => {
             let (_, trgm) = t.trigram_on_column(*col).ok_or_else(|| {

@@ -1,12 +1,14 @@
 //! Cost-based SELECT planning.
 //!
 //! The planner turns a parsed `SelectStmt` into an explicit [`SelectPlan`]:
-//! an access path per relation (full scan, B-tree seek/range, trigram seek),
-//! optional index-probe joins, and — for all-inner joins — a join order
-//! chosen by estimated cardinality. Cardinalities come from three sources,
-//! cheapest-exact first: plan-time B-tree probes for equality keys,
-//! histogram fractions from [`TableStats`](crate::table::TableStats) for
-//! ranges, and minimum posting length from
+//! an access path per relation (full scan, B-tree seek on a key or a key
+//! prefix, prefix + range, `IN`-list seek, trigram seek), optional
+//! index-probe joins, and — for all-inner joins — a join order chosen by
+//! estimated cardinality. Cardinalities come from three sources,
+//! cheapest-exact first: plan-time B-tree counts for equality keys, key
+//! prefixes, ranges under a prefix and `IN` lists, histogram fractions from
+//! [`TableStats`](crate::table::TableStats) for ranges without a prefix,
+//! and minimum posting length from
 //! [`TrigramIndex`](crate::trigram::TrigramIndex) for substrings.
 //!
 //! Safety invariant (shared with the executor): every access path returns a
@@ -20,6 +22,7 @@ use crate::error::{RelError, Result};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::BTreeSet;
+use std::ops::Bound;
 
 /// Which planner features are enabled. [`PlannerConfig::naive`] forces full
 /// scans and written join order everywhere — the reference behavior the
@@ -64,25 +67,42 @@ impl PlannerConfig {
 pub enum AccessPath {
     /// Scan every live row.
     FullScan,
-    /// B-tree equality probe.
+    /// B-tree equality on the index's leading columns: its whole key, or a
+    /// key prefix of a composite index.
     IndexSeek {
         /// Index name.
         index: String,
-        /// Column position the key applies to.
-        col: usize,
-        /// Probe key.
-        key: Value,
+        /// Column positions the key applies to (the index's leading ones).
+        cols: Vec<usize>,
+        /// Probe key, one value per column in `cols`.
+        key: Vec<Value>,
     },
-    /// B-tree range scan; bounds are `(value, inclusive)`.
+    /// B-tree range: equality on the index's leading columns (`prefix`,
+    /// possibly empty), then bounds on the next column. Bounds are
+    /// `(value, inclusive)`.
     RangeScan {
         /// Index name.
         index: String,
+        /// Column positions of the leading columns.
+        cols: Vec<usize>,
+        /// Values of the leading columns, one per column in `cols`.
+        prefix: Vec<Value>,
         /// Column position the bounds apply to.
         col: usize,
         /// Lower bound.
         lo: Option<(Value, bool)>,
         /// Upper bound.
         hi: Option<(Value, bool)>,
+    },
+    /// B-tree seek of every key of an `IN (…)` list on the index's leading
+    /// column, in one pass.
+    MultiSeek {
+        /// Index name.
+        index: String,
+        /// Column position the keys apply to.
+        col: usize,
+        /// The list's non-NULL values, sorted and deduplicated.
+        keys: Vec<Value>,
     },
     /// Trigram posting intersection for a substring.
     TrigramSeek {
@@ -93,6 +113,27 @@ pub enum AccessPath {
         /// Literal substring extracted from the LIKE/ILIKE pattern.
         needle: String,
     },
+}
+
+/// The B-tree bounds a [`AccessPath::RangeScan`] seeks. Every predicate a
+/// range serves (comparisons, `BETWEEN`, a LIKE prefix) is false on NULL,
+/// so an open lower end still starts after the NULL keys.
+pub(crate) fn range_bounds<'a>(
+    lo: &'a Option<(Value, bool)>,
+    hi: &'a Option<(Value, bool)>,
+) -> (Bound<&'a Value>, Bound<&'a Value>) {
+    static NULL: Value = Value::Null;
+    let lo = match lo {
+        None => Bound::Excluded(&NULL),
+        Some((v, true)) => Bound::Included(v),
+        Some((v, false)) => Bound::Excluded(v),
+    };
+    let hi = match hi {
+        None => Bound::Unbounded,
+        Some((v, true)) => Bound::Included(v),
+        Some((v, false)) => Bound::Excluded(v),
+    };
+    (lo, hi)
 }
 
 /// Planned access to one relation.
@@ -354,9 +395,215 @@ fn range_estimate(
     (rows * frac).max(rows.min(1.0))
 }
 
-/// All candidate access paths one conjunct offers for a relation, with
-/// estimated row counts.
-fn conjunct_paths(
+/// A constant operand: a literal, or a negated numeric literal (`-5`
+/// parses as a negation), folded exactly as the executor evaluates it.
+pub(crate) fn literal(expr: &Expr) -> Option<Value> {
+    match expr {
+        Expr::Literal(v) => Some(v.clone()),
+        Expr::Unary {
+            op: UnOp::Neg,
+            expr,
+        } => match &**expr {
+            Expr::Literal(Value::Int(i)) => i.checked_neg().map(Value::Int),
+            Expr::Literal(Value::Float(x)) => Some(Value::float(-x)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// One end of a B-tree range: `(key, inclusive)`.
+type RangeEnd = Option<(Value, bool)>;
+
+/// A conjunct a B-tree can serve, reduced to the column it constrains.
+enum Sarg {
+    /// `col = v`.
+    Eq(usize, Value),
+    /// A comparison or `BETWEEN`: `col` within the bounds.
+    Range(usize, RangeEnd, RangeEnd),
+    /// `col IN (…)`: its non-NULL values, sorted and deduplicated.
+    In(usize, Vec<Value>),
+}
+
+/// Recognises a conjunct of the shape `col op constant`, `col BETWEEN
+/// constant AND constant` or `col IN (constants)` over relation `rel_ix`.
+/// NULL constants, `NOT BETWEEN` and `NOT IN` serve no seek.
+fn sarg(expr: &Expr, rel_ix: usize, rels: &[Rel<'_>]) -> Option<Sarg> {
+    let column = |e: &Expr| match e {
+        Expr::Column { table, name } => resolve_for_rel(table, name, rel_ix, rels),
+        _ => None,
+    };
+    match expr {
+        Expr::Binary { op, lhs, rhs } => {
+            let (col, lit, flipped) = match (column(lhs), column(rhs)) {
+                (Some(c), None) => (c, literal(rhs)?, false),
+                (None, Some(c)) => (c, literal(lhs)?, true),
+                _ => return None,
+            };
+            if lit.is_null() {
+                return None;
+            }
+            let (lo, hi) = match (op, flipped) {
+                (BinOp::Eq, _) => return Some(Sarg::Eq(col, lit)),
+                (BinOp::Lt, false) | (BinOp::Gt, true) => (None, Some((lit, false))),
+                (BinOp::Le, false) | (BinOp::Ge, true) => (None, Some((lit, true))),
+                (BinOp::Gt, false) | (BinOp::Lt, true) => (Some((lit, false)), None),
+                (BinOp::Ge, false) | (BinOp::Le, true) => (Some((lit, true)), None),
+                _ => return None,
+            };
+            Some(Sarg::Range(col, lo, hi))
+        }
+        Expr::Between {
+            expr,
+            lo,
+            hi,
+            negated: false,
+        } => {
+            let col = column(expr)?;
+            let (lo, hi) = (literal(lo)?, literal(hi)?);
+            if lo.is_null() || hi.is_null() {
+                return None;
+            }
+            Some(Sarg::Range(col, Some((lo, true)), Some((hi, true))))
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated: false,
+        } => {
+            let col = column(expr)?;
+            let mut keys = list.iter().map(literal).collect::<Option<Vec<Value>>>()?;
+            keys.retain(|v| !v.is_null());
+            keys.sort_unstable();
+            keys.dedup();
+            Some(Sarg::In(col, keys))
+        }
+        _ => None,
+    }
+}
+
+/// The tightest bounds the range conjuncts on `col` put together (they
+/// are ANDed, so the largest lower and the smallest upper bound); `None`
+/// when no conjunct bounds `col`.
+fn tightest_range(sargs: &[Sarg], col: usize) -> Option<(RangeEnd, RangeEnd)> {
+    // `a` is tighter than `b` when it cuts more: further in, or as far
+    // but exclusive.
+    let tighter = |a: &(Value, bool), b: &(Value, bool), inward: std::cmp::Ordering| {
+        let ord = a.0.cmp(&b.0);
+        ord == inward || (ord == std::cmp::Ordering::Equal && !a.1 && b.1)
+    };
+    let mut found = None;
+    for s in sargs {
+        let Sarg::Range(c, lo, hi) = s else { continue };
+        if *c != col {
+            continue;
+        }
+        let (cur_lo, cur_hi): &mut (RangeEnd, RangeEnd) = found.get_or_insert((None, None));
+        if let Some(l) = lo {
+            if cur_lo
+                .as_ref()
+                .is_none_or(|b| tighter(l, b, std::cmp::Ordering::Greater))
+            {
+                *cur_lo = Some(l.clone());
+            }
+        }
+        if let Some(h) = hi {
+            if cur_hi
+                .as_ref()
+                .is_none_or(|b| tighter(h, b, std::cmp::Ordering::Less))
+            {
+                *cur_hi = Some(h.clone());
+            }
+        }
+    }
+    found
+}
+
+/// The B-tree paths the conjuncts offer, with estimated row counts. For
+/// each index, equality conjuncts on its leading columns make a key
+/// (prefix); the conjuncts on the next column then add a range over it, or
+/// — with no prefix — an `IN` list seek. Equality and prefix estimates are
+/// exact plan-time counts; a range under a prefix is counted too, a range
+/// without one is read off the histogram.
+fn btree_paths(t: &Table, sargs: &[Sarg], out: &mut Vec<(AccessPath, f64)>) {
+    for (def, ix) in t.btree_indexes() {
+        let mut key = Vec::new();
+        for c in &def.columns {
+            let eq = sargs.iter().find_map(|s| match s {
+                Sarg::Eq(col, v) if col == c => Some(v),
+                _ => None,
+            });
+            match eq {
+                Some(v) => key.push(v.clone()),
+                None => break,
+            }
+        }
+        if let Some(&next) = def.columns.get(key.len()) {
+            if let Some((lo, hi)) = tightest_range(sargs, next) {
+                let est = if key.is_empty() {
+                    range_estimate(
+                        t,
+                        next,
+                        lo.as_ref().map(|(v, i)| (v, *i)),
+                        hi.as_ref().map(|(v, i)| (v, *i)),
+                    )
+                } else {
+                    let (l, h) = range_bounds(&lo, &hi);
+                    ix.count(&key, l, h) as f64
+                };
+                out.push((
+                    AccessPath::RangeScan {
+                        index: def.name.clone(),
+                        cols: def.columns[..key.len()].to_vec(),
+                        prefix: key.clone(),
+                        col: next,
+                        lo,
+                        hi,
+                    },
+                    est,
+                ));
+            }
+            if key.is_empty() {
+                for s in sargs {
+                    let Sarg::In(col, keys) = s else { continue };
+                    if *col != next {
+                        continue;
+                    }
+                    let est = keys
+                        .iter()
+                        .map(|k| {
+                            ix.count(std::slice::from_ref(k), Bound::Unbounded, Bound::Unbounded)
+                        })
+                        .sum::<usize>();
+                    out.push((
+                        AccessPath::MultiSeek {
+                            index: def.name.clone(),
+                            col: next,
+                            keys: keys.clone(),
+                        },
+                        est as f64,
+                    ));
+                }
+            }
+        }
+        if !key.is_empty() {
+            let est = ix.count(&key, Bound::Unbounded, Bound::Unbounded) as f64;
+            out.push((
+                AccessPath::IndexSeek {
+                    index: def.name.clone(),
+                    cols: def.columns[..key.len()].to_vec(),
+                    key,
+                },
+                est,
+            ));
+        }
+    }
+}
+
+/// The paths one LIKE/ILIKE conjunct offers for a relation, with
+/// estimated row counts: a B-tree range over a case-sensitive literal
+/// prefix, and a trigram seek on the longest literal run.
+fn like_paths(
     expr: &Expr,
     rel_ix: usize,
     rels: &[Rel<'_>],
@@ -364,160 +611,67 @@ fn conjunct_paths(
     out: &mut Vec<(AccessPath, f64)>,
 ) {
     let t = rels[rel_ix].table;
-    match expr {
-        Expr::Binary {
-            op: op @ (BinOp::Like | BinOp::ILike),
-            lhs,
-            rhs,
-        } => {
-            let Expr::Column { table, name } = &**lhs else {
-                return;
-            };
-            let Some(col) = resolve_for_rel(table, name, rel_ix, rels) else {
-                return;
-            };
-            let Expr::Literal(Value::Text(pattern)) = &**rhs else {
-                return;
-            };
-            // Case-sensitive prefix → B-tree range over [prefix, next).
-            if *op == BinOp::Like && cfg.use_indexes {
-                let prefix: String = pattern
-                    .chars()
-                    .take_while(|c| *c != '%' && *c != '_')
-                    .collect();
-                if !prefix.is_empty() {
-                    if let (Some(upper), Some(_)) =
-                        (like_prefix_upper_bound(&prefix), t.index_on_column(col))
-                    {
-                        let lo = Value::Text(prefix);
-                        let hi = Value::Text(upper);
-                        let est = range_estimate(t, col, Some((&lo, true)), Some((&hi, false)));
-                        if let Some((def, _)) = t.index_on_column(col) {
-                            out.push((
-                                AccessPath::RangeScan {
-                                    index: def.name.clone(),
-                                    col,
-                                    lo: Some((lo, true)),
-                                    hi: Some((hi, false)),
-                                },
-                                est,
-                            ));
-                        }
-                    }
-                }
-            }
-            // Any literal run ≥ 3 chars → trigram seek (case-insensitive
-            // postings serve both LIKE and ILIKE as supersets).
-            if cfg.use_trigram {
-                let needle = longest_literal_run(pattern);
-                if let Some((def, trgm)) = t.trigram_on_column(col) {
-                    if let Some(est) = trgm.estimate(&needle) {
-                        out.push((
-                            AccessPath::TrigramSeek {
-                                index: def.name.clone(),
-                                col,
-                                needle,
-                            },
-                            est as f64,
-                        ));
-                    }
-                }
-            }
-        }
-        Expr::Binary { op, lhs, rhs } if cfg.use_indexes => {
-            let (col, lit, flipped) = match (&**lhs, &**rhs) {
-                (Expr::Column { table, name }, Expr::Literal(v)) => {
-                    match resolve_for_rel(table, name, rel_ix, rels) {
-                        Some(c) => (c, v, false),
-                        None => return,
-                    }
-                }
-                (Expr::Literal(v), Expr::Column { table, name }) => {
-                    match resolve_for_rel(table, name, rel_ix, rels) {
-                        Some(c) => (c, v, true),
-                        None => return,
-                    }
-                }
-                _ => return,
-            };
-            if lit.is_null() {
-                return;
-            }
-            let Some((def, index)) = t.index_on_column(col) else {
-                return;
-            };
-            // One end of a B-tree range: `(key, inclusive)`.
-            type RangeEnd = Option<(Value, bool)>;
-            let bounds: Option<(RangeEnd, RangeEnd)> = match (op, flipped) {
-                (BinOp::Eq, _) => {
-                    let est = index.get(&vec![lit.clone()]).len() as f64;
-                    out.push((
-                        AccessPath::IndexSeek {
-                            index: def.name.clone(),
-                            col,
-                            key: lit.clone(),
-                        },
-                        est,
-                    ));
-                    None
-                }
-                (BinOp::Lt, false) | (BinOp::Gt, true) => Some((None, Some((lit.clone(), false)))),
-                (BinOp::Le, false) | (BinOp::Ge, true) => Some((None, Some((lit.clone(), true)))),
-                (BinOp::Gt, false) | (BinOp::Lt, true) => Some((Some((lit.clone(), false)), None)),
-                (BinOp::Ge, false) | (BinOp::Le, true) => Some((Some((lit.clone(), true)), None)),
-                _ => None,
-            };
-            if let Some((lo, hi)) = bounds {
-                let est = range_estimate(
-                    t,
-                    col,
-                    lo.as_ref().map(|(v, i)| (v, *i)),
-                    hi.as_ref().map(|(v, i)| (v, *i)),
-                );
-                out.push((
-                    AccessPath::RangeScan {
-                        index: def.name.clone(),
-                        col,
-                        lo,
-                        hi,
-                    },
-                    est,
-                ));
-            }
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated: false,
-        } if cfg.use_indexes => {
-            let Expr::Column { table, name } = &**expr else {
-                return;
-            };
-            let Some(col) = resolve_for_rel(table, name, rel_ix, rels) else {
-                return;
-            };
-            let (Expr::Literal(lov), Expr::Literal(hiv)) = (&**lo, &**hi) else {
-                return;
-            };
-            if lov.is_null() || hiv.is_null() {
-                return;
-            }
-            let Some((def, _)) = t.index_on_column(col) else {
-                return;
-            };
-            let est = range_estimate(t, col, Some((lov, true)), Some((hiv, true)));
+    let Expr::Binary {
+        op: op @ (BinOp::Like | BinOp::ILike),
+        lhs,
+        rhs,
+    } = expr
+    else {
+        return;
+    };
+    let Expr::Column { table, name } = &**lhs else {
+        return;
+    };
+    let Some(col) = resolve_for_rel(table, name, rel_ix, rels) else {
+        return;
+    };
+    let Expr::Literal(Value::Text(pattern)) = &**rhs else {
+        return;
+    };
+    // Case-sensitive prefix → B-tree range over [prefix, next).
+    if *op == BinOp::Like && cfg.use_indexes {
+        let prefix: String = pattern
+            .chars()
+            .take_while(|c| *c != '%' && *c != '_')
+            .collect();
+        let index = t
+            .btree_indexes()
+            .find(|(def, _)| def.columns.first() == Some(&col));
+        if let (false, Some(upper), Some((def, _))) =
+            (prefix.is_empty(), like_prefix_upper_bound(&prefix), index)
+        {
+            let lo = Value::Text(prefix);
+            let hi = Value::Text(upper);
+            let est = range_estimate(t, col, Some((&lo, true)), Some((&hi, false)));
             out.push((
                 AccessPath::RangeScan {
                     index: def.name.clone(),
+                    cols: Vec::new(),
+                    prefix: Vec::new(),
                     col,
-                    lo: Some((lov.clone(), true)),
-                    hi: Some((hiv.clone(), true)),
+                    lo: Some((lo, true)),
+                    hi: Some((hi, false)),
                 },
                 est,
             ));
         }
-        _ => {}
+    }
+    // Any literal run ≥ 3 chars → trigram seek (case-insensitive
+    // postings serve both LIKE and ILIKE as supersets).
+    if cfg.use_trigram {
+        let needle = longest_literal_run(pattern);
+        if let Some((def, trgm)) = t.trigram_on_column(col) {
+            if let Some(est) = trgm.estimate(&needle) {
+                out.push((
+                    AccessPath::TrigramSeek {
+                        index: def.name.clone(),
+                        col,
+                        needle,
+                    },
+                    est as f64,
+                ));
+            }
+        }
     }
 }
 
@@ -532,8 +686,15 @@ fn best_access(
 ) -> ScanPlan {
     let mut best = scan_all(&rels[rel_ix]);
     let mut candidates = Vec::new();
+    if cfg.use_indexes {
+        let sargs: Vec<Sarg> = conjuncts
+            .iter()
+            .filter_map(|c| sarg(c, rel_ix, rels))
+            .collect();
+        btree_paths(rels[rel_ix].table, &sargs, &mut candidates);
+    }
     for c in conjuncts {
-        conjunct_paths(c, rel_ix, rels, cfg, &mut candidates);
+        like_paths(c, rel_ix, rels, cfg, &mut candidates);
     }
     for (path, est) in candidates {
         if est < best.est_rows {
@@ -967,9 +1128,9 @@ mod tests {
         assert!(!p.reordered);
         // The WHERE eq on a.attribute must NOT narrow the LEFT right side's
         // loop scan (probe from ON is fine).
-        if let AccessPath::IndexSeek { col, .. } = &p.joins[0].scan.path {
+        if let AccessPath::IndexSeek { cols, .. } = &p.joins[0].scan.path {
             // attribute is column 1 of annotations; page_id col 0.
-            assert_ne!(*col, 1, "LEFT right side narrowed by WHERE: {p:?}");
+            assert_ne!(cols[0], 1, "LEFT right side narrowed by WHERE: {p:?}");
         }
     }
 }

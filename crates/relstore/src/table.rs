@@ -281,6 +281,17 @@ impl Table {
         best
     }
 
+    /// Every B-tree index, by name.
+    pub fn btree_indexes(&self) -> impl Iterator<Item = (&IndexDef, &BTreeIndex)> {
+        self.indexes.values().map(|(def, ix)| (def, ix.as_ref()))
+    }
+
+    /// The B-tree index called `name`, if any — the executor runs a plan's
+    /// seeks on the index the planner named.
+    pub fn btree(&self, name: &str) -> Option<(&IndexDef, &BTreeIndex)> {
+        self.indexes.get(name).map(|(def, ix)| (def, ix.as_ref()))
+    }
+
     /// Returns the trigram index covering `col`, if any — used by the
     /// planner for substring predicates.
     pub fn trigram_on_column(&self, col: usize) -> Option<(&IndexDef, &TrigramIndex)> {

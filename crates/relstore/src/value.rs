@@ -219,14 +219,14 @@ impl std::hash::Hash for Value {
             }
             // Int and Float hash through the float bit pattern of the numeric
             // value so that Int(2) and Float(2.0), which compare equal, hash
-            // identically.
+            // identically; `-0.0` hashes as `0.0`, which it equals.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(v) => {
                 2u8.hash(state);
-                v.to_bits().hash(state);
+                (v + 0.0).to_bits().hash(state);
             }
             Value::Text(s) => {
                 3u8.hash(state);
@@ -314,6 +314,9 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
+        // Every zero equals every other, so they must hash alike.
+        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Float(0.0)));
+        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Int(0)));
     }
 
     #[test]

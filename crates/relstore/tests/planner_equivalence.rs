@@ -1,11 +1,12 @@
 //! Property suite: the cost-based planner must be invisible in results.
 //!
 //! Every query is executed twice — once with the default planner (index
-//! seeks, trigram seeks, probe joins, join reordering) and once with
-//! [`PlannerConfig::naive`] (full scans, written join order). The two result
-//! sets must be identical as sorted multisets (row order is unspecified
-//! without ORDER BY). Schemas, index sets, data, and predicates are all
-//! randomized.
+//! seeks, composite prefix and range seeks, `IN` list seeks, trigram seeks,
+//! probe joins, join reordering) and once with [`PlannerConfig::naive`]
+//! (full scans, written join order). The two outcomes must be identical:
+//! the same error, or result sets equal as sorted multisets (row order is
+//! unspecified without ORDER BY). Schemas, index sets, data, and predicates
+//! are all randomized.
 
 use proptest::prelude::*;
 use sensormeta_relstore::{Database, PlannerConfig, Value};
@@ -26,10 +27,66 @@ fn name_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// Scores: NULL, both zeros, both infinities, duplicates and a random
+/// spread, so composite `(grp, score)` keys hold every awkward value.
+fn score_strategy() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(-0.0)),
+        Just(Some(0.0)),
+        Just(Some(f64::INFINITY)),
+        Just(Some(f64::NEG_INFINITY)),
+        Just(Some(0.5)),
+        Just(Some(1.0)),
+        (-1.0f64..2.0).prop_map(Some),
+    ]
+}
+
+/// A number as an exact SQL literal: `{:?}` round-trips every finite
+/// float, and `1e400` overflows to infinity (the lexer has no `inf`).
+fn sql_num(v: Option<f64>) -> String {
+    match v {
+        None => "NULL".to_owned(),
+        Some(x) if x.is_infinite() => if x > 0.0 { "1e400" } else { "-1e400" }.to_owned(),
+        Some(x) => format!("{x:?}"),
+    }
+}
+
+/// Comparison operands for `score`: the awkward values, plus integer
+/// literals (mixed `Int`/`Float` comparisons).
+fn bound_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        score_strategy().prop_map(sql_num),
+        (-2i64..3).prop_map(|v| v.to_string()),
+    ]
+}
+
+fn cmp_strategy() -> impl Strategy<Value = &'static str> {
+    (0usize..4).prop_map(|i| ["<", "<=", ">", ">="][i])
+}
+
+/// An `IN` list over `grp`: matching and non-matching integers, their
+/// float twins, NULL and duplicates.
+fn grp_list_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        prop_oneof![
+            (0i64..40).prop_map(|v| v.to_string()),
+            (0i64..40).prop_map(|v| format!("{v}.0")),
+            Just("NULL".to_owned()),
+            Just("999".to_owned()),
+            Just("2.5".to_owned()),
+        ],
+        1..6,
+    )
+    .prop_map(|items| items.join(", "))
+}
+
 /// One WHERE predicate over table alias `a`, as SQL text. Generated shapes
 /// cover every access path the planner can choose: equality, ranges,
-/// BETWEEN, LIKE prefix, LIKE/ILIKE substring, plus AND-combinations and
-/// non-sargable disjunctions.
+/// BETWEEN, LIKE prefix, LIKE/ILIKE substring, composite equality prefix,
+/// prefix + range and prefix + open-ended range, `IN` lists (and `NOT IN`,
+/// which must not seek), plus AND-combinations and non-sargable
+/// disjunctions.
 fn predicate_strategy() -> impl Strategy<Value = String> {
     let atom = prop_oneof![
         (0i64..40).prop_map(|v| format!("a.grp = {v}")),
@@ -41,13 +98,28 @@ fn predicate_strategy() -> impl Strategy<Value = String> {
         fragment().prop_map(|f| format!("a.name ILIKE '%{}%'", f.to_uppercase())),
         fragment().prop_map(|f| format!("a.name NOT ILIKE '%{f}%'")),
         Just("a.score > 0.5".to_owned()),
+        (cmp_strategy(), bound_strategy()).prop_map(|(op, v)| format!("a.score {op} {v}")),
+        ((0i64..40), cmp_strategy(), bound_strategy())
+            .prop_map(|(g, op, v)| format!("a.grp = {g} AND a.score {op} {v}")),
+        ((0i64..40), bound_strategy(), bound_strategy())
+            .prop_map(|(g, lo, hi)| format!("a.score BETWEEN {lo} AND {hi} AND a.grp = {g}")),
+        ((0i64..40), bound_strategy())
+            .prop_map(|(g, v)| format!("{v} < a.score AND a.score <= 1 AND a.grp = {g}")),
+        ((0i64..40), score_strategy())
+            .prop_map(|(g, v)| format!("a.grp = {g} AND a.score = {}", sql_num(v))),
+        grp_list_strategy().prop_map(|l| format!("a.grp IN ({l})")),
+        grp_list_strategy().prop_map(|l| format!("a.grp NOT IN ({l})")),
+        grp_list_strategy().prop_map(|l| format!("a.id IN ({l})")),
+        (fragment(), fragment())
+            .prop_map(|(x, y)| format!("a.name IN ('{x}_{y}', 'wind_temp', NULL)")),
+        Just("a.score IN (0, -0.0, 1e400, NULL)".to_owned()),
     ];
     prop::collection::vec(atom, 1..3).prop_map(|atoms| atoms.join(" AND "))
 }
 
 #[derive(Debug, Clone)]
 struct World {
-    rows_a: Vec<(i64, String, i64, f64)>,
+    rows_a: Vec<(i64, String, i64, Option<f64>)>,
     rows_b: Vec<(i64, i64, String)>,
     rows_c: Vec<(i64, i64)>,
     /// Bitmask choosing which optional indexes exist.
@@ -55,7 +127,7 @@ struct World {
 }
 
 fn world_strategy() -> impl Strategy<Value = World> {
-    let row_a = (any::<i64>(), name_strategy(), 0i64..40, -1.0f64..2.0);
+    let row_a = (any::<i64>(), name_strategy(), 0i64..40, score_strategy());
     let row_b = (any::<i64>(), 0i64..300, fragment());
     let row_c = (any::<i64>(), 0i64..40);
     (
@@ -99,6 +171,7 @@ fn build(world: &World) -> Database {
         (4, "CREATE INDEX b_aid ON b (a_id)"),
         (8, "CREATE INDEX b_tag ON b (tag)"),
         (16, "CREATE INDEX c_grp ON c (grp)"),
+        (32, "CREATE INDEX a_grp_score ON a (grp, score)"),
     ] {
         if world.idx_mask & bit != 0 {
             db.execute(ddl).unwrap();
@@ -106,7 +179,8 @@ fn build(world: &World) -> Database {
     }
     for (id, name, grp, score) in &world.rows_a {
         db.execute(&format!(
-            "INSERT INTO a VALUES ({id}, '{name}', {grp}, {score})"
+            "INSERT INTO a VALUES ({id}, '{name}', {grp}, {})",
+            sql_num(*score)
         ))
         .unwrap();
     }
@@ -121,14 +195,19 @@ fn build(world: &World) -> Database {
     db
 }
 
-/// Runs one query both ways and asserts multiset equality.
+/// Runs one query both ways and asserts the same error or multiset
+/// equality.
 fn assert_equivalent(db: &Database, sql: &str) {
-    let planned = db
-        .query(sql)
-        .unwrap_or_else(|e| panic!("planned execution failed for `{sql}`: {e}"));
-    let naive = db
-        .query_with(sql, &PlannerConfig::naive())
-        .unwrap_or_else(|e| panic!("naive execution failed for `{sql}`: {e}"));
+    let planned = db.query(sql);
+    let naive = db.query_with(sql, &PlannerConfig::naive());
+    let (planned, naive) = match (planned, naive) {
+        (Ok(p), Ok(n)) => (p, n),
+        (Err(p), Err(n)) => {
+            assert_eq!(p.to_string(), n.to_string(), "errors differ for `{sql}`");
+            return;
+        }
+        (p, n) => panic!("outcomes differ for `{sql}`: planned {p:?}, naive {n:?}"),
+    };
     assert_eq!(planned.columns, naive.columns, "columns differ for `{sql}`");
     let mut p: Vec<Vec<Value>> = planned.rows;
     let mut n: Vec<Vec<Value>> = naive.rows;

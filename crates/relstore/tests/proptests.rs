@@ -5,7 +5,7 @@ use sensormeta_relstore::btree::BTreeIndex;
 use sensormeta_relstore::heap::Heap;
 use sensormeta_relstore::{Database, RowId, Value};
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -17,6 +17,20 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
     ]
 }
+
+/// Second key components for the composite seek property: NULL, signed
+/// zeros, infinities, mixed `Int`/`Float` and text.
+const SCORES: [Value; 9] = [
+    Value::Null,
+    Value::Float(f64::NEG_INFINITY),
+    Value::Int(-2),
+    Value::Float(-0.0),
+    Value::Int(0),
+    Value::Float(0.5),
+    Value::Float(2.0),
+    Value::Float(f64::INFINITY),
+    Value::Bool(true),
+];
 
 proptest! {
     /// Row encoding round-trips bit-exactly for every value mix.
@@ -82,6 +96,42 @@ proptest! {
             .filter(|(k, _)| *k >= lo_key && *k < hi_key)
             .collect();
         prop_assert_eq!(ranged, filtered);
+    }
+
+    /// Composite seeks (an equality prefix, then bounds on the next
+    /// component) return exactly the row ids of the matching keys, in key
+    /// order, after inserts and removals, and `count` agrees with them.
+    #[test]
+    fn btree_prefix_seek_equals_filter(
+        entries in prop::collection::vec((0i64..4, 0usize..SCORES.len(), any::<bool>()), 0..200),
+        grp in 0i64..4,
+        lo in (0usize..SCORES.len() + 1, any::<bool>()),
+        hi in (0usize..SCORES.len() + 1, any::<bool>()),
+    ) {
+        let mut tree = BTreeIndex::new(false);
+        for (i, (g, s, keep)) in entries.iter().enumerate() {
+            let key = vec![Value::Int(*g), SCORES[*s].clone()];
+            let rid = RowId { page: 2, slot: i as u32 };
+            tree.insert(key.clone(), rid).unwrap();
+            if !keep {
+                tree.remove(&key, rid);
+            }
+        }
+        let bound = |(ix, incl): (usize, bool)| match SCORES.get(ix) {
+            None => Bound::Unbounded,
+            Some(v) if incl => Bound::Included(v),
+            Some(v) => Bound::Excluded(v),
+        };
+        let (lo, hi) = (bound(lo), bound(hi));
+        let prefix = [Value::Int(grp)];
+        let want: Vec<RowId> = tree
+            .iter_all()
+            .into_iter()
+            .filter(|(k, _)| k[0] == prefix[0] && (lo, hi).contains(&k[1]))
+            .map(|(_, r)| r)
+            .collect();
+        prop_assert_eq!(tree.rows(&prefix, lo, hi), want.clone());
+        prop_assert_eq!(tree.count(&prefix, lo, hi), want.len());
     }
 
     /// Heap: whatever was inserted and not deleted is retrievable verbatim.

@@ -399,3 +399,100 @@ fn like_prefix_uses_index_and_matches_full_scan() {
         .unwrap();
     assert_eq!(rs.rows.len(), 1);
 }
+
+#[test]
+fn signed_zeros_are_one_value_to_distinct_and_group_by() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE z (x FLOAT);
+         INSERT INTO z VALUES (0.0), (-0.0), (0);",
+    )
+    .unwrap();
+    assert_eq!(
+        db.query_scalar("SELECT COUNT(*) FROM z WHERE x = 0")
+            .unwrap(),
+        Some(Value::Int(3))
+    );
+    let distinct = db.query("SELECT DISTINCT x FROM z").unwrap();
+    assert_eq!(distinct.rows.len(), 1, "{:?}", distinct.rows);
+    let groups = db.query("SELECT x, COUNT(*) FROM z GROUP BY x").unwrap();
+    assert_eq!(groups.rows.len(), 1, "{:?}", groups.rows);
+    assert_eq!(groups.rows[0][1], Value::Int(3));
+    assert_eq!(
+        db.query_scalar("SELECT COUNT(DISTINCT x) FROM z").unwrap(),
+        Some(Value::Int(1))
+    );
+}
+
+#[test]
+fn explain_composite_prefix_range_and_in_list_seeks() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE m (id INTEGER PRIMARY KEY, grp TEXT, score FLOAT);
+         CREATE INDEX m_grp_score ON m (grp, score);
+         INSERT INTO m VALUES (1, 'a', 1.5), (2, 'a', -3.0), (3, 'a', NULL),
+           (4, 'b', 7.0), (5, 'a', 1e400), (6, 'a', -0.0), (7, 'b', NULL);",
+    )
+    .unwrap();
+    let first_step =
+        |sql: &str| db.query(&format!("EXPLAIN {sql}")).unwrap().rows[0][0].to_string();
+    let ids = |sql: &str| -> Vec<i64> {
+        let mut ids: Vec<i64> = db
+            .query(sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+
+    // Equality on the leading column seeks the key prefix.
+    let q = "SELECT id FROM m WHERE grp = 'a'";
+    assert_eq!(first_step(q), "IndexSeek m via m_grp_score (eq on grp)");
+    assert_eq!(ids(q), [1, 2, 3, 5, 6]);
+    // The whole key.
+    let q = "SELECT id FROM m WHERE score = 0 AND grp = 'a'";
+    assert_eq!(
+        first_step(q),
+        "IndexSeek m via m_grp_score (eq on grp, score)"
+    );
+    assert_eq!(ids(q), [6]);
+    // Prefix + range, including a negative bound (a negated literal) and
+    // an open end that must skip the NULL scores.
+    let q = "SELECT id FROM m WHERE grp = 'a' AND score > -3";
+    assert_eq!(
+        first_step(q),
+        "RangeScan m via m_grp_score (eq on grp, range on score)"
+    );
+    assert_eq!(ids(q), [1, 5, 6]);
+    assert_eq!(
+        ids("SELECT id FROM m WHERE grp = 'a' AND score < 1e400"),
+        [1, 2, 6]
+    );
+    assert_eq!(
+        ids("SELECT id FROM m WHERE grp = 'a' AND score BETWEEN -0.0 AND 1e400"),
+        [1, 5, 6]
+    );
+    assert_eq!(
+        ids("SELECT id FROM m WHERE grp = 'a' AND score BETWEEN 2 AND 1"),
+        []
+    );
+    // `IN` on an indexed column is one multi-key seek; NOT IN scans.
+    let q = "SELECT id FROM m WHERE id IN (7, 2, 2.0, NULL, 99)";
+    assert_eq!(
+        first_step(q),
+        "MultiSeek m via m_id_unique (in 3 keys on id)"
+    );
+    assert_eq!(ids(q), [2, 7]);
+    let q = "SELECT id FROM m WHERE grp IN ('b', 'zz')";
+    assert_eq!(
+        first_step(q),
+        "MultiSeek m via m_grp_score (in 2 keys on grp)"
+    );
+    assert_eq!(ids(q), [4, 7]);
+    let q = "SELECT id FROM m WHERE id NOT IN (1, 2, 3)";
+    assert_eq!(first_step(q), "FullScan m");
+    assert_eq!(ids(q), [4, 5, 6, 7]);
+}

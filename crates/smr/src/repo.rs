@@ -37,16 +37,23 @@ impl Default for Smr {
 }
 
 /// The repository's relational schema, installed on first open.
+///
+/// `annotations.value_num` is the value read as a number with the parse a
+/// numeric search condition applies (`str::parse::<f64>`; NULL when it does
+/// not parse or is NaN), so `gt`, `lt` and `between` become range seeks on
+/// `annotations_attr_num`, whose `attribute` prefix also serves plain
+/// attribute lookups. The values' trigram index serves `contains`.
 const SCHEMA_SQL: &str = "CREATE TABLE pages (id INTEGER PRIMARY KEY, title TEXT NOT NULL UNIQUE, \
      namespace TEXT NOT NULL, body TEXT, revision INTEGER NOT NULL);
      CREATE TABLE annotations (page_id INTEGER NOT NULL, attribute TEXT NOT NULL, \
-     value TEXT NOT NULL);
+     value TEXT NOT NULL, value_num FLOAT);
      CREATE TABLE links (from_id INTEGER NOT NULL, to_title TEXT NOT NULL);
      CREATE TABLE tags (page_id INTEGER NOT NULL, tag TEXT NOT NULL);
      CREATE TABLE revisions (page_id INTEGER NOT NULL, revision INTEGER NOT NULL, \
      body TEXT);
      CREATE INDEX annotations_page ON annotations (page_id);
-     CREATE INDEX annotations_attr ON annotations (attribute);
+     CREATE INDEX annotations_attr_num ON annotations (attribute, value_num);
+     CREATE TRIGRAM INDEX annotations_value_trgm ON annotations (value);
      CREATE TRIGRAM INDEX pages_title_trgm ON pages (title);
      CREATE INDEX links_from ON links (from_id);
      CREATE INDEX links_to ON links (to_title);
@@ -319,18 +326,28 @@ impl Smr {
         Ok(pages)
     }
 
-    /// A page's body alone (the `body` of [`Smr::get_page`]): one indexed
-    /// read of the page row, without its annotations, links or tags.
-    pub fn page_body(&self, title: &str) -> Result<Option<String>> {
+    /// The bodies of `titles` (the `body` of [`Smr::get_page`]; `None` for
+    /// a title no page has), in the order given, without their annotations,
+    /// links or tags, read with one statement: an `IN` list the planner
+    /// seeks key by key on the title index.
+    pub fn page_bodies(&self, titles: &[&str]) -> Result<Vec<Option<String>>> {
+        if titles.is_empty() {
+            return Ok(Vec::new());
+        }
+        let list: Vec<String> = titles
+            .iter()
+            .map(|t| format!("'{}'", sql_escape(t)))
+            .collect();
         let rs = self.db.query(&format!(
-            "SELECT body FROM pages WHERE title = '{}'",
-            sql_escape(title)
+            "SELECT title, body FROM pages WHERE title IN ({})",
+            list.join(", ")
         ))?;
-        Ok(rs
+        let bodies: HashMap<String, String> = rs
             .rows
             .into_iter()
-            .next()
-            .map(|mut row| take_text(&mut row, 0)))
+            .map(|mut row| (take_text(&mut row, 0), take_text(&mut row, 1)))
+            .collect();
+        Ok(titles.iter().map(|t| bodies.get(*t).cloned()).collect())
     }
 
     /// All page titles, sorted.
@@ -556,6 +573,17 @@ impl Smr {
         Ok(())
     }
 
+    /// Makes the mirror treat every one of `titles` as an existing page, as
+    /// a store holding one shard of a corpus must: an annotation value
+    /// naming a page of the corpus becomes that page's IRI on every shard,
+    /// not only on the shard that holds the page. Values naming this
+    /// store's own pages are IRIs already.
+    pub fn mirror_titles<'a>(&mut self, titles: impl IntoIterator<Item = &'a str>) {
+        for title in titles {
+            retype_mentions(&mut self.rdf, title, true);
+        }
+    }
+
     // ----- internals -----
 
     fn page_id(&self, title: &str) -> Result<Option<i64>> {
@@ -577,12 +605,14 @@ impl Smr {
 
     fn write_satellites(&mut self, id: i64, draft: &PageDraft) -> Result<()> {
         for (a, v) in &draft.annotations {
+            let num = v.parse::<f64>().map_or(Value::Null, Value::float);
             self.db.insert_row(
                 "annotations",
                 vec![
                     Value::Int(id),
                     Value::text(a.clone()),
                     Value::text(v.clone()),
+                    num,
                 ],
             )?;
         }
@@ -783,13 +813,16 @@ mod tests {
     }
 
     #[test]
-    fn page_body_matches_get_page() {
+    fn page_bodies_match_get_page() {
         let mut smr = Smr::new();
         smr.create_page(draft("Deployment:o'brien")).unwrap();
-        let body = smr.page_body("Deployment:o'brien").unwrap();
-        let page = smr.get_page("Deployment:o'brien").unwrap().unwrap();
-        assert_eq!(body.as_deref(), Some(page.body.as_str()));
-        assert_eq!(smr.page_body("missing").unwrap(), None);
+        smr.create_page(draft("Site:b").body("site b")).unwrap();
+        let bodies = smr
+            .page_bodies(&["Site:b", "missing", "Deployment:o'brien"])
+            .unwrap();
+        let body = |t: &str| Some(smr.get_page(t).unwrap().unwrap().body);
+        assert_eq!(bodies, [body("Site:b"), None, body("Deployment:o'brien")]);
+        assert!(smr.page_bodies(&[]).unwrap().is_empty());
     }
 
     #[test]

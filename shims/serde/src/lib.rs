@@ -104,7 +104,46 @@ impl Value {
     }
 }
 
-fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+/// Writes `s` as a JSON string literal. Only ASCII bytes are ever escaped
+/// (every byte of a multi-byte UTF-8 character is >= 0x80), so the text
+/// between escapes goes out as whole `&str` runs, one `write_str` each.
+fn write_json_string(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let unicode;
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                unicode = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                std::str::from_utf8(&unicode).map_err(|_| fmt::Error)?
+            }
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        f.write_str(escape)?;
+        run = i + 1;
+    }
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
+}
+
+/// The character-at-a-time escaper [`write_json_string`] replaced, kept as
+/// the reference its output must equal byte for byte.
+#[cfg(test)]
+fn write_json_string_reference(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
         match c {
@@ -125,7 +164,7 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) if x.is_finite() => {
                 if x.fract() == 0.0 && x.abs() < 1e15 {
@@ -144,7 +183,7 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    fmt::Display::fmt(item, f)?;
                 }
                 f.write_str("]")
             }
@@ -155,7 +194,8 @@ impl fmt::Display for Value {
                         f.write_str(",")?;
                     }
                     write_json_string(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("}")
             }
@@ -503,6 +543,43 @@ impl_serde_tuple!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Characters drawn from everywhere the escaper branches: quotes,
+    /// backslashes, every control character, DEL, ASCII, and non-ASCII up to
+    /// four UTF-8 bytes.
+    fn json_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            Just('"'),
+            Just('\\'),
+            Just('\u{7f}'),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap_or('?')),
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap_or('?')),
+            (0x80u32..0x800).prop_map(|c| char::from_u32(c).unwrap_or('?')),
+            (0x800u32..0x10000).prop_map(|c| char::from_u32(c).unwrap_or('?')),
+            (0x10000u32..0x110000).prop_map(|c| char::from_u32(c).unwrap_or('?')),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn escaper_matches_the_reference(chars in prop::collection::vec(json_char(), 0..48)) {
+            let s: String = chars.into_iter().collect();
+            let (mut fast, mut reference) = (String::new(), String::new());
+            write_json_string(&mut fast, &s).unwrap();
+            write_json_string_reference(&mut reference, &s).unwrap();
+            prop_assert_eq!(fast, reference);
+        }
+    }
+
+    #[test]
+    fn escaper_covers_every_control_character() {
+        let s: String = (0u32..0x80).filter_map(char::from_u32).collect();
+        let (mut fast, mut reference) = (String::new(), String::new());
+        write_json_string(&mut fast, &s).unwrap();
+        write_json_string_reference(&mut reference, &s).unwrap();
+        assert_eq!(fast, reference);
+    }
 
     #[test]
     fn primitive_roundtrips() {
