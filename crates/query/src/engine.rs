@@ -21,7 +21,7 @@ use sensormeta_par::Pool;
 use sensormeta_rank::{GaussSeidel, PageRankProblem, Recommender, Solver, TransitionMatrix};
 use sensormeta_resil::{self as resil, Deadline};
 use sensormeta_search::{Autocomplete, SearchIndex, SpellSuggester};
-use sensormeta_smr::{link_graphs_of, sql_escape, Smr};
+use sensormeta_smr::{link_graphs_of, sql_escape, sql_float, Smr};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -846,49 +846,30 @@ impl QueryEngine {
             }
         }
 
-        // Sort; titles are unique, so every key but the attribute's is a
-        // strict total order. `descending` flips the sort key's natural
-        // order (best-first for Relevance/PageRank, ascending for
-        // Title/Attribute).
+        // Sort; titles are unique, so every key is a total order.
         let title = |r: &Ranked| self.titles[r.page].as_str();
-        let total_matched = rows.len();
-        let limit = form.effective_limit();
-        let by_key = |a: &Ranked, b: &Ranked| match &form.sort_by {
-            SortBy::Relevance => cmp_f64(b.score, a.score).then_with(|| title(a).cmp(title(b))),
-            SortBy::PageRank => {
-                cmp_f64(b.pagerank, a.pagerank).then_with(|| title(a).cmp(title(b)))
+        match &form.sort_by {
+            SortBy::Relevance => {
+                rows.sort_by(|a, b| cmp_f64(b.score, a.score).then_with(|| title(a).cmp(title(b))))
             }
-            SortBy::Title => title(a).cmp(title(b)),
-            SortBy::Attribute(attr) => {
+            SortBy::PageRank => rows.sort_by(|a, b| {
+                cmp_f64(b.pagerank, a.pagerank).then_with(|| title(a).cmp(title(b)))
+            }),
+            SortBy::Title => rows.sort_by(|a, b| title(a).cmp(title(b))),
+            SortBy::Attribute(attr) => rows.sort_by(|a, b| {
                 let va = self.facts.annotation_value(a.page, attr);
                 let vb = self.facts.annotation_value(b.page, attr);
                 cmp_annotation(va, vb).then_with(|| title(a).cmp(title(b)))
-            }
-        };
-        if let SortBy::Attribute(_) = form.sort_by {
-            // Mixed numeric and text values do not compare transitively,
-            // so only a whole sort fixes this order.
-            rows.sort_by(by_key);
-            if form.descending {
-                rows.reverse();
-            }
-            rows.truncate(limit);
-        } else {
-            // A strict total order: its first `limit` rows are one set in
-            // one order, so select them, then sort only those.
-            let ordered = |a: &Ranked, b: &Ranked| {
-                if form.descending {
-                    by_key(b, a)
-                } else {
-                    by_key(a, b)
-                }
-            };
-            if limit < rows.len() {
-                rows.select_nth_unstable_by(limit, ordered);
-            }
-            rows.truncate(limit);
-            rows.sort_unstable_by(ordered);
+            }),
         }
+        // `descending` flips the sort key's natural order (best-first for
+        // Relevance/PageRank, ascending for Title/Attribute).
+        if form.descending {
+            rows.reverse();
+        }
+
+        let total_matched = rows.len();
+        rows.truncate(form.effective_limit());
         let shown: Vec<&str> = rows.iter().map(title).collect();
         let bodies = self.smr.page_bodies(&shown)?;
         let top: Vec<ResultItem> = rows
@@ -977,7 +958,8 @@ impl QueryEngine {
                 .collect();
         }
         // Selectivity estimate per condition: annotation rows carrying the
-        // attribute (exact B-tree count via `annotations_attr`).
+        // attribute (exact B-tree count through the `attribute` prefix of
+        // `annotations_attr_num`).
         let est: Vec<usize> = form
             .conditions
             .iter()
@@ -1155,17 +1137,6 @@ impl QueryEngine {
     }
 }
 
-/// A float as an SQL literal that reads back as exactly `v`: `{:?}`
-/// round-trips every finite float, `-0.0` included, and `1e400`, which
-/// overflows to infinity, stands in for the `inf` the lexer lacks.
-fn sql_float(v: f64) -> String {
-    if v.is_infinite() {
-        if v > 0.0 { "1e400" } else { "-1e400" }.to_owned()
-    } else {
-        format!("{v:?}")
-    }
-}
-
 /// Stable 64-bit key of (form, user): every field that affects the output
 /// feeds the fingerprint, so logically identical requests collide onto one
 /// entry and any difference separates them.
@@ -1264,32 +1235,6 @@ fn snippet(body: &str, keywords: &str) -> String {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn float_literals_reach_sql_exactly() {
-        let db = sensormeta_relstore::Database::new();
-        for v in [
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            1e300,
-            -1e-300,
-            5e-324,
-            0.1,
-            -2.5,
-            9007199254740993.0,
-            f64::MAX,
-            f64::MIN_POSITIVE,
-        ] {
-            let got = db
-                .query_scalar(&format!("SELECT {}", sql_float(v)))
-                .expect("select")
-                .and_then(|x| x.as_float())
-                .expect("a float");
-            assert_eq!(got.to_bits(), v.to_bits(), "{v:?} as {}", sql_float(v));
-        }
-    }
 
     #[test]
     fn snippet_centers_on_keyword() {

@@ -59,10 +59,12 @@ impl Condition {
     }
 
     /// What a numeric op (`gt`, `lt`, `between`) accepts, with its operand
-    /// read by [`parse_number`]; `None` for `eq` and `contains`. A NaN
-    /// operand accepts nothing, as no comparison with NaN holds.
+    /// read by `str::parse::<f64>` — the parse the repository's
+    /// `annotations.value_num` also applies, so `" 7"` is not a number and
+    /// `"inf"`, `"1e400"` are infinite; `None` for `eq` and `contains`. A
+    /// NaN operand accepts nothing, as no comparison with NaN holds.
     pub(crate) fn numeric(&self) -> Option<Numeric> {
-        let num = |s: &str| parse_number(s).filter(|v| !v.is_nan());
+        let num = |s: &str| s.parse::<f64>().ok().filter(|v| !v.is_nan());
         let range = match self.op {
             CondOp::Eq | CondOp::Contains => return None,
             CondOp::Gt => num(&self.value).map(Numeric::Above),
@@ -74,14 +76,6 @@ impl Condition {
         };
         Some(range.unwrap_or(Numeric::Nothing))
     }
-}
-
-/// Reads an annotation value or a numeric operand as a number — the one
-/// rule for both, which the repository's `annotations.value_num` column
-/// also applies: `str::parse::<f64>`, so `" 7"` is not a number and
-/// `"inf"`, `"1e400"` are infinite.
-pub(crate) fn parse_number(s: &str) -> Option<f64> {
-    s.parse::<f64>().ok()
 }
 
 /// The values a numeric condition accepts.
@@ -127,7 +121,7 @@ impl Matcher<'_> {
         match &self.0 {
             Prepared::Eq(want) => value.eq_ignore_ascii_case(want),
             Prepared::Contains(needle) => value.to_lowercase().contains(needle.as_str()),
-            Prepared::Numeric(range) => parse_number(value).is_some_and(|v| range.accepts(v)),
+            Prepared::Numeric(range) => value.parse::<f64>().is_ok_and(|v| range.accepts(v)),
         }
     }
 }

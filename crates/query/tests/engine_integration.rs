@@ -5,6 +5,7 @@ use sensormeta_cache::Status;
 use sensormeta_query::{
     Acl, CondOp, Condition, QueryEngine, RankBlend, SearchForm, SearchOptions, SortBy,
 };
+use sensormeta_relstore::Database;
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 
@@ -103,6 +104,78 @@ fn sql_numeric_condition_path() {
     ));
     let out = engine.search(&form, None).unwrap();
     assert_eq!(out.items[0].title, "Fieldsite:Davos");
+}
+
+/// A repository saved before `annotations` carried `value_num` (three
+/// columns, one `annotations_attr` index) is migrated when it is loaded:
+/// a rewrite keeps its annotations, and numeric and substring conditions
+/// answer as on a repository written with the current schema.
+#[test]
+fn repository_without_value_num_migrates_on_load() {
+    let dir = std::env::temp_dir().join(format!("query_legacy_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("repo.snap");
+    let current = small_smr();
+    let rows = current
+        .sql("SELECT page_id, attribute, value FROM annotations")
+        .unwrap()
+        .rows;
+    current.save(&path).unwrap();
+    let (mut db, _) = Database::open_durable(&path).unwrap();
+    db.execute_script(
+        "DROP TABLE annotations;
+         CREATE TABLE annotations (page_id INTEGER NOT NULL, attribute TEXT NOT NULL, \
+         value TEXT NOT NULL);
+         CREATE INDEX annotations_page ON annotations (page_id);
+         CREATE INDEX annotations_attr ON annotations (attribute);",
+    )
+    .unwrap();
+    for r in rows {
+        db.insert_row("annotations", r).unwrap();
+    }
+    db.checkpoint().unwrap();
+    drop(db);
+
+    let rewrite = |smr: &mut Smr| {
+        smr.update_page(
+            PageDraft::new("Fieldsite:Davos", "Fieldsite")
+                .body("Valley station near Davos for climate monitoring")
+                .annotate("hasElevation", "2100")
+                .annotate("hasLatitude", "46.8")
+                .annotate("hasLongitude", "9.83")
+                .tag("climate"),
+        )
+        .unwrap();
+    };
+    let mut loaded = Smr::load(&path).unwrap();
+    rewrite(&mut loaded);
+    let mut want = small_smr();
+    rewrite(&mut want);
+    let (loaded, want) = (
+        QueryEngine::open(loaded).unwrap(),
+        QueryEngine::open(want).unwrap(),
+    );
+    for cond in [
+        Condition::new("hasElevation", CondOp::Gt, "2000"),
+        Condition::new("hasElevation", CondOp::Between, "1000..2200"),
+        Condition::new("measuresQuantity", CondOp::Contains, "temp"),
+    ] {
+        let form = SearchForm::default().condition(cond);
+        assert_eq!(
+            loaded.search(&form, None).unwrap(),
+            want.search(&form, None).unwrap()
+        );
+    }
+    let form = SearchForm::default().condition(Condition::new("hasElevation", CondOp::Gt, "2000"));
+    let titles: Vec<String> = loaded
+        .search(&form, None)
+        .unwrap()
+        .items
+        .into_iter()
+        .map(|i| i.title)
+        .collect();
+    assert_eq!(titles, ["Fieldsite:Davos", "Fieldsite:Weissfluhjoch"]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -27,4 +27,4 @@ pub mod repo;
 
 pub use error::{Result, SmrError};
 pub use page::{parse_csv, parse_jsonl, BulkReport, Page, PageDraft};
-pub use repo::{link_graphs_of, sql_escape, RepoStats, Smr};
+pub use repo::{link_graphs_of, sql_escape, sql_float, RepoStats, Smr};

@@ -36,29 +36,40 @@ impl Default for Smr {
     }
 }
 
-/// The repository's relational schema, installed on first open.
+/// `annotations` and its indexes, as [`SCHEMA_SQL`] installs them and
+/// [`Smr::migrate`] rebuilds them.
 ///
 /// `annotations.value_num` is the value read as a number with the parse a
 /// numeric search condition applies (`str::parse::<f64>`; NULL when it does
 /// not parse or is NaN), so `gt`, `lt` and `between` become range seeks on
 /// `annotations_attr_num`, whose `attribute` prefix also serves plain
 /// attribute lookups. The values' trigram index serves `contains`.
-const SCHEMA_SQL: &str = "CREATE TABLE pages (id INTEGER PRIMARY KEY, title TEXT NOT NULL UNIQUE, \
+macro_rules! annotations_ddl {
+    () => {
+        "CREATE TABLE annotations (page_id INTEGER NOT NULL, attribute TEXT NOT NULL, \
+         value TEXT NOT NULL, value_num FLOAT);
+         CREATE INDEX annotations_page ON annotations (page_id);
+         CREATE INDEX annotations_attr_num ON annotations (attribute, value_num);
+         CREATE TRIGRAM INDEX annotations_value_trgm ON annotations (value);"
+    };
+}
+
+/// The repository's relational schema, installed on first open.
+const SCHEMA_SQL: &str = concat!(
+    "CREATE TABLE pages (id INTEGER PRIMARY KEY, title TEXT NOT NULL UNIQUE, \
      namespace TEXT NOT NULL, body TEXT, revision INTEGER NOT NULL);
-     CREATE TABLE annotations (page_id INTEGER NOT NULL, attribute TEXT NOT NULL, \
-     value TEXT NOT NULL, value_num FLOAT);
-     CREATE TABLE links (from_id INTEGER NOT NULL, to_title TEXT NOT NULL);
-     CREATE TABLE tags (page_id INTEGER NOT NULL, tag TEXT NOT NULL);
-     CREATE TABLE revisions (page_id INTEGER NOT NULL, revision INTEGER NOT NULL, \
-     body TEXT);
-     CREATE INDEX annotations_page ON annotations (page_id);
-     CREATE INDEX annotations_attr_num ON annotations (attribute, value_num);
-     CREATE TRIGRAM INDEX annotations_value_trgm ON annotations (value);
      CREATE TRIGRAM INDEX pages_title_trgm ON pages (title);
+     CREATE TABLE links (from_id INTEGER NOT NULL, to_title TEXT NOT NULL);
      CREATE INDEX links_from ON links (from_id);
      CREATE INDEX links_to ON links (to_title);
+     CREATE TABLE tags (page_id INTEGER NOT NULL, tag TEXT NOT NULL);
      CREATE INDEX tags_page ON tags (page_id);
-     CREATE INDEX tags_tag ON tags (tag);";
+     CREATE INDEX tags_tag ON tags (tag);
+     CREATE TABLE revisions (page_id INTEGER NOT NULL, revision INTEGER NOT NULL, \
+     body TEXT);
+     ",
+    annotations_ddl!()
+);
 
 impl Smr {
     /// Creates an empty in-memory repository with its relational schema
@@ -88,6 +99,7 @@ impl Smr {
             db,
             rdf: TripleStore::new(),
         };
+        smr.migrate()?;
         smr.rebuild_mirror()?;
         Ok((smr, report))
     }
@@ -536,6 +548,7 @@ impl Smr {
             db,
             rdf: TripleStore::new(),
         };
+        smr.migrate()?;
         smr.rebuild_mirror()?;
         Ok((smr, report))
     }
@@ -585,6 +598,50 @@ impl Smr {
     }
 
     // ----- internals -----
+
+    /// Brings a repository written before `annotations` carried
+    /// `value_num` up to [`SCHEMA_SQL`]: relstore has no `ALTER TABLE`, so
+    /// one script drops `annotations` (and with it the old
+    /// `annotations_attr` index), recreates it with its indexes, and
+    /// re-inserts every row in storage order with its parsed value. A
+    /// script is one write-ahead-log record, so a durable repository is
+    /// migrated whole or not at all. No-op on a current repository.
+    fn migrate(&mut self) -> Result<()> {
+        if self
+            .db
+            .table("annotations")?
+            .schema
+            .column_index("value_num")
+            .is_some()
+        {
+            return Ok(());
+        }
+        let rows = self
+            .db
+            .query("SELECT page_id, attribute, value FROM annotations")?
+            .rows;
+        let mut script = format!("DROP TABLE annotations; {}", annotations_ddl!());
+        for (i, r) in rows.iter().enumerate() {
+            let value = r[2].to_text();
+            let num = match value.parse::<f64>() {
+                Ok(v) if !v.is_nan() => sql_float(v),
+                _ => "NULL".to_owned(),
+            };
+            script.push_str(if i == 0 {
+                "\nINSERT INTO annotations VALUES "
+            } else {
+                ", "
+            });
+            script.push_str(&format!(
+                "({}, '{}', '{}', {num})",
+                r[0].to_text(),
+                sql_escape(&r[1].to_text()),
+                sql_escape(&value),
+            ));
+        }
+        self.db.execute_script(&script)?;
+        Ok(())
+    }
 
     fn page_id(&self, title: &str) -> Result<Option<i64>> {
         let rs = self.db.query(&format!(
@@ -772,6 +829,17 @@ pub fn sql_escape(s: &str) -> String {
     s.replace('\'', "''")
 }
 
+/// A float as an SQL literal that reads back as exactly `v`: `{:?}`
+/// round-trips every finite float, `-0.0` included, and `1e400`, which
+/// overflows to infinity, stands in for the `inf` the lexer lacks.
+pub fn sql_float(v: f64) -> String {
+    if v.is_infinite() {
+        if v > 0.0 { "1e400" } else { "-1e400" }.to_owned()
+    } else {
+        format!("{v:?}")
+    }
+}
+
 /// Percent-encodes the characters that would break IRIs.
 fn encode_iri_component(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -792,6 +860,32 @@ fn encode_iri_component(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn float_literals_reach_sql_exactly() {
+        let db = Database::new();
+        for v in [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e-300,
+            5e-324,
+            0.1,
+            -2.5,
+            9007199254740993.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            let got = db
+                .query_scalar(&format!("SELECT {}", sql_float(v)))
+                .expect("select")
+                .and_then(|x| x.as_float())
+                .expect("a float");
+            assert_eq!(got.to_bits(), v.to_bits(), "{v:?} as {}", sql_float(v));
+        }
+    }
 
     fn draft(title: &str) -> PageDraft {
         PageDraft::new(title, "Deployment")
@@ -1027,6 +1121,181 @@ mod persistence_tests {
             .unwrap();
         assert!(id > 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The schema a repository had before `annotations` carried
+    /// `value_num`.
+    const SCHEMA_WITHOUT_VALUE_NUM: &str = "CREATE TABLE pages (id INTEGER PRIMARY KEY, \
+         title TEXT NOT NULL UNIQUE, namespace TEXT NOT NULL, body TEXT, revision INTEGER NOT NULL);
+         CREATE TABLE annotations (page_id INTEGER NOT NULL, attribute TEXT NOT NULL, \
+         value TEXT NOT NULL);
+         CREATE TABLE links (from_id INTEGER NOT NULL, to_title TEXT NOT NULL);
+         CREATE TABLE tags (page_id INTEGER NOT NULL, tag TEXT NOT NULL);
+         CREATE TABLE revisions (page_id INTEGER NOT NULL, revision INTEGER NOT NULL, \
+         body TEXT);
+         CREATE INDEX annotations_page ON annotations (page_id);
+         CREATE INDEX annotations_attr ON annotations (attribute);
+         CREATE TRIGRAM INDEX pages_title_trgm ON pages (title);
+         CREATE INDEX links_from ON links (from_id);
+         CREATE INDEX links_to ON links (to_title);
+         CREATE INDEX tags_page ON tags (page_id);
+         CREATE INDEX tags_tag ON tags (tag);";
+
+    fn legacy_drafts() -> Vec<PageDraft> {
+        vec![
+            PageDraft::new("Fieldsite:a", "Fieldsite")
+                .body("O'Brien's site")
+                .annotate("hasElevation", "2693")
+                .annotate("note", "it's 5%_"),
+            PageDraft::new("Deployment:d1", "Deployment")
+                .annotate("hasElevation", "-0")
+                .annotate("hasElevation", "1e400")
+                .annotate("hasElevation", "NaN")
+                .annotate("hasElevation", " 7")
+                .annotate("hasElevation", "9007199254740993")
+                .annotate("deployedAt", "Fieldsite:a")
+                .link("Fieldsite:a")
+                .tag("snow"),
+            PageDraft::new("Deployment:d2", "Deployment")
+                .annotate("hasElevation", "1500")
+                .annotate("hasElevation", "+5"),
+        ]
+    }
+
+    /// Writes `drafts` into `db` as a repository without `value_num` did:
+    /// the same rows `create_page` writes, less the fourth column.
+    fn write_legacy(db: &mut Database, drafts: &[PageDraft]) {
+        db.execute_script(SCHEMA_WITHOUT_VALUE_NUM).unwrap();
+        for (id, d) in (1..).zip(drafts) {
+            db.insert_row(
+                "pages",
+                vec![
+                    Value::Int(id),
+                    Value::text(d.title.clone()),
+                    Value::text(d.namespace.clone()),
+                    Value::text(d.body.clone()),
+                    Value::Int(1),
+                ],
+            )
+            .unwrap();
+            for (a, v) in &d.annotations {
+                db.insert_row(
+                    "annotations",
+                    vec![
+                        Value::Int(id),
+                        Value::text(a.clone()),
+                        Value::text(v.clone()),
+                    ],
+                )
+                .unwrap();
+            }
+            for l in &d.links {
+                db.insert_row("links", vec![Value::Int(id), Value::text(l.clone())])
+                    .unwrap();
+            }
+            for t in &d.tags {
+                db.insert_row("tags", vec![Value::Int(id), Value::text(t.clone())])
+                    .unwrap();
+            }
+        }
+    }
+
+    /// Every annotation row, `-0.0` told apart from `0.0`.
+    fn annotation_rows(smr: &Smr) -> String {
+        let rs = smr
+            .sql("SELECT page_id, attribute, value, value_num FROM annotations")
+            .unwrap();
+        format!("{:?}", rs.rows)
+    }
+
+    fn fresh(drafts: &[PageDraft]) -> Smr {
+        let mut smr = Smr::new();
+        for d in drafts {
+            smr.create_page(d.clone()).unwrap();
+        }
+        smr
+    }
+
+    fn rewrite(smr: &mut Smr) {
+        smr.update_page(
+            PageDraft::new("Deployment:d2", "Deployment")
+                .annotate("hasElevation", "3000")
+                .tag("wind"),
+        )
+        .unwrap();
+    }
+
+    fn above_2000(smr: &Smr) -> Vec<Vec<Value>> {
+        smr.sql(
+            "SELECT p.title FROM annotations a JOIN pages p ON a.page_id = p.id \
+             WHERE a.attribute = 'hasElevation' AND a.value_num > 2000.0 ORDER BY p.title",
+        )
+        .unwrap()
+        .rows
+    }
+
+    #[test]
+    fn snapshot_without_value_num_migrates_on_load() {
+        let dir = std::env::temp_dir().join(format!("smr_migrate_snap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("repo.snap");
+        let drafts = legacy_drafts();
+        let mut db = Database::new();
+        write_legacy(&mut db, &drafts);
+        db.save(&path).unwrap();
+
+        let mut loaded = Smr::load(&path).unwrap();
+        let mut want = fresh(&drafts);
+        assert_eq!(annotation_rows(&loaded), annotation_rows(&want));
+        assert_eq!(loaded.pages().unwrap(), want.pages().unwrap());
+        for (sql, path) in [
+            (
+                "EXPLAIN SELECT page_id FROM annotations \
+                 WHERE attribute = 'x' AND value_num > 1.0",
+                "RangeScan annotations via annotations_attr_num",
+            ),
+            (
+                "EXPLAIN SELECT page_id FROM annotations WHERE value ILIKE '%bri%'",
+                "TrigramSeek annotations via annotations_value_trgm",
+            ),
+        ] {
+            let plan = format!("{:?}", loaded.sql(sql).unwrap().rows);
+            assert!(plan.contains(path), "{plan}");
+        }
+        // A rewrite keeps `value_num` as on a repository that never lacked it.
+        rewrite(&mut loaded);
+        rewrite(&mut want);
+        assert_eq!(annotation_rows(&loaded), annotation_rows(&want));
+        assert_eq!(
+            loaded.get_page("Deployment:d2").unwrap(),
+            want.get_page("Deployment:d2").unwrap()
+        );
+        assert_eq!(above_2000(&loaded), above_2000(&want));
+        assert_eq!(above_2000(&loaded).len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn durable_repository_without_value_num_migrates_in_its_log() {
+        let dir = std::env::temp_dir().join(format!("smr_migrate_wal_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("repo.snap");
+        let drafts = legacy_drafts();
+        let (mut db, _) = Database::open_durable(&path).unwrap();
+        write_legacy(&mut db, &drafts);
+        drop(db);
+
+        let (mut smr, _) = Smr::open_durable(&path).unwrap();
+        rewrite(&mut smr);
+        drop(smr);
+        // The migration and the rewrite after it were both logged.
+        let (reopened, _) = Smr::open_durable(&path).unwrap();
+        let mut want = fresh(&drafts);
+        rewrite(&mut want);
+        assert_eq!(annotation_rows(&reopened), annotation_rows(&want));
+        assert_eq!(reopened.pages().unwrap(), want.pages().unwrap());
+        assert_eq!(above_2000(&reopened), above_2000(&want));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
