@@ -19,7 +19,7 @@ use sensormeta_graph::CsrGraph;
 use sensormeta_obs as obs;
 use sensormeta_par::Pool;
 use sensormeta_rank::{GaussSeidel, PageRankProblem, Recommender, Solver, TransitionMatrix};
-use sensormeta_resil::{self as resil, Deadline};
+use sensormeta_resil as resil;
 use sensormeta_search::{Autocomplete, SearchIndex, SpellSuggester};
 use sensormeta_smr::{link_graphs_of, sql_escape, sql_float, Smr};
 use std::collections::{HashMap, HashSet};
@@ -62,14 +62,9 @@ pub struct SearchOptions<'a> {
     /// Skip the cache entirely (compute fresh, store nothing).
     pub bypass: bool,
     /// Upper bound on blocking behind an identical in-flight query; `None`
-    /// waits indefinitely (bounded by `deadline` either way). Expired waits
-    /// return [`QueryError::CacheBusy`].
+    /// waits indefinitely (bounded by the ambient resil deadline either
+    /// way). Expired waits return [`QueryError::CacheBusy`].
     pub wait: Option<Duration>,
-    /// End-to-end request budget. Installed as the ambient resil deadline
-    /// for the whole execution, so the index scans, condition evaluation and
-    /// result assembly all observe it cooperatively; expiry surfaces as
-    /// [`QueryError::DeadlineExceeded`].
-    pub deadline: Deadline,
     /// Requesting user (ACL identity) — part of the cache key, since result
     /// visibility is per user.
     pub user: Option<&'a str>,
@@ -542,8 +537,10 @@ impl QueryEngine {
 
     /// Executes an advanced-search form through the result cache, returning
     /// the shared output plus how the lookup was answered. Identical
-    /// concurrent queries coalesce onto one computation (bounded by
-    /// `opts.deadline`); entries are validated against and stamped with
+    /// concurrent queries coalesce onto one computation (bounded by the
+    /// ambient resil deadline, which the index scans, condition evaluation
+    /// and assembly observe too; expiry surfaces as
+    /// [`QueryError::DeadlineExceeded`]); entries are validated against and stamped with
     /// this engine's generation (dated by its last rebuild), so a result is
     /// only ever served to readers of the generation that computed it.
     pub fn search_shared(
@@ -556,10 +553,6 @@ impl QueryEngine {
         if form.is_empty() {
             return Err(QueryError::EmptyForm);
         }
-        // Install (tighten) the ambient deadline for everything below —
-        // index scans, SQL/SPARQL evaluation, assembly, and the single-flight
-        // wait all observe it.
-        let _scope = resil::deadline_scope(opts.deadline);
         if opts.bypass {
             return Ok((
                 Arc::new(self.search_uncached(form, opts.user)?),

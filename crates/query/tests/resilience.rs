@@ -7,7 +7,7 @@
 use sensormeta_cache::Status;
 use sensormeta_query::{QueryEngine, QueryError, SearchForm, SearchOptions};
 use sensormeta_resil::chaos::{Fault, FaultKind};
-use sensormeta_resil::{chaos, Deadline};
+use sensormeta_resil::{self as resil, chaos, Deadline};
 use sensormeta_smr::{PageDraft, Smr};
 use std::time::Duration;
 
@@ -44,20 +44,20 @@ fn deadlines_interrupt_and_stale_results_degrade() {
         .expect("second search");
     assert_eq!(status, Status::Hit);
 
-    // An expired budget interrupts an uncached query cooperatively…
-    let expired = SearchOptions {
-        deadline: Deadline::within(Duration::ZERO),
-        ..SearchOptions::default()
-    };
-    let err = engine
-        .search_shared(&SearchForm::keywords("wind"), &expired)
-        .expect_err("no budget, no cached entry");
-    assert!(matches!(err, QueryError::DeadlineExceeded), "{err}");
-    // …while a valid cached entry still answers instantly.
-    let (_, status) = engine
-        .search_shared(&form, &expired)
-        .expect("hit needs no budget");
-    assert_eq!(status, Status::Hit);
+    // An expired ambient budget interrupts an uncached query
+    // cooperatively…
+    {
+        let _expired = resil::deadline_scope(Deadline::within(Duration::ZERO));
+        let err = engine
+            .search_shared(&SearchForm::keywords("wind"), &SearchOptions::default())
+            .expect_err("no budget, no cached entry");
+        assert!(matches!(err, QueryError::DeadlineExceeded), "{err}");
+        // …while a valid cached entry still answers instantly.
+        let (_, status) = engine
+            .search_shared(&form, &SearchOptions::default())
+            .expect("hit needs no budget");
+        assert_eq!(status, Status::Hit);
+    }
 
     // Mutate the corpus: the cached entry goes epoch-stale.
     engine

@@ -219,6 +219,7 @@ fn dense_solve(mat: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
         }
         for row in col + 1..m {
             let f = a[row][col] / d;
+            // xlint: allow(float-eq) — exact IEEE test: a zero multiplier leaves the row as it is
             if f == 0.0 {
                 continue;
             }

@@ -130,6 +130,7 @@ impl Solver for Gmres {
                     converged = true;
                     break;
                 }
+                // xlint: allow(float-eq) — exact IEEE test: only a zero norm cannot be divided by below
                 if wnorm == 0.0 {
                     // Lucky breakdown: exact solution in this subspace.
                     converged = true;

@@ -125,13 +125,10 @@ pub fn evaluate(store: &TripleStore, query: &SelectQuery) -> Result<Solutions> {
         .iter()
         .map(|b| {
             vars.iter()
-                .map(|v| {
-                    b.get(v)
-                        .map(|id| store.dict().term(*id).expect("interned").clone())
-                })
+                .map(|v| b.get(v).map(|id| term_of(store, *id).cloned()).transpose())
                 .collect()
         })
-        .collect();
+        .collect::<Result<_>>()?;
 
     // 5. ORDER BY.
     if !query.order_by.is_empty() {
@@ -176,7 +173,6 @@ fn aggregate_solutions(
     bindings: Vec<Binding>,
 ) -> Result<Solutions> {
     use super::ast::AggKind;
-    let term_of = |id: TermId| store.dict().term(id).expect("interned").clone();
     // Group by the projected group keys, preserving first-seen order.
     let mut order: Vec<Vec<Option<TermId>>> = Vec::new();
     let mut groups: HashMap<Vec<Option<TermId>>, Vec<&Binding>> = HashMap::new();
@@ -209,10 +205,13 @@ fn aggregate_solutions(
                 // Parse-time validation pins every projected var to a group
                 // key; an unmatched var projects as unbound rather than
                 // panicking mid-query.
-                let pos = query.group_by.iter().position(|g| g == v)?;
-                key.get(pos).copied().flatten().map(term_of)
+                let Some(pos) = query.group_by.iter().position(|g| g == v) else {
+                    return Ok(None);
+                };
+                let id = key.get(pos).copied().flatten();
+                id.map(|id| term_of(store, id).cloned()).transpose()
             })
-            .collect();
+            .collect::<Result<_>>()?;
         for agg in &query.aggregates {
             // Collect the aggregated values (bound only).
             let mut values: Vec<TermId> = match &agg.var {
@@ -223,18 +222,18 @@ fn aggregate_solutions(
                 let mut seen = HashSet::new();
                 values.retain(|t| seen.insert(*t));
             }
+            let terms = || -> Result<Vec<&Term>> {
+                values.iter().map(|&id| term_of(store, id)).collect()
+            };
             let out = match agg.kind {
                 AggKind::Count => Some(Term::int(match &agg.var {
                     None => members.len() as i64,
                     Some(_) => values.len() as i64,
                 })),
-                AggKind::Min => values.iter().map(|&id| term_of(id)).min_by(cmp_terms),
-                AggKind::Max => values.iter().map(|&id| term_of(id)).max_by(cmp_terms),
+                AggKind::Min => terms()?.into_iter().min_by(|a, b| cmp_terms(a, b)).cloned(),
+                AggKind::Max => terms()?.into_iter().max_by(|a, b| cmp_terms(a, b)).cloned(),
                 AggKind::Sum | AggKind::Avg => {
-                    let nums: Vec<f64> = values
-                        .iter()
-                        .filter_map(|&id| term_of(id).as_number())
-                        .collect();
+                    let nums: Vec<f64> = terms()?.into_iter().filter_map(Term::as_number).collect();
                     if nums.is_empty() {
                         None
                     } else {
@@ -245,6 +244,7 @@ fn aggregate_solutions(
                             sum
                         };
                         // Integral results keep integer lexical form.
+                        // xlint: allow(float-eq) — exact IEEE test: only a whole number is integral
                         Some(if v.fract() == 0.0 && v.abs() < 9e15 {
                             Term::int(v as i64)
                         } else {
@@ -323,19 +323,19 @@ fn eval_bgp(
         .map(|b| b.keys().cloned().collect())
         .unwrap_or_default();
     let mut ordered = Vec::with_capacity(remaining.len());
-    while !remaining.is_empty() {
-        let (best_ix, _) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, p)| {
-                let score = |t: &PatternTerm| match t {
-                    PatternTerm::Term(_) => 2usize,
-                    PatternTerm::Var(v) if bound_vars.contains(v) => 1,
-                    PatternTerm::Var(_) => 0,
-                };
-                score(&p.s) * 4 + score(&p.p) * 2 + score(&p.o)
-            })
-            .expect("non-empty");
+    while let Some(best_ix) = remaining
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, p)| {
+            let score = |t: &PatternTerm| match t {
+                PatternTerm::Term(_) => 2usize,
+                PatternTerm::Var(v) if bound_vars.contains(v) => 1,
+                PatternTerm::Var(_) => 0,
+            };
+            score(&p.s) * 4 + score(&p.p) * 2 + score(&p.o)
+        })
+        .map(|(ix, _)| ix)
+    {
         let p = remaining.remove(best_ix);
         bound_vars.extend(p.vars().map(str::to_owned));
         ordered.push(p);
@@ -442,9 +442,7 @@ fn filter_vars(f: &FilterExpr) -> Vec<String> {
 fn eval_filter(store: &TripleStore, f: &FilterExpr, b: &Binding) -> Result<bool> {
     let resolve = |o: &Operand| -> Result<Option<Term>> {
         match o {
-            Operand::Var(v) => Ok(b
-                .get(v)
-                .map(|id| store.dict().term(*id).expect("interned").clone())),
+            Operand::Var(v) => b.get(v).map(|id| term_of(store, *id).cloned()).transpose(),
             Operand::Const(t) => Ok(Some(t.clone())),
         }
     };
@@ -508,6 +506,15 @@ fn term_str(t: &Term) -> String {
         Term::Literal { value, .. } => value.clone(),
         Term::Blank(b) => b.clone(),
     }
+}
+
+/// The term an id stands for. Every id in a binding was interned by the
+/// store that produced it; a miss means binding and store disagree.
+fn term_of(store: &TripleStore, id: TermId) -> Result<&Term> {
+    store
+        .dict()
+        .term(id)
+        .ok_or_else(|| RdfError::Eval(format!("term {id:?} is not interned in the store")))
 }
 
 /// Orders two terms: numerically when both parse as numbers, else by their

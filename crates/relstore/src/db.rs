@@ -164,7 +164,7 @@ impl Database {
             return Ok(());
         };
         let res = write_snapshot_durably(d.vfs.as_ref(), &d.snap_path, &bytes)
-            .and_then(|()| Wal::create(&d.vfs, &d.wal_path, d.opts.sync));
+            .and_then(|()| Wal::create(&d.vfs, &d.wal_path));
         match res {
             Ok(wal) => {
                 d.wal = wal;

@@ -17,7 +17,7 @@ const TAG_BOOL_TRUE: u8 = 5;
 /// Appends a varint-encoded u64.
 pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
-        let byte = (v & 0x7f) as u8;
+        let byte = v.to_le_bytes()[0] & 0x7f;
         v >>= 7;
         if v == 0 {
             buf.push(byte);

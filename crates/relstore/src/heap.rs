@@ -70,34 +70,34 @@ impl Heap {
 
     /// Inserts a record and returns its stable RowId.
     pub fn insert(&mut self, record: &[u8]) -> Result<RowId> {
-        self.live_records += 1;
         if record.len() > MAX_INLINE {
-            let ix = self.overflow.len();
-            if ix >= u32::MAX as usize {
-                self.live_records -= 1;
-                return Err(RelError::Exec("overflow area full".into()));
-            }
+            let ix = u32::try_from(self.overflow.len())
+                .map_err(|_| RelError::Exec("overflow area full".into()))?;
             self.overflow.push(Some(Arc::new(record.to_vec())));
-            return Ok(RowId::overflow(ix as u32));
+            self.live_records += 1;
+            return Ok(RowId::overflow(ix));
         }
         // Try the last page first (append workloads), then fall back to a new
         // page. A production engine would keep a free-space map; metadata
         // workloads are append-mostly so this stays O(1) amortized.
-        if let Some(last) = self.pages.last_mut() {
-            if last.fits(record.len()) {
-                let slot = Arc::make_mut(last).insert(record)?;
-                return Ok(RowId {
-                    page: (self.pages.len() - 1) as u32,
-                    slot: slot as u32,
-                });
-            }
+        let fits_last = self.pages.last().is_some_and(|p| p.fits(record.len()));
+        let index = if fits_last {
+            self.pages.len() - 1
+        } else {
+            self.pages.len()
+        };
+        let page = u32::try_from(index)
+            .ok()
+            .filter(|&p| p != RowId::OVERFLOW_PAGE)
+            .ok_or_else(|| RelError::Exec("heap page numbers exhausted".into()))?;
+        if !fits_last {
+            self.pages.push(Arc::new(Page::new()));
         }
-        let mut page = Page::new();
-        let slot = page.insert(record)?;
-        self.pages.push(Arc::new(page));
+        let slot = Arc::make_mut(&mut self.pages[index]).insert(record)?;
+        self.live_records += 1;
         Ok(RowId {
-            page: (self.pages.len() - 1) as u32,
-            slot: slot as u32,
+            page,
+            slot: u32::from(slot),
         })
     }
 
@@ -110,7 +110,9 @@ impl Heap {
                 .and_then(|r| r.as_deref())
                 .map(|v| v.as_slice());
         }
-        self.pages.get(id.page as usize)?.get(id.slot as u16)
+        self.pages
+            .get(id.page as usize)?
+            .get(u16::try_from(id.slot).ok()?)
     }
 
     /// Deletes a record. Returns true if it was live.
@@ -123,13 +125,14 @@ impl Heap {
                 }
                 _ => false,
             }
-        } else {
-            let slot = id.slot as u16;
+        } else if let Ok(slot) = u16::try_from(id.slot) {
             self.pages
                 .get_mut(id.page as usize)
                 // `make_mut` only copies when the page is shared with a
                 // live snapshot *and* the slot is actually deleted below.
                 .is_some_and(|p| p.get(slot).is_some() && Arc::make_mut(p).delete(slot))
+        } else {
+            false
         };
         if deleted {
             self.live_records -= 1;
@@ -139,20 +142,22 @@ impl Heap {
 
     /// Iterates `(RowId, record)` over all live records in storage order.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &[u8])> {
-        let inline = self.pages.iter().enumerate().flat_map(|(pno, page)| {
+        // `insert` numbers pages and overflow records within `u32`, so the
+        // counters below never wrap.
+        let inline = self.pages.iter().zip(0u32..).flat_map(|(page, pno)| {
             page.iter().map(move |(slot, rec)| {
                 (
                     RowId {
-                        page: pno as u32,
-                        slot: slot as u32,
+                        page: pno,
+                        slot: u32::from(slot),
                     },
                     rec,
                 )
             })
         });
-        let spilled = self.overflow.iter().enumerate().filter_map(|(ix, r)| {
+        let spilled = self.overflow.iter().zip(0u32..).filter_map(|(r, ix)| {
             r.as_deref()
-                .map(|r| (RowId::overflow(ix as u32), r.as_slice()))
+                .map(|r| (RowId::overflow(ix), r.as_slice()))
         });
         inline.chain(spilled)
     }

@@ -49,4 +49,4 @@ pub use table::{ColumnStats, IndexDef, IndexKind, Table, TableStats};
 pub use trigram::TrigramIndex;
 pub use value::{DataType, Value};
 pub use vfs::{FaultPlan, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
-pub use wal::{scan_wal, CommittedTx, LogicalOp, SyncPolicy, TailPoll, WalScan, WalTail};
+pub use wal::{scan_wal, CommittedTx, LogicalOp, TailPoll, WalScan, WalTail};

@@ -19,6 +19,17 @@ const HEADER: usize = 4;
 const SLOT: usize = 4;
 const TOMBSTONE: u16 = u16::MAX;
 
+// Every offset, length and slot number inside a page is at most
+// `PAGE_SIZE`, so the `u16` header and slot fields hold them exactly.
+const _: () = assert!(PAGE_SIZE < TOMBSTONE as usize);
+
+/// An in-page offset, length or slot number as its `u16` field.
+fn field(n: usize) -> u16 {
+    debug_assert!(n <= PAGE_SIZE, "in-page value {n} beyond the page");
+    // xlint: allow(as-truncation) — in-page values are <= PAGE_SIZE (8 KiB), asserted above to fit u16
+    n as u16
+}
+
 /// A single slotted page.
 #[derive(Clone)]
 pub struct Page {
@@ -45,7 +56,7 @@ impl Page {
     pub fn new() -> Page {
         let mut data = Box::new([0u8; PAGE_SIZE]);
         // free_space_offset starts at PAGE_SIZE (payload region empty).
-        data[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
+        data[2..4].copy_from_slice(&field(PAGE_SIZE).to_le_bytes());
         Page { data }
     }
 
@@ -97,20 +108,17 @@ impl Page {
 
     /// Inserts a record, returning its slot number.
     pub fn insert(&mut self, record: &[u8]) -> Result<u16> {
-        if record.len() > u16::MAX as usize {
-            return Err(RelError::Exec("record larger than 64 KiB".into()));
-        }
         if !self.fits(record.len()) {
             return Err(RelError::Exec("page full".into()));
         }
-        let slot = self.slot_count() as u16;
+        let slot = field(self.slot_count());
         let new_start = self.payload_start() - record.len();
         self.data[new_start..new_start + record.len()].copy_from_slice(record);
-        let slot_at = HEADER + slot as usize * SLOT;
-        self.write_u16(slot_at, new_start as u16);
-        self.write_u16(slot_at + 2, record.len() as u16);
+        let slot_at = HEADER + usize::from(slot) * SLOT;
+        self.write_u16(slot_at, field(new_start));
+        self.write_u16(slot_at + 2, field(record.len()));
         self.write_u16(0, slot + 1);
-        self.write_u16(2, new_start as u16);
+        self.write_u16(2, field(new_start));
         Ok(slot)
     }
 
@@ -144,7 +152,7 @@ impl Page {
 
     /// Iterates `(slot, record)` over live records.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..self.slot_count() as u16).filter_map(move |s| self.get(s).map(|r| (s, r)))
+        (0..field(self.slot_count())).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
 
     /// Bytes wasted by tombstoned records' payloads.
@@ -160,7 +168,7 @@ impl Page {
         let records: Vec<(u16, Vec<u8>)> = self.iter().map(|(s, r)| (s, r.to_vec())).collect();
         let slots = self.slot_count();
         let mut fresh = Page::new();
-        fresh.write_u16(0, slots as u16);
+        fresh.write_u16(0, field(slots));
         // Every slot starts tombstoned; live records overwrite below.
         for s in 0..slots {
             fresh.write_u16(HEADER + s * SLOT, TOMBSTONE);
@@ -170,10 +178,10 @@ impl Page {
             cursor -= rec.len();
             fresh.data[cursor..cursor + rec.len()].copy_from_slice(rec);
             let slot_at = HEADER + *slot as usize * SLOT;
-            fresh.write_u16(slot_at, cursor as u16);
-            fresh.write_u16(slot_at + 2, rec.len() as u16);
+            fresh.write_u16(slot_at, field(cursor));
+            fresh.write_u16(slot_at + 2, field(rec.len()));
         }
-        fresh.write_u16(2, cursor as u16);
+        fresh.write_u16(2, field(cursor));
         *self = fresh;
         debug_assert!(
             self.check_invariants().is_ok(),

@@ -25,7 +25,7 @@ use crate::sql::exec::{execute, Catalog};
 use crate::sql::parser::parse_script;
 use crate::table::Table;
 use crate::vfs::Vfs;
-use crate::wal::{crc32, scan_wal, LogicalOp, SyncPolicy, Wal};
+use crate::wal::{crc32, scan_wal, LogicalOp, Wal};
 use sensormeta_obs as obs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -33,8 +33,6 @@ use std::sync::Arc;
 /// Tuning knobs for a durable database.
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
-    /// When the WAL fsyncs (see [`SyncPolicy`]).
-    pub sync: SyncPolicy,
     /// Checkpoint automatically once the WAL grows past this many bytes.
     pub checkpoint_wal_bytes: u64,
 }
@@ -42,7 +40,6 @@ pub struct DurabilityOptions {
 impl Default for DurabilityOptions {
     fn default() -> Self {
         DurabilityOptions {
-            sync: SyncPolicy::Always,
             checkpoint_wal_bytes: 4 * 1024 * 1024,
         }
     }
@@ -277,10 +274,10 @@ pub(crate) fn open_impl(
         append_seq_trailer(&mut bytes, report.last_seq);
         write_snapshot_durably(vfs.as_ref(), path, &bytes)?;
         report.checkpointed = true;
-        Wal::create(&vfs, &wal_path, opts.sync)?
+        Wal::create(&vfs, &wal_path)?
     } else {
         let existing = wal_bytes_len.saturating_sub(crate::wal::WAL_MAGIC.len() as u64);
-        Wal::open_append(&vfs, &wal_path, opts.sync, existing)?
+        Wal::open_append(&vfs, &wal_path, existing)?
     };
 
     db.attach_durability(Durability {

@@ -518,6 +518,7 @@ pub fn truthiness(v: &Value) -> Option<bool> {
         Value::Null => None,
         Value::Bool(b) => Some(*b),
         Value::Int(i) => Some(*i != 0),
+        // xlint: allow(float-eq) — exact IEEE test: only ±0.0 is false, as in SQL
         Value::Float(x) => Some(*x != 0.0),
         Value::Text(s) => Some(!s.is_empty()),
     }
@@ -625,22 +626,16 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                     "arithmetic on non-numeric values {l:?} / {r:?}"
                 )));
             };
+            // xlint: allow(float-eq) — exact IEEE test: dividing by ±0.0 yields NULL, as in SQL
+            if matches!(op, BinOp::Div | BinOp::Mod) && b == 0.0 {
+                return Ok(Value::Null);
+            }
             let out = match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
                 BinOp::Mul => a * b,
-                BinOp::Div => {
-                    if b == 0.0 {
-                        return Ok(Value::Null);
-                    }
-                    a / b
-                }
-                BinOp::Mod => {
-                    if b == 0.0 {
-                        return Ok(Value::Null);
-                    }
-                    a % b
-                }
+                BinOp::Div => a / b,
+                BinOp::Mod => a % b,
                 _ => unreachable!(),
             };
             Ok(Value::float(out))
@@ -763,10 +758,11 @@ fn eval_function(name: &str, args: &[Cow<'_, Value>]) -> Result<Value> {
             need(2)?;
             let digits = args[1]
                 .as_int()
-                .ok_or_else(|| RelError::Exec("round digits must be integer".into()))?;
+                .and_then(|d| i32::try_from(d).ok())
+                .ok_or_else(|| RelError::Exec("round digits must be a 32-bit integer".into()))?;
             Ok(match args[0].as_ref() {
                 Value::Float(x) => {
-                    let m = 10f64.powi(digits as i32);
+                    let m = 10f64.powi(digits);
                     Value::float((x * m).round() / m)
                 }
                 Value::Int(i) => Value::Int(*i),

@@ -147,26 +147,10 @@ impl LogicalOp {
 // Writer.
 // ---------------------------------------------------------------------------
 
-/// When the WAL fsyncs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// One group fsync per committed transaction: an acknowledged commit is
-    /// durable. The default.
-    Always,
-    /// Fsync every Nth commit (group commit across transactions): higher
-    /// throughput, but up to N-1 acknowledged commits can be lost on crash.
-    EveryN(u32),
-    /// Never fsync on commit (checkpoints still sync): durability is only
-    /// as good as the OS page cache. For bulk loads.
-    Never,
-}
-
 /// Appending side of the write-ahead log.
 pub struct Wal {
     file: Box<dyn VfsFile>,
     path: PathBuf,
-    policy: SyncPolicy,
-    unsynced_commits: u32,
     appended_bytes: u64,
 }
 
@@ -174,7 +158,6 @@ impl fmt::Debug for Wal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Wal")
             .field("path", &self.path)
-            .field("policy", &self.policy)
             .field("appended_bytes", &self.appended_bytes)
             .finish()
     }
@@ -187,7 +170,7 @@ fn io_err(context: &str, e: std::io::Error) -> RelError {
 impl Wal {
     /// Creates a fresh (truncated) WAL at `path`: header written, synced,
     /// and its directory entry made durable.
-    pub fn create(vfs: &Arc<dyn Vfs>, path: &Path, policy: SyncPolicy) -> Result<Wal> {
+    pub fn create(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Wal> {
         let mut file = vfs.create(path).map_err(|e| io_err("create wal", e))?;
         file.write_all(WAL_MAGIC)
             .map_err(|e| io_err("write wal header", e))?;
@@ -197,25 +180,16 @@ impl Wal {
         Ok(Wal {
             file,
             path: path.to_path_buf(),
-            policy,
-            unsynced_commits: 0,
             appended_bytes: 0,
         })
     }
 
     /// Opens an existing WAL (already verified clean) for appending.
-    pub fn open_append(
-        vfs: &Arc<dyn Vfs>,
-        path: &Path,
-        policy: SyncPolicy,
-        existing_bytes: u64,
-    ) -> Result<Wal> {
+    pub fn open_append(vfs: &Arc<dyn Vfs>, path: &Path, existing_bytes: u64) -> Result<Wal> {
         let file = vfs.append(path).map_err(|e| io_err("open wal", e))?;
         Ok(Wal {
             file,
             path: path.to_path_buf(),
-            policy,
-            unsynced_commits: 0,
             appended_bytes: existing_bytes,
         })
     }
@@ -226,7 +200,8 @@ impl Wal {
     }
 
     /// Appends one whole transaction — begin, ops, commit — as a single
-    /// buffered write, then fsyncs according to the policy.
+    /// buffered write, then makes it durable with one group fsync: an
+    /// acknowledged commit survives a crash.
     pub fn commit(&mut self, tx: u64, ops: &[(u64, LogicalOp)]) -> Result<()> {
         let mut buf = Vec::with_capacity(64);
         {
@@ -256,23 +231,8 @@ impl Wal {
         obs::counter("relstore_wal_ops_total").add(ops.len() as u64);
         obs::counter("relstore_wal_appended_bytes_total").add(buf.len() as u64);
         self.appended_bytes += buf.len() as u64;
-        self.unsynced_commits += 1;
-        let should_sync = match self.policy {
-            SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => self.unsynced_commits >= n.max(1),
-            SyncPolicy::Never => false,
-        };
-        if should_sync {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Forces any buffered commits to durable storage.
-    pub fn sync(&mut self) -> Result<()> {
         self.file.sync().map_err(|e| io_err("sync wal", e))?;
         obs::counter("relstore_wal_fsyncs_total").inc();
-        self.unsynced_commits = 0;
         Ok(())
     }
 }
@@ -571,7 +531,7 @@ mod tests {
     fn build_wal(txs: &[Vec<(u64, LogicalOp)>]) -> Vec<u8> {
         let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         let path = Path::new("test.wal");
-        let mut wal = Wal::create(&vfs, path, SyncPolicy::Always).unwrap();
+        let mut wal = Wal::create(&vfs, path).unwrap();
         for (i, ops) in txs.iter().enumerate() {
             wal.commit(i as u64 + 1, ops).unwrap();
         }
@@ -688,7 +648,7 @@ mod tests {
     fn tail_sees_incremental_commits() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         let path = Path::new("tail.wal");
-        let mut wal = Wal::create(&vfs, path, SyncPolicy::Always).unwrap();
+        let mut wal = Wal::create(&vfs, path).unwrap();
         let mut tail = WalTail::new();
 
         // Nothing written past the header yet.

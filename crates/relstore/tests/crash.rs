@@ -12,7 +12,7 @@
 
 use sensormeta_relstore::vfs::{FaultPlan, FaultVfs, MemVfs};
 use sensormeta_relstore::wal::scan_wal;
-use sensormeta_relstore::{Database, DurabilityOptions, RelError, SyncPolicy, Value, Vfs};
+use sensormeta_relstore::{Database, DurabilityOptions, RelError, Value, Vfs};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -137,7 +137,6 @@ fn oracle_dumps(ops: &[WorkOp]) -> Vec<Dump> {
 
 fn small_opts() -> DurabilityOptions {
     DurabilityOptions {
-        sync: SyncPolicy::Always,
         // Tiny threshold: the workload checkpoints many times, so crashes
         // land inside checkpoint windows too.
         checkpoint_wal_bytes: 2048,
@@ -360,7 +359,6 @@ fn bit_flips_in_wal_detected_and_skipped() {
     // workload stays in the WAL.
     let mem = MemVfs::new();
     let opts = DurabilityOptions {
-        sync: SyncPolicy::Always,
         checkpoint_wal_bytes: u64::MAX,
     };
     let (mut db, _) =

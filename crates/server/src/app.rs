@@ -518,7 +518,6 @@ impl App {
                 wait: self.cache_wait,
                 user,
                 stale_ok: true,
-                ..SearchOptions::default()
             };
             match engine.search_shared(&form, &opts) {
                 Ok((out, status)) => {

@@ -27,19 +27,17 @@
 //!   `Pool::scope`/`par_*` closures.
 //!
 //! Violations are reported rustc-style (`file:line: rule: message`).
-//! A committed `xlint-baseline.toml` grandfathers pre-existing debt; the
-//! baseline is a one-way ratchet (counts may only go down). Per-line
-//! escapes: `// xlint: allow(rule-name)` on or directly above the line.
+//! `--workspace` fails on any violation; there is no baseline of excused
+//! debt. Per-line escapes: `// xlint: allow(rule-name)` on or directly
+//! above the line, with the reason the flagged code is meant.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 mod parser;
 pub mod rules;
 mod semantic;
 
-pub use baseline::{check, Baseline, Verdict};
 pub use rules::{Rule, Violation};
 
 use rules::FileFacts;
@@ -47,15 +45,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Lint driver failure (I/O, missing workspace, bad baseline).
+/// Lint driver failure (I/O, missing workspace).
 #[derive(Debug)]
 pub enum XlintError {
     /// Filesystem error with the path that caused it.
     Io(String, std::io::Error),
     /// No workspace root found upward from the start directory.
     NoWorkspace(PathBuf),
-    /// Baseline file did not parse.
-    Baseline(baseline::BaselineParseError),
 }
 
 impl fmt::Display for XlintError {
@@ -67,18 +63,11 @@ impl fmt::Display for XlintError {
                 "no workspace root (Cargo.toml with [workspace]) found above {}",
                 start.display()
             ),
-            XlintError::Baseline(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for XlintError {}
-
-impl From<baseline::BaselineParseError> for XlintError {
-    fn from(e: baseline::BaselineParseError) -> Self {
-        XlintError::Baseline(e)
-    }
-}
 
 /// Finds the workspace root: the nearest ancestor (including `start`)
 /// whose `Cargo.toml` contains a `[workspace]` table.
@@ -161,7 +150,7 @@ pub struct LintReport {
 }
 
 /// Lints the given files. `root` anchors the workspace-relative paths used
-/// in diagnostics and baseline keys.
+/// in diagnostics.
 pub fn lint_files(root: &Path, files: &[PathBuf]) -> Result<LintReport, XlintError> {
     // The error-impl rule is crate-scoped: an error enum's Display/Error
     // impls may live in a sibling module.

@@ -1,43 +1,34 @@
 //! CLI for the workspace linter.
 //!
 //! ```text
-//! cargo run -p xlint -- --workspace                  # lint against baseline
-//! cargo run -p xlint -- --workspace --write-baseline # tighten the ratchet
-//! cargo run -p xlint -- --explain <rule>             # rule rationale
-//! cargo run -p xlint -- path/to/file.rs …            # lint specific files
+//! cargo run -p xlint -- --workspace          # lint every library source
+//! cargo run -p xlint -- --explain <rule>     # rule rationale
+//! cargo run -p xlint -- path/to/file.rs …    # lint specific files
 //! ```
 //!
-//! Exit codes: 0 clean, 1 new violations, 2 usage/configuration error.
+//! Exit codes: 0 clean, 1 any violation, 2 usage/configuration error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xlint::{baseline, lint_files, lint_workspace, Baseline, Rule};
-
-const BASELINE_FILE: &str = "xlint-baseline.toml";
+use xlint::{lint_files, lint_workspace, Rule};
 
 struct Opts {
     workspace: bool,
-    write_baseline: bool,
-    baseline_path: Option<PathBuf>,
     explain: Option<String>,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: xlint [--workspace] [--write-baseline] [--baseline PATH] [--explain RULE] [files…]\n\
+    "usage: xlint [--workspace] [--explain RULE] [files…]\n\
      \n\
      --workspace        lint all library sources of the enclosing workspace\n\
-     --write-baseline   rewrite the baseline, tightened to current counts\n\
-     --baseline PATH    baseline file (default: <root>/xlint-baseline.toml)\n\
      --explain RULE     print the rationale for a rule (or `all`)\n\
-     files…             lint specific files (no baseline applied)"
+     files…             lint specific files"
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         workspace: false,
-        write_baseline: false,
-        baseline_path: None,
         explain: None,
         files: Vec::new(),
     };
@@ -45,11 +36,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workspace" => opts.workspace = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--baseline" => {
-                let path = it.next().ok_or("--baseline needs a path")?;
-                opts.baseline_path = Some(PathBuf::from(path));
-            }
             "--explain" => {
                 let rule = it.next().ok_or("--explain needs a rule name (or `all`)")?;
                 opts.explain = Some(rule.clone());
@@ -117,76 +103,19 @@ fn run(opts: &Opts) -> Result<bool, Box<dyn std::error::Error>> {
             return Ok(true);
         }
     }
-    if !opts.workspace {
-        // Explicit file mode: no baseline, every violation is reported.
-        let cwd = std::env::current_dir()?;
-        let report = lint_files(&cwd, &opts.files)?;
-        for v in &report.violations {
-            println!("{}:{}: {}: {}", v.file, v.line, v.rule.name(), v.message);
-        }
-        println!(
-            "xlint: {} file(s), {} violation(s)",
-            report.files_scanned,
-            report.violations.len()
-        );
-        return Ok(report.violations.is_empty());
-    }
-
     let cwd = std::env::current_dir()?;
-    let (root, report) = lint_workspace(&cwd)?;
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| root.join(BASELINE_FILE));
-
-    let old = if baseline_path.is_file() {
-        Baseline::parse(&std::fs::read_to_string(&baseline_path)?)?
+    let report = if opts.workspace {
+        lint_workspace(&cwd)?.1
     } else {
-        Baseline::default()
+        lint_files(&cwd, &opts.files)?
     };
-
-    if opts.write_baseline {
-        // First generation accepts current debt; later runs only tighten.
-        let allow_new = !baseline_path.is_file();
-        let next = old.tightened(&report.violations, allow_new);
-        std::fs::write(&baseline_path, next.render())?;
-        println!(
-            "xlint: wrote {} ({} grandfathered file:rule pair(s), {} file(s) scanned)",
-            baseline_path.display(),
-            next.len(),
-            report.files_scanned
-        );
-        // Check against what was just written so dodged ratchets still fail.
-        let verdict = baseline::check(&report.violations, &next);
-        for v in &verdict.new_violations {
-            println!("{}:{}: {}: {}", v.file, v.line, v.rule.name(), v.message);
-        }
-        return Ok(verdict.passed());
-    }
-
-    let verdict = baseline::check(&report.violations, &old);
-    for v in &verdict.new_violations {
+    for v in &report.violations {
         println!("{}:{}: {}: {}", v.file, v.line, v.rule.name(), v.message);
     }
-    for (file, rule, now, allowed) in &verdict.improvements {
-        println!(
-            "xlint: note: {file}: {} debt is {now}, baseline allows {allowed} — \
-             run with --write-baseline to ratchet down",
-            rule.name()
-        );
-    }
-    for (file, rule, allowed) in &verdict.stale {
-        println!(
-            "xlint: note: {file}: {} baseline entry ({allowed}) is fully paid off — \
-             run with --write-baseline to drop it",
-            rule.name()
-        );
-    }
     println!(
-        "xlint: {} file(s) scanned, {} violation(s) total, {} over baseline",
+        "xlint: {} file(s) scanned, {} violation(s)",
         report.files_scanned,
-        report.violations.len(),
-        verdict.new_violations.len()
+        report.violations.len()
     );
-    Ok(verdict.passed())
+    Ok(report.violations.is_empty())
 }

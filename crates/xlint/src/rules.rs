@@ -4,8 +4,7 @@
 use crate::lexer::{Lexed, Tok, TokKind};
 
 /// Identifies one lint rule. Rule names are stable: they appear in
-/// diagnostics, in `xlint-baseline.toml` keys, and in
-/// `// xlint: allow(...)` markers.
+/// diagnostics and in `// xlint: allow(...)` markers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// `.unwrap()` / `.expect(…)` / `panic!` / `todo!` / `unimplemented!`
@@ -40,7 +39,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable kebab-case name used in baselines and allow markers.
+    /// Stable kebab-case name used in diagnostics and allow markers.
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoUnwrap => "no-unwrap",
@@ -102,7 +101,9 @@ impl Rule {
             Rule::FloatEq => {
                 "Floats must not be compared with `==`/`!=` against literals: ranking scores \
                  and solver residuals accumulate rounding error, so exact comparison is \
-                 either vacuous or flaky. Compare with an epsilon: `(x - y).abs() < 1e-9`."
+                 either vacuous or flaky. Compare with an epsilon: `(x - y).abs() < 1e-9`. \
+                 Where an exact IEEE test is the meaning (a guard against dividing by zero, an \
+                 integrality check), mark it `// xlint: allow(float-eq)` and say why."
             }
             Rule::AsTruncation => {
                 "In the relstore/rdf encoding paths a narrowing `as` cast (`as u16`, \

@@ -1,11 +1,10 @@
-//! End-to-end tests for the lint driver and the baseline ratchet,
-//! including the acceptance criteria: the real workspace lints clean
-//! against the committed `xlint-baseline.toml`, and introducing a new
-//! `.unwrap()` into a library source fails the lint.
+//! End-to-end tests for the lint driver, including the gate itself: the
+//! real workspace has no violation, and introducing a new `.unwrap()` into
+//! a library source fails the lint.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use xlint::{baseline, lint_files, lint_workspace, Baseline, Rule};
+use xlint::{lint_files, lint_workspace, Rule};
 
 /// A scratch workspace under the target-adjacent temp dir, removed on drop.
 struct Scratch {
@@ -44,12 +43,11 @@ const CLEAN_LIB: &str = "//! Demo crate.\n\n\
     pub fn add(a: u64, b: u64) -> u64 {\n    a + b\n}\n";
 
 #[test]
-fn clean_workspace_passes_with_empty_baseline() {
+fn clean_workspace_passes() {
     let ws = Scratch::new("clean");
     ws.write("crates/demo/src/lib.rs", CLEAN_LIB);
     let (_, report) = lint_workspace(&ws.root).unwrap();
     assert!(report.violations.is_empty(), "{:?}", report.violations);
-    assert!(baseline::check(&report.violations, &Baseline::default()).passed());
 }
 
 #[test]
@@ -57,8 +55,7 @@ fn new_unwrap_fails_the_lint() {
     let ws = Scratch::new("unwrap");
     ws.write("crates/demo/src/lib.rs", CLEAN_LIB);
     let (_, before) = lint_workspace(&ws.root).unwrap();
-    let committed = Baseline::default().tightened(&before.violations, true);
-    assert!(baseline::check(&before.violations, &committed).passed());
+    assert!(before.violations.is_empty(), "{:?}", before.violations);
 
     // A developer introduces a fresh `.unwrap()` in library code.
     ws.write(
@@ -68,32 +65,14 @@ fn new_unwrap_fails_the_lint() {
          pub fn parse(s: &str) -> u64 {\n    s.parse().unwrap()\n}\n",
     );
     let (_, after) = lint_workspace(&ws.root).unwrap();
-    let verdict = baseline::check(&after.violations, &committed);
-    assert!(!verdict.passed(), "new unwrap must fail the ratchet");
-    assert!(verdict
-        .new_violations
-        .iter()
-        .any(|v| v.rule == Rule::NoUnwrap && v.file.ends_with("lib.rs")));
-}
-
-#[test]
-fn grandfathered_debt_passes_but_growth_fails() {
-    let ws = Scratch::new("ratchet");
-    let dirty = "//! Demo crate.\n\n\
-        /// One.\n\
-        pub fn one(s: &str) -> u64 {\n    s.parse().unwrap()\n}\n";
-    ws.write("crates/demo/src/lib.rs", dirty);
-    let (_, before) = lint_workspace(&ws.root).unwrap();
-    assert_eq!(before.violations.len(), 1);
-    let committed = Baseline::default().tightened(&before.violations, true);
-    assert!(baseline::check(&before.violations, &committed).passed());
-
-    // Same debt: still passes. One more unwrap: fails.
-    let grown =
-        format!("{dirty}\n/// Two.\npub fn two(s: &str) -> u64 {{\n    s.parse().unwrap()\n}}\n");
-    ws.write("crates/demo/src/lib.rs", &grown);
-    let (_, after) = lint_workspace(&ws.root).unwrap();
-    assert!(!baseline::check(&after.violations, &committed).passed());
+    assert!(
+        after
+            .violations
+            .iter()
+            .any(|v| v.rule == Rule::NoUnwrap && v.file.ends_with("lib.rs")),
+        "new unwrap must fail the lint: {:?}",
+        after.violations
+    );
 }
 
 #[test]
@@ -168,10 +147,10 @@ fn error_enum_without_impls_is_flagged() {
     );
 }
 
-/// The repository's own workspace must lint clean against the committed
-/// baseline — this is the CI gate, run as a plain test.
+/// The repository's own workspace has no violation at all — this is the
+/// CI gate, run as a plain test.
 #[test]
-fn real_workspace_is_clean_against_committed_baseline() {
+fn real_workspace_has_zero_violations() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -179,15 +158,11 @@ fn real_workspace_is_clean_against_committed_baseline() {
         .to_path_buf();
     let (found_root, report) = lint_workspace(&root).unwrap();
     assert_eq!(found_root, root);
-    let text = fs::read_to_string(root.join("xlint-baseline.toml"))
-        .expect("committed xlint-baseline.toml");
-    let committed = Baseline::parse(&text).unwrap();
-    let verdict = baseline::check(&report.violations, &committed);
     assert!(
-        verdict.passed(),
-        "workspace lint debt grew past the baseline:\n{}",
-        verdict
-            .new_violations
+        report.violations.is_empty(),
+        "workspace lint violations:\n{}",
+        report
+            .violations
             .iter()
             .map(|v| format!("{}:{}: {}: {}", v.file, v.line, v.rule.name(), v.message))
             .collect::<Vec<_>>()

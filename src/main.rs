@@ -15,7 +15,8 @@
 
 use sensormeta::query::{CondOp, Condition, QueryEngine, SearchForm};
 use sensormeta::rank::{all_solvers, PageRankProblem, TransitionMatrix};
-use sensormeta::smr::{parse_csv, parse_jsonl, PageDraft, Smr};
+use sensormeta::relstore::RelError;
+use sensormeta::smr::{parse_csv, parse_jsonl, PageDraft, Smr, SmrError};
 use sensormeta::tagging::{compute_cloud, CloudParams, TagStore};
 use sensormeta::workload::{barabasi_albert, generate_corpus, CorpusConfig};
 use std::path::Path;
@@ -307,14 +308,15 @@ fn serve(opts: &Opts) -> CliResult {
         Err(e) => return Err(format!("SENSORMETA_CHAOS: {e}").into()),
     }
     let topology = sensormeta::cluster::Topology::from_env();
-    // Replicas tail the primary's write-ahead log, so a replicated server
-    // must own the store durably; otherwise the plain recovering open keeps
-    // the snapshot read-only.
-    let smr = if topology.replicas > 0 {
-        Smr::open_durable(Path::new(opts.snapshot()?))?.0
-    } else {
-        open_smr(opts)?
-    };
+    // Every acknowledged write is logged before it is applied, so it
+    // survives a restart. A durable open creates an empty store where none
+    // exists; serving one is refused, as every read-only command does.
+    let path = Path::new(opts.snapshot()?);
+    if !path.exists() && !sensormeta::relstore::wal_path_for(path).exists() {
+        let missing = RelError::Io(format!("no database at {}", path.display()));
+        return Err(SmrError::from(missing).into());
+    }
+    let smr = Smr::open_durable(path)?.0;
     println!("indexing {} pages…", smr.page_count());
     let engine = QueryEngine::open(smr)?;
     let mut app = sensormeta::server::App::new(engine);
@@ -322,7 +324,7 @@ fn serve(opts: &Opts) -> CliResult {
         println!("scatter-gather serving over {} shards", topology.shards);
     }
     if topology.replicas > 0 {
-        let n = app.attach_replicas(Path::new(opts.snapshot()?))?;
+        let n = app.attach_replicas(path)?;
         println!(
             "attached {n} WAL-shipped read replica(s), staleness bound {} epoch(s)",
             topology.staleness_epochs
