@@ -19,6 +19,7 @@ use crate::schema::TableSchema;
 use crate::sql::ast::Statement;
 use crate::sql::exec::{execute, explain_select, Catalog, ExecOutcome, ResultSet};
 use crate::sql::parser::{parse, parse_script};
+use crate::sql::planner::PlannerConfig;
 use crate::table::{IndexDef, IndexKind, Table};
 use crate::value::Value;
 use crate::vfs::{StdVfs, Vfs};
@@ -181,12 +182,21 @@ impl Database {
     /// Executes one SQL statement. In durable mode the statement text is
     /// logged and made durable before it is applied.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
+        self.execute_with(sql, &PlannerConfig::default())
+    }
+
+    /// [`Database::execute`] with an explicit planner configuration for
+    /// how an UPDATE or DELETE finds its rows. [`PlannerConfig::naive`]
+    /// scans the whole table — the reference the property suite compares
+    /// planned row finding against. The outcome is the same either way, so
+    /// a logged statement replays under the default.
+    pub fn execute_with(&mut self, sql: &str, cfg: &PlannerConfig) -> Result<ExecOutcome> {
         let stmt = parse(sql)?;
         let mutates = stmt.is_mutation();
         if self.durability.is_some() && mutates {
             self.wal_commit(&[LogicalOp::Sql(sql.to_owned())])?;
         }
-        let out = execute(&mut self.catalog, stmt);
+        let out = execute(&mut self.catalog, stmt, cfg);
         self.maybe_checkpoint();
         out
     }
@@ -202,7 +212,7 @@ impl Database {
         }
         let mut last = ExecOutcome::Done;
         for stmt in stmts {
-            last = execute(&mut self.catalog, stmt)?;
+            last = execute(&mut self.catalog, stmt, &PlannerConfig::default())?;
         }
         self.maybe_checkpoint();
         Ok(last)
@@ -210,18 +220,14 @@ impl Database {
 
     /// Runs a SELECT (or EXPLAIN SELECT) without requiring mutable access.
     pub fn query(&self, sql: &str) -> Result<ResultSet> {
-        self.query_with(sql, &crate::sql::planner::PlannerConfig::default())
+        self.query_with(sql, &PlannerConfig::default())
     }
 
     /// Runs a SELECT under an explicit planner configuration.
     /// [`PlannerConfig::naive`](crate::sql::planner::PlannerConfig::naive)
     /// forces full scans and written join order — the reference execution the
     /// property suite and benches compare optimized plans against.
-    pub fn query_with(
-        &self,
-        sql: &str,
-        cfg: &crate::sql::planner::PlannerConfig,
-    ) -> Result<ResultSet> {
+    pub fn query_with(&self, sql: &str, cfg: &PlannerConfig) -> Result<ResultSet> {
         match parse(sql)? {
             Statement::Select(sel) => {
                 crate::sql::exec::execute_select_with(&self.catalog, &sel, cfg)

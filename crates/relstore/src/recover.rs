@@ -22,6 +22,7 @@
 use crate::db::Database;
 use crate::error::{RelError, Result};
 use crate::sql::exec::{execute, Catalog};
+use crate::sql::planner::PlannerConfig;
 use crate::sql::parser::parse_script;
 use crate::table::Table;
 use crate::vfs::Vfs;
@@ -169,7 +170,7 @@ pub(crate) fn apply_logical(catalog: &mut Catalog, op: &LogicalOp) -> Result<()>
     match op {
         LogicalOp::Sql(sql) => {
             for stmt in parse_script(sql)? {
-                execute(catalog, stmt)?;
+                execute(catalog, stmt, &PlannerConfig::default())?;
             }
             Ok(())
         }

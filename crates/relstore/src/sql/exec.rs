@@ -18,7 +18,7 @@
 use super::ast::*;
 use super::expr::{bind, truthiness, BoundExpr, Row, RowSchema};
 use super::planner::{
-    literal, plan_select, range_bounds, AccessPath, PlannerConfig, ScanPlan, SelectPlan,
+    literal, plan_dml, plan_select, range_bounds, AccessPath, PlannerConfig, ScanPlan, SelectPlan,
 };
 use crate::btree::BTreeIndex;
 use crate::error::{RelError, Result};
@@ -126,8 +126,9 @@ impl ExecOutcome {
 /// The catalog of tables keyed by lowercase name.
 pub(crate) type Catalog = BTreeMap<String, Table>;
 
-/// Executes a parsed statement against a catalog.
-pub fn execute(catalog: &mut Catalog, stmt: Statement) -> Result<ExecOutcome> {
+/// Executes a parsed statement against a catalog; `cfg` plans how an
+/// UPDATE or DELETE finds its rows.
+pub fn execute(catalog: &mut Catalog, stmt: Statement, cfg: &PlannerConfig) -> Result<ExecOutcome> {
     match stmt {
         Statement::CreateTable {
             name,
@@ -238,6 +239,7 @@ pub fn execute(catalog: &mut Catalog, stmt: Statement) -> Result<ExecOutcome> {
             sets,
             predicate,
         } => {
+            let scan = plan_dml(catalog, &table, predicate.as_ref(), cfg)?;
             let t = catalog
                 .get_mut(&table.to_ascii_lowercase())
                 .ok_or_else(|| RelError::NoSuchTable(table.clone()))?;
@@ -257,7 +259,7 @@ pub fn execute(catalog: &mut Catalog, stmt: Statement) -> Result<ExecOutcome> {
             // target's new row is built from the whole old one.
             let mut decoded = 0u64;
             let mut apply = || {
-                let targets = matching_rows(t, predicate.as_ref(), &mut decoded)?;
+                let targets = dml_targets(t, &scan, predicate.as_ref(), &mut decoded)?;
                 for &rid in &targets {
                     let Some(old_row) = t.get(rid)? else { continue };
                     decoded += old_row.len() as u64;
@@ -274,13 +276,14 @@ pub fn execute(catalog: &mut Catalog, stmt: Statement) -> Result<ExecOutcome> {
             out
         }
         Statement::Delete { table, predicate } => {
+            let scan = plan_dml(catalog, &table, predicate.as_ref(), cfg)?;
             let t = catalog
                 .get_mut(&table.to_ascii_lowercase())
                 .ok_or_else(|| RelError::NoSuchTable(table.clone()))?;
             let schema = row_schema_for(t, &t.schema.name);
             let predicate = predicate.as_ref().map(|p| bind(p, &schema));
             let mut decoded = 0u64;
-            let targets = matching_rows(t, predicate.as_ref(), &mut decoded);
+            let targets = dml_targets(t, &scan, predicate.as_ref(), &mut decoded);
             obs::counter(VALUES_DECODED).add(decoded);
             let targets = targets?;
             for &rid in &targets {
@@ -294,9 +297,12 @@ pub fn execute(catalog: &mut Catalog, stmt: Statement) -> Result<ExecOutcome> {
 }
 
 /// The rows of `t` an UPDATE/DELETE predicate keeps (all rows without
-/// one), building only the predicate's columns, counted into `decoded`.
-fn matching_rows(
+/// one): the planned path's candidates, built only in the predicate's
+/// columns (counted into `decoded`), re-checked against the whole
+/// predicate.
+fn dml_targets(
     t: &Table,
+    scan: &ScanPlan,
     predicate: Option<&BoundExpr>,
     decoded: &mut u64,
 ) -> Result<Vec<RowId>> {
@@ -304,14 +310,16 @@ fn matching_rows(
     if let Some(p) = predicate {
         p.for_each_column(&mut |slot| mask[slot] = true);
     }
-    let width = mask_width(&mask);
+    bump_path_counter(&scan.path);
     let mut targets = Vec::new();
-    for (rid, row) in t.scan_masked(&mask, mask.len()) {
-        *decoded += width;
+    for (rid, row) in run_scan(t, scan, &mask, mask.len(), decoded)? {
         if predicate.map_or(Ok(true), |p| p.holds(Row::new(&row)))? {
             targets.push(rid);
         }
     }
+    // Heap order, as a full scan yields them: a statement that fails part
+    // way (a unique violation) stops at the same row whatever the path.
+    targets.sort_unstable();
     Ok(targets)
 }
 
@@ -686,6 +694,9 @@ fn run_select(
             // in place.
             let width = q.masks.iter().map(Vec::len).sum();
             run_scan(t, scan, &q.masks[0], width, decoded)?
+                .into_iter()
+                .map(|(_, row)| row)
+                .collect()
         }
     };
 
@@ -745,7 +756,7 @@ fn run_select(
             let right_rows = run_scan(t, &step.scan, mask, mask.len(), decoded)?;
             for left in &rows {
                 let mut matched = false;
-                for right in &right_rows {
+                for (_, right) in &right_rows {
                     if on.holds(Row::pair(left, right))? {
                         matched = true;
                         out.push(joined(left, right));
@@ -970,19 +981,20 @@ fn bump_path_counter(path: &AccessPath) {
     obs::counter(name).inc();
 }
 
-/// Materializes the rows a planned access path produces, building only the
-/// columns `mask` marks, each row with room for `capacity` values.
-/// Superset semantics: callers re-apply the full predicate afterwards.
+/// Materializes the rows a planned access path produces with their row
+/// ids, building only the columns `mask` marks, each row with room for
+/// `capacity` values. Superset semantics: callers re-apply the full
+/// predicate afterwards.
 fn run_scan(
     t: &Table,
     scan: &ScanPlan,
     mask: &[bool],
     capacity: usize,
     decoded: &mut u64,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Vec<(RowId, Vec<Value>)>> {
     let width = mask_width(mask);
     let full_scan = |decoded: &mut u64| {
-        let rows: Vec<Vec<Value>> = t.scan_masked(mask, capacity).map(|(_, r)| r).collect();
+        let rows: Vec<_> = t.scan_masked(mask, capacity).collect();
         *decoded += width * rows.len() as u64;
         Ok(rows)
     };
@@ -1040,7 +1052,7 @@ fn run_scan(
     for rid in rids {
         let mut row = Vec::with_capacity(capacity);
         if t.get_masked_into(rid, mask, &mut row)? {
-            rows.push(row);
+            rows.push((rid, row));
         }
     }
     *decoded += width * rows.len() as u64;

@@ -747,6 +747,28 @@ fn find_probe(
     None
 }
 
+/// Plans how an UPDATE or DELETE on `table` finds its rows: the cheapest
+/// access path its WHERE conjuncts offer (a full scan without WHERE). As
+/// for SELECT the path yields a superset; the executor re-checks the whole
+/// predicate on every candidate.
+pub(crate) fn plan_dml(
+    catalog: &Catalog,
+    table: &str,
+    predicate: Option<&Expr>,
+    cfg: &PlannerConfig,
+) -> Result<ScanPlan> {
+    let tref = TableRef {
+        table: table.to_owned(),
+        alias: None,
+    };
+    let rels = [make_rel(catalog, &tref)?];
+    let mut conjuncts = Vec::new();
+    if let Some(p) = predicate {
+        split_conjuncts(p, &mut conjuncts);
+    }
+    Ok(best_access(0, &rels, &conjuncts, cfg))
+}
+
 /// Plans a SELECT. See the module docs for the cost model and the safety
 /// invariant that makes every choice result-preserving.
 pub fn plan_select(catalog: &Catalog, sel: &SelectStmt, cfg: &PlannerConfig) -> Result<SelectPlan> {
@@ -992,7 +1014,7 @@ mod tests {
         ];
         for s in stmts {
             let stmt = parse(s).unwrap();
-            super::super::exec::execute(&mut cat, stmt).unwrap();
+            super::super::exec::execute(&mut cat, stmt, &PlannerConfig::default()).unwrap();
         }
         for i in 0..200i64 {
             // A few rows carry a distinctive substring so trigram seeks have
@@ -1004,7 +1026,7 @@ mod tests {
                 i % 3
             ))
             .unwrap();
-            super::super::exec::execute(&mut cat, stmt).unwrap();
+            super::super::exec::execute(&mut cat, stmt, &PlannerConfig::default()).unwrap();
         }
         for i in 0..400i64 {
             let stmt = parse(&format!(
@@ -1014,7 +1036,7 @@ mod tests {
                 i
             ))
             .unwrap();
-            super::super::exec::execute(&mut cat, stmt).unwrap();
+            super::super::exec::execute(&mut cat, stmt, &PlannerConfig::default()).unwrap();
         }
         cat
     }
