@@ -1031,8 +1031,8 @@ impl QueryEngine {
         resil::checkpoint("query_sparql")?;
         let q = format!(
             "PREFIX prop: <http://swiss-experiment.ch/property/> \
-             SELECT ?t WHERE {{ ?page prop:{} \"{}\" . ?page prop:title ?t }}",
-            cond.attribute.replace(' ', "_"),
+             SELECT ?t WHERE {{ ?page <{}> \"{}\" . ?page prop:title ?t }}",
+            Smr::property_iri(&cond.attribute),
             cond.value.replace('\\', "\\\\").replace('"', "\\\"")
         );
         let sols = self.smr.sparql(&q)?;

@@ -840,13 +840,14 @@ pub fn sql_float(v: f64) -> String {
     }
 }
 
-/// Percent-encodes the characters that would break IRIs.
+/// Percent-encodes the characters that would break IRIs, `%` itself
+/// included, so the encoding is injective: distinct names (`A B`, `A_B`,
+/// `A%20B`) never share an IRI.
 fn encode_iri_component(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
-            ' ' => out.push('_'),
-            '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' => {
+            ' ' | '%' | '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' => {
                 for b in c.to_string().as_bytes() {
                     out.push_str(&format!("%{b:02X}"));
                 }
