@@ -41,13 +41,24 @@ fn distinct_names_keep_distinct_iris() {
     }
     assert_ne!(Smr::page_iri("Site:A B"), Smr::page_iri("Site:A_B"));
     assert_ne!(Smr::page_iri("A B"), Smr::page_iri("A%20B"));
-    assert_ne!(Smr::property_iri("sensor type"), Smr::property_iri("sensor_type"));
+    assert_ne!(
+        Smr::property_iri("sensor type"),
+        Smr::property_iri("sensor_type")
+    );
     let (spaced, underscored) = (triples_of(&smr, "Site:A B"), triples_of(&smr, "Site:A_B"));
-    assert_eq!((spaced, underscored), (3, 3), "type, title, annotation each");
+    assert_eq!(
+        (spaced, underscored),
+        (3, 3),
+        "type, title, annotation each"
+    );
 
     assert!(smr.delete_page("Site:A B").expect("delete"));
     assert_eq!(triples_of(&smr, "Site:A B"), 0);
-    assert_eq!(triples_of(&smr, "Site:A_B"), underscored, "other page's triples");
+    assert_eq!(
+        triples_of(&smr, "Site:A_B"),
+        underscored,
+        "other page's triples"
+    );
     assert_eq!(pages_titled(&smr, "Site:A_B"), 1);
     assert_eq!(pages_titled(&smr, "Site:A B"), 0);
 
@@ -55,8 +66,7 @@ fn distinct_names_keep_distinct_iris() {
     let sparql = obs::counter("query_sparql_conditions_total");
     let sql = obs::counter("query_sql_conditions_total");
     let (sparql_before, sql_before) = (sparql.get(), sql.get());
-    let form =
-        SearchForm::default().condition(Condition::new("sensor type", CondOp::Eq, "wind"));
+    let form = SearchForm::default().condition(Condition::new("sensor type", CondOp::Eq, "wind"));
     let out = engine.search(&form, None).expect("search");
     let titles: Vec<&str> = out.items.iter().map(|i| i.title.as_str()).collect();
     assert_eq!(titles, ["Site:A_B"]);

@@ -38,7 +38,8 @@ fn rewrite_work(deployments_per_site: usize) -> (usize, u64) {
     smr.create_page(probe("first body")).expect("create probe");
     let decoded = obs::counter("relstore_values_decoded_total");
     let before = decoded.get();
-    smr.update_page(probe("second body")).expect("rewrite probe");
+    smr.update_page(probe("second body"))
+        .expect("rewrite probe");
     let work = decoded.get() - before;
     let page = smr.get_page(PROBE).expect("read").expect("probe exists");
     assert_eq!(page.body, "second body");

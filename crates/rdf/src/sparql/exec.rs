@@ -222,9 +222,8 @@ fn aggregate_solutions(
                 let mut seen = HashSet::new();
                 values.retain(|t| seen.insert(*t));
             }
-            let terms = || -> Result<Vec<&Term>> {
-                values.iter().map(|&id| term_of(store, id)).collect()
-            };
+            let terms =
+                || -> Result<Vec<&Term>> { values.iter().map(|&id| term_of(store, id)).collect() };
             let out = match agg.kind {
                 AggKind::Count => Some(Term::int(match &agg.var {
                     None => members.len() as i64,

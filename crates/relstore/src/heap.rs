@@ -155,10 +155,11 @@ impl Heap {
                 )
             })
         });
-        let spilled = self.overflow.iter().zip(0u32..).filter_map(|(r, ix)| {
-            r.as_deref()
-                .map(|r| (RowId::overflow(ix), r.as_slice()))
-        });
+        let spilled = self
+            .overflow
+            .iter()
+            .zip(0u32..)
+            .filter_map(|(r, ix)| r.as_deref().map(|r| (RowId::overflow(ix), r.as_slice())));
         inline.chain(spilled)
     }
 

@@ -22,8 +22,8 @@
 use crate::db::Database;
 use crate::error::{RelError, Result};
 use crate::sql::exec::{execute, Catalog};
-use crate::sql::planner::PlannerConfig;
 use crate::sql::parser::parse_script;
+use crate::sql::planner::PlannerConfig;
 use crate::table::Table;
 use crate::vfs::Vfs;
 use crate::wal::{crc32, scan_wal, LogicalOp, Wal};

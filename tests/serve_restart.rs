@@ -105,7 +105,10 @@ impl Drop for Served {
 }
 
 fn run_ok(args: &[&str]) {
-    let out = Command::new(BIN).args(args).output().expect("run sensormeta");
+    let out = Command::new(BIN)
+        .args(args)
+        .output()
+        .expect("run sensormeta");
     assert!(
         out.status.success(),
         "sensormeta {args:?} failed: {}",
