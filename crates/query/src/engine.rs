@@ -536,13 +536,15 @@ impl QueryEngine {
     }
 
     /// Executes an advanced-search form through the result cache, returning
-    /// the shared output plus how the lookup was answered. Identical
-    /// concurrent queries coalesce onto one computation (bounded by the
-    /// ambient resil deadline, which the index scans, condition evaluation
-    /// and assembly observe too; expiry surfaces as
-    /// [`QueryError::DeadlineExceeded`]); entries are validated against and stamped with
-    /// this engine's generation (dated by its last rebuild), so a result is
-    /// only ever served to readers of the generation that computed it.
+    /// the shared output plus how the lookup was answered. The request's
+    /// budget is the ambient resil deadline (the server installs one per
+    /// request): the single-flight wait, index scans, condition evaluation
+    /// and assembly all observe it, and expiry surfaces as
+    /// [`QueryError::DeadlineExceeded`]. Identical concurrent queries
+    /// coalesce onto one computation; entries are validated against and
+    /// stamped with this engine's generation (dated by its last rebuild), so
+    /// a result is only ever served to readers of the generation that
+    /// computed it.
     pub fn search_shared(
         &self,
         form: &SearchForm,

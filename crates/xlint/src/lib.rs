@@ -27,9 +27,9 @@
 //!   `Pool::scope`/`par_*` closures.
 //!
 //! Violations are reported rustc-style (`file:line: rule: message`).
-//! `--workspace` fails on any violation; there is no baseline of excused
-//! debt. Per-line escapes: `// xlint: allow(rule-name)` on or directly
-//! above the line, with the reason the flagged code is meant.
+//! `--workspace` fails on any violation. Per-line escapes:
+//! `// xlint: allow(rule-name)` on or directly above the line, with the
+//! reason the flagged code is meant.
 
 #![warn(missing_docs)]
 
