@@ -1,6 +1,19 @@
 //! Shared inputs for the Criterion benches in `benches/`: the Fig. 3
 //! PageRank instance and the synthetic corpus loaded into a repository.
 
+#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
+
 use sensormeta_rank::{PageRankProblem, TransitionMatrix};
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_workload::{barabasi_albert, generate_corpus, CorpusConfig};

@@ -42,6 +42,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "the test races raw threads")]
     fn concurrent_bumps_return_distinct_epochs() {
         let clock = Arc::new(EpochClock::new());
         let threads: Vec<_> = (0..4)

@@ -23,6 +23,17 @@
 //!   primary when every replica lags past it.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
 
 mod replica;
 mod router;

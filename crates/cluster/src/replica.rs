@@ -254,20 +254,20 @@ impl Replica {
         let weak: Weak<Replica> = Arc::downgrade(self);
         let stop = Arc::clone(&self.stop);
         let name = format!("replica-tail-{}", self.name);
-        // The tail loop does file I/O and sleeps, so it must live on its
-        // own thread rather than the shared compute pool.
-        let handle = std::thread::Builder::new() // xlint: allow(no-raw-thread-spawn)
-            .name(name)
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let Some(replica) = weak.upgrade() else { break };
-                    if replica.poll_once().is_err() {
-                        obs::counter("cluster_replica_poll_errors_total").inc();
-                    }
-                    drop(replica);
-                    std::thread::sleep(interval);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the tail loop does file I/O and sleeps, so it must live on its own thread rather than the shared compute pool"
+        )]
+        let handle = std::thread::Builder::new().name(name).spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let Some(replica) = weak.upgrade() else { break };
+                if replica.poll_once().is_err() {
+                    obs::counter("cluster_replica_poll_errors_total").inc();
                 }
-            });
+                drop(replica);
+                std::thread::sleep(interval);
+            }
+        });
         *lock(&self.handle) = handle.ok();
     }
 

@@ -6,6 +6,17 @@
 //! degree statistics, degeneracy ordering).
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod algo;

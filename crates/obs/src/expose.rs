@@ -13,6 +13,10 @@ use std::sync::Arc;
 /// Formats an `f64` deterministically for both formats: integral values
 /// print without a fractional part, non-finite values print as Prometheus
 /// spells them (JSON rendering maps those to `null`).
+#[expect(
+    clippy::float_cmp,
+    reason = "exact IEEE test: only a whole number prints without a fraction"
+)]
 fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         return "NaN".to_string();

@@ -244,6 +244,10 @@ pub struct HistogramSnapshot {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the tests compare bit-identical floats on purpose"
+)]
 mod tests {
     use super::*;
     use crate::Registry;

@@ -40,6 +40,21 @@
 //! leaked, not dropped.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this crate is the worker pool: it starts the threads everyone else borrows"
+)]
 
 use sensormeta_obs as obs;
 use std::any::Any;
@@ -478,6 +493,10 @@ impl<T> SendPtr<T> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the tests compare bit-identical floats on purpose"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;

@@ -28,7 +28,9 @@ use sensormeta_smr::{Page, PageDraft, Smr};
 use std::collections::{BTreeMap, BTreeSet};
 
 const NAMESPACES: [&str; 3] = ["Site", "Deployment", "Person"];
-const ATTRIBUTES: [&str; 3] = ["hasA", "hasB", "hasC"];
+/// `title` and `linksTo` are also the names of the mirror's built-in
+/// predicates, which conditions on them must not see.
+const ATTRIBUTES: [&str; 5] = ["hasA", "hasB", "hasC", "title", "linksTo"];
 
 /// Annotation and condition values. The `Namespace:pN` ones name the page
 /// generated `N`th when it falls in that namespace; `site:p0` never names

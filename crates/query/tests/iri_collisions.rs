@@ -2,7 +2,9 @@
 //! distinct subjects in the RDF mirror, so deleting one page leaves every
 //! triple of the other, and an `eq` condition on an attribute whose name
 //! holds a space is answered by SPARQL through the same property IRI the
-//! mirror writes, with no SQL fallback.
+//! mirror writes, with no SQL fallback. Annotations named `title` and
+//! `linksTo` do not share the IRIs of the built-in title and wiki-link
+//! predicates, so SPARQL and SQL agree on conditions over them.
 //!
 //! One test function: the `obs` registry the counters live in is
 //! process-global, so concurrent tests would pollute each other's deltas.
@@ -72,4 +74,46 @@ fn distinct_names_keep_distinct_iris() {
     assert_eq!(titles, ["Site:A_B"]);
     assert_eq!(sparql.get() - sparql_before, 1, "answered by SPARQL");
     assert_eq!(sql.get() - sql_before, 0, "no SQL fallback");
+
+    // `Site:A` has no annotation; `Site:L` only links to it; `Site:T`
+    // carries annotations named like the built-in predicates.
+    let mut smr = Smr::new();
+    smr.create_page(PageDraft::new("Site:A", "Site"))
+        .expect("create page");
+    smr.create_page(PageDraft::new("Site:L", "Site").link("Site:A"))
+        .expect("create page");
+    smr.create_page(
+        PageDraft::new("Site:T", "Site")
+            .annotate("title", "Fake title")
+            .annotate("linksTo", "Site:A"),
+    )
+    .expect("create page");
+    assert_ne!(Smr::property_iri("title"), format!("{PROP}title"));
+    assert_ne!(Smr::property_iri("linksTo"), format!("{PROP}linksTo"));
+    assert_eq!(pages_titled(&smr, "Fake title"), 0, "not a second title");
+    assert_eq!(pages_titled(&smr, "Site:T"), 1);
+    let linking: Vec<String> = smr
+        .sparql(&format!(
+            "PREFIX prop: <{PROP}> SELECT ?page WHERE {{ ?page prop:linksTo <{}> }}",
+            Smr::page_iri("Site:A")
+        ))
+        .expect("link query")
+        .rows
+        .iter()
+        .map(|row| format!("{row:?}"))
+        .collect();
+    assert_eq!(linking.len(), 1, "only the wiki link: {linking:?}");
+    assert!(linking[0].contains("Site:L"), "{linking:?}");
+    let engine = QueryEngine::open(smr).expect("engine");
+    for (value, expected) in [("Site:A", &[][..]), ("Fake title", &["Site:T"][..])] {
+        let cond = Condition::new("title", CondOp::Eq, value);
+        let sparql = engine.sparql_condition_titles(&cond).expect("sparql");
+        let sql = engine.sql_condition_titles(&cond).expect("sql");
+        assert_eq!(sparql, expected, "SPARQL half of title = {value}");
+        assert_eq!(sql, expected, "SQL half of title = {value}");
+        let form = SearchForm::default().condition(cond);
+        let out = engine.search(&form, None).expect("search");
+        let titles: Vec<&str> = out.items.iter().map(|i| i.title.as_str()).collect();
+        assert_eq!(titles, expected, "search on title = {value}");
+    }
 }

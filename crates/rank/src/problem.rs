@@ -305,6 +305,10 @@ impl PageRankProblem {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the tests compare bit-identical floats on purpose"
+)]
 mod tests {
     use super::*;
 

@@ -206,6 +206,10 @@ impl Recommender {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the tests compare bit-identical floats on purpose"
+)]
 mod tests {
     use super::*;
 

@@ -245,7 +245,12 @@ fn aggregate_solutions(
                         // Integral results keep integer lexical form.
                         // xlint: allow(float-eq) — exact IEEE test: only a whole number is integral
                         Some(if v.fract() == 0.0 && v.abs() < 9e15 {
-                            Term::int(v as i64)
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "a whole number below 9e15 in magnitude fits i64 exactly"
+                            )]
+                            let n = v as i64;
+                            Term::int(n)
                         } else {
                             Term::double(v)
                         })

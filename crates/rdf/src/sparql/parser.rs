@@ -250,10 +250,10 @@ impl Parser {
             }
         }
         if self.keyword("LIMIT") {
-            q.limit = Some(self.integer()? as usize);
+            q.limit = Some(self.count()?);
         }
         if self.keyword("OFFSET") {
-            q.offset = Some(self.integer()? as usize);
+            q.offset = Some(self.count()?);
         }
         self.skip_ws();
         if self.pos < self.chars.len() {
@@ -396,6 +396,13 @@ impl Parser {
             }
         }
         text.parse().map_err(|_| self.err("expected integer"))
+    }
+
+    /// A LIMIT or OFFSET count, which may not be negative.
+    fn count(&mut self) -> Result<usize> {
+        let n = self.integer()?;
+        usize::try_from(n)
+            .map_err(|_| self.err(format!("expected a non-negative count, found {n}")))
     }
 
     fn triple_pattern(&mut self) -> Result<TriplePattern> {
@@ -770,5 +777,16 @@ mod tests {
             "unknown prefix"
         );
         assert!(parse_sparql("SELECT ?s WHERE { ?s ?p ?o } garbage").is_err());
+    }
+
+    #[test]
+    fn negative_limit_and_offset_are_errors() {
+        let base = "SELECT ?s WHERE { ?s ?p ?o }";
+        for tail in ["LIMIT -1", "OFFSET -1", "LIMIT 5 OFFSET -2"] {
+            let err = parse_sparql(&format!("{base} {tail}")).unwrap_err();
+            assert!(err.to_string().contains("non-negative"), "{tail}: {err}");
+        }
+        let q = parse_sparql(&format!("{base} LIMIT 0 OFFSET 0")).unwrap();
+        assert_eq!((q.limit, q.offset), (Some(0), Some(0)));
     }
 }

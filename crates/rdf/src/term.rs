@@ -145,7 +145,7 @@ impl TermDict {
 
     /// Resolves an id back to its term.
     pub fn term(&self, id: TermId) -> Option<&Term> {
-        self.terms.get(id.0 as usize)
+        self.terms.get(usize::try_from(id.0).ok()?)
     }
 
     /// Number of distinct terms.

@@ -441,6 +441,10 @@ impl BTreeIndex {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test keys and payloads are small loop indices"
+)]
 mod tests {
     use super::*;
 

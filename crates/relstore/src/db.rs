@@ -265,7 +265,12 @@ impl Database {
             .columns
             .get(col)
             .map_or(1.0, crate::table::ColumnStats::eq_fraction);
-        Ok(((rows as f64) * frac).ceil() as usize)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`frac` is at most 1, so the estimate is at most `rows`"
+        )]
+        let estimate = ((rows as f64) * frac).ceil() as usize;
+        Ok(estimate)
     }
 
     /// Convenience: runs a SELECT and returns the first value of the first

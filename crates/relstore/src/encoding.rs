@@ -137,7 +137,7 @@ pub fn decode_row_into(
     mask: Option<&[bool]>,
     row: &mut Vec<Value>,
 ) -> Result<()> {
-    let n = read_varint(buf, pos)? as usize;
+    let n = read_len(buf, pos, RelError::Snapshot)?;
     if n > buf.len() {
         // n values each take ≥1 byte; a count above the remaining buffer is
         // definitely corrupt and would make us over-allocate.
@@ -166,7 +166,7 @@ pub fn decode_row_into(
                 )))
             }
             TAG_TEXT => {
-                let len = read_varint(buf, pos)? as usize;
+                let len = read_len(buf, pos, RelError::Snapshot)?;
                 let end = pos
                     .checked_add(len)
                     .ok_or_else(|| RelError::Snapshot("text length overflow".into()))?;

@@ -223,8 +223,8 @@ impl Heap {
 
     /// Restores a heap from snapshot bytes.
     pub fn from_snapshot(buf: &[u8], pos: &mut usize) -> Result<Heap> {
-        use crate::encoding::read_varint;
-        let npages = read_varint(buf, pos)? as usize;
+        use crate::encoding::read_len;
+        let npages = read_len(buf, pos, RelError::Snapshot)?;
         let mut pages = Vec::with_capacity(npages.min(1 << 20));
         for _ in 0..npages {
             let end = *pos + PAGE_SIZE;
@@ -234,7 +234,7 @@ impl Heap {
             *pos = end;
             pages.push(Arc::new(Page::from_bytes(bytes)?));
         }
-        let nover = read_varint(buf, pos)? as usize;
+        let nover = read_len(buf, pos, RelError::Snapshot)?;
         let mut overflow = Vec::with_capacity(nover.min(1 << 20));
         for _ in 0..nover {
             let marker = *buf
@@ -244,12 +244,12 @@ impl Heap {
             if marker == 0 {
                 overflow.push(None);
             } else {
-                let len = read_varint(buf, pos)? as usize;
-                let end = *pos + len;
+                let len = read_len(buf, pos, RelError::Snapshot)?;
                 let bytes = buf
-                    .get(*pos..end)
+                    .get(*pos..)
+                    .and_then(|rest| rest.get(..len))
                     .ok_or_else(|| RelError::Snapshot("overflow record truncated".into()))?;
-                *pos = end;
+                *pos += len;
                 overflow.push(Some(Arc::new(bytes.to_vec())));
             }
         }
@@ -264,6 +264,10 @@ impl Heap {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test keys and payloads are small loop indices"
+)]
 mod tests {
     use super::*;
 
@@ -329,6 +333,19 @@ mod tests {
         assert!(back.get(a).is_none());
         assert_eq!(back.get(b).unwrap(), &vec![5u8; PAGE_SIZE][..]);
         assert_eq!(back.get(c).unwrap(), b"three");
+    }
+
+    #[test]
+    fn overflow_record_length_past_the_buffer_is_an_error() {
+        // No pages, one overflow record whose length is the largest varint.
+        let mut snap = vec![0, 1, 1];
+        crate::encoding::write_varint(&mut snap, u64::MAX);
+        snap.extend_from_slice(b"xy");
+        let err = Heap::from_snapshot(&snap, &mut 0).unwrap_err();
+        assert!(
+            err.to_string().contains("overflow record truncated"),
+            "{err}"
+        );
     }
 
     #[test]

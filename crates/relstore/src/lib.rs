@@ -21,6 +21,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp,
+    clippy::cast_possible_truncation
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod btree;

@@ -24,9 +24,12 @@ const TOMBSTONE: u16 = u16::MAX;
 const _: () = assert!(PAGE_SIZE < TOMBSTONE as usize);
 
 /// An in-page offset, length or slot number as its `u16` field.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "in-page values are <= PAGE_SIZE (8 KiB), asserted above to fit u16"
+)]
 fn field(n: usize) -> u16 {
     debug_assert!(n <= PAGE_SIZE, "in-page value {n} beyond the page");
-    // xlint: allow(as-truncation) — in-page values are <= PAGE_SIZE (8 KiB), asserted above to fit u16
     n as u16
 }
 
@@ -242,6 +245,10 @@ impl Page {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test keys and payloads are small loop indices"
+)]
 mod tests {
     use super::*;
 

@@ -556,9 +556,10 @@ impl BoundSelect {
 /// else is an expression over the source row.
 fn order_key(expr: &Expr, schema: &RowSchema<'_>, names: &[String]) -> OrderKey {
     if let Expr::Literal(Value::Int(n)) = expr {
-        let ix = *n as usize;
-        if ix >= 1 && ix <= names.len() {
-            return OrderKey::Output(ix - 1);
+        if let Ok(ix @ 1..) = usize::try_from(*n) {
+            if ix <= names.len() {
+                return OrderKey::Output(ix - 1);
+            }
         }
     }
     if let Expr::Column { table: None, name } = expr {

@@ -789,13 +789,14 @@ fn eval_function(name: &str, args: &[Cow<'_, Value>]) -> Result<Value> {
                 .as_int()
                 .ok_or_else(|| RelError::Exec("substr start must be integer".into()))?;
             let chars: Vec<char> = s.chars().collect();
-            // SQL substr is 1-based.
-            let begin = (start.max(1) - 1) as usize;
+            // SQL substr is 1-based. A bound beyond `usize` lies past the end
+            // of any string.
+            let begin = usize::try_from(start.max(1) - 1).unwrap_or(usize::MAX);
             let len = if args.len() == 3 {
-                args[2]
+                let len = args[2]
                     .as_int()
-                    .ok_or_else(|| RelError::Exec("substr length must be integer".into()))?
-                    .max(0) as usize
+                    .ok_or_else(|| RelError::Exec("substr length must be integer".into()))?;
+                usize::try_from(len.max(0)).unwrap_or(usize::MAX)
             } else {
                 chars.len().saturating_sub(begin)
             };

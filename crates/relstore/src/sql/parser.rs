@@ -408,12 +408,12 @@ impl Parser {
     }
 
     fn usize_literal(&mut self) -> Result<usize> {
-        match self.next() {
-            Some(Token::Int(n)) if n >= 0 => Ok(n as usize),
-            other => Err(RelError::Parse(format!(
-                "expected non-negative integer, found {other:?}"
-            ))),
+        let next = self.next();
+        match next {
+            Some(Token::Int(n)) => usize::try_from(n).ok(),
+            _ => None,
         }
+        .ok_or_else(|| RelError::Parse(format!("expected non-negative integer, found {next:?}")))
     }
 
     fn select_item(&mut self) -> Result<SelectItem> {

@@ -130,10 +130,12 @@ pub fn hit(site: &'static str) -> Result<(), Interrupt> {
             obs::counter("resil_chaos_errors_injected_total").inc();
             Err(Interrupt::Fault { site })
         }
+        #[expect(
+            clippy::panic,
+            reason = "the entire point of this fault kind is an unwinding panic"
+        )]
         Some(FaultKind::Panic) => {
             obs::counter("resil_chaos_panics_injected_total").inc();
-            // The entire point of this fault kind is an unwinding panic.
-            // xlint: allow(no-unwrap)
             panic!("chaos: injected panic at site `{site}`");
         }
     }

@@ -27,6 +27,17 @@
 //! is one thread-local read plus one relaxed atomic load.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
 #![warn(missing_debug_implementations)]
 
 mod admission;

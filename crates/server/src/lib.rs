@@ -10,6 +10,21 @@
 //! root for an end-to-end run over the synthetic Swiss-Experiment corpus.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the server owns its accept loop and its connection handler threads"
+)]
 
 pub mod app;
 pub mod http;

@@ -126,6 +126,10 @@ fn seeded_app() -> App {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "concurrent HTTP clients, one raw thread each"
+)]
 fn chaos_harness_end_to_end() {
     chaos::clear();
     let server = serve_with(

@@ -17,6 +17,8 @@ use std::sync::Arc;
 pub const PAGE_IRI_BASE: &str = "http://swiss-experiment.ch/page/";
 /// Base IRI for annotation properties.
 pub const PROP_IRI_BASE: &str = "http://swiss-experiment.ch/property/";
+/// IRI of the page-title predicate.
+pub const TITLE: &str = "http://swiss-experiment.ch/property/title";
 /// IRI of the wiki-link predicate.
 pub const LINKS_TO: &str = "http://swiss-experiment.ch/property/linksTo";
 /// IRI of rdf:type.
@@ -54,6 +56,15 @@ macro_rules! annotations_ddl {
     };
 }
 
+/// The index that lets [`Smr::delete_page`] and [`Smr::revisions`] seek a
+/// page's archived revisions, as [`SCHEMA_SQL`] installs it and
+/// [`Smr::migrate`] adds it.
+macro_rules! revisions_index_ddl {
+    () => {
+        "CREATE INDEX revisions_page ON revisions (page_id);\n"
+    };
+}
+
 /// The repository's relational schema, installed on first open.
 const SCHEMA_SQL: &str = concat!(
     "CREATE TABLE pages (id INTEGER PRIMARY KEY, title TEXT NOT NULL UNIQUE, \
@@ -68,6 +79,7 @@ const SCHEMA_SQL: &str = concat!(
      CREATE TABLE revisions (page_id INTEGER NOT NULL, revision INTEGER NOT NULL, \
      body TEXT);
      ",
+    revisions_index_ddl!(),
     annotations_ddl!()
 );
 
@@ -76,10 +88,12 @@ impl Smr {
     /// installed.
     pub fn new() -> Smr {
         let mut db = Database::new();
-        // Invariant: SCHEMA_SQL is a compile-time constant exercised by every
-        // test in this crate; it cannot fail against a fresh database.
+        #[expect(
+            clippy::expect_used,
+            reason = "SCHEMA_SQL is a constant every test in this crate runs; it cannot fail against a fresh database"
+        )]
         db.execute_script(SCHEMA_SQL)
-            .expect("static schema is valid"); // xlint: allow(no-unwrap)
+            .expect("static schema is valid");
         Smr {
             db,
             rdf: TripleStore::new(),
@@ -126,9 +140,16 @@ impl Smr {
         format!("{PAGE_IRI_BASE}{}", encode_iri_component(title))
     }
 
-    /// The property IRI for an annotation attribute.
+    /// The property IRI for an annotation attribute. An attribute named
+    /// `title` or `linksTo` gets its first character percent-encoded
+    /// (`%74itle`), a form no other name encodes to, so it never shares the
+    /// IRI of the built-in [`TITLE`] or [`LINKS_TO`] predicate.
     pub fn property_iri(attr: &str) -> String {
-        format!("{PROP_IRI_BASE}{}", encode_iri_component(attr))
+        match attr {
+            "title" => format!("{PROP_IRI_BASE}%74itle"),
+            "linksTo" => format!("{PROP_IRI_BASE}%6CinksTo"),
+            _ => format!("{PROP_IRI_BASE}{}", encode_iri_component(attr)),
+        }
     }
 
     /// Number of pages.
@@ -599,47 +620,53 @@ impl Smr {
 
     // ----- internals -----
 
-    /// Brings a repository written before `annotations` carried
-    /// `value_num` up to [`SCHEMA_SQL`]: relstore has no `ALTER TABLE`, so
-    /// one script drops `annotations` (and with it the old
-    /// `annotations_attr` index), recreates it with its indexes, and
-    /// re-inserts every row in storage order with its parsed value. A
-    /// script is one write-ahead-log record, so a durable repository is
-    /// migrated whole or not at all. No-op on a current repository.
+    /// Brings a repository written before `revisions_page` existed, or
+    /// before `annotations` carried `value_num`, up to [`SCHEMA_SQL`]. The
+    /// missing index is created. relstore has no `ALTER TABLE`, so the
+    /// script drops `annotations` (and with it the old `annotations_attr`
+    /// index), recreates it with its indexes, and re-inserts every row in
+    /// storage order with its parsed value. A script is one
+    /// write-ahead-log record, so a durable repository is migrated whole or
+    /// not at all. No-op on a current repository.
     fn migrate(&mut self) -> Result<()> {
+        let mut script = String::new();
         if self
             .db
-            .table("annotations")?
-            .schema
-            .column_index("value_num")
-            .is_some()
+            .table("revisions")?
+            .btree("revisions_page")
+            .is_none()
         {
-            return Ok(());
+            script.push_str(revisions_index_ddl!());
         }
-        let rows = self
-            .db
-            .query("SELECT page_id, attribute, value FROM annotations")?
-            .rows;
-        let mut script = format!("DROP TABLE annotations; {}", annotations_ddl!());
-        for (i, r) in rows.iter().enumerate() {
-            let value = r[2].to_text();
-            let num = match value.parse::<f64>() {
-                Ok(v) if !v.is_nan() => sql_float(v),
-                _ => "NULL".to_owned(),
-            };
-            script.push_str(if i == 0 {
-                "\nINSERT INTO annotations VALUES "
-            } else {
-                ", "
-            });
-            script.push_str(&format!(
-                "({}, '{}', '{}', {num})",
-                r[0].to_text(),
-                sql_escape(&r[1].to_text()),
-                sql_escape(&value),
-            ));
+        let annotations = &self.db.table("annotations")?.schema;
+        if annotations.column_index("value_num").is_none() {
+            let rows = self
+                .db
+                .query("SELECT page_id, attribute, value FROM annotations")?
+                .rows;
+            script.push_str(concat!("DROP TABLE annotations; ", annotations_ddl!()));
+            for (i, r) in rows.iter().enumerate() {
+                let value = r[2].to_text();
+                let num = match value.parse::<f64>() {
+                    Ok(v) if !v.is_nan() => sql_float(v),
+                    _ => "NULL".to_owned(),
+                };
+                script.push_str(if i == 0 {
+                    "\nINSERT INTO annotations VALUES "
+                } else {
+                    ", "
+                });
+                script.push_str(&format!(
+                    "({}, '{}', '{}', {num})",
+                    r[0].to_text(),
+                    sql_escape(&r[1].to_text()),
+                    sql_escape(&value),
+                ));
+            }
         }
-        self.db.execute_script(&script)?;
+        if !script.is_empty() {
+            self.db.execute_script(&script)?;
+        }
         Ok(())
     }
 
@@ -700,7 +727,7 @@ impl Smr {
         );
         self.rdf.insert(
             subject.clone(),
-            Term::iri(Self::property_iri("title")),
+            Term::iri(TITLE),
             Term::lit(draft.title.clone()),
         );
         for (attr, value) in &draft.annotations {
@@ -787,7 +814,7 @@ fn retype_mentions(rdf: &mut TripleStore, title: &str, exists: bool) {
     let iri = Term::iri(Smr::page_iri(title));
     let lit = Term::lit(title);
     let (from, to) = if exists { (&lit, &iri) } else { (&iri, &lit) };
-    let (title_pred, links) = (Term::iri(Smr::property_iri("title")), Term::iri(LINKS_TO));
+    let (title_pred, links) = (Term::iri(TITLE), Term::iri(LINKS_TO));
     let mentions: Vec<_> = rdf
         .match_terms(None, None, Some(from))
         .into_iter()
@@ -1235,6 +1262,29 @@ mod persistence_tests {
         .rows
     }
 
+    /// `Smr::revisions` and the `DELETE FROM revisions` of `delete_page`
+    /// seek the page's rows. A DELETE's WHERE is planned as the same
+    /// single-table SELECT's, so EXPLAIN SELECT shows both paths.
+    #[test]
+    fn revision_statements_seek_their_page() {
+        let mut smr = fresh(&legacy_drafts());
+        rewrite(&mut smr);
+        rewrite(&mut smr);
+        smr.update_page(PageDraft::new("Fieldsite:a", "Fieldsite").body("moved"))
+            .unwrap();
+        let id = smr.page_id("Deployment:d2").unwrap().unwrap();
+        for sql in [
+            format!("EXPLAIN SELECT revision, body FROM revisions WHERE page_id = {id} ORDER BY revision"),
+            format!("EXPLAIN SELECT * FROM revisions WHERE page_id = {id}"),
+        ] {
+            let plan = format!("{:?}", smr.sql(&sql).unwrap().rows);
+            assert!(plan.contains("IndexSeek revisions via revisions_page"), "{plan}");
+        }
+        assert_eq!(smr.revisions("Deployment:d2").unwrap().len(), 2);
+        assert!(smr.delete_page("Deployment:d2").unwrap());
+        assert_eq!(smr.sql("SELECT * FROM revisions").unwrap().rows.len(), 1);
+    }
+
     #[test]
     fn snapshot_without_value_num_migrates_on_load() {
         let dir = std::env::temp_dir().join(format!("smr_migrate_snap_{}", std::process::id()));
@@ -1263,6 +1313,8 @@ mod persistence_tests {
             let plan = format!("{:?}", loaded.sql(sql).unwrap().rows);
             assert!(plan.contains(path), "{plan}");
         }
+        let revisions = loaded.db.table("revisions").unwrap();
+        assert!(revisions.btree("revisions_page").is_some());
         // A rewrite keeps `value_num` as on a repository that never lacked it.
         rewrite(&mut loaded);
         rewrite(&mut want);

@@ -19,7 +19,8 @@ const TITLES: [&str; 6] = [
     "Person:e",
     "Site:f",
 ];
-const ATTRIBUTES: [&str; 3] = ["deployedAt", "hasValue", "seeAlso"];
+/// `title` and `linksTo` also name the mirror's built-in predicates.
+const ATTRIBUTES: [&str; 5] = ["deployedAt", "hasValue", "seeAlso", "title", "linksTo"];
 /// Annotation values and link targets: every title, a case variant of one,
 /// a title that is never written, and plain values.
 const VALUES: [&str; 11] = [

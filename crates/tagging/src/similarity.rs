@@ -140,6 +140,10 @@ pub fn check_similarity_graph(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the tests compare bit-identical floats on purpose"
+)]
 mod tests {
     use super::*;
 

@@ -102,6 +102,10 @@ impl SymMatrix {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the tests compare bit-identical floats on purpose"
+)]
 mod tests {
     use super::*;
 

@@ -30,6 +30,17 @@
 //! published snapshot ever exposed the partial state.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
 #![warn(missing_debug_implementations)]
 
 use sensormeta_obs as obs;
@@ -323,6 +334,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "the test races raw threads")]
     fn committers_serialize_and_readers_do_not_block() {
         let cell = Arc::new(Mvcc::new(0u64));
         let threads: Vec<_> = (0..4)
@@ -349,6 +361,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the writer must panic on a thread of its own"
+    )]
     fn poisoned_writer_recovers() {
         let cell = Arc::new(Mvcc::new(0u64));
         let c2 = Arc::clone(&cell);

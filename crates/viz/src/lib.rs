@@ -8,6 +8,17 @@
 //! clique coloring.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
 
 pub mod chart;
 pub mod graphviz;

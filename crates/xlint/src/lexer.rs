@@ -437,9 +437,9 @@ mod tests {
 
     #[test]
     fn allow_markers_recorded() {
-        let lexed = lex("x // xlint: allow(no-unwrap)\ny");
-        assert!(lexed.allows[&1].contains(&"no-unwrap".to_string()));
-        assert!(lexed.allows[&2].contains(&"no-unwrap".to_string()));
+        let lexed = lex("x // xlint: allow(float-eq)\ny");
+        assert!(lexed.allows[&1].contains(&"float-eq".to_string()));
+        assert!(lexed.allows[&2].contains(&"float-eq".to_string()));
     }
 
     #[test]

@@ -1,20 +1,16 @@
 //! `xlint` — workspace-aware static analysis for the sensormeta codebase.
 //!
+//! xlint checks only what rustc and clippy cannot. Panics, printing,
+//! narrowing casts, raw thread spawns and undocumented items are the
+//! toolchain's: each library root switches on `missing_docs` and the clippy
+//! lints, and the workspace `clippy.toml` configures them.
+//!
 //! Rules (token-level; see [`rules::Rule`]):
 //!
-//! - **no-unwrap** — no `.unwrap()` / `.expect()` / `panic!` / `todo!` /
-//!   `unimplemented!` in non-test library code.
+//! - **float-eq** — no `==`/`!=` against float literals (clippy's
+//!   `float_cmp` ignores comparisons with zero).
 //! - **error-impl** — every `pub enum *Error` implements `Display` and
 //!   `std::error::Error`.
-//! - **float-eq** — no `==`/`!=` against float literals.
-//! - **as-truncation** — no narrowing `as` casts in the relstore/rdf
-//!   encoding paths.
-//! - **missing-docs** — public items in crate roots carry doc comments.
-//! - **no-println-in-lib** — no `println!`/`print!`/`eprintln!`/`eprint!`/
-//!   `dbg!` in non-test library code (`main.rs` and `src/bin/` are exempt).
-//! - **no-raw-thread-spawn** — no `thread::spawn` outside `crates/par` (the
-//!   worker pool) and `crates/server` (the accept loop); everything else
-//!   parallelizes through the `sensormeta-par` pool.
 //!
 //! Semantic rules (workspace-level; item parser + cross-file call graph,
 //! see the `semantic` module):
@@ -32,6 +28,17 @@
 //! reason the flagged code is meant.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::float_cmp
+)]
 
 pub mod lexer;
 mod parser;
@@ -92,8 +99,8 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "tests", "benches", "examples", "
 
 /// Collects the library `.rs` files to lint: `src/**` of the root package
 /// and of every `crates/*` member. Integration tests, benches, and the
-/// offline dependency shims are out of scope — the panic-freedom rules
-/// apply to library code.
+/// offline dependency shims are out of scope: the rules apply to library
+/// code.
 pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, XlintError> {
     let mut files = Vec::new();
     let root_src = root.join("src");
@@ -168,21 +175,11 @@ pub fn lint_files(root: &Path, files: &[PathBuf]) -> Result<LintReport, XlintErr
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let crate_key = crate_of(&rel);
-        let is_lib_root = rel.ends_with("src/lib.rs");
-        let encoding_path =
-            rel.starts_with("crates/relstore/src/") || rel.starts_with("crates/rdf/src/");
-        let is_bin = rel.ends_with("src/main.rs") || rel.contains("src/bin/");
         let lexed = lexer::lex(&source);
-        let facts = per_crate.entry(crate_key).or_default();
-        report.violations.extend(rules::lint_tokens(
-            &rel,
-            &lexed,
-            is_lib_root,
-            encoding_path,
-            is_bin,
-            facts,
-        ));
+        let facts = per_crate.entry(crate_of(&rel)).or_default();
+        report
+            .violations
+            .extend(rules::lint_tokens(&rel, &lexed, facts));
         report.files_scanned += 1;
         lexed_files.push((rel, lexed));
     }

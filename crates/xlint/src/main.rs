@@ -8,6 +8,14 @@
 //!
 //! Exit codes: 0 clean, 1 any violation, 2 usage/configuration error.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xlint::{lint_files, lint_workspace, Rule};

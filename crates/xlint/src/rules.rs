@@ -7,26 +7,10 @@ use crate::lexer::{Lexed, Tok, TokKind};
 /// diagnostics and in `// xlint: allow(...)` markers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// `.unwrap()` / `.expect(…)` / `panic!` / `todo!` / `unimplemented!`
-    /// in non-test library code.
-    NoUnwrap,
     /// `==` / `!=` against a float literal.
     FloatEq,
-    /// Narrowing `as` cast in the relstore/rdf encoding paths.
-    AsTruncation,
     /// `pub enum *Error` without `Display` + `std::error::Error` impls.
     ErrorImpl,
-    /// Undocumented `pub` item in a crate root (`lib.rs`).
-    MissingDocs,
-    /// `println!` / `print!` / `eprintln!` / `eprint!` / `dbg!` in non-test
-    /// library code (binaries and test code may print; libraries report
-    /// through return values or the obs registry).
-    NoPrintlnInLib,
-    /// `thread::spawn` outside the sanctioned crates (`crates/par`, which
-    /// owns the worker pool, and `crates/server`, which owns the accept
-    /// loop). Everything else must go through the `sensormeta-par` pool so
-    /// parallelism stays bounded, instrumented and deterministic.
-    NoRawThreadSpawn,
     /// Semantic: durable `Database`/`Smr` mutation paths must reach a WAL
     /// append (`wal_commit`) before — and not after — applying writes.
     WalBeforeWrite,
@@ -42,13 +26,8 @@ impl Rule {
     /// Stable kebab-case name used in diagnostics and allow markers.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no-unwrap",
             Rule::FloatEq => "float-eq",
-            Rule::AsTruncation => "as-truncation",
             Rule::ErrorImpl => "error-impl",
-            Rule::MissingDocs => "missing-docs",
-            Rule::NoPrintlnInLib => "no-println-in-lib",
-            Rule::NoRawThreadSpawn => "no-raw-thread-spawn",
             Rule::WalBeforeWrite => "wal-before-write",
             Rule::LockOrder => "lock-order",
             Rule::NoBlockingInPar => "no-blocking-in-par",
@@ -58,13 +37,8 @@ impl Rule {
     /// Parses a stable rule name.
     pub fn from_name(name: &str) -> Option<Rule> {
         match name {
-            "no-unwrap" => Some(Rule::NoUnwrap),
             "float-eq" => Some(Rule::FloatEq),
-            "as-truncation" => Some(Rule::AsTruncation),
             "error-impl" => Some(Rule::ErrorImpl),
-            "missing-docs" => Some(Rule::MissingDocs),
-            "no-println-in-lib" => Some(Rule::NoPrintlnInLib),
-            "no-raw-thread-spawn" => Some(Rule::NoRawThreadSpawn),
             "wal-before-write" => Some(Rule::WalBeforeWrite),
             "lock-order" => Some(Rule::LockOrder),
             "no-blocking-in-par" => Some(Rule::NoBlockingInPar),
@@ -75,13 +49,8 @@ impl Rule {
     /// All rules, in a stable order (for `--explain` listings).
     pub fn all() -> &'static [Rule] {
         &[
-            Rule::NoUnwrap,
             Rule::FloatEq,
-            Rule::AsTruncation,
             Rule::ErrorImpl,
-            Rule::MissingDocs,
-            Rule::NoPrintlnInLib,
-            Rule::NoRawThreadSpawn,
             Rule::WalBeforeWrite,
             Rule::LockOrder,
             Rule::NoBlockingInPar,
@@ -91,13 +60,6 @@ impl Rule {
     /// Longer-form rationale shown by `xlint --explain <rule>`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => {
-                "Library code must not `.unwrap()`, `.expect()`, `panic!`, `todo!` or \
-                 `unimplemented!` outside tests. A panic in a store or query path takes the \
-                 whole server down; return a Result (or handle the None/Err case) instead. \
-                 Invariants that genuinely cannot fail may be documented with \
-                 `// xlint: allow(no-unwrap)` on or above the line."
-            }
             Rule::FloatEq => {
                 "Floats must not be compared with `==`/`!=` against literals: ranking scores \
                  and solver residuals accumulate rounding error, so exact comparison is \
@@ -105,32 +67,10 @@ impl Rule {
                  Where an exact IEEE test is the meaning (a guard against dividing by zero, an \
                  integrality check), mark it `// xlint: allow(float-eq)` and say why."
             }
-            Rule::AsTruncation => {
-                "In the relstore/rdf encoding paths a narrowing `as` cast (`as u16`, \
-                 `as u32`, …) silently truncates on-disk values. Use `try_from` and surface \
-                 the error, or document the proven bound with \
-                 `// xlint: allow(as-truncation)`."
-            }
             Rule::ErrorImpl => {
                 "Every `pub enum *Error` must implement `Display` and `std::error::Error` \
                  (in the same crate) so errors compose with `?`, `Box<dyn Error>` and log \
                  formatting at the server boundary."
-            }
-            Rule::MissingDocs => {
-                "Public items in a crate root (`lib.rs`) need doc comments: crate roots are \
-                 the workspace's API surface and `#![warn(missing_docs)]` only covers crates \
-                 that opt in."
-            }
-            Rule::NoPrintlnInLib => {
-                "Library crates must not print to stdout/stderr (`println!`, `eprintln!`, \
-                 `dbg!`, …). Binaries own the terminal; libraries return data or record it \
-                 in the obs metrics registry."
-            }
-            Rule::NoRawThreadSpawn => {
-                "`thread::spawn` is sanctioned only in crates/par (the worker pool) and \
-                 crates/server (the accept loop). Everything else parallelizes through the \
-                 sensormeta-par pool so thread counts stay bounded and execution stays \
-                 deterministic."
             }
             Rule::WalBeforeWrite => {
                 "Workspace semantic rule. Public `&mut self` methods of `Database` and \
@@ -290,23 +230,12 @@ pub(crate) fn allowed(lexed: &Lexed, line: u32, rule: Rule) -> bool {
         .is_some_and(|rules| rules.iter().any(|r| r == rule.name()))
 }
 
-/// Runs the per-file token rules. `is_lib_root` enables [`Rule::MissingDocs`];
-/// `encoding_path` enables [`Rule::AsTruncation`]; `is_bin` (a `main.rs` or
-/// `src/bin/` file) exempts [`Rule::NoPrintlnInLib`].
-pub fn lint_tokens(
-    file: &str,
-    lexed: &Lexed,
-    is_lib_root: bool,
-    encoding_path: bool,
-    is_bin: bool,
-    facts: &mut FileFacts,
-) -> Vec<Violation> {
+/// Runs the per-file token rules ([`Rule::FloatEq`]) and collects the
+/// facts the crate-level [`Rule::ErrorImpl`] pass needs.
+pub fn lint_tokens(file: &str, lexed: &Lexed, facts: &mut FileFacts) -> Vec<Violation> {
     let tokens = &lexed.tokens;
     let mask = test_region_mask(tokens);
     let mut out = Vec::new();
-    // Raw thread spawning is sanctioned only where a worker/accept loop
-    // legitimately lives; everywhere else must use the sensormeta-par pool.
-    let thread_spawn_exempt = file.starts_with("crates/par/") || file.starts_with("crates/server/");
 
     let ident = |i: usize, s: &str| -> bool {
         tokens
@@ -321,79 +250,11 @@ pub fn lint_tokens(
             .is_some_and(|t| matches!(t.kind, TokKind::Num { float: true }))
     };
 
-    let mut depth = 0i32;
     for i in 0..tokens.len() {
-        match tokens[i].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => depth -= 1,
-            _ => {}
-        }
         if mask[i] {
             continue;
         }
         let line = tokens[i].line;
-
-        // -- no-unwrap ----------------------------------------------------
-        if tokens[i].kind == TokKind::Ident {
-            let name = tokens[i].text.as_str();
-            let panic_like =
-                (name == "panic" || name == "todo" || name == "unimplemented") && punct(i + 1, '!');
-            let method_like = (name == "unwrap" || name == "expect")
-                && punct(i + 1, '(')
-                && i > 0
-                && punct(i - 1, '.');
-            if (panic_like || method_like) && !allowed(lexed, line, Rule::NoUnwrap) {
-                let what = if panic_like {
-                    format!("`{name}!` in library code")
-                } else {
-                    format!("`.{name}()` in library code")
-                };
-                out.push(Violation {
-                    file: file.to_string(),
-                    line,
-                    rule: Rule::NoUnwrap,
-                    message: format!("{what}; return a Result or handle the None/Err case"),
-                });
-            }
-        }
-
-        // -- no-println-in-lib --------------------------------------------
-        if !is_bin && tokens[i].kind == TokKind::Ident {
-            let name = tokens[i].text.as_str();
-            if matches!(name, "println" | "print" | "eprintln" | "eprint" | "dbg")
-                && punct(i + 1, '!')
-                && !(i > 0 && punct(i - 1, '.'))
-                && !allowed(lexed, line, Rule::NoPrintlnInLib)
-            {
-                out.push(Violation {
-                    file: file.to_string(),
-                    line,
-                    rule: Rule::NoPrintlnInLib,
-                    message: format!(
-                        "`{name}!` in library code; return the data or record it in the \
-                         obs registry"
-                    ),
-                });
-            }
-        }
-
-        // -- no-raw-thread-spawn ------------------------------------------
-        if !thread_spawn_exempt
-            && ident(i, "thread")
-            && punct(i + 1, ':')
-            && punct(i + 2, ':')
-            && ident(i + 3, "spawn")
-            && !allowed(lexed, line, Rule::NoRawThreadSpawn)
-        {
-            out.push(Violation {
-                file: file.to_string(),
-                line,
-                rule: Rule::NoRawThreadSpawn,
-                message: "`thread::spawn` outside crates/par and crates/server; use the \
-                          sensormeta-par pool so parallelism stays bounded and deterministic"
-                    .to_string(),
-            });
-        }
 
         // -- float-eq -----------------------------------------------------
         if punct(i, '=') && punct(i + 1, '=') && !punct(i + 2, '=') {
@@ -429,27 +290,6 @@ pub fn lint_tokens(
                 rule: Rule::FloatEq,
                 message: "float compared with `!=`; use an epsilon comparison".to_string(),
             });
-        }
-
-        // -- as-truncation ------------------------------------------------
-        if encoding_path && ident(i, "as") {
-            if let Some(t) = tokens.get(i + 1) {
-                if t.kind == TokKind::Ident
-                    && matches!(t.text.as_str(), "u8" | "u16" | "u32" | "i8" | "i16" | "i32")
-                    && !allowed(lexed, line, Rule::AsTruncation)
-                {
-                    out.push(Violation {
-                        file: file.to_string(),
-                        line,
-                        rule: Rule::AsTruncation,
-                        message: format!(
-                            "narrowing `as {}` cast in an encoding path; use try_from or \
-                             mark the bound with `// xlint: allow(as-truncation)`",
-                            t.text
-                        ),
-                    });
-                }
-            }
         }
 
         // -- facts: pub enum *Error / impl Display|Error for T ------------
@@ -504,77 +344,8 @@ pub fn lint_tokens(
                 }
             }
         }
-
-        // -- missing-docs (crate roots only) ------------------------------
-        if is_lib_root
-            && depth == 0
-            && ident(i, "pub")
-            && !punct(i + 1, '(') // pub(crate)/pub(super) is not public API
-            && is_doc_item_keyword(tokens, i + 1)
-            && !has_preceding_doc(tokens, i)
-            && !allowed(lexed, line, Rule::MissingDocs)
-        {
-            let item = tokens
-                .get(i + 1)
-                .map(|t| t.text.clone())
-                .unwrap_or_default();
-            out.push(Violation {
-                file: file.to_string(),
-                line,
-                rule: Rule::MissingDocs,
-                message: format!("undocumented public `{item}` in crate root"),
-            });
-        }
     }
     out
-}
-
-/// Keywords whose `pub` form warrants a doc comment at the crate root.
-fn is_doc_item_keyword(tokens: &[Tok], i: usize) -> bool {
-    let Some(t) = tokens.get(i) else {
-        return false;
-    };
-    if t.kind != TokKind::Ident {
-        return false;
-    }
-    // `pub mod foo;` is exempt: its documentation lives as `//!` inner docs
-    // in the module file, which `#![warn(missing_docs)]` already polices.
-    matches!(
-        t.text.as_str(),
-        "fn" | "struct" | "enum" | "trait" | "const" | "static" | "type"
-    ) || (t.text == "unsafe" || t.text == "async") && is_doc_item_keyword(tokens, i + 1)
-}
-
-/// Walks backwards from the `pub` at `i`, skipping attribute spans
-/// (`#[ … ]`), to see whether an outer doc comment immediately precedes
-/// the item.
-fn has_preceding_doc(tokens: &[Tok], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        match tokens[j].kind {
-            TokKind::DocOuter => return true,
-            TokKind::Punct(']') => {
-                // Skip back over the attribute to its `#`.
-                let mut depth = 1;
-                while j > 0 && depth > 0 {
-                    j -= 1;
-                    match tokens[j].kind {
-                        TokKind::Punct(']') => depth += 1,
-                        TokKind::Punct('[') => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if j > 0 && tokens[j - 1].kind == TokKind::Punct('#') {
-                    j -= 1;
-                } else {
-                    return false;
-                }
-            }
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// Crate-level pass: every `pub enum *Error` needs both a `Display` and an
@@ -616,53 +387,25 @@ mod tests {
     fn lint(src: &str) -> Vec<Violation> {
         let lexed = lex(src);
         let mut facts = FileFacts::default();
-        let mut v = lint_tokens("t.rs", &lexed, false, false, false, &mut facts);
+        let mut v = lint_tokens("t.rs", &lexed, &mut facts);
         v.extend(lint_error_contracts(&facts));
         v
     }
 
     #[test]
-    fn println_in_lib_flagged_but_bins_and_tests_exempt() {
-        let v = lint("fn f() { println!(\"x\"); eprint!(\"y\"); dbg!(z); }");
-        let names: Vec<_> = v.iter().map(|v| v.rule).collect();
-        assert_eq!(names, vec![Rule::NoPrintlnInLib; 3]);
-        // Binaries may print.
-        let lexed = lex("fn main() { println!(\"x\"); }");
-        let mut facts = FileFacts::default();
-        assert!(lint_tokens("src/main.rs", &lexed, false, false, true, &mut facts).is_empty());
-        // Test regions may print.
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn t() { println!(\"x\"); }\n}";
-        assert!(lint(src).is_empty());
-        // Allow marker suppresses.
-        assert!(lint("fn f() { println!(\"x\"); } // xlint: allow(no-println-in-lib)").is_empty());
-        // A method named like the macro is not a macro call.
-        assert!(lint("fn f() { w.print(); }").is_empty());
-    }
-
-    #[test]
-    fn unwrap_and_panics_flagged() {
-        let v = lint("fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"b\"); todo!(); }");
-        let names: Vec<_> = v.iter().map(|v| v.rule).collect();
-        assert_eq!(names, vec![Rule::NoUnwrap; 4]);
-    }
-
-    #[test]
-    fn unwrap_or_variants_not_flagged() {
-        assert!(lint("fn f() { x.unwrap_or(0); x.unwrap_or_default(); }").is_empty());
-    }
-
-    #[test]
     fn cfg_test_regions_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); panic!(); }\n}";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn t(x: f64) -> bool { x == 1.0 }\n}";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn allow_marker_suppresses() {
-        let src = "fn f() { x.unwrap(); } // xlint: allow(no-unwrap)";
+        let src = "fn f(x: f64) -> bool { x == 1.0 } // xlint: allow(float-eq)";
         assert!(lint(src).is_empty());
-        let above = "fn f() {\n // xlint: allow(no-unwrap)\n x.unwrap();\n}";
+        let above = "fn f(x: f64) -> bool {\n // xlint: allow(float-eq)\n x == 1.0\n}";
         assert!(lint(above).is_empty());
+        // A marker names its rule: another rule's marker does not suppress.
+        assert!(!lint("fn f(x: f64) -> bool { x == 1.0 } // xlint: allow(lock-order)").is_empty());
     }
 
     #[test]
@@ -672,19 +415,6 @@ mod tests {
         assert!(lint("fn f(x: f64) -> bool { (x - 1.0).abs() < 1e-9 }").is_empty());
         assert!(lint("fn f(x: i64) -> bool { x == 1 }").is_empty());
         assert!(lint("fn f(x: f64) -> bool { x <= 1.0 }").is_empty());
-    }
-
-    #[test]
-    fn narrowing_casts_only_in_encoding_paths() {
-        let src = "fn f(x: u64) -> u16 { x as u16 }";
-        let lexed = lex(src);
-        let mut facts = FileFacts::default();
-        assert!(lint_tokens("t.rs", &lexed, false, false, false, &mut facts).is_empty());
-        let v = lint_tokens("t.rs", &lexed, false, true, false, &mut facts);
-        assert_eq!(v[0].rule, Rule::AsTruncation);
-        // Widening casts stay legal.
-        let lexed2 = lex("fn f(x: u16) -> u64 { x as u64 }");
-        assert!(lint_tokens("t.rs", &lexed2, false, true, false, &mut facts).is_empty());
     }
 
     #[test]
@@ -698,48 +428,5 @@ mod tests {
         assert!(lint(good).is_empty());
         // Non-error enums are not held to the contract.
         assert!(lint("pub enum Color { Red }").is_empty());
-    }
-
-    #[test]
-    fn raw_thread_spawn_flagged_outside_sanctioned_crates() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        let v = lint(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::NoRawThreadSpawn);
-        // Bare `thread::spawn` (imported module) is also caught.
-        let v = lint("use std::thread;\nfn f() { thread::spawn(|| {}); }");
-        assert_eq!(v.len(), 1);
-        // The pool and server crates are sanctioned.
-        for exempt in ["crates/par/src/lib.rs", "crates/server/src/http.rs"] {
-            let lexed = lex(src);
-            let mut facts = FileFacts::default();
-            assert!(
-                lint_tokens(exempt, &lexed, false, false, false, &mut facts).is_empty(),
-                "{exempt}"
-            );
-        }
-        // Test regions and allow markers suppress.
-        let t = "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn t() { std::thread::spawn(|| {}); }\n}";
-        assert!(lint(t).is_empty());
-        let marked = "fn f() { std::thread::spawn(|| {}); } // xlint: allow(no-raw-thread-spawn)";
-        assert!(lint(marked).is_empty());
-        // `thread.spawn()` on a variable or other paths are not the std call.
-        assert!(lint("fn f(thread: P) { thread.spawn(); }").is_empty());
-    }
-
-    #[test]
-    fn missing_docs_on_lib_roots() {
-        let src = "/// documented\npub fn a() {}\npub fn b() {}\npub(crate) fn c() {}\npub mod m;";
-        let lexed = lex(src);
-        let mut facts = FileFacts::default();
-        let v = lint_tokens("lib.rs", &lexed, true, false, false, &mut facts);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::MissingDocs);
-        assert_eq!(v[0].line, 3);
-        // Attributes between doc and item are fine.
-        let src2 = "/// doc\n#[derive(Debug)]\npub struct S;";
-        let lexed2 = lex(src2);
-        let v2 = lint_tokens("lib.rs", &lexed2, true, false, false, &mut facts);
-        assert!(v2.is_empty());
     }
 }

@@ -3,6 +3,10 @@
 //! pool needs), implemented with a `Mutex<VecDeque>` + `Condvar`.
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a stand-in for an external crate, whose tests fan a channel out to threads"
+)]
 
 /// MPMC channels (subset of `crossbeam::channel`).
 pub mod channel {

@@ -13,6 +13,14 @@
 //! sensormeta fig3      [--size N] [--tol T]
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use sensormeta::query::{CondOp, Condition, QueryEngine, SearchForm};
 use sensormeta::rank::{all_solvers, PageRankProblem, TransitionMatrix};
 use sensormeta::relstore::RelError;
