@@ -1,4 +1,4 @@
-//! E14 — the cost-based SQL planner vs `PlannerConfig::naive()` (full
+//! E14 — the cost-based SQL planner vs `PlannerConfig::Naive` (full
 //! scans, joins in written order) on the repository's own schema at 10× the
 //! demo corpus (40 institutions): trigram seek vs full scan for substring
 //! `LIKE` and `ILIKE`, and the reordered index-probe join vs the nested loop.
@@ -31,15 +31,15 @@ fn bench_planner(c: &mut Criterion) {
     let smr = corpus_smr(40);
     let db = smr.database();
     let configs = [
-        ("planned", PlannerConfig::default()),
-        ("naive", PlannerConfig::naive()),
+        ("planned", PlannerConfig::Costed),
+        ("naive", PlannerConfig::Naive),
     ];
     let mut group = c.benchmark_group("planner_vs_naive");
     group.sample_size(10);
     for (label, sql) in QUERIES {
         // The planner must be invisible in results before its speed matters.
         let [planned, naive] = configs.each_ref().map(|(_, cfg)| {
-            let mut rows = db.query_with(sql, cfg).expect("query").rows;
+            let mut rows = db.query_with(sql, *cfg).expect("query").rows;
             rows.sort();
             rows
         });
@@ -47,7 +47,7 @@ fn bench_planner(c: &mut Criterion) {
         assert_eq!(planned, naive, "planner changed results for `{sql}`");
         for (plan, cfg) in &configs {
             group.bench_with_input(BenchmarkId::new(label, plan), cfg, |b, cfg| {
-                b.iter(|| db.query_with(sql, cfg).expect("query").rows.len())
+                b.iter(|| db.query_with(sql, *cfg).expect("query").rows.len())
             });
         }
     }

@@ -182,15 +182,16 @@ impl Database {
     /// Executes one SQL statement. In durable mode the statement text is
     /// logged and made durable before it is applied.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        self.execute_with(sql, &PlannerConfig::default())
+        self.execute_with(sql, PlannerConfig::Costed)
     }
 
     /// [`Database::execute`] with an explicit planner configuration for
-    /// how an UPDATE or DELETE finds its rows. [`PlannerConfig::naive`]
-    /// scans the whole table — the reference the property suite compares
-    /// planned row finding against. The outcome is the same either way, so
-    /// a logged statement replays under the default.
-    pub fn execute_with(&mut self, sql: &str, cfg: &PlannerConfig) -> Result<ExecOutcome> {
+    /// how a SELECT, UPDATE or DELETE finds its rows. [`PlannerConfig::Naive`]
+    /// scans every table in written order — the reference the property
+    /// suite compares costed plans against. The rows returned or changed
+    /// are the same either way, so a logged statement replays under
+    /// [`PlannerConfig::Costed`].
+    pub fn execute_with(&mut self, sql: &str, cfg: PlannerConfig) -> Result<ExecOutcome> {
         let stmt = parse(sql)?;
         let mutates = stmt.is_mutation();
         if self.durability.is_some() && mutates {
@@ -212,7 +213,7 @@ impl Database {
         }
         let mut last = ExecOutcome::Done;
         for stmt in stmts {
-            last = execute(&mut self.catalog, stmt, &PlannerConfig::default())?;
+            last = execute(&mut self.catalog, stmt, PlannerConfig::Costed)?;
         }
         self.maybe_checkpoint();
         Ok(last)
@@ -220,14 +221,14 @@ impl Database {
 
     /// Runs a SELECT (or EXPLAIN SELECT) without requiring mutable access.
     pub fn query(&self, sql: &str) -> Result<ResultSet> {
-        self.query_with(sql, &PlannerConfig::default())
+        self.query_with(sql, PlannerConfig::Costed)
     }
 
     /// Runs a SELECT under an explicit planner configuration.
-    /// [`PlannerConfig::naive`](crate::sql::planner::PlannerConfig::naive)
-    /// forces full scans and written join order — the reference execution the
-    /// property suite and benches compare optimized plans against.
-    pub fn query_with(&self, sql: &str, cfg: &PlannerConfig) -> Result<ResultSet> {
+    /// [`PlannerConfig::Naive`] forces full scans and written join order —
+    /// the reference execution the property suite and benches compare
+    /// costed plans against. An EXPLAIN always shows the costed plan.
+    pub fn query_with(&self, sql: &str, cfg: PlannerConfig) -> Result<ResultSet> {
         match parse(sql)? {
             Statement::Select(sel) => {
                 crate::sql::exec::execute_select_with(&self.catalog, &sel, cfg)
@@ -239,12 +240,11 @@ impl Database {
         }
     }
 
-    /// Estimated number of rows in `table` whose `column` equals `value`,
-    /// without executing a query: an exact B-tree count when an index
-    /// starts with the column (a composite index counts through its key
-    /// prefix), otherwise a histogram/distinct-count guess
-    /// from table statistics. Used by cross-engine planners to order
-    /// condition evaluation by selectivity.
+    /// Number of rows in `table` whose `column` equals `value`, without
+    /// executing a query: an exact B-tree count when an index starts with
+    /// the column (a composite index counts through its key prefix),
+    /// otherwise the table's row count, an upper bound. Used by
+    /// cross-engine planners to order condition evaluation by selectivity.
     pub fn estimate_eq(&self, table: &str, column: &str, value: &Value) -> Result<usize> {
         let t = self.table(table)?;
         let col = t
@@ -255,22 +255,13 @@ impl Database {
             .btree_indexes()
             .filter(|(def, _)| def.columns.first() == Some(&col))
             .min_by_key(|(def, _)| def.columns.len());
-        if let Some((_, ix)) = leading {
-            let key = std::slice::from_ref(value);
-            return Ok(ix.count(key, Bound::Unbounded, Bound::Unbounded));
-        }
-        let rows = t.len();
-        let frac = t
-            .stats()
-            .columns
-            .get(col)
-            .map_or(1.0, crate::table::ColumnStats::eq_fraction);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "`frac` is at most 1, so the estimate is at most `rows`"
-        )]
-        let estimate = ((rows as f64) * frac).ceil() as usize;
-        Ok(estimate)
+        Ok(leading.map_or(t.len(), |(_, ix)| {
+            ix.count(
+                std::slice::from_ref(value),
+                Bound::Unbounded,
+                Bound::Unbounded,
+            )
+        }))
     }
 
     /// Convenience: runs a SELECT and returns the first value of the first

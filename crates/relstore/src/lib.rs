@@ -57,7 +57,7 @@ pub use recover::{wal_path_for, DurabilityOptions, RecoveryReport};
 pub use schema::{Column, TableSchema};
 pub use sql::exec::{ExecOutcome, ResultSet};
 pub use sql::planner::{AccessPath, PlannerConfig, SelectPlan};
-pub use table::{ColumnStats, IndexDef, IndexKind, Table, TableStats};
+pub use table::{IndexDef, IndexKind, Table};
 pub use trigram::TrigramIndex;
 pub use value::{DataType, Value};
 pub use vfs::{FaultPlan, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};

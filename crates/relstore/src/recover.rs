@@ -170,7 +170,7 @@ pub(crate) fn apply_logical(catalog: &mut Catalog, op: &LogicalOp) -> Result<()>
     match op {
         LogicalOp::Sql(sql) => {
             for stmt in parse_script(sql)? {
-                execute(catalog, stmt, &PlannerConfig::default())?;
+                execute(catalog, stmt, PlannerConfig::Costed)?;
             }
             Ok(())
         }

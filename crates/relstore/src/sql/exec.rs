@@ -126,9 +126,9 @@ impl ExecOutcome {
 /// The catalog of tables keyed by lowercase name.
 pub(crate) type Catalog = BTreeMap<String, Table>;
 
-/// Executes a parsed statement against a catalog; `cfg` plans how an
-/// UPDATE or DELETE finds its rows.
-pub fn execute(catalog: &mut Catalog, stmt: Statement, cfg: &PlannerConfig) -> Result<ExecOutcome> {
+/// Executes a parsed statement against a catalog; `cfg` plans how a
+/// SELECT, UPDATE or DELETE finds its rows.
+pub fn execute(catalog: &mut Catalog, stmt: Statement, cfg: PlannerConfig) -> Result<ExecOutcome> {
     match stmt {
         Statement::CreateTable {
             name,
@@ -291,7 +291,7 @@ pub fn execute(catalog: &mut Catalog, stmt: Statement, cfg: &PlannerConfig) -> R
             }
             Ok(ExecOutcome::Affected(targets.len()))
         }
-        Statement::Select(sel) => Ok(ExecOutcome::Rows(execute_select(catalog, &sel)?)),
+        Statement::Select(sel) => Ok(ExecOutcome::Rows(execute_select_with(catalog, &sel, cfg)?)),
         Statement::Explain(sel) => Ok(ExecOutcome::Rows(explain_select(catalog, &sel)?)),
     }
 }
@@ -340,18 +340,13 @@ fn row_schema_for<'a>(t: &'a Table, alias: &'a str) -> RowSchema<'a> {
 
 // ---------- SELECT ----------
 
-/// Executes a SELECT against an immutable catalog with the default planner.
-pub fn execute_select(catalog: &Catalog, sel: &SelectStmt) -> Result<ResultSet> {
-    execute_select_with(catalog, sel, &PlannerConfig::default())
-}
-
-/// Executes a SELECT with an explicit planner configuration.
-/// [`PlannerConfig::naive`] is the reference behavior the property suite and
-/// the bench compare the optimized plans against.
+/// Executes a SELECT against an immutable catalog under `cfg`.
+/// [`PlannerConfig::Naive`] is the reference behavior the property suite and
+/// the bench compare the costed plans against.
 pub fn execute_select_with(
     catalog: &Catalog,
     sel: &SelectStmt,
-    cfg: &PlannerConfig,
+    cfg: PlannerConfig,
 ) -> Result<ResultSet> {
     let plan = plan_select(catalog, sel, cfg)?;
     if plan.reordered {
@@ -903,9 +898,10 @@ fn planned_btree<'t>(t: &'t Table, index: &str) -> Result<(&'t IndexDef, &'t BTr
 
 /// Renders the plan a SELECT would run, one step per row — the
 /// observability hook that lets tests (and users) verify an index is
-/// actually chosen. Shows the same plan [`execute_select`] runs.
+/// actually chosen. Shows the plan [`execute_select_with`] runs under
+/// [`PlannerConfig::Costed`].
 pub fn explain_select(catalog: &Catalog, sel: &SelectStmt) -> Result<ResultSet> {
-    let plan = plan_select(catalog, sel, &PlannerConfig::default())?;
+    let plan = plan_select(catalog, sel, PlannerConfig::Costed)?;
     let mut steps: Vec<String> = Vec::new();
     if plan.reordered {
         steps.push("JoinReorder (by estimated cardinality)".to_owned());

@@ -4,62 +4,39 @@
 //! an access path per relation (full scan, B-tree seek on a key or a key
 //! prefix, prefix + range, `IN`-list seek, trigram seek), optional
 //! index-probe joins, and — for all-inner joins — a join order chosen by
-//! estimated cardinality. Cardinalities come from three sources,
-//! cheapest-exact first: plan-time B-tree counts for equality keys, key
-//! prefixes, ranges under a prefix and `IN` lists, histogram fractions from
-//! [`TableStats`](crate::table::TableStats) for ranges without a prefix,
-//! and minimum posting length from
-//! [`TrigramIndex`](crate::trigram::TrigramIndex) for substrings.
+//! estimated cardinality. The planner keeps no statistics: every estimate
+//! is a plan-time count. A B-tree path is costed by counting the keys it
+//! covers (an equality key, a key prefix, a range with or without a prefix,
+//! each key of an `IN` list, a LIKE prefix), and a trigram seek by its
+//! shortest posting list, an upper bound on its candidates. A LIKE prefix is
+//! served by a B-tree range only on a TEXT column: on any other column LIKE
+//! fails at evaluation, and a range over text keys would skip that failure.
 //!
 //! Safety invariant (shared with the executor): every access path returns a
 //! *superset* of the rows its predicate matches, and the full WHERE / ON
-//! predicates are always re-applied, so plan choices can never change
-//! results — only how much work it takes to produce them.
+//! predicates are always re-applied, so plan choices can never change the
+//! rows a statement returns or changes — only how much work it takes to
+//! produce them. A predicate that fails on some row (LIKE on a number,
+//! integer overflow) fails under a plan only if that plan reaches the row.
 
 use super::ast::*;
 use super::exec::Catalog;
 use crate::error::{RelError, Result};
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
-/// Which planner features are enabled. [`PlannerConfig::naive`] forces full
-/// scans and written join order everywhere — the reference behavior the
-/// property suite and the bench compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerConfig {
-    /// Use B-tree indexes for equality / range / LIKE-prefix predicates.
-    pub use_indexes: bool,
-    /// Use trigram indexes for substring (LIKE/ILIKE `%…%`) predicates.
-    pub use_trigram: bool,
-    /// Reorder all-inner join chains by estimated cardinality.
-    pub reorder_joins: bool,
-    /// Turn equi-joins on indexed columns into index-probe joins.
-    pub probe_joins: bool,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> PlannerConfig {
-        PlannerConfig {
-            use_indexes: true,
-            use_trigram: true,
-            reorder_joins: true,
-            probe_joins: true,
-        }
-    }
-}
-
-impl PlannerConfig {
-    /// Everything off: full scans, nested loops, written join order.
-    pub fn naive() -> PlannerConfig {
-        PlannerConfig {
-            use_indexes: false,
-            use_trigram: false,
-            reorder_joins: false,
-            probe_joins: false,
-        }
-    }
+/// How statements are planned. [`PlannerConfig::Naive`] is the reference
+/// the property suite and the bench compare the costed plans against.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PlannerConfig {
+    /// Index seeks, probe joins and join reordering, chosen by plan-time
+    /// counts.
+    #[default]
+    Costed,
+    /// Full scans, nested loops and the written join order everywhere.
+    Naive,
 }
 
 /// How one relation's rows are produced.
@@ -378,23 +355,6 @@ pub(crate) fn like_prefix_upper_bound(prefix: &str) -> Option<String> {
     None
 }
 
-/// Cost estimate for a range over a column, via the stats histogram.
-fn range_estimate(
-    t: &Table,
-    col: usize,
-    lo: Option<(&Value, bool)>,
-    hi: Option<(&Value, bool)>,
-) -> f64 {
-    let rows = t.len() as f64;
-    let frac = t
-        .stats()
-        .columns
-        .get(col)
-        .map_or(0.5, |cs| cs.range_fraction(lo, hi));
-    // Never claim a range is free: histogram resolution is finite.
-    (rows * frac).max(rows.min(1.0))
-}
-
 /// A constant operand: a literal, or a negated numeric literal (`-5`
 /// parses as a negation), folded exactly as the executor evaluates it.
 pub(crate) fn literal(expr: &Expr) -> Option<Value> {
@@ -522,9 +482,8 @@ fn tightest_range(sargs: &[Sarg], col: usize) -> Option<(RangeEnd, RangeEnd)> {
 /// The B-tree paths the conjuncts offer, with estimated row counts. For
 /// each index, equality conjuncts on its leading columns make a key
 /// (prefix); the conjuncts on the next column then add a range over it, or
-/// — with no prefix — an `IN` list seek. Equality and prefix estimates are
-/// exact plan-time counts; a range under a prefix is counted too, a range
-/// without one is read off the histogram.
+/// — with no prefix — an `IN` list seek. Every estimate is the exact count
+/// of the keys the path covers.
 fn btree_paths(t: &Table, sargs: &[Sarg], out: &mut Vec<(AccessPath, f64)>) {
     for (def, ix) in t.btree_indexes() {
         let mut key = Vec::new();
@@ -540,17 +499,8 @@ fn btree_paths(t: &Table, sargs: &[Sarg], out: &mut Vec<(AccessPath, f64)>) {
         }
         if let Some(&next) = def.columns.get(key.len()) {
             if let Some((lo, hi)) = tightest_range(sargs, next) {
-                let est = if key.is_empty() {
-                    range_estimate(
-                        t,
-                        next,
-                        lo.as_ref().map(|(v, i)| (v, *i)),
-                        hi.as_ref().map(|(v, i)| (v, *i)),
-                    )
-                } else {
-                    let (l, h) = range_bounds(&lo, &hi);
-                    ix.count(&key, l, h) as f64
-                };
+                let (l, h) = range_bounds(&lo, &hi);
+                let est = ix.count(&key, l, h) as f64;
                 out.push((
                     AccessPath::RangeScan {
                         index: def.name.clone(),
@@ -602,14 +552,8 @@ fn btree_paths(t: &Table, sargs: &[Sarg], out: &mut Vec<(AccessPath, f64)>) {
 
 /// The paths one LIKE/ILIKE conjunct offers for a relation, with
 /// estimated row counts: a B-tree range over a case-sensitive literal
-/// prefix, and a trigram seek on the longest literal run.
-fn like_paths(
-    expr: &Expr,
-    rel_ix: usize,
-    rels: &[Rel<'_>],
-    cfg: &PlannerConfig,
-    out: &mut Vec<(AccessPath, f64)>,
-) {
+/// prefix of a TEXT column, and a trigram seek on the longest literal run.
+fn like_paths(expr: &Expr, rel_ix: usize, rels: &[Rel<'_>], out: &mut Vec<(AccessPath, f64)>) {
     let t = rels[rel_ix].table;
     let Expr::Binary {
         op: op @ (BinOp::Like | BinOp::ILike),
@@ -628,8 +572,10 @@ fn like_paths(
     let Expr::Literal(Value::Text(pattern)) = &**rhs else {
         return;
     };
-    // Case-sensitive prefix → B-tree range over [prefix, next).
-    if *op == BinOp::Like && cfg.use_indexes {
+    // Case-sensitive prefix of a TEXT column → B-tree range over
+    // [prefix, next). Any other column fails LIKE on its first non-NULL
+    // value, which a range over text keys would never reach.
+    if *op == BinOp::Like && t.schema.columns[col].ty == DataType::Text {
         let prefix: String = pattern
             .chars()
             .take_while(|c| *c != '%' && *c != '_')
@@ -637,12 +583,12 @@ fn like_paths(
         let index = t
             .btree_indexes()
             .find(|(def, _)| def.columns.first() == Some(&col));
-        if let (false, Some(upper), Some((def, _))) =
+        if let (false, Some(upper), Some((def, ix))) =
             (prefix.is_empty(), like_prefix_upper_bound(&prefix), index)
         {
             let lo = Value::Text(prefix);
             let hi = Value::Text(upper);
-            let est = range_estimate(t, col, Some((&lo, true)), Some((&hi, false)));
+            let est = ix.count(&[], Bound::Included(&lo), Bound::Excluded(&hi)) as f64;
             out.push((
                 AccessPath::RangeScan {
                     index: def.name.clone(),
@@ -658,19 +604,17 @@ fn like_paths(
     }
     // Any literal run ≥ 3 chars → trigram seek (case-insensitive
     // postings serve both LIKE and ILIKE as supersets).
-    if cfg.use_trigram {
-        let needle = longest_literal_run(pattern);
-        if let Some((def, trgm)) = t.trigram_on_column(col) {
-            if let Some(est) = trgm.estimate(&needle) {
-                out.push((
-                    AccessPath::TrigramSeek {
-                        index: def.name.clone(),
-                        col,
-                        needle,
-                    },
-                    est as f64,
-                ));
-            }
+    let needle = longest_literal_run(pattern);
+    if let Some((def, trgm)) = t.trigram_on_column(col) {
+        if let Some(est) = trgm.estimate(&needle) {
+            out.push((
+                AccessPath::TrigramSeek {
+                    index: def.name.clone(),
+                    col,
+                    needle,
+                },
+                est as f64,
+            ));
         }
     }
 }
@@ -678,23 +622,16 @@ fn like_paths(
 /// Picks the cheapest access path for one relation given the conjuncts that
 /// may narrow it. Full scan is the fallback; an indexed path must be
 /// estimated strictly cheaper to win.
-fn best_access(
-    rel_ix: usize,
-    rels: &[Rel<'_>],
-    conjuncts: &[&Expr],
-    cfg: &PlannerConfig,
-) -> ScanPlan {
+fn best_access(rel_ix: usize, rels: &[Rel<'_>], conjuncts: &[&Expr]) -> ScanPlan {
     let mut best = scan_all(&rels[rel_ix]);
     let mut candidates = Vec::new();
-    if cfg.use_indexes {
-        let sargs: Vec<Sarg> = conjuncts
-            .iter()
-            .filter_map(|c| sarg(c, rel_ix, rels))
-            .collect();
-        btree_paths(rels[rel_ix].table, &sargs, &mut candidates);
-    }
+    let sargs: Vec<Sarg> = conjuncts
+        .iter()
+        .filter_map(|c| sarg(c, rel_ix, rels))
+        .collect();
+    btree_paths(rels[rel_ix].table, &sargs, &mut candidates);
     for c in conjuncts {
-        like_paths(c, rel_ix, rels, cfg, &mut candidates);
+        like_paths(c, rel_ix, rels, &mut candidates);
     }
     for (path, est) in candidates {
         if est < best.est_rows {
@@ -748,30 +685,34 @@ fn find_probe(
 }
 
 /// Plans how an UPDATE or DELETE on `table` finds its rows: the cheapest
-/// access path its WHERE conjuncts offer (a full scan without WHERE). As
-/// for SELECT the path yields a superset; the executor re-checks the whole
-/// predicate on every candidate.
+/// access path its WHERE conjuncts offer (a full scan without WHERE or
+/// under [`PlannerConfig::Naive`]). As for SELECT the path yields a
+/// superset; the executor re-checks the whole predicate on every
+/// candidate.
 pub(crate) fn plan_dml(
     catalog: &Catalog,
     table: &str,
     predicate: Option<&Expr>,
-    cfg: &PlannerConfig,
+    cfg: PlannerConfig,
 ) -> Result<ScanPlan> {
     let tref = TableRef {
         table: table.to_owned(),
         alias: None,
     };
     let rels = [make_rel(catalog, &tref)?];
+    if cfg == PlannerConfig::Naive {
+        return Ok(scan_all(&rels[0]));
+    }
     let mut conjuncts = Vec::new();
     if let Some(p) = predicate {
         split_conjuncts(p, &mut conjuncts);
     }
-    Ok(best_access(0, &rels, &conjuncts, cfg))
+    Ok(best_access(0, &rels, &conjuncts))
 }
 
 /// Plans a SELECT. See the module docs for the cost model and the safety
 /// invariant that makes every choice result-preserving.
-pub fn plan_select(catalog: &Catalog, sel: &SelectStmt, cfg: &PlannerConfig) -> Result<SelectPlan> {
+pub fn plan_select(catalog: &Catalog, sel: &SelectStmt, cfg: PlannerConfig) -> Result<SelectPlan> {
     let Some(base_ref) = &sel.from else {
         return Ok(SelectPlan {
             base: None,
@@ -785,18 +726,13 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt, cfg: &PlannerConfig) -> 
         rels.push(make_rel(catalog, &j.table)?);
     }
 
-    // Duplicate aliases make column scoping ambiguous; plan conservatively.
+    // Duplicate aliases make column scoping ambiguous; plan as the naive
+    // reference does: full scans in written order.
     let mut seen = BTreeSet::new();
     let aliases_distinct = rels
         .iter()
         .all(|r| seen.insert(r.alias.to_ascii_lowercase()));
-
-    let mut where_conjuncts: Vec<&Expr> = Vec::new();
-    if let Some(p) = &sel.predicate {
-        split_conjuncts(p, &mut where_conjuncts);
-    }
-
-    if !aliases_distinct {
+    if cfg == PlannerConfig::Naive || !aliases_distinct {
         return Ok(SelectPlan {
             base: Some(scan_all(&rels[0])),
             joins: sel
@@ -815,9 +751,13 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt, cfg: &PlannerConfig) -> 
         });
     }
 
+    let mut where_conjuncts: Vec<&Expr> = Vec::new();
+    if let Some(p) = &sel.predicate {
+        split_conjuncts(p, &mut where_conjuncts);
+    }
     let all_inner = sel.joins.iter().all(|j| j.kind == JoinKind::Inner);
-    if cfg.reorder_joins && all_inner && !sel.joins.is_empty() {
-        if let Some(plan) = plan_reordered(sel, &rels, &where_conjuncts, cfg) {
+    if all_inner && !sel.joins.is_empty() {
+        if let Some(plan) = plan_reordered(sel, &rels, &where_conjuncts) {
             return Ok(plan);
         }
     }
@@ -825,7 +765,7 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt, cfg: &PlannerConfig) -> 
     // Written order. The base and INNER right sides may be narrowed by WHERE
     // conjuncts; LEFT right sides only by their own ON conjuncts (narrowing a
     // LEFT right side from WHERE would change NULL-padding semantics).
-    let base = best_access(0, &rels, &where_conjuncts, cfg);
+    let base = best_access(0, &rels, &where_conjuncts);
     let mut in_scope: BTreeSet<String> = BTreeSet::new();
     in_scope.insert(rels[0].alias.to_ascii_lowercase());
     let mut joins = Vec::with_capacity(sel.joins.len());
@@ -837,14 +777,11 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt, cfg: &PlannerConfig) -> 
             JoinKind::Inner => {
                 let mut pool = where_conjuncts.clone();
                 pool.extend(on_conjuncts.iter().copied());
-                best_access(rel_ix, &rels, &pool, cfg)
+                best_access(rel_ix, &rels, &pool)
             }
-            JoinKind::Left => best_access(rel_ix, &rels, &on_conjuncts, cfg),
+            JoinKind::Left => best_access(rel_ix, &rels, &on_conjuncts),
         };
-        let probe = cfg
-            .probe_joins
-            .then(|| find_probe(&on_conjuncts, rel_ix, &rels, &in_scope))
-            .flatten();
+        let probe = find_probe(&on_conjuncts, rel_ix, &rels, &in_scope);
         in_scope.insert(rels[rel_ix].alias.to_ascii_lowercase());
         joins.push(JoinStep {
             kind: j.kind,
@@ -868,7 +805,6 @@ fn plan_reordered(
     sel: &SelectStmt,
     rels: &[Rel<'_>],
     where_conjuncts: &[&Expr],
-    cfg: &PlannerConfig,
 ) -> Option<SelectPlan> {
     let n = rels.len();
     // Pool of ON conjuncts with their alias scopes.
@@ -892,7 +828,7 @@ fn plan_reordered(
                     .filter(|(_, s)| s.len() == 1 && s.contains(&alias))
                     .map(|(c, _)| *c),
             );
-            best_access(i, rels, &conjs, cfg)
+            best_access(i, rels, &conjs)
         })
         .collect();
 
@@ -959,10 +895,7 @@ fn plan_reordered(
                 }
             })
             .collect();
-        let probe = cfg
-            .probe_joins
-            .then(|| find_probe(&step_conjuncts, rel_ix, rels, &in_scope_before))
-            .flatten();
+        let probe = find_probe(&step_conjuncts, rel_ix, rels, &in_scope_before);
         joins.push(JoinStep {
             kind: JoinKind::Inner,
             on: combine_conjuncts(&step_conjuncts),
@@ -1001,6 +934,7 @@ fn plan_reordered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::exec::ExecOutcome;
     use crate::sql::parser::parse;
 
     fn catalog() -> Catalog {
@@ -1014,7 +948,7 @@ mod tests {
         ];
         for s in stmts {
             let stmt = parse(s).unwrap();
-            super::super::exec::execute(&mut cat, stmt, &PlannerConfig::default()).unwrap();
+            super::super::exec::execute(&mut cat, stmt, PlannerConfig::Costed).unwrap();
         }
         for i in 0..200i64 {
             // A few rows carry a distinctive substring so trigram seeks have
@@ -1026,7 +960,7 @@ mod tests {
                 i % 3
             ))
             .unwrap();
-            super::super::exec::execute(&mut cat, stmt, &PlannerConfig::default()).unwrap();
+            super::super::exec::execute(&mut cat, stmt, PlannerConfig::Costed).unwrap();
         }
         for i in 0..400i64 {
             let stmt = parse(&format!(
@@ -1036,7 +970,7 @@ mod tests {
                 i
             ))
             .unwrap();
-            super::super::exec::execute(&mut cat, stmt, &PlannerConfig::default()).unwrap();
+            super::super::exec::execute(&mut cat, stmt, PlannerConfig::Costed).unwrap();
         }
         cat
     }
@@ -1045,7 +979,7 @@ mod tests {
         let Statement::Select(sel) = parse(sql).unwrap() else {
             panic!("not a select");
         };
-        plan_select(cat, &sel, &PlannerConfig::default()).unwrap()
+        plan_select(cat, &sel, PlannerConfig::Costed).unwrap()
     }
 
     #[test]
@@ -1100,13 +1034,62 @@ mod tests {
         else {
             panic!()
         };
-        let p = plan_select(&cat, &sel, &PlannerConfig::naive()).unwrap();
+        let p = plan_select(&cat, &sel, PlannerConfig::Naive).unwrap();
         assert!(matches!(
             p.base.as_ref().unwrap().path,
             AccessPath::FullScan
         ));
         assert!(!p.reordered);
         assert!(p.joins[0].probe.is_none());
+    }
+
+    #[test]
+    fn range_without_prefix_is_counted() {
+        let cat = catalog();
+        let p = plan(&cat, "SELECT * FROM pages WHERE id >= 190");
+        let base = p.base.unwrap();
+        assert!(
+            matches!(&base.path, AccessPath::RangeScan { prefix, .. } if prefix.is_empty()),
+            "{base:?}"
+        );
+        assert!((base.est_rows - 10.0).abs() < 1e-9, "{base:?}");
+    }
+
+    #[test]
+    fn like_prefix_is_counted() {
+        let cat = catalog();
+        let p = plan(
+            &cat,
+            "SELECT * FROM annotations WHERE attribute LIKE 'attr1%'",
+        );
+        let base = p.base.unwrap();
+        assert!(
+            matches!(&base.path, AccessPath::RangeScan { index, .. } if index == "ann_attr"),
+            "{base:?}"
+        );
+        // Rows 1, 8, …, 393 of 400 carry `attr1`.
+        assert!((base.est_rows - 57.0).abs() < 1e-9, "{base:?}");
+    }
+
+    #[test]
+    fn naive_execute_with_scans_a_select() {
+        let mut db = crate::Database::new();
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (5), (3), (1), (4), (2)")
+            .unwrap();
+        // A range seek yields key order, a full scan heap order.
+        let mut ids = |cfg| match db
+            .execute_with("SELECT id FROM t WHERE id >= 2", cfg)
+            .unwrap()
+        {
+            ExecOutcome::Rows(rs) => rs.rows.into_iter().map(|r| r[0].clone()).collect(),
+            other => panic!("{other:?}"),
+        };
+        let costed: Vec<Value> = ids(PlannerConfig::Costed);
+        let naive: Vec<Value> = ids(PlannerConfig::Naive);
+        assert_eq!(costed, [2, 3, 4, 5].map(Value::Int));
+        assert_eq!(naive, [5, 3, 4, 2].map(Value::Int));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A table: schema + heap storage + maintained indexes + statistics.
+//! A table: schema + heap storage + maintained indexes.
 
 use crate::btree::BTreeIndex;
 use crate::encoding::{decode_row, decode_row_into, encode_row};
@@ -55,81 +55,6 @@ impl IndexDef {
     }
 }
 
-/// Number of equi-depth histogram boundaries kept per column.
-const HISTOGRAM_BUCKETS: usize = 16;
-
-/// Per-column statistics: distinct/null counts plus an equi-depth histogram
-/// (sorted bucket boundaries over non-null values).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColumnStats {
-    /// Number of distinct non-null values at the last rebuild.
-    pub distinct: usize,
-    /// Number of NULLs at the last rebuild.
-    pub nulls: usize,
-    /// Sorted equi-depth bucket boundaries (empty for an empty column).
-    pub histogram: Vec<Value>,
-}
-
-impl ColumnStats {
-    /// Estimated fraction of rows matching an equality predicate:
-    /// uniform-distribution assumption, `1 / distinct`.
-    pub fn eq_fraction(&self) -> f64 {
-        if self.distinct == 0 {
-            1.0
-        } else {
-            1.0 / self.distinct as f64
-        }
-    }
-
-    /// Estimated fraction of non-null values `< v` (or `<= v` when
-    /// `inclusive`), read off the histogram. `0.5` when no histogram exists.
-    pub fn fraction_below(&self, v: &Value, inclusive: bool) -> f64 {
-        if self.histogram.is_empty() {
-            return 0.5;
-        }
-        let pos = if inclusive {
-            self.histogram.partition_point(|b| b <= v)
-        } else {
-            self.histogram.partition_point(|b| b < v)
-        };
-        pos as f64 / self.histogram.len() as f64
-    }
-
-    /// Estimated fraction of rows inside a (possibly half-open) range.
-    /// Bounds are `(value, inclusive)`.
-    pub fn range_fraction(&self, lo: Option<(&Value, bool)>, hi: Option<(&Value, bool)>) -> f64 {
-        let hi_f = hi.map_or(1.0, |(v, incl)| self.fraction_below(v, incl));
-        let lo_f = lo.map_or(0.0, |(v, incl)| self.fraction_below(v, !incl));
-        (hi_f - lo_f).clamp(0.0, 1.0)
-    }
-}
-
-/// Table-level statistics snapshot, rebuilt amortizedly on mutation. Lives
-/// inside [`Table`], so MVCC reader versions snapshot it for free.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TableStats {
-    /// Live row count at the last rebuild (the planner uses the exact live
-    /// count from the heap; this anchors histogram fractions).
-    pub rows: usize,
-    /// Per-column statistics, one entry per schema column.
-    pub columns: Vec<ColumnStats>,
-}
-
-/// Equi-depth boundaries of a sorted, non-empty value slice.
-fn equi_depth_boundaries(sorted: &[Value]) -> Vec<Value> {
-    if sorted.is_empty() {
-        return Vec::new();
-    }
-    let buckets = HISTOGRAM_BUCKETS.min(sorted.len());
-    let mut out = Vec::with_capacity(buckets + 1);
-    for i in 0..=buckets {
-        let ix = (i * (sorted.len() - 1)) / buckets;
-        out.push(sorted[ix].clone());
-    }
-    out.dedup();
-    out
-}
-
 /// A table with its storage and indexes.
 ///
 /// Cloning a table is a structural copy-on-write clone: the heap shares
@@ -146,10 +71,6 @@ pub struct Table {
     /// Trigram indexes by name, kept apart so B-tree maintenance loops and
     /// unique checks stay untouched.
     trigrams: BTreeMap<String, (IndexDef, Arc<TrigramIndex>)>,
-    /// Planner statistics, rebuilt amortizedly (see `record_mutation`).
-    stats: TableStats,
-    /// Mutations since the last stats rebuild.
-    stale_mutations: usize,
 }
 
 impl Table {
@@ -160,8 +81,6 @@ impl Table {
             heap: Heap::new(),
             indexes: BTreeMap::new(),
             trigrams: BTreeMap::new(),
-            stats: TableStats::default(),
-            stale_mutations: 0,
             schema,
         };
         let implicit: Vec<IndexDef> = table
@@ -182,7 +101,6 @@ impl Table {
         for def in implicit {
             table.create_index(def)?;
         }
-        table.rebuild_stats();
         Ok(table)
     }
 
@@ -301,60 +219,6 @@ impl Table {
             .map(|(def, ix)| (def, ix.as_ref()))
     }
 
-    /// Planner statistics as of the last rebuild.
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
-    }
-
-    /// Rebuilds per-column statistics with a full scan.
-    pub fn rebuild_stats(&mut self) {
-        let arity = self.schema.arity();
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); arity];
-        let mut nulls = vec![0usize; arity];
-        let mut rows = 0usize;
-        for (_, row) in self.scan() {
-            rows += 1;
-            for (c, v) in row.into_iter().enumerate() {
-                if v.is_null() {
-                    nulls[c] += 1;
-                } else {
-                    cols[c].push(v);
-                }
-            }
-        }
-        let columns = cols
-            .into_iter()
-            .zip(nulls)
-            .map(|(mut vals, nulls)| {
-                vals.sort_unstable();
-                let mut distinct = 0usize;
-                let mut prev: Option<&Value> = None;
-                for v in &vals {
-                    if prev != Some(v) {
-                        distinct += 1;
-                    }
-                    prev = Some(v);
-                }
-                ColumnStats {
-                    distinct,
-                    nulls,
-                    histogram: equi_depth_boundaries(&vals),
-                }
-            })
-            .collect();
-        self.stats = TableStats { rows, columns };
-        self.stale_mutations = 0;
-    }
-
-    /// Amortized stats maintenance: rebuild once enough mutations pile up
-    /// relative to table size, so per-mutation cost stays O(1) amortized.
-    fn record_mutation(&mut self) {
-        self.stale_mutations += 1;
-        if self.stale_mutations >= 16.max(self.stats.rows / 4) {
-            self.rebuild_stats();
-        }
-    }
-
     /// Maintains trigram indexes for one row entering (`add = true`) or
     /// leaving (`add = false`) the table.
     fn maintain_trigrams(&mut self, row: &[Value], rid: RowId, add: bool) {
@@ -396,7 +260,6 @@ impl Table {
                 .map_err(|e| named_violation(e, &def.name))?;
         }
         self.maintain_trigrams(&row, rid, true);
-        self.record_mutation();
         Ok(rid)
     }
 
@@ -433,7 +296,6 @@ impl Table {
             Arc::make_mut(index).remove(&key, rid);
         }
         self.maintain_trigrams(&row, rid, false);
-        self.record_mutation();
         Ok(true)
     }
 
@@ -473,26 +335,15 @@ impl Table {
                 .map_err(|e| named_violation(e, &def.name))?;
         }
         self.maintain_trigrams(&new_row, new_rid, true);
-        self.record_mutation();
         Ok(new_rid)
     }
 
-    /// Full scan of decoded rows. Every stored record was produced by
-    /// `encode_row`, so decoding normally never fails; a record that does
-    /// fail (heap corruption) is skipped rather than panicking the scan —
-    /// `fsck` is the tool that reports it.
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
-        self.heap.scan().filter_map(|(rid, rec)| {
-            let mut pos = 0;
-            let row = decode_row(rec, &mut pos).ok()?;
-            Some((rid, row))
-        })
-    }
-
-    /// [`Table::scan`] building only the columns `mask` marks; the others
-    /// read as NULL. Each row is allocated with room for `capacity` values
-    /// (a join appends its right rows in place). Skips exactly the rows
-    /// `scan` skips.
+    /// Scan of decoded rows, building only the columns `mask` marks; the
+    /// others read as NULL. Each row is allocated with room for `capacity`
+    /// values (a join appends its right rows in place). Every stored record
+    /// was produced by `encode_row`, so decoding normally never fails; a
+    /// record that does fail (heap corruption) is skipped rather than
+    /// panicking the scan — `fsck` is the tool that reports it.
     pub fn scan_masked<'a>(
         &'a self,
         mask: &'a [bool],
@@ -606,13 +457,10 @@ impl Table {
             heap,
             indexes: BTreeMap::new(),
             trigrams: BTreeMap::new(),
-            stats: TableStats::default(),
-            stale_mutations: 0,
         };
         for def in defs {
             table.create_index(def)?;
         }
-        table.rebuild_stats();
         Ok(table)
     }
 }
@@ -670,7 +518,7 @@ mod tests {
 
         // Delete a row behind the indexes' back: the heap shrinks but the
         // primary-key index still points at the dead row.
-        let rid = t.scan().next().unwrap().0;
+        let rid = t.heap.scan().next().unwrap().0;
         t.heap.delete(rid);
         let problems = t.check_invariants().unwrap_err();
         assert!(
@@ -682,7 +530,7 @@ mod tests {
         let mut t = sensors();
         t.insert(vec![Value::Int(1), Value::text("a"), Value::Null])
             .unwrap();
-        let rid = t.scan().next().unwrap().0;
+        let rid = t.heap.scan().next().unwrap().0;
         let (_, index) = t.indexes.get_mut("sensors_id_unique").unwrap();
         let index = Arc::make_mut(index);
         index.remove(&vec![Value::Int(1)], rid);
@@ -803,14 +651,14 @@ mod tests {
         assert_eq!(trgm.candidates("wind").unwrap().len(), 10);
         assert_eq!(t.check_invariants(), Ok(()));
 
-        let rid = t.scan().next().unwrap().0;
+        let rid = t.heap.scan().next().unwrap().0;
         t.update(rid, vec![0.into(), "air_temp_0".into(), "wfj".into()])
             .unwrap();
         let (_, trgm) = t.trigram_on_column(1).unwrap();
         assert_eq!(trgm.candidates("wind").unwrap().len(), 9);
         assert_eq!(trgm.candidates("air_temp").unwrap().len(), 1);
 
-        let rid = t.scan().next().unwrap().0;
+        let rid = t.heap.scan().next().unwrap().0;
         t.delete(rid).unwrap();
         assert_eq!(t.check_invariants(), Ok(()));
     }
@@ -844,43 +692,5 @@ mod tests {
         ));
         t.drop_index("shared_name").unwrap();
         assert!(t.trigram_on_column(1).is_none());
-    }
-
-    #[test]
-    fn stats_rebuild_tracks_distribution() {
-        let mut t = sensors();
-        for i in 0..100 {
-            t.insert(vec![
-                i.into(),
-                format!("s{i}").into(),
-                if i % 10 == 0 {
-                    Value::Null
-                } else {
-                    format!("station{}", i % 5).into()
-                },
-            ])
-            .unwrap();
-        }
-        t.rebuild_stats();
-        let stats = t.stats();
-        assert_eq!(stats.rows, 100);
-        assert_eq!(stats.columns[0].distinct, 100);
-        assert_eq!(stats.columns[2].nulls, 10);
-        // i=5,15,… yield station0, so all five stations appear.
-        assert_eq!(stats.columns[2].distinct, 5);
-        // Histogram fractions: id < 50 is about half the table.
-        let frac = stats.columns[0].range_fraction(None, Some((&Value::Int(50), false)));
-        assert!((0.2..=0.8).contains(&frac), "fraction {frac}");
-    }
-
-    #[test]
-    fn stats_rebuild_amortized_on_mutation() {
-        let mut t = sensors();
-        // First 16 mutations trigger a rebuild (threshold for empty table).
-        for i in 0..20 {
-            t.insert(vec![i.into(), format!("s{i}").into(), Value::Null])
-                .unwrap();
-        }
-        assert!(t.stats().rows >= 16, "rows {}", t.stats().rows);
     }
 }

@@ -6,8 +6,6 @@
 //! detection, identifiers (including raw `r#` idents), lifetimes, and
 //! single-character punctuation.
 
-use std::collections::HashMap;
-
 /// Token classification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
@@ -41,14 +39,25 @@ pub struct Tok {
     pub line: u32,
 }
 
-/// Lexer output: the token stream plus the per-line lint suppressions found
-/// in ordinary comments (`// xlint: allow(rule-name)`).
+/// One rule name in an `// xlint: allow(…)` marker. It suppresses that
+/// rule on the marker's line and the next (so a marker can sit above the
+/// offending statement).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allow {
+    /// 1-based line of the marker comment.
+    pub line: u32,
+    /// The name as written, which may name no rule.
+    pub rule: String,
+}
+
+/// Lexer output: the token stream plus the lint suppressions found in
+/// ordinary comments (`// xlint: allow(rule-name)`).
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Tokens in source order.
     pub tokens: Vec<Tok>,
-    /// line number → rule names allowed on that line.
-    pub allows: HashMap<u32, Vec<String>>,
+    /// Allow markers in source order, one per rule name.
+    pub allows: Vec<Allow>,
 }
 
 /// Lexes `source`. Unterminated constructs end the token stream early
@@ -349,8 +358,7 @@ fn skip_quoted(chars: &[char], mut i: usize, line: &mut u32) -> usize {
 }
 
 fn record_allows(out: &mut Lexed, line: u32, comment: &str) {
-    // `// xlint: allow(rule-a, rule-b)` suppresses those rules on this line
-    // and the next (so a marker can sit above the offending statement).
+    // A marker lists one or more rule names, separated by commas.
     let Some(pos) = comment.find("xlint: allow(") else {
         return;
     };
@@ -359,10 +367,12 @@ fn record_allows(out: &mut Lexed, line: u32, comment: &str) {
         return;
     };
     for rule in rest[..end].split(',') {
-        let rule = rule.trim().to_string();
+        let rule = rule.trim();
         if !rule.is_empty() {
-            out.allows.entry(line).or_default().push(rule.clone());
-            out.allows.entry(line + 1).or_default().push(rule);
+            out.allows.push(Allow {
+                line,
+                rule: rule.to_string(),
+            });
         }
     }
 }
@@ -437,9 +447,13 @@ mod tests {
 
     #[test]
     fn allow_markers_recorded() {
-        let lexed = lex("x // xlint: allow(float-eq)\ny");
-        assert!(lexed.allows[&1].contains(&"float-eq".to_string()));
-        assert!(lexed.allows[&2].contains(&"float-eq".to_string()));
+        let lexed = lex("x // xlint: allow(float-eq, lock-order)\ny");
+        let names: Vec<(u32, &str)> = lexed
+            .allows
+            .iter()
+            .map(|a| (a.line, a.rule.as_str()))
+            .collect();
+        assert_eq!(names, [(1, "float-eq"), (1, "lock-order")]);
     }
 
     #[test]

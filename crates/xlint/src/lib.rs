@@ -26,6 +26,9 @@
 //! `--workspace` fails on any violation. Per-line escapes:
 //! `// xlint: allow(rule-name)` on or directly above the line, with the
 //! reason the flagged code is meant.
+//!
+//! - **allow-marker** — a marker must name a rule, and in a `--workspace`
+//!   run it must suppress a finding (as an unfulfilled `#[expect]` fails).
 
 #![warn(missing_docs)]
 #![warn(
@@ -157,12 +160,19 @@ pub struct LintReport {
 }
 
 /// Lints the given files. `root` anchors the workspace-relative paths used
-/// in diagnostics.
+/// in diagnostics. An allow marker that suppresses nothing is not reported
+/// here: with only some files seen, a workspace rule may not have fired.
 pub fn lint_files(root: &Path, files: &[PathBuf]) -> Result<LintReport, XlintError> {
+    lint(root, files, false)
+}
+
+/// [`lint_files`], reporting unused allow markers when `whole_workspace`.
+fn lint(root: &Path, files: &[PathBuf], whole_workspace: bool) -> Result<LintReport, XlintError> {
     // The error-impl rule is crate-scoped: an error enum's Display/Error
     // impls may live in a sibling module.
     let mut per_crate: BTreeMap<String, FileFacts> = BTreeMap::new();
-    let mut report = LintReport::default();
+    let mut violations = Vec::new();
+    let mut files_scanned = 0;
     // Lexed files are kept for the workspace semantic pass, which needs the
     // whole file set to build its symbol table and call graph.
     let mut lexed_files: Vec<(String, lexer::Lexed)> = Vec::with_capacity(files.len());
@@ -177,23 +187,21 @@ pub fn lint_files(root: &Path, files: &[PathBuf]) -> Result<LintReport, XlintErr
             .replace('\\', "/");
         let lexed = lexer::lex(&source);
         let facts = per_crate.entry(crate_of(&rel)).or_default();
-        report
-            .violations
-            .extend(rules::lint_tokens(&rel, &lexed, facts));
-        report.files_scanned += 1;
+        violations.extend(rules::lint_tokens(&rel, &lexed, facts));
+        files_scanned += 1;
         lexed_files.push((rel, lexed));
     }
 
     for facts in per_crate.values() {
-        report.violations.extend(rules::lint_error_contracts(facts));
+        violations.extend(rules::lint_error_contracts(facts));
     }
-    report
-        .violations
-        .extend(semantic::lint_semantic(&lexed_files));
-    report
-        .violations
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(report)
+    violations.extend(semantic::lint_semantic(&lexed_files));
+    let mut violations = rules::apply_allows(violations, &lexed_files, whole_workspace);
+    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    Ok(LintReport {
+        violations,
+        files_scanned,
+    })
 }
 
 /// `crates/foo/src/bar.rs` → `crates/foo`; root `src/…` → `.`.
@@ -210,7 +218,7 @@ fn crate_of(rel: &str) -> String {
 pub fn lint_workspace(start: &Path) -> Result<(PathBuf, LintReport), XlintError> {
     let root = find_workspace_root(start)?;
     let files = workspace_files(&root)?;
-    let report = lint_files(&root, &files)?;
+    let report = lint(&root, &files, true)?;
     Ok((root, report))
 }
 

@@ -2,6 +2,7 @@
 //! crate-level pass for the error-type contract rule).
 
 use crate::lexer::{Lexed, Tok, TokKind};
+use std::collections::HashMap;
 
 /// Identifies one lint rule. Rule names are stable: they appear in
 /// diagnostics and in `// xlint: allow(...)` markers.
@@ -20,6 +21,9 @@ pub enum Rule {
     /// Semantic: no fsync/file I/O/unbounded lock waits inside
     /// `Pool::scope`/`par_*` closures — blocking stalls the whole pool.
     NoBlockingInPar,
+    /// An `// xlint: allow(…)` marker that names no rule, or — in a
+    /// workspace run — suppresses nothing.
+    AllowMarker,
 }
 
 impl Rule {
@@ -31,6 +35,7 @@ impl Rule {
             Rule::WalBeforeWrite => "wal-before-write",
             Rule::LockOrder => "lock-order",
             Rule::NoBlockingInPar => "no-blocking-in-par",
+            Rule::AllowMarker => "allow-marker",
         }
     }
 
@@ -42,6 +47,7 @@ impl Rule {
             "wal-before-write" => Some(Rule::WalBeforeWrite),
             "lock-order" => Some(Rule::LockOrder),
             "no-blocking-in-par" => Some(Rule::NoBlockingInPar),
+            "allow-marker" => Some(Rule::AllowMarker),
             _ => None,
         }
     }
@@ -54,6 +60,7 @@ impl Rule {
             Rule::WalBeforeWrite,
             Rule::LockOrder,
             Rule::NoBlockingInPar,
+            Rule::AllowMarker,
         ]
     }
 
@@ -97,6 +104,14 @@ impl Rule {
                  the whole deterministic batch. Hoist I/O out of the closure and keep \
                  shared state out of the hot path; crates/par itself (which implements the \
                  blocking machinery) is exempt."
+            }
+            Rule::AllowMarker => {
+                "An `// xlint: allow(rule)` marker must name one of xlint's rules: a \
+                 misspelt or retired name suppresses nothing and would hide that fact. In a \
+                 `--workspace` run, where every rule sees every file, a marker must also \
+                 suppress a finding on its line or the next; one that suppresses nothing is \
+                 stale, like an unfulfilled `#[expect]`. Delete it. This rule cannot be \
+                 allowed."
             }
         }
     }
@@ -223,15 +238,64 @@ pub(crate) fn test_region_mask(tokens: &[Tok]) -> Vec<bool> {
     mask
 }
 
-pub(crate) fn allowed(lexed: &Lexed, line: u32, rule: Rule) -> bool {
-    lexed
-        .allows
-        .get(&line)
-        .is_some_and(|rules| rules.iter().any(|r| r == rule.name()))
+/// Drops every violation that an allow marker on its line or the line
+/// above names, then reports the markers themselves: each that names no
+/// rule, and — with `report_unused`, when every rule ran over the whole
+/// workspace — each that suppressed nothing. `files` pairs each
+/// workspace-relative path with its lexed source.
+pub(crate) fn apply_allows(
+    violations: Vec<Violation>,
+    files: &[(String, Lexed)],
+    report_unused: bool,
+) -> Vec<Violation> {
+    let by_file: HashMap<&str, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, (rel, _))| (rel.as_str(), i))
+        .collect();
+    let mut used: Vec<Vec<bool>> = files
+        .iter()
+        .map(|(_, lexed)| vec![false; lexed.allows.len()])
+        .collect();
+    let mut out = Vec::with_capacity(violations.len());
+    for v in violations {
+        let mut suppressed = false;
+        if let Some(&f) = by_file.get(v.file.as_str()) {
+            for (k, allow) in files[f].1.allows.iter().enumerate() {
+                if allow.rule == v.rule.name() && (allow.line == v.line || allow.line + 1 == v.line)
+                {
+                    used[f][k] = true;
+                    suppressed = true;
+                }
+            }
+        }
+        if !suppressed {
+            out.push(v);
+        }
+    }
+    for ((rel, lexed), used) in files.iter().zip(&used) {
+        for (allow, &used) in lexed.allows.iter().zip(used) {
+            let problem = if Rule::from_name(&allow.rule).is_none() {
+                "names no xlint rule"
+            } else if report_unused && !used {
+                "suppresses nothing on its line or the next"
+            } else {
+                continue;
+            };
+            out.push(Violation {
+                file: rel.clone(),
+                line: allow.line,
+                rule: Rule::AllowMarker,
+                message: format!("`xlint: allow({})` {problem}", allow.rule),
+            });
+        }
+    }
+    out
 }
 
 /// Runs the per-file token rules ([`Rule::FloatEq`]) and collects the
-/// facts the crate-level [`Rule::ErrorImpl`] pass needs.
+/// facts the crate-level [`Rule::ErrorImpl`] pass needs. Allow markers
+/// are applied afterwards, over every file at once.
 pub fn lint_tokens(file: &str, lexed: &Lexed, facts: &mut FileFacts) -> Vec<Violation> {
     let tokens = &lexed.tokens;
     let mask = test_region_mask(tokens);
@@ -266,10 +330,7 @@ pub fn lint_tokens(file: &str, lexed: &Lexed, facts: &mut FileFacts) -> Vec<Viol
             } else {
                 false
             };
-            if !prev_rel
-                && ((i > 0 && is_float(i - 1)) || is_float(i + 2))
-                && !allowed(lexed, line, Rule::FloatEq)
-            {
+            if !prev_rel && ((i > 0 && is_float(i - 1)) || is_float(i + 2)) {
                 out.push(Violation {
                     file: file.to_string(),
                     line,
@@ -282,7 +343,6 @@ pub fn lint_tokens(file: &str, lexed: &Lexed, facts: &mut FileFacts) -> Vec<Viol
             && punct(i + 1, '=')
             && !punct(i + 2, '=')
             && ((i > 0 && is_float(i - 1)) || is_float(i + 2))
-            && !allowed(lexed, line, Rule::FloatEq)
         {
             out.push(Violation {
                 file: file.to_string(),
@@ -389,7 +449,7 @@ mod tests {
         let mut facts = FileFacts::default();
         let mut v = lint_tokens("t.rs", &lexed, &mut facts);
         v.extend(lint_error_contracts(&facts));
-        v
+        apply_allows(v, &[("t.rs".to_string(), lexed)], false)
     }
 
     #[test]
@@ -405,7 +465,17 @@ mod tests {
         let above = "fn f(x: f64) -> bool {\n // xlint: allow(float-eq)\n x == 1.0\n}";
         assert!(lint(above).is_empty());
         // A marker names its rule: another rule's marker does not suppress.
-        assert!(!lint("fn f(x: f64) -> bool { x == 1.0 } // xlint: allow(lock-order)").is_empty());
+        let v = lint("fn f(x: f64) -> bool { x == 1.0 } // xlint: allow(lock-order)");
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, Rule::FloatEq);
+    }
+
+    #[test]
+    fn marker_naming_no_rule_is_a_violation() {
+        let v = lint("fn f(x: f64) -> bool { x == 1.0 } // xlint: allow(flaot-eq)");
+        let rules: Vec<Rule> = v.iter().map(|v| v.rule).collect();
+        assert_eq!(rules, [Rule::FloatEq, Rule::AllowMarker]);
+        assert!(v[1].message.contains("flaot-eq"), "{v:?}");
     }
 
     #[test]

@@ -878,23 +878,14 @@ fn lint_no_blocking_in_par(ws: &Workspace) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 
 /// Runs the three workspace semantic rules over the lexed files
-/// (`(workspace-relative path, lexed)` pairs), honouring per-line
-/// `// xlint: allow(rule)` markers.
+/// (`(workspace-relative path, lexed)` pairs). Allow markers are applied
+/// by the caller.
 pub(crate) fn lint_semantic(files: &[(String, Lexed)]) -> Vec<Violation> {
     let ws = build(files);
     let mut out = Vec::new();
     out.extend(lint_wal(&ws));
     out.extend(lint_lock_order(&ws));
     out.extend(lint_no_blocking_in_par(&ws));
-    let by_file: BTreeMap<&str, &Lexed> = files
-        .iter()
-        .map(|(rel, lexed)| (rel.as_str(), lexed))
-        .collect();
-    out.retain(|v| {
-        by_file
-            .get(v.file.as_str())
-            .is_none_or(|lexed| !rules::allowed(lexed, v.line, v.rule))
-    });
     out
 }
 

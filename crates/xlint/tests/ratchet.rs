@@ -123,6 +123,66 @@ fn error_enum_without_impls_is_flagged() {
     );
 }
 
+/// Rule names of a report's violations, in report order.
+fn rule_names(violations: &[xlint::Violation]) -> Vec<&'static str> {
+    violations.iter().map(|v| v.rule.name()).collect()
+}
+
+/// A marker naming no rule (a typo, or a rule that moved to clippy) is a
+/// violation in every mode, and fails the command line.
+#[test]
+fn marker_naming_no_rule_is_flagged() {
+    let ws = Scratch::new("unknown");
+    let path = ws.write(
+        "crates/demo/src/lib.rs",
+        "//! Demo crate.\n\n\
+         /// Nothing.\n\
+         pub fn f() {} // xlint: allow(no-unwrap)\n\
+         /// Close enough?\n\
+         pub fn g(x: f64) -> bool {\n\
+         \x20   // xlint: allow(flaot-eq)\n\
+         \x20   x == 0.5\n\
+         }\n",
+    );
+    let report = lint_files(&ws.root, std::slice::from_ref(&path)).unwrap();
+    assert_eq!(
+        rule_names(&report.violations),
+        ["allow-marker", "allow-marker", "float-eq"],
+        "{:?}",
+        report.violations
+    );
+    let lines: Vec<u32> = report.violations.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [4, 7, 8]);
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_xlint"))
+        .arg(&path)
+        .current_dir(&ws.root)
+        .output()
+        .unwrap()
+        .status;
+    assert_eq!(status.code(), Some(1));
+}
+
+/// In a workspace run every rule sees every file, so a marker that
+/// suppresses nothing is stale; a run over some files cannot tell.
+#[test]
+fn unused_marker_is_flagged_in_workspace_runs() {
+    let ws = Scratch::new("unused");
+    let path = ws.write(
+        "crates/demo/src/lib.rs",
+        "//! Demo crate.\n\n\
+         /// Whether `x` is below one half.\n\
+         pub fn small(x: f64) -> bool {\n\
+         \x20   // xlint: allow(float-eq) — no float is compared for equality here\n\
+         \x20   x < 0.5\n\
+         }\n",
+    );
+    let (_, report) = lint_workspace(&ws.root).unwrap();
+    assert_eq!(rule_names(&report.violations), ["allow-marker"]);
+    assert_eq!(report.violations[0].line, 5);
+    let report = lint_files(&ws.root, &[path]).unwrap();
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
 /// The repository's own workspace has no violation at all — this is the
 /// CI gate, run as a plain test.
 #[test]
