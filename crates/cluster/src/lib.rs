@@ -1,8 +1,8 @@
-//! Sharded, replicated serving over the single-store engine.
+//! Sharded serving over the single-store engine.
 //!
 //! The paper's demo serves one Sensor Metadata Repository from one process;
 //! the ROADMAP's north star is the same query surface at production scale.
-//! This crate turns the single store into a *topology*:
+//! This crate partitions the single store into in-process shards:
 //!
 //! - [`ShardMap`] hash-partitions the SMR by page id into N in-process
 //!   shards, each a partition view of the whole-corpus
@@ -14,13 +14,9 @@
 //!   PageRank) and the per-page facts table stay collection-global, so the
 //!   output is byte-identical to the single-store result at any shard
 //!   count.
-//! - [`Replica`] is a read replica fed by WAL shipping: `open_recovering`
-//!   plus a tail loop that applies newly committed CRC-framed frames from
-//!   the primary's log and publishes each applied batch as an MVCC commit.
-//! - [`Router`] sends writes to the primary and routes reads to replicas
-//!   whose staleness — primary commits not yet applied, counted on the
-//!   primary engine's epoch clock — is within a bound, falling back to the
-//!   primary when every replica lags past it.
+//!
+//! Writes go to the primary, which logs them to its write-ahead log before
+//! the shard set republishes; recovery is the only reader of that log.
 
 #![warn(missing_docs)]
 #![warn(
@@ -35,56 +31,34 @@
     clippy::float_cmp
 )]
 
-mod replica;
-mod router;
 mod shard;
 
-pub use replica::{Replica, ReplicaPoll};
-pub use router::Router;
 pub use sensormeta_query::ScatterTrace;
 pub use shard::{ShardMap, ShardSet};
-
-use std::time::Duration;
 
 /// Serving topology, usually read from the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// In-process shards the store is partitioned into (1 = unsharded).
     pub shards: usize,
-    /// WAL-shipped read replicas to run (0 = none).
-    pub replicas: usize,
-    /// Staleness bound for replica reads: a replica more than this many
-    /// primary commits behind is skipped in favor of the primary.
-    pub staleness_epochs: u64,
-    /// How often a replica's tail loop polls the primary's log.
-    pub poll_interval: Duration,
 }
 
 impl Default for Topology {
     fn default() -> Self {
-        Topology {
-            shards: 1,
-            replicas: 0,
-            staleness_epochs: 64,
-            poll_interval: Duration::from_millis(25),
-        }
+        Topology { shards: 1 }
     }
 }
 
 impl Topology {
-    /// Reads `SENSORMETA_SHARDS`, `SENSORMETA_REPLICAS` and
-    /// `SENSORMETA_STALENESS_EPOCHS` (unset or unparsable values keep the
-    /// defaults: 1 shard, 0 replicas, 64 primary commits).
+    /// Reads `SENSORMETA_SHARDS` (unset or unparsable values keep the
+    /// default of 1 shard).
     pub fn from_env() -> Topology {
-        fn parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-            std::env::var(key).ok()?.trim().parse().ok()
-        }
-        let d = Topology::default();
+        let shards = std::env::var("SENSORMETA_SHARDS")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(Topology::default().shards);
         Topology {
-            shards: parse("SENSORMETA_SHARDS").unwrap_or(d.shards).max(1),
-            replicas: parse("SENSORMETA_REPLICAS").unwrap_or(d.replicas),
-            staleness_epochs: parse("SENSORMETA_STALENESS_EPOCHS").unwrap_or(d.staleness_epochs),
-            poll_interval: d.poll_interval,
+            shards: shards.max(1),
         }
     }
 }
@@ -97,6 +71,5 @@ mod tests {
     fn default_topology_is_single_store() {
         let t = Topology::default();
         assert_eq!(t.shards, 1);
-        assert_eq!(t.replicas, 0);
     }
 }

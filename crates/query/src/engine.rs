@@ -386,7 +386,7 @@ impl QueryEngine {
         // Partition views belong to the generation they were cut from.
         self.shards = Arc::default();
         // One bump per rebuild, after the repository change it covers was
-        // logged: replicas count these as primary commits.
+        // logged.
         self.generation = self.clock.bump();
         Ok(())
     }
@@ -436,12 +436,6 @@ impl QueryEngine {
             shards: partitions.into_iter().map(view).collect(),
             ..self.clone_reader()
         }
-    }
-
-    /// The clock dating this engine's generations — what a replica of this
-    /// engine's store measures its staleness against.
-    pub fn epoch_clock(&self) -> &Arc<EpochClock> {
-        &self.clock
     }
 
     /// Dense page id of a title (indexes `titles`, `pagerank`, index docs).

@@ -36,20 +36,6 @@ pub struct Database {
     durability: Option<Durability>,
 }
 
-/// Outcome of [`Database::apply_shipped`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShipReport {
-    /// Operations applied (successfully replayed).
-    pub applied: u64,
-    /// Operations that failed deterministically (they failed on the primary
-    /// too, so states still converge).
-    pub failed: u64,
-    /// Operations skipped because their sequence was already applied.
-    pub skipped: u64,
-    /// Highest operation sequence number seen (or the `after_seq` floor).
-    pub last_seq: u64,
-}
-
 impl Database {
     /// Creates an empty database.
     pub fn new() -> Database {
@@ -305,35 +291,6 @@ impl Database {
         let id = self.table_mut(table)?.insert(row)?;
         self.maybe_checkpoint();
         Ok(id)
-    }
-
-    /// Applies operations shipped from another database's write-ahead log —
-    /// the replica side of WAL shipping. Ops at or below `after_seq` are
-    /// skipped (already folded into this replica's state); the rest replay
-    /// through the same deterministic path recovery uses, so an op that
-    /// failed on the primary fails identically here and leaves the same
-    /// state. Nothing is logged locally: a replica's durability is the
-    /// primary's log. Returns what happened and the highest sequence seen.
-    pub fn apply_shipped(&mut self, ops: &[(u64, LogicalOp)], after_seq: u64) -> ShipReport {
-        let mut report = ShipReport {
-            last_seq: after_seq,
-            ..ShipReport::default()
-        };
-        for (seq, op) in ops {
-            if *seq <= after_seq {
-                report.skipped += 1;
-                continue;
-            }
-            match crate::recover::apply_logical(&mut self.catalog, op) {
-                Ok(()) => report.applied += 1,
-                Err(_) => report.failed += 1,
-            }
-            report.last_seq = report.last_seq.max(*seq);
-        }
-        if report.applied > 0 {
-            obs::counter("relstore_shipped_ops_total").add(report.applied);
-        }
-        report
     }
 
     /// Immutable access to a table.

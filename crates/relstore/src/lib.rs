@@ -50,7 +50,7 @@ pub mod value;
 pub mod vfs;
 pub mod wal;
 
-pub use db::{Database, ShipReport};
+pub use db::Database;
 pub use error::{RelError, Result};
 pub use heap::RowId;
 pub use recover::{wal_path_for, DurabilityOptions, RecoveryReport};
@@ -61,4 +61,4 @@ pub use table::{IndexDef, IndexKind, Table};
 pub use trigram::TrigramIndex;
 pub use value::{DataType, Value};
 pub use vfs::{FaultPlan, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
-pub use wal::{scan_wal, CommittedTx, LogicalOp, TailPoll, WalScan, WalTail};
+pub use wal::{scan_wal, CommittedTx, LogicalOp, WalScan};

@@ -49,10 +49,12 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // Every branch consumes whole characters, so `i` stays on a character
+    // boundary and each step decodes the character that really starts there.
+    while let Some(c) = input[i..].chars().next() {
+        let at = i;
         match c {
-            c if c.is_ascii_whitespace() => i += 1,
+            c if c.is_whitespace() => i += c.len_utf8(),
             '-' if bytes.get(i + 1) == Some(&b'-') => {
                 // line comment
                 while i < bytes.len() && bytes[i] != b'\n' {
@@ -150,7 +152,6 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 i = next;
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
                 while let Some(ch) = input[i..].chars().next() {
                     if ch.is_alphanumeric() || ch == '_' {
                         i += ch.len_utf8();
@@ -158,7 +159,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                         break;
                     }
                 }
-                tokens.push(Token::Ident(input[start..i].to_owned()));
+                tokens.push(Token::Ident(input[at..i].to_owned()));
             }
             other => {
                 return Err(RelError::Lex(format!(
@@ -166,6 +167,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 )));
             }
         }
+        debug_assert!(i > at, "lexer made no progress at byte {at}");
     }
     Ok(tokens)
 }
@@ -301,6 +303,8 @@ mod tests {
         let toks = lex("SELECT 'Zürich' FROM météo").unwrap();
         assert_eq!(toks[1], Token::Str("Zürich".into()));
         assert_eq!(toks[3], Token::Ident("météo".into()));
+        // A non-ASCII letter can start an identifier.
+        assert_eq!(lex("é").unwrap(), vec![Token::Ident("é".into())]);
     }
 
     #[test]
@@ -317,5 +321,36 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(lex("SELECT #").is_err());
+    }
+
+    /// Non-ASCII characters that are neither letters, digits nor whitespace:
+    /// each is a lex error outside a literal and plain text inside one.
+    const NON_ALPHANUMERIC: [&str; 5] = ["°", "’", "€", "×", "·"];
+
+    #[test]
+    fn non_alphanumeric_characters_are_lex_errors() {
+        for c in NON_ALPHANUMERIC {
+            for sql in [
+                format!("SELECT {c}"),
+                c.to_string(),
+                format!("SELECT a{c} FROM t"),
+            ] {
+                assert!(
+                    matches!(lex(&sql), Err(RelError::Lex(_))),
+                    "{sql:?} lexed as {:?}",
+                    lex(&sql)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_alphanumeric_characters_inside_literals_are_text() {
+        for c in NON_ALPHANUMERIC.into_iter().chain(["é"]) {
+            assert_eq!(
+                lex(&format!("SELECT '{c}'")).unwrap(),
+                vec![Token::Ident("SELECT".into()), Token::Str(c.into())]
+            );
+        }
     }
 }

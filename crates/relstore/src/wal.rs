@@ -381,125 +381,6 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
     scan
 }
 
-// ---------------------------------------------------------------------------
-// Incremental tailing (replication).
-// ---------------------------------------------------------------------------
-
-/// Outcome of one [`WalTail::poll`] over the current log bytes.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct TailPoll {
-    /// Transactions whose commit frame became readable since the last poll,
-    /// in commit order.
-    pub committed: Vec<CommittedTx>,
-    /// The log shrank beneath the consumed prefix — the primary checkpointed
-    /// and recreated its WAL. The tail has reset itself to the header; the
-    /// caller must resync from the snapshot before trusting further polls.
-    pub truncated: bool,
-    /// A complete-looking frame failed its checksum or did not decode. The
-    /// tail does not advance past it; an in-flight buffered write usually
-    /// heals on the next poll, persistent stalls mean corruption and the
-    /// caller should resync from the snapshot.
-    pub stalled: Option<String>,
-}
-
-/// Incremental reader over a growing WAL byte stream.
-///
-/// Unlike [`scan_wal`], which verifies a complete log in one pass, a
-/// `WalTail` is polled repeatedly against the current bytes of a log that a
-/// primary is still appending to. It remembers the byte offset of the last
-/// fully parsed frame and any transactions begun but not yet committed, so
-/// each poll surfaces only *newly* committed transactions. Torn frames at
-/// the end of the readable bytes are expected (the writer buffers a whole
-/// transaction but the reader can race it) and simply end the poll; the
-/// offset never advances past an unverified frame.
-#[derive(Debug, Default)]
-pub struct WalTail {
-    offset: usize,
-    header_seen: bool,
-    open: Vec<(u64, Vec<(u64, LogicalOp)>)>,
-}
-
-impl WalTail {
-    /// A tail positioned at the start of a (possibly not yet created) log.
-    pub fn new() -> WalTail {
-        WalTail::default()
-    }
-
-    /// Byte offset consumed through the last fully parsed frame.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Consumes newly readable frames from `bytes` (the log's current full
-    /// contents) and returns any transactions that committed since the last
-    /// poll. See [`TailPoll`] for the truncation and stall signals.
-    pub fn poll(&mut self, bytes: &[u8]) -> TailPoll {
-        let mut out = TailPoll::default();
-        if bytes.len() < self.offset {
-            // The file shrank: the primary checkpointed and recreated it.
-            *self = WalTail::new();
-            out.truncated = true;
-            return out;
-        }
-        if !self.header_seen {
-            if bytes.len() < WAL_MAGIC.len() {
-                return out; // header not yet written
-            }
-            if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-                out.stalled = Some("missing or corrupt WAL header".to_string());
-                return out;
-            }
-            self.header_seen = true;
-            self.offset = WAL_MAGIC.len();
-        }
-        while self.offset < bytes.len() {
-            let start = self.offset;
-            let Some(header) = bytes.get(start..start + 8) else {
-                break; // torn frame header: wait for more bytes
-            };
-            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-            if len == 0 || len > MAX_FRAME {
-                out.stalled = Some(format!("implausible frame length {len} at offset {start}"));
-                break;
-            }
-            let end = start + 8 + len as usize;
-            let Some(payload) = bytes.get(start + 8..end) else {
-                break; // torn payload: wait for more bytes
-            };
-            if crc32(payload) != crc {
-                out.stalled = Some(format!("checksum mismatch at offset {start}"));
-                break;
-            }
-            match parse_frame(payload) {
-                Ok(Frame::Begin(tx)) => self.open.push((tx, Vec::new())),
-                Ok(Frame::Op(tx, seq, op)) => {
-                    match self.open.iter_mut().rev().find(|(t, _)| *t == tx) {
-                        Some((_, ops)) => ops.push((seq, op)),
-                        None => self.open.push((tx, vec![(seq, op)])),
-                    }
-                }
-                Ok(Frame::Commit(tx)) => {
-                    let ops = match self.open.iter().position(|(t, _)| *t == tx) {
-                        Some(ix) => self.open.remove(ix).1,
-                        None => Vec::new(),
-                    };
-                    out.committed.push(CommittedTx { tx, ops });
-                }
-                Err(e) => {
-                    out.stalled = Some(format!("undecodable frame at offset {start}: {e}"));
-                    break;
-                }
-            }
-            self.offset = end;
-        }
-        if !out.committed.is_empty() {
-            obs::counter("relstore_wal_tail_txs_total").add(out.committed.len() as u64);
-        }
-        out
-    }
-}
-
 enum Frame {
     Begin(u64),
     Op(u64, u64, LogicalOp),
@@ -642,92 +523,6 @@ mod tests {
         let scan = scan_wal(b"not a wal file");
         assert!(!scan.is_clean());
         assert_eq!(scan.committed.len(), 0);
-    }
-
-    #[test]
-    fn tail_sees_incremental_commits() {
-        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let path = Path::new("tail.wal");
-        let mut wal = Wal::create(&vfs, path).unwrap();
-        let mut tail = WalTail::new();
-
-        // Nothing written past the header yet.
-        let poll = tail.poll(&vfs.read(path).unwrap());
-        assert!(poll.committed.is_empty() && !poll.truncated && poll.stalled.is_none());
-
-        wal.commit(1, &[(1, sql("A"))]).unwrap();
-        let poll = tail.poll(&vfs.read(path).unwrap());
-        assert_eq!(poll.committed.len(), 1);
-        assert_eq!(poll.committed[0].tx, 1);
-
-        wal.commit(2, &[(2, sql("B")), (3, sql("C"))]).unwrap();
-        wal.commit(3, &[(4, sql("D"))]).unwrap();
-        let poll = tail.poll(&vfs.read(path).unwrap());
-        assert_eq!(poll.committed.len(), 2);
-        assert_eq!(poll.committed[1].ops.len(), 1);
-
-        // Re-polling unchanged bytes yields nothing new.
-        let poll = tail.poll(&vfs.read(path).unwrap());
-        assert!(poll.committed.is_empty());
-    }
-
-    #[test]
-    fn tail_waits_on_torn_frames_then_completes() {
-        let bytes = build_wal(&[vec![(1, sql("A"))], vec![(2, sql("LONGER STATEMENT"))]]);
-        let mut tail = WalTail::new();
-        let first = tail.poll(&bytes);
-        assert_eq!(first.committed.len(), 2);
-
-        // Replay the same log through a fresh tail, feeding it byte by byte:
-        // every prefix must either produce nothing or a complete transaction,
-        // never an error, and the total must match.
-        let mut tail = WalTail::new();
-        let mut seen = 0;
-        for cut in 0..=bytes.len() {
-            let poll = tail.poll(&bytes[..cut]);
-            assert!(
-                poll.stalled.is_none(),
-                "stalled at {cut}: {:?}",
-                poll.stalled
-            );
-            assert!(!poll.truncated);
-            seen += poll.committed.len();
-        }
-        assert_eq!(seen, 2);
-    }
-
-    #[test]
-    fn tail_reports_truncation_and_recovers() {
-        let bytes = build_wal(&[vec![(1, sql("A"))], vec![(2, sql("B"))]]);
-        let mut tail = WalTail::new();
-        assert_eq!(tail.poll(&bytes).committed.len(), 2);
-
-        // The primary checkpointed: the log was recreated, shorter.
-        let fresh = build_wal(&[vec![(7, sql("AFTER"))]]);
-        let poll = tail.poll(&fresh);
-        assert!(poll.truncated);
-        assert!(poll.committed.is_empty());
-
-        // The next poll reads the new log from scratch.
-        let poll = tail.poll(&fresh);
-        assert_eq!(poll.committed.len(), 1);
-        assert_eq!(poll.committed[0].ops[0].0, 7, "op seq from the new log");
-    }
-
-    #[test]
-    fn tail_stalls_on_checksum_damage() {
-        let mut bytes = build_wal(&[vec![(1, sql("A"))], vec![(2, sql("B"))]]);
-        let ix = bytes.len() - 3;
-        bytes[ix] ^= 0x40;
-        let mut tail = WalTail::new();
-        let poll = tail.poll(&bytes);
-        assert!(poll.committed.len() < 2);
-        assert!(poll.stalled.is_some());
-        let offset = tail.offset();
-        // A stall never advances the offset.
-        let again = tail.poll(&bytes);
-        assert!(again.stalled.is_some());
-        assert_eq!(tail.offset(), offset);
     }
 
     #[test]

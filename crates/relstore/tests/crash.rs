@@ -418,3 +418,43 @@ fn bit_flips_in_wal_detected_and_skipped() {
         assert_eq!(rec2.logical_dump(), dumps[n]);
     }
 }
+
+/// A read-only recovering open beside a writer that is still running — what
+/// `Smr::load` does next to a serving primary — sees exactly the writer's
+/// committed state and writes nothing, including right after the writer
+/// checkpointed and started a fresh log.
+#[test]
+fn recovering_open_beside_a_live_writer_matches_it() {
+    let ops = workload(0xFEED, 180);
+    let dumps = oracle_dumps(&ops);
+    let mem = MemVfs::new();
+    let path = Path::new(DB_PATH);
+    let wal_path = sensormeta_relstore::wal_path_for(path);
+    let (mut db, _) =
+        Database::open_durable_with(Arc::new(mem.clone()), path, small_opts()).expect("open");
+    let wal_len = || mem.read(&wal_path).map_or(0, |b| b.len());
+    let mut prev_len = wal_len();
+    let mut after_checkpoint = 0;
+    for (i, op) in ops.iter().enumerate() {
+        let _ = apply_op(&mut db, op);
+        let len = wal_len();
+        let checkpointed = len < prev_len;
+        prev_len = len;
+        if !checkpointed && i % 7 != 0 {
+            continue;
+        }
+        after_checkpoint += usize::from(checkpointed);
+        let files = (mem.read(path).ok(), mem.read(&wal_path).ok());
+        let (rec, report) =
+            Database::open_recovering(Arc::new(mem.clone()), path).expect("recovering open");
+        assert_eq!(report.last_seq, db.committed_seq(), "after op {i}");
+        assert_eq!(rec.logical_dump(), db.logical_dump(), "after op {i}");
+        assert_eq!(rec.logical_dump(), dumps[i + 1], "after op {i}");
+        assert_eq!(
+            (mem.read(path).ok(), mem.read(&wal_path).ok()),
+            files,
+            "recovering open modified the store after op {i}"
+        );
+    }
+    assert!(after_checkpoint > 0, "the workload never checkpointed");
+}

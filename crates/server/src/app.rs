@@ -8,7 +8,7 @@
 use crate::http::{url_encode, Request, Response};
 use parking_lot::Mutex;
 use sensormeta_cache::Status;
-use sensormeta_cluster::{Replica, Router, ShardSet, Topology};
+use sensormeta_cluster::{ShardSet, Topology};
 use sensormeta_obs as obs;
 use sensormeta_query::{
     CondOp, Condition, QueryEngine, QueryError, SearchForm, SearchOptions, SortBy,
@@ -51,7 +51,7 @@ pub struct AppConfig {
     pub max_inflight: usize,
     /// Circuit-breaker tuning shared by the query and tag-cloud backends.
     pub breaker: BreakerConfig,
-    /// Serving topology: in-process shards and WAL-shipped read replicas.
+    /// Serving topology: the number of in-process shards.
     pub topology: Topology,
 }
 
@@ -110,13 +110,10 @@ pub struct App {
     admission: Admission,
     breaker_query: Breaker,
     breaker_cloud: Breaker,
-    /// Serving topology (shards, replicas, staleness bound).
+    /// Serving topology (the configured shard count).
     topology: Topology,
     /// Scatter-gather executor when `topology.shards > 1`.
     shards: Option<ShardSet>,
-    /// Read routing over WAL-shipped replicas; empty until
-    /// [`App::attach_replicas`] is called.
-    router: Router,
 }
 
 /// Reads the single-flight wait bound from `SENSORMETA_CACHE_WAIT_MS`:
@@ -198,31 +195,7 @@ impl App {
             breaker_cloud: Breaker::new("tagcloud", cfg.breaker),
             topology: cfg.topology,
             shards,
-            router: Router::new(Vec::new(), cfg.topology.staleness_epochs),
         }
-    }
-
-    /// Opens `topology.replicas` WAL-shipped read replicas of the durable
-    /// store at `primary_path`, starts their tail loops, and installs them
-    /// behind the read router. The primary engine must own that store (its
-    /// commits write the log the replicas tail, and its epoch clock counts
-    /// the commits they lag by). Returns the replica count.
-    pub fn attach_replicas(&mut self, primary_path: &std::path::Path) -> Result<usize, QueryError> {
-        let clock = Arc::clone(self.primary.lock().epoch_clock());
-        let mut replicas = Vec::new();
-        for i in 0..self.topology.replicas {
-            let replica = Replica::open(&format!("r{i}"), primary_path, Arc::clone(&clock))?;
-            replica.start(self.topology.poll_interval);
-            replicas.push(replica);
-        }
-        let attached = replicas.len();
-        self.router = Router::new(replicas, self.topology.staleness_epochs);
-        Ok(attached)
-    }
-
-    /// The serving topology this app was built with.
-    pub fn topology(&self) -> Topology {
-        self.topology
     }
 
     /// The query-path circuit breaker (exposed for tests and diagnostics).
@@ -487,18 +460,14 @@ impl App {
     }
 
     /// `/search` for every topology: pick the read target — the shard-set
-    /// version, else a sufficiently fresh replica, else the primary — then
-    /// run one path over its snapshot. Non-primary targets are labelled.
+    /// version, else the published engine — then run one path over its
+    /// snapshot. A sharded answer is labelled with its shard count.
     fn search(&self, req: &Request) -> Response {
         let form = Self::form_from(req);
         let user = req.param("user");
-        let (engine, label) = if let Some(set) = &self.shards {
-            let shards = set.shard_count().to_string();
-            (set.coordinator(), Some(("X-Cluster-Shards", shards)))
-        } else if let Some(replica) = self.router.route_read() {
-            (replica, Some(("X-Served-By", "replica".to_owned())))
-        } else {
-            (self.engine.snapshot(), None)
+        let (engine, shards) = match &self.shards {
+            Some(set) => (set.coordinator(), Some(set.shard_count())),
+            None => (self.engine.snapshot(), None),
         };
         let resp = if !self.breaker_query.allow() {
             // Open circuit: don't touch the backend at all — answer from the
@@ -539,44 +508,15 @@ impl App {
                 Err(e) => self.search_error(e),
             }
         };
-        match label {
-            Some((name, value)) => resp.with_header(name, value),
+        match shards {
+            Some(n) => resp.with_header("X-Cluster-Shards", n.to_string()),
             None => resp,
         }
     }
 
-    /// Topology introspection: shard count, staleness bound, and per-replica
-    /// applied sequence and epoch lag. Also refreshes the replica-lag gauge
-    /// so `/metrics` stays current even between tail polls.
+    /// Topology introspection: the configured shard count.
     fn cluster_status(&self) -> Response {
-        let replicas: Vec<serde_json::Value> = self
-            .router
-            .replicas()
-            .iter()
-            .map(|r| {
-                json!({
-                    "name": r.name(),
-                    "appliedSeq": r.applied_seq(),
-                    "stalenessEpochs": r.staleness(),
-                })
-            })
-            .collect();
-        let max_staleness = self
-            .router
-            .replicas()
-            .iter()
-            .map(|r| r.staleness())
-            .max()
-            .unwrap_or(0);
-        obs::gauge("cluster_replica_staleness_epochs").set(max_staleness as f64);
-        Response::json(
-            json!({
-                "shards": self.topology.shards,
-                "stalenessBound": self.topology.staleness_epochs,
-                "replicas": replicas,
-            })
-            .to_string(),
-        )
+        Response::json(json!({ "shards": self.topology.shards }).to_string())
     }
 
     /// Maps a query failure to an HTTP status, feeding the breaker for

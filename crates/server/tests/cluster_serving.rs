@@ -1,6 +1,6 @@
 //! Serving-topology tests: sharded scatter-gather behind `/search`,
-//! replica-backed reads, `/cluster` introspection and the cluster metrics
-//! exported through `/metrics`.
+//! `/cluster` introspection and the cluster metrics exported through
+//! `/metrics`.
 
 use sensormeta_cluster::Topology;
 use sensormeta_query::QueryEngine;
@@ -8,7 +8,6 @@ use sensormeta_server::{parse_query, App, AppConfig, Request, Response};
 use sensormeta_smr::{PageDraft, Smr};
 use sensormeta_workload::{generate_corpus, CorpusConfig};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 fn req(method: &str, target: &str) -> Request {
     let (path, query) = match target.split_once('?') {
@@ -57,13 +56,7 @@ fn body_str(resp: &Response) -> &str {
 fn sharded_search_matches_unsharded() {
     let engine = corpus_engine(4, 2011);
     let single = App::with_config(engine.clone_reader(), config_with(Topology::default()));
-    let sharded = App::with_config(
-        engine,
-        config_with(Topology {
-            shards: 4,
-            ..Topology::default()
-        }),
-    );
+    let sharded = App::with_config(engine, config_with(Topology { shards: 4 }));
     for target in [
         "/search?q=temperature+sensor",
         "/search?q=wind&attribute=hasVendor&op=eq&value=Vaisala",
@@ -91,13 +84,7 @@ fn sharded_search_matches_unsharded() {
 #[test]
 fn sharded_app_serves_committed_writes() {
     let engine = corpus_engine(2, 7);
-    let app = App::with_config(
-        engine,
-        config_with(Topology {
-            shards: 2,
-            ..Topology::default()
-        }),
-    );
+    let app = App::with_config(engine, config_with(Topology { shards: 2 }));
     app.commit_engine(|e| {
         e.smr_mut()
             .create_page(
@@ -118,76 +105,21 @@ fn sharded_app_serves_committed_writes() {
     );
 }
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sensormeta_cluster_serving_{tag}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-/// Satellite: replica topology surfaces through `/cluster` and exports
-/// `cluster_replica_lag_seq` (plus shard fan-out counters) via `/metrics`.
+/// `/cluster` reports the configured shard count, and a sharded app
+/// exports its fan-out counters through `/metrics`.
 #[test]
 fn cluster_metrics_and_status_are_exported() {
-    let dir = scratch_dir("metrics");
-    let snap = dir.join("repo.snap");
-    let (mut smr, _) = Smr::open_durable(&snap).expect("durable open");
-    for p in generate_corpus(&CorpusConfig {
-        institutions: 1,
-        seed: 3,
-        ..CorpusConfig::default()
-    }) {
-        smr.create_page(p.into()).expect("create");
-    }
-    let engine = QueryEngine::open(smr).expect("engine");
-    let mut app = App::with_config(
-        engine,
-        config_with(Topology {
-            replicas: 1,
-            poll_interval: Duration::from_millis(5),
-            ..Topology::default()
-        }),
-    );
-    let attached = app.attach_replicas(&snap).expect("attach replicas");
-    assert_eq!(attached, 1);
-
-    // /cluster names the replica and the staleness bound.
-    let status = get(&app, "/cluster");
+    let single = App::with_config(corpus_engine(1, 3), config_with(Topology::default()));
+    let status = get(&single, "/cluster");
     assert_eq!(status.status, 200);
-    let json: serde_json::Value = serde_json::from_str(body_str(&status)).expect("json");
-    assert_eq!(json["replicas"][0]["name"], "r0");
-    assert_eq!(json["stalenessBound"], 64);
-
-    // A search drives the routed read path (the caught-up replica serves
-    // it, or the primary if the replica lags — either is a 200).
-    assert_eq!(get(&app, "/search?q=temperature").status, 200);
-
-    // The replica's tail loop publishes the lag gauge within a few polls.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let metrics = get(&app, "/metrics");
-        assert_eq!(metrics.status, 200);
-        if body_str(&metrics).contains("cluster_replica_lag_seq") {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "cluster_replica_lag_seq never appeared in /metrics"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert_eq!(body_str(&status), r#"{"shards":1}"#);
 
     // Fan-out counters appear once a sharded app has served a scatter.
-    let sharded = App::with_config(
-        corpus_engine(1, 5),
-        config_with(Topology {
-            shards: 2,
-            ..Topology::default()
-        }),
-    );
+    let sharded = App::with_config(corpus_engine(1, 5), config_with(Topology { shards: 2 }));
+    let status = get(&sharded, "/cluster");
+    assert_eq!(status.status, 200);
+    let json: serde_json::Value = serde_json::from_str(body_str(&status)).expect("json");
+    assert_eq!(json["shards"], 2);
     assert_eq!(get(&sharded, "/search?q=sensor").status, 200);
     let metrics = get(&sharded, "/metrics");
     let body = body_str(&metrics);
@@ -199,6 +131,4 @@ fn cluster_metrics_and_status_are_exported() {
         body.contains("cluster_searches_total"),
         "missing search counter"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

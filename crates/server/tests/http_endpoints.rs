@@ -2,13 +2,14 @@
 //! TCP clients.
 
 use sensormeta_query::QueryEngine;
+use sensormeta_server::http::read_request;
 use sensormeta_server::{serve, url_encode, App, Server};
 use sensormeta_smr::{PageDraft, Smr};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-fn start() -> Server {
+fn app() -> App {
     let mut smr = Smr::new();
     smr.create_page(
         PageDraft::new("Fieldsite:Weissfluhjoch", "Fieldsite")
@@ -28,8 +29,11 @@ fn start() -> Server {
             .tag("snow"),
     )
     .unwrap();
-    let engine = QueryEngine::open(smr).unwrap();
-    serve(App::new(engine), "127.0.0.1:0", 4).unwrap()
+    App::new(QueryEngine::open(smr).unwrap())
+}
+
+fn start() -> Server {
+    serve(app(), "127.0.0.1:0", 4).unwrap()
 }
 
 fn get(server: &Server, path: &str) -> (u16, String) {
@@ -393,6 +397,21 @@ fn sql_and_sparql_consoles() {
     let v: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(v["rows"].as_array().unwrap().len(), 2);
     server.stop();
+}
+
+/// `°` is a UTF-8 lead byte (0xC2) followed by a character that is neither
+/// a letter nor a digit: the SQL console answers 400 and the app keeps
+/// serving.
+#[test]
+fn sql_console_rejects_a_non_alphanumeric_character() {
+    let app = app();
+    let handle = |target: &str| {
+        let raw = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
+        app.handle(&read_request(&mut raw.as_bytes()).unwrap())
+    };
+    let resp = handle("/sql?q=SELECT%20%C2%B0");
+    assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(handle("/healthz").status, 200);
 }
 
 #[test]

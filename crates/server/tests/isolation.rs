@@ -204,10 +204,7 @@ fn race_readers_vs_writer(
 }
 
 fn topologies() -> [Topology; 2] {
-    let sharded = Topology {
-        shards: 2,
-        ..Topology::default()
-    };
+    let sharded = Topology { shards: 2 };
     [Topology::default(), sharded]
 }
 

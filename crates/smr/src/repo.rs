@@ -7,9 +7,7 @@ use crate::error::{Result, SmrError};
 use crate::page::{BulkReport, Page, PageDraft};
 use sensormeta_graph::CsrGraph;
 use sensormeta_rdf::{evaluate, parse_sparql, Solutions, Term, TripleStore};
-use sensormeta_relstore::{
-    Database, LogicalOp, RecoveryReport, ResultSet, ShipReport, StdVfs, Value, Vfs,
-};
+use sensormeta_relstore::{Database, RecoveryReport, ResultSet, StdVfs, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -109,13 +107,19 @@ impl Smr {
         if !db.has_table("pages") {
             db.execute_script(SCHEMA_SQL)?;
         }
+        Ok((Smr::opened(db)?, report))
+    }
+
+    /// Wraps a database opened from disk: migrates it to the current schema
+    /// and rebuilds the RDF mirror from its tables.
+    fn opened(db: Database) -> Result<Smr> {
         let mut smr = Smr {
             db,
             rdf: TripleStore::new(),
         };
         smr.migrate()?;
         smr.rebuild_mirror()?;
-        Ok((smr, report))
+        Ok(smr)
     }
 
     /// A cheap read-only clone for MVCC snapshot publication: shares every
@@ -556,43 +560,12 @@ impl Smr {
     /// in memory (nothing on disk is modified), and the RDF mirror is
     /// rebuilt from the relational tables.
     pub fn load(path: &std::path::Path) -> Result<Smr> {
-        Ok(Smr::load_with_report(path)?.0)
-    }
-
-    /// [`Smr::load`] that also returns the recovery report — a replica opens
-    /// through this to learn the highest operation sequence already folded
-    /// into its state, which is where WAL tailing resumes.
-    pub fn load_with_report(path: &std::path::Path) -> Result<(Smr, RecoveryReport)> {
-        let vfs: Arc<dyn Vfs> = Arc::new(StdVfs);
-        let (db, report) = Database::open_recovering(vfs, path)?;
-        let mut smr = Smr {
-            db,
-            rdf: TripleStore::new(),
-        };
-        smr.migrate()?;
-        smr.rebuild_mirror()?;
-        Ok((smr, report))
-    }
-
-    /// Applies operations shipped from a primary's write-ahead log (the
-    /// replica side of replication): relational ops replay through the same
-    /// deterministic path recovery uses, then the RDF mirror is rebuilt so
-    /// SPARQL sees the new state. Ops at or below `after_seq` are skipped.
-    pub fn apply_replicated(
-        &mut self,
-        ops: &[(u64, LogicalOp)],
-        after_seq: u64,
-    ) -> Result<ShipReport> {
-        let report = self.db.apply_shipped(ops, after_seq);
-        if report.applied > 0 {
-            self.rebuild_mirror()?;
-        }
-        Ok(report)
+        let (db, _) = Database::open_recovering(Arc::new(StdVfs), path)?;
+        Smr::opened(db)
     }
 
     /// Rebuilds the whole RDF mirror from the relational state. Used after
-    /// loading a snapshot or applying shipped operations; also useful after
-    /// direct SQL surgery.
+    /// loading a snapshot; also useful after direct SQL surgery.
     ///
     /// The mirror's rule, which the writes keep incrementally: an annotation
     /// value is the IRI of the page it names when a page with exactly that

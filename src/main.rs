@@ -327,16 +327,9 @@ fn serve(opts: &Opts) -> CliResult {
     let smr = Smr::open_durable(path)?.0;
     println!("indexing {} pages…", smr.page_count());
     let engine = QueryEngine::open(smr)?;
-    let mut app = sensormeta::server::App::new(engine);
+    let app = sensormeta::server::App::new(engine);
     if topology.shards > 1 {
         println!("scatter-gather serving over {} shards", topology.shards);
-    }
-    if topology.replicas > 0 {
-        let n = app.attach_replicas(path)?;
-        println!(
-            "attached {n} WAL-shipped read replica(s), staleness bound {} epoch(s)",
-            topology.staleness_epochs
-        );
     }
     let addr = opts.get_or("addr", "127.0.0.1:8080");
     let workers = opts.usize_or("workers", sensormeta::server::DEFAULT_WORKERS);
