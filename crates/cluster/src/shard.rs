@@ -114,7 +114,7 @@ impl ShardSet {
                 Ok((partition, owned))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(primary.with_partitions(partitions))
+        primary.with_partitions(partitions)
     }
 
     /// Number of shards.

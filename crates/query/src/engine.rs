@@ -18,7 +18,10 @@ use sensormeta_cache::{
 use sensormeta_graph::CsrGraph;
 use sensormeta_obs as obs;
 use sensormeta_par::Pool;
-use sensormeta_rank::{GaussSeidel, PageRankProblem, Recommender, Solver, TransitionMatrix};
+use sensormeta_rank::{
+    GaussSeidel, PageRankProblem, Recommendation, Recommender, Solver, TransitionMatrix,
+};
+use sensormeta_rdf::Term;
 use sensormeta_resil as resil;
 use sensormeta_search::{Autocomplete, SearchIndex, SpellSuggester};
 use sensormeta_smr::{link_graphs_of, sql_escape, sql_float, Smr};
@@ -26,8 +29,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Largest running-intersection size still worth pushing into SQL as a
-/// `p.title IN (...)` list during condition semi-joins. Beyond this the
+/// Largest running-intersection size still worth pushing into SQL as an
+/// `a.page_id IN (...)` list during condition semi-joins. Beyond this the
 /// literal list outgrows the scan it saves.
 const SEMIJOIN_PUSHDOWN_CAP: usize = 128;
 
@@ -100,6 +103,53 @@ struct Ranked {
     bm25: f64,
     pagerank: f64,
     score: f64,
+}
+
+/// The pages of one engine's own store by relstore row id (`pages.id`) and
+/// by dense page id: how a condition's SQL names pages (`a.page_id`) and how
+/// the executor does. Each store numbers its rows itself, so a partition
+/// view's table is its own, not the coordinator's.
+#[derive(Debug, Default)]
+struct RowTable {
+    /// Dense id per row id, `u32::MAX` where no page of the store has the
+    /// id. `Smr` hands out `MAX(id) + 1`, so this is as long as the
+    /// largest id the store holds.
+    dense: Vec<u32>,
+    /// Row id per dense id, `None` for a page this store does not hold.
+    rows: Vec<Option<i64>>,
+}
+
+impl RowTable {
+    /// The table of `(row id, dense id)` pairs over a corpus of `pages`
+    /// dense ids.
+    fn new(pairs: impl IntoIterator<Item = (i64, usize)>, pages: usize) -> Result<RowTable> {
+        let mut table = RowTable {
+            dense: Vec::new(),
+            rows: vec![None; pages],
+        };
+        for (row, dense) in pairs {
+            let (Ok(slot), Ok(id)) = (usize::try_from(row), u32::try_from(dense)) else {
+                return Err(QueryError::Internal(format!(
+                    "page row {row} (dense id {dense}) is out of range"
+                )));
+            };
+            if table.dense.len() <= slot {
+                table.dense.resize(slot + 1, u32::MAX);
+            }
+            table.dense[slot] = id;
+            table.rows[dense] = Some(row);
+        }
+        Ok(table)
+    }
+
+    /// The dense id of a `pages.id` value (`None` for a row of no page).
+    fn dense_of(&self, row: &sensormeta_relstore::Value) -> Option<usize> {
+        let slot = usize::try_from(row.as_int()?).ok()?;
+        match self.dense.get(slot) {
+            Some(&id) if id != u32::MAX => Some(id as usize),
+            _ => None,
+        }
+    }
 }
 
 /// Per-task service times from one search.
@@ -207,9 +257,12 @@ pub struct QueryEngine {
     blend: RankBlend,
     index: Arc<SearchIndex>,
     autocomplete: Arc<Autocomplete>,
-    /// title → dense page id (indexes `titles` / `pagerank`).
+    /// title → dense page id (indexes `titles` / `pagerank`, and the doc
+    /// ids of `index`).
     title_ids: Arc<HashMap<String, usize>>,
     titles: Arc<Vec<String>>,
+    /// This engine's own store's row ids ↔ dense ids.
+    rows: Arc<RowTable>,
     /// PageRank per dense id, normalized so max = 1.
     pagerank: Arc<Vec<f64>>,
     /// Semantic and hyperlink graphs over dense ids (`Smr::link_graphs`
@@ -282,6 +335,7 @@ impl QueryEngine {
             autocomplete: Arc::new(Autocomplete::new()),
             title_ids: Arc::new(HashMap::new()),
             titles: Arc::new(Vec::new()),
+            rows: Arc::default(),
             pagerank: Arc::new(Vec::new()),
             semantic: Arc::new(CsrGraph::from_edges(0, &[], true)),
             hyperlink: Arc::new(CsrGraph::from_edges(0, &[], true)),
@@ -339,6 +393,10 @@ impl QueryEngine {
         let mut autocomplete = Autocomplete::new();
         let mut facts = FactsBuilder::default();
         let mut docs: Vec<(String, String)> = Vec::with_capacity(pages.len());
+        let rows = RowTable::new(
+            pages.iter().enumerate().map(|(i, p)| (p.id, i)),
+            pages.len(),
+        )?;
         for (i, page) in pages.into_iter().enumerate() {
             // Index title words, body, annotation values, and tags together.
             let mut text = format!("{} {}", page.title.replace([':', '_'], " "), page.body);
@@ -357,6 +415,15 @@ impl QueryEngine {
         let facts = facts.finish();
         let index = SearchIndex::build(&docs);
         let titles: Vec<String> = docs.into_iter().map(|(title, _)| title).collect();
+        // Keyword scores are read by doc id as dense ids: the index must have
+        // numbered the documents in the order they were given.
+        if index.doc_count() != titles.len()
+            || titles.iter().enumerate().any(|(i, t)| index.key(i) != t)
+        {
+            return Err(QueryError::Internal(
+                "search index doc ids are not the dense page ids".into(),
+            ));
+        }
         let title_ids: HashMap<String, usize> = titles
             .iter()
             .enumerate()
@@ -375,6 +442,7 @@ impl QueryEngine {
         // the ones they cloned.
         self.titles = Arc::new(titles);
         self.title_ids = Arc::new(title_ids);
+        self.rows = Arc::new(rows);
         self.pagerank = Arc::new(pagerank);
         self.semantic = Arc::new(semantic);
         self.hyperlink = Arc::new(hyperlink);
@@ -405,6 +473,7 @@ impl QueryEngine {
             autocomplete: Arc::clone(&self.autocomplete),
             title_ids: Arc::clone(&self.title_ids),
             titles: Arc::clone(&self.titles),
+            rows: Arc::clone(&self.rows),
             pagerank: Arc::clone(&self.pagerank),
             semantic: Arc::clone(&self.semantic),
             hyperlink: Arc::clone(&self.hyperlink),
@@ -423,19 +492,35 @@ impl QueryEngine {
     /// only the pages it owns plus their dense ids. The partitions must
     /// cover this engine's corpus exactly once. Coordinator and views are
     /// one value, so whoever holds it (a snapshot, say) sees one generation.
-    pub fn with_partitions(&self, partitions: Vec<(Smr, HashSet<usize>)>) -> QueryEngine {
-        let view = |(smr, owned)| ShardView {
-            engine: QueryEngine {
-                smr,
-                shards: Arc::default(),
-                ..self.clone_reader()
-            },
-            owned,
+    /// Each view maps its own store's row ids to dense ids through a table
+    /// read from that store here; a title this engine does not know fails
+    /// with [`QueryError::Internal`].
+    pub fn with_partitions(&self, partitions: Vec<(Smr, HashSet<usize>)>) -> Result<QueryEngine> {
+        let view = |(smr, owned): (Smr, HashSet<usize>)| {
+            let mut pairs = Vec::new();
+            for mut row in smr.sql("SELECT id, title FROM pages")?.rows {
+                let title = std::mem::take(&mut row[1]).into_text();
+                let (Some(id), Some(&dense)) = (row[0].as_int(), self.title_ids.get(&title)) else {
+                    return Err(QueryError::Internal(format!(
+                        "partition page `{title}` is not in the corpus"
+                    )));
+                };
+                pairs.push((id, dense));
+            }
+            Ok(ShardView {
+                engine: QueryEngine {
+                    smr,
+                    rows: Arc::new(RowTable::new(pairs, self.titles.len())?),
+                    shards: Arc::default(),
+                    ..self.clone_reader()
+                },
+                owned,
+            })
         };
-        QueryEngine {
-            shards: partitions.into_iter().map(view).collect(),
+        Ok(QueryEngine {
+            shards: partitions.into_iter().map(view).collect::<Result<_>>()?,
             ..self.clone_reader()
-        }
+        })
     }
 
     /// Dense page id of a title (indexes `titles`, `pagerank`, index docs).
@@ -506,16 +591,20 @@ impl QueryEngine {
         self.recommender
             .recommend(&seed_ids, k)
             .into_iter()
-            .map(|r| RecommendedPage {
-                title: self.titles[r.page].clone(),
-                score: r.score,
-                shared_properties: r
-                    .shared_properties
-                    .iter()
-                    .map(|&p| self.facts.attribute(p).to_owned())
-                    .collect(),
-            })
+            .map(|r| self.recommended_page(r))
             .collect()
+    }
+
+    fn recommended_page(&self, r: Recommendation) -> RecommendedPage {
+        RecommendedPage {
+            title: self.titles[r.page].clone(),
+            score: r.score,
+            shared_properties: r
+                .shared_properties
+                .iter()
+                .map(|&p| self.facts.attribute(p).to_owned())
+                .collect(),
+        }
     }
 
     /// Executes an advanced-search form for a user, through the result
@@ -690,24 +779,20 @@ impl QueryEngine {
     }
 
     /// Stage 1 of search: the form's keyword hits as a dense-page-id → raw
-    /// BM25 score map (`None` when the form has no keywords). Hits whose key
-    /// is not a known page title are dropped.
+    /// BM25 score map (`None` when the form has no keywords). The index's
+    /// doc ids are the dense ids ([`QueryEngine::rebuild`] checks it), so
+    /// the map is filled straight from the scores.
     pub fn keyword_score_map(&self, form: &SearchForm) -> Result<Option<HashMap<usize, f64>>> {
         if form.keywords.trim().is_empty() {
             return Ok(None);
         }
         let _ft = obs::span("query_fulltext");
-        let hits = if form.match_all {
-            self.index
-                .try_search_all_terms(&form.keywords, usize::MAX)?
+        let scores = if form.match_all {
+            self.index.try_scores_all_terms(&form.keywords)?
         } else {
-            self.index.try_search(&form.keywords, usize::MAX)?
+            self.index.try_scores(&form.keywords)?
         };
-        Ok(Some(
-            hits.iter()
-                .filter_map(|h| self.title_ids.get(&h.key).map(|&i| (i, h.score)))
-                .collect(),
-        ))
+        Ok(Some(scores.into_iter().collect()))
     }
 
     /// Stages 3–4 of search: filters the candidate pages this engine can
@@ -861,6 +946,17 @@ impl QueryEngine {
         rows.truncate(form.effective_limit());
         let shown: Vec<&str> = rows.iter().map(title).collect();
         let bodies = self.smr.page_bodies(&shown)?;
+        // Recommendations from the top results.
+        let seeds: Vec<usize> = rows.iter().take(5).map(|r| r.page).collect();
+        let seed_set: HashSet<usize> = rows.iter().map(|r| r.page).collect();
+        let recommendations = self
+            .recommender
+            .recommend(&seeds, 8)
+            .into_iter()
+            .filter(|r| !seed_set.contains(&r.page))
+            .take(5)
+            .map(|r| self.recommended_page(r))
+            .collect();
         let top: Vec<ResultItem> = rows
             .into_iter()
             .zip(bodies)
@@ -879,17 +975,14 @@ impl QueryEngine {
             })
             .collect();
 
-        // Recommendations from the top results.
-        let seeds: Vec<&str> = top.iter().take(5).map(|i| i.title.as_str()).collect();
-        let seed_set: HashSet<&str> = top.iter().map(|i| i.title.as_str()).collect();
-        let recommendations = self
-            .recommend(&seeds, 8)
-            .into_iter()
-            .filter(|r| !seed_set.contains(r.title.as_str()))
-            .take(5)
-            .collect();
-
-        let mut facets: Vec<FacetCount> = facet_counts
+        // Facets sort by their strings, borrowed from the dictionaries;
+        // they are copied out once, in order. Distinct id pairs name
+        // distinct string pairs, so the order is total.
+        let mut facet_counts: Vec<((u32, u32), usize)> = facet_counts.into_iter().collect();
+        let names =
+            |&((a, v), _): &((u32, u32), usize)| (self.facts.attribute(a), self.facts.value(v));
+        facet_counts.sort_unstable_by(|a, b| names(a).cmp(&names(b)));
+        let facets: Vec<FacetCount> = facet_counts
             .into_iter()
             .map(|((attribute, value), count)| FacetCount {
                 attribute: self.facts.attribute(attribute).to_owned(),
@@ -897,7 +990,6 @@ impl QueryEngine {
                 count,
             })
             .collect();
-        facets.sort_unstable_by(|a, b| (&a.attribute, &a.value).cmp(&(&b.attribute, &b.value)));
 
         // "Did you mean": only when keywords were given and nothing matched.
         let did_you_mean = if total_matched == 0 && !form.keywords.trim().is_empty() {
@@ -1004,49 +1096,32 @@ impl QueryEngine {
         scatter: &mut Scatter<'_>,
         task_us: &mut [u64],
     ) -> Result<HashSet<usize>> {
-        let mut titles: Vec<Vec<String>> = Vec::new();
+        let mut ids: Vec<Vec<usize>> = Vec::new();
         if cond.op == CondOp::Eq {
-            titles = scatter.run(task_us, |v| v.engine.sparql_condition_titles(cond))?;
+            ids = scatter.run(task_us, |v| v.engine.sparql_condition(cond))?;
         }
         // SPARQL matched the exact lexical form; Eq is declared
         // case-insensitive, so complete with a SQL pass when needed — decided
         // on the *global* union, never per view.
-        if titles.iter().all(Vec::is_empty) {
-            titles = scatter.run(task_us, |v| v.engine.sql_condition(cond, restrict))?;
+        if ids.iter().all(Vec::is_empty) {
+            ids = scatter.run(task_us, |v| v.engine.sql_condition(cond, restrict))?;
         }
-        Ok(self.resolve_title_set(titles.into_iter().flatten()))
+        Ok(ids.into_iter().flatten().collect())
     }
 
-    /// SPARQL half of an `Eq` condition: exact literal match on the mirrored
-    /// property, returning matching page titles from *this engine's* store.
-    /// A stage of the executor (which runs it per view and unions the
-    /// titles), public for per-stage measurement.
+    /// SPARQL half of an `Eq` condition as page titles: the dense ids the
+    /// executor's SPARQL stage finds in *this engine's* store, named. Public
+    /// for per-stage measurement and the differential tests, which so check
+    /// the id path.
     pub fn sparql_condition_titles(&self, cond: &Condition) -> Result<Vec<String>> {
-        let _sparql = obs::span("query_sparql");
-        obs::counter("query_sparql_conditions_total").inc();
-        resil::checkpoint("query_sparql")?;
-        let q = format!(
-            "PREFIX prop: <http://swiss-experiment.ch/property/> \
-             SELECT ?t WHERE {{ ?page <{}> \"{}\" . ?page prop:title ?t }}",
-            Smr::property_iri(&cond.attribute),
-            cond.value.replace('\\', "\\\\").replace('"', "\\\"")
-        );
-        let sols = self.smr.sparql(&q)?;
-        Ok(sols
-            .rows
-            .iter()
-            .filter_map(|r| {
-                r[0].as_ref()
-                    .and_then(|t| t.literal_value())
-                    .map(str::to_owned)
-            })
-            .collect())
+        Ok(self.titles_of(self.sparql_condition(cond)?))
     }
 
-    /// SQL half of a condition, unrestricted — the stage paired with
+    /// SQL half of a condition as page titles, unrestricted (one title per
+    /// matching annotation row) — the stage paired with
     /// [`QueryEngine::sparql_condition_titles`].
     pub fn sql_condition_titles(&self, cond: &Condition) -> Result<Vec<String>> {
-        self.sql_condition(cond, None)
+        Ok(self.titles_of(self.sql_condition(cond, None)?))
     }
 
     /// Maps page titles onto the dense-id space shared by every shard view
@@ -1058,9 +1133,40 @@ impl QueryEngine {
             .collect()
     }
 
-    /// SQL half of a condition: one statement that reads the attribute's
-    /// matching annotation rows joined to their pages. `gt`, `lt` and
-    /// `between` test `value_num` against the bounds, which the planner
+    fn titles_of(&self, ids: Vec<usize>) -> Vec<String> {
+        ids.into_iter().map(|i| self.titles[i].clone()).collect()
+    }
+
+    /// SPARQL half of an `Eq` condition: exact literal match on the mirrored
+    /// property, returning the dense ids of the matching pages of *this
+    /// engine's* store. The pattern binds the page IRI, whose title
+    /// ([`Smr::page_title`], borrowed from the IRI) names the dense id, so
+    /// no title triple is joined.
+    fn sparql_condition(&self, cond: &Condition) -> Result<Vec<usize>> {
+        let _sparql = obs::span("query_sparql");
+        obs::counter("query_sparql_conditions_total").inc();
+        resil::checkpoint("query_sparql")?;
+        let q = format!(
+            "SELECT ?page WHERE {{ ?page <{}> \"{}\" }}",
+            Smr::property_iri(&cond.attribute),
+            cond.value.replace('\\', "\\\\").replace('"', "\\\"")
+        );
+        let sols = self.smr.sparql(&q)?;
+        Ok(sols
+            .rows
+            .iter()
+            .filter_map(|r| match r[0].as_ref() {
+                Some(Term::Iri(iri)) => Smr::page_title(iri)
+                    .and_then(|title| self.title_ids.get(title.as_ref()).copied()),
+                _ => None,
+            })
+            .collect())
+    }
+
+    /// SQL half of a condition: one statement over the attribute's
+    /// annotation rows, returning the dense id of each matching row's page
+    /// (through this store's row table; no join to `pages`). `gt`, `lt`
+    /// and `between` test `value_num` against the bounds, which the planner
     /// turns into a range seek on `(attribute, value_num)`, so only the
     /// matching rows are read; a numeric operand that matches nothing
     /// issues no statement. `contains` is an `ILIKE '%v%'` the values'
@@ -1068,12 +1174,12 @@ impl QueryEngine {
     /// re-checked in Rust on the rows returned, as `LIKE` has no `ESCAPE`
     /// for a `%` or `_` in the needle. With `restrict`, only candidate
     /// pages' annotations are read — the semi-join half of cross-engine
-    /// pushdown.
+    /// pushdown; a store holding none of them issues no statement.
     fn sql_condition(
         &self,
         cond: &Condition,
         restrict: Option<&HashSet<usize>>,
-    ) -> Result<Vec<String>> {
+    ) -> Result<Vec<usize>> {
         let _sql = obs::span("query_sql");
         obs::counter("query_sql_conditions_total").inc();
         resil::checkpoint("query_sql")?;
@@ -1096,8 +1202,7 @@ impl QueryEngine {
         // re-check.
         let exact = numeric.is_some();
         let mut query = format!(
-            "SELECT p.title{} FROM annotations a JOIN pages p ON a.page_id = p.id \
-             WHERE a.attribute = '{}'",
+            "SELECT a.page_id{} FROM annotations a WHERE a.attribute = '{}'",
             if exact { "" } else { ", a.value" },
             sql_escape(&cond.attribute)
         );
@@ -1106,22 +1211,23 @@ impl QueryEngine {
             query.push_str(&test);
         }
         if let Some(pages) = restrict {
-            if pages.is_empty() {
+            let rows: Vec<String> = pages
+                .iter()
+                .filter_map(|&p| self.rows.rows.get(p).copied().flatten())
+                .map(|row| row.to_string())
+                .collect();
+            if rows.is_empty() {
                 return Ok(Vec::new());
             }
-            let titles: Vec<String> = pages
-                .iter()
-                .map(|&p| format!("'{}'", sql_escape(&self.titles[p])))
-                .collect();
-            query.push_str(&format!(" AND p.title IN ({})", titles.join(", ")));
+            query.push_str(&format!(" AND a.page_id IN ({})", rows.join(", ")));
         }
         let rs = self.smr.sql(&query)?;
         let matcher = cond.matcher();
         Ok(rs
             .rows
-            .into_iter()
+            .iter()
             .filter(|r| exact || matcher.matches(&r[1].to_text()))
-            .map(|mut r| std::mem::take(&mut r[0]).into_text())
+            .filter_map(|r| self.rows.dense_of(&r[0]))
             .collect())
     }
 }
@@ -1187,37 +1293,61 @@ fn snippet(body: &str, keywords: &str) -> String {
     if body.is_empty() {
         return String::new();
     }
-    let lower = body.to_lowercase();
-    let hit = keywords
-        .split_whitespace()
-        .filter_map(|k| lower.find(&k.to_lowercase()))
-        .min();
-    let chars: Vec<char> = body.chars().collect();
-    // `hit` is a byte offset into `lower`, where a char may take more or
-    // fewer bytes than in `body` (`ẞ` → `ß`), so it cannot index `body`.
-    // The centre is the body char whose lowercase form covers it: the
-    // number of chars whose lowercase ends at or before it.
-    let center = hit.map_or(0, |hit| {
-        let mut end = 0;
-        chars
-            .iter()
-            .take_while(|c| {
-                end += c.to_lowercase().map(char::len_utf8).sum::<usize>();
-                end <= hit
-            })
-            .count()
-    });
-    let start = center.saturating_sub(WINDOW / 4);
-    let slice: String = chars.iter().skip(start).take(WINDOW).collect();
+    let start = keyword_char(body, keywords)
+        .unwrap_or(0)
+        .saturating_sub(WINDOW / 4);
+    // Byte offsets of char `start` and char `start + WINDOW`, the end of
+    // the body standing for the char past the last.
+    let mut bounds = body
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain(std::iter::once(body.len()));
+    let from = bounds.nth(start).unwrap_or(body.len());
+    let to = bounds.nth(WINDOW - 1).unwrap_or(body.len());
     let mut out = String::new();
     if start > 0 {
         out.push('…');
     }
-    out.push_str(slice.trim());
-    if start + WINDOW < chars.len() {
+    out.push_str(body[from..to].trim());
+    if to < body.len() {
         out.push('…');
     }
     out
+}
+
+/// The index of the body char the first keyword occurrence starts in,
+/// matching case-insensitively as `str::to_lowercase` does.
+fn keyword_char(body: &str, keywords: &str) -> Option<usize> {
+    if body.is_ascii() && keywords.is_ascii() {
+        // ASCII lowercasing keeps every byte in place, so a hit's byte
+        // offset is its char index.
+        return keywords
+            .split_whitespace()
+            .filter_map(|k| {
+                body.as_bytes()
+                    .windows(k.len())
+                    .position(|w| w.eq_ignore_ascii_case(k.as_bytes()))
+            })
+            .min();
+    }
+    let lower = body.to_lowercase();
+    let hit = keywords
+        .split_whitespace()
+        .filter_map(|k| lower.find(&k.to_lowercase()))
+        .min()?;
+    // `hit` is a byte offset into `lower`, where a char may take more or
+    // fewer bytes than in `body` (`ẞ` → `ß`), so it cannot index `body`.
+    // The centre is the body char whose lowercase form covers it: the
+    // number of chars whose lowercase ends at or before it.
+    let mut end = 0;
+    Some(
+        body.chars()
+            .take_while(|c| {
+                end += c.to_lowercase().map(char::len_utf8).sum::<usize>();
+                end <= hit
+            })
+            .count(),
+    )
 }
 
 #[cfg(test)]

@@ -965,17 +965,23 @@ pub fn explain_select(catalog: &Catalog, sel: &SelectStmt) -> Result<ResultSet> 
     })
 }
 
-/// Increments the per-access-path observability counter. Bumped when a scan
-/// actually executes, so metrics reflect real work, not EXPLAIN calls.
+/// Increments the per-access-path observability counters. Bumped when a
+/// scan actually executes, so metrics reflect real work, not EXPLAIN calls.
+/// Every path that seeks an index counts once in `sql_plan_index_seek_total`
+/// and once in the counter of its kind.
 fn bump_path_counter(path: &AccessPath) {
-    let name = match path {
-        AccessPath::FullScan => "sql_plan_full_scan_total",
-        AccessPath::IndexSeek { .. } => "sql_plan_index_seek_total",
+    let kind = match path {
+        AccessPath::FullScan => {
+            obs::counter("sql_plan_full_scan_total").inc();
+            return;
+        }
+        AccessPath::IndexSeek { .. } => "sql_plan_eq_seek_total",
         AccessPath::RangeScan { .. } => "sql_plan_range_scan_total",
         AccessPath::MultiSeek { .. } => "sql_plan_multi_seek_total",
         AccessPath::TrigramSeek { .. } => "sql_plan_trigram_seek_total",
     };
-    obs::counter(name).inc();
+    obs::counter("sql_plan_index_seek_total").inc();
+    obs::counter(kind).inc();
 }
 
 /// Materializes the rows a planned access path produces with their row

@@ -215,7 +215,8 @@ impl SearchIndex {
     /// [`SearchIndex::try_search_with`] for the cooperative variant).
     pub fn search_with(&self, query: &str, k: usize, params: Bm25Params) -> Vec<Hit> {
         // The unchecked pass never hits a checkpoint, so Err is unreachable.
-        self.score_disjunctive(query, k, params, false)
+        self.score_disjunctive(query, params, false)
+            .map(|scores| self.top_k(scores, k))
             .unwrap_or_default()
     }
 
@@ -234,30 +235,60 @@ impl SearchIndex {
         k: usize,
         params: Bm25Params,
     ) -> Result<Vec<Hit>, Interrupt> {
-        self.score_disjunctive(query, k, params, true)
+        Ok(self.top_k(self.score_disjunctive(query, params, true)?, k))
+    }
+
+    /// The raw BM25 score of every document matching at least one query
+    /// term, in doc-id order, with default parameters and cooperative
+    /// cancellation: what [`SearchIndex::try_search`] ranks, without making
+    /// a [`Hit`] (or cloning a key) per document.
+    pub fn try_scores(&self, query: &str) -> Result<Vec<(DocId, f64)>, Interrupt> {
+        self.score_disjunctive(query, Bm25Params::default(), true)
+    }
+
+    /// [`SearchIndex::try_scores`] restricted to documents containing every
+    /// query term: what [`SearchIndex::try_search_all_terms`] ranks.
+    pub fn try_scores_all_terms(&self, query: &str) -> Result<Vec<(DocId, f64)>, Interrupt> {
+        self.score_conjunctive(query, true)
     }
 
     fn score_disjunctive(
         &self,
         query: &str,
-        k: usize,
         params: Bm25Params,
         checked: bool,
-    ) -> Result<Vec<Hit>, Interrupt> {
+    ) -> Result<Vec<(DocId, f64)>, Interrupt> {
         let _timing = sensormeta_obs::span("search_score");
         sensormeta_obs::counter("search_queries_total").inc();
         let terms = tokenize(query);
         if terms.is_empty() {
             return Ok(Vec::new());
         }
-        let avg = self.avg_len().max(f64::MIN_POSITIVE);
-        let mut scores: BTreeMap<DocId, f64> = BTreeMap::new();
-        let mut scanned = 0usize;
-        for term in &terms {
+        let postings = terms.iter().map(|term| {
             if checked {
                 resil::checkpoint(CHECKPOINT_SITE)?;
             }
-            let Some(posting) = self.postings.get(term) else {
+            Ok(self.postings.get(term))
+        });
+        self.accumulate(postings, params, checked)
+    }
+
+    /// Sums the BM25 contribution of each posting list's documents, list by
+    /// list in the order given (so a document's score adds up in query-term
+    /// order, bit for bit as a map keyed by doc would), into a dense
+    /// per-document array. Returns the documents reached, in doc-id order.
+    fn accumulate<'a>(
+        &self,
+        postings: impl Iterator<Item = Result<Option<&'a Posting>, Interrupt>>,
+        params: Bm25Params,
+        checked: bool,
+    ) -> Result<Vec<(DocId, f64)>, Interrupt> {
+        let avg = self.avg_len().max(f64::MIN_POSITIVE);
+        let mut scores = vec![0.0f64; self.keys.len()];
+        let mut reached = vec![false; self.keys.len()];
+        let mut scanned = 0usize;
+        for posting in postings {
+            let Some(posting) = posting? else {
                 continue;
             };
             let idf = self.idf(posting.docs.len());
@@ -269,31 +300,38 @@ impl SearchIndex {
                 let tf = positions.len() as f64;
                 let dl = f64::from(self.doc_len[*doc]);
                 let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avg);
-                *scores.entry(*doc).or_insert(0.0) += idf * tf * (params.k1 + 1.0) / denom;
+                scores[*doc] += idf * tf * (params.k1 + 1.0) / denom;
+                reached[*doc] = true;
             }
         }
-        Ok(self.top_k(scores, k))
+        Ok(scores
+            .into_iter()
+            .zip(reached)
+            .enumerate()
+            .filter_map(|(doc, (score, reached))| reached.then_some((doc, score)))
+            .collect())
     }
 
     /// Conjunctive search: only documents containing *all* query terms.
     /// Uncancellable; see [`SearchIndex::try_search_all_terms`].
     pub fn search_all_terms(&self, query: &str, k: usize) -> Vec<Hit> {
         // The unchecked pass never hits a checkpoint, so Err is unreachable.
-        self.score_conjunctive(query, k, false).unwrap_or_default()
+        self.score_conjunctive(query, false)
+            .map(|scores| self.top_k(scores, k))
+            .unwrap_or_default()
     }
 
     /// [`SearchIndex::search_all_terms`] with cooperative cancellation at
     /// the same checkpoints as [`SearchIndex::try_search_with`].
     pub fn try_search_all_terms(&self, query: &str, k: usize) -> Result<Vec<Hit>, Interrupt> {
-        self.score_conjunctive(query, k, true)
+        Ok(self.top_k(self.score_conjunctive(query, true)?, k))
     }
 
     fn score_conjunctive(
         &self,
         query: &str,
-        k: usize,
         checked: bool,
-    ) -> Result<Vec<Hit>, Interrupt> {
+    ) -> Result<Vec<(DocId, f64)>, Interrupt> {
         let terms = tokenize(query);
         if terms.is_empty() {
             return Ok(Vec::new());
@@ -317,12 +355,9 @@ impl SearchIndex {
             }
         }
         let allowed = candidate.unwrap_or_default();
-        Ok(self
-            .score_disjunctive(query, usize::MAX, Bm25Params::default(), checked)?
-            .into_iter()
-            .filter(|h| allowed.binary_search(&h.doc).is_ok())
-            .take(k)
-            .collect())
+        let mut scores = self.score_disjunctive(query, Bm25Params::default(), checked)?;
+        scores.retain(|(doc, _)| allowed.binary_search(doc).is_ok());
+        Ok(scores)
     }
 
     /// Exact phrase search using positional postings.
@@ -392,7 +427,6 @@ impl SearchIndex {
         if prefix.is_empty() {
             return Vec::new();
         }
-        let mut scores: BTreeMap<DocId, f64> = BTreeMap::new();
         let upper = prefix_upper_bound(&prefix);
         let range = self.postings.range::<String, _>((
             Bound::Included(&prefix),
@@ -401,37 +435,34 @@ impl SearchIndex {
                 .map(Bound::Excluded)
                 .unwrap_or(Bound::Unbounded),
         ));
-        let avg = self.avg_len().max(f64::MIN_POSITIVE);
-        let params = Bm25Params::default();
-        for (_, posting) in range {
-            let idf = self.idf(posting.docs.len());
-            for (doc, positions) in &posting.docs {
-                let tf = positions.len() as f64;
-                let dl = f64::from(self.doc_len[*doc]);
-                let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avg);
-                *scores.entry(*doc).or_insert(0.0) += idf * tf * (params.k1 + 1.0) / denom;
-            }
-        }
-        self.top_k(scores, k)
+        // The unchecked pass never hits a checkpoint, so Err is unreachable.
+        self.accumulate(
+            range.map(|(_, p)| Ok(Some(p))),
+            Bm25Params::default(),
+            false,
+        )
+        .map(|scores| self.top_k(scores, k))
+        .unwrap_or_default()
     }
 
-    fn top_k(&self, scores: BTreeMap<DocId, f64>, k: usize) -> Vec<Hit> {
-        let mut hits: Vec<Hit> = scores
+    /// The `k` best of `scores` (in doc-id order) by descending score, ties
+    /// by doc id, as hits: only those `k` get their key cloned, and only
+    /// they are sorted.
+    fn top_k(&self, mut scores: Vec<(DocId, f64)>, k: usize) -> Vec<Hit> {
+        let order = |a: &(DocId, f64), b: &(DocId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if k < scores.len() {
+            scores.select_nth_unstable_by(k, order);
+            scores.truncate(k);
+        }
+        scores.sort_unstable_by(order);
+        scores
             .into_iter()
             .map(|(doc, score)| Hit {
                 key: self.keys[doc].clone(),
                 doc,
                 score,
             })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
-        hits.truncate(k);
-        hits
+            .collect()
     }
 
     /// Iterates all indexed terms with their document frequencies — the

@@ -6,6 +6,36 @@ use sensormeta_search::{
 };
 use std::collections::BTreeMap;
 
+/// BM25 by definition, with the index's default parameters: per query
+/// term in order, per document containing it, the term's contribution is
+/// added to the document's score — the reference the index's doc-id scores
+/// must equal bit for bit.
+fn reference_bm25(docs: &[String], query: &str) -> BTreeMap<usize, f64> {
+    let (k1, b) = (1.2, 0.75);
+    let streams: Vec<Vec<String>> = docs.iter().map(|d| tokenize(d)).collect();
+    let n = streams.len() as f64;
+    let total: usize = streams.iter().map(Vec::len).sum();
+    let avg = (total as f64 / n).max(f64::MIN_POSITIVE);
+    let mut scores = BTreeMap::new();
+    for term in tokenize(query) {
+        let tfs: Vec<(usize, usize)> = streams
+            .iter()
+            .enumerate()
+            .map(|(d, s)| (d, s.iter().filter(|t| **t == term).count()))
+            .filter(|&(_, tf)| tf > 0)
+            .collect();
+        let df = tfs.len() as f64;
+        let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln();
+        for (d, tf) in tfs {
+            let tf = tf as f64;
+            let dl = streams[d].len() as f64;
+            let denom = tf + k1 * (1.0 - b + b * dl / avg);
+            *scores.entry(d).or_insert(0.0) += idf * tf * (k1 + 1.0) / denom;
+        }
+    }
+    scores
+}
+
 fn arb_doc() -> impl Strategy<Value = String> {
     prop::collection::vec("[a-z]{1,8}", 1..30).prop_map(|words| words.join(" "))
 }
@@ -116,5 +146,63 @@ proptest! {
         let marked = highlight(&doc, &q, "«", "»");
         let stripped: String = marked.chars().filter(|c| *c != '«' && *c != '»').collect();
         prop_assert_eq!(stripped, doc);
+    }
+
+    /// The doc-id score maps equal BM25 by definition bit for bit, and the
+    /// ranked searches are those scores sorted (best first, ties by doc):
+    /// whole (`k = usize::MAX`) and cut at `k`. Query terms repeat, so a
+    /// document's score sums one term more than once.
+    #[test]
+    fn doc_id_scores_are_what_search_ranks(
+        docs in prop::collection::vec(
+            prop::collection::vec("[a-e]{1,2}", 1..12).prop_map(|w| w.join(" ")),
+            1..16,
+        ),
+        words in prop::collection::vec("[a-f]{1,2}", 1..5),
+        repeat in any::<bool>(),
+        k in 0usize..6,
+    ) {
+        let mut ix = SearchIndex::new();
+        for (i, d) in docs.iter().enumerate() {
+            prop_assert_eq!(ix.add_document(&format!("d{i}"), d), i);
+        }
+        let mut query = words.join(" ");
+        if repeat {
+            query = format!("{query} {}", words[0]);
+        }
+        let bits = |scores: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            scores.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+        };
+        let reference = reference_bm25(&docs, &query);
+        let terms = tokenize(&query);
+        let all: Vec<(usize, f64)> = reference
+            .iter()
+            .map(|(&d, &s)| (d, s))
+            .filter(|&(d, _)| {
+                let doc = tokenize(&docs[d]);
+                terms.iter().all(|t| doc.contains(t))
+            })
+            .collect();
+        let reference: Vec<(usize, f64)> = reference.into_iter().collect();
+        for (scores, expected, ranked, top) in [
+            (ix.try_scores(&query), &reference, ix.search(&query, usize::MAX), ix.search(&query, k)),
+            (
+                ix.try_scores_all_terms(&query),
+                &all,
+                ix.search_all_terms(&query, usize::MAX),
+                ix.search_all_terms(&query, k),
+            ),
+        ] {
+            let scores = scores.expect("no deadline");
+            prop_assert_eq!(bits(&scores), bits(expected), "query {:?}", query);
+            let mut sorted = scores.clone();
+            sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let hits: Vec<(usize, f64)> = ranked.iter().map(|h| (h.doc, h.score)).collect();
+            prop_assert_eq!(bits(&hits), bits(&sorted), "query {:?}", query);
+            for h in &ranked {
+                prop_assert_eq!(&h.key, &format!("d{}", h.doc));
+            }
+            prop_assert_eq!(&top[..], &ranked[..k.min(ranked.len())]);
+        }
     }
 }

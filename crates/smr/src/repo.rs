@@ -8,6 +8,7 @@ use crate::page::{BulkReport, Page, PageDraft};
 use sensormeta_graph::CsrGraph;
 use sensormeta_rdf::{evaluate, parse_sparql, Solutions, Term, TripleStore};
 use sensormeta_relstore::{Database, RecoveryReport, ResultSet, StdVfs, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -142,6 +143,32 @@ impl Smr {
     /// The page IRI for a title.
     pub fn page_iri(title: &str) -> String {
         format!("{PAGE_IRI_BASE}{}", encode_iri_component(title))
+    }
+
+    /// The title whose page IRI is `iri` — the inverse of
+    /// [`Smr::page_iri`] — or `None` when no title encodes to `iri`.
+    /// Borrows from `iri` unless the title holds an encoded character.
+    pub fn page_title(iri: &str) -> Option<Cow<'_, str>> {
+        let encoded = iri.strip_prefix(PAGE_IRI_BASE)?;
+        if !encoded.contains(IRI_ESCAPED) {
+            return Some(Cow::Borrowed(encoded));
+        }
+        let mut bytes = Vec::with_capacity(encoded.len());
+        let mut rest = encoded.as_bytes();
+        while let Some((&b, tail)) = rest.split_first() {
+            if b == b'%' {
+                let hex = std::str::from_utf8(tail.get(..2)?).ok()?;
+                bytes.push(u8::from_str_radix(hex, 16).ok()?);
+                rest = &tail[2..];
+            } else {
+                bytes.push(b);
+                rest = tail;
+            }
+        }
+        let title = String::from_utf8(bytes).ok()?;
+        // Only what `page_iri` writes: no bare character it escapes, and
+        // no escape it does not write.
+        (encode_iri_component(&title) == encoded).then_some(Cow::Owned(title))
     }
 
     /// The property IRI for an annotation attribute. An attribute named
@@ -840,6 +867,9 @@ pub fn sql_float(v: f64) -> String {
     }
 }
 
+/// The characters [`encode_iri_component`] percent-encodes.
+const IRI_ESCAPED: [char; 11] = [' ', '%', '<', '>', '"', '{', '}', '|', '^', '`', '\\'];
+
 /// Percent-encodes the characters that would break IRIs, `%` itself
 /// included, so the encoding is injective: distinct names (`A B`, `A_B`,
 /// `A%20B`) never share an IRI.
@@ -847,7 +877,7 @@ fn encode_iri_component(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
-            ' ' | '%' | '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' => {
+            c if IRI_ESCAPED.contains(&c) => {
                 for b in c.to_string().as_bytes() {
                     out.push_str(&format!("%{b:02X}"));
                 }
@@ -861,6 +891,34 @@ fn encode_iri_component(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn page_title_inverts_page_iri() {
+        for title in [
+            "Site:A",
+            "A B",
+            "A_B",
+            "A%20B",
+            "100%",
+            "q\"<x>{|}^`\\ end",
+            "Weißfluhjoch 雪 🏔",
+            "",
+        ] {
+            let iri = Smr::page_iri(title);
+            assert_eq!(Smr::page_title(&iri).as_deref(), Some(title), "{iri}");
+        }
+        for iri in [
+            format!("{PROP_IRI_BASE}Site:A"),
+            format!("{PAGE_IRI_BASE}A B"),
+            format!("{PAGE_IRI_BASE}%41"),
+            format!("{PAGE_IRI_BASE}%2"),
+            format!("{PAGE_IRI_BASE}%zz"),
+            format!("{PAGE_IRI_BASE}%20%FF"),
+            format!("{PAGE_IRI_BASE}%20%c3%a9"),
+        ] {
+            assert_eq!(Smr::page_title(&iri), None, "{iri}");
+        }
+    }
 
     #[test]
     fn float_literals_reach_sql_exactly() {

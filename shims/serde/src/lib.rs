@@ -1,11 +1,16 @@
 //! Offline stand-in for `serde`.
 //!
-//! The real serde is a zero-copy, format-agnostic framework; this shim is a
-//! small value-tree model: [`Serialize`] renders any value to a JSON-like
-//! [`Value`] and [`Deserialize`] rebuilds values from it. That is exactly the
-//! surface this workspace uses (derived struct/enum (de)serialization through
-//! `serde_json`). The derive macros come from the sibling `serde_derive`
-//! shim and support `#[serde(default)]`, `#[serde(default = "path")]` and
+//! The real serde is a zero-copy, format-agnostic framework; this shim is
+//! JSON-only, with two ways out of a value. [`Serialize::write_json`]
+//! streams a value as compact JSON straight into one `String` (what
+//! `serde_json::to_string` calls, so a response is written without building
+//! a tree first), and [`Serialize::to_value`] renders it to a JSON-like
+//! [`Value`] tree, which [`Deserialize`] rebuilds values from and `json!`
+//! builds. Both give the same text: `write_json` appends exactly what
+//! `to_value().to_string()` prints. That is the surface this workspace uses
+//! (derived struct/enum (de)serialization through `serde_json`). The derive
+//! macros come from the sibling `serde_derive` shim, generate both methods,
+//! and support `#[serde(default)]`, `#[serde(default = "path")]` and
 //! `#[serde(rename_all = "snake_case")]`.
 
 #![warn(missing_docs)]
@@ -107,7 +112,8 @@ impl Value {
 /// Writes `s` as a JSON string literal. Only ASCII bytes are ever escaped
 /// (every byte of a multi-byte UTF-8 character is >= 0x80), so the text
 /// between escapes goes out as whole `&str` runs, one `write_str` each.
-fn write_json_string(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+/// Writing into a `String` never fails.
+pub fn write_json_string(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     f.write_str("\"")?;
     let mut run = 0;
@@ -159,6 +165,20 @@ fn write_json_string_reference(f: &mut impl fmt::Write, s: &str) -> fmt::Result 
     f.write_str("\"")
 }
 
+/// Writes a float as [`Value::Float`] prints: `{:.1}` when integral and
+/// below 1e15 in magnitude, shortest round-trip otherwise, and `null` when
+/// not finite (JSON has no NaN/Inf; real serde_json refuses them at the
+/// serializer layer, the shim degrades to null).
+fn write_json_float(f: &mut impl fmt::Write, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        f.write_str("null")
+    } else if x.fract() == 0.0 && x.abs() < 1e15 {
+        write!(f, "{x:.1}")
+    } else {
+        write!(f, "{x}")
+    }
+}
+
 impl fmt::Display for Value {
     /// Renders compact JSON (the `serde_json::Value::to_string` contract).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -166,16 +186,7 @@ impl fmt::Display for Value {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) if x.is_finite() => {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            // JSON has no NaN/Inf; real serde_json refuses them at the
-            // serializer layer, the shim degrades to null.
-            Value::Float(_) => f.write_str("null"),
+            Value::Float(x) => write_json_float(f, *x),
             Value::String(s) => write_json_string(f, s),
             Value::Array(items) => {
                 f.write_str("[")?;
@@ -342,10 +353,30 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types renderable to a [`Value`].
+/// Types renderable to a [`Value`] and writable as JSON.
 pub trait Serialize {
     /// Renders `self` as a value tree.
     fn to_value(&self) -> Value;
+
+    /// Appends `self` as compact JSON to `out`: exactly the text
+    /// `self.to_value().to_string()` prints. The default goes through that
+    /// tree; derived impls and the shim's own impls write directly.
+    fn write_json(&self, out: &mut String) {
+        // Writing into a `String` never fails.
+        let _ = fmt::Write::write_fmt(out, format_args!("{}", self.to_value()));
+    }
+}
+
+/// Appends `items` as a JSON array.
+fn write_json_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 /// Types rebuildable from a [`Value`].
@@ -357,6 +388,10 @@ pub trait Deserialize: Sized {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = fmt::Write::write_fmt(out, format_args!("{self}"));
     }
 }
 
@@ -370,17 +405,29 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_owned())
     }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write_json_string(out, self);
+    }
 }
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write_json_string(out, self);
     }
 }
 
@@ -396,6 +443,10 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl Deserialize for bool {
@@ -409,6 +460,10 @@ macro_rules! impl_serde_int {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i64)
+            }
+
+            fn write_json(&self, out: &mut String) {
+                let _ = fmt::Write::write_fmt(out, format_args!("{}", *self as i64));
             }
         }
         impl Deserialize for $t {
@@ -431,6 +486,10 @@ macro_rules! impl_serde_float {
             fn to_value(&self) -> Value {
                 Value::Float(*self as f64)
             }
+
+            fn write_json(&self, out: &mut String) {
+                let _ = write_json_float(out, *self as f64);
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -451,6 +510,13 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -465,6 +531,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_json_seq(out, self);
     }
 }
 
@@ -482,11 +552,19 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_json_seq(out, self);
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_json_seq(out, self);
     }
 }
 
@@ -497,6 +575,19 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
                 .map(|(k, v)| (k.clone(), v.to_value()))
                 .collect(),
         )
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write_json_string(out, k);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
     }
 }
 
@@ -515,6 +606,10 @@ macro_rules! impl_serde_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$( self.$ix.to_value() ),+])
+            }
+
+            fn write_json(&self, out: &mut String) {
+                write_json_seq(out, &[$( &self.$ix as &dyn Serialize ),+]);
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {

@@ -11,6 +11,8 @@
 //!
 //! Generated impls target the `Serialize`/`Deserialize` traits of the
 //! sibling `serde` shim (`to_value`/`from_value` over `serde::Value`).
+//! `Serialize` also gets `write_json`, which appends the JSON text of
+//! `to_value` straight to a `String`, fields in the same order.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -270,12 +272,25 @@ fn wire_name(name: &str, rename_snake: bool) -> String {
     }
 }
 
+/// A Rust string literal holding `json`, quotes and backslashes escaped.
+fn str_literal(json: &str) -> String {
+    format!("{json:?}")
+}
+
 fn struct_serialize(name: &str, fields: &[Field]) -> String {
     let mut pushes = String::new();
-    for f in fields {
+    let mut writes = String::new();
+    for (i, f) in fields.iter().enumerate() {
         pushes.push_str(&format!(
             "fields.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));\n",
             n = f.name
+        ));
+        // Field names are identifiers: nothing in them needs escaping.
+        let key = format!("{}\"{}\":", if i == 0 { "" } else { "," }, f.name);
+        writes.push_str(&format!(
+            "out.push_str({});\n::serde::Serialize::write_json(&self.{}, out);\n",
+            str_literal(&key),
+            f.name
         ));
     }
     format!(
@@ -284,6 +299,11 @@ fn struct_serialize(name: &str, fields: &[Field]) -> String {
          let mut fields: Vec<(String, ::serde::Value)> = Vec::new();\n\
          {pushes}\
          ::serde::Value::Object(fields)\n\
+         }}\n\
+         fn write_json(&self, out: &mut String) {{\n\
+         out.push('{{');\n\
+         {writes}\
+         out.push('}}');\n\
          }}\n}}\n"
     )
 }
@@ -326,6 +346,7 @@ fn struct_deserialize(name: &str, fields: &[Field]) -> String {
 
 fn enum_serialize(name: &str, variants: &[Variant], rename_snake: bool) -> String {
     let mut arms = String::new();
+    let mut write_arms = String::new();
     for v in variants {
         let wire = wire_name(&v.name, rename_snake);
         if v.newtype {
@@ -333,9 +354,23 @@ fn enum_serialize(name: &str, variants: &[Variant], rename_snake: bool) -> Strin
                 "{name}::{v_name}(inner) => ::serde::Value::Object(vec![(\"{wire}\".to_string(), ::serde::Serialize::to_value(inner))]),\n",
                 v_name = v.name
             ));
+            write_arms.push_str(&format!(
+                "{name}::{v_name}(inner) => {{\n\
+                 out.push_str({open});\n\
+                 ::serde::Serialize::write_json(inner, out);\n\
+                 out.push('}}');\n\
+                 }}\n",
+                v_name = v.name,
+                open = str_literal(&format!("{{\"{wire}\":")),
+            ));
         } else {
             arms.push_str(&format!(
                 "{name}::{v_name} => ::serde::Value::String(\"{wire}\".to_string()),\n",
+                v_name = v.name
+            ));
+            write_arms.push_str(&format!(
+                "{name}::{v_name} => out.push_str({}),\n",
+                str_literal(&format!("\"{wire}\"")),
                 v_name = v.name
             ));
         }
@@ -344,6 +379,9 @@ fn enum_serialize(name: &str, variants: &[Variant], rename_snake: bool) -> Strin
         "impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::Value {{\n\
          match self {{\n{arms}}}\n\
+         }}\n\
+         fn write_json(&self, out: &mut String) {{\n\
+         match self {{\n{write_arms}}}\n\
          }}\n}}\n"
     )
 }

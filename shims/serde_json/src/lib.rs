@@ -1,6 +1,7 @@
 //! Offline stand-in for `serde_json`: a recursive-descent JSON parser and
 //! compact printer over the `serde` shim's [`Value`] tree, plus
-//! [`to_string`]/[`from_str`] entry points and a [`json!`] macro.
+//! [`to_string`] (which streams through `Serialize::write_json`),
+//! [`from_str`] and a [`json!`] macro.
 //!
 //! Shim limits: numbers are `i64` when integral else `f64`; `json!` object
 //! values may be arbitrary expressions or `[...]` array literals, but not
@@ -39,9 +40,13 @@ impl From<serde::DeError> for Error {
     }
 }
 
-/// Serializes `value` to a compact JSON string.
+/// Serializes `value` to a compact JSON string, written straight into the
+/// string by [`serde::Serialize::write_json`] (no [`Value`] tree is built
+/// for derived and primitive types).
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.to_value().to_string())
+    let mut out = String::new();
+    value.write_json(&mut out);
+    Ok(out)
 }
 
 /// Deserializes a `T` from a JSON string.
