@@ -1318,18 +1318,6 @@ fn snippet(body: &str, keywords: &str) -> String {
 /// The index of the body char the first keyword occurrence starts in,
 /// matching case-insensitively as `str::to_lowercase` does.
 fn keyword_char(body: &str, keywords: &str) -> Option<usize> {
-    if body.is_ascii() && keywords.is_ascii() {
-        // ASCII lowercasing keeps every byte in place, so a hit's byte
-        // offset is its char index.
-        return keywords
-            .split_whitespace()
-            .filter_map(|k| {
-                body.as_bytes()
-                    .windows(k.len())
-                    .position(|w| w.eq_ignore_ascii_case(k.as_bytes()))
-            })
-            .min();
-    }
     let lower = body.to_lowercase();
     let hit = keywords
         .split_whitespace()

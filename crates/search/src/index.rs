@@ -212,7 +212,7 @@ impl SearchIndex {
 
     /// BM25 search with explicit parameters. Uncancellable: runs to
     /// completion regardless of the ambient deadline (see
-    /// [`SearchIndex::try_search_with`] for the cooperative variant).
+    /// [`SearchIndex::try_scores`] for the cooperative variant).
     pub fn search_with(&self, query: &str, k: usize, params: Bm25Params) -> Vec<Hit> {
         // The unchecked pass never hits a checkpoint, so Err is unreachable.
         self.score_disjunctive(query, params, false)
@@ -220,34 +220,18 @@ impl SearchIndex {
             .unwrap_or_default()
     }
 
-    /// [`SearchIndex::search`] with cooperative cancellation: observes the
-    /// ambient resil deadline (and chaos plan) between query terms and
-    /// every `POSTINGS_PER_CHECK` (1024) scanned postings, so an expired request
-    /// stops burning CPU mid-scan.
-    pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<Hit>, Interrupt> {
-        self.try_search_with(query, k, Bm25Params::default())
-    }
-
-    /// [`SearchIndex::search_with`] with cooperative cancellation.
-    pub fn try_search_with(
-        &self,
-        query: &str,
-        k: usize,
-        params: Bm25Params,
-    ) -> Result<Vec<Hit>, Interrupt> {
-        Ok(self.top_k(self.score_disjunctive(query, params, true)?, k))
-    }
-
     /// The raw BM25 score of every document matching at least one query
-    /// term, in doc-id order, with default parameters and cooperative
-    /// cancellation: what [`SearchIndex::try_search`] ranks, without making
-    /// a [`Hit`] (or cloning a key) per document.
+    /// term, in doc-id order, with default parameters: what
+    /// [`SearchIndex::search`] ranks, without making a [`Hit`] (or cloning a
+    /// key) per document. Observes the ambient resil deadline (and chaos
+    /// plan) between query terms and every `POSTINGS_PER_CHECK` (1024)
+    /// scanned postings, so an expired request stops burning CPU mid-scan.
     pub fn try_scores(&self, query: &str) -> Result<Vec<(DocId, f64)>, Interrupt> {
         self.score_disjunctive(query, Bm25Params::default(), true)
     }
 
     /// [`SearchIndex::try_scores`] restricted to documents containing every
-    /// query term: what [`SearchIndex::try_search_all_terms`] ranks.
+    /// query term: what [`SearchIndex::search_all_terms`] ranks.
     pub fn try_scores_all_terms(&self, query: &str) -> Result<Vec<(DocId, f64)>, Interrupt> {
         self.score_conjunctive(query, true)
     }
@@ -313,18 +297,12 @@ impl SearchIndex {
     }
 
     /// Conjunctive search: only documents containing *all* query terms.
-    /// Uncancellable; see [`SearchIndex::try_search_all_terms`].
+    /// Uncancellable; see [`SearchIndex::try_scores_all_terms`].
     pub fn search_all_terms(&self, query: &str, k: usize) -> Vec<Hit> {
         // The unchecked pass never hits a checkpoint, so Err is unreachable.
         self.score_conjunctive(query, false)
             .map(|scores| self.top_k(scores, k))
             .unwrap_or_default()
-    }
-
-    /// [`SearchIndex::search_all_terms`] with cooperative cancellation at
-    /// the same checkpoints as [`SearchIndex::try_search_with`].
-    pub fn try_search_all_terms(&self, query: &str, k: usize) -> Result<Vec<Hit>, Interrupt> {
-        Ok(self.top_k(self.score_conjunctive(query, true)?, k))
     }
 
     fn score_conjunctive(
@@ -655,16 +633,19 @@ mod tests {
     }
 
     #[test]
-    fn try_search_honors_ambient_deadline() {
+    fn try_scores_honors_ambient_deadline() {
         let ix = index();
-        // No deadline: identical results to the unchecked path.
+        // No deadline: what the unchecked path ranks.
         assert_eq!(
-            ix.try_search("temperature", 10).expect("no budget set"),
+            ix.top_k(ix.try_scores("temperature").expect("no budget set"), 10),
             ix.search("temperature", 10)
         );
         assert_eq!(
-            ix.try_search_all_terms("temperature weissfluhjoch", 10)
-                .expect("no budget set"),
+            ix.top_k(
+                ix.try_scores_all_terms("temperature weissfluhjoch")
+                    .expect("no budget set"),
+                10
+            ),
             ix.search_all_terms("temperature weissfluhjoch", 10)
         );
         // Expired deadline: the checked paths interrupt, the unchecked
@@ -674,11 +655,11 @@ mod tests {
         ));
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert_eq!(
-            ix.try_search("temperature", 10),
+            ix.try_scores("temperature"),
             Err(Interrupt::DeadlineExceeded)
         );
         assert_eq!(
-            ix.try_search_all_terms("temperature wind", 10),
+            ix.try_scores_all_terms("temperature wind"),
             Err(Interrupt::DeadlineExceeded)
         );
         assert_eq!(ix.search("temperature", 10).len(), 2);
