@@ -11,17 +11,18 @@
 //!   epoch of the version it was computed from — a clock's epoch, or an
 //!   MVCC cell's sequence number — and served to a reader iff the reader is
 //!   pinned at the same epoch.
-//! - [`Cache`] — a sharded, concurrent LRU+TTL map with per-entry byte-cost
-//!   accounting, negative caching of failed computations, and single-flight
-//!   stampede protection (concurrent identical misses coalesce onto one
-//!   computation).
+//! - [`Cache`] — a sharded, concurrent LRU map with per-entry byte-cost
+//!   accounting and single-flight stampede protection (concurrent
+//!   identical misses coalesce onto one computation). Its one validity
+//!   rule is the stamp: an entry serves the version that stamped it, at
+//!   any age, and a failure is never stored.
 //! - [`Fingerprint`] — a stable FNV-1a builder for deriving the 64-bit
 //!   query keys.
 //!
-//! Every movement is mirrored into the `sensormeta-obs` global registry:
-//! `cache_hits_total`, `cache_misses_total`, `cache_evictions_total`,
-//! `cache_singleflight_waits_total` and the `cache_bytes` gauge, plus
-//! per-namespace `cache_<name>_*` variants.
+//! Every movement is mirrored into the `sensormeta-obs` global registry,
+//! once per namespace: `cache_<name>_hits_total`, `_misses_total`,
+//! `_evictions_total`, `_singleflight_waits_total`, `_stale_serves_total`
+//! and the `cache_<name>_bytes` gauge.
 
 #![warn(missing_docs)]
 #![warn(

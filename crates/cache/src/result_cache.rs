@@ -3,19 +3,18 @@
 //! One [`Cache`] instance serves one namespace (query results, tag
 //! clouds). Entries are keyed by a 64-bit query fingerprint, cost-accounted
 //! in bytes (capacity is a byte budget, not an entry count), bounded by LRU
-//! eviction plus optional TTLs, and stamped with the epoch of the version
-//! they were computed from: an entry is served only to a reader pinned at
-//! that epoch.
+//! eviction, and stamped with the epoch of the version they were computed
+//! from. The stamp is the one validity rule: an entry is served only to a
+//! reader pinned at that epoch, at any age.
 //! The cache holds no clock; every lookup names its version. Superseded
 //! entries are dropped lazily — on lookup for the requested key, and by an
 //! opportunistic sweep of the shard whenever a later version inserts.
 //!
-//! Failed computations are *negatively cached*: the error message is stored
-//! under a short TTL so a hot failing query does not hammer the backend.
-//!
-//! Concurrent identical misses coalesce through a per-key single-flight
-//! slot: one caller computes, the rest block on the slot (optionally with a
-//! deadline) and receive the shared result.
+//! Only successes are stored. Concurrent identical misses coalesce through
+//! a per-key single-flight slot: one caller computes, the rest block on the
+//! slot until their deadline and receive the shared value. A failed or
+//! panicking computation answers nobody: its waiters retry, each becoming
+//! the leader or waiting on the next flight.
 
 use sensormeta_obs as obs;
 use std::collections::{BTreeMap, HashMap};
@@ -35,10 +34,10 @@ pub enum Status {
     Hit,
     /// Nothing cached; this call computed (or timed out waiting).
     Miss,
-    /// A cached entry existed but was epoch- or TTL-stale; it was dropped
-    /// (or retained for degradation) and this call recomputed.
+    /// A cached entry existed but was stamped by another version; it was
+    /// dropped (or retained for degradation) and this call recomputed.
     Stale,
-    /// The cache was disabled or sidestepped; computed without caching.
+    /// The cache was sidestepped; computed without caching.
     Bypass,
     /// The live computation failed (or was rejected by a breaker) and a
     /// stale cached value within the grace window was served instead.
@@ -69,12 +68,9 @@ impl Status {
 /// Why a lookup returned no value.
 #[derive(Debug)]
 pub enum CacheError<E> {
-    /// The computation ran (this call or a coalesced one) and failed;
-    /// the original error.
+    /// This call computed and the computation failed; the original error.
     Compute(E),
-    /// A negatively cached failure was replayed without recomputing.
-    Negative(Arc<str>),
-    /// The single-flight wait exceeded the caller's deadline.
+    /// The single-flight wait reached the caller's deadline.
     WaitTimeout,
 }
 
@@ -82,7 +78,6 @@ impl<E: fmt::Display> fmt::Display for CacheError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CacheError::Compute(e) => write!(f, "{e}"),
-            CacheError::Negative(msg) => write!(f, "{msg}"),
             CacheError::WaitTimeout => write!(f, "timed out waiting for in-flight computation"),
         }
     }
@@ -95,28 +90,27 @@ where
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CacheError::Compute(e) => Some(e),
-            CacheError::Negative(_) | CacheError::WaitTimeout => None,
+            CacheError::WaitTimeout => None,
         }
     }
 }
 
 /// Counters for one cache instance (process-lifetime, never reset by
 /// [`Cache::clear`]). The same movements are mirrored into the global obs
-/// registry under `cache_*` / `cache_<name>_*` metric names.
+/// registry under `cache_<name>_*` metric names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served from a valid entry (negative hits included).
+    /// Lookups served from a valid entry or a coalesced flight.
     pub hits: u64,
     /// Lookups that computed (stale recomputes included).
     pub misses: u64,
     /// Entries dropped: LRU pressure, stale sweeps, and stale lookups.
     pub evictions: u64,
-    /// The subset of `evictions` dropped for epoch/TTL staleness.
+    /// The subset of `evictions` dropped as stamped by a superseded
+    /// version.
     pub stale_drops: u64,
     /// Times a caller blocked on another caller's in-flight computation.
     pub singleflight_waits: u64,
-    /// Hits that replayed a negatively cached error.
-    pub negative_hits: u64,
     /// Stale values handed out by [`Cache::get_stale`] for degradation.
     pub stale_serves: u64,
     /// Entries currently resident.
@@ -130,35 +124,26 @@ pub struct CacheStats {
 pub struct CacheConfig {
     /// Namespace label: metric suffix `cache_<name>_…` and debug output.
     pub name: &'static str,
-    /// Byte budget across all shards (0 disables caching entirely —
-    /// every lookup is a [`Status::Bypass`]).
+    /// Byte budget across all shards.
     pub capacity_bytes: usize,
     /// Shard count (rounded up to a power of two, min 1). More shards,
     /// less lock contention, coarser LRU.
     pub shards: usize,
-    /// Optional wall-clock bound on positive entries.
-    pub ttl: Option<Duration>,
-    /// Wall-clock bound on negatively cached failures.
-    pub negative_ttl: Duration,
-    /// Staleness grace window for serve-stale degradation: an epoch- or
-    /// TTL-stale *positive* entry younger than this (measured from its
-    /// insertion) is retained instead of dropped, can be fetched with
-    /// [`Cache::get_stale`], and is never overwritten by a negative
-    /// entry. `None` (the default) disables degradation: stale entries
-    /// are dropped on sight exactly as before.
+    /// Staleness grace window for serve-stale degradation: an entry
+    /// stamped by another version and inserted less than this long ago is
+    /// retained instead of dropped, and can be fetched with
+    /// [`Cache::get_stale`]. `None` (the default) disables degradation:
+    /// superseded entries are dropped on sight.
     pub stale_grace: Option<Duration>,
 }
 
 impl CacheConfig {
-    /// A config with the common defaults: 8 shards, no positive TTL, a
-    /// 2-second negative TTL, no serve-stale grace.
+    /// A config with the common defaults: 8 shards, no serve-stale grace.
     pub fn new(name: &'static str, capacity_bytes: usize) -> CacheConfig {
         CacheConfig {
             name,
             capacity_bytes,
             shards: 8,
-            ttl: None,
-            negative_ttl: Duration::from_secs(2),
             stale_grace: None,
         }
     }
@@ -175,13 +160,9 @@ pub fn stale_grace_from_env() -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// A cached outcome: a shared value, or a negatively cached error message.
-type Outcome<V> = Result<Arc<V>, Arc<str>>;
-
 struct Entry<V> {
-    value: Outcome<V>,
+    value: Arc<V>,
     stamp: u64,
-    expires: Option<Instant>,
     /// When the entry landed — the grace window for serve-stale
     /// degradation bounds the value's total age from this point.
     inserted: Instant,
@@ -191,9 +172,9 @@ struct Entry<V> {
 
 enum FlightState<V> {
     Pending,
-    Done(Outcome<V>),
-    /// The computing caller panicked; waiters should retry from scratch.
-    Poisoned,
+    Done(Arc<V>),
+    /// The computing caller failed or panicked; waiters retry from scratch.
+    Failed,
 }
 
 struct Flight<V> {
@@ -203,8 +184,8 @@ struct Flight<V> {
 }
 
 enum WaitOutcome<V> {
-    Completed(Outcome<V>),
-    Poisoned,
+    Done(Arc<V>),
+    Failed,
     TimedOut,
 }
 
@@ -217,11 +198,11 @@ impl<V> Flight<V> {
         }
     }
 
-    fn publish(&self, outcome: Option<Outcome<V>>) {
+    fn publish(&self, value: Option<Arc<V>>) {
         let mut st = lock(&self.state);
-        *st = match outcome {
-            Some(o) => FlightState::Done(o),
-            None => FlightState::Poisoned,
+        *st = match value {
+            Some(v) => FlightState::Done(v),
+            None => FlightState::Failed,
         };
         self.cv.notify_all();
     }
@@ -230,8 +211,8 @@ impl<V> Flight<V> {
         let mut st = lock(&self.state);
         loop {
             match &*st {
-                FlightState::Done(o) => return WaitOutcome::Completed(o.clone()),
-                FlightState::Poisoned => return WaitOutcome::Poisoned,
+                FlightState::Done(v) => return WaitOutcome::Done(Arc::clone(v)),
+                FlightState::Failed => return WaitOutcome::Failed,
                 FlightState::Pending => {}
             }
             st = match deadline {
@@ -291,7 +272,7 @@ impl<V> Shard<V> {
 }
 
 /// Recovers a mutex from poisoning: computations run *outside* these locks
-/// (single-flight publishes a poison marker instead), so the guarded state
+/// (single-flight publishes a failure marker instead), so the guarded state
 /// is always structurally consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -303,13 +284,7 @@ struct Metrics {
     evictions: obs::Counter,
     singleflight_waits: obs::Counter,
     stale_serves: obs::Counter,
-    global_hits: obs::Counter,
-    global_misses: obs::Counter,
-    global_evictions: obs::Counter,
-    global_waits: obs::Counter,
-    global_stale_serves: obs::Counter,
     bytes: obs::Gauge,
-    global_bytes: obs::Gauge,
 }
 
 impl Metrics {
@@ -321,13 +296,7 @@ impl Metrics {
             evictions: per("evictions_total"),
             singleflight_waits: per("singleflight_waits_total"),
             stale_serves: per("stale_serves_total"),
-            global_hits: obs::counter("cache_hits_total"),
-            global_misses: obs::counter("cache_misses_total"),
-            global_evictions: obs::counter("cache_evictions_total"),
-            global_waits: obs::counter("cache_singleflight_waits_total"),
-            global_stale_serves: obs::counter("cache_stale_serves_total"),
             bytes: obs::gauge(&format!("cache_{}_bytes", cfg.name)),
-            global_bytes: obs::gauge("cache_bytes"),
         }
     }
 }
@@ -338,12 +307,11 @@ struct Stats {
     evictions: AtomicU64,
     stale_drops: AtomicU64,
     singleflight_waits: AtomicU64,
-    negative_hits: AtomicU64,
     stale_serves: AtomicU64,
     entries: AtomicUsize,
 }
 
-/// A sharded, concurrent, epoch-invalidated LRU+TTL result cache; see the
+/// A sharded, concurrent, epoch-invalidated LRU result cache; see the
 /// module docs. All methods take `&self` — interior locking is per shard.
 pub struct Cache<V> {
     cfg: CacheConfig,
@@ -357,23 +325,13 @@ pub struct Cache<V> {
 impl<V> fmt::Debug for Cache<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // No `V: Debug` bound: only bookkeeping is printed, never values.
-        let s = CacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            stale_drops: self.stats.stale_drops.load(Ordering::Relaxed),
-            singleflight_waits: self.stats.singleflight_waits.load(Ordering::Relaxed),
-            negative_hits: self.stats.negative_hits.load(Ordering::Relaxed),
-            stale_serves: self.stats.stale_serves.load(Ordering::Relaxed),
-            entries: self.stats.entries.load(Ordering::Relaxed),
-            bytes: 0,
-        };
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         f.debug_struct("Cache")
             .field("name", &self.cfg.name)
-            .field("entries", &s.entries)
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .field("evictions", &s.evictions)
+            .field("entries", &self.stats.entries.load(Ordering::Relaxed))
+            .field("hits", &load(&self.stats.hits))
+            .field("misses", &load(&self.stats.misses))
+            .field("evictions", &load(&self.stats.evictions))
             .finish()
     }
 }
@@ -385,7 +343,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
         let nshards = cfg.shards.clamp(1, 1024).next_power_of_two();
         let metrics = Metrics::new(&cfg);
         Cache {
-            shard_capacity: (cfg.capacity_bytes / nshards).max(usize::from(cfg.capacity_bytes > 0)),
+            shard_capacity: cfg.capacity_bytes / nshards,
             shards: (0..nshards).map(|_| Mutex::new(Shard::new())).collect(),
             weigher,
             stats: Stats {
@@ -394,7 +352,6 @@ impl<V: Send + Sync + 'static> Cache<V> {
                 evictions: AtomicU64::new(0),
                 stale_drops: AtomicU64::new(0),
                 singleflight_waits: AtomicU64::new(0),
-                negative_hits: AtomicU64::new(0),
                 stale_serves: AtomicU64::new(0),
                 entries: AtomicUsize::new(0),
             },
@@ -417,7 +374,6 @@ impl<V: Send + Sync + 'static> Cache<V> {
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             stale_drops: self.stats.stale_drops.load(Ordering::Relaxed),
             singleflight_waits: self.stats.singleflight_waits.load(Ordering::Relaxed),
-            negative_hits: self.stats.negative_hits.load(Ordering::Relaxed),
             stale_serves: self.stats.stale_serves.load(Ordering::Relaxed),
             entries: self.stats.entries.load(Ordering::Relaxed),
             bytes,
@@ -445,7 +401,6 @@ impl<V: Send + Sync + 'static> Cache<V> {
         }
         if freed > 0 {
             self.metrics.bytes.add(-(freed as f64));
-            self.metrics.global_bytes.add(-(freed as f64));
         }
     }
 
@@ -454,12 +409,12 @@ impl<V: Send + Sync + 'static> Cache<V> {
     pub fn peek(&self, key: u64, at: u64) -> Option<Arc<V>> {
         let mut sh = lock(self.shard(key));
         let e = sh.map.get(&key)?;
-        if !self.entry_valid(e, at) {
+        if e.stamp != at {
             return None;
         }
-        let v = e.value.as_ref().ok().cloned();
+        let v = Arc::clone(&e.value);
         sh.touch(key);
-        v
+        Some(v)
     }
 
     fn shard(&self, key: u64) -> &Mutex<Shard<V>> {
@@ -467,61 +422,41 @@ impl<V: Send + Sync + 'static> Cache<V> {
         &self.shards[i]
     }
 
-    /// Whether `e` may serve a reader pinned at `at`: unexpired, and
-    /// stamped by that same version.
-    fn entry_valid(&self, e: &Entry<V>, at: u64) -> bool {
-        e.expires.is_none_or(|t| Instant::now() < t) && e.stamp == at
-    }
-
-    /// Whether a (possibly invalid) entry may still back a degraded serve:
-    /// a positive value younger than the staleness grace window.
-    fn stale_servable(&self, e: &Entry<V>) -> bool {
-        e.value.is_ok()
+    /// Whether `e` may still back a degraded serve to a reader pinned at
+    /// `at`: stamped by another version and inserted within the staleness
+    /// grace window.
+    fn stale_servable(&self, e: &Entry<V>, at: u64) -> bool {
+        e.stamp != at
             && self
                 .cfg
                 .stale_grace
                 .is_some_and(|g| e.inserted.elapsed() < g)
     }
 
-    /// Serve-stale degradation: returns the resident positive value for
-    /// `key` — valid at `at`, or epoch-/TTL-stale but within the staleness
-    /// grace window — along with its age since insertion. Callers use this when
-    /// the live computation failed, timed out, or was rejected by an open
-    /// breaker, and MUST label the response (`Cache-Status: stale` plus a
-    /// `Warning` header). Returns `None` when nothing servable is
-    /// resident; never computes.
+    /// Serve-stale degradation: returns the resident value for `key` —
+    /// valid at `at`, or superseded but within the staleness grace window —
+    /// along with its age since insertion. Callers use this when the live
+    /// computation failed, timed out, or was rejected by an open breaker,
+    /// and MUST label the response (`Cache-Status: stale` plus a `Warning`
+    /// header). Returns `None` when nothing servable is resident; never
+    /// computes.
     pub fn get_stale(&self, key: u64, at: u64) -> Option<(Arc<V>, Duration)> {
-        if self.cfg.capacity_bytes == 0 {
-            return None;
-        }
         let found = {
             let sh = lock(self.shard(key));
             let e = sh.map.get(&key)?;
-            if !self.entry_valid(e, at) && !self.stale_servable(e) {
+            if e.stamp != at && !self.stale_servable(e, at) {
                 return None;
             }
-            let v = e.value.as_ref().ok()?;
-            (Arc::clone(v), e.inserted.elapsed())
+            (Arc::clone(&e.value), e.inserted.elapsed())
         };
         self.stats.stale_serves.fetch_add(1, Ordering::Relaxed);
         self.metrics.stale_serves.inc();
-        self.metrics.global_stale_serves.inc();
         Some(found)
     }
 
-    fn count_hit(&self, negative: bool) {
+    fn count_hit(&self) {
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        if negative {
-            self.stats.negative_hits.fetch_add(1, Ordering::Relaxed);
-        }
         self.metrics.hits.inc();
-        self.metrics.global_hits.inc();
-    }
-
-    fn count_miss(&self) {
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        self.metrics.misses.inc();
-        self.metrics.global_misses.inc();
     }
 
     fn count_evictions(&self, n: u64, stale: bool) {
@@ -533,14 +468,14 @@ impl<V: Send + Sync + 'static> Cache<V> {
             self.stats.stale_drops.fetch_add(n, Ordering::Relaxed);
         }
         self.metrics.evictions.add(n);
-        self.metrics.global_evictions.add(n);
     }
 
-    /// The one computing lookup. On a valid entry for `key` returns it;
-    /// otherwise computes via `compute` (or coalesces onto an identical
-    /// in-flight computation, waiting at most `deadline`), caches a success
-    /// and — when `cache_error` says so — negatively caches a failure for
-    /// [`CacheConfig::negative_ttl`].
+    /// The one computing lookup. On an entry stamped `at` for `key` returns
+    /// it; otherwise computes via `compute` (or coalesces onto an identical
+    /// in-flight computation, waiting at most `deadline`) and caches a
+    /// success. A failure is never cached: the caller that computed gets
+    /// the error, and callers waiting on its flight retry under their own
+    /// deadline — leading the next computation or waiting on it.
     ///
     /// `at` is the epoch of the version `compute` reads: entries are
     /// validated against it and new entries stamped with it, so a reader
@@ -553,33 +488,17 @@ impl<V: Send + Sync + 'static> Cache<V> {
     /// stale and recomputed, and a caller never coalesces onto an in-flight
     /// computation stamped by another version. An entry stamped by a *later*
     /// version is never replaced by an earlier version's result.
-    ///
-    /// `cache_error` must reject failures that are the caller's
-    /// circumstance rather than a property of the key — deadline expiries,
-    /// injected chaos faults — or a burst of expired requests would poison
-    /// the key for every later caller with budget to spare. Waiters
-    /// coalesced onto the flight observe the shared failure either way.
-    pub fn get_or_compute<E, F, P>(
+    pub fn get_or_compute<E, F>(
         &self,
         key: u64,
         at: u64,
         deadline: Option<Duration>,
         compute: F,
-        cache_error: P,
     ) -> (Result<Arc<V>, CacheError<E>>, Status)
     where
-        E: fmt::Display,
         F: FnOnce() -> Result<V, E>,
-        P: FnOnce(&E) -> bool,
     {
-        if self.cfg.capacity_bytes == 0 {
-            return match compute() {
-                Ok(v) => (Ok(Arc::new(v)), Status::Bypass),
-                Err(e) => (Err(CacheError::Compute(e)), Status::Bypass),
-            };
-        }
         let deadline = deadline.map(|d| Instant::now() + d);
-        let mut compute = Some(compute);
         let mut saw_stale = false;
         loop {
             enum Step<V> {
@@ -594,29 +513,24 @@ impl<V: Send + Sync + 'static> Cache<V> {
             let step = {
                 let mut sh = lock(self.shard(key));
                 if let Some(e) = sh.map.get(&key) {
-                    if self.entry_valid(e, at) {
-                        let value = e.value.clone();
+                    if e.stamp == at {
+                        let value = Arc::clone(&e.value);
                         sh.touch(key);
                         drop(sh);
-                        self.count_hit(value.is_err());
-                        return match value {
-                            Ok(v) => (Ok(v), Status::Hit),
-                            Err(msg) => (Err(CacheError::Negative(msg)), Status::Hit),
-                        };
+                        self.count_hit();
+                        return (Ok(value), Status::Hit);
                     }
-                    if self.stale_servable(e) || e.stamp > at {
-                        // Retained: for serve-stale degradation the
-                        // recompute's insert replaces it (a failed
-                        // recompute leaves it for `get_stale`); and a
-                        // reader on an earlier version must never evict
-                        // an entry a later version stamped.
-                        saw_stale = true;
-                    } else {
+                    saw_stale = true;
+                    // Dropped unless retained: an entry within the grace
+                    // stays for serve-stale degradation (the recompute's
+                    // insert replaces it, a failed recompute leaves it for
+                    // `get_stale`), and a reader on an earlier version must
+                    // never evict an entry a later version stamped.
+                    if e.stamp < at && !self.stale_servable(e, at) {
                         let freed = sh.remove(key).map_or(0, |e| e.cost);
                         drop(sh);
                         self.note_dropped(1, freed);
                         self.count_evictions(1, true);
-                        saw_stale = true;
                         continue;
                     }
                 }
@@ -631,20 +545,21 @@ impl<V: Send + Sync + 'static> Cache<V> {
                 }
             };
             match step {
+                // A caller leads or computes solo at most once — either
+                // returns — so `compute` is still there to run.
                 Step::Lead(flight) => {
-                    let Some(f) = compute.take() else {
-                        // Unreachable: the leader role is taken at most once.
-                        self.abandon_flight(key, &flight);
-                        return (Err(CacheError::WaitTimeout), Status::Miss);
+                    let status = if saw_stale {
+                        Status::Stale
+                    } else {
+                        Status::Miss
                     };
-                    return self.lead(key, flight, f, cache_error, saw_stale);
+                    return match self.lead(key, &flight, compute) {
+                        Ok(v) => (Ok(v), status),
+                        Err(e) => (Err(CacheError::Compute(e)), status),
+                    };
                 }
                 Step::Solo => {
-                    let Some(f) = compute.take() else {
-                        // Unreachable: Solo returns on its first (and only) hit.
-                        return (Err(CacheError::WaitTimeout), Status::Miss);
-                    };
-                    return match f() {
+                    return match compute() {
                         Ok(v) => (Ok(Arc::new(v)), Status::Bypass),
                         Err(e) => (Err(CacheError::Compute(e)), Status::Bypass),
                     };
@@ -654,17 +569,12 @@ impl<V: Send + Sync + 'static> Cache<V> {
                         .singleflight_waits
                         .fetch_add(1, Ordering::Relaxed);
                     self.metrics.singleflight_waits.inc();
-                    self.metrics.global_waits.inc();
                     match flight.wait(deadline) {
-                        WaitOutcome::Completed(Ok(v)) => {
-                            self.count_hit(false);
+                        WaitOutcome::Done(v) => {
+                            self.count_hit();
                             return (Ok(v), Status::Hit);
                         }
-                        WaitOutcome::Completed(Err(msg)) => {
-                            self.count_hit(true);
-                            return (Err(CacheError::Negative(msg)), Status::Hit);
-                        }
-                        WaitOutcome::Poisoned => continue,
+                        WaitOutcome::Failed => continue,
                         WaitOutcome::TimedOut => {
                             return (Err(CacheError::WaitTimeout), Status::Miss);
                         }
@@ -674,121 +584,72 @@ impl<V: Send + Sync + 'static> Cache<V> {
         }
     }
 
-    /// Runs the leader's computation with panic cleanup, publishes the
-    /// outcome and inserts the entry.
-    fn lead<E, F, P>(
+    /// Runs the leader's computation, inserts a success and publishes it to
+    /// the flight's waiters. A failure — an error or a panic unwinding
+    /// through here — publishes nothing but the flight's end, and its
+    /// waiters retry.
+    fn lead<E>(
         &self,
         key: u64,
-        flight: Arc<Flight<V>>,
-        compute: F,
-        cache_error: P,
-        saw_stale: bool,
-    ) -> (Result<Arc<V>, CacheError<E>>, Status)
-    where
-        E: fmt::Display,
-        F: FnOnce() -> Result<V, E>,
-        P: FnOnce(&E) -> bool,
-    {
-        struct Cleanup<'a, W: Send + Sync + 'static> {
+        flight: &Arc<Flight<V>>,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        /// Ends the flight on every exit; `value` is set only on success.
+        struct Finish<'a, W: Send + Sync + 'static> {
             cache: &'a Cache<W>,
             key: u64,
             flight: &'a Arc<Flight<W>>,
-            armed: bool,
+            value: Option<Arc<W>>,
         }
-        impl<W: Send + Sync + 'static> Drop for Cleanup<'_, W> {
+        impl<W: Send + Sync + 'static> Drop for Finish<'_, W> {
             fn drop(&mut self) {
-                if self.armed {
-                    self.cache.abandon_flight(self.key, self.flight);
+                {
+                    let mut sh = lock(self.cache.shard(self.key));
+                    if sh
+                        .flights
+                        .get(&self.key)
+                        .is_some_and(|current| Arc::ptr_eq(current, self.flight))
+                    {
+                        sh.flights.remove(&self.key);
+                    }
                 }
+                self.flight.publish(self.value.take());
             }
         }
-        let mut cleanup = Cleanup {
+        let mut finish = Finish {
             cache: self,
             key,
-            flight: &flight,
-            armed: true,
+            flight,
+            value: None,
         };
         let result = compute();
-        cleanup.armed = false;
-        self.count_miss();
-        let status = if saw_stale {
-            Status::Stale
-        } else {
-            Status::Miss
-        };
-        match result {
-            Ok(v) => {
-                let v = Arc::new(v);
-                let cost = (self.weigher)(&v) + ENTRY_OVERHEAD;
-                self.insert(key, Ok(Arc::clone(&v)), flight.stamp, self.cfg.ttl, cost);
-                self.finish_flight(key, &flight, Some(Ok(v.clone())));
-                (Ok(v), status)
-            }
-            Err(e) => {
-                let msg: Arc<str> = Arc::from(e.to_string());
-                if cache_error(&e) {
-                    let cost = msg.len() + ENTRY_OVERHEAD;
-                    self.insert(
-                        key,
-                        Err(Arc::clone(&msg)),
-                        flight.stamp,
-                        Some(self.cfg.negative_ttl),
-                        cost,
-                    );
-                }
-                self.finish_flight(key, &flight, Some(Err(msg)));
-                (Err(CacheError::Compute(e)), status)
-            }
-        }
-    }
-
-    /// Removes the flight slot and wakes waiters with a poison marker
-    /// (leader panicked or could not run).
-    fn abandon_flight(&self, key: u64, flight: &Arc<Flight<V>>) {
-        self.finish_flight(key, flight, None);
-    }
-
-    fn finish_flight(&self, key: u64, flight: &Arc<Flight<V>>, outcome: Option<Outcome<V>>) {
-        {
-            let mut sh = lock(self.shard(key));
-            if let Some(current) = sh.flights.get(&key) {
-                if Arc::ptr_eq(current, flight) {
-                    sh.flights.remove(&key);
-                }
-            }
-        }
-        flight.publish(outcome);
+        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.misses.inc();
+        let v = Arc::new(result?);
+        let cost = (self.weigher)(&v) + ENTRY_OVERHEAD;
+        self.insert(key, Arc::clone(&v), flight.stamp, cost);
+        finish.value = Some(Arc::clone(&v));
+        Ok(v)
     }
 
     /// Inserts an entry: sweeps shard residents `stamp` supersedes first,
     /// then LRU-evicts until the shard fits its byte budget. Values larger
     /// than the whole shard budget are not cached at all, and an entry a
     /// later version stamped is never replaced.
-    fn insert(&self, key: u64, value: Outcome<V>, stamp: u64, ttl: Option<Duration>, cost: usize) {
+    fn insert(&self, key: u64, value: Arc<V>, stamp: u64, cost: usize) {
         if cost > self.shard_capacity {
             return;
         }
         let mut sh = lock(self.shard(key));
-        // A later version's entry is never replaced by an earlier one's, and
-        // a failure never displaces a grace-servable positive value: the
-        // stale answer outranks a negatively cached error for degradation.
-        if sh
-            .map
-            .get(&key)
-            .is_some_and(|e| e.stamp > stamp || (value.is_err() && self.stale_servable(e)))
-        {
+        if sh.map.get(&key).is_some_and(|e| e.stamp > stamp) {
             return;
         }
-        // Lazy sweep: drop TTL-expired residents and those stamped by a
-        // version this one supersedes, except positives still inside the
-        // staleness grace window.
-        let now = Instant::now();
+        // Lazy sweep: drop residents stamped by a version this one
+        // supersedes, except those still inside the staleness grace window.
         let stale_keys: Vec<u64> = sh
             .map
             .iter()
-            .filter(|(_, e)| {
-                (e.expires.is_some_and(|t| now >= t) || stamp > e.stamp) && !self.stale_servable(e)
-            })
+            .filter(|(_, e)| stamp > e.stamp && !self.stale_servable(e, stamp))
             .map(|(&k, _)| k)
             .collect();
         let mut freed = 0usize;
@@ -824,8 +685,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
             Entry {
                 value,
                 stamp,
-                expires: ttl.map(|t| now + t),
-                inserted: now,
+                inserted: Instant::now(),
                 cost,
                 tick,
             },
@@ -836,7 +696,6 @@ impl<V: Send + Sync + 'static> Cache<V> {
         self.note_dropped(swept + replaced + lru_evicted, freed);
         self.stats.entries.fetch_add(1, Ordering::Relaxed);
         self.metrics.bytes.add(cost as f64);
-        self.metrics.global_bytes.add(cost as f64);
     }
 }
 
@@ -851,7 +710,6 @@ mod tests {
     fn test_cache(capacity: usize) -> (Cache<String>, EpochClock) {
         let mut cfg = CacheConfig::new("test", capacity);
         cfg.shards = 1;
-        cfg.negative_ttl = Duration::from_millis(40);
         (Cache::new(cfg, |v: &String| v.len()), EpochClock::new())
     }
 
@@ -863,16 +721,10 @@ mod tests {
         value: &str,
         calls: &Cell<u32>,
     ) -> (Result<Arc<String>, CacheError<String>>, Status) {
-        cache.get_or_compute(
-            key,
-            clk.now(),
-            None,
-            || {
-                calls.set(calls.get() + 1);
-                Ok::<_, String>(value.to_string())
-            },
-            |_| true,
-        )
+        cache.get_or_compute(key, clk.now(), None, || {
+            calls.set(calls.get() + 1);
+            Ok::<_, String>(value.to_string())
+        })
     }
 
     #[test]
@@ -893,31 +745,6 @@ mod tests {
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
         assert!(st.bytes > 0);
-    }
-
-    #[test]
-    fn negative_result_is_cached_until_its_ttl() {
-        let (cache, clk) = test_cache(1 << 16);
-        let calls = Cell::new(0);
-        let compute = || {
-            calls.set(calls.get() + 1);
-            Err::<String, String>("backend exploded".to_string())
-        };
-        let (r1, s1) = cache.get_or_compute(9, clk.now(), None, compute, |_| true);
-        assert_eq!(s1, Status::Miss);
-        assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute(9, clk.now(), None, compute, |_| true);
-        assert_eq!(s2, Status::Hit, "failure replayed from cache");
-        match r2 {
-            Err(CacheError::Negative(msg)) => assert_eq!(&*msg, "backend exploded"),
-            other => panic!("expected negative hit, got {other:?}"),
-        }
-        assert_eq!(calls.get(), 1);
-        assert_eq!(cache.stats().negative_hits, 1);
-        std::thread::sleep(Duration::from_millis(60));
-        let (_, s3) = cache.get_or_compute(9, clk.now(), None, compute, |_| true);
-        assert_eq!(s3, Status::Stale, "negative TTL elapsed, recomputed");
-        assert_eq!(calls.get(), 2);
     }
 
     #[test]
@@ -953,20 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_bypasses() {
-        let (cache, clk) = test_cache(0);
-        let calls = Cell::new(0);
-        let (v, s) = get(&cache, &clk, 1, "v", &calls);
-        assert_eq!(s, Status::Bypass);
-        assert_eq!(*v.expect("computed"), "v");
-        let (_, s2) = get(&cache, &clk, 1, "v", &calls);
-        assert_eq!(s2, Status::Bypass);
-        assert_eq!(calls.get(), 2);
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses, st.entries), (0, 0, 0));
-    }
-
-    #[test]
     fn clear_drops_everything_and_resets_bytes() {
         let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
@@ -980,23 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn positive_ttl_expires_entries() {
-        let clk = EpochClock::new();
-        let mut cfg = CacheConfig::new("ttl_test", 1 << 16);
-        cfg.shards = 1;
-        cfg.ttl = Some(Duration::from_millis(30));
-        let cache = Cache::new(cfg, |v: &String| v.len());
-        let calls = Cell::new(0);
-        let _ = get(&cache, &clk, 1, "v", &calls);
-        let (_, s) = get(&cache, &clk, 1, "v", &calls);
-        assert_eq!(s, Status::Hit);
-        std::thread::sleep(Duration::from_millis(50));
-        let (_, s) = get(&cache, &clk, 1, "v", &calls);
-        assert_eq!(s, Status::Stale);
-        assert_eq!(calls.get(), 2);
-    }
-
-    #[test]
     fn snapshot_pinned_reader_keeps_hitting_its_generation() {
         let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
@@ -1005,22 +801,16 @@ mod tests {
             calls.set(calls.get() + 1);
             Ok::<_, String>("old-gen".to_string())
         };
-        let (v1, s1) = cache.get_or_compute(21, stamp, None, compute, |_| true);
+        let (v1, s1) = cache.get_or_compute(21, stamp, None, compute);
         assert_eq!(s1, Status::Miss);
         assert_eq!(*v1.expect("computed"), "old-gen");
         // A writer commits; the reader pinned at `stamp` keeps hitting its
         // own generation.
         clk.bump();
-        let (v2, s2) = cache.get_or_compute(
-            21,
-            stamp,
-            None,
-            || {
-                calls.set(calls.get() + 1);
-                Ok::<_, String>("recomputed".to_string())
-            },
-            |_| true,
-        );
+        let (v2, s2) = cache.get_or_compute(21, stamp, None, || {
+            calls.set(calls.get() + 1);
+            Ok::<_, String>("recomputed".to_string())
+        });
         assert_eq!(s2, Status::Hit, "pinned reader validates against stamp");
         assert_eq!(*v2.expect("hit"), "old-gen");
         assert_eq!(calls.get(), 1);
@@ -1030,13 +820,8 @@ mod tests {
         assert_eq!(calls.get(), 2);
         // The earlier version's reader recomputes, but never replaces the
         // later version's entry.
-        let (v4, s4) = cache.get_or_compute(
-            21,
-            stamp,
-            None,
-            || Ok::<_, String>("old-again".to_string()),
-            |_| true,
-        );
+        let (v4, s4) =
+            cache.get_or_compute(21, stamp, None, || Ok::<_, String>("old-again".to_string()));
         assert_eq!(s4, Status::Stale);
         assert_eq!(*v4.expect("computed"), "old-again");
         let (v5, s5) = get(&cache, &clk, 21, "unused", &calls);
@@ -1108,14 +893,10 @@ mod tests {
             .expect("grace keeps the stale value");
         assert_eq!(*v, "v1");
 
-        // A failing recompute (negatively cached) must not displace it.
-        let (r, s) = cache.get_or_compute(
-            1,
-            clk.now(),
-            None,
-            || Err::<String, String>("backend down".into()),
-            |_| true,
-        );
+        // A failing recompute stores nothing, so the stale value stays.
+        let (r, s) = cache.get_or_compute(1, clk.now(), None, || {
+            Err::<String, String>("backend down".into())
+        });
         assert!(matches!(r, Err(CacheError::Compute(_))));
         assert_eq!(
             s,
@@ -1124,7 +905,7 @@ mod tests {
         );
         let (v, _) = cache
             .get_stale(1, clk.now())
-            .expect("negative outcome must not evict the stale positive");
+            .expect("a failure must not evict the stale value");
         assert_eq!(*v, "v1");
         assert_eq!(cache.stats().stale_serves, 3);
 
@@ -1153,22 +934,24 @@ mod tests {
     }
 
     #[test]
-    fn filtered_errors_are_not_negatively_cached() {
+    fn a_failure_stores_nothing() {
         let (cache, clk) = test_cache(1 << 16);
         let calls = Cell::new(0);
         let compute = || {
             calls.set(calls.get() + 1);
-            Err::<String, String>("deadline exceeded".into())
+            Err::<String, String>("backend exploded".into())
         };
-        let (r1, _) = cache.get_or_compute(11, clk.now(), None, compute, |_| false);
+        let (r1, s1) = cache.get_or_compute(11, clk.now(), None, compute);
         assert!(matches!(r1, Err(CacheError::Compute(_))));
-        let (r2, s2) = cache.get_or_compute(11, clk.now(), None, compute, |_| false);
+        assert_eq!(s1, Status::Miss);
+        let (r2, s2) = cache.get_or_compute(11, clk.now(), None, compute);
         assert!(
             matches!(r2, Err(CacheError::Compute(_))),
-            "second call recomputed instead of replaying a negative entry"
+            "second call recomputed instead of replaying the failure"
         );
         assert_eq!(s2, Status::Miss);
         assert_eq!(calls.get(), 2);
-        assert_eq!(cache.stats().entries, 0);
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses, st.entries), (0, 2, 0));
     }
 }

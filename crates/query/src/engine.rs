@@ -64,17 +64,9 @@ const RESULT_CACHE_CAPACITY: usize = 16 << 20;
 pub struct SearchOptions<'a> {
     /// Skip the cache entirely (compute fresh, store nothing).
     pub bypass: bool,
-    /// Upper bound on blocking behind an identical in-flight query; `None`
-    /// waits indefinitely (bounded by the ambient resil deadline either
-    /// way). Expired waits return [`QueryError::CacheBusy`].
-    pub wait: Option<Duration>,
     /// Requesting user (ACL identity) — part of the cache key, since result
     /// visibility is per user.
     pub user: Option<&'a str>,
-    /// Permit answering a backend failure or deadline expiry from the cache
-    /// within its staleness grace window. Such responses are labeled
-    /// [`Status::Degraded`]; callers must surface the label.
-    pub stale_ok: bool,
 }
 
 /// One shard's contribution to a scattered search, in ids of the engine's
@@ -316,8 +308,6 @@ fn weigh_output(out: &QueryOutput) -> usize {
 
 fn result_cache() -> Cache<QueryOutput> {
     let mut cfg = CacheConfig::new("query_results", RESULT_CACHE_CAPACITY);
-    // Wall-clock backstop on top of epoch invalidation.
-    cfg.ttl = Some(Duration::from_secs(120));
     cfg.stale_grace = stale_grace_from_env();
     Cache::new(cfg, weigh_output)
 }
@@ -627,14 +617,15 @@ impl QueryEngine {
     /// coalesce onto one computation; entries are validated against and
     /// stamped with this engine's generation (dated by its last rebuild), so
     /// a result is only ever served to readers of the generation that
-    /// computed it.
+    /// computed it. A failure is returned, never cached; answering it from
+    /// a superseded entry is the caller's choice ([`QueryEngine::search_stale`]).
     pub fn search_shared(
         &self,
         form: &SearchForm,
         opts: &SearchOptions<'_>,
     ) -> Result<(Arc<QueryOutput>, Status)> {
-        // Cheap validation stays outside the cache so an empty form is never
-        // negatively cached (it is a client error, not a backend failure).
+        // Cheap validation stays outside the cache: an empty form is a client
+        // error, not a computation.
         if form.is_empty() {
             return Err(QueryError::EmptyForm);
         }
@@ -647,42 +638,26 @@ impl QueryEngine {
         // The key is generation-independent (form + user only): entries are
         // validated against the generation instead, so serve-stale
         // degradation can still find the superseded entry after a commit.
-        let key = form_fingerprint(form, opts.user);
-        // Blocking behind an identical in-flight query is bounded by both
-        // the explicit wait and whatever remains of the request budget.
-        let wait = match (opts.wait, resil::current_deadline().remaining()) {
-            (Some(w), Some(r)) => Some(w.min(r)),
-            (w, r) => w.or(r),
-        };
+        // Blocking behind an identical in-flight query ends at the request's
+        // deadline, like every other stage.
         let (result, status) = self.results.get_or_compute(
-            key,
+            form_fingerprint(form, opts.user),
             self.generation,
-            wait,
+            resil::current_deadline().remaining(),
             || self.search_uncached(form, opts.user),
-            QueryError::cacheable_failure,
         );
-        let err = match result {
-            Ok(out) => return Ok((out, status)),
-            Err(CacheError::Compute(e)) => e,
-            Err(CacheError::Negative(msg)) => QueryError::Cached(msg.to_string()),
-            Err(CacheError::WaitTimeout) => QueryError::CacheBusy,
-        };
-        // Serve-stale degradation: a backend failure (or expired budget) can
-        // be answered from a superseded entry within the staleness grace
-        // window. The `Degraded` status is the caller's obligation to label.
-        if opts.stale_ok && err.degradable() {
-            if let Some((out, _age)) = self.results.get_stale(key, self.generation) {
-                obs::counter("query_degraded_serves_total").inc();
-                return Ok((out, Status::Degraded));
-            }
+        match result {
+            Ok(out) => Ok((out, status)),
+            Err(CacheError::Compute(e)) => Err(e),
+            Err(CacheError::WaitTimeout) => Err(QueryError::DeadlineExceeded),
         }
-        Err(err)
     }
 
     /// Looks up the last known good result for a form without computing
-    /// anything — the circuit-breaker-open path, where issuing fresh backend
-    /// work is exactly what must not happen. Returns the superseded output
-    /// and its age when one exists within the staleness grace window.
+    /// anything — the degraded path after a failed search, or with the
+    /// circuit breaker open, where issuing fresh backend work is exactly
+    /// what must not happen. Returns the resident output and its age when
+    /// one exists at this generation or within the staleness grace window.
     pub fn search_stale(
         &self,
         form: &SearchForm,

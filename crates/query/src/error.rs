@@ -11,38 +11,13 @@ pub enum QueryError {
     Smr(sensormeta_smr::SmrError),
     /// Internal invariant broken.
     Internal(String),
-    /// A negatively cached failure was replayed without recomputing; the
-    /// message of the original error.
-    Cached(String),
-    /// The wait for an identical in-flight query exceeded the configured
-    /// deadline (servers map this to `503` + `Retry-After`).
-    CacheBusy,
-    /// The request's end-to-end deadline expired mid-execution (servers map
-    /// this to `504`, or serve a labeled stale result when permitted).
+    /// The request's end-to-end deadline expired mid-execution or while
+    /// waiting on an identical in-flight query (servers map this to `504`,
+    /// or serve a labeled stale result).
     DeadlineExceeded,
     /// A chaos fault was injected at the named site (testing only; treated
     /// like a transient backend failure).
     Injected(&'static str),
-}
-
-impl QueryError {
-    /// Whether this failure is a property of the query itself and therefore
-    /// worth negative-caching. Deadline expiries and injected faults are the
-    /// *caller's* circumstance — caching them would poison the key for later
-    /// callers with budget to spare.
-    pub fn cacheable_failure(&self) -> bool {
-        !matches!(
-            self,
-            QueryError::DeadlineExceeded | QueryError::Injected(_) | QueryError::CacheBusy
-        )
-    }
-
-    /// Whether serving a stale cached result instead of this error is an
-    /// acceptable degradation. Client errors (an empty form) are not: the
-    /// request would fail no matter how healthy the backend is.
-    pub fn degradable(&self) -> bool {
-        !matches!(self, QueryError::EmptyForm)
-    }
 }
 
 impl fmt::Display for QueryError {
@@ -51,10 +26,6 @@ impl fmt::Display for QueryError {
             QueryError::EmptyForm => write!(f, "the search form is empty"),
             QueryError::Smr(e) => write!(f, "repository error: {e}"),
             QueryError::Internal(m) => write!(f, "internal error: {m}"),
-            QueryError::Cached(m) => write!(f, "{m} (cached failure)"),
-            QueryError::CacheBusy => {
-                write!(f, "an identical query is already computing; retry shortly")
-            }
             QueryError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             QueryError::Injected(site) => write!(f, "injected fault at site `{site}`"),
         }

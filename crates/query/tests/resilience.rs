@@ -70,27 +70,16 @@ fn deadlines_interrupt_and_stale_results_degrade() {
         .expect("mutation");
     engine.rebuild().expect("rebuild");
 
-    // With the backend faulted, a plain request fails…
+    // With the backend faulted, the request fails…
     chaos::install("query_search", Fault::always(FaultKind::Error));
     let err = engine
         .search_shared(&form, &SearchOptions::default())
         .expect_err("injected fault");
     assert!(matches!(err, QueryError::Injected("query_search")), "{err}");
-    // …but a stale-tolerant request degrades to the superseded entry,
-    // labeled as such, with the pre-mutation body.
-    let stale_ok = SearchOptions {
-        stale_ok: true,
-        ..SearchOptions::default()
-    };
-    let (out, status) = engine
-        .search_shared(&form, &stale_ok)
-        .expect("serve stale under fault");
-    assert_eq!(status, Status::Degraded);
-    assert_eq!(status.as_str(), "stale");
-    assert_eq!(out.items.len(), 1, "pre-mutation result");
-    // The breaker-open path finds the same entry without computing.
+    // …and the failed recompute left the superseded entry, with the
+    // pre-mutation body, for the caller to serve as a labeled stale answer.
     let (held, age) = engine.search_stale(&form, None).expect("stale lookup");
-    assert_eq!(held.items.len(), 1);
+    assert_eq!(held.items.len(), 1, "pre-mutation result");
     assert!(age < Duration::from_secs(60));
 
     // Fault cleared: the next request recomputes the real, fresh answer
@@ -102,8 +91,8 @@ fn deadlines_interrupt_and_stale_results_degrade() {
     assert_eq!(status, Status::Stale);
     assert_eq!(out.items.len(), 2, "post-mutation result");
 
-    // An injected failure must not have been negatively cached: the fresh
-    // result above proves it, and a repeat is a plain hit.
+    // The injected failure was not cached: the fresh result above proves
+    // it, and a repeat is a plain hit.
     let (_, status) = engine
         .search_shared(&form, &SearchOptions::default())
         .expect("replay");

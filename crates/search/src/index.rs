@@ -4,7 +4,6 @@ use crate::tokenize::tokenize;
 use sensormeta_par::Pool;
 use sensormeta_resil::{self as resil, Interrupt};
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// Documents per parallel tokenize chunk in [`SearchIndex::build_in`]
 /// (fixed: chunk boundaries must not depend on the thread count).
@@ -398,31 +397,6 @@ impl SearchIndex {
         hits
     }
 
-    /// Documents containing any term starting with `prefix` (for the search
-    /// box's as-you-type mode). Scores by BM25 of the matched terms.
-    pub fn prefix_search(&self, prefix: &str, k: usize) -> Vec<Hit> {
-        let prefix = crate::tokenize::normalize(prefix);
-        if prefix.is_empty() {
-            return Vec::new();
-        }
-        let upper = prefix_upper_bound(&prefix);
-        let range = self.postings.range::<String, _>((
-            Bound::Included(&prefix),
-            upper
-                .as_ref()
-                .map(Bound::Excluded)
-                .unwrap_or(Bound::Unbounded),
-        ));
-        // The unchecked pass never hits a checkpoint, so Err is unreachable.
-        self.accumulate(
-            range.map(|(_, p)| Ok(Some(p))),
-            Bm25Params::default(),
-            false,
-        )
-        .map(|scores| self.top_k(scores, k))
-        .unwrap_or_default()
-    }
-
     /// The `k` best of `scores` (in doc-id order) by descending score, ties
     /// by doc id, as hits: only those `k` get their key cloned, and only
     /// they are sorted.
@@ -476,18 +450,6 @@ fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
         }
     }
     out
-}
-
-/// Smallest string strictly greater than every string with this prefix.
-fn prefix_upper_bound(prefix: &str) -> Option<String> {
-    let mut chars: Vec<char> = prefix.chars().collect();
-    while let Some(last) = chars.pop() {
-        if let Some(next) = char::from_u32(last as u32 + 1) {
-            chars.push(next);
-            return Some(chars.into_iter().collect());
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -547,15 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_search_matches_stems() {
-        let ix = index();
-        let hits = ix.prefix_search("temp", 10);
-        assert_eq!(hits.len(), 2);
-        let hits = ix.prefix_search("weiss", 10);
-        assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
     fn replacement_removes_old_terms() {
         let mut ix = index();
         ix.add_document("Deployment:wfj_temp", "now a humidity probe");
@@ -593,12 +546,6 @@ mod tests {
         let rare = ix.idf(1);
         let common = ix.idf(2);
         assert!(rare > common);
-    }
-
-    #[test]
-    fn prefix_upper_bound_edge() {
-        assert_eq!(prefix_upper_bound("ab"), Some("ac".into()));
-        assert_eq!(prefix_upper_bound("a"), Some("b".into()));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Full-text search substrate for metadata pages: tokenizer with light
 //! stemming, positional inverted index with BM25 scoring (disjunctive,
-//! conjunctive, phrase, and prefix modes), weighted prefix-trie
-//! autocomplete, and faceted aggregation over annotations.
+//! conjunctive and phrase modes), weighted prefix-trie autocomplete, and
+//! spelling suggestions.
 //!
 //! ```
 //! use sensormeta_search::SearchIndex;
@@ -28,14 +28,12 @@
 )]
 
 pub mod autocomplete;
-pub mod facets;
 pub mod highlight;
 pub mod index;
 pub mod suggest;
 pub mod tokenize;
 
 pub use autocomplete::Autocomplete;
-pub use facets::{compute_facets, Facet};
 pub use highlight::{highlight, highlight_html};
 pub use index::{Bm25Params, DocId, Hit, SearchIndex};
 pub use suggest::{damerau_levenshtein_capped, SpellSuggester};

@@ -22,10 +22,6 @@ use serde_json::json;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default bound on how long a request blocks behind an identical in-flight
-/// query before giving up with `503` (overridden by `SENSORMETA_CACHE_WAIT_MS`).
-const DEFAULT_CACHE_WAIT: Duration = Duration::from_millis(2000);
-
 /// Default end-to-end compute budget per admitted request (overridden by
 /// `SENSORMETA_DEADLINE_MS`; `0` disables).
 const DEFAULT_DEADLINE: Duration = Duration::from_millis(5000);
@@ -43,9 +39,8 @@ const WARNING_STALE: &str = "110 sensormeta \"response is stale\"";
 /// never race on process-global env state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppConfig {
-    /// Single-flight wait bound for cached query paths (`None` = unbounded).
-    pub cache_wait: Option<Duration>,
-    /// Per-request compute budget (`None` = no deadline).
+    /// Per-request compute budget, which also bounds a wait behind an
+    /// identical in-flight computation (`None` = no deadline).
     pub deadline: Option<Duration>,
     /// Max concurrently executing requests (`0` = unbounded).
     pub max_inflight: usize,
@@ -58,7 +53,6 @@ pub struct AppConfig {
 impl Default for AppConfig {
     fn default() -> Self {
         AppConfig {
-            cache_wait: Some(DEFAULT_CACHE_WAIT),
             deadline: Some(DEFAULT_DEADLINE),
             max_inflight: DEFAULT_MAX_INFLIGHT,
             breaker: BreakerConfig::default(),
@@ -68,12 +62,11 @@ impl Default for AppConfig {
 }
 
 impl AppConfig {
-    /// Reads `SENSORMETA_CACHE_WAIT_MS`, `SENSORMETA_DEADLINE_MS` and
-    /// `SENSORMETA_MAX_INFLIGHT`; unset or unparsable values fall back to
-    /// the defaults, `0` disables the respective bound.
+    /// Reads `SENSORMETA_DEADLINE_MS` and `SENSORMETA_MAX_INFLIGHT`; unset
+    /// or unparsable values fall back to the defaults, `0` disables the
+    /// respective bound.
     pub fn from_env() -> AppConfig {
         AppConfig {
-            cache_wait: cache_wait_from_env(),
             deadline: parse_opt_ms(
                 std::env::var("SENSORMETA_DEADLINE_MS").ok().as_deref(),
                 DEFAULT_DEADLINE,
@@ -102,9 +95,6 @@ pub struct App {
     engine: Mvcc<QueryEngine>,
     tags: Mvcc<TagStore>,
     cloud_cache: CloudCache,
-    /// Single-flight wait deadline for cached query paths; `None` disables
-    /// the bound (`SENSORMETA_CACHE_WAIT_MS=0`).
-    cache_wait: Option<Duration>,
     /// Per-request compute budget installed as the ambient deadline.
     deadline: Option<Duration>,
     admission: Admission,
@@ -114,16 +104,6 @@ pub struct App {
     topology: Topology,
     /// Scatter-gather executor when `topology.shards > 1`.
     shards: Option<ShardSet>,
-}
-
-/// Reads the single-flight wait bound from `SENSORMETA_CACHE_WAIT_MS`:
-/// unset or unparsable → the default, `0` → unbounded.
-fn cache_wait_from_env() -> Option<Duration> {
-    parse_cache_wait(std::env::var("SENSORMETA_CACHE_WAIT_MS").ok().as_deref())
-}
-
-fn parse_cache_wait(raw: Option<&str>) -> Option<Duration> {
-    parse_opt_ms(raw, DEFAULT_CACHE_WAIT)
 }
 
 fn parse_opt_ms(raw: Option<&str>, default: Duration) -> Option<Duration> {
@@ -141,7 +121,7 @@ fn parse_max_inflight(raw: Option<&str>) -> usize {
     }
 }
 
-/// An honest `Retry-After` for shed or busy responses: twice the observed
+/// An honest `Retry-After` for shed responses: twice the observed
 /// end-to-end p95 (the time a retry is likely to need), clamped to 1–30 s.
 fn retry_after_secs() -> u64 {
     let p95_us = obs::histogram("http_request_us").quantile(0.95);
@@ -188,7 +168,6 @@ impl App {
             primary: Mutex::new(engine),
             tags: Mvcc::new(tags),
             cloud_cache: CloudCache::new(),
-            cache_wait: cfg.cache_wait,
             deadline: cfg.deadline,
             admission: Admission::new(cfg.max_inflight),
             breaker_query: Breaker::new("query", cfg.breaker),
@@ -469,48 +448,74 @@ impl App {
             Some(set) => (set.coordinator(), Some(set.shard_count())),
             None => (self.engine.snapshot(), None),
         };
-        let resp = if !self.breaker_query.allow() {
-            // Open circuit: don't touch the backend at all — answer from the
-            // stale holdover if one exists, shed otherwise.
-            match engine.search_stale(&form, user) {
-                Some((out, _age)) => Self::render_search(req, &form, &out)
-                    .with_header("Cache-Status", Status::Degraded.as_str())
-                    .with_header("Warning", WARNING_STALE),
-                None => Response::error(503, "search backend unavailable (circuit open)")
-                    .with_header("Retry-After", retry_after_secs().to_string()),
-            }
-        } else {
-            let opts = SearchOptions {
-                // A scattered search fans out per request and never fills the
-                // result cache.
-                bypass: self.shards.is_some() || req.param("cache") == Some("bypass"),
-                wait: self.cache_wait,
-                user,
-                stale_ok: true,
-            };
-            match engine.search_shared(&form, &opts) {
-                Ok((out, status)) => {
-                    if status.is_degraded() {
-                        // The backend failed and the cache bailed us out: a
-                        // success for the client, a failure for the breaker.
-                        self.breaker_query.record_failure();
-                    } else {
-                        self.breaker_query.record_success();
-                    }
-                    let resp = Self::render_search(req, &form, &out)
-                        .with_header("Cache-Status", status.as_str());
-                    if status.is_degraded() {
-                        resp.with_header("Warning", WARNING_STALE)
-                    } else {
-                        resp
-                    }
-                }
-                Err(e) => self.search_error(e),
-            }
+        let opts = SearchOptions {
+            // A scattered search fans out per request and never fills the
+            // result cache.
+            bypass: self.shards.is_some() || req.param("cache") == Some("bypass"),
+            user,
         };
+        let resp = Self::serve_cached(
+            &self.breaker_query,
+            "search backend unavailable (circuit open)",
+            || {
+                engine
+                    .search_shared(&form, &opts)
+                    .map_err(Self::search_error)
+            },
+            || engine.search_stale(&form, user).map(|(out, _age)| out),
+            |out| Self::render_search(req, &form, out),
+        );
         match shards {
             Some(n) => resp.with_header("X-Cluster-Shards", n.to_string()),
             None => resp,
+        }
+    }
+
+    /// The one serve path of a cached read (`/search`, `/tags`,
+    /// `/tags.json`): the breaker's check, the lookup, and — when the
+    /// backend fails (a 5xx, the errors RFC 5861's `stale-if-error` covers)
+    /// or the circuit is open — the value `stale` finds within the staleness
+    /// grace, labelled `Cache-Status: stale` with a `Warning`. A degraded
+    /// serve is a success for the client and a failure for the breaker; a
+    /// client error passes through and counts for neither.
+    fn serve_cached<V>(
+        breaker: &Breaker,
+        circuit_open: &str,
+        lookup: impl FnOnce() -> Result<(Arc<V>, Status), Response>,
+        stale: impl FnOnce() -> Option<Arc<V>>,
+        render: impl FnOnce(&V) -> Response,
+    ) -> Response {
+        let (value, status) = if breaker.allow() {
+            match lookup() {
+                Ok(found) => {
+                    breaker.record_success();
+                    found
+                }
+                Err(resp) if resp.status >= 500 => {
+                    breaker.record_failure();
+                    match stale() {
+                        Some(value) => (value, Status::Degraded),
+                        None => return resp,
+                    }
+                }
+                Err(resp) => return resp,
+            }
+        } else {
+            // Open circuit: don't touch the backend at all — answer from the
+            // stale holdover if one exists, shed otherwise.
+            match stale() {
+                Some(value) => (value, Status::Degraded),
+                None => {
+                    return Response::error(503, circuit_open)
+                        .with_header("Retry-After", retry_after_secs().to_string())
+                }
+            }
+        };
+        let resp = render(&value).with_header("Cache-Status", status.as_str());
+        if status.is_degraded() {
+            resp.with_header("Warning", WARNING_STALE)
+        } else {
+            resp
         }
     }
 
@@ -519,22 +524,15 @@ impl App {
         Response::json(json!({ "shards": self.topology.shards }).to_string())
     }
 
-    /// Maps a query failure to an HTTP status, feeding the breaker for
-    /// backend-class failures (client errors and load-shedding don't count).
-    fn search_error(&self, e: QueryError) -> Response {
-        match e {
-            QueryError::EmptyForm => Response::error(400, e.to_string()),
-            QueryError::CacheBusy => Response::error(503, e.to_string())
-                .with_header("Retry-After", retry_after_secs().to_string()),
-            QueryError::DeadlineExceeded => {
-                self.breaker_query.record_failure();
-                Response::error(504, e.to_string())
-            }
-            other => {
-                self.breaker_query.record_failure();
-                Response::error(500, other.to_string())
-            }
-        }
+    /// Maps a query failure to an HTTP status: an empty form is the
+    /// client's error, everything else the backend's.
+    fn search_error(e: QueryError) -> Response {
+        let status = match e {
+            QueryError::EmptyForm => 400,
+            QueryError::DeadlineExceeded => 504,
+            _ => 500,
+        };
+        Response::error(status, e.to_string())
     }
 
     fn render_search(
@@ -819,80 +817,51 @@ impl App {
         Response::json(json!({"cleared": true}).to_string())
     }
 
-    /// Tag-cloud lookup behind the `tagcloud` breaker, pinned at the tag
-    /// snapshot's sequence number: interruptible compute, degrading to the
-    /// superseded cloud within the staleness grace when the compute path
-    /// fails or the circuit is open.
-    fn cloud(&self) -> Result<(Arc<TagCloud>, Status), Response> {
+    /// The tag cloud behind the `tagcloud` breaker, pinned at the tag
+    /// snapshot's sequence number and rendered by `render`.
+    fn cloud(&self, render: impl FnOnce(&TagCloud) -> Response) -> Response {
         let params = CloudParams::default();
         let tags = self.tags.snapshot();
-        let stale = || {
-            let (cloud, _age) = self.cloud_cache.stale(&params, tags.seq())?;
-            Some((cloud, Status::Degraded))
-        };
-        if !self.breaker_cloud.allow() {
-            return stale().ok_or_else(|| {
-                Response::error(503, "tag cloud unavailable (circuit open)")
-                    .with_header("Retry-After", retry_after_secs().to_string())
-            });
-        }
-        match self.cloud_cache.get(&tags, tags.seq(), &params) {
-            Ok(pair) => {
-                self.breaker_cloud.record_success();
-                Ok(pair)
-            }
-            Err(i) => {
-                self.breaker_cloud.record_failure();
-                stale().ok_or_else(|| match i {
-                    resil::Interrupt::DeadlineExceeded => Response::error(504, i.to_string()),
-                    resil::Interrupt::Fault { .. } => Response::error(500, i.to_string()),
-                })
-            }
-        }
-    }
-
-    /// Labels a tag-cloud response, warning on degraded serves.
-    fn cloud_headers(resp: Response, status: Status) -> Response {
-        let resp = resp.with_header("Cache-Status", status.as_str());
-        if status.is_degraded() {
-            resp.with_header("Warning", WARNING_STALE)
-        } else {
-            resp
-        }
+        Self::serve_cached(
+            &self.breaker_cloud,
+            "tag cloud unavailable (circuit open)",
+            || {
+                self.cloud_cache
+                    .get(&tags, tags.seq(), &params)
+                    .map_err(|i| match i {
+                        resil::Interrupt::DeadlineExceeded => Response::error(504, i.to_string()),
+                        resil::Interrupt::Fault { .. } => Response::error(500, i.to_string()),
+                    })
+            },
+            || {
+                self.cloud_cache
+                    .stale(&params, tags.seq())
+                    .map(|(c, _age)| c)
+            },
+            render,
+        )
     }
 
     fn tag_cloud_svg(&self) -> Response {
-        let (cloud, status) = match self.cloud() {
-            Ok(pair) => pair,
-            Err(resp) => return resp,
-        };
-        Self::cloud_headers(
-            Response::svg(viz::render_tag_cloud("Metadata trends", &cloud)),
-            status,
-        )
+        self.cloud(|cloud| Response::svg(viz::render_tag_cloud("Metadata trends", cloud)))
     }
 
     fn tag_cloud_json(&self) -> Response {
-        let (cloud, status) = match self.cloud() {
-            Ok(pair) => pair,
-            Err(resp) => return resp,
-        };
-        let arr: Vec<serde_json::Value> = cloud
-            .entries
-            .iter()
-            .map(|e| {
-                json!({
-                    "tag": e.tag,
-                    "count": e.count,
-                    "fontSize": e.font_size,
-                    "cliques": e.cliques,
+        self.cloud(|cloud| {
+            let arr: Vec<serde_json::Value> = cloud
+                .entries
+                .iter()
+                .map(|e| {
+                    json!({
+                        "tag": e.tag,
+                        "count": e.count,
+                        "fontSize": e.font_size,
+                        "cliques": e.cliques,
+                    })
                 })
-            })
-            .collect();
-        Self::cloud_headers(
-            Response::json(serde_json::Value::Array(arr).to_string()),
-            status,
-        )
+                .collect();
+            Response::json(serde_json::Value::Array(arr).to_string())
+        })
     }
 
     /// Facet source shared by bar/pie: counts of one attribute over a search.
@@ -1048,21 +1017,6 @@ impl App {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cache_wait_parsing() {
-        assert_eq!(parse_cache_wait(None), Some(DEFAULT_CACHE_WAIT));
-        assert_eq!(
-            parse_cache_wait(Some("250")),
-            Some(Duration::from_millis(250))
-        );
-        assert_eq!(
-            parse_cache_wait(Some(" 250 ")),
-            Some(Duration::from_millis(250))
-        );
-        assert_eq!(parse_cache_wait(Some("0")), None, "0 disables the bound");
-        assert_eq!(parse_cache_wait(Some("soon")), Some(DEFAULT_CACHE_WAIT));
-    }
 
     #[test]
     fn overload_knob_parsing() {

@@ -4,6 +4,8 @@
 //!
 //! - `/healthz` always answers;
 //! - no request outlives its deadline by more than bounded slack;
+//! - a request coalesced behind a slow identical one waits until its own
+//!   deadline, then answers 504 (never 503);
 //! - every stale serve is labeled (`Cache-Status: stale` + `Warning`);
 //! - degraded bodies are byte-identical to a previously-correct response
 //!   (no corrupt data escapes);
@@ -112,7 +114,6 @@ fn seeded_app() -> App {
     )
     .expect("seed page");
     let cfg = AppConfig {
-        cache_wait: Some(Duration::from_millis(300)),
         deadline: Some(Duration::from_millis(500)),
         max_inflight: 2,
         breaker: BreakerConfig {
@@ -178,6 +179,31 @@ fn chaos_harness_end_to_end() {
     let hit = get(addr, "/search?q=temperature");
     assert_eq!(hit.status, 200);
     assert_eq!(hit.header("Cache-Status"), Some("hit"));
+    // Two identical requests: the first leads and sleeps past its budget;
+    // the second parks on the leader's flight until its own deadline and
+    // answers like any expired request — 504, as no superseded entry
+    // exists for the key — never a 503 "already computing".
+    let waits = sensormeta_obs::counter("cache_query_results_singleflight_waits_total");
+    let waits_before = waits.get();
+    let leader = thread::spawn(move || get(addr, "/search?q=coalesced"));
+    thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    let waiter = get(addr, "/search?q=coalesced");
+    let waited = started.elapsed();
+    assert_eq!(waits.get(), waits_before + 1, "the second request waited");
+    assert_ne!(waiter.status, 503, "a coalesced wait never answers busy");
+    if waiter.status == 200 {
+        assert_eq!(waiter.header("Cache-Status"), Some("stale"));
+        assert!(waiter.header("Warning").is_some());
+    } else {
+        assert_eq!(waiter.status, 504, "the waiter's own deadline expired");
+    }
+    assert!(
+        waited >= Duration::from_millis(350),
+        "the wait lasted until the deadline, not a shorter bound ({waited:?})"
+    );
+    assert!(waited < Duration::from_secs(3), "took {waited:?}");
+    assert_eq!(leader.join().expect("leader client").status, 504);
     chaos::clear();
     // A success closes the failure streak before the breaker phases.
     assert_eq!(get(addr, "/search?q=glacier").status, 200);

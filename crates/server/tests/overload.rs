@@ -28,7 +28,6 @@ fn seeded_engine() -> QueryEngine {
 
 fn config() -> AppConfig {
     AppConfig {
-        cache_wait: Some(Duration::from_millis(200)),
         deadline: Some(Duration::from_secs(2)),
         max_inflight: 1,
         breaker: BreakerConfig::default(),

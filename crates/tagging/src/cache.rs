@@ -69,33 +69,28 @@ impl CloudCache {
     ///
     /// The compute is cooperative: it observes the ambient resil deadline
     /// (and chaos plan) and aborts with an [`Interrupt`] instead of burning
-    /// CPU past it. Interrupted computes are never negatively cached, so the
-    /// next request retries from scratch.
+    /// CPU past it, and a wait on an identical in-flight compute ends at the
+    /// same deadline. An interrupted compute stores nothing, so the next
+    /// request retries from scratch.
     pub fn get(
         &self,
         store: &TagStore,
         at: u64,
         params: &CloudParams,
     ) -> Result<(Arc<TagCloud>, Status), Interrupt> {
-        let wait = resil::current_deadline().remaining();
         let (result, status) = self.cache.get_or_compute(
             param_key(params),
             at,
-            wait,
+            resil::current_deadline().remaining(),
             || {
                 let _timing = obs::global().span("tagging_cloud_compute");
                 try_compute_cloud(store, params)
             },
-            |_| false,
         );
         match result {
             Ok(cloud) => Ok((cloud, status)),
             Err(CacheError::Compute(i)) => Err(i),
-            // A poisoned flight or single-flight wait that outlived the
-            // deadline degrades the same way an expired budget does.
-            Err(CacheError::Negative(_) | CacheError::WaitTimeout) => {
-                Err(Interrupt::DeadlineExceeded)
-            }
+            Err(CacheError::WaitTimeout) => Err(Interrupt::DeadlineExceeded),
         }
     }
 

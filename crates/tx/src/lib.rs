@@ -63,7 +63,6 @@ struct Version<T> {
 /// superseded version frees it. Dereferences to the guarded `T`.
 pub struct Snapshot<T> {
     version: Arc<Version<T>>,
-    live: Arc<()>,
 }
 
 impl<T> Snapshot<T> {
@@ -77,7 +76,6 @@ impl<T> Clone for Snapshot<T> {
     fn clone(&self) -> Self {
         Snapshot {
             version: Arc::clone(&self.version),
-            live: Arc::clone(&self.live),
         }
     }
 }
@@ -112,9 +110,6 @@ pub struct Mvcc<T> {
     /// Weak handles to superseded versions, for `versions_live` accounting;
     /// pruned on every publish. Never pins a version.
     history: Mutex<Vec<Weak<Version<T>>>>,
-    /// One strong reference per open snapshot (minus our own), for the
-    /// `tx_snapshots_live` gauge.
-    live: Arc<()>,
 }
 
 /// Exclusive access to the committer side of an [`Mvcc`], for writers that
@@ -134,7 +129,6 @@ impl<T> Mvcc<T> {
             current: RwLock::new(Arc::new(Version { data, seq: 0 })),
             writer: Mutex::new(0),
             history: Mutex::new(Vec::new()),
-            live: Arc::new(()),
         }
     }
 
@@ -144,22 +138,9 @@ impl<T> Mvcc<T> {
     /// concurrent committer holds the write side only for the pointer swap,
     /// so readers are never blocked behind the commit's actual work.
     pub fn snapshot(&self) -> Snapshot<T> {
-        let version = {
-            let cur = read_lock(&self.current);
-            Arc::clone(&cur)
-        };
-        let s = Snapshot {
-            version,
-            live: Arc::clone(&self.live),
-        };
-        obs::gauge("tx_snapshots_live").set(self.snapshots_live() as f64);
-        s
-    }
-
-    /// Number of snapshots currently open (including clones).
-    pub fn snapshots_live(&self) -> usize {
-        // One reference is the cell's own `live` anchor.
-        Arc::strong_count(&self.live).saturating_sub(1)
+        Snapshot {
+            version: Arc::clone(&read_lock(&self.current)),
+        }
     }
 
     /// Sequence number of the current published version.
@@ -306,19 +287,6 @@ mod tests {
         assert_eq!(cell.versions_live(), 2, "current + pinned initial");
         drop(pin);
         assert_eq!(cell.versions_live(), 1, "only current after unpin");
-    }
-
-    #[test]
-    fn snapshot_accounting() {
-        let cell = test_cell(0);
-        assert_eq!(cell.snapshots_live(), 0);
-        let a = cell.snapshot();
-        let b = a.clone();
-        assert_eq!(cell.snapshots_live(), 2);
-        drop(a);
-        assert_eq!(cell.snapshots_live(), 1);
-        drop(b);
-        assert_eq!(cell.snapshots_live(), 0);
     }
 
     #[test]

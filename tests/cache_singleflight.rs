@@ -1,9 +1,10 @@
 //! Single-flight stampede protection under real threads: concurrent
 //! lookups of one hot key through the `par` pool must coalesce onto
-//! exactly one computation, and a bounded wait must give up with
-//! `WaitTimeout` instead of blocking a worker behind a slow leader.
+//! exactly one computation, a bounded wait must give up with
+//! `WaitTimeout` instead of blocking a worker behind a slow leader, and a
+//! failed leader must answer none of its waiters.
 
-use sensormeta::cache::{Cache, CacheConfig, CacheError};
+use sensormeta::cache::{Cache, CacheConfig, CacheError, Status};
 use sensormeta::par::Pool;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,20 +40,14 @@ fn one_hot_key_computes_exactly_once_across_threads() {
     let pool = Pool::new(TASKS);
     pool.run(TASKS, |_| {
         arrived.fetch_add(1, Ordering::SeqCst);
-        let (result, _status) = cache.get_or_compute(
-            42,
-            AT,
-            None,
-            || {
-                computes.fetch_add(1, Ordering::SeqCst);
-                // Hold the flight until every task has at least entered the
-                // lookup, then a little longer so they reach the wait.
-                await_or_give_up(|| arrived.load(Ordering::SeqCst) == TASKS);
-                std::thread::sleep(Duration::from_millis(25));
-                Ok::<u64, Infallible>(777)
-            },
-            |_| true,
-        );
+        let (result, _status) = cache.get_or_compute(42, AT, None, || {
+            computes.fetch_add(1, Ordering::SeqCst);
+            // Hold the flight until every task has at least entered the
+            // lookup, then a little longer so they reach the wait.
+            await_or_give_up(|| arrived.load(Ordering::SeqCst) == TASKS);
+            std::thread::sleep(Duration::from_millis(25));
+            Ok::<u64, Infallible>(777)
+        });
         let value = *result.expect("single-flight lookup failed");
         results.lock().unwrap().push(value);
     });
@@ -82,27 +77,18 @@ fn bounded_wait_times_out_instead_of_blocking() {
     let pool = Pool::new(TASKS);
     pool.run(2, |i| {
         if i == 0 {
-            let (result, _status) = cache.get_or_compute(
-                7,
-                AT,
-                None,
-                || {
-                    leading.store(true, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(250));
-                    Ok::<u64, Infallible>(1)
-                },
-                |_| true,
-            );
+            let (result, _status) = cache.get_or_compute(7, AT, None, || {
+                leading.store(true, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(250));
+                Ok::<u64, Infallible>(1)
+            });
             assert_eq!(*result.expect("leader compute failed"), 1);
         } else {
             await_or_give_up(|| leading.load(Ordering::SeqCst));
-            let (result, _status) = cache.get_or_compute(
-                7,
-                AT,
-                Some(Duration::from_millis(10)),
-                || Ok::<u64, Infallible>(2),
-                |_| true,
-            );
+            let (result, _status) =
+                cache.get_or_compute(7, AT, Some(Duration::from_millis(10)), || {
+                    Ok::<u64, Infallible>(2)
+                });
             match result {
                 Err(CacheError::WaitTimeout) => timed_out.store(true, Ordering::SeqCst),
                 other => panic!("expected WaitTimeout, got {:?}", other.map(|v| *v)),
@@ -112,4 +98,49 @@ fn bounded_wait_times_out_instead_of_blocking() {
     assert!(timed_out.load(Ordering::SeqCst));
     // The impatient caller never computed: one compute, zero poisonings.
     assert_eq!(cache.stats().misses, 1);
+}
+
+#[test]
+fn failed_leader_answers_no_waiter() {
+    let cache = hot_cache("sf_fail");
+    let computes = AtomicUsize::new(0);
+    let arrived = AtomicUsize::new(0);
+    let outcomes = Mutex::new(Vec::new());
+    let pool = Pool::new(TASKS);
+    pool.run(TASKS, |_| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let (result, status) = cache.get_or_compute(9, AT, None, || {
+            // The first leader holds its flight until every task has
+            // entered the lookup, so the others park on it; every compute
+            // fails.
+            if computes.fetch_add(1, Ordering::SeqCst) == 0 {
+                await_or_give_up(|| arrived.load(Ordering::SeqCst) == TASKS);
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            Err::<u64, &str>("backend down")
+        });
+        let failed = matches!(result, Err(CacheError::Compute("backend down")));
+        outcomes.lock().unwrap().push((failed, status));
+    });
+    // A failed flight publishes nothing: each waiter retried and computed
+    // under its own budget, so every caller saw its own failure.
+    assert_eq!(computes.load(Ordering::SeqCst), TASKS);
+    let outcomes = outcomes.into_inner().unwrap();
+    assert_eq!(outcomes.len(), TASKS);
+    for (failed, status) in &outcomes {
+        assert!(failed, "every caller reports its own compute failure");
+        assert_eq!(*status, Status::Miss, "no waiter reports a hit");
+    }
+    let stats = cache.stats();
+    assert!(
+        stats.singleflight_waits >= 1,
+        "followers should have parked on the failing leader: {stats:?}"
+    );
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries),
+        (0, TASKS as u64, 0)
+    );
+    // Nothing was stored: the next lookup computes again.
+    let (result, status) = cache.get_or_compute(9, AT, None, || Ok::<u64, &str>(5));
+    assert_eq!((*result.expect("recomputed"), status), (5, Status::Miss));
 }
