@@ -643,7 +643,7 @@ impl QueryEngine {
         let (result, status) = self.results.get_or_compute(
             form_fingerprint(form, opts.user),
             self.generation,
-            resil::current_deadline().remaining(),
+            resil::current_deadline(),
             || self.search_uncached(form, opts.user),
         );
         match result {
@@ -663,13 +663,8 @@ impl QueryEngine {
         form: &SearchForm,
         user: Option<&str>,
     ) -> Option<(Arc<QueryOutput>, Duration)> {
-        let hit = self
-            .results
-            .get_stale(form_fingerprint(form, user), self.generation);
-        if hit.is_some() {
-            obs::counter("query_degraded_serves_total").inc();
-        }
-        hit
+        self.results
+            .get_stale(form_fingerprint(form, user), self.generation)
     }
 
     /// Executes an advanced-search form without consulting or filling the

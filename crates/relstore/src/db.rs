@@ -7,6 +7,12 @@
 //! write-ahead log *before* applying it, so a crash at any point loses no
 //! committed operation (see the [`crate::wal`] and [`crate::recover`]
 //! module docs for the format and replay rules).
+//!
+//! [`Database::transaction`] groups mutations: inside it each one is
+//! applied at once and buffered, and the buffer is logged as one WAL
+//! transaction with one fsync when the closure returns `Ok`. On an error —
+//! the closure's or the commit's — the catalog is restored from a copy
+//! taken at the start and nothing is logged.
 
 use crate::encoding::{next_byte, read_len, read_str, write_str, write_varint};
 use crate::error::{RelError, Result};
@@ -34,6 +40,16 @@ use std::sync::Arc;
 pub struct Database {
     catalog: Catalog,
     durability: Option<Durability>,
+    tx: Option<OpenTx>,
+}
+
+/// An open transaction: the catalog as it was at [`Database::begin`], to
+/// restore on rollback, and the operations applied since, to log at
+/// [`Database::commit`] (durable mode only).
+#[derive(Debug)]
+struct OpenTx {
+    before: Catalog,
+    ops: Vec<LogicalOp>,
 }
 
 impl Database {
@@ -76,6 +92,7 @@ impl Database {
         Database {
             catalog: self.catalog.clone(),
             durability: None,
+            tx: None,
         }
     }
 
@@ -93,24 +110,112 @@ impl Database {
         self.durability = Some(d);
     }
 
-    /// Logs `ops` as one committed transaction, before they are applied.
-    /// No-op in non-durable mode. On failure the log is poisoned: the file
-    /// may end in a torn frame, so further mutations are refused until the
-    /// database is reopened (reads remain available).
-    fn wal_commit(&mut self, ops: &[LogicalOp]) -> Result<()> {
+    /// Runs `f` as one transaction. Its mutations are applied as they run
+    /// and, in durable mode, logged together when it returns `Ok`: one WAL
+    /// transaction, one group fsync. If `f` returns `Err`, or the commit
+    /// fails, the catalog is restored to what it was before `f` ran and
+    /// nothing is logged; a failed commit also poisons the log, as a failed
+    /// single-statement commit does. A call made inside an open
+    /// transaction joins it.
+    pub fn transaction<T>(&mut self, f: impl FnOnce(&mut Database) -> Result<T>) -> Result<T> {
+        if self.in_transaction() {
+            return f(self);
+        }
+        self.begin()?;
+        match f(self) {
+            Ok(v) => {
+                self.commit()?;
+                Ok(v)
+            }
+            Err(e) => {
+                self.rollback();
+                Err(e)
+            }
+        }
+    }
+
+    /// True between [`Database::begin`] and its commit or rollback.
+    pub fn in_transaction(&self) -> bool {
+        self.tx.is_some()
+    }
+
+    /// Opens a transaction; [`Database::transaction`] is the usual way in.
+    /// Until [`Database::commit`] or [`Database::rollback`], mutations are
+    /// applied but not logged, and no checkpoint runs. Fails when one is
+    /// already open, or when the log is poisoned (the commit could not
+    /// succeed, so nothing is applied).
+    pub fn begin(&mut self) -> Result<()> {
+        if self.in_transaction() {
+            return Err(RelError::Exec("a transaction is already open".into()));
+        }
+        if let Some(why) = self.durability.as_ref().and_then(|d| d.poisoned.as_ref()) {
+            return Err(poisoned_error(why));
+        }
+        self.tx = Some(OpenTx {
+            before: self.catalog.clone(),
+            ops: Vec::new(),
+        });
+        Ok(())
+    }
+
+    /// Commits the open transaction: in durable mode its operations are
+    /// logged as one WAL transaction and made durable with one fsync,
+    /// sequence numbers being assigned here. On failure the catalog is
+    /// rolled back and the log poisoned. Errors when none is open.
+    pub fn commit(&mut self) -> Result<()> {
+        let tx = self
+            .tx
+            .take()
+            .ok_or_else(|| RelError::Exec("no open transaction to commit".into()))?;
+        if !tx.ops.is_empty() {
+            if let Err(e) = self.wal_commit(tx.ops) {
+                self.catalog = tx.before;
+                return Err(e);
+            }
+        }
+        self.maybe_checkpoint();
+        Ok(())
+    }
+
+    /// Abandons the open transaction: the catalog returns to what it was at
+    /// [`Database::begin`] and nothing is logged. No-op when none is open.
+    pub fn rollback(&mut self) {
+        if let Some(tx) = self.tx.take() {
+            self.catalog = tx.before;
+        }
+    }
+
+    /// Records one mutation ahead of applying it. Outside a transaction it
+    /// is logged and made durable at once; inside one it joins the
+    /// transaction's buffer. Callers check for durable mode first, so a
+    /// non-durable database builds no operation.
+    fn log(&mut self, op: LogicalOp) -> Result<()> {
+        match self.tx.as_mut() {
+            Some(tx) => {
+                tx.ops.push(op);
+                Ok(())
+            }
+            None => self.wal_commit(vec![op]),
+        }
+    }
+
+    /// Logs `ops` as one committed transaction. On failure the log is
+    /// poisoned: the file may end in a torn frame, so further mutations are
+    /// refused until the database is reopened (reads remain available).
+    fn wal_commit(&mut self, ops: Vec<LogicalOp>) -> Result<()> {
         let Some(d) = self.durability.as_mut() else {
             return Ok(());
         };
         if let Some(why) = &d.poisoned {
-            return Err(RelError::Wal(format!(
-                "log disabled after earlier failure ({why}); reopen to recover"
-            )));
+            return Err(poisoned_error(why));
         }
-        let mut seq_ops = Vec::with_capacity(ops.len());
-        for op in ops {
-            d.seq += 1;
-            seq_ops.push((d.seq, op.clone()));
-        }
+        let seq_ops: Vec<(u64, LogicalOp)> = ops
+            .into_iter()
+            .map(|op| {
+                d.seq += 1;
+                (d.seq, op)
+            })
+            .collect();
         d.tx += 1;
         let tx = d.tx;
         if let Err(e) = d.wal.commit(tx, &seq_ops) {
@@ -121,11 +226,15 @@ impl Database {
     }
 
     /// Checkpoints automatically once the WAL outgrows the configured
-    /// threshold. Failures poison the log (the committed mutation that
-    /// triggered the checkpoint is already durable, so it still succeeds).
+    /// threshold, never inside a transaction. Failures poison the log (the
+    /// committed mutation that triggered the checkpoint is already durable,
+    /// so it still succeeds).
     fn maybe_checkpoint(&mut self) {
         let Some(d) = &self.durability else { return };
-        if d.poisoned.is_some() || d.wal.appended_bytes() < d.opts.checkpoint_wal_bytes {
+        if self.tx.is_some()
+            || d.poisoned.is_some()
+            || d.wal.appended_bytes() < d.opts.checkpoint_wal_bytes
+        {
             return;
         }
         if let Err(e) = self.checkpoint() {
@@ -137,11 +246,17 @@ impl Database {
 
     /// Folds the log into a fresh durable snapshot and truncates it.
     /// No-op in non-durable mode. Errors leave the database poisoned for
-    /// writes; reopening recovers from the last durable state.
+    /// writes; reopening recovers from the last durable state. Refused
+    /// inside a transaction, whose mutations are not yet logged.
     pub fn checkpoint(&mut self) -> Result<()> {
         let Some(d) = &self.durability else {
             return Ok(());
         };
+        if self.tx.is_some() {
+            return Err(RelError::Exec(
+                "cannot checkpoint inside an open transaction".into(),
+            ));
+        }
         let _timing = obs::global().span("relstore_checkpoint");
         obs::counter("relstore_checkpoints_total").inc();
         let seq = d.seq;
@@ -166,7 +281,8 @@ impl Database {
     }
 
     /// Executes one SQL statement. In durable mode the statement text is
-    /// logged and made durable before it is applied.
+    /// logged and made durable before it is applied (at the commit, inside
+    /// a transaction).
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
         self.execute_with(sql, PlannerConfig::Costed)
     }
@@ -181,7 +297,7 @@ impl Database {
         let stmt = parse(sql)?;
         let mutates = stmt.is_mutation();
         if self.durability.is_some() && mutates {
-            self.wal_commit(&[LogicalOp::Sql(sql.to_owned())])?;
+            self.log(LogicalOp::Sql(sql.to_owned()))?;
         }
         let out = execute(&mut self.catalog, stmt, cfg);
         self.maybe_checkpoint();
@@ -195,7 +311,7 @@ impl Database {
         let stmts = parse_script(sql)?;
         let mutates = stmts.iter().any(Statement::is_mutation);
         if self.durability.is_some() && mutates {
-            self.wal_commit(&[LogicalOp::Sql(sql.to_owned())])?;
+            self.log(LogicalOp::Sql(sql.to_owned()))?;
         }
         let mut last = ExecOutcome::Done;
         for stmt in stmts {
@@ -268,7 +384,7 @@ impl Database {
             return Err(RelError::TableExists(schema.name));
         }
         if self.durability.is_some() {
-            self.wal_commit(&[LogicalOp::CreateTable(schema.clone())])?;
+            self.log(LogicalOp::CreateTable(schema.clone()))?;
         }
         self.catalog.insert(key, Table::create(schema)?);
         self.maybe_checkpoint();
@@ -276,17 +392,18 @@ impl Database {
     }
 
     /// Inserts a row through the programmatic API. In durable mode the row
-    /// is logged and made durable before it is applied — use this instead
+    /// is logged before it is applied (made durable at once, or at the
+    /// commit inside a transaction) — use this instead
     /// of `table_mut(..)?.insert(..)` so the mutation survives a crash.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<RowId> {
         if !self.has_table(table) {
             return Err(RelError::NoSuchTable(table.to_owned()));
         }
         if self.durability.is_some() {
-            self.wal_commit(&[LogicalOp::Insert {
+            self.log(LogicalOp::Insert {
                 table: table.to_owned(),
                 row: row.clone(),
-            }])?;
+            })?;
         }
         let id = self.table_mut(table)?.insert(row)?;
         self.maybe_checkpoint();
@@ -423,6 +540,7 @@ impl Database {
         Ok(Database {
             catalog,
             durability: None,
+            tx: None,
         })
     }
 
@@ -452,4 +570,10 @@ impl Database {
             .map(|(name, table)| (name.clone(), table.sorted_encoded_rows()))
             .collect()
     }
+}
+
+fn poisoned_error(why: &str) -> RelError {
+    RelError::Wal(format!(
+        "log disabled after earlier failure ({why}); reopen to recover"
+    ))
 }

@@ -36,9 +36,10 @@ use std::sync::Arc;
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"SMRWAL01";
 
-/// Upper bound on a single frame's payload; anything larger in a length
-/// field is treated as corruption rather than allocated.
-const MAX_FRAME: u32 = 64 * 1024 * 1024;
+/// Upper bound on a single frame's payload, so on one logged operation;
+/// anything larger in a length field is treated as corruption rather than
+/// allocated.
+pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 const KIND_BEGIN: u8 = 1;
 const KIND_OP: u8 = 2;

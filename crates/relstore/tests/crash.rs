@@ -9,10 +9,15 @@
 //! recovered database must contain exactly the first `n` operations for
 //! some `n` with `acked <= n <= attempted` — no acknowledged operation is
 //! ever lost, and nothing beyond the operation in flight ever appears.
+//!
+//! Run as transactions, the same criterion holds per transaction: the
+//! recovered database holds exactly the first `g` transactions for some
+//! `acked <= g <= attempted`, each whole or not at all.
 
 use sensormeta_relstore::vfs::{FaultPlan, FaultVfs, MemVfs};
 use sensormeta_relstore::wal::scan_wal;
 use sensormeta_relstore::{Database, DurabilityOptions, RelError, Value, Vfs};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -457,4 +462,144 @@ fn recovering_open_beside_a_live_writer_matches_it() {
         );
     }
     assert!(after_checkpoint > 0, "the workload never checkpointed");
+}
+
+/// The workload cut into transactions of 1 to 6 operations. Every seventh
+/// one aborts: its closure fails after its writes, so it is rolled back and
+/// logged nowhere.
+fn transactions(seed: u64, ops: usize) -> Vec<(Range<usize>, bool)> {
+    let mut rng = Rng::new(seed);
+    let mut txs = Vec::new();
+    let mut start = 0;
+    while start < ops {
+        let end = (start + 1 + rng.below(6) as usize).min(ops);
+        txs.push((start..end, txs.len() % 7 == 6));
+        start = end;
+    }
+    txs
+}
+
+/// After each prefix of `g` transactions: the operations logged so far
+/// (one sequence number each) and the oracle's state.
+fn transaction_oracle(ops: &[WorkOp], txs: &[(Range<usize>, bool)]) -> Vec<(usize, Dump)> {
+    let mut db = Database::new();
+    let mut logged = 0;
+    let mut after = vec![(0, db.logical_dump())];
+    for (range, aborts) in txs {
+        if !aborts {
+            for op in &ops[range.clone()] {
+                let _ = apply_op(&mut db, op);
+            }
+            logged += range.len();
+        }
+        after.push((logged, db.logical_dump()));
+    }
+    after
+}
+
+/// Runs the transactions until completion or the first storage error.
+/// `acked` and `attempted` count transactions.
+fn run_transactions(vfs: Arc<dyn Vfs>, ops: &[WorkOp], txs: &[(Range<usize>, bool)]) -> Outcome {
+    let Ok((mut db, _)) = Database::open_durable_with(vfs, Path::new(DB_PATH), small_opts()) else {
+        return Outcome {
+            acked: 0,
+            attempted: 0,
+            crashed: true,
+        };
+    };
+    for (g, (range, aborts)) in txs.iter().enumerate() {
+        let result = db.transaction(|db| {
+            for op in &ops[range.clone()] {
+                // A logical failure is logged and replayed like a success.
+                match apply_op(db, op) {
+                    Err(e) if is_storage_err(&e) => return Err(e),
+                    _ => {}
+                }
+            }
+            if *aborts {
+                return Err(RelError::Exec("the caller aborts".into()));
+            }
+            Ok(())
+        });
+        match result {
+            Err(e) if is_storage_err(&e) => {
+                return Outcome {
+                    acked: g,
+                    attempted: g + 1,
+                    crashed: true,
+                };
+            }
+            Err(e) => assert!(*aborts, "transaction {g} failed: {e}"),
+            Ok(()) => assert!(!aborts, "transaction {g} should have aborted"),
+        }
+    }
+    Outcome {
+        acked: txs.len(),
+        attempted: txs.len(),
+        crashed: false,
+    }
+}
+
+#[test]
+fn transactions_crashed_at_every_syncpoint_recover_whole_or_not_at_all() {
+    let ops = workload(0x7A5C, 220);
+    let txs = transactions(0x7A5C, ops.len());
+    let after = transaction_oracle(&ops, &txs);
+    assert!(
+        txs.iter().any(|(r, _)| r.len() > 1),
+        "multi-op transactions"
+    );
+
+    let probe = FaultVfs::new(MemVfs::new(), FaultPlan::default());
+    let out = run_transactions(Arc::new(probe.clone()), &ops, &txs);
+    assert!(!out.crashed, "probe run must not crash");
+    let total_syncs = probe.syncs();
+
+    let mut partial_prefixes = 0;
+    for k in 1..=total_syncs {
+        let vfs = FaultVfs::new(
+            MemVfs::new(),
+            FaultPlan {
+                crash_at_sync: Some(k),
+                crash_spill: ((k * 13) % 120) as usize,
+                ..FaultPlan::default()
+            },
+        );
+        let out = run_transactions(Arc::new(vfs.clone()), &ops, &txs);
+        assert!(out.crashed, "syncpoint {k} must crash the run");
+        let (rec, _) = Database::open_durable_with(
+            Arc::new(vfs.durable_state()),
+            Path::new(DB_PATH),
+            small_opts(),
+        )
+        .expect("recovery open must succeed");
+        if let Err(problems) = rec.check_invariants() {
+            panic!("invariants violated after crash {k}: {problems:?}");
+        }
+        let n = rec.committed_seq() as usize;
+        let Some(g) = (out.acked..=out.attempted).find(|&g| after[g].0 == n) else {
+            panic!(
+                "crash {k}: recovered {n} ops, which is no whole number of the \
+                 transactions {}..={} ({:?} ops)",
+                out.acked,
+                out.attempted,
+                &after[out.acked..=out.attempted]
+                    .iter()
+                    .map(|(n, _)| n)
+                    .collect::<Vec<_>>()
+            );
+        };
+        if g < out.attempted {
+            partial_prefixes += 1;
+        }
+        assert_eq!(
+            rec.logical_dump(),
+            after[g].1,
+            "crash {k} diverges after {g} transactions"
+        );
+    }
+    assert!(
+        partial_prefixes > 0,
+        "some crash must lose the transaction in flight"
+    );
 }

@@ -53,6 +53,11 @@ impl Deadline {
         }
     }
 
+    /// The instant of expiry, `None` when unbounded. Reads no clock.
+    pub fn instant(&self) -> Option<Instant> {
+        self.0
+    }
+
     /// True when no bound is set.
     pub fn is_none(&self) -> bool {
         self.0.is_none()

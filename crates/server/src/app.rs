@@ -680,13 +680,21 @@ impl App {
         } else {
             parse_jsonl(&body)
         };
-        // Serialized committer path: mutate the private primary (WAL-logged
-        // inside bulk_load), rebuild its derived structures, then publish a
+        // Serialized committer path: mutate the private primary (one WAL
+        // transaction inside bulk_load), rebuild its derived structures, then publish a
         // reader clone as the next version. Readers on open snapshots are
         // untouched; new requests admit onto the rebuilt engine.
         let mut primary = self.primary.lock();
         let mut report = primary.smr_mut().bulk_load(drafts);
         report.errors.extend(parse_errors);
+        if report.aborted {
+            // Nothing of the load was applied: there is nothing to rebuild
+            // or publish, and the client must not take it as stored.
+            drop(primary);
+            let mut response = json_or_500(serde_json::to_string(&report));
+            response.status = 500;
+            return response;
+        }
         if let Err(e) = primary.rebuild() {
             return Response::error(500, e.to_string());
         }

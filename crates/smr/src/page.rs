@@ -112,6 +112,11 @@ pub struct BulkReport {
     pub updated: usize,
     /// Inputs rejected, with the reason.
     pub errors: Vec<(String, String)>,
+    /// True when a write failed and the whole load was rolled back:
+    /// `created` and `updated` are 0, and every draft that passed the
+    /// content checks is in `errors` with that failure.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+    pub aborted: bool,
 }
 
 /// Parses a JSON-lines bulk file: one [`PageDraft`] object per line.

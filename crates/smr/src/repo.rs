@@ -7,7 +7,10 @@ use crate::error::{Result, SmrError};
 use crate::page::{BulkReport, Page, PageDraft};
 use sensormeta_graph::CsrGraph;
 use sensormeta_rdf::{evaluate, parse_sparql, Solutions, Term, TripleStore};
-use sensormeta_relstore::{Database, RecoveryReport, ResultSet, StdVfs, Value};
+use sensormeta_relstore::wal::MAX_FRAME;
+use sensormeta_relstore::{
+    Database, DurabilityOptions, RecoveryReport, ResultSet, StdVfs, Value, Vfs,
+};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -104,7 +107,17 @@ impl Smr {
     /// so a crash recovers to the last committed state. Returns what
     /// recovery found alongside the repository.
     pub fn open_durable(path: &std::path::Path) -> Result<(Smr, RecoveryReport)> {
-        let (mut db, report) = Database::open_durable(path)?;
+        Smr::open_durable_with(Arc::new(StdVfs), path, DurabilityOptions::default())
+    }
+
+    /// [`Smr::open_durable`] with an explicit VFS and options — the
+    /// fault-injection entry point.
+    pub fn open_durable_with(
+        vfs: Arc<dyn Vfs>,
+        path: &std::path::Path,
+        opts: DurabilityOptions,
+    ) -> Result<(Smr, RecoveryReport)> {
+        let (mut db, report) = Database::open_durable_with(vfs, path, opts)?;
         if !db.has_table("pages") {
             db.execute_script(SCHEMA_SQL)?;
         }
@@ -195,110 +208,88 @@ impl Smr {
 
     /// Creates a page. Fails if the title exists.
     pub fn create_page(&mut self, draft: PageDraft) -> Result<i64> {
-        if draft.title.is_empty() {
-            return Err(SmrError::InvalidDraft("empty title".into()));
-        }
-        if self.page_id(&draft.title)?.is_some() {
-            return Err(SmrError::PageExists(draft.title));
-        }
-        let id = self.next_page_id()?;
-        self.db.insert_row(
-            "pages",
-            vec![
-                Value::Int(id),
-                Value::text(draft.title.clone()),
-                Value::text(draft.namespace.clone()),
-                Value::text(draft.body.clone()),
-                Value::Int(1),
-            ],
-        )?;
-        self.write_satellites(id, &draft)?;
-        self.mirror_page(&draft, None);
-        retype_mentions(&mut self.rdf, &draft.title, true);
-        Ok(id)
+        check_draft(&draft)?;
+        self.transaction(|smr| {
+            if smr.page_id(&draft.title)?.is_some() {
+                return Err(SmrError::PageExists(draft.title.clone()));
+            }
+            smr.write_new(&draft)
+        })
     }
 
     /// Updates an existing page in place, bumping its revision and archiving
     /// the previous body.
     pub fn update_page(&mut self, draft: PageDraft) -> Result<i64> {
-        let Some(id) = self.page_id(&draft.title)? else {
-            return Err(SmrError::NoSuchPage(draft.title));
-        };
-        let Some(old) = self.get_page(&draft.title)? else {
-            return Err(SmrError::NoSuchPage(draft.title));
-        };
-        // Archive the old body.
-        self.db.insert_row(
-            "revisions",
-            vec![
-                Value::Int(id),
-                Value::Int(old.revision),
-                Value::text(old.body.clone()),
-            ],
-        )?;
-        // Rewrite the page row.
-        let esc = sql_escape(&draft.title);
-        self.db.execute(&format!(
-            "UPDATE pages SET namespace = '{}', body = '{}', revision = revision + 1 \
-             WHERE title = '{esc}'",
-            sql_escape(&draft.namespace),
-            sql_escape(&draft.body),
-        ))?;
-        // Replace satellites.
-        self.db
-            .execute(&format!("DELETE FROM annotations WHERE page_id = {id}"))?;
-        self.db
-            .execute(&format!("DELETE FROM links WHERE from_id = {id}"))?;
-        self.db
-            .execute(&format!("DELETE FROM tags WHERE page_id = {id}"))?;
-        self.write_satellites(id, &draft)?;
-        // Re-mirror in RDF.
-        self.rdf
-            .remove_subject(&Term::iri(Self::page_iri(&draft.title)));
-        self.mirror_page(&draft, None);
-        Ok(id)
+        check_draft(&draft)?;
+        self.transaction(|smr| smr.rewrite(&draft))
     }
 
     /// Creates or updates, whichever applies.
     pub fn upsert_page(&mut self, draft: PageDraft) -> Result<(i64, bool)> {
-        if self.page_id(&draft.title)?.is_some() {
-            Ok((self.update_page(draft)?, false))
-        } else {
-            Ok((self.create_page(draft)?, true))
-        }
+        check_draft(&draft)?;
+        self.transaction(|smr| smr.upsert(&draft))
     }
 
     /// Deletes a page (its revisions, annotations, links, tags, and RDF
     /// mirror). Returns true if it existed.
     pub fn delete_page(&mut self, title: &str) -> Result<bool> {
-        let Some(id) = self.page_id(title)? else {
-            return Ok(false);
-        };
-        for sql in [
-            format!("DELETE FROM annotations WHERE page_id = {id}"),
-            format!("DELETE FROM links WHERE from_id = {id}"),
-            format!("DELETE FROM tags WHERE page_id = {id}"),
-            format!("DELETE FROM revisions WHERE page_id = {id}"),
-            format!("DELETE FROM pages WHERE id = {id}"),
-        ] {
-            self.db.execute(&sql)?;
-        }
-        self.rdf.remove_subject(&Term::iri(Self::page_iri(title)));
-        retype_mentions(&mut self.rdf, title, false);
-        Ok(true)
+        self.transaction(|smr| {
+            let Some(id) = smr.page_id(title)? else {
+                return Ok(false);
+            };
+            for sql in [
+                format!("DELETE FROM annotations WHERE page_id = {id}"),
+                format!("DELETE FROM links WHERE from_id = {id}"),
+                format!("DELETE FROM tags WHERE page_id = {id}"),
+                format!("DELETE FROM revisions WHERE page_id = {id}"),
+                format!("DELETE FROM pages WHERE id = {id}"),
+            ] {
+                smr.db.execute(&sql)?;
+            }
+            smr.rdf.remove_subject(&Term::iri(Self::page_iri(title)));
+            retype_mentions(&mut smr.rdf, title, false);
+            Ok(true)
+        })
     }
 
-    /// Bulk-loads drafts (the paper's Bulk-loading Interface): existing titles
-    /// are updated, new ones created, and per-draft failures collected rather
-    /// than aborting the batch.
+    /// Bulk-loads drafts (the paper's Bulk-loading Interface): existing
+    /// titles are updated, new ones created. A draft that fails the content
+    /// checks (an empty title, a text too long for one log record) is
+    /// reported and skipped. The others are written as one transaction, so
+    /// a durable repository logs the whole load with one fsync; if any
+    /// write fails, none of the load stays — tables and RDF mirror are as
+    /// before — and every draft of it is reported with that error
+    /// ([`BulkReport::aborted`]).
     pub fn bulk_load(&mut self, drafts: impl IntoIterator<Item = PageDraft>) -> BulkReport {
         let mut report = BulkReport::default();
+        let mut valid = Vec::new();
         for draft in drafts {
-            let title = draft.title.clone();
-            match self.upsert_page(draft) {
-                Ok((_, true)) => report.created += 1,
-                Ok((_, false)) => report.updated += 1,
-                Err(e) => report.errors.push((title, e.to_string())),
+            match check_draft(&draft) {
+                Ok(()) => valid.push(draft),
+                Err(e) => report.errors.push((draft.title, e.to_string())),
+            }
+        }
+        let written = self.transaction(|smr| {
+            let (mut created, mut updated) = (0, 0);
+            for draft in &valid {
+                match smr.upsert(draft)? {
+                    (_, true) => created += 1,
+                    (_, false) => updated += 1,
+                }
+            }
+            Ok((created, updated))
+        });
+        match written {
+            Ok((created, updated)) => {
+                report.created = created;
+                report.updated = updated;
+            }
+            Err(e) => {
+                let why = e.to_string();
+                report
+                    .errors
+                    .extend(valid.into_iter().map(|d| (d.title, why.clone())));
+                report.aborted = true;
             }
         }
         report
@@ -670,6 +661,89 @@ impl Smr {
         Ok(())
     }
 
+    /// Runs `f` as one transaction of the database (one WAL commit with
+    /// one fsync when durable). On an error nothing `f` wrote stays: the
+    /// database rolls its tables back, and the RDF mirror is restored from
+    /// a copy taken here. A call inside an open transaction joins it.
+    fn transaction<T>(&mut self, f: impl FnOnce(&mut Smr) -> Result<T>) -> Result<T> {
+        if self.db.in_transaction() {
+            return f(self);
+        }
+        self.db.begin()?;
+        let rdf = self.rdf.clone();
+        let out = f(self).and_then(|v| Ok(self.db.commit().map(|()| v)?));
+        if out.is_err() {
+            self.db.rollback();
+            self.rdf = rdf;
+        }
+        out
+    }
+
+    fn upsert(&mut self, draft: &PageDraft) -> Result<(i64, bool)> {
+        if self.page_id(&draft.title)?.is_some() {
+            Ok((self.rewrite(draft)?, false))
+        } else {
+            Ok((self.write_new(draft)?, true))
+        }
+    }
+
+    /// Writes a page whose title the repository does not hold.
+    fn write_new(&mut self, draft: &PageDraft) -> Result<i64> {
+        let id = self.next_page_id()?;
+        self.db.insert_row(
+            "pages",
+            vec![
+                Value::Int(id),
+                Value::text(draft.title.clone()),
+                Value::text(draft.namespace.clone()),
+                Value::text(draft.body.clone()),
+                Value::Int(1),
+            ],
+        )?;
+        self.write_satellites(id, draft)?;
+        self.mirror_page(draft, None);
+        retype_mentions(&mut self.rdf, &draft.title, true);
+        Ok(id)
+    }
+
+    /// Rewrites a page in place, archiving its previous body.
+    fn rewrite(&mut self, draft: &PageDraft) -> Result<i64> {
+        let Some(old) = self.get_page(&draft.title)? else {
+            return Err(SmrError::NoSuchPage(draft.title.clone()));
+        };
+        let id = old.id;
+        // Archive the old body.
+        self.db.insert_row(
+            "revisions",
+            vec![
+                Value::Int(id),
+                Value::Int(old.revision),
+                Value::text(old.body),
+            ],
+        )?;
+        // Rewrite the page row.
+        let esc = sql_escape(&draft.title);
+        self.db.execute(&format!(
+            "UPDATE pages SET namespace = '{}', body = '{}', revision = revision + 1 \
+             WHERE title = '{esc}'",
+            sql_escape(&draft.namespace),
+            sql_escape(&draft.body),
+        ))?;
+        // Replace satellites.
+        self.db
+            .execute(&format!("DELETE FROM annotations WHERE page_id = {id}"))?;
+        self.db
+            .execute(&format!("DELETE FROM links WHERE from_id = {id}"))?;
+        self.db
+            .execute(&format!("DELETE FROM tags WHERE page_id = {id}"))?;
+        self.write_satellites(id, draft)?;
+        // Re-mirror in RDF.
+        self.rdf
+            .remove_subject(&Term::iri(Self::page_iri(&draft.title)));
+        self.mirror_page(draft, None);
+        Ok(id)
+    }
+
     fn page_id(&self, title: &str) -> Result<Option<i64>> {
         let rs = self.db.query(&format!(
             "SELECT id FROM pages WHERE title = '{}'",
@@ -751,6 +825,35 @@ impl Smr {
             );
         }
     }
+}
+
+/// Fixed bytes of the longest record a draft writes beyond its escaped
+/// texts: the UPDATE's keywords and a frame's kind, ids and lengths.
+const RECORD_OVERHEAD: usize = 256;
+
+/// The checks a draft passes or fails by its content alone, whatever the
+/// repository holds: a title, and no record longer than one write-ahead-log
+/// frame. The longest record is the UPDATE of the page row, whose texts
+/// quote escaping at most doubles; each annotation, link and tag is a row
+/// of its own. Run before a write's transaction, so a draft that cannot be
+/// written never aborts the batch it came in.
+fn check_draft(draft: &PageDraft) -> Result<()> {
+    if draft.title.is_empty() {
+        return Err(SmrError::InvalidDraft("empty title".into()));
+    }
+    let page = 2 * (draft.title.len() + draft.namespace.len() + draft.body.len());
+    let longest = draft
+        .annotations
+        .iter()
+        .map(|(a, v)| a.len() + v.len())
+        .chain(draft.links.iter().chain(&draft.tags).map(String::len))
+        .fold(page, usize::max);
+    if longest + RECORD_OVERHEAD > MAX_FRAME as usize {
+        return Err(SmrError::InvalidDraft(format!(
+            "{longest} bytes of text do not fit one log record of {MAX_FRAME} bytes"
+        )));
+    }
+    Ok(())
 }
 
 /// The paper's double linking structure over `pages`, node `i` being

@@ -194,6 +194,9 @@ fn load(opts: &Opts) -> CliResult {
         for (what, why) in report.errors.iter().chain(errors.iter()).take(5) {
             eprintln!("  {what}: {why}");
         }
+        if report.aborted {
+            return Err(format!("{input}: load aborted, nothing of it was stored").into());
+        }
     }
     // Fold the log into a fresh snapshot so the next open starts clean.
     smr.checkpoint()?;

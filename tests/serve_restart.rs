@@ -1,7 +1,8 @@
-//! `sensormeta serve` keeps what it acknowledges: a page posted to
-//! `/bulkload` is served again after the server is killed with SIGKILL and
-//! restarted on the same snapshot, and `serve` refuses a snapshot path that
-//! holds no repository instead of serving an empty one.
+//! `sensormeta serve` keeps what it acknowledges: every page of a 10-page
+//! `/bulkload` (one WAL transaction) is served again after the server is
+//! killed with SIGKILL and restarted on the same snapshot, and `serve`
+//! refuses a snapshot path that holds no repository instead of serving an
+//! empty one.
 //!
 //! Drives the built binary as a child process over real sockets.
 
@@ -138,13 +139,20 @@ fn acknowledged_bulkload_survives_kill_and_restart() {
     run_ok(&["load", "--snapshot", snapshot_s, corpus_s]);
 
     let server = Served::start(&snapshot);
-    let page = format!(
+    // The probe and nine more pages, acknowledged together.
+    let others: Vec<String> = (1..10).map(|i| format!("Deployment:restart_{i}")).collect();
+    let mut load = format!(
         "{{\"title\":\"{TITLE}\",\"namespace\":\"Deployment\",\
          \"body\":\"probe {MARKER} sensor\",\"annotations\":[[\"measuresQuantity\",\"{MARKER}\"]]}}\n"
     );
-    let (status, body) = server.request("POST", "/bulkload", &page);
+    for title in &others {
+        load.push_str(&format!(
+            "{{\"title\":\"{title}\",\"namespace\":\"Deployment\",\"body\":\"{title} body\"}}\n"
+        ));
+    }
+    let (status, body) = server.request("POST", "/bulkload", &load);
     assert_eq!(status, 200, "bulkload: {body}");
-    assert!(body.contains("\"created\":1"), "bulkload report: {body}");
+    assert!(body.contains("\"created\":10"), "bulkload report: {body}");
     let (status, _) = server.request("GET", &format!("/page/{TITLE}"), "");
     assert_eq!(status, 200, "served before the restart");
     server.kill();
@@ -153,6 +161,14 @@ fn acknowledged_bulkload_survives_kill_and_restart() {
     let (status, body) = server.request("GET", &format!("/page/{TITLE}"), "");
     assert_eq!(status, 200, "page lost at restart: {body}");
     assert!(body.contains(MARKER), "page body after restart: {body}");
+    for title in &others {
+        let (status, body) = server.request("GET", &format!("/page/{title}"), "");
+        assert_eq!(status, 200, "{title} lost at restart: {body}");
+        assert!(
+            body.contains(&format!("{title} body")),
+            "{title} after restart: {body}"
+        );
+    }
     let (status, body) = server.request("GET", &format!("/search?q={MARKER}"), "");
     assert_eq!(status, 200, "search after restart: {body}");
     assert!(body.contains(TITLE), "search misses the page: {body}");
