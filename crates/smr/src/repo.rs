@@ -255,42 +255,44 @@ impl Smr {
     /// Bulk-loads drafts (the paper's Bulk-loading Interface): existing
     /// titles are updated, new ones created. A draft that fails the content
     /// checks (an empty title, a text too long for one log record) is
-    /// reported and skipped. The others are written as one transaction, so
-    /// a durable repository logs the whole load with one fsync; if any
-    /// write fails, none of the load stays — tables and RDF mirror are as
-    /// before — and every draft of it is reported with that error
-    /// ([`BulkReport::aborted`]).
+    /// reported and skipped before it writes anything. The others are
+    /// written as one transaction, so a durable repository logs the whole
+    /// load with one fsync; if any write fails, none of the load stays —
+    /// tables and RDF mirror are as before — and every other draft is
+    /// reported with that error ([`BulkReport::aborted`]).
+    ///
+    /// Drafts are taken from `drafts` one at a time and dropped once
+    /// written, so a load never holds its whole input beside the tables.
     pub fn bulk_load(&mut self, drafts: impl IntoIterator<Item = PageDraft>) -> BulkReport {
         let mut report = BulkReport::default();
-        let mut valid = Vec::new();
-        for draft in drafts {
-            match check_draft(&draft) {
-                Ok(()) => valid.push(draft),
-                Err(e) => report.errors.push((draft.title, e.to_string())),
-            }
-        }
+        let mut drafts = drafts.into_iter();
+        // Titles of the drafts the transaction wrote, or was writing when
+        // it failed.
+        let mut entered = Vec::new();
         let written = self.transaction(|smr| {
-            let (mut created, mut updated) = (0, 0);
-            for draft in &valid {
-                match smr.upsert(draft)? {
-                    (_, true) => created += 1,
-                    (_, false) => updated += 1,
+            for draft in drafts.by_ref() {
+                if let Err(e) = check_draft(&draft) {
+                    report.errors.push((draft.title, e.to_string()));
+                    continue;
+                }
+                let upserted = smr.upsert(&draft);
+                entered.push(draft.title);
+                match upserted? {
+                    (_, true) => report.created += 1,
+                    (_, false) => report.updated += 1,
                 }
             }
-            Ok((created, updated))
+            Ok(())
         });
-        match written {
-            Ok((created, updated)) => {
-                report.created = created;
-                report.updated = updated;
-            }
-            Err(e) => {
-                let why = e.to_string();
-                report
-                    .errors
-                    .extend(valid.into_iter().map(|d| (d.title, why.clone())));
-                report.aborted = true;
-            }
+        if let Err(e) = written {
+            let why = e.to_string();
+            let rest = drafts.map(|d| match check_draft(&d) {
+                Err(own) => (d.title, own.to_string()),
+                Ok(()) => (d.title, why.clone()),
+            });
+            let aborted = entered.into_iter().map(|t| (t, why.clone()));
+            report.errors.extend(aborted.chain(rest));
+            (report.created, report.updated, report.aborted) = (0, 0, true);
         }
         report
     }
