@@ -681,9 +681,10 @@ impl App {
             parse_jsonl(&body)
         };
         // Serialized committer path: mutate the private primary (one WAL
-        // transaction inside bulk_load), rebuild its derived structures, then publish a
-        // reader clone as the next version. Readers on open snapshots are
-        // untouched; new requests admit onto the rebuilt engine.
+        // transaction inside bulk_load), rebuild its derived structures,
+        // then publish a reader clone as the next version. Readers on open
+        // snapshots are untouched; new requests admit onto the rebuilt
+        // engine.
         let mut primary = self.primary.lock();
         let mut report = primary.smr_mut().bulk_load(drafts);
         report.errors.extend(parse_errors);
