@@ -837,8 +837,8 @@ const RECORD_OVERHEAD: usize = 256;
 /// repository holds: a title, and no record longer than one write-ahead-log
 /// frame. The longest record is the UPDATE of the page row, whose texts
 /// quote escaping at most doubles; each annotation, link and tag is a row
-/// of its own. Run before a write's transaction, so a draft that cannot be
-/// written never aborts the batch it came in.
+/// of its own. Run before a draft writes anything, so a draft that cannot
+/// be written is skipped and never aborts the batch it came in.
 fn check_draft(draft: &PageDraft) -> Result<()> {
     if draft.title.is_empty() {
         return Err(SmrError::InvalidDraft("empty title".into()));
