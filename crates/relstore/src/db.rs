@@ -11,8 +11,8 @@
 //! [`Database::transaction`] groups mutations: inside it each one is
 //! applied at once and buffered, and the buffer is logged as one WAL
 //! transaction with one fsync when the closure returns `Ok`. On an error —
-//! the closure's or the commit's — the catalog is restored from a copy
-//! taken at the start and nothing is logged.
+//! the closure's or the commit's — or an unwind, the catalog is restored
+//! from a copy taken at the start and nothing is logged.
 
 use crate::encoding::{next_byte, read_len, read_str, write_str, write_varint};
 use crate::error::{RelError, Result};
@@ -50,6 +50,49 @@ pub struct Database {
 struct OpenTx {
     before: Catalog,
     ops: Vec<LogicalOp>,
+}
+
+/// The owner of a [`Database`] whose own state must roll back with the
+/// tables — what [`Database::transaction_over`] runs over. A database is
+/// its own host, with nothing beside the tables to restore.
+pub trait TxHost {
+    /// The owner's state as saved when a transaction begins.
+    type Saved;
+    /// The database the transaction runs on.
+    fn database(&mut self) -> &mut Database;
+    /// Saves the owner's state when a transaction begins.
+    fn save(&mut self) -> Self::Saved;
+    /// Puts the saved state back when the transaction rolls back.
+    fn restore(&mut self, saved: Self::Saved);
+}
+
+impl TxHost for Database {
+    type Saved = ();
+
+    fn database(&mut self) -> &mut Database {
+        self
+    }
+
+    fn save(&mut self) {}
+
+    fn restore(&mut self, (): ()) {}
+}
+
+/// A transaction opened by [`Database::transaction_over`]. Dropped while
+/// it still holds the host's saved state — on an error return or an
+/// unwind — it rolls the catalog back and restores that state.
+struct OpenGuard<'a, H: TxHost> {
+    host: &'a mut H,
+    saved: Option<H::Saved>,
+}
+
+impl<H: TxHost> Drop for OpenGuard<'_, H> {
+    fn drop(&mut self) {
+        if let Some(saved) = self.saved.take() {
+            self.host.database().rollback();
+            self.host.restore(saved);
+        }
+    }
 }
 
 impl Database {
@@ -112,26 +155,42 @@ impl Database {
 
     /// Runs `f` as one transaction. Its mutations are applied as they run
     /// and, in durable mode, logged together when it returns `Ok`: one WAL
-    /// transaction, one group fsync. If `f` returns `Err`, or the commit
-    /// fails, the catalog is restored to what it was before `f` ran and
-    /// nothing is logged; a failed commit also poisons the log, as a failed
-    /// single-statement commit does. A call made inside an open
+    /// transaction, one group fsync. If `f` returns `Err` or unwinds, or
+    /// the commit fails, the catalog is restored to what it was before `f`
+    /// ran and nothing is logged; a failed commit also poisons the log, as
+    /// a failed single-statement commit does. A call made inside an open
     /// transaction joins it.
     pub fn transaction<T>(&mut self, f: impl FnOnce(&mut Database) -> Result<T>) -> Result<T> {
-        if self.in_transaction() {
-            return f(self);
+        Database::transaction_over(self, f)
+    }
+
+    /// [`Database::transaction`] over a [`TxHost`]: the owner of a
+    /// database whose own state rolls back with the tables. The host's
+    /// state is saved at begin and restored whenever the catalog is: on an
+    /// error from `f` or from the commit, and when `f` unwinds, so a panic
+    /// caught further up leaves no transaction open.
+    pub fn transaction_over<H: TxHost, T, E: From<RelError>>(
+        host: &mut H,
+        f: impl FnOnce(&mut H) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        if host.database().in_transaction() {
+            return f(host);
         }
-        self.begin()?;
-        match f(self) {
-            Ok(v) => {
-                self.commit()?;
-                Ok(v)
-            }
-            Err(e) => {
-                self.rollback();
-                Err(e)
-            }
-        }
+        host.database().begin()?;
+        let saved = host.save();
+        let mut open = OpenGuard {
+            host,
+            saved: Some(saved),
+        };
+        let v = f(&mut *open.host)?;
+        open.host.database().commit()?;
+        open.saved = None;
+        Ok(v)
+    }
+
+    /// True in durable mode: mutations are logged to a write-ahead log.
+    pub fn is_durable(&self) -> bool {
+        self.durability.is_some()
     }
 
     /// True between [`Database::begin`] and its commit or rollback.

@@ -50,7 +50,7 @@ pub mod value;
 pub mod vfs;
 pub mod wal;
 
-pub use db::Database;
+pub use db::{Database, TxHost};
 pub use error::{RelError, Result};
 pub use heap::RowId;
 pub use recover::{wal_path_for, DurabilityOptions, RecoveryReport};

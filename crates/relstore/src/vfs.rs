@@ -363,9 +363,6 @@ pub struct FaultPlan {
     /// page-cache writeback spill). `0` models a strict "only fsynced data
     /// survives" crash; `usize::MAX` models "everything written survives".
     pub crash_spill: usize,
-    /// A full disk: any write that would grow a file past this many bytes
-    /// fails and leaves the file as it was. Writes that fit still succeed.
-    pub file_quota: Option<usize>,
 }
 
 #[derive(Debug, Default)]
@@ -386,8 +383,6 @@ pub struct FaultVfs {
 
 /// The error message carried by every injected fault.
 pub const INJECTED_FAULT: &str = "injected i/o fault";
-/// The error message carried by a write past [`FaultPlan::file_quota`].
-pub const DISK_FULL: &str = "no space left on device (file quota)";
 /// The error message carried by operations after a simulated crash.
 pub const SIMULATED_CRASH: &str = "simulated crash";
 
@@ -472,12 +467,7 @@ impl VfsFile for FaultHandle {
                 return Err(io::Error::other(SIMULATED_CRASH));
             }
         }
-        if let Some(quota) = self.vfs.plan.file_quota {
-            let len = self.vfs.mem.read(&self.path).map_or(0, |b| b.len());
-            if len + data.len() > quota {
-                return Err(io::Error::other(DISK_FULL));
-            }
-        }
+        let _ = &self.path;
         self.inner.write_all(data)
     }
 

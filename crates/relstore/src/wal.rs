@@ -41,6 +41,12 @@ pub const WAL_MAGIC: &[u8; 8] = b"SMRWAL01";
 /// allocated.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
+/// The longest SQL text whose `Op` frame fits [`MAX_FRAME`] whatever its
+/// transaction and sequence numbers: the frame adds a kind byte, two
+/// varints of at most ten bytes, an op byte and the text's length, a
+/// varint of four bytes below 256 MiB.
+pub const MAX_SQL_OP: usize = MAX_FRAME as usize - (1 + 10 + 10 + 1 + 4);
+
 const KIND_BEGIN: u8 = 1;
 const KIND_OP: u8 = 2;
 const KIND_COMMIT: u8 = 3;
@@ -409,6 +415,16 @@ mod tests {
     use crate::schema::Column;
     use crate::value::DataType;
     use crate::vfs::MemVfs;
+
+    #[test]
+    fn the_longest_sql_op_fills_a_frame_exactly() {
+        let mut payload = vec![KIND_OP];
+        write_varint(&mut payload, u64::MAX);
+        write_varint(&mut payload, u64::MAX);
+        payload.push(OP_SQL);
+        write_varint(&mut payload, MAX_SQL_OP as u64);
+        assert_eq!(payload.len() + MAX_SQL_OP, MAX_FRAME as usize);
+    }
 
     fn build_wal(txs: &[Vec<(u64, LogicalOp)>]) -> Vec<u8> {
         let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());

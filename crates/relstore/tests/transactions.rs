@@ -1,11 +1,12 @@
 //! `Database::transaction`: the mutations of one closure are applied as
 //! they run and logged as one WAL transaction with one fsync when it
-//! returns `Ok`. When the closure or the commit fails, memory returns to
-//! where it was and the log holds nothing of it.
+//! returns `Ok`. When the closure or the commit fails, or the closure
+//! unwinds, memory returns to where it was and the log holds nothing of it.
 
 use sensormeta_relstore::vfs::{FaultPlan, FaultVfs, MemVfs, INJECTED_FAULT};
 use sensormeta_relstore::wal::scan_wal;
 use sensormeta_relstore::{wal_path_for, Database, DurabilityOptions, RelError, Value, Vfs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -188,4 +189,33 @@ fn a_transaction_rolls_back_without_durability_too() {
     db.transaction(|db| db.insert_row("t", vec![Value::Int(1), Value::text("one")]))
         .expect("commit");
     assert_eq!(db.table("t").map(|t| t.len()).ok(), Some(1));
+}
+
+#[test]
+fn a_transaction_that_unwinds_rolls_back_and_the_next_one_is_logged() {
+    let vfs = FaultVfs::new(MemVfs::new(), FaultPlan::default());
+    let mut db = open(&vfs);
+    let (before, logged) = (db.logical_dump(), wal_bytes(&vfs));
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        db.transaction(|db| -> Result<(), RelError> {
+            three_writes(db)?;
+            panic!("the closure panics");
+        })
+    }));
+    assert!(unwound.is_err());
+    assert!(!db.in_transaction(), "a transaction stayed open");
+    assert_eq!(db.logical_dump(), before);
+    assert_eq!(wal_bytes(&vfs), logged, "nothing of it was logged");
+
+    // The next write is a transaction of its own, logged and fsynced.
+    let syncs = vfs.syncs();
+    db.transaction(three_writes).expect("commit");
+    assert_eq!(vfs.syncs(), syncs + 1);
+    let (reopened, _) = Database::open_durable_with(
+        Arc::new(vfs.durable_state()),
+        Path::new(DB_PATH),
+        DurabilityOptions::default(),
+    )
+    .expect("reopen");
+    assert_eq!(reopened.logical_dump(), db.logical_dump());
 }

@@ -3,8 +3,8 @@
 //! no page of it is served or found.
 
 use sensormeta_query::QueryEngine;
-use sensormeta_relstore::vfs::{FaultPlan, FaultVfs, MemVfs};
-use sensormeta_relstore::{wal_path_for, DurabilityOptions, Vfs};
+use sensormeta_relstore::vfs::{FaultPlan, FaultVfs, MemVfs, INJECTED_FAULT};
+use sensormeta_relstore::DurabilityOptions;
 use sensormeta_server::http::{read_request, Response};
 use sensormeta_server::App;
 use sensormeta_smr::{PageDraft, Smr};
@@ -32,18 +32,13 @@ fn handle(app: &App, raw: &str) -> Response {
 
 #[test]
 fn a_bulkload_whose_commit_fails_answers_500_and_publishes_nothing() {
+    // Fail the first I/O operation after the open: the load's commit write.
     let probe = FaultVfs::new(MemVfs::new(), FaultPlan::default());
     drop(open(&probe));
-    let logged = probe
-        .durable_state()
-        .read(&wal_path_for(Path::new(PATH)))
-        .expect("wal")
-        .len();
-    // Room for a few dozen bytes more: no page record fits.
     let vfs = FaultVfs::new(
         MemVfs::new(),
         FaultPlan {
-            file_quota: Some(logged + 40),
+            fail_at_op: Some(probe.ops() + 1),
             ..FaultPlan::default()
         },
     );
@@ -66,6 +61,7 @@ fn a_bulkload_whose_commit_fails_answers_500_and_publishes_nothing() {
         body.contains("zqxabort_1") && body.contains("zqxabort_2"),
         "{body}"
     );
+    assert!(body.contains(INJECTED_FAULT), "{body}");
 
     let page = handle(
         &app,

@@ -7,9 +7,9 @@ use crate::error::{Result, SmrError};
 use crate::page::{BulkReport, Page, PageDraft};
 use sensormeta_graph::CsrGraph;
 use sensormeta_rdf::{evaluate, parse_sparql, Solutions, Term, TripleStore};
-use sensormeta_relstore::wal::MAX_FRAME;
+use sensormeta_relstore::wal::MAX_SQL_OP;
 use sensormeta_relstore::{
-    Database, DurabilityOptions, RecoveryReport, ResultSet, StdVfs, Value, Vfs,
+    Database, DurabilityOptions, RecoveryReport, ResultSet, StdVfs, TxHost, Value, Vfs,
 };
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -208,7 +208,7 @@ impl Smr {
 
     /// Creates a page. Fails if the title exists.
     pub fn create_page(&mut self, draft: PageDraft) -> Result<i64> {
-        check_draft(&draft)?;
+        check_draft(&draft, self.record_limit())?;
         self.transaction(|smr| {
             if smr.page_id(&draft.title)?.is_some() {
                 return Err(SmrError::PageExists(draft.title.clone()));
@@ -220,13 +220,13 @@ impl Smr {
     /// Updates an existing page in place, bumping its revision and archiving
     /// the previous body.
     pub fn update_page(&mut self, draft: PageDraft) -> Result<i64> {
-        check_draft(&draft)?;
+        check_draft(&draft, self.record_limit())?;
         self.transaction(|smr| smr.rewrite(&draft))
     }
 
     /// Creates or updates, whichever applies.
     pub fn upsert_page(&mut self, draft: PageDraft) -> Result<(i64, bool)> {
-        check_draft(&draft)?;
+        check_draft(&draft, self.record_limit())?;
         self.transaction(|smr| smr.upsert(&draft))
     }
 
@@ -269,9 +269,10 @@ impl Smr {
         // Titles of the drafts the transaction wrote, or was writing when
         // it failed.
         let mut entered = Vec::new();
+        let limit = self.record_limit();
         let written = self.transaction(|smr| {
             for draft in drafts.by_ref() {
-                if let Err(e) = check_draft(&draft) {
+                if let Err(e) = check_draft(&draft, limit) {
                     report.errors.push((draft.title, e.to_string()));
                     continue;
                 }
@@ -286,7 +287,7 @@ impl Smr {
         });
         if let Err(e) = written {
             let why = e.to_string();
-            let rest = drafts.map(|d| match check_draft(&d) {
+            let rest = drafts.map(|d| match check_draft(&d, limit) {
                 Err(own) => (d.title, own.to_string()),
                 Ok(()) => (d.title, why.clone()),
             });
@@ -664,21 +665,18 @@ impl Smr {
     }
 
     /// Runs `f` as one transaction of the database (one WAL commit with
-    /// one fsync when durable). On an error nothing `f` wrote stays: the
-    /// database rolls its tables back, and the RDF mirror is restored from
-    /// a copy taken here. A call inside an open transaction joins it.
+    /// one fsync when durable). On an error or an unwind nothing `f` wrote
+    /// stays: the database rolls its tables back, and the RDF mirror is
+    /// restored from a copy taken at begin. A call inside an open
+    /// transaction joins it.
     fn transaction<T>(&mut self, f: impl FnOnce(&mut Smr) -> Result<T>) -> Result<T> {
-        if self.db.in_transaction() {
-            return f(self);
-        }
-        self.db.begin()?;
-        let rdf = self.rdf.clone();
-        let out = f(self).and_then(|v| Ok(self.db.commit().map(|()| v)?));
-        if out.is_err() {
-            self.db.rollback();
-            self.rdf = rdf;
-        }
-        out
+        Database::transaction_over(&mut Mirrored(self), |m| f(m.0))
+    }
+
+    /// The longest record a draft may log: none in memory, the SQL text of
+    /// one WAL frame when durable.
+    fn record_limit(&self) -> Option<usize> {
+        self.db.is_durable().then_some(MAX_SQL_OP)
     }
 
     fn upsert(&mut self, draft: &PageDraft) -> Result<(i64, bool)> {
@@ -724,13 +722,7 @@ impl Smr {
             ],
         )?;
         // Rewrite the page row.
-        let esc = sql_escape(&draft.title);
-        self.db.execute(&format!(
-            "UPDATE pages SET namespace = '{}', body = '{}', revision = revision + 1 \
-             WHERE title = '{esc}'",
-            sql_escape(&draft.namespace),
-            sql_escape(&draft.body),
-        ))?;
+        self.db.execute(&update_page_sql(draft))?;
         // Replace satellites.
         self.db
             .execute(&format!("DELETE FROM annotations WHERE page_id = {id}"))?;
@@ -829,30 +821,75 @@ impl Smr {
     }
 }
 
-/// Fixed bytes of the longest record a draft writes beyond its escaped
-/// texts: the UPDATE's keywords and a frame's kind, ids and lengths.
-const RECORD_OVERHEAD: usize = 256;
+/// A repository in a transaction: its RDF mirror rolls back with the
+/// tables. Private, so the database stays reachable only through `Smr`.
+struct Mirrored<'a>(&'a mut Smr);
+
+impl TxHost for Mirrored<'_> {
+    type Saved = TripleStore;
+
+    fn database(&mut self) -> &mut Database {
+        &mut self.0.db
+    }
+
+    /// Four `Arc` bumps: the store's indexes are shared until written.
+    fn save(&mut self) -> TripleStore {
+        self.0.rdf.clone()
+    }
+
+    fn restore(&mut self, saved: TripleStore) {
+        self.0.rdf = saved;
+    }
+}
+
+/// The statement that rewrites a page row in place — the longest record a
+/// draft can write.
+fn update_page_sql(draft: &PageDraft) -> String {
+    format!(
+        "UPDATE pages SET namespace = '{}', body = '{}', revision = revision + 1 \
+         WHERE title = '{}'",
+        sql_escape(&draft.namespace),
+        sql_escape(&draft.body),
+        sql_escape(&draft.title),
+    )
+}
+
+/// Bytes of [`update_page_sql`] beside its three escaped texts.
+const UPDATE_PAGE_FIXED: usize = 84;
+
+/// Bytes an annotation, link or tag row's insert record adds to its texts
+/// at most: the table name and the row's tags, ids and lengths.
+const ROW_OVERHEAD: usize = 64;
 
 /// The checks a draft passes or fails by its content alone, whatever the
-/// repository holds: a title, and no record longer than one write-ahead-log
-/// frame. The longest record is the UPDATE of the page row, whose texts
-/// quote escaping at most doubles; each annotation, link and tag is a row
-/// of its own. Run before a draft writes anything, so a draft that cannot
-/// be written is skipped and never aborts the batch it came in.
-fn check_draft(draft: &PageDraft) -> Result<()> {
+/// repository holds: a title, and, given a `limit` on one logged record,
+/// no record longer than it. The longest record is the UPDATE of the page
+/// row ([`update_page_sql`]), measured as written: each text plus the
+/// quotes escaping doubles. Each annotation, link and tag is a row of its
+/// own. Run before a draft writes anything, so a draft that cannot be
+/// written is skipped and never aborts the batch it came in.
+fn check_draft(draft: &PageDraft, limit: Option<usize>) -> Result<()> {
     if draft.title.is_empty() {
         return Err(SmrError::InvalidDraft("empty title".into()));
     }
-    let page = 2 * (draft.title.len() + draft.namespace.len() + draft.body.len());
+    let Some(limit) = limit else {
+        return Ok(());
+    };
+    let escaped = |s: &str| s.len() + s.matches('\'').count();
+    let page = UPDATE_PAGE_FIXED
+        + escaped(&draft.title)
+        + escaped(&draft.namespace)
+        + escaped(&draft.body);
     let longest = draft
         .annotations
         .iter()
         .map(|(a, v)| a.len() + v.len())
         .chain(draft.links.iter().chain(&draft.tags).map(String::len))
+        .map(|texts| texts + ROW_OVERHEAD)
         .fold(page, usize::max);
-    if longest + RECORD_OVERHEAD > MAX_FRAME as usize {
+    if longest > limit {
         return Err(SmrError::InvalidDraft(format!(
-            "{longest} bytes of text do not fit one log record of {MAX_FRAME} bytes"
+            "a record of {longest} bytes does not fit one log record of {limit} bytes"
         )));
     }
     Ok(())
@@ -1163,6 +1200,24 @@ mod tests {
         assert_eq!(report.updated, 1);
         assert_eq!(report.errors.len(), 1);
         assert_eq!(smr.page_count(), 2);
+    }
+
+    #[test]
+    fn record_check_measures_the_update_as_written() {
+        let d = PageDraft::new("O'Brien", "Site").body("it's a 'quoted' body");
+        let record = update_page_sql(&d).len();
+        let texts = ["O''Brien", "Site", "it''s a ''quoted'' body"];
+        assert_eq!(record, UPDATE_PAGE_FIXED + texts.concat().len());
+        assert!(check_draft(&d, Some(record)).is_ok());
+        let err = check_draft(&d, Some(record - 1)).unwrap_err();
+        assert!(err.to_string().contains("log record"), "{err}");
+        // In memory no record is logged, so no length is refused.
+        assert!(check_draft(&d, None).is_ok());
+        assert!(check_draft(&PageDraft::new("", "Site"), None).is_err());
+        // An annotation row is measured by its texts.
+        let a = PageDraft::new("A", "Site").annotate("k", "v".repeat(200));
+        assert!(check_draft(&a, Some(201 + ROW_OVERHEAD)).is_ok());
+        assert!(check_draft(&a, Some(200 + ROW_OVERHEAD)).is_err());
     }
 
     #[test]

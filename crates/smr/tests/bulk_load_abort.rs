@@ -1,11 +1,12 @@
-//! A bulk load is one transaction: when its commit fails — here the disk
-//! fills up — none of the load stays. The tables, `get_page` and the RDF
+//! A bulk load is one transaction: when its commit fails — here its
+//! fsync — none of the load stays. The tables, `get_page` and the RDF
 //! mirror read exactly as before it, and a reopen finds the same state.
 
-use sensormeta_relstore::vfs::{FaultPlan, FaultVfs, MemVfs, DISK_FULL};
+use sensormeta_relstore::vfs::{FaultPlan, FaultVfs, MemVfs, INJECTED_FAULT};
 use sensormeta_relstore::wal::MAX_FRAME;
-use sensormeta_relstore::{wal_path_for, DurabilityOptions, Vfs};
+use sensormeta_relstore::DurabilityOptions;
 use sensormeta_smr::{PageDraft, Smr};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -75,19 +76,20 @@ fn observe(smr: &Smr) -> (String, Vec<String>, Vec<String>) {
 
 #[test]
 fn an_aborted_bulk_load_leaves_tables_pages_and_mirror_as_they_were() {
-    // The log's length after the first load, from a run without faults.
+    // The I/O operations of both loads, counted on a run without faults.
     let probe = FaultVfs::new(MemVfs::new(), FaultPlan::default());
-    let report = open(&probe).bulk_load(first_load());
+    let mut smr = open(&probe);
+    let report = smr.bulk_load(first_load());
     assert_eq!((report.created, report.errors.len()), (2, 0));
-    let wal = wal_path_for(Path::new(PATH));
-    let logged = probe.durable_state().read(&wal).expect("wal").len();
+    assert!(smr.bulk_load(second_load()).errors.is_empty());
 
-    // The same run on a disk with room for a few hundred bytes more: the
-    // second load's records do not fit.
+    // The same run, failing the second load's last operation: the fsync
+    // of its commit, after every record of it reached the file. (Were
+    // each statement logged on its own, all the others would stay.)
     let vfs = FaultVfs::new(
         MemVfs::new(),
         FaultPlan {
-            file_quota: Some(logged + 400),
+            fail_at_op: Some(probe.ops()),
             ..FaultPlan::default()
         },
     );
@@ -101,7 +103,7 @@ fn an_aborted_bulk_load_leaves_tables_pages_and_mirror_as_they_were() {
     assert_eq!((report.created, report.updated), (0, 0));
     assert_eq!(report.errors.len(), second_load().len());
     for (_, why) in &report.errors {
-        assert!(why.contains(DISK_FULL), "{why}");
+        assert!(why.contains(INJECTED_FAULT), "{why}");
     }
 
     // The log was poisoned by the failed commit; a reopen recovers the
@@ -116,14 +118,46 @@ fn an_aborted_bulk_load_leaves_tables_pages_and_mirror_as_they_were() {
 }
 
 #[test]
+fn a_bulk_load_that_unwinds_keeps_nothing_and_the_next_one_is_logged() {
+    let vfs = FaultVfs::new(MemVfs::new(), FaultPlan::default());
+    let mut smr = open(&vfs);
+    let before = observe(&smr);
+
+    // The input panics after two drafts, inside the load's transaction.
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        let failing = std::iter::from_fn(|| -> Option<PageDraft> { panic!("input failed") });
+        smr.bulk_load(first_load().into_iter().chain(failing))
+    }));
+    assert!(unwound.is_err());
+    assert!(
+        !smr.database().in_transaction(),
+        "a transaction stayed open"
+    );
+    assert_eq!(observe(&smr), before, "an unwound load left writes behind");
+
+    // The next load commits on its own, and a reopen finds it in the log.
+    let commits = smr.database().committed_seq();
+    let report = smr.bulk_load(first_load());
+    assert_eq!((report.created, report.aborted), (2, false));
+    assert!(smr.database().committed_seq() > commits);
+    let (reopened, _) = Smr::open_durable_with(
+        Arc::new(vfs.durable_state()),
+        Path::new(PATH),
+        DurabilityOptions::default(),
+    )
+    .expect("reopen");
+    assert_eq!(observe(&reopened), observe(&smr));
+}
+
+#[test]
 fn drafts_that_fail_their_content_checks_are_skipped_not_fatal() {
-    let mut smr = Smr::new();
+    let mut smr = open(&FaultVfs::new(MemVfs::new(), FaultPlan::default()));
     let mut drafts = first_load();
     drafts.insert(1, PageDraft::new("", "Site"));
-    // Quote escaping may double a body in the UPDATE that rewrites it, and
-    // that record must fit one WAL frame.
-    let half_a_frame = "x".repeat(MAX_FRAME as usize / 2);
-    drafts.push(PageDraft::new("Site:huge", "Site").body(half_a_frame));
+    // Half a frame of quotes: escaping doubles them in the UPDATE that
+    // writes the body, which then does not fit one WAL frame.
+    let quotes = "'".repeat(MAX_FRAME as usize / 2);
+    drafts.push(PageDraft::new("Site:huge", "Site").body(quotes));
     let report = smr.bulk_load(drafts);
     assert!(!report.aborted);
     assert_eq!(report.created, 2);
