@@ -44,6 +44,4 @@ mod result_cache;
 
 pub use clock::EpochClock;
 pub use fingerprint::Fingerprint;
-pub use result_cache::{
-    stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Status, WaitLimit,
-};
+pub use result_cache::{stale_grace_from_env, Cache, CacheConfig, CacheError, CacheStats, Status};

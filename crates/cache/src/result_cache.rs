@@ -17,35 +17,11 @@
 //! the leader or waiting on the next flight.
 
 use sensormeta_obs as obs;
-use sensormeta_resil::Deadline;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How long a caller that finds an identical computation in flight waits
-/// for it. The limit becomes an instant only when the caller parks on the
-/// flight, so a lookup that hits or leads reads no clock for it.
-pub trait WaitLimit: Copy {
-    /// The instant the wait ends (`None`: as long as the flight runs).
-    /// Called at most once per lookup, when the caller first parks.
-    fn until(self) -> Option<Instant>;
-}
-
-/// A budget counted from the moment the caller parks.
-impl WaitLimit for Option<Duration> {
-    fn until(self) -> Option<Instant> {
-        self.and_then(|d| Instant::now().checked_add(d))
-    }
-}
-
-/// A request's absolute deadline, read as is.
-impl WaitLimit for Deadline {
-    fn until(self) -> Option<Instant> {
-        self.instant()
-    }
-}
 
 /// Fixed per-entry bookkeeping charge added to the weighed value cost.
 const ENTRY_OVERHEAD: usize = 96;
@@ -496,7 +472,8 @@ impl<V: Send + Sync + 'static> Cache<V> {
 
     /// The one computing lookup. On an entry stamped `at` for `key` returns
     /// it; otherwise computes via `compute` (or coalesces onto an identical
-    /// in-flight computation, waiting at most until `wait` ends) and caches a
+    /// in-flight computation, waiting at most until the instant `wait`,
+    /// `None` for as long as it runs) and caches a
     /// success. A failure is never cached: the caller that computed gets
     /// the error, and callers waiting on its flight retry under their own
     /// deadline — leading the next computation or waiting on it.
@@ -516,14 +493,12 @@ impl<V: Send + Sync + 'static> Cache<V> {
         &self,
         key: u64,
         at: u64,
-        wait: impl WaitLimit,
+        wait: Option<Instant>,
         compute: F,
     ) -> (Result<Arc<V>, CacheError<E>>, Status)
     where
         F: FnOnce() -> Result<V, E>,
     {
-        // Resolved when this caller first parks, and kept across retries.
-        let mut deadline: Option<Option<Instant>> = None;
         let mut saw_stale = false;
         loop {
             enum Step<V> {
@@ -594,7 +569,7 @@ impl<V: Send + Sync + 'static> Cache<V> {
                         .singleflight_waits
                         .fetch_add(1, Ordering::Relaxed);
                     self.metrics.singleflight_waits.inc();
-                    match flight.wait(*deadline.get_or_insert_with(|| wait.until())) {
+                    match flight.wait(wait) {
                         WaitOutcome::Done(v) => {
                             self.count_hit();
                             return (Ok(v), Status::Hit);

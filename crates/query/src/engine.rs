@@ -643,7 +643,7 @@ impl QueryEngine {
         let (result, status) = self.results.get_or_compute(
             form_fingerprint(form, opts.user),
             self.generation,
-            resil::current_deadline(),
+            resil::current_deadline().instant(),
             || self.search_uncached(form, opts.user),
         );
         match result {

@@ -193,17 +193,17 @@ impl Database {
         self.durability.is_some()
     }
 
-    /// True between [`Database::begin`] and its commit or rollback.
+    /// True while a [`Database::transaction`] is open.
     pub fn in_transaction(&self) -> bool {
         self.tx.is_some()
     }
 
-    /// Opens a transaction; [`Database::transaction`] is the usual way in.
-    /// Until [`Database::commit`] or [`Database::rollback`], mutations are
-    /// applied but not logged, and no checkpoint runs. Fails when one is
-    /// already open, or when the log is poisoned (the commit could not
-    /// succeed, so nothing is applied).
-    pub fn begin(&mut self) -> Result<()> {
+    /// Opens a transaction for [`Database::transaction_over`], the one
+    /// driver. Until `commit` or `rollback`, mutations are applied but not
+    /// logged, and no checkpoint runs. Fails when one is already open, or
+    /// when the log is poisoned (the commit could not succeed, so nothing
+    /// is applied).
+    fn begin(&mut self) -> Result<()> {
         if self.in_transaction() {
             return Err(RelError::Exec("a transaction is already open".into()));
         }
@@ -221,7 +221,7 @@ impl Database {
     /// logged as one WAL transaction and made durable with one fsync,
     /// sequence numbers being assigned here. On failure the catalog is
     /// rolled back and the log poisoned. Errors when none is open.
-    pub fn commit(&mut self) -> Result<()> {
+    fn commit(&mut self) -> Result<()> {
         let tx = self
             .tx
             .take()
@@ -237,8 +237,8 @@ impl Database {
     }
 
     /// Abandons the open transaction: the catalog returns to what it was at
-    /// [`Database::begin`] and nothing is logged. No-op when none is open.
-    pub fn rollback(&mut self) {
+    /// `begin` and nothing is logged. No-op when none is open.
+    fn rollback(&mut self) {
         if let Some(tx) = self.tx.take() {
             self.catalog = tx.before;
         }
@@ -436,24 +436,9 @@ impl Database {
             .and_then(|r| r.into_iter().next()))
     }
 
-    /// Programmatic table creation (bypasses SQL). Logged in durable mode.
-    pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
-        let key = schema.name.to_ascii_lowercase();
-        if self.catalog.contains_key(&key) {
-            return Err(RelError::TableExists(schema.name));
-        }
-        if self.durability.is_some() {
-            self.log(LogicalOp::CreateTable(schema.clone()))?;
-        }
-        self.catalog.insert(key, Table::create(schema)?);
-        self.maybe_checkpoint();
-        Ok(())
-    }
-
     /// Inserts a row through the programmatic API. In durable mode the row
     /// is logged before it is applied (made durable at once, or at the
-    /// commit inside a transaction) — use this instead
-    /// of `table_mut(..)?.insert(..)` so the mutation survives a crash.
+    /// commit inside a transaction).
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<RowId> {
         if !self.has_table(table) {
             return Err(RelError::NoSuchTable(table.to_owned()));
@@ -476,8 +461,9 @@ impl Database {
             .ok_or_else(|| RelError::NoSuchTable(name.to_owned()))
     }
 
-    /// Mutable access to a table.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+    /// Mutable access to a table; private, since a write through it would
+    /// skip the log.
+    fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.catalog
             .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| RelError::NoSuchTable(name.to_owned()))

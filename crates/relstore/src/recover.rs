@@ -24,7 +24,6 @@ use crate::error::{RelError, Result};
 use crate::sql::exec::{execute, Catalog};
 use crate::sql::parser::parse_script;
 use crate::sql::planner::PlannerConfig;
-use crate::table::Table;
 use crate::vfs::Vfs;
 use crate::wal::{crc32, scan_wal, LogicalOp, Wal};
 use sensormeta_obs as obs;
@@ -179,14 +178,6 @@ pub(crate) fn apply_logical(catalog: &mut Catalog, op: &LogicalOp) -> Result<()>
                 .get_mut(&table.to_ascii_lowercase())
                 .ok_or_else(|| RelError::NoSuchTable(table.clone()))?;
             t.insert(row.clone())?;
-            Ok(())
-        }
-        LogicalOp::CreateTable(schema) => {
-            let key = schema.name.to_ascii_lowercase();
-            if catalog.contains_key(&key) {
-                return Err(RelError::TableExists(schema.name.clone()));
-            }
-            catalog.insert(key, Table::create(schema.clone())?);
             Ok(())
         }
     }

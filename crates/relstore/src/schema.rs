@@ -89,8 +89,8 @@ impl TableSchema {
 
     /// Appends the schema's binary form — the name, the column count, then
     /// per column its name, a type tag and a flag byte (`not_null`,
-    /// `unique`, `primary_key` as bits 0–2). The WAL's `CreateTable` op and
-    /// the snapshot both store a schema this way.
+    /// `unique`, `primary_key` as bits 0–2). The snapshot stores a schema
+    /// this way.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         write_str(out, &self.name);
         write_varint(out, self.columns.len() as u64);

@@ -19,13 +19,11 @@
 //!         | 0x03 tx:varint                  Commit
 //! op     := 0x01 sql:str                    SQL statement / script
 //!         | 0x02 table:str row:encode_row   logical row insert
-//!         | 0x03 schema                     programmatic CREATE TABLE
 //! str    := len:varint utf8-bytes
 //! ```
 
 use crate::encoding::{encode_row, next_byte, read_str, read_varint, write_str, write_varint};
 use crate::error::{RelError, Result};
-use crate::schema::TableSchema;
 use crate::value::Value;
 use crate::vfs::{Vfs, VfsFile};
 use sensormeta_obs as obs;
@@ -53,7 +51,6 @@ const KIND_COMMIT: u8 = 3;
 
 const OP_SQL: u8 = 1;
 const OP_INSERT: u8 = 2;
-const OP_CREATE_TABLE: u8 = 3;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven, dependency-free.
@@ -110,8 +107,6 @@ pub enum LogicalOp {
         /// The row values as supplied by the caller.
         row: Vec<Value>,
     },
-    /// A programmatic `create_table` call.
-    CreateTable(TableSchema),
 }
 
 impl LogicalOp {
@@ -126,10 +121,6 @@ impl LogicalOp {
                 write_str(out, table);
                 encode_row(row, out);
             }
-            LogicalOp::CreateTable(schema) => {
-                out.push(OP_CREATE_TABLE);
-                schema.encode(out);
-            }
         }
     }
 
@@ -141,9 +132,6 @@ impl LogicalOp {
                 let table = read_str(buf, pos, RelError::Wal)?;
                 let row = crate::encoding::decode_row(buf, pos)?;
                 Ok(LogicalOp::Insert { table, row })
-            }
-            OP_CREATE_TABLE => {
-                TableSchema::decode(buf, pos, RelError::Wal).map(LogicalOp::CreateTable)
             }
             other => Err(RelError::Wal(format!("unknown op tag {other}"))),
         }
@@ -412,8 +400,6 @@ fn parse_frame(payload: &[u8]) -> Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
-    use crate::value::DataType;
     use crate::vfs::MemVfs;
 
     #[test]
@@ -540,30 +526,5 @@ mod tests {
         let scan = scan_wal(b"not a wal file");
         assert!(!scan.is_clean());
         assert_eq!(scan.committed.len(), 0);
-    }
-
-    #[test]
-    fn create_table_op_roundtrips() {
-        let schema = TableSchema::new(
-            "s",
-            vec![
-                Column::new("id", DataType::Integer).primary_key(),
-                Column::new("name", DataType::Text).not_null(),
-            ],
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        LogicalOp::CreateTable(schema.clone()).encode(&mut buf);
-        let mut pos = 0;
-        let back = LogicalOp::decode(&buf, &mut pos).unwrap();
-        match back {
-            LogicalOp::CreateTable(s) => {
-                assert_eq!(s.name, "s");
-                assert_eq!(s.columns.len(), 2);
-                assert!(s.columns[0].primary_key);
-                assert!(s.columns[1].not_null);
-            }
-            other => panic!("wrong op: {other:?}"),
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Per-backend circuit breakers: closed → open → half-open → closed.
+//! Per-backend circuit breakers: closed → open → closed.
 
 use parking_lot::Mutex;
 use sensormeta_obs as obs;
@@ -9,10 +9,9 @@ use std::time::{Duration, Instant};
 pub struct BreakerConfig {
     /// Consecutive failures that trip the breaker open.
     pub failure_threshold: u32,
-    /// How long an open breaker rejects before probing (half-open).
+    /// How long an open breaker rejects before letting one probe through,
+    /// and how long each probe's lease lasts.
     pub open_for: Duration,
-    /// Concurrent probe calls allowed while half-open.
-    pub half_open_probes: u32,
 }
 
 impl Default for BreakerConfig {
@@ -20,7 +19,6 @@ impl Default for BreakerConfig {
         BreakerConfig {
             failure_threshold: 5,
             open_for: Duration::from_secs(5),
-            half_open_probes: 1,
         }
     }
 }
@@ -30,10 +28,8 @@ impl Default for BreakerConfig {
 pub enum BreakerState {
     /// Calls flow; consecutive failures are counted.
     Closed,
-    /// Calls are rejected until the cooldown elapses.
+    /// Calls are rejected, but for one probe per cooldown.
     Open,
-    /// A bounded number of probe calls test whether the backend recovered.
-    HalfOpen,
 }
 
 impl BreakerState {
@@ -42,7 +38,6 @@ impl BreakerState {
         match self {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
         }
     }
 }
@@ -51,7 +46,6 @@ impl BreakerState {
 enum Inner {
     Closed { failures: u32 },
     Open { until: Instant },
-    HalfOpen { probes: u32 },
 }
 
 /// A circuit breaker guarding one expensive backend path.
@@ -60,8 +54,11 @@ enum Inner {
 /// outcome with [`record_success`](Breaker::record_success) /
 /// [`record_failure`](Breaker::record_failure). After
 /// `failure_threshold` consecutive failures the breaker opens and rejects
-/// for `open_for`; the first calls after the cooldown run as half-open
-/// probes whose outcome closes or re-opens the circuit.
+/// for `open_for`. The first call after the cooldown runs as a probe and
+/// leases the next cooldown: a success closes the circuit, a failure
+/// restarts the cooldown, and a probe that reports neither (a client
+/// error, a panic) blocks nobody past its lease — the next call after it
+/// probes again.
 #[derive(Debug)]
 pub struct Breaker {
     name: &'static str,
@@ -78,7 +75,7 @@ impl Breaker {
             cfg,
             inner: Mutex::new(Inner::Closed { failures: 0 }),
         };
-        b.export_state(&Inner::Closed { failures: 0 });
+        b.export_state(BreakerState::Closed);
         b
     }
 
@@ -86,76 +83,69 @@ impl Breaker {
     /// stale cache or shed with 503.
     pub fn allow(&self) -> bool {
         let mut inner = self.inner.lock();
-        let allowed = match &mut *inner {
-            Inner::Closed { .. } => true,
-            Inner::Open { until } => {
-                if Instant::now() >= *until {
-                    *inner = Inner::HalfOpen { probes: 1 };
-                    true
-                } else {
-                    false
-                }
+        if let Inner::Open { until } = &mut *inner {
+            let now = Instant::now();
+            if now < *until {
+                drop(inner);
+                obs::counter(&format!("resil_breaker_{}_rejected_total", self.name)).inc();
+                return false;
             }
-            Inner::HalfOpen { probes } => {
-                if *probes < self.cfg.half_open_probes {
-                    *probes += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        self.export_state(&inner);
-        if !allowed {
-            obs::counter(&format!("resil_breaker_{}_rejected_total", self.name)).inc();
+            // This call is the probe; the next one waits out its lease.
+            *until = now + self.cfg.open_for;
         }
-        allowed
+        true
     }
 
     /// Reports a successful backend call.
     pub fn record_success(&self) {
         let mut inner = self.inner.lock();
+        let was_open = matches!(*inner, Inner::Open { .. });
         *inner = Inner::Closed { failures: 0 };
-        self.export_state(&inner);
+        drop(inner);
+        if was_open {
+            self.export_state(BreakerState::Closed);
+        }
     }
 
     /// Reports a failed backend call (backend errors and timeouts — not
     /// client errors).
     pub fn record_failure(&self) {
         let mut inner = self.inner.lock();
-        let open = match &mut *inner {
+        let was_open = match &mut *inner {
             Inner::Closed { failures } => {
                 *failures += 1;
-                *failures >= self.cfg.failure_threshold
+                if *failures < self.cfg.failure_threshold {
+                    return;
+                }
+                false
             }
-            // A failed half-open probe re-opens immediately.
-            Inner::HalfOpen { .. } => true,
-            Inner::Open { .. } => false,
+            Inner::Open { .. } => true,
         };
-        if open {
-            *inner = Inner::Open {
-                until: Instant::now() + self.cfg.open_for,
-            };
+        // Opening, or a failed probe: reject for a full cooldown.
+        *inner = Inner::Open {
+            until: Instant::now() + self.cfg.open_for,
+        };
+        drop(inner);
+        if !was_open {
             obs::counter(&format!("resil_breaker_{}_opened_total", self.name)).inc();
+            self.export_state(BreakerState::Open);
         }
-        self.export_state(&inner);
     }
 
-    /// Current state (open breakers past their cooldown still report
-    /// `Open` until the next [`allow`](Breaker::allow) probes them).
+    /// Current state (an open breaker past its cooldown still reports
+    /// `Open` until a probe's success closes it).
     pub fn state(&self) -> BreakerState {
         match &*self.inner.lock() {
             Inner::Closed { .. } => BreakerState::Closed,
             Inner::Open { .. } => BreakerState::Open,
-            Inner::HalfOpen { .. } => BreakerState::HalfOpen,
         }
     }
 
-    fn export_state(&self, inner: &Inner) {
-        let v = match inner {
-            Inner::Closed { .. } => 0.0,
-            Inner::HalfOpen { .. } => 1.0,
-            Inner::Open { .. } => 2.0,
+    /// Sets the `resil_breaker_<name>_state` gauge: 0 closed, 2 open.
+    fn export_state(&self, state: BreakerState) {
+        let v = match state {
+            BreakerState::Closed => 0.0,
+            BreakerState::Open => 2.0,
         };
         obs::gauge(&format!("resil_breaker_{}_state", self.name)).set(v);
     }
@@ -165,12 +155,17 @@ impl Breaker {
 mod tests {
     use super::*;
 
+    const COOLDOWN: Duration = Duration::from_millis(30);
+
     fn cfg() -> BreakerConfig {
         BreakerConfig {
             failure_threshold: 3,
-            open_for: Duration::from_millis(30),
-            half_open_probes: 1,
+            open_for: COOLDOWN,
         }
+    }
+
+    fn past_cooldown() {
+        std::thread::sleep(COOLDOWN + Duration::from_millis(10));
     }
 
     #[test]
@@ -183,10 +178,10 @@ mod tests {
         }
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.allow(), "open breaker rejects");
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(b.allow(), "cooldown elapsed: half-open probe admitted");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(), "only one probe while half-open");
+        past_cooldown();
+        assert!(b.allow(), "cooldown elapsed: one probe admitted");
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(!b.allow(), "only one probe per cooldown");
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.allow());
@@ -198,11 +193,30 @@ mod tests {
         for _ in 0..3 {
             b.record_failure();
         }
-        std::thread::sleep(Duration::from_millis(40));
+        past_cooldown();
         assert!(b.allow());
         b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow());
+        assert!(!b.allow(), "a failed probe restarts the cooldown");
+        past_cooldown();
+        assert!(b.allow(), "and the next cooldown admits a probe again");
+    }
+
+    #[test]
+    fn probe_without_verdict_does_not_block_past_its_lease() {
+        let b = Breaker::new("test_silent_probe", cfg());
+        for _ in 0..3 {
+            b.record_failure();
+        }
+        past_cooldown();
+        // The probe ends with neither a success nor a failure (a client
+        // error, a caught panic).
+        assert!(b.allow());
+        assert!(!b.allow(), "the lease holds for one cooldown");
+        past_cooldown();
+        assert!(b.allow(), "the next call after the lease probes again");
+        b.record_success();
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

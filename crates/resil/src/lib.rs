@@ -16,11 +16,10 @@
 //! - [`chaos`] — named-site fault injection (latency, errors, panics) with
 //!   deterministic per-site hit counters, extending the PR 2 `FaultVfs`
 //!   idea from the storage layer to the compute layer.
-//! - [`Admission`] — a bounded in-flight gauge with RAII permits; the
-//!   server sheds load (429) when it is full.
-//! - [`Breaker`] — a per-backend closed/open/half-open circuit breaker so
-//!   a persistently failing compute path stops burning CPU and the server
-//!   can degrade to stale cached answers.
+//! - [`Breaker`] — a per-backend closed/open circuit breaker so a
+//!   persistently failing compute path stops burning CPU and the server
+//!   can degrade to stale cached answers. Concurrency itself is bounded by
+//!   the server's worker pool, not here.
 //!
 //! Everything here is zero-external-dependency and obs-instrumented; the
 //! hot path of [`checkpoint`] with no deadline and no chaos plan installed
@@ -40,12 +39,10 @@
 )]
 #![warn(missing_debug_implementations)]
 
-mod admission;
 mod breaker;
 pub mod chaos;
 mod deadline;
 
-pub use admission::{Admission, Permit};
 pub use breaker::{Breaker, BreakerConfig, BreakerState};
 pub use deadline::{current_deadline, deadline_scope, shield, Deadline, DeadlineScope, Interrupt};
 

@@ -13,7 +13,7 @@ use sensormeta_obs as obs;
 use sensormeta_query::{
     CondOp, Condition, QueryEngine, QueryError, SearchForm, SearchOptions, SortBy,
 };
-use sensormeta_resil::{self as resil, Admission, Breaker, BreakerConfig, Deadline};
+use sensormeta_resil::{self as resil, Breaker, BreakerConfig, Deadline};
 use sensormeta_smr::{parse_csv, parse_jsonl};
 use sensormeta_tagging::{suggest_tags, CloudCache, CloudParams, TagCloud, TagStore};
 use sensormeta_tx::{Mvcc, Snapshot};
@@ -22,13 +22,9 @@ use serde_json::json;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default end-to-end compute budget per admitted request (overridden by
+/// Default end-to-end compute budget per request (overridden by
 /// `SENSORMETA_DEADLINE_MS`; `0` disables).
 const DEFAULT_DEADLINE: Duration = Duration::from_millis(5000);
-
-/// Default bound on concurrently executing requests (overridden by
-/// `SENSORMETA_MAX_INFLIGHT`; `0` means unbounded).
-const DEFAULT_MAX_INFLIGHT: usize = 256;
 
 /// `Warning` header attached to every response served from stale cache, so
 /// no degraded answer can masquerade as a fresh one (RFC 9111 §5.5 code 110).
@@ -42,8 +38,6 @@ pub struct AppConfig {
     /// Per-request compute budget, which also bounds a wait behind an
     /// identical in-flight computation (`None` = no deadline).
     pub deadline: Option<Duration>,
-    /// Max concurrently executing requests (`0` = unbounded).
-    pub max_inflight: usize,
     /// Circuit-breaker tuning shared by the query and tag-cloud backends.
     pub breaker: BreakerConfig,
     /// Serving topology: the number of in-process shards.
@@ -54,7 +48,6 @@ impl Default for AppConfig {
     fn default() -> Self {
         AppConfig {
             deadline: Some(DEFAULT_DEADLINE),
-            max_inflight: DEFAULT_MAX_INFLIGHT,
             breaker: BreakerConfig::default(),
             topology: Topology::default(),
         }
@@ -62,17 +55,14 @@ impl Default for AppConfig {
 }
 
 impl AppConfig {
-    /// Reads `SENSORMETA_DEADLINE_MS` and `SENSORMETA_MAX_INFLIGHT`; unset
-    /// or unparsable values fall back to the defaults, `0` disables the
-    /// respective bound.
+    /// Reads `SENSORMETA_DEADLINE_MS` and `SENSORMETA_SHARDS`; unset or
+    /// unparsable values fall back to the defaults, a deadline of `0`
+    /// disables it.
     pub fn from_env() -> AppConfig {
         AppConfig {
             deadline: parse_opt_ms(
                 std::env::var("SENSORMETA_DEADLINE_MS").ok().as_deref(),
                 DEFAULT_DEADLINE,
-            ),
-            max_inflight: parse_max_inflight(
-                std::env::var("SENSORMETA_MAX_INFLIGHT").ok().as_deref(),
             ),
             breaker: BreakerConfig::default(),
             topology: Topology::from_env(),
@@ -81,8 +71,8 @@ impl AppConfig {
 }
 
 /// Shared application state, organized around MVCC snapshot isolation:
-/// every read request opens a [`Snapshot`] of the published engine at
-/// admission and sees one epoch-consistent generation for its whole
+/// every read request opens a [`Snapshot`] of the published engine when
+/// it starts and sees one epoch-consistent generation for its whole
 /// lifetime, while writers mutate the private `primary` copy (which owns
 /// the WAL) and publish a new version when done — readers are never
 /// blocked by a writer, and a writer never waits for readers to drain.
@@ -97,7 +87,6 @@ pub struct App {
     cloud_cache: CloudCache,
     /// Per-request compute budget installed as the ambient deadline.
     deadline: Option<Duration>,
-    admission: Admission,
     breaker_query: Breaker,
     breaker_cloud: Breaker,
     /// Serving topology (the configured shard count).
@@ -106,7 +95,9 @@ pub struct App {
     shards: Option<ShardSet>,
 }
 
-fn parse_opt_ms(raw: Option<&str>, default: Duration) -> Option<Duration> {
+/// Reads a millisecond knob: `0` disables it (`None`), unset or
+/// unparsable falls back to `default`.
+pub(crate) fn parse_opt_ms(raw: Option<&str>, default: Duration) -> Option<Duration> {
     match raw.map(|s| s.trim().parse::<u64>()) {
         Some(Ok(0)) => None,
         Some(Ok(ms)) => Some(Duration::from_millis(ms)),
@@ -114,16 +105,10 @@ fn parse_opt_ms(raw: Option<&str>, default: Duration) -> Option<Duration> {
     }
 }
 
-fn parse_max_inflight(raw: Option<&str>) -> usize {
-    match raw.map(|s| s.trim().parse::<usize>()) {
-        Some(Ok(n)) => n,
-        Some(Err(_)) | None => DEFAULT_MAX_INFLIGHT,
-    }
-}
-
-/// An honest `Retry-After` for shed responses: twice the observed
-/// end-to-end p95 (the time a retry is likely to need), clamped to 1–30 s.
-fn retry_after_secs() -> u64 {
+/// An honest `Retry-After` for every shed response (a full accept
+/// backlog, an open circuit): twice the observed end-to-end p95 (the time
+/// a retry is likely to need), clamped to 1–30 s.
+pub(crate) fn retry_after_secs() -> u64 {
     let p95_us = obs::histogram("http_request_us").quantile(0.95);
     (2 * p95_us).div_ceil(1_000_000).clamp(1, 30)
 }
@@ -169,7 +154,6 @@ impl App {
             tags: Mvcc::new(tags),
             cloud_cache: CloudCache::new(),
             deadline: cfg.deadline,
-            admission: Admission::new(cfg.max_inflight),
             breaker_query: Breaker::new("query", cfg.breaker),
             breaker_cloud: Breaker::new("tagcloud", cfg.breaker),
             topology: cfg.topology,
@@ -188,7 +172,7 @@ impl App {
     }
 
     /// Opens a read snapshot of the published engine — exactly what every
-    /// read request does at admission. Exposed for the isolation tests and
+    /// read request does when it starts. Exposed for the isolation tests and
     /// the benchmark oracle.
     pub fn engine_snapshot(&self) -> Snapshot<QueryEngine> {
         self.engine.snapshot()
@@ -226,57 +210,14 @@ impl App {
         seq
     }
 
-    /// Stable route label for metric names (`http_route_<label>_…`). Unknown
-    /// paths collapse into one label so metrics stay bounded.
-    fn route_label(req: &Request) -> &'static str {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/") => "home",
-            ("GET", "/search") => "search",
-            ("GET", "/autocomplete") => "autocomplete",
-            ("GET", "/attributes") => "attributes",
-            ("GET", "/recommend") => "recommend",
-            ("GET", "/tags") => "tags",
-            ("GET", "/tags.json") => "tags_json",
-            ("GET", "/viz/bar") => "viz_bar",
-            ("GET", "/viz/pie") => "viz_pie",
-            ("GET", "/viz/map") => "viz_map",
-            ("GET", "/viz/graph") => "viz_graph",
-            ("GET", "/viz/hypergraph") => "viz_hypergraph",
-            ("GET", "/sql") => "sql",
-            ("GET", "/sparql") => "sparql",
-            ("GET", "/export.ttl") => "export_ttl",
-            ("GET", "/suggest_tags") => "suggest_tags",
-            ("GET", "/metrics") => "metrics",
-            ("GET", "/metrics.json") => "metrics",
-            ("GET", "/healthz") => "healthz",
-            ("GET", "/cluster") => "cluster",
-            ("POST", "/bulkload") => "bulkload",
-            ("POST", "/tag") => "tag",
-            ("POST", "/admin/cache/clear") => "admin_cache_clear",
-            ("GET", p) if p.starts_with("/page/") => "page",
-            _ => "other",
-        }
-    }
-
-    /// Routes one request to its handler behind admission control and the
-    /// per-request deadline, recording per-route request counters,
-    /// status-class counters and latency histograms.
+    /// Runs one request under the per-request deadline, recording
+    /// per-route request counters, status-class counters and latency
+    /// histograms.
     pub fn handle(&self, req: &Request) -> Response {
         let start = std::time::Instant::now();
-        let route = Self::route_label(req);
-        // Probes and exposition stay exempt: an operator debugging an
-        // overload needs /healthz and /metrics more than ever.
-        let resp = if matches!(route, "healthz" | "metrics") {
-            self.dispatch(req)
-        } else {
-            match self.admission.try_acquire() {
-                Some(_permit) => {
-                    let _scope = resil::deadline_scope(Deadline::from_budget(self.deadline));
-                    self.dispatch(req)
-                }
-                None => Response::error(429, "server at capacity; retry later")
-                    .with_header("Retry-After", retry_after_secs().to_string()),
-            }
+        let (route, resp) = {
+            let _scope = resil::deadline_scope(Deadline::from_budget(self.deadline));
+            self.route(req)
         };
         obs::counter("http_requests_total").inc();
         obs::counter(&format!("http_route_{route}_requests_total")).inc();
@@ -290,34 +231,37 @@ impl App {
         resp
     }
 
-    fn dispatch(&self, req: &Request) -> Response {
+    /// The route table: each request's response, with the stable label its
+    /// metrics go under (`http_route_<label>_…`). Unknown paths collapse
+    /// into one label so metrics stay bounded.
+    fn route(&self, req: &Request) -> (&'static str, Response) {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/") => self.home(),
-            ("GET", "/search") => self.search(req),
-            ("GET", "/autocomplete") => self.autocomplete(req),
-            ("GET", "/attributes") => self.attributes(),
-            ("GET", "/recommend") => self.recommend(req),
-            ("GET", "/tags") => self.tag_cloud_svg(),
-            ("GET", "/tags.json") => self.tag_cloud_json(),
-            ("GET", "/viz/bar") => self.viz_bar(req),
-            ("GET", "/viz/pie") => self.viz_pie(req),
-            ("GET", "/viz/map") => self.viz_map(req),
-            ("GET", "/viz/graph") => self.viz_graph(req),
-            ("GET", "/viz/hypergraph") => self.viz_hypergraph(req),
-            ("GET", "/sql") => self.sql_console(req),
-            ("GET", "/sparql") => self.sparql_console(req),
-            ("GET", "/export.ttl") => self.export_turtle(),
-            ("GET", "/suggest_tags") => self.suggest_tags(req),
-            ("GET", "/metrics") => Self::metrics(req, false),
-            ("GET", "/metrics.json") => Self::metrics(req, true),
-            ("GET", "/healthz") => self.healthz(),
-            ("GET", "/cluster") => self.cluster_status(),
-            ("POST", "/bulkload") => self.bulkload(req),
-            ("POST", "/tag") => self.add_tag(req),
-            ("POST", "/admin/cache/clear") => self.admin_cache_clear(),
-            ("GET", p) if p.starts_with("/page/") => self.page(&p["/page/".len()..]),
-            ("GET", _) => Response::error(404, "not found"),
-            _ => Response::error(405, "method not allowed"),
+            ("GET", "/") => ("home", self.home()),
+            ("GET", "/search") => ("search", self.search(req)),
+            ("GET", "/autocomplete") => ("autocomplete", self.autocomplete(req)),
+            ("GET", "/attributes") => ("attributes", self.attributes()),
+            ("GET", "/recommend") => ("recommend", self.recommend(req)),
+            ("GET", "/tags") => ("tags", self.tag_cloud_svg()),
+            ("GET", "/tags.json") => ("tags_json", self.tag_cloud_json()),
+            ("GET", "/viz/bar") => ("viz_bar", self.viz_bar(req)),
+            ("GET", "/viz/pie") => ("viz_pie", self.viz_pie(req)),
+            ("GET", "/viz/map") => ("viz_map", self.viz_map(req)),
+            ("GET", "/viz/graph") => ("viz_graph", self.viz_graph(req)),
+            ("GET", "/viz/hypergraph") => ("viz_hypergraph", self.viz_hypergraph(req)),
+            ("GET", "/sql") => ("sql", self.sql_console(req)),
+            ("GET", "/sparql") => ("sparql", self.sparql_console(req)),
+            ("GET", "/export.ttl") => ("export_ttl", self.export_turtle()),
+            ("GET", "/suggest_tags") => ("suggest_tags", self.suggest_tags(req)),
+            ("GET", "/metrics") => ("metrics", Self::metrics(req, false)),
+            ("GET", "/metrics.json") => ("metrics", Self::metrics(req, true)),
+            ("GET", "/healthz") => ("healthz", self.healthz()),
+            ("GET", "/cluster") => ("cluster", self.cluster_status()),
+            ("POST", "/bulkload") => ("bulkload", self.bulkload(req)),
+            ("POST", "/tag") => ("tag", self.add_tag(req)),
+            ("POST", "/admin/cache/clear") => ("admin_cache_clear", self.admin_cache_clear()),
+            ("GET", p) if p.starts_with("/page/") => ("page", self.page(&p["/page/".len()..])),
+            ("GET", _) => ("other", Response::error(404, "not found")),
+            _ => ("other", Response::error(405, "method not allowed")),
         }
     }
 
@@ -1026,20 +970,6 @@ impl App {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overload_knob_parsing() {
-        assert_eq!(parse_opt_ms(None, DEFAULT_DEADLINE), Some(DEFAULT_DEADLINE));
-        assert_eq!(
-            parse_opt_ms(Some("750"), DEFAULT_DEADLINE),
-            Some(Duration::from_millis(750))
-        );
-        assert_eq!(parse_opt_ms(Some("0"), DEFAULT_DEADLINE), None);
-        assert_eq!(parse_max_inflight(None), DEFAULT_MAX_INFLIGHT);
-        assert_eq!(parse_max_inflight(Some("4")), 4);
-        assert_eq!(parse_max_inflight(Some("0")), 0, "0 means unbounded");
-        assert_eq!(parse_max_inflight(Some("lots")), DEFAULT_MAX_INFLIGHT);
-    }
 
     #[test]
     fn retry_after_is_clamped() {

@@ -2,7 +2,7 @@
 //! keep-alive connections that never pin a worker, and panic isolation per
 //! request.
 
-use crate::app::App;
+use crate::app::{parse_opt_ms, retry_after_secs, App};
 use crate::http::{is_timeout, read_request_from, HttpError, Response};
 use crossbeam::channel;
 use sensormeta_obs as obs;
@@ -26,7 +26,8 @@ pub struct Server {
 /// `SENSORMETA_*` variables; tests pass explicit values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Handler threads (always at least 1).
+    /// Handler threads (always at least 1): the bound on concurrently
+    /// executing requests.
     pub workers: usize,
     /// Wall-clock bound on reading one whole request, from its first byte
     /// on a kept-alive connection; `None` disables it and leaves only the
@@ -63,19 +64,12 @@ impl ServeConfig {
     pub fn from_env() -> ServeConfig {
         ServeConfig {
             workers: DEFAULT_WORKERS,
-            read_deadline: parse_read_deadline(
+            read_deadline: parse_opt_ms(
                 std::env::var("SENSORMETA_READ_DEADLINE_MS").ok().as_deref(),
+                DEFAULT_READ_DEADLINE,
             ),
             backlog: parse_backlog(std::env::var("SENSORMETA_ACCEPT_BACKLOG").ok().as_deref()),
         }
-    }
-}
-
-fn parse_read_deadline(raw: Option<&str>) -> Option<Duration> {
-    match raw.map(|s| s.trim().parse::<u64>()) {
-        Some(Ok(0)) => None,
-        Some(Ok(ms)) => Some(Duration::from_millis(ms)),
-        Some(Err(_)) | None => Some(DEFAULT_READ_DEADLINE),
     }
 }
 
@@ -158,7 +152,7 @@ pub fn serve_with(app: App, addr: &str, cfg: ServeConfig) -> std::io::Result<Ser
                         obs::counter("http_accept_shed_total").inc();
                         let _ = s.set_write_timeout(Some(Duration::from_secs(1)));
                         let _ = Response::error(503, "server backlog full")
-                            .with_header("Retry-After", "1")
+                            .with_header("Retry-After", retry_after_secs().to_string())
                             .with_header("Connection", "close")
                             .write_to(&mut s);
                         let _ = s.shutdown(std::net::Shutdown::Both);
@@ -304,17 +298,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serve_knob_parsing() {
-        assert_eq!(parse_read_deadline(None), Some(DEFAULT_READ_DEADLINE));
+    fn knob_parsing() {
+        let default = DEFAULT_READ_DEADLINE;
+        assert_eq!(parse_opt_ms(None, default), Some(default));
         assert_eq!(
-            parse_read_deadline(Some("250")),
+            parse_opt_ms(Some("250"), default),
             Some(Duration::from_millis(250))
         );
-        assert_eq!(parse_read_deadline(Some("0")), None, "0 disables");
         assert_eq!(
-            parse_read_deadline(Some("nope")),
-            Some(DEFAULT_READ_DEADLINE)
+            parse_opt_ms(Some("750"), default),
+            Some(Duration::from_millis(750))
         );
+        assert_eq!(parse_opt_ms(Some("0"), default), None, "0 disables");
+        assert_eq!(parse_opt_ms(Some("nope"), default), Some(default));
         assert_eq!(parse_backlog(None), DEFAULT_ACCEPT_BACKLOG);
         assert_eq!(parse_backlog(Some("8")), 8);
         assert_eq!(parse_backlog(Some("0")), 0, "0 means unbounded");

@@ -115,11 +115,9 @@ fn seeded_app() -> App {
     .expect("seed page");
     let cfg = AppConfig {
         deadline: Some(Duration::from_millis(500)),
-        max_inflight: 2,
         breaker: BreakerConfig {
             failure_threshold: 3,
             open_for: Duration::from_millis(600),
-            half_open_probes: 1,
         },
         ..AppConfig::default()
     };
@@ -255,7 +253,7 @@ fn chaos_harness_end_to_end() {
     );
     assert_eq!(get(addr, "/healthz").status, 200);
 
-    // Backend recovers; after the cooldown a half-open probe recomputes the
+    // Backend recovers; after the cooldown a probe recomputes the
     // real answer (the retained entry is replaced, labeled `stale` by the
     // cache's recompute semantics, but carries no Warning and fresh bytes).
     chaos::clear();
@@ -300,8 +298,8 @@ fn chaos_harness_end_to_end() {
     );
 
     // ---- Phase 6: concurrent storm ----------------------------------------
-    // Mixed latency + error injection under more clients than admission
-    // permits. Every request must complete with a well-defined status
+    // Mixed latency + error injection under more clients than worker
+    // threads. Every request must complete with a well-defined status
     // within bounded time; Warning must imply a stale label; /healthz must
     // stay green throughout.
     chaos::install(

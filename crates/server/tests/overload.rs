@@ -1,15 +1,14 @@
-//! Overload behavior at the socket layer: slow-loris and partial-write
-//! clients must not starve healthy clients past their deadline, and
-//! admission control must shed with an honest `Retry-After`.
+//! Overload behavior at the socket layer: a full accept backlog must shed
+//! at the door with an honest `Retry-After`, and slow-loris and
+//! partial-write clients must not starve healthy clients past their
+//! deadline.
 //!
 //! One test function: the chaos plan is process-global.
 
 use sensormeta_query::QueryEngine;
 use sensormeta_resil::chaos::{self, Fault, FaultKind};
-use sensormeta_resil::BreakerConfig;
-use sensormeta_server::{parse_query, serve_with, App, AppConfig, Request, ServeConfig};
+use sensormeta_server::{serve_with, App, AppConfig, ServeConfig};
 use sensormeta_smr::{PageDraft, Smr};
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
@@ -29,37 +28,39 @@ fn seeded_engine() -> QueryEngine {
 fn config() -> AppConfig {
     AppConfig {
         deadline: Some(Duration::from_secs(2)),
-        max_inflight: 1,
-        breaker: BreakerConfig::default(),
         ..AppConfig::default()
     }
 }
 
-fn req(method: &str, target: &str) -> Request {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, parse_query(q)),
-        None => (target, BTreeMap::new()),
-    };
-    Request {
-        method: method.into(),
-        path: path.into(),
-        query,
-        headers: BTreeMap::new(),
-        body: Vec::new(),
-    }
+/// Reads a whole response from a connection the server closes after it.
+fn read_response(stream: &mut TcpStream) -> String {
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
+fn status_of(resp: &str) -> u16 {
+    resp.split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {resp:?}"))
+}
+
+fn header<'a>(resp: &'a str, name: &str) -> Option<&'a str> {
+    resp.split("\r\n\r\n")
+        .next()?
+        .lines()
+        .filter_map(|l| l.split_once(':'))
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.trim())
 }
 
 fn read_status(stream: &mut TcpStream) -> u16 {
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head = String::from_utf8_lossy(&raw);
-    head.split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {head:?}"))
+    status_of(&read_response(stream))
 }
 
-fn get_status(addr: SocketAddr, target: &str) -> u16 {
+/// Opens a connection and sends one `GET` that asks the server to close it.
+fn send(addr: SocketAddr, target: &str) -> TcpStream {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(20)))
         .expect("read timeout");
@@ -67,41 +68,56 @@ fn get_status(addr: SocketAddr, target: &str) -> u16 {
         format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
     )
     .expect("send request");
-    read_status(&mut s)
+    s
+}
+
+fn get_status(addr: SocketAddr, target: &str) -> u16 {
+    read_status(&mut send(addr, target))
 }
 
 #[test]
 fn stalled_clients_do_not_starve_healthy_ones() {
     chaos::clear();
 
-    // ---- Phase 1: admission shed (in-process, deterministic) --------------
-    // One permit; a slow request holds it while a second arrives.
-    let app = App::with_config(seeded_engine(), config());
+    // ---- Phase 1: shed at the door --------------------------------------
+    // One worker and a backlog of one: a slow /search holds the worker, a
+    // second connection waits in the backlog, and a third is shed at accept
+    // with a closing 503 whose Retry-After follows the observed p95.
+    let server = serve_with(
+        App::with_config(seeded_engine(), config()),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            read_deadline: Some(Duration::from_secs(2)),
+            backlog: 1,
+        },
+    )
+    .expect("bind server");
+    let shed_total = sensormeta_obs::counter("http_accept_shed_total");
+    let shed_before = shed_total.get();
     chaos::install(
         "query_search",
-        Fault::always(FaultKind::Latency(Duration::from_millis(500))),
+        Fault::always(FaultKind::Latency(Duration::from_millis(1000))),
     );
-    let shed = thread::scope(|s| {
-        let slow = s.spawn(|| app.handle(&req("GET", "/search?q=alpha")));
-        thread::sleep(Duration::from_millis(150));
-        let shed = app.handle(&req("GET", "/search?q=beta"));
-        // Probes stay exempt from admission even at capacity.
-        assert_eq!(app.handle(&req("GET", "/healthz")).status, 200);
-        assert_eq!(slow.join().expect("slow request").status, 200);
-        shed
-    });
+    let mut held = send(server.addr, "/search?q=alpha");
+    // Long enough for the worker to pick it up and sleep in the fault.
+    thread::sleep(Duration::from_millis(200));
+    let mut queued = send(server.addr, "/search?q=temperature");
+    let shed = read_response(&mut send(server.addr, "/healthz"));
+    // The held request is already inside its fault; the queued one runs
+    // without it.
     chaos::clear();
-    assert_eq!(shed.status, 429, "over-capacity requests are shed");
-    let retry_after = shed
-        .headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case("Retry-After"))
-        .map(|(_, v)| v.as_str())
-        .expect("shed replies carry Retry-After");
-    let secs: u64 = retry_after.parse().expect("numeric Retry-After");
+    assert_eq!(status_of(&shed), 503, "a full backlog sheds at the door");
+    assert_eq!(header(&shed, "Connection"), Some("close"));
+    let secs: u64 = header(&shed, "Retry-After")
+        .expect("shed replies carry Retry-After")
+        .parse()
+        .expect("numeric Retry-After");
     assert!((1..=30).contains(&secs), "Retry-After {secs} out of range");
-    // The permit was released: the next request is admitted.
-    assert_eq!(app.handle(&req("GET", "/search?q=beta")).status, 200);
+    assert_eq!(shed_total.get(), shed_before + 1, "one connection shed");
+    assert_eq!(read_status(&mut held), 200, "the held request completes");
+    assert_eq!(read_status(&mut queued), 200, "the queued one is served");
+    server.stop();
 
     // ---- Phase 2: slow-loris over real sockets ----------------------------
     // More stalled connections than worker threads, with a short read

@@ -78,12 +78,11 @@ impl CloudCache {
         at: u64,
         params: &CloudParams,
     ) -> Result<(Arc<TagCloud>, Status), Interrupt> {
-        let (result, status) =
-            self.cache
-                .get_or_compute(param_key(params), at, resil::current_deadline(), || {
-                    let _timing = obs::global().span("tagging_cloud_compute");
-                    try_compute_cloud(store, params)
-                });
+        let wait = resil::current_deadline().instant();
+        let (result, status) = self.cache.get_or_compute(param_key(params), at, wait, || {
+            let _timing = obs::global().span("tagging_cloud_compute");
+            try_compute_cloud(store, params)
+        });
         match result {
             Ok(cloud) => Ok((cloud, status)),
             Err(CacheError::Compute(i)) => Err(i),

@@ -85,10 +85,12 @@ fn bounded_wait_times_out_instead_of_blocking() {
             assert_eq!(*result.expect("leader compute failed"), 1);
         } else {
             await_or_give_up(|| leading.load(Ordering::SeqCst));
-            let (result, _status) =
-                cache.get_or_compute(7, AT, Some(Duration::from_millis(10)), || {
-                    Ok::<u64, Infallible>(2)
-                });
+            let (result, _status) = cache.get_or_compute(
+                7,
+                AT,
+                Some(Instant::now() + Duration::from_millis(10)),
+                || Ok::<u64, Infallible>(2),
+            );
             match result {
                 Err(CacheError::WaitTimeout) => timed_out.store(true, Ordering::SeqCst),
                 other => panic!("expected WaitTimeout, got {:?}", other.map(|v| *v)),
