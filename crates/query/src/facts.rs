@@ -14,7 +14,7 @@ use sensormeta_smr::Page;
 use std::collections::HashMap;
 
 /// One page's facts, at its dense page id.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct PageFacts {
     /// Namespace id (see [`Facts::namespace`]).
     pub namespace: u32,
@@ -28,7 +28,7 @@ pub(crate) struct PageFacts {
 
 /// Per-page facts for every page of one generation, plus the string
 /// dictionaries their ids point into.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Facts {
     pages: Vec<PageFacts>,
     namespaces: Vec<String>,
@@ -72,6 +72,27 @@ impl Facts {
             .map(|&(_, v)| self.value(v))
     }
 
+    /// Every attribute with the number of annotations carrying it, most
+    /// used first, ties by name — what `Smr::attributes` reads from the
+    /// annotation table, counted from the facts instead.
+    pub fn attribute_counts(&self) -> Vec<(&str, usize)> {
+        let mut counts = vec![0usize; self.attributes.len()];
+        for page in &self.pages {
+            for &(a, _) in &page.pairs {
+                counts[a as usize] += 1;
+            }
+        }
+        let mut out: Vec<(&str, usize)> = self
+            .attributes
+            .iter()
+            .map(String::as_str)
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        out
+    }
+
     /// Attribute ids per page, duplicates kept: the recommender's
     /// page-property incidence.
     pub fn page_attributes(&self) -> Vec<Vec<u32>> {
@@ -90,6 +111,27 @@ pub(crate) struct FactsBuilder {
     namespace_ids: HashMap<String, u32>,
     attribute_ids: HashMap<String, u32>,
     value_ids: HashMap<String, u32>,
+}
+
+/// The new ids of an older table's dictionary entries, as
+/// [`FactsBuilder::carry`] hands them out (`u32::MAX` until first seen).
+pub(crate) struct Carry<'a> {
+    old: &'a Facts,
+    namespaces: Vec<u32>,
+    attributes: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl<'a> Carry<'a> {
+    /// Carries rows of `old` into a new table.
+    pub fn new(old: &'a Facts) -> Carry<'a> {
+        Carry {
+            old,
+            namespaces: vec![u32::MAX; old.namespaces.len()],
+            attributes: vec![u32::MAX; old.attributes.len()],
+            values: vec![u32::MAX; old.values.len()],
+        }
+    }
 }
 
 impl FactsBuilder {
@@ -115,6 +157,51 @@ impl FactsBuilder {
         Ok(())
     }
 
+    /// Appends the facts of page `id` of the older table `carry` reads
+    /// from, as [`FactsBuilder::push`] would append the page they were
+    /// made of: its strings are interned here once each, the rest is
+    /// copied.
+    pub fn carry(&mut self, carry: &mut Carry<'_>, id: usize) -> Result<()> {
+        let old = carry.old;
+        let page = &old.pages[id];
+        let f = &mut self.facts;
+        let namespace = recall(
+            &mut carry.namespaces,
+            page.namespace,
+            &old.namespaces,
+            &mut self.namespace_ids,
+            &mut f.namespaces,
+        )?;
+        let pairs = page
+            .pairs
+            .iter()
+            .map(|&(a, v)| {
+                Ok((
+                    recall(
+                        &mut carry.attributes,
+                        a,
+                        &old.attributes,
+                        &mut self.attribute_ids,
+                        &mut f.attributes,
+                    )?,
+                    recall(
+                        &mut carry.values,
+                        v,
+                        &old.values,
+                        &mut self.value_ids,
+                        &mut f.values,
+                    )?,
+                ))
+            })
+            .collect::<Result<_>>()?;
+        f.pages.push(PageFacts {
+            namespace,
+            coords: page.coords,
+            pairs,
+        });
+        Ok(())
+    }
+
     /// The finished table; the string → id maps are dropped.
     pub fn finish(self) -> Facts {
         self.facts
@@ -130,6 +217,22 @@ fn intern(ids: &mut HashMap<String, u32>, names: &mut Vec<String>, s: &str) -> R
     ids.insert(s.to_owned(), id);
     names.push(s.to_owned());
     Ok(id)
+}
+
+/// The new id of entry `old_id` of an older dictionary `old_names`,
+/// interned on first use and remembered in `memo`.
+fn recall(
+    memo: &mut [u32],
+    old_id: u32,
+    old_names: &[String],
+    ids: &mut HashMap<String, u32>,
+    names: &mut Vec<String>,
+) -> Result<u32> {
+    let slot = &mut memo[old_id as usize];
+    if *slot == u32::MAX {
+        *slot = intern(ids, names, &old_names[old_id as usize])?;
+    }
+    Ok(*slot)
 }
 
 fn extract_coords(annotations: &[(String, String)]) -> Option<(f64, f64)> {
@@ -195,6 +298,38 @@ mod tests {
         assert_eq!(&*facts.page(1).pairs, [(1, 1), (1, 1)], "duplicates kept");
         assert_eq!(facts.page_attributes(), vec![vec![0, 1], vec![1, 1]]);
         assert_eq!(facts.namespace(facts.page(1).namespace), "Deployment");
+    }
+
+    #[test]
+    fn carried_rows_equal_pushed_pages() {
+        let pages = [
+            page("Fieldsite", &[("hasElevation", "2693"), ("kind", "site")]),
+            page("Deployment", &[("kind", "sensor"), ("hasElevation", "10")]),
+            page("Project", &[("kind", "site")]),
+        ];
+        let mut b = FactsBuilder::default();
+        for p in &pages {
+            b.push(p).unwrap();
+        }
+        let old = b.finish();
+        // The first page is gone and a new one comes last: ids are handed
+        // out afresh in first-seen order, exactly as a full build does.
+        let fresh = page("Fieldsite", &[("kind", "new"), ("kind", "site")]);
+        let mut carry = Carry::new(&old);
+        let mut b = FactsBuilder::default();
+        b.carry(&mut carry, 1).unwrap();
+        b.carry(&mut carry, 2).unwrap();
+        b.push(&fresh).unwrap();
+        let carried = b.finish();
+        let mut b = FactsBuilder::default();
+        for p in [&pages[1], &pages[2], &fresh] {
+            b.push(p).unwrap();
+        }
+        assert_eq!(carried, b.finish());
+        assert_eq!(
+            carried.attribute_counts(),
+            vec![("kind", 4), ("hasElevation", 1)]
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod form;
 pub mod result;
 
 pub use acl::{Acl, PUBLIC_GROUP};
-pub use engine::{QueryEngine, RankBlend, ScatterTrace, SearchOptions, ShardPartial};
+pub use engine::{QueryEngine, RankBlend, Refreshed, ScatterTrace, SearchOptions, ShardPartial};
 pub use error::{QueryError, Result};
 pub use form::{CondOp, Condition, SearchForm, SortBy};
 pub use result::{FacetCount, QueryOutput, RecommendedPage, ResultItem};

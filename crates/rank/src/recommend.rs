@@ -11,7 +11,7 @@
 ///
 /// Property ids are dense small integers (the engine's attribute ids): the
 /// authority table is a vector indexed by them.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Recommender {
     /// Properties per page (dense page ids).
     page_props: Vec<Vec<u32>>,

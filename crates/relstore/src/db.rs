@@ -385,11 +385,15 @@ impl Database {
         self.query_with(sql, PlannerConfig::Costed)
     }
 
-    /// Runs a SELECT under an explicit planner configuration.
-    /// [`PlannerConfig::Naive`] forces full scans and written join order —
+    /// Runs a SELECT under an explicit planner configuration, counting it
+    /// in `relstore_queries_total`. [`PlannerConfig::Naive`] forces full scans and written join order —
     /// the reference execution the property suite and benches compare
     /// costed plans against. An EXPLAIN always shows the costed plan.
     pub fn query_with(&self, sql: &str, cfg: PlannerConfig) -> Result<ResultSet> {
+        static QUERIES: std::sync::OnceLock<obs::Counter> = std::sync::OnceLock::new();
+        QUERIES
+            .get_or_init(|| obs::counter("relstore_queries_total"))
+            .inc();
         match parse(sql)? {
             Statement::Select(sel) => {
                 crate::sql::exec::execute_select_with(&self.catalog, &sel, cfg)

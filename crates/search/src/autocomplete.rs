@@ -7,13 +7,13 @@
 use std::collections::BTreeMap;
 
 /// A weighted prefix trie over strings.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Autocomplete {
     root: Node,
     len: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct Node {
     children: BTreeMap<char, Node>,
     /// Weight if a complete entry terminates here.

@@ -13,7 +13,7 @@ const DOC_CHUNK: usize = 32;
 pub type DocId = usize;
 
 /// One term's postings: per-document positions.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct Posting {
     /// (doc, positions within doc), sorted by doc.
     docs: Vec<(DocId, Vec<u32>)>,
@@ -41,7 +41,7 @@ const CHECKPOINT_SITE: &str = "search_postings";
 const POSTINGS_PER_CHECK: usize = 1024;
 
 /// A positional inverted index over external string keys.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct SearchIndex {
     /// External key (page title) per doc.
     keys: Vec<String>,
@@ -141,6 +141,74 @@ impl SearchIndex {
             ix.add_tokenized(key, terms);
         }
         ix
+    }
+
+    /// This index over a renumbered corpus, re-tokenizing only the
+    /// documents that changed. `keys` are the new corpus's keys in doc-id
+    /// order; `kept[old]` is the new id of an old document whose postings
+    /// carry over, or `None` to drop them (a document deleted or about to
+    /// be re-added); `docs` holds `(new id, text)` of every document to
+    /// tokenize afresh, in ascending id order. One pass over the posting
+    /// lists renumbers and filters them and merges the fresh documents' in
+    /// by doc id. When `kept` preserves the old order, the result equals
+    /// [`SearchIndex::build`] over the new corpus: the same postings,
+    /// positions, lengths and totals.
+    pub fn patched(
+        &self,
+        keys: Vec<String>,
+        kept: &[Option<DocId>],
+        docs: &[(DocId, String)],
+    ) -> SearchIndex {
+        sensormeta_obs::counter("search_docs_indexed_total").add(docs.len() as u64);
+        let mut doc_len = vec![0u32; keys.len()];
+        for (old, &new) in kept.iter().enumerate() {
+            if let Some(new) = new {
+                doc_len[new] = self.doc_len[old];
+            }
+        }
+        // The fresh documents' postings, each list in doc order.
+        let mut fresh: BTreeMap<String, Vec<(DocId, Vec<u32>)>> = BTreeMap::new();
+        for (doc, text) in docs {
+            let terms = tokenize(text);
+            doc_len[*doc] = terms.len() as u32;
+            for (pos, term) in terms.into_iter().enumerate() {
+                let list = fresh.entry(term).or_default();
+                match list.last_mut() {
+                    Some((d, positions)) if d == doc => positions.push(pos as u32),
+                    _ => list.push((*doc, vec![pos as u32])),
+                }
+            }
+        }
+        let mut fresh = fresh.into_iter().peekable();
+        let mut postings: Vec<(String, Posting)> = Vec::with_capacity(self.postings.len());
+        for (term, posting) in &self.postings {
+            while let Some(entry) = fresh.next_if(|(t, _)| t < term) {
+                postings.push((entry.0, Posting { docs: entry.1 }));
+            }
+            let carried = posting
+                .docs
+                .iter()
+                .filter_map(|(doc, positions)| Some((kept[*doc]?, positions.clone())));
+            let docs: Vec<(DocId, Vec<u32>)> = match fresh.next_if(|(t, _)| t == term) {
+                Some((_, added)) => merge_by_doc(carried, added),
+                None => carried.collect(),
+            };
+            if !docs.is_empty() {
+                postings.push((term.clone(), Posting { docs }));
+            }
+        }
+        postings.extend(fresh.map(|(term, docs)| (term, Posting { docs })));
+        SearchIndex {
+            key_ids: keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (k.clone(), i))
+                .collect(),
+            keys,
+            postings: postings.into_iter().collect(),
+            total_len: doc_len.iter().map(|&len| u64::from(len)).sum(),
+            doc_len,
+        }
     }
 
     /// Order-sensitive FNV-1a fingerprint of the full index contents (keys,
@@ -434,6 +502,24 @@ impl SearchIndex {
     }
 }
 
+/// The union of two posting lists sorted by doc id with no doc in common,
+/// sorted by doc id.
+fn merge_by_doc(
+    a: impl Iterator<Item = (DocId, Vec<u32>)>,
+    b: Vec<(DocId, Vec<u32>)>,
+) -> Vec<(DocId, Vec<u32>)> {
+    let mut b = b.into_iter().peekable();
+    let mut out = Vec::new();
+    for entry in a {
+        while let Some(earlier) = b.next_if(|(doc, _)| *doc < entry.0) {
+            out.push(earlier);
+        }
+        out.push(entry);
+    }
+    out.extend(b);
+    out
+}
+
 /// Intersection of two sorted DocId lists.
 fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::new();
@@ -568,6 +654,30 @@ mod tests {
             assert_eq!(built.doc_count(), sequential.doc_count());
             assert_eq!(built.term_count(), sequential.term_count());
         }
+    }
+
+    #[test]
+    fn patched_equals_a_fresh_build() {
+        let doc = |key: &str, text: &str| (key.to_owned(), text.to_owned());
+        let before = vec![
+            doc("b", "snow depth sensor at the snow station"),
+            doc("d", "wind speed sensor"),
+            doc("f", "temperature probe in snow"),
+        ];
+        // `a` and `e` are new, `d` is rewritten, `f` is gone.
+        let after = vec![
+            doc("a", "a fresh snow gauge"),
+            doc("b", "snow depth sensor at the snow station"),
+            doc("d", "humidity sensor replacing wind"),
+            doc("e", "zzz unique term"),
+        ];
+        let old = SearchIndex::build_in(&Pool::new(1), &before);
+        let keys: Vec<String> = after.iter().map(|(k, _)| k.clone()).collect();
+        let docs: Vec<(DocId, String)> = [0, 2, 3].map(|i| (i, after[i].1.clone())).to_vec();
+        let patched = old.patched(keys, &[Some(1), None, None], &docs);
+        let built = SearchIndex::build_in(&Pool::new(1), &after);
+        assert_eq!(patched, built);
+        assert_eq!(patched.fingerprint(), built.fingerprint());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 /// A vocabulary with document frequencies, queryable for near matches.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct SpellSuggester {
     /// term → frequency weight.
     vocab: BTreeMap<String, usize>,

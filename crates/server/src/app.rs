@@ -11,7 +11,7 @@ use sensormeta_cache::Status;
 use sensormeta_cluster::{ShardSet, Topology};
 use sensormeta_obs as obs;
 use sensormeta_query::{
-    CondOp, Condition, QueryEngine, QueryError, SearchForm, SearchOptions, SortBy,
+    CondOp, Condition, QueryEngine, QueryError, Refreshed, SearchForm, SearchOptions, SortBy,
 };
 use sensormeta_resil::{self as resil, Breaker, BreakerConfig, Deadline};
 use sensormeta_smr::{parse_csv, parse_jsonl};
@@ -19,7 +19,7 @@ use sensormeta_tagging::{suggest_tags, CloudCache, CloudParams, TagCloud, TagSto
 use sensormeta_tx::{Mvcc, Snapshot};
 use sensormeta_viz as viz;
 use serde_json::json;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Default end-to-end compute budget per request (overridden by
@@ -122,6 +122,55 @@ fn json_or_500(body: Result<String, serde_json::Error>) -> Response {
     }
 }
 
+/// The metric handles of one label of [`App::route`], resolved from the
+/// registry on the label's first request rather than on every request:
+/// `http_route_<label>_requests_total`, `http_route_<label>_us`, and one
+/// `http_route_<label>_status_<N>xx_total` per status class, registered
+/// when the class first occurs.
+struct RouteMetrics {
+    label: &'static str,
+    requests: OnceLock<(obs::Counter, obs::Histogram)>,
+    status: [OnceLock<obs::Counter>; 6],
+}
+
+impl RouteMetrics {
+    const fn new(label: &'static str) -> RouteMetrics {
+        RouteMetrics {
+            label,
+            requests: OnceLock::new(),
+            status: [const { OnceLock::new() }; 6],
+        }
+    }
+
+    /// Counts one request of this route that answered `status` after
+    /// `elapsed`.
+    fn record(&self, status: u16, elapsed: Duration) {
+        let label = self.label;
+        let (requests, latency) = self.requests.get_or_init(|| {
+            (
+                obs::counter(&format!("http_route_{label}_requests_total")),
+                obs::histogram(&format!("http_route_{label}_us")),
+            )
+        });
+        requests.inc();
+        let class = status / 100;
+        let counter = || obs::counter(&format!("http_route_{label}_status_{class}xx_total"));
+        match self.status.get(usize::from(class)) {
+            Some(slot) => slot.get_or_init(counter).inc(),
+            None => counter().inc(),
+        }
+        latency.record_duration(elapsed);
+    }
+}
+
+/// A `&'static` [`RouteMetrics`] for a label of [`App::route`].
+macro_rules! route {
+    ($label:literal) => {{
+        static METRICS: RouteMetrics = RouteMetrics::new($label);
+        &METRICS
+    }};
+}
+
 impl App {
     /// Builds the app with knobs from the environment, seeding the tag
     /// store from the SMR.
@@ -178,6 +227,12 @@ impl App {
         self.engine.snapshot()
     }
 
+    /// Opens a read snapshot of the live tag store, as `/tags` and
+    /// `/suggest_tags` read it. Exposed for the tag-merge tests.
+    pub fn tags_snapshot(&self) -> Snapshot<TagStore> {
+        self.tags.snapshot()
+    }
+
     /// Sequence number of the currently published engine version.
     pub fn engine_seq(&self) -> u64 {
         self.engine.seq()
@@ -214,54 +269,59 @@ impl App {
     /// per-route request counters, status-class counters and latency
     /// histograms.
     pub fn handle(&self, req: &Request) -> Response {
+        static TOTALS: OnceLock<(obs::Counter, obs::Histogram)> = OnceLock::new();
         let start = std::time::Instant::now();
         let (route, resp) = {
             let _scope = resil::deadline_scope(Deadline::from_budget(self.deadline));
             self.route(req)
         };
-        obs::counter("http_requests_total").inc();
-        obs::counter(&format!("http_route_{route}_requests_total")).inc();
-        obs::counter(&format!(
-            "http_route_{route}_status_{}xx_total",
-            resp.status / 100
-        ))
-        .inc();
-        obs::histogram(&format!("http_route_{route}_us")).record_duration(start.elapsed());
-        obs::histogram("http_request_us").record_duration(start.elapsed());
+        let (requests, latency) = TOTALS.get_or_init(|| {
+            (
+                obs::counter("http_requests_total"),
+                obs::histogram("http_request_us"),
+            )
+        });
+        requests.inc();
+        route.record(resp.status, start.elapsed());
+        latency.record_duration(start.elapsed());
         resp
     }
 
-    /// The route table: each request's response, with the stable label its
-    /// metrics go under (`http_route_<label>_…`). Unknown paths collapse
-    /// into one label so metrics stay bounded.
-    fn route(&self, req: &Request) -> (&'static str, Response) {
+    /// The route table: each request's response, with the metrics of the
+    /// stable label it counts under (`http_route_<label>_…`). Unknown
+    /// paths collapse into one label so metrics stay bounded.
+    fn route(&self, req: &Request) -> (&'static RouteMetrics, Response) {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/") => ("home", self.home()),
-            ("GET", "/search") => ("search", self.search(req)),
-            ("GET", "/autocomplete") => ("autocomplete", self.autocomplete(req)),
-            ("GET", "/attributes") => ("attributes", self.attributes()),
-            ("GET", "/recommend") => ("recommend", self.recommend(req)),
-            ("GET", "/tags") => ("tags", self.tag_cloud_svg()),
-            ("GET", "/tags.json") => ("tags_json", self.tag_cloud_json()),
-            ("GET", "/viz/bar") => ("viz_bar", self.viz_bar(req)),
-            ("GET", "/viz/pie") => ("viz_pie", self.viz_pie(req)),
-            ("GET", "/viz/map") => ("viz_map", self.viz_map(req)),
-            ("GET", "/viz/graph") => ("viz_graph", self.viz_graph(req)),
-            ("GET", "/viz/hypergraph") => ("viz_hypergraph", self.viz_hypergraph(req)),
-            ("GET", "/sql") => ("sql", self.sql_console(req)),
-            ("GET", "/sparql") => ("sparql", self.sparql_console(req)),
-            ("GET", "/export.ttl") => ("export_ttl", self.export_turtle()),
-            ("GET", "/suggest_tags") => ("suggest_tags", self.suggest_tags(req)),
-            ("GET", "/metrics") => ("metrics", Self::metrics(req, false)),
-            ("GET", "/metrics.json") => ("metrics", Self::metrics(req, true)),
-            ("GET", "/healthz") => ("healthz", self.healthz()),
-            ("GET", "/cluster") => ("cluster", self.cluster_status()),
-            ("POST", "/bulkload") => ("bulkload", self.bulkload(req)),
-            ("POST", "/tag") => ("tag", self.add_tag(req)),
-            ("POST", "/admin/cache/clear") => ("admin_cache_clear", self.admin_cache_clear()),
-            ("GET", p) if p.starts_with("/page/") => ("page", self.page(&p["/page/".len()..])),
-            ("GET", _) => ("other", Response::error(404, "not found")),
-            _ => ("other", Response::error(405, "method not allowed")),
+            ("GET", "/") => (route!("home"), self.home()),
+            ("GET", "/search") => (route!("search"), self.search(req)),
+            ("GET", "/autocomplete") => (route!("autocomplete"), self.autocomplete(req)),
+            ("GET", "/attributes") => (route!("attributes"), self.attributes()),
+            ("GET", "/recommend") => (route!("recommend"), self.recommend(req)),
+            ("GET", "/tags") => (route!("tags"), self.tag_cloud_svg()),
+            ("GET", "/tags.json") => (route!("tags_json"), self.tag_cloud_json()),
+            ("GET", "/viz/bar") => (route!("viz_bar"), self.viz_bar(req)),
+            ("GET", "/viz/pie") => (route!("viz_pie"), self.viz_pie(req)),
+            ("GET", "/viz/map") => (route!("viz_map"), self.viz_map(req)),
+            ("GET", "/viz/graph") => (route!("viz_graph"), self.viz_graph(req)),
+            ("GET", "/viz/hypergraph") => (route!("viz_hypergraph"), self.viz_hypergraph(req)),
+            ("GET", "/sql") => (route!("sql"), self.sql_console(req)),
+            ("GET", "/sparql") => (route!("sparql"), self.sparql_console(req)),
+            ("GET", "/export.ttl") => (route!("export_ttl"), self.export_turtle()),
+            ("GET", "/suggest_tags") => (route!("suggest_tags"), self.suggest_tags(req)),
+            ("GET", "/metrics") => (route!("metrics"), Self::metrics(req, false)),
+            ("GET", "/metrics.json") => (route!("metrics"), Self::metrics(req, true)),
+            ("GET", "/healthz") => (route!("healthz"), self.healthz()),
+            ("GET", "/cluster") => (route!("cluster"), self.cluster_status()),
+            ("POST", "/bulkload") => (route!("bulkload"), self.bulkload(req)),
+            ("POST", "/tag") => (route!("tag"), self.add_tag(req)),
+            ("POST", "/admin/cache/clear") => {
+                (route!("admin_cache_clear"), self.admin_cache_clear())
+            }
+            ("GET", p) if p.starts_with("/page/") => {
+                (route!("page"), self.page(&p["/page/".len()..]))
+            }
+            ("GET", _) => (route!("other"), Response::error(404, "not found")),
+            _ => (route!("other"), Response::error(405, "method not allowed")),
         }
     }
 
@@ -625,33 +685,50 @@ impl App {
             parse_jsonl(&body)
         };
         // Serialized committer path: mutate the private primary (one WAL
-        // transaction inside bulk_load), rebuild its derived structures,
-        // then publish a reader clone as the next version. Readers on open
-        // snapshots are untouched; new requests admit onto the rebuilt
+        // transaction inside bulk_load), bring its derived structures up to
+        // date for the titles the load wrote — a load under a third of the
+        // corpus re-reads only those pages, a larger one (or the first after
+        // a failed refresh) rebuilds, and both derive the same — then
+        // publish a reader clone as the next version. Readers on open
+        // snapshots are untouched; new requests admit onto the updated
         // engine.
+        let titles: Vec<String> = drafts.iter().map(|d| d.title.clone()).collect();
         let mut primary = self.primary.lock();
         let mut report = primary.smr_mut().bulk_load(drafts);
         report.errors.extend(parse_errors);
         if report.aborted {
-            // Nothing of the load was applied: there is nothing to rebuild
+            // Nothing of the load was applied: there is nothing to derive
             // or publish, and the client must not take it as stored.
             drop(primary);
             let mut response = json_or_500(serde_json::to_string(&report));
             response.status = 500;
             return response;
         }
-        if let Err(e) = primary.rebuild() {
-            return Response::error(500, e.to_string());
-        }
+        let refreshed = match primary.refresh(&titles) {
+            Ok(refreshed) => refreshed,
+            Err(e) => return Response::error(500, e.to_string()),
+        };
         self.publish(&primary);
-        // Fold the repository's tags into the live store: tags users added
-        // through `POST /tag` exist only there and must survive the load.
-        let pairs = primary.smr().all_tags().unwrap_or_default();
+        // Fold the load's tags into the live store: after a patch, the
+        // re-read pages' (the store already holds every other page's,
+        // ingested at start-up and by earlier loads); after a rebuild, the
+        // whole repository's, which also covers a load whose refresh
+        // failed. Tags users added through `POST /tag` exist only in the
+        // store and survive.
+        let pairs: Vec<(String, String)> = match refreshed {
+            Refreshed::Pages(pages) => pages
+                .into_iter()
+                .flat_map(|p| {
+                    let title = p.title;
+                    p.tags.into_iter().map(move |tag| (title.clone(), tag))
+                })
+                .collect(),
+            Refreshed::All => primary.smr().all_tags().unwrap_or_default(),
+        };
         drop(primary);
         // A load that brings no new pair publishes no tag version.
         let _ = self.tags.commit(|t: &mut TagStore| {
-            let added = t.ingest(pairs.iter().map(|(p, t)| (p.as_str(), t.as_str())));
-            if added > 0 {
+            if t.ingest(pairs.iter().map(|(p, t)| (p.as_str(), t.as_str()))) > 0 {
                 Ok(())
             } else {
                 Err(())

@@ -349,7 +349,7 @@ fn chaos_harness_end_to_end() {
     for h in handles {
         for (status, warned, label, elapsed) in h.join().expect("client thread") {
             assert!(
-                matches!(status, 200 | 429 | 500 | 503 | 504),
+                matches!(status, 200 | 500 | 503 | 504),
                 "unexpected status {status} under storm"
             );
             assert!(

@@ -908,22 +908,42 @@ pub fn link_graphs_of(pages: &[Page]) -> (CsrGraph, CsrGraph) {
     let mut semantic = Vec::new();
     let mut hyperlink = Vec::new();
     for (u, page) in pages.iter().enumerate() {
-        let edge = |edges: &mut Vec<(usize, usize)>, target: &str| {
-            if let Some(&v) = index.get(target).filter(|&&v| v != u) {
-                edges.push((u, v));
-            }
-        };
-        for (_, value) in &page.annotations {
-            edge(&mut semantic, value);
-        }
-        for target in &page.links {
-            edge(&mut hyperlink, target);
-        }
+        push_out_edges(
+            page,
+            u,
+            |title| index.get(title).copied(),
+            &mut semantic,
+            &mut hyperlink,
+        );
     }
     (
         CsrGraph::from_edges(pages.len(), &semantic, true),
         CsrGraph::from_edges(pages.len(), &hyperlink, true),
     )
+}
+
+/// The out-edges of `page` at node `u` of the double linking structure,
+/// pushed onto `semantic` and `hyperlink`: one per annotation value and
+/// per wiki link whose target `node` names, self-references skipped —
+/// the per-page rule of [`link_graphs_of`].
+pub fn push_out_edges(
+    page: &Page,
+    u: usize,
+    node: impl Fn(&str) -> Option<usize>,
+    semantic: &mut Vec<(usize, usize)>,
+    hyperlink: &mut Vec<(usize, usize)>,
+) {
+    let edge = |edges: &mut Vec<(usize, usize)>, target: &str| {
+        if let Some(v) = node(target).filter(|&v| v != u) {
+            edges.push((u, v));
+        }
+    };
+    for (_, value) in &page.annotations {
+        edge(semantic, value);
+    }
+    for target in &page.links {
+        edge(hyperlink, target);
+    }
 }
 
 /// A `pages` row (`id, title, namespace, body, revision`) as a page with

@@ -6,15 +6,39 @@
 //! paper notes "as tags can also be considered the values of metadata
 //! properties") and maintains per-tag frequencies and per-page incidence.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// A set of names, shared between store versions until one of them
+/// changes it.
+type Names = Arc<HashSet<Arc<str>>>;
 
 /// In-memory tag store.
-#[derive(Debug, Default, Clone)]
+///
+/// Every per-tag and per-page set sits behind an `Arc`, and every name is
+/// an `Arc<str>` interned once: cloning the store — what an MVCC commit
+/// does before each change — copies two hash tables of pointers, and a
+/// change then copies only the sets it touches. The sorted views
+/// ([`TagStore::tags`], [`TagStore::incidence`], …) sort when read.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct TagStore {
-    /// tag → set of pages carrying it.
-    tag_pages: BTreeMap<String, BTreeSet<String>>,
-    /// page → set of tags.
-    page_tags: BTreeMap<String, BTreeSet<String>>,
+    /// tag → the pages carrying it.
+    tag_pages: HashMap<Arc<str>, Names>,
+    /// page → its tags.
+    page_tags: HashMap<Arc<str>, Names>,
+}
+
+/// `set`'s names, sorted.
+fn sorted(set: Option<&Names>) -> Vec<&str> {
+    let mut names: Vec<&str> = set.map_or_else(Vec::new, |s| s.iter().map(|n| &**n).collect());
+    names.sort_unstable();
+    names
+}
+
+/// The shared key of `name` in `map`, or a new one.
+fn key_of(map: &HashMap<Arc<str>, Names>, name: &str) -> Arc<str> {
+    map.get_key_value(name)
+        .map_or_else(|| Arc::from(name), |(key, _)| Arc::clone(key))
 }
 
 impl TagStore {
@@ -30,18 +54,19 @@ impl TagStore {
         if tag.is_empty() || page.is_empty() {
             return false;
         }
-        let fresh = self
+        if self
             .tag_pages
-            .entry(tag.clone())
-            .or_default()
-            .insert(page.to_owned());
-        if fresh {
-            self.page_tags
-                .entry(page.to_owned())
-                .or_default()
-                .insert(tag);
+            .get(tag.as_str())
+            .is_some_and(|pages| pages.contains(page))
+        {
+            return false;
         }
-        fresh
+        let page = key_of(&self.page_tags, page);
+        let tag = key_of(&self.tag_pages, &tag);
+        Arc::make_mut(self.tag_pages.entry(Arc::clone(&tag)).or_default())
+            .insert(Arc::clone(&page));
+        Arc::make_mut(self.page_tags.entry(page).or_default()).insert(tag);
+        true
     }
 
     /// Bulk ingestion from (page, tag) pairs — the Parser module's SMR fetch.
@@ -52,46 +77,46 @@ impl TagStore {
     /// Removes one assignment. Returns true if it existed.
     pub fn remove(&mut self, page: &str, tag: &str) -> bool {
         let tag = tag.trim().to_lowercase();
-        let removed = self.tag_pages.get_mut(&tag).is_some_and(|s| s.remove(page));
-        if removed {
-            if self.tag_pages[&tag].is_empty() {
-                self.tag_pages.remove(&tag);
-            }
-            if let Some(s) = self.page_tags.get_mut(page) {
-                s.remove(&tag);
-                if s.is_empty() {
-                    self.page_tags.remove(page);
-                }
+        let Some(pages) = self.tag_pages.get_mut(tag.as_str()) else {
+            return false;
+        };
+        if !pages.contains(page) {
+            return false;
+        }
+        Arc::make_mut(pages).remove(page);
+        if pages.is_empty() {
+            self.tag_pages.remove(tag.as_str());
+        }
+        if let Some(tags) = self.page_tags.get_mut(page) {
+            Arc::make_mut(tags).remove(tag.as_str());
+            if tags.is_empty() {
+                self.page_tags.remove(page);
             }
         }
-        removed
+        true
     }
 
     /// Distinct tags, sorted.
     pub fn tags(&self) -> Vec<&str> {
-        self.tag_pages.keys().map(String::as_str).collect()
+        let mut tags: Vec<&str> = self.tag_pages.keys().map(|t| &**t).collect();
+        tags.sort_unstable();
+        tags
     }
 
     /// Frequency of a tag: "the number of entries that are assigned to each
     /// page" — i.e., how many pages carry it.
     pub fn frequency(&self, tag: &str) -> usize {
-        self.tag_pages.get(tag).map(BTreeSet::len).unwrap_or(0)
+        self.tag_pages.get(tag).map_or(0, |pages| pages.len())
     }
 
-    /// Pages carrying a tag.
+    /// Pages carrying a tag, sorted.
     pub fn pages_of(&self, tag: &str) -> Vec<&str> {
-        self.tag_pages
-            .get(tag)
-            .map(|s| s.iter().map(String::as_str).collect())
-            .unwrap_or_default()
+        sorted(self.tag_pages.get(tag))
     }
 
-    /// Tags of a page.
+    /// Tags of a page, sorted.
     pub fn tags_of(&self, page: &str) -> Vec<&str> {
-        self.page_tags
-            .get(page)
-            .map(|s| s.iter().map(String::as_str).collect())
-            .unwrap_or_default()
+        sorted(self.page_tags.get(page))
     }
 
     /// Number of distinct tags.
@@ -100,28 +125,26 @@ impl TagStore {
     }
 
     /// The tag-page incidence as (tags, sorted page-id lists over a dense
-    /// page index) — input to the Matrix Transformation module. Page ids in
-    /// each list are strictly ascending (the `BTreeSet` of page names maps
-    /// through a monotone index), which the sorted-merge cosine kernel in
+    /// page index) — input to the Matrix Transformation module. Tags are
+    /// sorted, pages are numbered in name order, and the ids in each list
+    /// are strictly ascending, which the sorted-merge cosine kernel in
     /// [`crate::similarity::cosine`] relies on.
     pub fn incidence(&self) -> (Vec<String>, Vec<Vec<usize>>) {
-        let page_index: BTreeMap<&str, usize> = self
-            .page_tags
-            .keys()
-            .enumerate()
-            .map(|(i, p)| (p.as_str(), i))
-            .collect();
-        let tags: Vec<String> = self.tag_pages.keys().cloned().collect();
+        let mut pages: Vec<&str> = self.page_tags.keys().map(|p| &**p).collect();
+        pages.sort_unstable();
+        let page_index: HashMap<&str, usize> =
+            pages.into_iter().enumerate().map(|(i, p)| (p, i)).collect();
+        let tags = self.tags();
         let sets = tags
             .iter()
-            .map(|t| {
-                self.tag_pages[t]
-                    .iter()
-                    .map(|p| page_index[p.as_str()])
-                    .collect()
+            .map(|&t| {
+                let mut ids: Vec<usize> =
+                    self.tag_pages[t].iter().map(|p| page_index[&**p]).collect();
+                ids.sort_unstable();
+                ids
             })
             .collect();
-        (tags, sets)
+        (tags.into_iter().map(str::to_owned).collect(), sets)
     }
 }
 
@@ -155,6 +178,23 @@ mod tests {
         assert!(!s.add("P", "  "));
         assert!(!s.add("", "tag"));
         assert_eq!(s.tag_count(), 0);
+    }
+
+    #[test]
+    fn a_clone_shares_until_changed() {
+        let mut s = TagStore::new();
+        s.ingest([("A", "snow"), ("B", "snow"), ("B", "wind")]);
+        let before = s.clone();
+        assert!(s.add("C", "snow"));
+        assert!(s.remove("B", "wind"));
+        assert_eq!(before.pages_of("snow"), vec!["A", "B"]);
+        assert_eq!(before.tags_of("B"), vec!["snow", "wind"]);
+        assert_eq!(s.pages_of("snow"), vec!["A", "B", "C"]);
+        assert_eq!(s.tags(), vec!["snow"]);
+        assert_ne!(s, before);
+        assert!(!s.add("C", "Snow"));
+        assert!(s.add("B", "wind") && s.remove("C", "snow"));
+        assert_eq!(s, before, "equal by content, not by sharing");
     }
 
     #[test]
